@@ -4,9 +4,16 @@ A chart holds one expression per tensor component (metric, endomorphism
 field, Reeb field, contact form) in variables x1..xd, plus a derivative
 mode. Evaluation produces plain numpy arrays at a point; first and second
 derivatives come either from exact symbolic differentiation or from central
-differences, selected by the mode. Everything downstream (Christoffel
-symbols, covariant derivatives, curvature assembly) consumes the arrays
-produced here.
+differences of the base grids, selected by the mode. Everything downstream
+(Christoffel symbols, covariant derivatives, curvature assembly) consumes
+the arrays produced here.
+
+All grids go through one evaluator. On first use a chart builds each grid's
+component expressions and compiles them into one kernel
+(`exprs.compile_kernel`). If the kernel hits a domain error, the grid is
+re-evaluated with `exprs.evaluate` in component order, so the `EvalError`
+names the first failing component; a non-finite value is an `EvalError`
+too.
 
 Chart files are line oriented: ``dim = 5``, an optional
 ``derivative_mode = symbolic | fd[:<step>]``, optional per-coordinate
@@ -17,14 +24,17 @@ Chart files are line oriented: ``dim = 5``, an optional
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, FD_SECOND_STEP
 from .errors import ChartFormatError, ShapeError
-from .exprs import EvalError, Expr, Num, differentiate, evaluate, free_variables, parse, to_text
+from .exprs import (EvalError, Expr, Num, compile_kernel, differentiate, evaluate,
+                    free_variables, parse, to_text)
 from .linalg import LinearOp, Metric
 from .structure import AcmsPoint
 
@@ -144,7 +154,7 @@ class Chart:
         y = np.asarray(y, float)
         if y.shape != (self.dim,):
             raise ShapeError(f"point has shape {y.shape}, expected ({self.dim},)")
-        return [float(v) for v in y]
+        return y.tolist()
 
     def _eval(self, expr: Expr, values: list[float], what: str) -> float:
         try:
@@ -152,34 +162,55 @@ class Chart:
         except EvalError as exc:
             raise EvalError(f"{what} at point {values}: {exc.message}", exc.where) from exc
 
-    def g_at(self, y) -> np.ndarray:
+    def _grid(self, name: str) -> "_Grid":
+        """The symbolic grid ``name`` with its compiled kernel, built on
+        first use and kept for the life of the chart."""
+        grid = self._dcache.get(name)
+        if grid is None:
+            if name.startswith("d"):
+                grid = _Grid.derivative(self._grid(name[1:]), self.dim)
+            else:
+                grid = _Grid.base(name, getattr(self, name), self.dim)
+            self._dcache[name] = grid
+        return grid
+
+    def _grid_at(self, name: str, y) -> np.ndarray:
+        """Evaluate grid ``name`` at ``y``: "g", "phi", "xi", "eta", or one of
+        them prefixed by a "d" per derivative order. Finite-difference charts
+        difference the base grid instead of compiling derivatives."""
+        if name.startswith("d") and self.mode.kind == "fd":
+            if name.startswith("dd"):
+                raise ShapeError("second metric derivatives are symbolic-mode only")
+            return self._fd_tensor(lambda p: self._grid_at(name[1:], p), y)
+        grid = self._grid(name)
         values = self._values(y)
-        out = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out[i, j] = self._eval(self.g[i][j], values, f"g[{i + 1}][{j + 1}]")
+        try:
+            flat = grid.kernel(values)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            # the tree-walker names the first failing component, in order
+            flat = [self._eval(e, values, label)
+                    for label, e in zip(grid.labels, grid.exprs)]
+        out = np.array(flat).reshape(grid.shape)
+        if not np.isfinite(out).all():
+            n = next(n for n, v in enumerate(flat) if not math.isfinite(v))
+            raise EvalError(f"{grid.labels[n]} at point {values}: non-finite value {flat[n]!r}",
+                            to_text(grid.exprs[n]))
         return out
+
+    def g_at(self, y) -> np.ndarray:
+        return self._grid_at("g", y)
 
     def metric_at(self, y) -> Metric:
         return Metric(self.g_at(y))
 
     def phi_at(self, y) -> LinearOp:
-        values = self._values(y)
-        out = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                out[i, j] = self._eval(self.phi[i][j], values, f"phi[{i + 1}][{j + 1}]")
-        return LinearOp(out)
+        return LinearOp(self._grid_at("phi", y))
 
     def xi_at(self, y) -> np.ndarray:
-        values = self._values(y)
-        return np.array([self._eval(self.xi[i], values, f"xi[{i + 1}]")
-                         for i in range(self.dim)])
+        return self._grid_at("xi", y)
 
     def eta_at(self, y) -> np.ndarray:
-        values = self._values(y)
-        return np.array([self._eval(self.eta[i], values, f"eta[{i + 1}]")
-                         for i in range(self.dim)])
+        return self._grid_at("eta", y)
 
     def acms_point_at(self, y, *, tol: float | None = None) -> AcmsPoint:
         if tol is None:
@@ -189,114 +220,77 @@ class Chart:
 
     # -- derivative grids ---------------------------------------------------
 
-    def _diff(self, expr: Expr, k: int) -> Expr:
-        key = ("d", expr, k)
-        cached = self._dcache.get(key)
-        if cached is None:
-            cached = differentiate(expr, k + 1)
-            self._dcache[key] = cached
-        return cached
-
-    def _sym_grid(self, key: str, builder):
-        grid = self._dcache.get(key)
-        if grid is None:
-            grid = builder()
-            self._dcache[key] = grid
-        return grid
-
     def dg_at(self, y) -> np.ndarray:
         """dg[k, i, j] is the x_k derivative of g[i][j]."""
-        if self.mode.kind == "fd":
-            return self._fd_tensor(self.g_at, y, (self.dim, self.dim))
-        grid = self._sym_grid("dg", lambda: tuple(
-            tuple(tuple(self._diff(self.g[i][j], k) for j in range(self.dim))
-                  for i in range(self.dim))
-            for k in range(self.dim)))
-        values = self._values(y)
-        out = np.empty((self.dim,) * 3)
-        for k in range(self.dim):
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    out[k, i, j] = self._eval(grid[k][i][j], values,
-                                              f"d g[{i + 1}][{j + 1}] / d x{k + 1}")
-        return out
+        return self._grid_at("dg", y)
 
     def ddg_at(self, y) -> np.ndarray:
         """ddg[m, k, i, j] is the second derivative of g[i][j] along x_m, x_k.
         Only available in symbolic mode; finite differencing is handled one
         level up by differentiating Christoffel symbols directly."""
-        if self.mode.kind == "fd":
-            raise ShapeError("second metric derivatives are symbolic-mode only")
-        grid = self._sym_grid("ddg", lambda: tuple(
-            tuple(tuple(tuple(self._diff(self._diff(self.g[i][j], k), m)
-                              for j in range(self.dim)) for i in range(self.dim))
-                  for k in range(self.dim))
-            for m in range(self.dim)))
-        values = self._values(y)
-        out = np.empty((self.dim,) * 4)
-        for m in range(self.dim):
-            for k in range(self.dim):
-                for i in range(self.dim):
-                    for j in range(self.dim):
-                        out[m, k, i, j] = self._eval(
-                            grid[m][k][i][j], values,
-                            f"dd g[{i + 1}][{j + 1}] / d x{k + 1} d x{m + 1}")
-        return out
+        return self._grid_at("ddg", y)
 
     def dphi_at(self, y) -> np.ndarray:
         """dphi[k, i, j] is the x_k derivative of phi[i][j]."""
-        if self.mode.kind == "fd":
-            return self._fd_tensor(lambda p: self.phi_at(p).mat, y, (self.dim, self.dim))
-        grid = self._sym_grid("dphi", lambda: tuple(
-            tuple(tuple(self._diff(self.phi[i][j], k) for j in range(self.dim))
-                  for i in range(self.dim))
-            for k in range(self.dim)))
-        values = self._values(y)
-        out = np.empty((self.dim,) * 3)
-        for k in range(self.dim):
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    out[k, i, j] = self._eval(grid[k][i][j], values,
-                                              f"d phi[{i + 1}][{j + 1}] / d x{k + 1}")
-        return out
+        return self._grid_at("dphi", y)
 
     def dxi_at(self, y) -> np.ndarray:
         """dxi[k, i] is the x_k derivative of xi[i]."""
-        if self.mode.kind == "fd":
-            return self._fd_tensor(self.xi_at, y, (self.dim,))
-        grid = self._sym_grid("dxi", lambda: tuple(
-            tuple(self._diff(self.xi[i], k) for i in range(self.dim))
-            for k in range(self.dim)))
-        values = self._values(y)
-        out = np.empty((self.dim, self.dim))
-        for k in range(self.dim):
-            for i in range(self.dim):
-                out[k, i] = self._eval(grid[k][i], values, f"d xi[{i + 1}] / d x{k + 1}")
-        return out
+        return self._grid_at("dxi", y)
 
     def deta_at(self, y) -> np.ndarray:
         """deta[k, i] is the x_k derivative of eta[i]."""
-        if self.mode.kind == "fd":
-            return self._fd_tensor(self.eta_at, y, (self.dim,))
-        grid = self._sym_grid("deta", lambda: tuple(
-            tuple(self._diff(self.eta[i], k) for i in range(self.dim))
-            for k in range(self.dim)))
-        values = self._values(y)
-        out = np.empty((self.dim, self.dim))
-        for k in range(self.dim):
-            for i in range(self.dim):
-                out[k, i] = self._eval(grid[k][i], values, f"d eta[{i + 1}] / d x{k + 1}")
-        return out
+        return self._grid_at("deta", y)
 
-    def _fd_tensor(self, fn, y, comp_shape) -> np.ndarray:
+    def _fd_tensor(self, fn, y) -> np.ndarray:
         y = np.asarray(y, float)
         h = self.mode.step
-        out = np.empty((self.dim,) + comp_shape)
+        slices = []
         for k in range(self.dim):
             bump = np.zeros(self.dim)
             bump[k] = h
-            out[k] = (np.asarray(fn(y + bump)) - np.asarray(fn(y - bump))) / (2.0 * h)
-        return out
+            slices.append((fn(y + bump) - fn(y - bump)) / (2.0 * h))
+        return np.array(slices)
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """A chart tensor as a flat tuple of component expressions in C order,
+    with the label each component carries in errors and the compiled kernel
+    that evaluates them all at once."""
+
+    shape: tuple[int, ...]
+    labels: tuple[str, ...]
+    exprs: tuple[Expr, ...]
+    kernel: Callable[[list[float]], list[float]]
+
+    @classmethod
+    def of(cls, shape, labels, exprs) -> "_Grid":
+        return cls(shape, tuple(labels), tuple(exprs), compile_kernel(exprs))
+
+    @classmethod
+    def base(cls, name: str, entries, dim: int) -> "_Grid":
+        if name in ("g", "phi"):
+            index = [(i, j) for i in range(dim) for j in range(dim)]
+            return cls.of((dim, dim), [f"{name}[{i + 1}][{j + 1}]" for i, j in index],
+                          [entries[i][j] for i, j in index])
+        return cls.of((dim,), [f"{name}[{i + 1}]" for i in range(dim)], entries)
+
+    @classmethod
+    def derivative(cls, inner: "_Grid", dim: int) -> "_Grid":
+        """Grid of d inner / d x_k, with k as the new leading index. Labels
+        read "d g[1][2] / d x3", then "dd g[1][2] / d x3 d x4"."""
+        labels, exprs = [], []
+        memo: dict[tuple[int, int], Expr] = {}  # symmetric grids share entries
+        for k in range(dim):
+            for label, e in zip(inner.labels, inner.exprs):
+                key = (id(e), k)
+                if key not in memo:
+                    memo[key] = differentiate(e, k + 1)
+                exprs.append(memo[key])
+                labels.append(f"d{label} d x{k + 1}" if label.startswith("d")
+                              else f"d {label} / d x{k + 1}")
+        return cls.of((dim,) + inner.shape, labels, exprs)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,13 @@ def _resolve_tolerances(args) -> Tolerances:
         raise GeometryError(f"unknown tolerance name {exc.args[0]!r}") from exc
 
 
+def _resolve_points(args) -> int:
+    n_points = args.probes if args.probes is not None else POINTS_PER_CHART
+    if n_points < 1:
+        raise GeometryError(f"--probes must be positive, got {n_points}")
+    return n_points
+
+
 def _resolve_chart(args) -> Chart:
     if args.gallery is not None:
         return gallery_chart(args.gallery)
@@ -170,8 +177,8 @@ def _emit(args, command: str, config: dict, report: VerificationReport,
 def cmd_validate(args) -> int:
     tol = _resolve_tolerances(args)
     seed = _resolve_seed(args)
+    n_points = _resolve_points(args)
     chart = _resolve_chart(args)
-    n_points = args.probes if args.probes is not None else POINTS_PER_CHART
     points = sample_points(chart, n_points, seed)
     value_tol = tol.acms_exact if chart.mode.kind == "symbolic" else tol.acms_fd
     bridge_tol = tol.bridge_symbolic if chart.mode.kind == "symbolic" else tol.bridge_fd
@@ -245,8 +252,10 @@ def cmd_lemma(args) -> int:
 def cmd_curvature(args) -> int:
     tol = _resolve_tolerances(args)
     seed = _resolve_seed(args)
+    if args.planes < 1:
+        raise GeometryError(f"--planes must be positive, got {args.planes}")
+    n_points = _resolve_points(args)
     chart = _resolve_chart(args)
-    n_points = args.probes if args.probes is not None else POINTS_PER_CHART
     points = sample_points(chart, n_points, seed)
     values = horizontal_sectional_values(chart, points, seed, tol=tol,
                                          planes=args.planes)
@@ -274,8 +283,8 @@ def cmd_curvature(args) -> int:
 def cmd_identities(args) -> int:
     tol = _resolve_tolerances(args)
     seed = _resolve_seed(args)
+    n_points = _resolve_points(args)
     chart = _resolve_chart(args)
-    n_points = args.probes if args.probes is not None else POINTS_PER_CHART
     points = sample_points(chart, n_points, seed)
     probes = 12
     suites = {
@@ -313,6 +322,11 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (GeometryError, EvalError, OSError) as exc:
         print(f"acmslab: error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # symbolic differentiation and error messages recurse over the tree
+        print("acmslab: error: expression nested too deeply to process; symbolic "
+              "differentiation recurses, so try derivative_mode = fd", file=sys.stderr)
         return 2
 
 

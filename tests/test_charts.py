@@ -22,7 +22,8 @@ from acmslab.charts import (
     save_chart,
 )
 from acmslab.errors import ChartFormatError, ShapeError
-from acmslab.exprs import EvalError, Num, parse
+from acmslab.exprs import EvalError, Num, differentiate, evaluate, parse, to_text
+from acmslab.gallery import GALLERY_NAMES, gallery_chart
 
 SPHERE_TEXT = """\
 # round two-sphere in polar coordinates
@@ -114,6 +115,98 @@ class TestEvaluation:
     def test_point_shape_checked(self, sphere):
         with pytest.raises(ShapeError):
             sphere.g_at([1.0, 2.0, 3.0])
+
+
+GRIDS = ("g", "phi", "xi", "eta", "dg", "ddg", "dphi", "dxi", "deta")
+
+
+def _tree_walked(chart, name):
+    """Grid ``name`` as a function of the point, by differentiate and
+    evaluate alone: entry (m, k, i, j) of ddg is g[i][j] differentiated
+    along x_k, then x_m."""
+    base = name.lstrip("d")
+    order = len(name) - len(base)
+    comps = getattr(chart, base)
+    shape = (chart.dim,) * (order + (2 if base in ("g", "phi") else 1))
+    exprs = {}
+    for index in np.ndindex(shape):
+        comp = index[order:]
+        e = comps[comp[0]] if len(comp) == 1 else comps[comp[0]][comp[1]]
+        for k in reversed(index[:order]):
+            e = differentiate(e, k + 1)
+        exprs[index] = e
+
+    def at(y):
+        values = [float(v) for v in y]
+        out = np.empty(shape)
+        for index, e in exprs.items():
+            out[index] = evaluate(e, values)
+        return out
+
+    return at
+
+
+@pytest.mark.parametrize("source", [*GALLERY_NAMES, "polar_plane"])
+def test_grids_equal_tree_walker(source):
+    chart = (chart_from_text(POLAR_PLANE_TEXT) if source == "polar_plane"
+             else gallery_chart(source))
+    points = sample_points(chart, 2, seed=12)
+    for name in GRIDS:
+        want = _tree_walked(chart, name)
+        for y in points:
+            got = getattr(chart, f"{name}_at")(y)
+            got = np.asarray(getattr(got, "mat", got))
+            expected = want(y)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected), (source, name, y)
+
+
+class TestGridErrors:
+    """Grid methods raise the tree-walker's EvalError, with the component
+    label in front, whatever the compiled kernel raised first."""
+
+    @pytest.mark.parametrize("text,point", [
+        ("1 / x1", [0.0]),        # division by zero
+        ("sqrt(x1)", [-4.0]),     # square root of a negative value
+        ("x1^-3", [0.0]),         # zero raised to a negative power
+        ("exp(x1)", [1e6]),       # exp overflow
+        ("x1^2", [1e200]),        # ** overflow
+    ])
+    def test_message_matches_tree_walker(self, text, point):
+        chart = chart_from_text(f"dim = 1\ng[1][1] = {text}\n")
+        with pytest.raises(EvalError) as tree:
+            evaluate(parse(text), point)
+        with pytest.raises(EvalError) as grid:
+            chart.g_at(point)
+        assert grid.value.message == f"g[1][1] at point {point}: {tree.value.message}"
+        assert grid.value.where == tree.value.where
+
+    def test_derivative_label(self):
+        chart = chart_from_text("dim = 1\ng[1][1] = sqrt(x1)\n")
+        with pytest.raises(EvalError) as exc:
+            chart.dg_at([0.0])
+        assert exc.value.message == "d g[1][1] / d x1 at point [0.0]: division by zero"
+        assert exc.value.where == "1 / (2 * sqrt(x1))"
+
+    def test_first_failing_component_in_order(self):
+        # phi[1][2] fails at 1 / x2 first; sqrt(x1), shared with phi[2][1],
+        # fails too, and the kernel may reach it first
+        chart = chart_from_text(
+            "dim = 2\nphi[1][2] = 1 / x2 + sqrt(x1)\nphi[2][1] = sqrt(x1)\n")
+        with pytest.raises(EvalError) as exc:
+            chart.phi_at([-1.0, 0.0])
+        assert exc.value.message == "phi[1][2] at point [-1.0, 0.0]: division by zero"
+        assert exc.value.where == "1 / x2"
+
+    def test_non_finite_value(self):
+        # finite metric and first derivatives; the second overflows to inf
+        chart = chart_from_text("dim = 1\ng[1][1] = 1e307 * x1^5\n")
+        chart.dg_at([1.0])
+        with pytest.raises(EvalError) as exc:
+            chart.ddg_at([1.0])
+        assert exc.value.message == "dd g[1][1] / d x1 d x1 at point [1.0]: non-finite value inf"
+        dd = differentiate(differentiate(chart.g[0][0], 1), 1)
+        assert exc.value.where == to_text(dd)
 
 
 class TestChristoffel:

@@ -8,6 +8,12 @@ from acmslab.cli import main
 S5 = ["--gallery", "s5"]
 FAST = ["--probes", "2"]
 
+# flat R^5 with a constant structure: valid, but not contact
+FLAT_TEXT = ("dim = 5\n"
+             + "".join(f"g[{i}][{i}] = 1\n" for i in range(1, 6))
+             + "phi[3][1] = 1\nphi[1][3] = -1\nphi[4][2] = 1\nphi[2][4] = -1\n"
+             + "xi[5] = 1\neta[5] = 1\n")
+
 
 @pytest.fixture(autouse=True)
 def clean_seed_env(monkeypatch):
@@ -62,11 +68,7 @@ class TestValidate:
 
     def test_chart_file_source(self, capsys, tmp_path):
         path = tmp_path / "flat.chart"
-        path.write_text(
-            "dim = 5\n"
-            + "".join(f"g[{i}][{i}] = 1\n" for i in range(1, 6))
-            + "phi[3][1] = 1\nphi[1][3] = -1\nphi[4][2] = 1\nphi[2][4] = -1\n"
-            + "xi[5] = 1\neta[5] = 1\n")
+        path.write_text(FLAT_TEXT)
         code, out, _ = run(capsys, "validate", "--chart", str(path), *FAST)
         assert code == 1  # valid structure, but not contact
         assert "[PASS] phi_squared" in out
@@ -213,3 +215,49 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["validate", "--gallery", "s9"])
         assert exc.value.code == 2
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ("validate", *S5, "--probes", "0"),
+        ("identities", *S5, "--probes", "0"),
+        ("curvature", *S5, "--probes", "-1"),
+        ("curvature", *S5, *FAST, "--planes", "0"),
+    ])
+    def test_empty_counts_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "must be positive" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["validate", "identities"])
+    def test_non_finite_component_rejected(self, capsys, tmp_path, command):
+        # x1*1e200*1e200 overflows to inf without raising, so inf - inf = nan
+        path = tmp_path / "nan.chart"
+        path.write_text(FLAT_TEXT + "phi[2][1] = 1 + (x1*1e200*1e200 - x1*1e200*1e200)\n")
+        code, out, err = run(capsys, command, "--chart", str(path), *FAST)
+        assert code == 2
+        assert "phi[2][1] at point" in err
+        assert "non-finite value nan" in err
+        assert "VERDICT" not in out
+
+
+class TestDeepExpressions:
+    DEEP_METRIC = "g[1][1] = 1" + " + 0 * x1" * 2999 + "\n"
+
+    def test_fd_mode_reaches_verdict(self, capsys, tmp_path):
+        path = tmp_path / "deep.chart"
+        path.write_text("derivative_mode = fd\n"
+                        + FLAT_TEXT.replace("g[1][1] = 1\n", self.DEEP_METRIC))
+        code, out, _ = run(capsys, "validate", "--chart", str(path), *FAST)
+        assert code == 1  # still not contact
+        assert "VERDICT: FAIL" in out
+        assert "[PASS] phi_squared" in out
+
+    def test_symbolic_mode_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.chart"
+        path.write_text(FLAT_TEXT.replace("g[1][1] = 1\n", self.DEEP_METRIC))
+        code, out, err = run(capsys, "validate", "--chart", str(path), *FAST)
+        assert code == 2
+        assert "nested too deeply" in err
+        assert "derivative_mode = fd" in err

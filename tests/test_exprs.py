@@ -16,10 +16,12 @@ from acmslab.exprs import (
     Var,
     add,
     call,
+    compile_kernel,
     differentiate,
     div,
     evaluate,
     free_variables,
+    hash_cons,
     mul,
     neg,
     num,
@@ -29,6 +31,7 @@ from acmslab.exprs import (
     to_text,
     var,
 )
+from acmslab.gallery import gallery_chart
 
 
 class TestParsing:
@@ -314,3 +317,79 @@ class TestDerivativeAgainstFiniteDifference:
 def test_free_variables():
     assert free_variables(parse("x1 * sin(x3) + 2")) == {1, 3}
     assert free_variables(parse("4.5")) == set()
+
+
+DEEP_SUM = "1" + " + x1" * 2999  # parses to a left-deep tree 3000 levels down
+
+
+def test_free_variables_of_deep_tree():
+    assert free_variables(parse(DEEP_SUM + " + x2")) == {1, 2}
+
+
+class TestHashCons:
+    def test_shares_repeated_subtrees(self):
+        nodes, roots = hash_cons([parse("sin(x1) * sin(x1)"), parse("sin(x1)")])
+        assert nodes == [("var", 1), ("call", "sin", 0), ("bin", "*", 1, 1)]
+        assert roots == [2, 1]
+
+    def test_signed_zeros_stay_distinct(self):
+        nodes, _ = hash_cons([Num(0.0), Num(-0.0)])
+        assert len(nodes) == 2
+
+    def test_s5_second_metric_derivatives(self):
+        # pins the sharing: 625 trees of 49,785 nodes in all
+        chart = gallery_chart("s5")
+        d = chart.dim
+        g = [chart.g[i][j] for i in range(d) for j in range(d)]
+        dg = [differentiate(e, k + 1) for k in range(d) for e in g]
+        ddg = [differentiate(e, m + 1) for m in range(d) for e in dg]
+        assert len(hash_cons(dg)[0]) == 283
+        assert len(hash_cons(ddg)[0]) == 1681
+
+
+class TestCompiledKernel:
+    def test_equals_tree_walker(self):
+        rng = random.Random(11)
+        exprs = [_random_expr(rng, 4) for _ in range(80)]
+        kernel = compile_kernel(exprs)
+        for _ in range(20):
+            x = [rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)]
+            assert kernel(x) == [evaluate(e, x) for e in exprs]
+
+    def test_many_chunks(self):
+        exprs = [parse(f"x1 * {n} + sin(x2 + {n})") for n in range(400)]
+        kernel = compile_kernel(exprs)
+        x = [0.3, -1.1]
+        assert kernel(x) == [evaluate(e, x) for e in exprs]
+
+    def test_signed_zero_results(self):
+        got = compile_kernel([parse("x1 + -0"), parse("x1 + 0")])([-0.0])
+        assert [math.copysign(1.0, v) for v in got] == [-1.0, 1.0]
+
+    def test_non_finite_constant(self):
+        e = add(var(1), mul(num(1e200), num(1e200)))  # folds to inf
+        assert compile_kernel([e, num(2.5)])([1.0]) == [math.inf, 2.5]
+
+    def test_single_expression(self):
+        assert compile_kernel([parse("x1^2")])([3.0]) == [9.0]
+
+    def test_deep_tree(self):
+        x = [0.1]
+        want = 1.0
+        for _ in range(2999):
+            want += x[0]
+        assert compile_kernel([parse(DEEP_SUM)])(x) == [want]
+
+    @pytest.mark.parametrize("text,point", [
+        ("1 / x1", [0.0]),
+        ("sqrt(x1)", [-4.0]),
+        ("x1^-3", [0.0]),
+        ("exp(x1)", [1e6]),
+        ("x1^2", [1e200]),
+    ])
+    def test_raises_where_tree_walker_raises(self, text, point):
+        e = parse(text)
+        with pytest.raises(EvalError):
+            evaluate(e, point)
+        with pytest.raises((ZeroDivisionError, ValueError, OverflowError)):
+            compile_kernel([parse("x1"), e])(point)
