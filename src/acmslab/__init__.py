@@ -14,8 +14,7 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .curvature import (CurvatureTensor, PointGeometry, curvature_reconstruction_suite,
                         defect_collapse_suite, defect_factorization_suite,
                         dual_mode_suite, horizontal_sectional_values,
-                        modified_connection_suite, modified_riemann, riemann,
-                        sectional_curvature)
+                        modified_connection_suite, modified_riemann, riemann)
 from .errors import (ChartFormatError, DegenerateInputError, GeometryError,
                      PreconditionError, SearchError, ShapeError)
 from .exprs import EvalError, ParseError, differentiate, evaluate, parse, to_text
@@ -26,9 +25,8 @@ from .quadruples import (ComplexStructuredSpace, Quadruple, check_mod4,
                          find_orthogonal_witness, generic_vector_campaign,
                          quadruple_decomposition, random_constrained_operator)
 from .report import Check, VerificationReport
-from .structure import (AcmsPoint, check_eta_parallel, check_phi_anticommutation,
-                        horizontal_basis, horizontal_skew_matrix,
-                        is_contact_at_point, validate_acms)
+from .structure import (AcmsPoint, check_eta_parallel, horizontal_basis,
+                        horizontal_skew_matrix, validate_acms)
 
 __version__ = "0.1.0"
 

@@ -407,7 +407,6 @@ _INDEXED1 = re.compile(r"^(xi|eta|domain)\[(\d+)\]$")
 def chart_from_text(text: str, *, name: str = "") -> Chart:
     dim = None
     mode = SYMBOLIC
-    mode_line = None
     domain: dict[int, tuple[float, float]] = {}
     fields2: dict[tuple[str, int, int], Expr] = {}
     fields1: dict[tuple[str, int], Expr] = {}
@@ -437,7 +436,6 @@ def chart_from_text(text: str, *, name: str = "") -> Chart:
                 mode = DerivativeMode.parse(rhs)
             except ChartFormatError as exc:
                 raise ChartFormatError(f"line {lineno}: {exc}") from exc
-            mode_line = lineno
             continue
         if dim is None:
             raise ChartFormatError(f"line {lineno}: dim must be set before {lhs!r}")
@@ -469,7 +467,6 @@ def chart_from_text(text: str, *, name: str = "") -> Chart:
             raise ChartFormatError(f"line {lineno}: unrecognized field {lhs!r}")
     if dim is None:
         raise ChartFormatError("chart file never sets dim")
-    del mode_line
 
     def entry2(kind, i, j):
         expr = fields2.get((kind, i, j))

@@ -286,17 +286,15 @@ def cmd_identities(args) -> int:
     n_points = _resolve_points(args)
     chart = _resolve_chart(args)
     points = sample_points(chart, n_points, seed)
+    geoms = [PointGeometry(chart, y, tol=tol) for y in points]
     probes = 12
     suites = {
-        "modified": modified_connection_suite(chart, points, seed, tol=tol,
-                                              probes=probes),
-        "collapse": defect_collapse_suite(chart, points, seed, tol=tol,
-                                          probes=probes),
-        "factorization": defect_factorization_suite(chart, points, seed, tol=tol,
+        "modified": modified_connection_suite(geoms, seed, tol=tol, probes=probes),
+        "collapse": defect_collapse_suite(geoms, seed, tol=tol, probes=probes),
+        "factorization": defect_factorization_suite(geoms, seed, tol=tol,
                                                     probes=probes),
-        "reconstruction": curvature_reconstruction_suite(chart, points, seed,
-                                                         tol=tol, tuples=probes,
-                                                         c=args.c),
+        "reconstruction": curvature_reconstruction_suite(geoms, seed, tol=tol,
+                                                         tuples=probes, c=args.c),
     }
     merged = VerificationReport.of(
         [c for rep in suites.values() for c in rep.checks])

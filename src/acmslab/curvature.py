@@ -10,11 +10,17 @@ factorization through the horizontal skew operator, and the reconstruction
 of curvature from first derivatives of the structure on nearly cosymplectic
 charts.
 
+The four identity suites take a list of prebuilt ``PointGeometry`` objects,
+one per point, so a caller that runs several suites over the same points
+(the ``identities`` subcommand) computes each point's curvature and
+modified curvature once.
+
 Index layout throughout: ``comps[i, j, k, l]`` is the i-th component of
 ``R(e_k, e_l) e_j``.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -106,11 +112,6 @@ def riemann(chart: Chart, y, *, tol: Tolerances = DEFAULT_TOLERANCES,
     return out
 
 
-def sectional_curvature(r: CurvatureTensor, x, y, *,
-                        tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    return r.sectional(x, y, tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # the modified connection
 
@@ -129,18 +130,8 @@ def _correction_table(gram, xi, eta, a_mat, skew_mat) -> np.ndarray:
             + 0.5 * np.einsum("i,kj->kij", eta, btilde))
 
 
-def connection_correction(chart: Chart, y) -> np.ndarray:
-    gram = chart.g_at(y)
-    g = Metric(gram)
-    xi = chart.xi_at(y)
-    eta = chart.eta_at(y)
-    a = nabla_xi(chart, y)
-    s = skew_part(a, g)
-    return _correction_table(gram, xi, eta, a.mat, s.mat)
-
-
 def modified_christoffel(chart: Chart, y) -> np.ndarray:
-    return christoffel(chart, y) + connection_correction(chart, y)
+    return christoffel(chart, y) + PointGeometry(chart, y).correction
 
 
 def modified_riemann(chart: Chart, y, *, step: float = FD_SECOND_STEP) -> CurvatureTensor:
@@ -390,12 +381,7 @@ def factorization_rhs(pg: PointGeometry, x, y, z, r_apply=None) -> np.ndarray:
 # identity suites
 
 
-def _points_iter(chart: Chart, points):
-    for y in np.atleast_2d(np.asarray(points, float)):
-        yield y
-
-
-def modified_connection_suite(chart: Chart, points, seed: int = 0, *,
+def modified_connection_suite(geoms: Sequence[PointGeometry], seed: int = 0, *,
                               tol: Tolerances = DEFAULT_TOLERANCES,
                               probes: int = PROBES_PER_RESIDUAL) -> VerificationReport:
     """Structural checks of the modified connection plus the two-route
@@ -405,8 +391,7 @@ def modified_connection_suite(chart: Chart, points, seed: int = 0, *,
     worst_fix = 0.0
     worst_phi = 0.0
     worst_agree = 0.0
-    for y in _points_iter(chart, points):
-        pg = PointGeometry(chart, y, tol=tol)
+    for pg in geoms:
         h = pg.correction
         a = pg.reeb_gradient.mat
         worst_fix = max(worst_fix, float(np.max(np.abs(
@@ -432,7 +417,7 @@ def modified_connection_suite(chart: Chart, points, seed: int = 0, *,
     ])
 
 
-def defect_collapse_suite(chart: Chart, points, seed: int = 0, *,
+def defect_collapse_suite(geoms: Sequence[PointGeometry], seed: int = 0, *,
                           tol: Tolerances = DEFAULT_TOLERANCES,
                           probes: int = PROBES_PER_RESIDUAL) -> VerificationReport:
     """Commutation defect of the modified curvature against phi, collapsed
@@ -442,10 +427,7 @@ def defect_collapse_suite(chart: Chart, points, seed: int = 0, *,
     holds on charts where it does)."""
     rng = np.random.default_rng(seed)
     gate_resid = 0.0
-    geoms = []
-    for y in _points_iter(chart, points):
-        pg = PointGeometry(chart, y, tol=tol)
-        geoms.append(pg)
+    for pg in geoms:
         gate_resid = max(gate_resid, eta_parallel_residual(pg))
     gate_ok = bool(gate_resid < tol.condition_gate)
     checks = [Check("eta_parallel_gate", float(gate_resid), tol.condition_gate, gate_ok)]
@@ -465,7 +447,7 @@ def defect_collapse_suite(chart: Chart, points, seed: int = 0, *,
     return VerificationReport.of(checks)
 
 
-def defect_factorization_suite(chart: Chart, points, seed: int = 0, *,
+def defect_factorization_suite(geoms: Sequence[PointGeometry], seed: int = 0, *,
                                tol: Tolerances = DEFAULT_TOLERANCES,
                                probes: int = PROBES_PER_RESIDUAL) -> VerificationReport:
     """Fully expanded form of the commutation defect, phrased against the
@@ -476,10 +458,7 @@ def defect_factorization_suite(chart: Chart, points, seed: int = 0, *,
     rng = np.random.default_rng(seed)
     gate4 = 0.0
     gate3 = 0.0
-    geoms = []
-    for y in _points_iter(chart, points):
-        pg = PointGeometry(chart, y, tol=tol)
-        geoms.append(pg)
+    for pg in geoms:
         gate4 = max(gate4, eta_parallel_residual(pg))
         gate3 = max(gate3, skew_phi_anticommutation_residual(pg))
     ok4 = bool(gate4 < tol.condition_gate)
@@ -510,7 +489,7 @@ def _phi_plane_curvature(pg: PointGeometry, rng, samples: int = 8) -> float:
     return float(np.mean(vals))
 
 
-def curvature_reconstruction_suite(chart: Chart, points, seed: int = 0, *,
+def curvature_reconstruction_suite(geoms: Sequence[PointGeometry], seed: int = 0, *,
                                    tol: Tolerances = DEFAULT_TOLERANCES,
                                    tuples: int = PROBES_PER_RESIDUAL,
                                    c: float | None = None) -> VerificationReport:
@@ -522,10 +501,7 @@ def curvature_reconstruction_suite(chart: Chart, points, seed: int = 0, *,
     derivative of phi. Gated on the nearly cosymplectic residual."""
     rng = np.random.default_rng(seed)
     gate = 0.0
-    geoms = []
-    for y in _points_iter(chart, points):
-        pg = PointGeometry(chart, y, tol=tol)
-        geoms.append(pg)
+    for pg in geoms:
         res = nearly_cosymplectic_residuals(pg, rng, probes=max(8, tuples // 4))
         gate = max(gate, *res.values())
     gate_ok = bool(gate < tol.nearly_gate)
@@ -600,7 +576,7 @@ def dual_mode_suite(chart: Chart, points, *,
     names = ("dual_mode_christoffel", "dual_mode_reeb_gradient",
              "dual_mode_nabla_phi", "dual_mode_riemann")
     worst = dict.fromkeys(names, 0.0)
-    for y in _points_iter(chart, points):
+    for y in np.atleast_2d(np.asarray(points, float)):
         got = {
             "dual_mode_christoffel": (christoffel(sym, y), christoffel(fd, y)),
             "dual_mode_reeb_gradient": (nabla_xi(sym, y).mat, nabla_xi(fd, y).mat),
@@ -622,7 +598,7 @@ def horizontal_sectional_values(chart: Chart, points, seed: int = 0, *,
     """Sectional curvatures of random horizontal planes across the points."""
     rng = np.random.default_rng(seed)
     values: list[float] = []
-    for y in _points_iter(chart, points):
+    for y in np.atleast_2d(np.asarray(points, float)):
         pg = PointGeometry(chart, y, tol=tol)
         got = 0
         while got < planes:

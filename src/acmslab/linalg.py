@@ -2,8 +2,8 @@
 
 Operators are plain component matrices relative to an arbitrary frame; a Gram
 matrix carries the inner product, so nothing here assumes the frame is
-orthonormal. Adjoints, skew parts, eigendecompositions and complements all
-take the metric explicitly.
+orthonormal. Adjoints, skew parts, eigendecompositions and orthonormal bases
+all take the metric explicitly.
 """
 from __future__ import annotations
 
@@ -96,14 +96,6 @@ class LinearOp:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    @classmethod
-    def identity(cls, dim: int) -> "LinearOp":
-        return cls(np.eye(dim))
-
-    @classmethod
-    def zero(cls, dim: int) -> "LinearOp":
-        return cls(np.zeros((dim, dim)))
-
     def apply(self, v) -> np.ndarray:
         return self.mat @ np.asarray(v, dtype=float)
 
@@ -118,9 +110,6 @@ class LinearOp:
 
     def __neg__(self) -> "LinearOp":
         return LinearOp(-self.mat)
-
-    def scaled(self, s: float) -> "LinearOp":
-        return LinearOp(s * self.mat)
 
     @property
     def max_norm(self) -> float:
@@ -217,33 +206,6 @@ def gram_schmidt(vectors, g: Metric, *, rank_tol: float | None = None,
     return out
 
 
-def orthonormal_complement(vectors, g: Metric, *, rank_tol: float | None = None):
-    """g-orthonormal basis of the orthogonal complement of span(vectors)."""
-    if rank_tol is None:
-        rank_tol = DEFAULT_TOLERANCES.rank
-    vectors = [np.asarray(v, dtype=float) for v in vectors]
-    if not vectors:
-        raise ShapeError("need at least one vector to complement")
-    dim = g.dim
-    for v in vectors:
-        if v.shape != (dim,):
-            raise ShapeError(f"vector shape {v.shape} does not match metric dim {dim}")
-    base = gram_schmidt(vectors, g, rank_tol=rank_tol, require_all=True)
-    frame = [np.eye(dim)[i] for i in range(dim)]
-    extended = gram_schmidt(list(vectors) + frame, g, rank_tol=rank_tol)
-    comp = extended[len(base):]
-    if len(comp) != dim - len(base):
-        raise DegenerateInputError(
-            f"complement has unexpected dimension {len(comp)}, expected {dim - len(base)}"
-        )
-    return comp
-
-
-def vector_coordinates(v, basis, g: Metric) -> np.ndarray:
-    """Coordinates of v in a g-orthonormal basis."""
-    return np.array([g.inner(b, v) for b in basis])
-
-
 def operator_in_basis(op: LinearOp, basis, g: Metric) -> np.ndarray:
     """Component matrix of op restricted to the span of a g-orthonormal basis."""
     k = len(basis)
@@ -259,7 +221,3 @@ def g_singular_values(op: LinearOp, g: Metric) -> np.ndarray:
     """Singular values of the operator with respect to the g inner product."""
     _check_same_dim(g, op)
     return np.linalg.svd(g.to_orthonormal(op.mat), compute_uv=False)
-
-
-def operator_g_norm(op: LinearOp, g: Metric) -> float:
-    return float(g_singular_values(op, g)[0])

@@ -72,9 +72,3 @@ class VerificationReport:
                 f"[{mark}] {c.name:<{width}}  residual={c.residual:.6e}  tol={c.tolerance:.1e}"
             )
         return "\n".join(lines)
-
-
-def worst_over_points(name: str, residuals: Iterable[float], tolerance: float) -> Check:
-    """Aggregate one residual over several points by taking the maximum."""
-    worst = max(float(r) for r in residuals)
-    return Check.below(name, worst, tolerance)

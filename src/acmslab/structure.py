@@ -19,8 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateInputError, ShapeError
-from .linalg import (LinearOp, Metric, adjoint, gram_schmidt, operator_in_basis,
-                     skew_part)
+from .linalg import LinearOp, Metric, gram_schmidt, operator_in_basis, skew_part
 from .report import Check, VerificationReport
 
 
@@ -88,12 +87,6 @@ class HorizontalSubspace:
     def coordinates(self, v) -> np.ndarray:
         return np.array([self.point.g.inner(b, v) for b in self.basis])
 
-    def from_coordinates(self, coords) -> np.ndarray:
-        out = np.zeros(self.point.dim)
-        for c, b in zip(coords, self.basis):
-            out = out + float(c) * b
-        return out
-
 
 def validate_acms(p: AcmsPoint) -> VerificationReport:
     """Check the defining identities of an almost contact metric structure.
@@ -150,14 +143,6 @@ def horizontal_basis(p: AcmsPoint, *, rank_tol: float | None = None) -> Horizont
     return HorizontalSubspace(p, tuple(b for b in basis))
 
 
-def horizontal_skew_full(a: LinearOp, p: AcmsPoint) -> LinearOp:
-    """Skew part of the compression of a to ker eta, as a full-frame operator
-    that kills xi and maps into ker eta."""
-    proj = p.projector.mat
-    s = skew_part(a, p.g).mat
-    return LinearOp(proj @ s @ proj)
-
-
 def horizontal_skew_matrix(a: LinearOp, p: AcmsPoint,
                            h: HorizontalSubspace | None = None) -> np.ndarray:
     """Matrix of the horizontal skew part in a g-orthonormal horizontal basis.
@@ -167,34 +152,9 @@ def horizontal_skew_matrix(a: LinearOp, p: AcmsPoint,
     """
     if h is None:
         h = horizontal_basis(p)
-    full = horizontal_skew_full(a, p)
+    proj = p.projector.mat
+    full = LinearOp(proj @ skew_part(a, p.g).mat @ proj)
     return operator_in_basis(full, h.basis, p.g)
-
-
-def is_contact_at_point(b: np.ndarray, *, tol: float | None = None) -> tuple[bool, float]:
-    """Decide nondegeneracy of the horizontal skew pairing from its matrix.
-
-    Returns (flag, sigma_min).
-    """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.contact
-    b = np.asarray(b, dtype=float)
-    if b.size == 0:
-        return False, 0.0
-    sigma_min = float(np.linalg.svd(b, compute_uv=False)[-1])
-    return sigma_min > tol, sigma_min
-
-
-def check_phi_anticommutation(a: LinearOp, p: AcmsPoint,
-                              *, tol: float | None = None) -> VerificationReport:
-    """Anticommutation of the shape operator with phi: residual is the
-    max-norm of phi a + a phi."""
-    if tol is None:
-        tol = p.tol
-    if a.dim != p.dim:
-        raise ShapeError(f"operator dim {a.dim} does not match point dim {p.dim}")
-    resid = (p.phi.compose(a) + a.compose(p.phi)).max_norm
-    return VerificationReport.of([Check.below("phi_anticommutation", resid, tol)])
 
 
 def check_eta_parallel(nabla_phi_table: np.ndarray, p: AcmsPoint,

@@ -183,10 +183,10 @@ def test_criterion_05_bridge_on_every_validating_chart():
 
 
 def test_criterion_06_modified_connection_identities(s5):
-    points = sample_points(s5, 4, seed=60)
-    modified = modified_connection_suite(s5, points, seed=61)
-    collapse = defect_collapse_suite(s5, points, seed=62)
-    factor = defect_factorization_suite(s5, points, seed=63)
+    geoms = [PointGeometry(s5, y) for y in sample_points(s5, 4, seed=60)]
+    modified = modified_connection_suite(geoms, seed=61)
+    collapse = defect_collapse_suite(geoms, seed=62)
+    factor = defect_factorization_suite(geoms, seed=63)
     phi_resid = modified["modified_phi_horizontal"].residual
     agree = modified["modified_curvature_mode_agreement"].residual
     collapse_resid = collapse["defect_collapse"].residual
@@ -201,8 +201,8 @@ def test_criterion_06_modified_connection_identities(s5):
 
 
 def test_criterion_07_curvature_reconstruction_c1(s5):
-    points = sample_points(s5, 2, seed=70)
-    report = curvature_reconstruction_suite(s5, points, seed=71, tuples=50, c=1.0)
+    geoms = [PointGeometry(s5, y) for y in sample_points(s5, 2, seed=70)]
+    report = curvature_reconstruction_suite(geoms, seed=71, tuples=50, c=1.0)
     assert report["nearly_cosymplectic_gate"].passed
     full = report["curvature_reconstruction_full"].residual
     horizontal = report["curvature_reconstruction_horizontal"].residual

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from acmslab import curvature
 from acmslab.cli import main
 
 S5 = ["--gallery", "s5"]
@@ -198,6 +199,23 @@ class TestIdentities:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    def test_suites_share_one_geometry_per_point(self, capsys, monkeypatch):
+        # every suite reads the same per-point curvature, so each point pays
+        # for one Levi-Civita and one modified curvature tensor
+        calls = {"riemann": 0, "modified_riemann": 0}
+        for name in calls:
+            original = getattr(curvature, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(curvature, name, counted)
+        code, out, _ = run(capsys, "identities", *S5, "--probes", "3")
+        assert code == 0
+        assert "skipped_suites: none" in out
+        assert calls == {"riemann": 3, "modified_riemann": 3}
 
 
 class TestUsageErrors:

@@ -8,7 +8,6 @@ from acmslab.curvature import (
     CurvatureTensor,
     PointGeometry,
     bridge_residual,
-    connection_correction,
     curvature_reconstruction_suite,
     defect_collapse_suite,
     defect_factorization_suite,
@@ -23,7 +22,6 @@ from acmslab.curvature import (
     nearly_cosymplectic_residuals,
     reeb_deta_kernel_residual,
     riemann,
-    sectional_curvature,
     skew_phi_anticommutation_residual,
     unit_probes,
 )
@@ -60,6 +58,10 @@ def s5():
 @pytest.fixture(scope="module")
 def s5_points(s5):
     return sample_points(s5, 2, seed=5)
+
+
+def _geoms(chart, points):
+    return [PointGeometry(chart, y) for y in points]
 
 
 class TestCurvatureTensor:
@@ -107,7 +109,7 @@ class TestRiemann:
 
     def test_sectional_curvature_helper(self, sphere):
         r = riemann(sphere, [1.0, 0.0])
-        got = sectional_curvature(r, np.array([1.0, 0.3]), np.array([0.2, 2.0]))
+        got = r.sectional(np.array([1.0, 0.3]), np.array([0.2, 2.0]))
         assert got == pytest.approx(1.0)
 
     def test_round_sphere_five(self, s5, s5_points):
@@ -129,9 +131,8 @@ class TestConnectionCorrection:
     def test_behavior_at_s5_origin(self, s5):
         # contract the correction table against frame pairs; the four
         # defining behaviors pin it completely
-        origin = np.zeros(5)
-        h = connection_correction(s5, origin)
-        pg = PointGeometry(s5, origin)
+        pg = PointGeometry(s5, np.zeros(5))
+        h = pg.correction
         a = pg.reeb_gradient.mat
         e = np.eye(5)
         xi = pg.xi
@@ -151,7 +152,7 @@ class TestConnectionCorrection:
 
     def test_vanishes_on_cosymplectic(self):
         chart = gallery_chart("cosymplectic_r5")
-        h = connection_correction(chart, np.zeros(5))
+        h = PointGeometry(chart, np.zeros(5)).correction
         assert np.max(np.abs(h)) == 0.0
 
 
@@ -211,19 +212,19 @@ class TestPointResiduals:
 
 class TestModifiedConnectionSuite:
     def test_s5(self, s5, s5_points):
-        report = modified_connection_suite(s5, s5_points, probes=6)
+        report = modified_connection_suite(_geoms(s5, s5_points), probes=6)
         assert report.verdict
         assert report["modified_curvature_mode_agreement"].residual < 1e-9
 
     def test_cosymplectic_trivial(self):
         chart = gallery_chart("cosymplectic_r5")
-        report = modified_connection_suite(chart, np.zeros((1, 5)), probes=4)
+        report = modified_connection_suite(_geoms(chart, np.zeros((1, 5))), probes=4)
         assert report.verdict
 
 
 class TestDefectCollapseSuite:
     def test_s5(self, s5, s5_points):
-        report = defect_collapse_suite(s5, s5_points, probes=6)
+        report = defect_collapse_suite(_geoms(s5, s5_points), probes=6)
         assert report.verdict
         assert report["defect_collapse"].residual < 1e-9
 
@@ -231,21 +232,21 @@ class TestDefectCollapseSuite:
         # the Reeb-direction derivative of phi vanishes for this chart, so
         # both sides of the collapsed identity are zero
         chart = gallery_chart("sasakian_r5")
-        report = defect_collapse_suite(chart, sample_points(chart, 2, seed=5),
+        report = defect_collapse_suite(_geoms(chart, sample_points(chart, 2, seed=5)),
                                        probes=6)
         assert report.verdict
 
 
 class TestDefectFactorizationSuite:
     def test_s5(self, s5, s5_points):
-        report = defect_factorization_suite(s5, s5_points, probes=6)
+        report = defect_factorization_suite(_geoms(s5, s5_points), probes=6)
         assert report.verdict
         assert report["defect_factorization"].residual < 1e-12
 
     def test_sasakian_gated_out(self):
         chart = gallery_chart("sasakian_r5")
-        report = defect_factorization_suite(chart, sample_points(chart, 2, seed=5),
-                                            probes=6)
+        report = defect_factorization_suite(
+            _geoms(chart, sample_points(chart, 2, seed=5)), probes=6)
         assert not report.verdict
         assert report["eta_parallel_gate"].passed
         assert not report["skew_anticommutation_gate"].passed
@@ -280,25 +281,25 @@ class TestDefectFactorizationSuite:
 
 class TestCurvatureReconstructionSuite:
     def test_s5_with_given_constant(self, s5, s5_points):
-        report = curvature_reconstruction_suite(s5, s5_points, tuples=8, c=1.0)
+        report = curvature_reconstruction_suite(_geoms(s5, s5_points), tuples=8, c=1.0)
         assert report.verdict
         assert report["curvature_reconstruction_full"].residual < 1e-12
         assert report["curvature_reconstruction_horizontal"].residual < 1e-12
         assert report["nabla_phi_pairing"].residual < 1e-12
 
     def test_s5_estimates_constant(self, s5, s5_points):
-        report = curvature_reconstruction_suite(s5, s5_points, tuples=8)
+        report = curvature_reconstruction_suite(_geoms(s5, s5_points), tuples=8)
         assert report.verdict
 
     def test_cosymplectic_trivially_flat(self):
         chart = gallery_chart("cosymplectic_r5")
-        report = curvature_reconstruction_suite(chart, np.zeros((1, 5)), tuples=8)
+        report = curvature_reconstruction_suite(_geoms(chart, np.zeros((1, 5))), tuples=8)
         assert report.verdict
 
     def test_sasakian_gated_out(self):
         chart = gallery_chart("sasakian_r5")
         report = curvature_reconstruction_suite(
-            chart, sample_points(chart, 2, seed=5), tuples=8)
+            _geoms(chart, sample_points(chart, 2, seed=5)), tuples=8)
         assert not report.verdict
         assert [c.name for c in report.checks] == ["nearly_cosymplectic_gate"]
 

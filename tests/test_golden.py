@@ -34,6 +34,10 @@ CASES = {
     "identities_s5": ("identities", "--gallery", "s5", "--probes", "2", "--seed", "23"),
     "identities_s5_fd": ("identities", "--chart", S5_FD_CHART, "--probes", "2",
                          "--seed", "23"),
+    "identities_sasakian_r5": ("identities", "--gallery", "sasakian_r5", "--probes", "3",
+                               "--seed", "4"),
+    "identities_cosymplectic_r5": ("identities", "--gallery", "cosymplectic_r5",
+                                   "--probes", "3", "--seed", "4"),
     "lemma_dim8": ("lemma", "--dim", "8", "--trials", "10", "--seed", "3"),
     "lemma_dim6": ("lemma", "--dim", "6", "--trials", "10", "--seed", "3"),
 }

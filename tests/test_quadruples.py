@@ -77,12 +77,12 @@ class TestGenericVector:
     def test_zero_operator_rejected(self):
         space = ComplexStructuredSpace.standard(4)
         with pytest.raises(PreconditionError):
-            find_generic_vector(space, LinearOp.zero(4))
+            find_generic_vector(space, LinearOp(np.zeros((4, 4))))
 
     def test_non_anticommuting_rejected(self):
         space = ComplexStructuredSpace.standard(4)
         with pytest.raises(PreconditionError):
-            find_generic_vector(space, LinearOp.identity(4))
+            find_generic_vector(space, LinearOp(np.eye(4)))
 
     def test_dim_two_has_no_generic_vector(self):
         # three vectors cannot be independent in two dimensions
@@ -159,7 +159,7 @@ class TestQuadrupleDecomposition:
     def test_singular_operator_rejected(self):
         space = ComplexStructuredSpace.standard(4)
         with pytest.raises(PreconditionError):
-            quadruple_decomposition(space, LinearOp.zero(4))
+            quadruple_decomposition(space, LinearOp(np.zeros((4, 4))))
 
     def test_dim_not_divisible_by_four_refused(self):
         # genuine operators in dim 6 are always singular; drop the
@@ -198,7 +198,7 @@ class TestCheckMod4:
 
     def test_zero_operator_branch(self):
         space = ComplexStructuredSpace.standard(4)
-        report = check_mod4(space, LinearOp.zero(4))
+        report = check_mod4(space, LinearOp(np.zeros((4, 4))))
         assert report.verdict
         assert report["zero_operator_notice"].passed
         assert report["branch_singular_vacuous"].passed

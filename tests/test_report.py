@@ -1,7 +1,7 @@
 """Unit tests for the report primitives."""
 import pytest
 
-from acmslab.report import Check, VerificationReport, worst_over_points
+from acmslab.report import Check, VerificationReport
 
 
 def test_below_boundary_is_strict():
@@ -47,9 +47,3 @@ def test_format_table_lines():
     assert lines[0].startswith("[PASS] ok")
     assert lines[1].startswith("[FAIL] broken")
     assert "residual=2.000000e+00" in lines[1]
-
-
-def test_worst_over_points():
-    c = worst_over_points("drift", [1e-10, 3e-9, 2e-12], 1e-8)
-    assert c.residual == pytest.approx(3e-9)
-    assert c.passed
