@@ -181,7 +181,8 @@ class Chart:
         if name.startswith("d") and self.mode.kind == "fd":
             if name.startswith("dd"):
                 raise ShapeError("second metric derivatives are symbolic-mode only")
-            return self._fd_tensor(lambda p: self._grid_at(name[1:], p), y)
+            return central_difference(lambda p: self._grid_at(name[1:], p), y,
+                                      self.mode.step)
         grid = self._grid(name)
         values = self._values(y)
         try:
@@ -242,16 +243,6 @@ class Chart:
         """deta[k, i] is the x_k derivative of eta[i]."""
         return self._grid_at("deta", y)
 
-    def _fd_tensor(self, fn, y) -> np.ndarray:
-        y = np.asarray(y, float)
-        h = self.mode.step
-        slices = []
-        for k in range(self.dim):
-            bump = np.zeros(self.dim)
-            bump[k] = h
-            slices.append((fn(y + bump) - fn(y - bump)) / (2.0 * h))
-        return np.array(slices)
-
 
 @dataclass(frozen=True)
 class _Grid:
@@ -297,6 +288,13 @@ class _Grid:
 # derived pointwise geometry
 
 
+def central_difference(fn, y, h: float) -> np.ndarray:
+    """out[m] = (fn(y + h e_m) - fn(y - h e_m)) / 2h: the central difference
+    of ``fn`` along each coordinate direction, as a new leading index."""
+    y = np.asarray(y, float)
+    return np.array([(fn(y + e) - fn(y - e)) / (2.0 * h) for e in h * np.eye(len(y))])
+
+
 def christoffel(chart: Chart, y) -> np.ndarray:
     """Levi-Civita symbols Gam[k, i, j] with upper index first."""
     ginv = chart.metric_at(y).inverse
@@ -309,18 +307,11 @@ def christoffel_derivative(chart: Chart, y) -> np.ndarray:
     """dGam[m, k, i, j], the x_m derivative of Gam[k, i, j].
 
     Symbolic mode differentiates the closed form through the metric inverse;
-    finite-difference mode re-centers `christoffel` with the second-level step.
+    finite-difference mode takes the central difference of `christoffel`
+    with the second-level step.
     """
     if chart.mode.kind == "fd":
-        d = chart.dim
-        y = np.asarray(y, float)
-        step = FD_SECOND_STEP
-        out = np.empty((d, d, d, d))
-        for m in range(d):
-            bump = np.zeros(d)
-            bump[m] = step
-            out[m] = (christoffel(chart, y + bump) - christoffel(chart, y - bump)) / (2.0 * step)
-        return out
+        return central_difference(lambda p: christoffel(chart, p), y, FD_SECOND_STEP)
     ginv = chart.metric_at(y).inverse
     dg = chart.dg_at(y)
     ddg = chart.ddg_at(y)
@@ -331,20 +322,17 @@ def christoffel_derivative(chart: Chart, y) -> np.ndarray:
             + 0.5 * np.einsum("kl,mijl->mkij", ginv, dterm))
 
 
-def nabla_xi(chart: Chart, y) -> LinearOp:
-    """Covariant gradient of the Reeb field: column j is the derivative of
+def nabla_xi(gam, xi, dxi) -> LinearOp:
+    """Covariant gradient of the Reeb field from the Christoffel symbols, xi
+    and its coordinate derivatives dxi[k, i]: column j is the derivative of
     xi along the j-th coordinate direction."""
-    gam = christoffel(chart, y)
-    dxi = chart.dxi_at(y)
-    mat = dxi.T + np.einsum("ijk,k->ij", gam, chart.xi_at(y))
-    return LinearOp(mat)
+    return LinearOp(dxi.T + np.einsum("ijk,k->ij", gam, xi))
 
 
-def nabla_phi(chart: Chart, y) -> np.ndarray:
-    """Table T[i, j, k]: the j-th component of (nabla_{e_i} phi)(e_k)."""
-    gam = christoffel(chart, y)
-    phi = chart.phi_at(y).mat
-    dphi = chart.dphi_at(y)
+def nabla_phi(gam, phi, dphi) -> np.ndarray:
+    """Table T[i, j, k]: the j-th component of (nabla_{e_i} phi)(e_k), from
+    the Christoffel symbols, the matrix of phi and its coordinate
+    derivatives dphi[k, i, j]."""
     return (dphi + np.einsum("jil,lk->ijk", gam, phi)
             - np.einsum("lik,jl->ijk", gam, phi))
 

@@ -26,15 +26,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .charts import (SYMBOLIC, Chart, DerivativeMode, christoffel,
-                     christoffel_derivative, contact_volume_coefficient, d_eta,
-                     nabla_phi, nabla_xi)
+from .charts import (SYMBOLIC, Chart, DerivativeMode, central_difference,
+                     christoffel, christoffel_derivative,
+                     contact_volume_coefficient, d_eta, nabla_phi, nabla_xi)
 from .config import (DEFAULT_TOLERANCES, FD_SECOND_STEP, PROBES_PER_RESIDUAL,
                      Tolerances)
 from .errors import DegenerateInputError, ShapeError
 from .linalg import LinearOp, Metric, skew_part
 from .report import Check, VerificationReport
-from .structure import check_eta_parallel
+from .structure import (AcmsPoint, check_eta_parallel, horizontal_basis,
+                        horizontal_skew_matrix)
 
 
 @dataclass(frozen=True)
@@ -85,30 +86,32 @@ class CurvatureTensor:
         return self.pair(x, x, y, y) / denom
 
 
-def riemann(chart: Chart, y, *, tol: Tolerances = DEFAULT_TOLERANCES,
-            check: bool = True) -> CurvatureTensor:
+def _assemble_curvature(gam, dgam) -> np.ndarray:
+    """comps[i, j, k, l] of a connection with coefficients gam[k, i, j] and
+    their coordinate derivatives dgam[m, k, i, j]."""
+    return (np.einsum("kilj->ijkl", dgam) - np.einsum("likj->ijkl", dgam)
+            + np.einsum("ikm,mlj->ijkl", gam, gam)
+            - np.einsum("ilm,mkj->ijkl", gam, gam))
+
+
+def riemann(chart: Chart, y, *, tol: Tolerances = DEFAULT_TOLERANCES) -> CurvatureTensor:
     """Levi-Civita curvature of the chart metric at a point.
 
-    With ``check`` on, the antisymmetry and first Bianchi identities are
-    verified at a mode-appropriate tolerance; these hold for a torsion-free
-    metric connection and catch assembly mistakes early.
+    The antisymmetry and first Bianchi identities are verified at a
+    mode-appropriate tolerance; these hold for a torsion-free metric
+    connection and catch assembly mistakes early.
     """
-    gam = christoffel(chart, y)
-    dgam = christoffel_derivative(chart, y)
-    comps = (np.einsum("kilj->ijkl", dgam) - np.einsum("likj->ijkl", dgam)
-             + np.einsum("ikm,mlj->ijkl", gam, gam)
-             - np.einsum("ilm,mkj->ijkl", gam, gam))
+    comps = _assemble_curvature(christoffel(chart, y), christoffel_derivative(chart, y))
     out = CurvatureTensor(comps, chart.metric_at(y))
-    if check:
-        gate = tol.curvature_symbolic if chart.mode.kind == "symbolic" else tol.curvature_fd
-        scale = 1.0 + float(np.max(np.abs(out.comps)))
-        anti = out.antisymmetry_residual()
-        bianchi = out.first_bianchi_residual()
-        if anti > gate * scale or bianchi > gate * scale:
-            raise DegenerateInputError(
-                f"curvature invariants fail: antisymmetry {anti:.3e}, "
-                f"first Bianchi {bianchi:.3e} (gate {gate * scale:.3e})"
-            )
+    gate = tol.curvature_symbolic if chart.mode.kind == "symbolic" else tol.curvature_fd
+    scale = 1.0 + float(np.max(np.abs(out.comps)))
+    anti = out.antisymmetry_residual()
+    bianchi = out.first_bianchi_residual()
+    if anti > gate * scale or bianchi > gate * scale:
+        raise DegenerateInputError(
+            f"curvature invariants fail: antisymmetry {anti:.3e}, "
+            f"first Bianchi {bianchi:.3e} (gate {gate * scale:.3e})"
+        )
     return out
 
 
@@ -116,58 +119,37 @@ def riemann(chart: Chart, y, *, tol: Tolerances = DEFAULT_TOLERANCES,
 # the modified connection
 
 
-def _correction_table(gram, xi, eta, a_mat, skew_mat) -> np.ndarray:
-    """Difference tensor h[k, i, j] between the modified connection and
-    Levi-Civita, as a coordinate table: the k-th component of the correction
-    applied to the frame pair (e_i, e_j)."""
-    d = len(xi)
-    proj = np.eye(d) - np.outer(xi, eta)
-    btilde = proj @ skew_mat @ proj
-    ap = a_mat @ proj
-    pairing = ap.T @ gram @ proj
-    return (np.einsum("ij,k->kij", pairing, xi)
-            - np.einsum("j,ki->kij", eta, ap)
-            + 0.5 * np.einsum("i,kj->kij", eta, btilde))
-
-
 def modified_christoffel(chart: Chart, y) -> np.ndarray:
-    return christoffel(chart, y) + PointGeometry(chart, y).correction
+    """Coefficients of the modified connection: the Levi-Civita symbols plus
+    the correction table, both read from one `PointGeometry`."""
+    pg = PointGeometry(chart, y)
+    return pg.gamma + pg.correction
 
 
-def modified_riemann(chart: Chart, y, *, step: float = FD_SECOND_STEP) -> CurvatureTensor:
+def modified_riemann(chart: Chart, y) -> CurvatureTensor:
     """Curvature of the modified connection, assembled from numerically
     differentiated connection coefficients.
 
-    One Richardson step on the central difference keeps the truncation error
-    at fourth order. No Bianchi check here: the modified connection carries
-    torsion, so the plain cyclic identity genuinely fails.
+    One Richardson step on the central difference (at ``FD_SECOND_STEP`` and
+    half of it) keeps the truncation error at fourth order. No Bianchi check
+    here: the modified connection carries torsion, so the plain cyclic
+    identity genuinely fails.
     """
-    y = np.asarray(y, float)
-    d = chart.dim
-    dgam = np.empty((d, d, d, d))
-    for m in range(d):
-        bump = np.zeros(d)
-        bump[m] = 1.0
+    def gam_at(p):
+        return modified_christoffel(chart, p)
 
-        def central(h):
-            return (modified_christoffel(chart, y + h * bump)
-                    - modified_christoffel(chart, y - h * bump)) / (2.0 * h)
-
-        coarse = central(step)
-        fine = central(step / 2.0)
-        dgam[m] = (4.0 * fine - coarse) / 3.0
-    gam = modified_christoffel(chart, y)
-    comps = (np.einsum("kilj->ijkl", dgam) - np.einsum("likj->ijkl", dgam)
-             + np.einsum("ikm,mlj->ijkl", gam, gam)
-             - np.einsum("ilm,mkj->ijkl", gam, gam))
-    return CurvatureTensor(comps, chart.metric_at(y))
+    coarse = central_difference(gam_at, y, FD_SECOND_STEP)
+    fine = central_difference(gam_at, y, FD_SECOND_STEP / 2.0)
+    dgam = (4.0 * fine - coarse) / 3.0
+    return CurvatureTensor(_assemble_curvature(gam_at(y), dgam), chart.metric_at(y))
 
 
 class PointGeometry:
     """Lazy bundle of every pointwise tensor the identity suites need.
 
     Construct once per (chart, point); each derived quantity is computed on
-    first access and cached for the lifetime of the object.
+    first access and cached for the lifetime of the object. Every tensor
+    derived from the Christoffel symbols reads the one cached ``gamma``.
     """
 
     def __init__(self, chart: Chart, y, *, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -192,8 +174,13 @@ class PointGeometry:
         return self.chart.eta_at(self.y)
 
     @cached_property
-    def point(self):
-        return self.chart.acms_point_at(self.y, tol=self.tol.acms_exact)
+    def point(self) -> AcmsPoint:
+        return AcmsPoint(self.phi, self.xi, self.eta, self.metric, tol=self.tol.acms_exact)
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        """Levi-Civita symbols Gam[k, i, j], evaluated once per point."""
+        return christoffel(self.chart, self.y)
 
     @cached_property
     def projector(self) -> np.ndarray:
@@ -201,7 +188,7 @@ class PointGeometry:
 
     @cached_property
     def reeb_gradient(self) -> LinearOp:
-        return nabla_xi(self.chart, self.y)
+        return nabla_xi(self.gamma, self.xi, self.chart.dxi_at(self.y))
 
     @cached_property
     def dxi_skew(self) -> LinearOp:
@@ -213,7 +200,7 @@ class PointGeometry:
 
     @cached_property
     def nphi(self) -> np.ndarray:
-        return nabla_phi(self.chart, self.y)
+        return nabla_phi(self.gamma, self.phi.mat, self.chart.dphi_at(self.y))
 
     @cached_property
     def deta(self) -> np.ndarray:
@@ -221,8 +208,15 @@ class PointGeometry:
 
     @cached_property
     def correction(self) -> np.ndarray:
-        return _correction_table(self.metric.gram, self.xi, self.eta,
-                                 self.reeb_gradient.mat, self.dxi_skew.mat)
+        """Difference tensor h[k, i, j] between the modified connection and
+        Levi-Civita, as a coordinate table: the k-th component of the
+        correction applied to the frame pair (e_i, e_j)."""
+        gram, xi, eta, proj = self.metric.gram, self.xi, self.eta, self.projector
+        ap = self.reeb_gradient.mat @ proj
+        pairing = ap.T @ gram @ proj
+        return (np.einsum("ij,k->kij", pairing, xi)
+                - np.einsum("j,ki->kij", eta, ap)
+                + 0.5 * np.einsum("i,kj->kij", eta, self.skew_projected))
 
     @cached_property
     def riem(self) -> CurvatureTensor:
@@ -577,12 +571,12 @@ def dual_mode_suite(chart: Chart, points, *,
              "dual_mode_nabla_phi", "dual_mode_riemann")
     worst = dict.fromkeys(names, 0.0)
     for y in np.atleast_2d(np.asarray(points, float)):
+        one, two = PointGeometry(sym, y, tol=tol), PointGeometry(fd, y, tol=tol)
         got = {
-            "dual_mode_christoffel": (christoffel(sym, y), christoffel(fd, y)),
-            "dual_mode_reeb_gradient": (nabla_xi(sym, y).mat, nabla_xi(fd, y).mat),
-            "dual_mode_nabla_phi": (nabla_phi(sym, y), nabla_phi(fd, y)),
-            "dual_mode_riemann": (riemann(sym, y, tol=tol).comps,
-                                  riemann(fd, y, tol=tol).comps),
+            "dual_mode_christoffel": (one.gamma, two.gamma),
+            "dual_mode_reeb_gradient": (one.reeb_gradient.mat, two.reeb_gradient.mat),
+            "dual_mode_nabla_phi": (one.nphi, two.nphi),
+            "dual_mode_riemann": (one.riem.comps, two.riem.comps),
         }
         for name, (a, b) in got.items():
             rel = float(np.max(np.abs(a - b))) / (1.0 + float(np.max(np.abs(a))))
@@ -613,8 +607,6 @@ def horizontal_sectional_values(chart: Chart, points, seed: int = 0, *,
 def contact_residuals(pg: PointGeometry) -> tuple[float, float]:
     """Pair (sigma_min of the horizontal skew operator, absolute top-form
     coefficient of the contact volume)."""
-    from .structure import horizontal_basis, horizontal_skew_matrix
-
     h = horizontal_basis(pg.point, rank_tol=pg.tol.rank)
     b = horizontal_skew_matrix(pg.reeb_gradient, pg.point, h)
     if b.size == 0:

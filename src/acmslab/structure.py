@@ -84,9 +84,6 @@ class HorizontalSubspace:
     def __len__(self) -> int:
         return len(self.basis)
 
-    def coordinates(self, v) -> np.ndarray:
-        return np.array([self.point.g.inner(b, v) for b in self.basis])
-
 
 def validate_acms(p: AcmsPoint) -> VerificationReport:
     """Check the defining identities of an almost contact metric structure.

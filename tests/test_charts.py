@@ -16,11 +16,10 @@ from acmslab.charts import (
     contact_volume_coefficient,
     d_eta,
     load_chart,
-    nabla_phi,
-    nabla_xi,
     sample_points,
     save_chart,
 )
+from acmslab.curvature import PointGeometry
 from acmslab.errors import ChartFormatError, ShapeError
 from acmslab.exprs import EvalError, Num, differentiate, evaluate, parse, to_text
 from acmslab.gallery import GALLERY_NAMES, gallery_chart
@@ -253,13 +252,13 @@ class TestChristoffel:
 class TestStructureDerivatives:
     def test_nabla_xi_flat(self):
         chart = chart_from_text("dim = 2\ng[1][1] = 1\ng[2][2] = 1\nxi[1] = x2\n")
-        op = nabla_xi(chart, [0.2, 0.4])
+        op = PointGeometry(chart, [0.2, 0.4]).reeb_gradient
         np.testing.assert_allclose(op.mat, [[0.0, 1.0], [0.0, 0.0]], atol=1e-13)
 
     def test_nabla_phi_flat(self):
         chart = chart_from_text(
             "dim = 2\ng[1][1] = 1\ng[2][2] = 1\nphi[1][2] = x1\n")
-        table = nabla_phi(chart, [0.3, 0.1])
+        table = PointGeometry(chart, [0.3, 0.1]).nphi
         expected = np.zeros((2, 2, 2))
         expected[0, 0, 1] = 1.0
         np.testing.assert_allclose(table, expected, atol=1e-13)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from acmslab import curvature
+from acmslab import charts, curvature
 from acmslab.cli import main
 
 S5 = ["--gallery", "s5"]
@@ -203,19 +203,23 @@ class TestIdentities:
     def test_suites_share_one_geometry_per_point(self, capsys, monkeypatch):
         # every suite reads the same per-point curvature, so each point pays
         # for one Levi-Civita and one modified curvature tensor
-        calls = {"riemann": 0, "modified_riemann": 0}
-        for name in calls:
-            original = getattr(curvature, name)
+        calls = {"riemann": 0, "modified_riemann": 0, "christoffel": 0}
+        for module, name in ((curvature, "riemann"), (curvature, "modified_riemann"),
+                             (curvature, "christoffel"), (charts, "christoffel")):
+            original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(curvature, name, counted)
+            monkeypatch.setattr(module, name, counted)
         code, out, _ = run(capsys, "identities", *S5, "--probes", "3")
         assert code == 0
         assert "skipped_suites: none" in out
-        assert calls == {"riemann": 3, "modified_riemann": 3}
+        assert calls["riemann"] == 3 and calls["modified_riemann"] == 3
+        # Christoffel tables per point: the geometry's own, the one inside
+        # riemann, and one at each of the 4d + 1 = 21 Richardson stencil points
+        assert calls["christoffel"] <= 23 * 3
 
 
 class TestUsageErrors:

@@ -142,14 +142,6 @@ class TestHorizontalBasis:
                 want = 1.0 if i == j else 0.0
                 assert abs(p.g.inner(bi, bj) - want) < 1e-9
 
-    def test_coordinates_round_trip(self):
-        p = _conjugated_point(6)
-        h = horizontal_basis(p)
-        rng = np.random.default_rng(0)
-        v = p.horizontal_project(rng.normal(size=5))
-        rebuilt = sum(c * b for c, b in zip(h.coordinates(v), h.basis))
-        assert p.g.norm(v - rebuilt) < 1e-10
-
     def test_degenerate_eta_raises(self):
         p = AcmsPoint(_standard_point().phi, np.eye(5)[4], np.zeros(5),
                       Metric.euclidean(5))
