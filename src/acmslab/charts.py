@@ -23,7 +23,6 @@ Chart files are line oriented: ``dim = 5``, an optional
 """
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -344,34 +343,48 @@ def d_eta(chart: Chart, y) -> np.ndarray:
     return 0.5 * (deta - deta.T)
 
 
-def _perm_sign(perm) -> int:
-    inversions = 0
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+def _pfaffian(a: np.ndarray) -> float:
+    """Pfaffian of a real skew matrix by skew LTL^T (Parlett-Reid) elimination
+    with partial pivoting: Wimmer, *Algorithm 923: Efficient numerical
+    computation of the Pfaffian*, ACM TOMS 38(4), 2012. O(size^3); 0.0 for
+    odd sizes."""
+    a = np.array(a, float)
+    size = a.shape[0]
+    if size % 2:
+        return 0.0
+    pf = 1.0
+    for k in range(0, size - 1, 2):
+        p = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
+        if p != k + 1:  # move the largest entry of column k under the diagonal
+            a[[k + 1, p], k:] = a[[p, k + 1], k:]
+            a[k:, [k + 1, p]] = a[k:, [p, k + 1]]
+            pf = -pf
+        if a[k + 1, k] == 0.0:
+            return 0.0
+        pf *= a[k, k + 1]
+        tau = a[k, k + 2:] / a[k, k + 1]
+        col = a[k + 2:, k + 1]
+        a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
+    return pf
 
 
 def contact_volume_coefficient(eta_vec, deta_mat) -> float:
-    """Coordinate coefficient of eta wedge (d eta)^n on the frame.
+    """Coordinate coefficient of eta wedge (d eta)^n on the frame, d = 2n + 1.
 
-    Uses the determinant convention for wedge products, which introduces a
-    1/2^n normalization for the n two-form factors.
+    With the determinant convention for wedge products (a 1/2^n
+    normalization for the n two-form factors) this is n! Pf(M) for the
+    bordered (d + 1) x (d + 1) skew matrix M = [[0, eta], [-eta, d eta]],
+    where d eta enters through its skew part. For even d, M has odd size
+    and the coefficient is 0.0.
     """
     eta_vec = np.asarray(eta_vec, float)
     deta_mat = np.asarray(deta_mat, float)
     d = eta_vec.shape[0]
-    n = (d - 1) // 2
-    total = 0.0
-    for perm in itertools.permutations(range(d)):
-        term = _perm_sign(perm) * eta_vec[perm[0]]
-        if term == 0.0:
-            continue
-        for p in range(n):
-            term *= deta_mat[perm[1 + 2 * p], perm[2 + 2 * p]]
-        total += term
-    return total / (2.0 ** n)
+    bordered = np.zeros((d + 1, d + 1))
+    bordered[0, 1:] = eta_vec
+    bordered[1:, 0] = -eta_vec
+    bordered[1:, 1:] = 0.5 * (deta_mat - deta_mat.T)
+    return float(math.factorial(d // 2) * _pfaffian(bordered))
 
 
 def sample_points(chart: Chart, count: int, seed: int, *, shrink: float = 0.9) -> np.ndarray:

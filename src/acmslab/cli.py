@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -131,6 +132,17 @@ def _chart_label(args) -> str:
     return args.gallery if args.gallery is not None else args.chart
 
 
+def _nan_max(*values: float) -> float:
+    """Builtin max, except that any NaN makes the result NaN (the builtin
+    keeps whichever comes first, so max(0.0, nan) is 0.0)."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
+def _nan_min(*values: float) -> float:
+    """Builtin min, except that any NaN makes the result NaN."""
+    return math.nan if any(math.isnan(v) for v in values) else min(values)
+
+
 def _aggregate(reports: list[VerificationReport]) -> VerificationReport:
     """Merge per-point reports by taking the worst residual per check name."""
     order: list[str] = []
@@ -142,7 +154,7 @@ def _aggregate(reports: list[VerificationReport]) -> VerificationReport:
                 worst[c.name] = c
             else:
                 prev = worst[c.name]
-                worst[c.name] = Check(c.name, max(prev.residual, c.residual),
+                worst[c.name] = Check(c.name, _nan_max(prev.residual, c.residual),
                                       prev.tolerance, prev.passed and c.passed)
     return VerificationReport.of([worst[name] for name in order])
 
@@ -198,17 +210,17 @@ def cmd_validate(args) -> int:
         pg = PointGeometry(chart, y, tol=tol)
         acms_reports.append(validate_acms(pg.point))
         star = anticommutator(pg.phi, pg.reeb_gradient).max_norm
-        star_worst = max(star_worst, star)
-        skew_star_worst = max(skew_star_worst, skew_phi_anticommutation_residual(pg))
-        eta_par_worst = max(eta_par_worst, eta_parallel_residual(pg))
-        killing_worst = max(killing_worst, killing_residual(pg))
-        kernel_worst = max(kernel_worst, reeb_deta_kernel_residual(pg))
+        star_worst = _nan_max(star_worst, star)
+        skew_star_worst = _nan_max(skew_star_worst, skew_phi_anticommutation_residual(pg))
+        eta_par_worst = _nan_max(eta_par_worst, eta_parallel_residual(pg))
+        killing_worst = _nan_max(killing_worst, killing_residual(pg))
+        kernel_worst = _nan_max(kernel_worst, reeb_deta_kernel_residual(pg))
         nearly = nearly_cosymplectic_residuals(pg, rng, probes=16)
-        nearly_worst = max(nearly_worst, *nearly.values())
-        bridge_worst = max(bridge_worst, bridge_residual(pg, rng, pairs=16))
+        nearly_worst = _nan_max(nearly_worst, *nearly.values())
+        bridge_worst = _nan_max(bridge_worst, bridge_residual(pg, rng, pairs=16))
         sigma, volume = contact_residuals(pg)
-        sigma_min = min(sigma_min, sigma)
-        volume_min = min(volume_min, volume)
+        sigma_min = _nan_min(sigma_min, sigma)
+        volume_min = _nan_min(volume_min, volume)
 
     report = _aggregate(acms_reports)
     star_check = Check.below("phi_anticommutation", star_worst, value_tol)

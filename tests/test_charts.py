@@ -1,6 +1,8 @@
 """Unit tests for symbolic charts: evaluation, derivative grids, Christoffel
 data, the exterior derivative convention and the file format."""
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -281,6 +283,67 @@ def test_contact_volume_coefficient_dim3():
     deta = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     assert contact_volume_coefficient(eta, deta) == pytest.approx(1.0)
     assert contact_volume_coefficient(eta, np.zeros((3, 3))) == 0.0
+
+
+def _perm_sum(eta, deta):
+    """The definition of the contact volume coefficient, summed over all d!
+    permutations: works on floats and on Fractions."""
+    d = len(eta)
+    n = (d - 1) // 2
+    total = 0
+    for perm in itertools.permutations(range(d)):
+        inversions = sum(perm[a] > perm[b] for a in range(d) for b in range(a + 1, d))
+        term = (-1) ** inversions * eta[perm[0]]
+        for p in range(n):
+            term *= deta[perm[1 + 2 * p]][perm[2 + 2 * p]]
+        total += term
+    return total / 2 ** n
+
+
+class TestContactVolumePfaffian:
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_matches_permutation_sum(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(4):
+            eta = rng.normal(size=d)
+            a = rng.normal(size=(d, d))
+            for deta in (a - a.T, a):  # the sum only sees the skew part
+                expected = _perm_sum(eta, deta)
+                got = contact_volume_coefficient(eta, deta)
+                assert np.sign(got) == np.sign(expected)
+                assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    def test_exact_at_fd_s5_points(self):
+        # eta and d eta at the fd S^5 points of the validate_s5_fd golden case;
+        # against the exact rational value of the same float inputs
+        chart = gallery_chart("s5").with_mode(DerivativeMode.parse("fd"))
+        for y in sample_points(chart, 4, seed=17):
+            pg = PointGeometry(chart, y)
+            exact = _perm_sum([Fraction(v) for v in pg.eta],
+                              [[Fraction(v) for v in row] for row in pg.deta])
+            got = contact_volume_coefficient(pg.eta, pg.deta)
+            assert abs(Fraction(got) - exact) <= Fraction(4e-16) * abs(exact)
+
+    def test_closed_form_is_exactly_zero(self):
+        eta = np.random.default_rng(0).normal(size=5)
+        assert contact_volume_coefficient(eta, np.zeros((5, 5))) == 0.0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zero_leading_eta_pivots(self, sign):
+        # the first pivot column of the bordered matrix is -eta; a zero
+        # leading entry forces a row and column swap, which flips the sign
+        eta = np.array([0.0, 0.0, 0.0, 0.0, sign])
+        deta = np.zeros((5, 5))
+        deta[0, 1], deta[2, 3] = 1.0, 2.0
+        deta = deta - deta.T
+        assert contact_volume_coefficient(eta, deta) == sign * 4.0  # 2! * 1 * 2
+        assert _perm_sum(eta, deta) == sign * 4.0
+
+    def test_even_dimension_is_zero(self):
+        # the bordered matrix has odd size, so its Pfaffian vanishes
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 4))
+        assert contact_volume_coefficient(rng.normal(size=4), a - a.T) == 0.0
 
 
 class TestSamplePoints:

@@ -1,5 +1,8 @@
 """End-to-end tests of the command line front end (in-process)."""
+import importlib.util
 import json
+import math
+import pathlib
 
 import pytest
 
@@ -14,6 +17,16 @@ FLAT_TEXT = ("dim = 5\n"
              + "".join(f"g[{i}][{i}] = 1\n" for i in range(1, 6))
              + "phi[3][1] = 1\nphi[1][3] = -1\nphi[4][2] = 1\nphi[2][4] = -1\n"
              + "xi[5] = 1\neta[5] = 1\n")
+
+DARBOUX = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "darboux.py"
+
+
+def _load_darboux():
+    """The benchmark's Darboux chart generator, loaded by file path."""
+    spec = importlib.util.spec_from_file_location("perfbench_darboux", DARBOUX)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(autouse=True)
@@ -85,6 +98,35 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "--chart", str(path), *FAST)
         assert code == 2
         assert "odd" in err
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_darboux_dimension_sweep(self, capsys, tmp_path, n):
+        # Sasakian, so not nearly cosymplectic (exit 1), with hand-known
+        # contact answers; d = 11 is out of reach of a d! permutation sum
+        darboux = _load_darboux()
+        path = tmp_path / "darboux.chart"
+        path.write_text(darboux.darboux_sasakian_text(n))
+        code, out, _ = run(capsys, "validate", "--chart", str(path), *FAST, "--json")
+        assert code == 1
+        summary = json.loads(out)["summary"]
+        assert summary["dim"] == 2 * n + 1
+        assert summary["contact_sigma_min"] == pytest.approx(1.0, rel=1e-12)
+        assert summary["contact_volume"] == pytest.approx(darboux.contact_volume(n),
+                                                          rel=1e-12)
+
+    @pytest.mark.parametrize("target, value, failing", [
+        ("killing_residual", math.nan, ["reeb_killing"]),
+        ("contact_residuals", (math.nan, math.nan),
+         ["contact_sigma_min", "contact_volume"]),
+    ])
+    def test_nan_residual_fails(self, capsys, monkeypatch, target, value, failing):
+        # max(0.0, nan) is 0.0 and min(inf, nan) is inf: a NaN must not pass
+        monkeypatch.setattr(f"acmslab.cli.{target}", lambda *args, **kwargs: value)
+        code, out, _ = run(capsys, "validate", *S5, *FAST, "--json")
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks if not c["pass"]] == failing
+        assert all(math.isnan(c["residual"]) for c in checks if c["name"] in failing)
 
 
 class TestSeedResolution:
