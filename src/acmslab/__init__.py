@@ -20,10 +20,10 @@ from .errors import (ChartFormatError, DegenerateInputError, GeometryError,
 from .exprs import EvalError, ParseError, differentiate, evaluate, parse, to_text
 from .gallery import FANO_TRIPLES, GALLERY_NAMES, gallery_chart, nearly_kahler_j, octonion_cross
 from .linalg import LinearOp, Metric, adjoint, anticommutator, gram_schmidt, skew_part
-from .quadruples import (ComplexStructuredSpace, Quadruple, check_mod4,
-                         decomposition_campaign, find_generic_vector,
-                         find_orthogonal_witness, generic_vector_campaign,
-                         quadruple_decomposition, random_constrained_operator)
+from .quadruples import (ComplexStructuredSpace, Quadruple, decomposition_campaign,
+                         find_generic_vector, find_orthogonal_witness,
+                         generic_vector_campaign, quadruple_decomposition,
+                         random_constrained_operator)
 from .report import Check, VerificationReport
 from .structure import (AcmsPoint, check_eta_parallel, horizontal_basis,
                         horizontal_skew_matrix, validate_acms)

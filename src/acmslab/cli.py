@@ -7,9 +7,11 @@ curvature identity suites. Charts come from a file (``--chart``) or from
 the built-in gallery (``--gallery``).
 
 Exit codes: 0 when every check passes (or a curvature assessment is merely
-inconclusive), 1 when a check or gate fails, 2 for usage and input errors.
-Output is deterministic for a fixed seed; ``--json`` switches to a canonical
-JSON document with sorted keys and no timestamps.
+inconclusive), 1 when a check or gate fails (a NaN residual or a non-finite
+sectional curvature sample fails), 2 for usage and input errors. Output is
+deterministic for a fixed seed; ``--json`` switches to a canonical, strict
+JSON document with sorted keys and no timestamps, in which a non-finite
+number (NaN or infinity) prints as ``null``.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from .errors import GeometryError
 from .exprs import EvalError
 from .gallery import GALLERY_NAMES, gallery_chart
 from .quadruples import decomposition_campaign, generic_vector_campaign
-from .report import Check, VerificationReport
+from .report import Check, VerificationReport, least, worst
 from .structure import dimension_consistency_gate, validate_acms
 from .linalg import anticommutator
 
@@ -132,31 +134,28 @@ def _chart_label(args) -> str:
     return args.gallery if args.gallery is not None else args.chart
 
 
-def _nan_max(*values: float) -> float:
-    """Builtin max, except that any NaN makes the result NaN (the builtin
-    keeps whichever comes first, so max(0.0, nan) is 0.0)."""
-    return math.nan if any(math.isnan(v) for v in values) else max(values)
-
-
-def _nan_min(*values: float) -> float:
-    """Builtin min, except that any NaN makes the result NaN."""
-    return math.nan if any(math.isnan(v) for v in values) else min(values)
-
-
 def _aggregate(reports: list[VerificationReport]) -> VerificationReport:
     """Merge per-point reports by taking the worst residual per check name."""
-    order: list[str] = []
-    worst: dict[str, Check] = {}
+    by_name: dict[str, list[Check]] = {}
     for report in reports:
         for c in report.checks:
-            if c.name not in worst:
-                order.append(c.name)
-                worst[c.name] = c
-            else:
-                prev = worst[c.name]
-                worst[c.name] = Check(c.name, _nan_max(prev.residual, c.residual),
-                                      prev.tolerance, prev.passed and c.passed)
-    return VerificationReport.of([worst[name] for name in order])
+            by_name.setdefault(c.name, []).append(c)
+    return VerificationReport.of(
+        Check(name, worst(c.residual for c in cs), cs[0].tolerance,
+              all(c.passed for c in cs))
+        for name, cs in by_name.items())
+
+
+def _finite_or_null(value):
+    """Copy of a JSON-ready value with every non-finite float replaced by
+    None, so the document stays strict JSON (RFC 8259 has no NaN or inf)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def _emit(args, command: str, config: dict, report: VerificationReport,
@@ -170,7 +169,8 @@ def _emit(args, command: str, config: dict, report: VerificationReport,
             "summary": summary,
             "verdict": "PASS" if verdict else "FAIL",
         }
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(json.dumps(_finite_or_null(doc), sort_keys=True, indent=2,
+                         allow_nan=False))
     else:
         bits = " ".join(f"{k}={v}" for k, v in config.items())
         print(f"# acmslab {command} {bits}")
@@ -197,51 +197,43 @@ def cmd_validate(args) -> int:
 
     rng = np.random.default_rng(seed)
     acms_reports = []
-    star_worst = 0.0
-    skew_star_worst = 0.0
-    eta_par_worst = 0.0
-    killing_worst = 0.0
-    kernel_worst = 0.0
-    nearly_worst = 0.0
-    bridge_worst = 0.0
-    sigma_min = float("inf")
-    volume_min = float("inf")
+    rows = []
     for y in points:
         pg = PointGeometry(chart, y, tol=tol)
         acms_reports.append(validate_acms(pg.point))
-        star = anticommutator(pg.phi, pg.reeb_gradient).max_norm
-        star_worst = _nan_max(star_worst, star)
-        skew_star_worst = _nan_max(skew_star_worst, skew_phi_anticommutation_residual(pg))
-        eta_par_worst = _nan_max(eta_par_worst, eta_parallel_residual(pg))
-        killing_worst = _nan_max(killing_worst, killing_residual(pg))
-        kernel_worst = _nan_max(kernel_worst, reeb_deta_kernel_residual(pg))
-        nearly = nearly_cosymplectic_residuals(pg, rng, probes=16)
-        nearly_worst = _nan_max(nearly_worst, *nearly.values())
-        bridge_worst = _nan_max(bridge_worst, bridge_residual(pg, rng, pairs=16))
-        sigma, volume = contact_residuals(pg)
-        sigma_min = _nan_min(sigma_min, sigma)
-        volume_min = _nan_min(volume_min, volume)
+        rows.append((
+            anticommutator(pg.phi, pg.reeb_gradient).max_norm,
+            skew_phi_anticommutation_residual(pg),
+            eta_parallel_residual(pg),
+            killing_residual(pg),
+            reeb_deta_kernel_residual(pg),
+            worst(nearly_cosymplectic_residuals(pg, rng, probes=16).values()),
+            bridge_residual(pg, rng, pairs=16),
+            *contact_residuals(pg),
+        ))
+    star, skew_star, eta_par, killing, kernel, nearly, bridge, sigma, volume = zip(*rows)
+    sigma_min, volume_min = least(sigma), least(volume)
 
     report = _aggregate(acms_reports)
-    star_check = Check.below("phi_anticommutation", star_worst, value_tol)
+    star_check = Check.below("phi_anticommutation", worst(star), value_tol)
     contact_check = Check.above("contact_sigma_min", sigma_min, tol.contact)
     extra = [
         star_check,
-        Check.below("skew_phi_anticommutation", skew_star_worst, value_tol),
-        Check.below("eta_parallel", eta_par_worst, tol.condition_gate),
+        Check.below("skew_phi_anticommutation", worst(skew_star), value_tol),
+        Check.below("eta_parallel", worst(eta_par), tol.condition_gate),
         contact_check,
         Check.above("contact_volume", volume_min, tol.contact),
-        Check.below("contact_bridge", bridge_worst, bridge_tol),
-        Check.below("reeb_killing", killing_worst, tol.self_adjoint),
-        Check.below("reeb_in_deta_kernel", kernel_worst, tol.self_adjoint),
-        Check.below("nearly_cosymplectic", nearly_worst, tol.nearly_gate),
+        Check.below("contact_bridge", worst(bridge), bridge_tol),
+        Check.below("reeb_killing", worst(killing), tol.self_adjoint),
+        Check.below("reeb_in_deta_kernel", worst(kernel), tol.self_adjoint),
+        Check.below("nearly_cosymplectic", worst(nearly), tol.nearly_gate),
         dimension_consistency_gate(chart.dim, star_check.passed, contact_check.passed),
     ]
     report = report.merged(VerificationReport.of(extra))
     config = {"chart": _chart_label(args), "seed": seed, "points": n_points,
               "mode": chart.mode.format()}
-    summary = {"dim": chart.dim, "contact_sigma_min": float(sigma_min),
-               "contact_volume": float(volume_min)}
+    summary = {"dim": chart.dim, "contact_sigma_min": sigma_min,
+               "contact_volume": volume_min}
     return _emit(args, "validate", config, report, summary)
 
 
@@ -282,7 +274,8 @@ def cmd_curvature(args) -> int:
         assessment = "N/A: horizontal sectional curvature varies over the sample"
         constant = False
     report = VerificationReport.of([
-        Check.flag("sectional_curvature_sampled", bool(values)),
+        Check.flag("sectional_curvature_sampled",
+                   bool(values) and bool(np.isfinite(arr).all())),
     ])
     config = {"chart": _chart_label(args), "seed": seed, "points": n_points,
               "planes": args.planes, "mode": chart.mode.format()}

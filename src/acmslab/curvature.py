@@ -29,11 +29,11 @@ import numpy as np
 from .charts import (SYMBOLIC, Chart, DerivativeMode, central_difference,
                      christoffel, christoffel_derivative,
                      contact_volume_coefficient, d_eta, nabla_phi, nabla_xi)
-from .config import (DEFAULT_TOLERANCES, FD_SECOND_STEP, PROBES_PER_RESIDUAL,
-                     Tolerances)
+from .config import (DEFAULT_TOLERANCES, FD_SECOND_STEP, MAX_PROBE_DRAWS,
+                     PROBES_PER_RESIDUAL, Tolerances)
 from .errors import DegenerateInputError, ShapeError
 from .linalg import LinearOp, Metric, skew_part
-from .report import Check, VerificationReport
+from .report import Check, VerificationReport, worst
 from .structure import (AcmsPoint, check_eta_parallel, horizontal_basis,
                         horizontal_skew_matrix)
 
@@ -269,19 +269,36 @@ class PointGeometry:
 
 
 def unit_probes(metric: Metric, rng, count: int, *, projector=None) -> list[np.ndarray]:
+    """``count`` g-unit vectors from standard normal draws (projected first
+    when a projector is given), redrawing any whose g-norm is at most 1e-6.
+
+    Raises DegenerateInputError after ``MAX_PROBE_DRAWS`` consecutive
+    redraws, as on a chart whose horizontal space is trivial."""
     out: list[np.ndarray] = []
     while len(out) < count:
-        v = rng.standard_normal(metric.dim)
-        if projector is not None:
-            v = projector @ v
-        n = metric.norm(v)
-        if n > 1e-6:
-            out.append(v / n)
+        for _ in range(MAX_PROBE_DRAWS):
+            v = rng.standard_normal(metric.dim)
+            if projector is not None:
+                v = projector @ v
+            n = metric.norm(v)
+            if n > 1e-6:
+                out.append(v / n)
+                break
+        else:
+            raise DegenerateInputError(
+                f"no probe vector with g-norm above 1e-6 in {MAX_PROBE_DRAWS} draws")
     return out
 
 
 def horizontal_unit_probes(pg: PointGeometry, rng, count: int) -> list[np.ndarray]:
     return unit_probes(pg.metric, rng, count, projector=pg.projector)
+
+
+def _probe_tuples(metric: Metric, rng, k: int, count: int, *, projector=None):
+    """``count`` k-tuples of g-unit probes, consecutive in one draw of
+    ``k * count`` from `unit_probes`."""
+    probes = unit_probes(metric, rng, k * count, projector=projector)
+    return zip(*[iter(probes)] * k)
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +323,13 @@ def nearly_cosymplectic_residuals(pg: PointGeometry, rng,
     """
     hor = horizontal_unit_probes(pg, rng, probes)
     full = unit_probes(pg.metric, rng, probes)
-    out = {
-        "horizontal": max(pg.gnorm(pg.nphi_vec(v, v)) for v in hor),
-        "full": max(pg.gnorm(pg.nphi_vec(v, v)) for v in full),
+    pairs = _probe_tuples(pg.metric, rng, 2, probes // 2, projector=pg.projector)
+    return {
+        "horizontal": worst(pg.gnorm(pg.nphi_vec(v, v)) for v in hor),
+        "full": worst(pg.gnorm(pg.nphi_vec(v, v)) for v in full),
+        "symmetrized": worst(pg.gnorm(pg.nphi_vec(x, y) + pg.nphi_vec(y, x))
+                             for x, y in pairs),
     }
-    pairs = horizontal_unit_probes(pg, rng, 2 * (probes // 2))
-    sym = 0.0
-    for x, y in zip(pairs[0::2], pairs[1::2]):
-        sym = max(sym, pg.gnorm(pg.nphi_vec(x, y) + pg.nphi_vec(y, x)))
-    out["symmetrized"] = sym
-    return out
 
 
 def skew_phi_anticommutation_residual(pg: PointGeometry) -> float:
@@ -337,13 +351,9 @@ def bridge_residual(pg: PointGeometry, rng, pairs: int = PROBES_PER_RESIDUAL) ->
     skew pairing of the Reeb gradient, on horizontal pairs."""
     smat = pg.dxi_skew.mat
     gram = pg.metric.gram
-    probes = horizontal_unit_probes(pg, rng, 2 * pairs)
-    worst = 0.0
-    for x, y in zip(probes[0::2], probes[1::2]):
-        lhs = float(x @ pg.deta @ y)
-        rhs = float((smat @ x) @ gram @ y)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    probes = _probe_tuples(pg.metric, rng, 2, pairs, projector=pg.projector)
+    return worst(abs(float(x @ pg.deta @ y) - float((smat @ x) @ gram @ y))
+                 for x, y in probes)
 
 
 def factorization_lhs(pg: PointGeometry, x, y, z) -> np.ndarray:
@@ -381,33 +391,24 @@ def modified_connection_suite(geoms: Sequence[PointGeometry], seed: int = 0, *,
     """Structural checks of the modified connection plus the two-route
     agreement of its curvature."""
     rng = np.random.default_rng(seed)
-    worst_reeb = 0.0
-    worst_fix = 0.0
-    worst_phi = 0.0
-    worst_agree = 0.0
+    fix, reeb, phi_h, agree = [], [], [], []
     for pg in geoms:
         h = pg.correction
         a = pg.reeb_gradient.mat
-        worst_fix = max(worst_fix, float(np.max(np.abs(
-            np.einsum("kij,i,j->k", h, pg.xi, pg.xi)))))
-        hor = horizontal_unit_probes(pg, rng, probes)
-        for x in hor:
-            v = a @ x + np.einsum("kij,i,j->k", h, x, pg.xi)
-            worst_reeb = max(worst_reeb, pg.gnorm(v))
-        pairs = horizontal_unit_probes(pg, rng, 2 * probes)
-        for x, z in zip(pairs[0::2], pairs[1::2]):
-            v = np.einsum("ijk,i,k->j", pg.modified_nphi, x, z)
-            worst_phi = max(worst_phi, pg.gnorm(v))
-        triples = horizontal_unit_probes(pg, rng, 3 * probes)
-        for x, w, z in zip(triples[0::3], triples[1::3], triples[2::3]):
+        fix.append(float(np.max(np.abs(np.einsum("kij,i,j->k", h, pg.xi, pg.xi)))))
+        for x in horizontal_unit_probes(pg, rng, probes):
+            reeb.append(pg.gnorm(a @ x + np.einsum("kij,i,j->k", h, x, pg.xi)))
+        for x, z in _probe_tuples(pg.metric, rng, 2, probes, projector=pg.projector):
+            phi_h.append(pg.gnorm(np.einsum("ijk,i,k->j", pg.modified_nphi, x, z)))
+        for x, w, z in _probe_tuples(pg.metric, rng, 3, probes, projector=pg.projector):
             one = pg.projector @ pg.modified_riem.apply(x, w, z)
             two = pg.modified_curvature_horizontal(x, w, z)
-            worst_agree = max(worst_agree, pg.gnorm(one - two))
+            agree.append(pg.gnorm(one - two))
     return VerificationReport.of([
-        Check.below("correction_kills_reeb_pair", worst_fix, tol.acms_exact),
-        Check.below("modified_reeb_parallel", worst_reeb, tol.condition_gate),
-        Check.below("modified_phi_horizontal", worst_phi, tol.condition_gate),
-        Check.below("modified_curvature_mode_agreement", worst_agree, tol.identity),
+        Check.below("correction_kills_reeb_pair", worst(fix), tol.acms_exact),
+        Check.below("modified_reeb_parallel", worst(reeb), tol.condition_gate),
+        Check.below("modified_phi_horizontal", worst(phi_h), tol.condition_gate),
+        Check.below("modified_curvature_mode_agreement", worst(agree), tol.identity),
     ])
 
 
@@ -420,24 +421,21 @@ def defect_collapse_suite(geoms: Sequence[PointGeometry], seed: int = 0, *,
     Gated on the horizontal derivative of phi vanishing (the identity only
     holds on charts where it does)."""
     rng = np.random.default_rng(seed)
-    gate_resid = 0.0
-    for pg in geoms:
-        gate_resid = max(gate_resid, eta_parallel_residual(pg))
+    gate_resid = worst(eta_parallel_residual(pg) for pg in geoms)
     gate_ok = bool(gate_resid < tol.condition_gate)
-    checks = [Check("eta_parallel_gate", float(gate_resid), tol.condition_gate, gate_ok)]
+    checks = [Check("eta_parallel_gate", gate_resid, tol.condition_gate, gate_ok)]
     if not gate_ok:
         return VerificationReport.of(checks)
-    worst = 0.0
+    resid = []
     for pg in geoms:
         phi = pg.phi.mat
-        triples = horizontal_unit_probes(pg, rng, 3 * probes)
-        for x, y_, z in zip(triples[0::3], triples[1::3], triples[2::3]):
+        for x, y_, z in _probe_tuples(pg.metric, rng, 3, probes, projector=pg.projector):
             lhs = (pg.modified_riem.apply(x, y_, phi @ z)
                    - phi @ pg.modified_riem.apply(x, y_, z))
             factor = 2.0 * pg.inner(pg.dxi_skew.mat @ x, y_)
             rhs = factor * (pg.modified_nphi_reeb @ z)
-            worst = max(worst, pg.gnorm(pg.projector @ (lhs - rhs)))
-    checks.append(Check.below("defect_collapse", worst, tol.identity))
+            resid.append(pg.gnorm(pg.projector @ (lhs - rhs)))
+    checks.append(Check.below("defect_collapse", worst(resid), tol.identity))
     return VerificationReport.of(checks)
 
 
@@ -450,24 +448,23 @@ def defect_factorization_suite(geoms: Sequence[PointGeometry], seed: int = 0, *,
     Needs both gates: the horizontal derivative of phi must vanish and the
     projected skew operator must anticommute with phi."""
     rng = np.random.default_rng(seed)
-    gate4 = 0.0
-    gate3 = 0.0
+    eta_par, skew = [], []
     for pg in geoms:
-        gate4 = max(gate4, eta_parallel_residual(pg))
-        gate3 = max(gate3, skew_phi_anticommutation_residual(pg))
+        eta_par.append(eta_parallel_residual(pg))
+        skew.append(skew_phi_anticommutation_residual(pg))
+    gate4, gate3 = worst(eta_par), worst(skew)
     ok4 = bool(gate4 < tol.condition_gate)
     ok3 = bool(gate3 < tol.condition_gate)
-    checks = [Check("eta_parallel_gate", float(gate4), tol.condition_gate, ok4),
-              Check("skew_anticommutation_gate", float(gate3), tol.condition_gate, ok3)]
+    checks = [Check("eta_parallel_gate", gate4, tol.condition_gate, ok4),
+              Check("skew_anticommutation_gate", gate3, tol.condition_gate, ok3)]
     if not (ok4 and ok3):
         return VerificationReport.of(checks)
-    worst = 0.0
+    resid = []
     for pg in geoms:
-        triples = horizontal_unit_probes(pg, rng, 3 * probes)
-        for x, y_, z in zip(triples[0::3], triples[1::3], triples[2::3]):
-            resid = factorization_lhs(pg, x, y_, z) - factorization_rhs(pg, x, y_, z)
-            worst = max(worst, pg.gnorm(resid))
-    checks.append(Check.below("defect_factorization", worst, tol.identity))
+        for x, y_, z in _probe_tuples(pg.metric, rng, 3, probes, projector=pg.projector):
+            diff = factorization_lhs(pg, x, y_, z) - factorization_rhs(pg, x, y_, z)
+            resid.append(pg.gnorm(diff))
+    checks.append(Check.below("defect_factorization", worst(resid), tol.identity))
     return VerificationReport.of(checks)
 
 
@@ -494,19 +491,16 @@ def curvature_reconstruction_suite(geoms: Sequence[PointGeometry], seed: int = 0
     Includes the horizontal specialization and the pairing identity for the
     derivative of phi. Gated on the nearly cosymplectic residual."""
     rng = np.random.default_rng(seed)
-    gate = 0.0
-    for pg in geoms:
-        res = nearly_cosymplectic_residuals(pg, rng, probes=max(8, tuples // 4))
-        gate = max(gate, *res.values())
+    nearly = [nearly_cosymplectic_residuals(pg, rng, probes=max(8, tuples // 4))
+              for pg in geoms]
+    gate = worst(r for res in nearly for r in res.values())
     gate_ok = bool(gate < tol.nearly_gate)
-    checks = [Check("nearly_cosymplectic_gate", float(gate), tol.nearly_gate, gate_ok)]
+    checks = [Check("nearly_cosymplectic_gate", gate, tol.nearly_gate, gate_ok)]
     if not gate_ok:
         return VerificationReport.of(checks)
     if c is None:
         c = float(np.mean([_phi_plane_curvature(pg, rng) for pg in geoms]))
-    worst_full = 0.0
-    worst_hor = 0.0
-    worst_pair = 0.0
+    full, hor, pair = [], [], []
     for pg in geoms:
         g = pg.metric
         phi = pg.phi.mat
@@ -517,8 +511,7 @@ def curvature_reconstruction_suite(geoms: Sequence[PointGeometry], seed: int = 0
         def ip(u, v):
             return g.inner(u, v)
 
-        quads = unit_probes(g, rng, 4 * tuples)
-        for w, x, y_, z in zip(quads[0::4], quads[1::4], quads[2::4], quads[3::4]):
+        for w, x, y_, z in _probe_tuples(g, rng, 4, tuples):
             lhs = 4.0 * pg.riem.pair(z, w, x, y_)
             aw, ax, ay, az = a @ w, a @ x, a @ y_, a @ z
             ew, ex, ey, ez = (float(eta @ w), float(eta @ x),
@@ -536,9 +529,8 @@ def curvature_reconstruction_suite(geoms: Sequence[PointGeometry], seed: int = 0
                         + ip(phi @ y_, x) * ip(phi @ z, w)
                         - ip(phi @ z, x) * ip(phi @ y_, w)
                         - 2.0 * ip(phi @ z, y_) * ip(phi @ x, w))
-            worst_full = max(worst_full, abs(lhs - rhs))
-        triples = horizontal_unit_probes(pg, rng, 3 * tuples)
-        for x, y_, w in zip(triples[0::3], triples[1::3], triples[2::3]):
+            full.append(abs(lhs - rhs))
+        for x, y_, w in _probe_tuples(g, rng, 3, tuples, projector=pg.projector):
             lhs_v = 3.0 * c * (ip(y_, x) * w - ip(y_, w) * x)
             py, px, pw = phi @ y_, phi @ x, phi @ w
             ax, aw, ay = a @ x, a @ w, a @ y_
@@ -546,17 +538,16 @@ def curvature_reconstruction_suite(geoms: Sequence[PointGeometry], seed: int = 0
                      + 2.0 * ip(px, aw) * (phi @ ay)
                      + ip(ax, y_) * aw - ip(aw, y_) * ax - 2.0 * ip(aw, x) * ay)
             rhs_v = rhs_v + c * (-ip(x, py) * pw + ip(py, w) * px + 2.0 * ip(px, w) * py)
-            worst_hor = max(worst_hor, pg.gnorm(lhs_v - rhs_v))
-        full_triples = unit_probes(g, rng, 3 * tuples)
-        for x, y_, z in zip(full_triples[0::3], full_triples[1::3], full_triples[2::3]):
+            hor.append(pg.gnorm(lhs_v - rhs_v))
+        for x, y_, z in _probe_tuples(g, rng, 3, tuples):
             ex = float(eta @ x)
             ey = float(eta @ y_)
             lhs_s = ip(pg.nphi_vec(x, y_), a @ z)
             rhs_s = ey * ip(a2 @ x, phi @ z) - ex * ip(a2 @ y_, phi @ z)
-            worst_pair = max(worst_pair, abs(lhs_s - rhs_s))
-    checks.append(Check.below("curvature_reconstruction_full", worst_full, tol.identity))
-    checks.append(Check.below("curvature_reconstruction_horizontal", worst_hor, tol.identity))
-    checks.append(Check.below("nabla_phi_pairing", worst_pair, tol.identity))
+            pair.append(abs(lhs_s - rhs_s))
+    checks.append(Check.below("curvature_reconstruction_full", worst(full), tol.identity))
+    checks.append(Check.below("curvature_reconstruction_horizontal", worst(hor), tol.identity))
+    checks.append(Check.below("nabla_phi_pairing", worst(pair), tol.identity))
     return VerificationReport.of(checks)
 
 
@@ -569,7 +560,7 @@ def dual_mode_suite(chart: Chart, points, *,
     fd = chart.with_mode(DerivativeMode("fd"))
     names = ("dual_mode_christoffel", "dual_mode_reeb_gradient",
              "dual_mode_nabla_phi", "dual_mode_riemann")
-    worst = dict.fromkeys(names, 0.0)
+    rels: dict[str, list[float]] = {name: [] for name in names}
     for y in np.atleast_2d(np.asarray(points, float)):
         one, two = PointGeometry(sym, y, tol=tol), PointGeometry(fd, y, tol=tol)
         got = {
@@ -580,27 +571,32 @@ def dual_mode_suite(chart: Chart, points, *,
         }
         for name, (a, b) in got.items():
             rel = float(np.max(np.abs(a - b))) / (1.0 + float(np.max(np.abs(a))))
-            worst[name] = max(worst[name], rel)
+            rels[name].append(rel)
     return VerificationReport.of([
-        Check.below(name, worst[name], tol.dual_mode) for name in names
+        Check.below(name, worst(rels[name]), tol.dual_mode) for name in names
     ])
 
 
 def horizontal_sectional_values(chart: Chart, points, seed: int = 0, *,
                                 tol: Tolerances = DEFAULT_TOLERANCES,
                                 planes: int = PROBES_PER_RESIDUAL) -> list[float]:
-    """Sectional curvatures of random horizontal planes across the points."""
+    """Sectional curvatures of random horizontal planes across the points.
+
+    A probe pair with |g(x, w)| > 0.99 is redrawn; raises
+    DegenerateInputError after ``MAX_PROBE_DRAWS`` consecutive redraws."""
     rng = np.random.default_rng(seed)
     values: list[float] = []
     for y in np.atleast_2d(np.asarray(points, float)):
         pg = PointGeometry(chart, y, tol=tol)
-        got = 0
-        while got < planes:
-            x, w = horizontal_unit_probes(pg, rng, 2)
-            if abs(pg.inner(x, w)) > 0.99:
-                continue
+        for _ in range(planes):
+            for _ in range(MAX_PROBE_DRAWS):
+                x, w = horizontal_unit_probes(pg, rng, 2)
+                if abs(pg.inner(x, w)) <= 0.99:
+                    break
+            else:
+                raise DegenerateInputError(
+                    f"no horizontal plane with |g(x, w)| <= 0.99 in {MAX_PROBE_DRAWS} draws")
             values.append(pg.riem.sectional(x, w, tol=tol))
-            got += 1
     return values
 
 

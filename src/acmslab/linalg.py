@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateInputError, PreconditionError, ShapeError
@@ -80,7 +79,7 @@ class Metric:
     def to_orthonormal(self, mat: np.ndarray) -> np.ndarray:
         """Conjugate an operator matrix into orthonormal coordinates."""
         r = self.chol_upper
-        return r @ mat @ scipy.linalg.solve_triangular(r, np.eye(self.dim), lower=False)
+        return r @ mat @ np.linalg.inv(r)
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,11 @@ def symmetric_eigen(op: LinearOp, g: Metric, *, tol: float | None = None):
         raise PreconditionError(
             f"operator is not g-self-adjoint (asymmetry residual {asym:.3e})"
         )
-    vals, vecs = scipy.linalg.eigh(0.5 * (gm + gm.T), g.gram)
+    # generalized problem gm v = lam G v, reduced through G = L L^T to the
+    # standard symmetric problem for L^-1 gm L^-T, with v = L^-T w
+    l_inv_t = np.linalg.inv(g.chol_upper)
+    vals, w = np.linalg.eigh(l_inv_t.T @ (0.5 * (gm + gm.T)) @ l_inv_t)
+    vecs = l_inv_t @ w
     order = np.argsort(vals, kind="stable")
     pairs = []
     eig_tol = DEFAULT_TOLERANCES.eigen_residual

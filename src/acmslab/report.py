@@ -1,8 +1,24 @@
 """Verification reports: named residuals with tolerances and verdicts."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
+
+
+def worst(values: Iterable[float]) -> float:
+    """Largest residual, floored at 0.0, as ``max(0.0, *values)``; any NaN
+    makes it NaN (the builtin keeps whichever comes first, so it would
+    report ``max(0.0, nan)`` as 0.0). The floor also turns a -0.0 residual
+    into 0.0."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else float(max([0.0, *values]))
+
+
+def least(values: Iterable[float]) -> float:
+    """Smallest value, as ``min(inf, *values)``; any NaN makes it NaN."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else float(min([math.inf, *values]))
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,9 @@ from .report import Check, VerificationReport
 class AcmsPoint:
     """Candidate almost contact metric structure on one tangent space.
 
-    Construction checks shapes and odd dimension only; whether the defining
-    identities hold is the job of validate_acms, so deliberately broken
-    structures can be built and reported on.
+    Construction checks shapes and an odd dimension of at least 3 only;
+    whether the defining identities hold is the job of validate_acms, so
+    deliberately broken structures can be built and reported on.
     """
 
     phi: LinearOp
@@ -40,8 +40,8 @@ class AcmsPoint:
 
     def __post_init__(self):
         dim = self.g.dim
-        if dim % 2 == 0:
-            raise ShapeError(f"structure dimension must be odd, got {dim}")
+        if dim < 3 or dim % 2 == 0:
+            raise ShapeError(f"structure dimension must be odd and at least 3, got {dim}")
         if self.phi.dim != dim:
             raise ShapeError(f"phi dim {self.phi.dim} does not match metric dim {dim}")
         xi = np.asarray(self.xi, dtype=float)

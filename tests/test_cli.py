@@ -2,7 +2,10 @@
 import importlib.util
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -18,7 +21,17 @@ FLAT_TEXT = ("dim = 5\n"
              + "phi[3][1] = 1\nphi[1][3] = -1\nphi[4][2] = 1\nphi[2][4] = -1\n"
              + "xi[5] = 1\neta[5] = 1\n")
 
-DARBOUX = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "darboux.py"
+# no horizontal space: no horizontal probe can be drawn
+ONE_DIM_TEXT = "dim = 1\ng[1][1] = 1\nxi[1] = 1\neta[1] = 1\n"
+
+# where x1 > 0, g[1][1] dwarfs the rest, so every pair of g-unit horizontal
+# probes is nearly parallel to e_1
+STEEP_TEXT = ("dim = 5\ng[1][1] = exp(300*x1)\n"
+              + "".join(f"g[{i}][{i}] = 1\n" for i in range(2, 6))
+              + "xi[5] = 1\neta[5] = 1\n")
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+DARBOUX = REPO / "perfbench" / "darboux.py"
 
 
 def _load_darboux():
@@ -38,6 +51,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def strict_json(text):
+    """Parse as RFC 8259 JSON, which has no NaN or Infinity tokens."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 class TestValidate:
@@ -124,9 +146,10 @@ class TestValidate:
         monkeypatch.setattr(f"acmslab.cli.{target}", lambda *args, **kwargs: value)
         code, out, _ = run(capsys, "validate", *S5, *FAST, "--json")
         assert code == 1
-        checks = json.loads(out)["checks"]
+        checks = strict_json(out)["checks"]
         assert [c["name"] for c in checks if not c["pass"]] == failing
-        assert all(math.isnan(c["residual"]) for c in checks if c["name"] in failing)
+        # strict JSON: a non-finite residual prints as null
+        assert all(c["residual"] is None for c in checks if c["name"] in failing)
 
 
 class TestSeedResolution:
@@ -215,6 +238,16 @@ class TestCurvature:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_nan_sample_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(curvature.CurvatureTensor, "sectional",
+                            lambda *args, **kwargs: math.nan)
+        code, out, _ = run(capsys, "curvature", *S5, *FAST, "--planes", "4", "--json")
+        assert code == 1
+        doc = strict_json(out)
+        assert [c["pass"] for c in doc["checks"]] == [False]
+        assert doc["checks"][0]["name"] == "sectional_curvature_sampled"
+        assert doc["summary"]["mean"] is None
+
 
 class TestIdentities:
     def test_s5_all_suites(self, capsys):
@@ -263,6 +296,22 @@ class TestIdentities:
         # riemann, and one at each of the 4d + 1 = 21 Richardson stencil points
         assert calls["christoffel"] <= 23 * 3
 
+    @pytest.mark.parametrize("target, value, failing", [
+        ("eta_parallel_residual", math.nan, ["eta_parallel_gate", "eta_parallel_gate"]),
+        ("skew_phi_anticommutation_residual", math.nan, ["skew_anticommutation_gate"]),
+        ("nearly_cosymplectic_residuals",
+         dict.fromkeys(("horizontal", "full", "symmetrized"), math.nan),
+         ["nearly_cosymplectic_gate"]),
+    ])
+    def test_nan_gate_fails(self, capsys, monkeypatch, target, value, failing):
+        # the suites look these up in the curvature module
+        monkeypatch.setattr(curvature, target, lambda *args, **kwargs: value)
+        code, out, _ = run(capsys, "identities", *S5, *FAST, "--json")
+        assert code == 1
+        checks = strict_json(out)["checks"]
+        assert [c["name"] for c in checks if not c["pass"]] == failing
+        assert all(c["residual"] is None for c in checks if not c["pass"])
+
 
 class TestUsageErrors:
     def test_chart_and_gallery_conflict(self, capsys):
@@ -304,6 +353,44 @@ class TestInputErrors:
         assert "phi[2][1] at point" in err
         assert "non-finite value nan" in err
         assert "VERDICT" not in out
+
+
+class TestDegenerateCharts:
+    @pytest.mark.parametrize("command, message", [
+        ("validate", "structure dimension must be odd and at least 3, got 1"),
+        ("curvature", "no probe vector with g-norm above 1e-6"),
+        ("identities", "no probe vector with g-norm above 1e-6"),
+    ])
+    def test_one_dimensional_chart_is_usage_error(self, capsys, tmp_path, command,
+                                                  message):
+        path = tmp_path / "one.chart"
+        path.write_text(ONE_DIM_TEXT)
+        code, out, err = run(capsys, command, "--chart", str(path), *FAST)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("acmslab: error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("command, message", [
+        ("curvature", "no horizontal plane with |g(x, w)| <= 0.99"),
+        ("identities", "no nondegenerate phi-plane found"),
+    ])
+    def test_steep_metric_ends(self, capsys, tmp_path, command, message):
+        path = tmp_path / "steep.chart"
+        path.write_text(STEEP_TEXT)
+        code, out, err = run(capsys, command, "--chart", str(path), *FAST)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+
+def test_cli_import_leaves_scipy_out():
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, acmslab.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestDeepExpressions:

@@ -12,7 +12,6 @@ from acmslab.errors import (
 from acmslab.linalg import LinearOp, Metric, adjoint, g_singular_values
 from acmslab.quadruples import (
     ComplexStructuredSpace,
-    check_mod4,
     constrained_operator_basis,
     decomposition_campaign,
     find_generic_vector,
@@ -186,31 +185,6 @@ class TestQuadrupleDecomposition:
                              for u in vectors])
             off = np.max(np.abs(gram - np.diag(np.diag(gram))))
             assert off < 1e-8
-
-
-class TestCheckMod4:
-    def test_nonsingular_branch(self):
-        space = ComplexStructuredSpace.standard(4)
-        report = check_mod4(space, _skew_anticommuting_dim4())
-        assert report.verdict
-        assert report["branch_nonsingular_decomposed"].passed
-        assert report["quadruple_count"].passed
-
-    def test_zero_operator_branch(self):
-        space = ComplexStructuredSpace.standard(4)
-        report = check_mod4(space, LinearOp(np.zeros((4, 4))))
-        assert report.verdict
-        assert report["zero_operator_notice"].passed
-        assert report["branch_singular_vacuous"].passed
-
-    def test_forced_singular_branch(self):
-        space = ComplexStructuredSpace.standard(6)
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            a = random_constrained_operator(space, rng, skew=True)
-            report = check_mod4(space, a)
-            assert report.verdict
-            assert report["branch_forced_singular"].passed
 
 
 class TestConstrainedBasis:

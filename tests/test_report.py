@@ -1,7 +1,9 @@
 """Unit tests for the report primitives."""
+import math
+
 import pytest
 
-from acmslab.report import Check, VerificationReport
+from acmslab.report import Check, VerificationReport, least, worst
 
 
 def test_below_boundary_is_strict():
@@ -47,3 +49,32 @@ def test_format_table_lines():
     assert lines[0].startswith("[PASS] ok")
     assert lines[1].startswith("[FAIL] broken")
     assert "residual=2.000000e+00" in lines[1]
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([], 0.0),
+    ([0.5, 2.0, 1.0], 2.0),
+    ([-0.0], 0.0),
+    ([-3.0], 0.0),
+])
+def test_worst_is_max_floored_at_zero(values, expected):
+    got = worst(values)
+    assert got == expected
+    assert math.copysign(1.0, got) == 1.0
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([], math.inf),
+    ([0.5, -2.0, 1.0], -2.0),
+])
+def test_least_is_min_from_infinity(values, expected):
+    assert least(values) == expected
+
+
+@pytest.mark.parametrize("reduce", [worst, least])
+@pytest.mark.parametrize("values", [[math.nan], [0.0, math.nan], [math.nan, 1.0],
+                                    [1.0, math.nan, 2.0]])
+def test_any_nan_gives_nan(reduce, values):
+    # the builtins keep whichever operand comes first: max(0.0, nan) == 0.0
+    assert math.isnan(reduce(values))
+    assert math.isnan(reduce(iter(values)))
