@@ -287,19 +287,44 @@ class _Grid:
 # derived pointwise geometry
 
 
+def stencil_points(y, h: float) -> np.ndarray:
+    """The 2d rows y + h e_0, y - h e_0, y + h e_1, y - h e_1, ... at which
+    a central difference of step ``h`` evaluates."""
+    y = np.asarray(y, float)
+    steps = h * np.eye(len(y))
+    return np.stack([y + steps, y - steps], axis=1).reshape(-1, len(y))
+
+
+def stencil_difference(values, h: float) -> np.ndarray:
+    """out[m] = (values[2m] - values[2m + 1]) / 2h for values taken at
+    `stencil_points` (y, h): the derivative along e_m as a new leading index."""
+    values = np.asarray(values)
+    return (values[0::2] - values[1::2]) / (2.0 * h)
+
+
 def central_difference(fn, y, h: float) -> np.ndarray:
     """out[m] = (fn(y + h e_m) - fn(y - h e_m)) / 2h: the central difference
     of ``fn`` along each coordinate direction, as a new leading index."""
-    y = np.asarray(y, float)
-    return np.array([(fn(y + e) - fn(y - e)) / (2.0 * h) for e in h * np.eye(len(y))])
+    return stencil_difference([fn(p) for p in stencil_points(y, h)], h)
+
+
+def _lowered_christoffel_x2(dg) -> np.ndarray:
+    """term[..., i, j, l] = dg[..., i, j, l] + dg[..., j, i, l] - dg[..., l, i, j]:
+    twice the Christoffel symbols with the upper index lowered to last."""
+    swapped = dg.swapaxes(-3, -2)
+    return dg + swapped - swapped.swapaxes(-2, -1)
+
+
+def levi_civita(ginv, dg) -> np.ndarray:
+    """Christoffel symbols Gam[..., k, i, j] from the inverse metric
+    ginv[..., k, l] and the metric derivatives dg[..., k, i, j], over any
+    leading axes."""
+    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, _lowered_christoffel_x2(dg))
 
 
 def christoffel(chart: Chart, y) -> np.ndarray:
     """Levi-Civita symbols Gam[k, i, j] with upper index first."""
-    ginv = chart.metric_at(y).inverse
-    dg = chart.dg_at(y)
-    term = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, term)
+    return levi_civita(chart.metric_at(y).inverse, chart.dg_at(y))
 
 
 def christoffel_derivative(chart: Chart, y) -> np.ndarray:
@@ -314,18 +339,19 @@ def christoffel_derivative(chart: Chart, y) -> np.ndarray:
     ginv = chart.metric_at(y).inverse
     dg = chart.dg_at(y)
     ddg = chart.ddg_at(y)
-    term = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-    dterm = (ddg + np.transpose(ddg, (0, 2, 1, 3)) - np.transpose(ddg, (0, 2, 3, 1)))
+    term = _lowered_christoffel_x2(dg)
+    dterm = _lowered_christoffel_x2(ddg)  # ddg's leading index m rides along
     dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
     return (0.5 * np.einsum("mkl,ijl->mkij", dginv, term)
             + 0.5 * np.einsum("kl,mijl->mkij", ginv, dterm))
 
 
-def nabla_xi(gam, xi, dxi) -> LinearOp:
-    """Covariant gradient of the Reeb field from the Christoffel symbols, xi
-    and its coordinate derivatives dxi[k, i]: column j is the derivative of
-    xi along the j-th coordinate direction."""
-    return LinearOp(dxi.T + np.einsum("ijk,k->ij", gam, xi))
+def nabla_xi(gam, xi, dxi) -> np.ndarray:
+    """Matrix of the covariant gradient of the Reeb field from the
+    Christoffel symbols, xi and its coordinate derivatives dxi[k, i], over
+    any leading axes: column j is the derivative of xi along the j-th
+    coordinate direction."""
+    return dxi.swapaxes(-1, -2) + np.einsum("...ijk,...k->...ij", gam, xi)
 
 
 def nabla_phi(gam, phi, dphi) -> np.ndarray:

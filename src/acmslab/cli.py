@@ -9,9 +9,11 @@ the built-in gallery (``--gallery``).
 Exit codes: 0 when every check passes (or a curvature assessment is merely
 inconclusive), 1 when a check or gate fails (a NaN residual or a non-finite
 sectional curvature sample fails), 2 for usage and input errors. Output is
-deterministic for a fixed seed; ``--json`` switches to a canonical, strict
-JSON document with sorted keys and no timestamps, in which a non-finite
-number (NaN or infinity) prints as ``null``.
+deterministic for a fixed seed on a given numpy and LAPACK build: ``lemma
+--dim`` 12 and above draws its operators from a null-space basis that LAPACK
+does not fix, so that output can differ between builds. ``--json`` switches
+to a canonical, strict JSON document with sorted keys and no timestamps, in
+which a non-finite number (NaN or infinity) prints as ``null``.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from .exprs import EvalError
 from .gallery import GALLERY_NAMES, gallery_chart
 from .quadruples import decomposition_campaign, generic_vector_campaign
 from .report import Check, VerificationReport, least, worst
-from .structure import dimension_consistency_gate, validate_acms
+from .structure import dimension_consistency_gate, dimension_error, validate_acms
 from .linalg import anticommutator
 
 _ENV_SEED = "ACMSLAB_SEED"
@@ -125,9 +127,14 @@ def _resolve_points(args) -> int:
 
 
 def _resolve_chart(args) -> Chart:
-    if args.gallery is not None:
-        return gallery_chart(args.gallery)
-    return load_chart(args.chart)
+    """The ``--chart``/``--gallery`` chart. An even dimension is rejected
+    here, once per command, since ``curvature`` builds no structure that
+    would check it; dimension 1 ends in exit 2 where it is first used (the
+    structure check or the probe-draw cap)."""
+    chart = gallery_chart(args.gallery) if args.gallery is not None else load_chart(args.chart)
+    if chart.dim % 2 == 0:
+        raise dimension_error(chart.dim)
+    return chart
 
 
 def _chart_label(args) -> str:

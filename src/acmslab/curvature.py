@@ -26,16 +26,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .charts import (SYMBOLIC, Chart, DerivativeMode, central_difference,
-                     christoffel, christoffel_derivative,
-                     contact_volume_coefficient, d_eta, nabla_phi, nabla_xi)
+from .charts import (SYMBOLIC, Chart, DerivativeMode, christoffel,
+                     christoffel_derivative, contact_volume_coefficient, d_eta,
+                     levi_civita, nabla_phi, nabla_xi, stencil_difference,
+                     stencil_points)
 from .config import (DEFAULT_TOLERANCES, FD_SECOND_STEP, MAX_PROBE_DRAWS,
                      PROBES_PER_RESIDUAL, Tolerances)
 from .errors import DegenerateInputError, ShapeError
-from .linalg import LinearOp, Metric, skew_part
+from .linalg import LinearOp, Metric, check_gram, skew_matrix, skew_part
 from .report import Check, VerificationReport, worst
 from .structure import (AcmsPoint, check_eta_parallel, horizontal_basis,
-                        horizontal_skew_matrix)
+                        horizontal_projector, horizontal_skew_matrix)
 
 
 @dataclass(frozen=True)
@@ -119,11 +120,49 @@ def riemann(chart: Chart, y, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Curvatu
 # the modified connection
 
 
+def _correction(gram, xi, eta, proj, reeb, skew_projected) -> np.ndarray:
+    """Difference tensor h[..., k, i, j] between the modified connection and
+    Levi-Civita, over any leading axes: the k-th component of the correction
+    applied to the frame pair (e_i, e_j). ``reeb`` is the matrix of the Reeb
+    gradient and ``skew_projected`` the horizontal part of its g-skew part."""
+    ap = reeb @ proj
+    pairing = ap.swapaxes(-1, -2) @ gram @ proj
+    return (np.einsum("...ij,...k->...kij", pairing, xi)
+            - np.einsum("...j,...ki->...kij", eta, ap)
+            + 0.5 * np.einsum("...i,...kj->...kij", eta, skew_projected))
+
+
+def _modified_christoffel_stack(chart: Chart, points) -> np.ndarray:
+    """Coefficients of the modified connection at each row of ``points``,
+    stacked along a new leading axis: the formulas of `PointGeometry`,
+    evaluated once for the whole stack.
+
+    Each point's grids are read in the order a `PointGeometry` reads them
+    (g, dg, xi, eta, dxi), and every metric gets `Metric`'s checks, so the
+    error raised is the one the first failing point would raise on its own.
+    """
+    readers = (chart.g_at, chart.dg_at, chart.xi_at, chart.eta_at, chart.dxi_at)
+    grids: list[list[np.ndarray]] = [[] for _ in readers]
+    try:
+        for p in points:
+            for read, got in zip(readers, grids):
+                got.append(read(p))
+    finally:
+        # a point's metric check comes right after its g, so a failing
+        # metric takes precedence over an error in any later read
+        check_gram(np.reshape(grids[0], (-1, chart.dim, chart.dim)))
+    gram, dg, xi, eta, dxi = map(np.array, grids)
+    gam = levi_civita(np.linalg.inv(gram), dg)
+    reeb = nabla_xi(gam, xi, dxi)
+    proj = horizontal_projector(xi, eta)
+    skew_projected = proj @ skew_matrix(reeb, gram) @ proj
+    return gam + _correction(gram, xi, eta, proj, reeb, skew_projected)
+
+
 def modified_christoffel(chart: Chart, y) -> np.ndarray:
-    """Coefficients of the modified connection: the Levi-Civita symbols plus
-    the correction table, both read from one `PointGeometry`."""
-    pg = PointGeometry(chart, y)
-    return pg.gamma + pg.correction
+    """Coefficients of the modified connection at one point: the Levi-Civita
+    symbols plus the correction table of `PointGeometry.correction`."""
+    return _modified_christoffel_stack(chart, [y])[0]
 
 
 def modified_riemann(chart: Chart, y) -> CurvatureTensor:
@@ -131,17 +170,18 @@ def modified_riemann(chart: Chart, y) -> CurvatureTensor:
     differentiated connection coefficients.
 
     One Richardson step on the central difference (at ``FD_SECOND_STEP`` and
-    half of it) keeps the truncation error at fourth order. No Bianchi check
-    here: the modified connection carries torsion, so the plain cyclic
-    identity genuinely fails.
+    half of it) keeps the truncation error at fourth order. The 4d + 1
+    connection tables (the coarse stencil, the fine stencil, then ``y``)
+    are evaluated as one stack. No Bianchi check here: the modified
+    connection carries torsion, so the plain cyclic identity genuinely fails.
     """
-    def gam_at(p):
-        return modified_christoffel(chart, p)
-
-    coarse = central_difference(gam_at, y, FD_SECOND_STEP)
-    fine = central_difference(gam_at, y, FD_SECOND_STEP / 2.0)
-    dgam = (4.0 * fine - coarse) / 3.0
-    return CurvatureTensor(_assemble_curvature(gam_at(y), dgam), chart.metric_at(y))
+    h = FD_SECOND_STEP
+    coarse, fine = stencil_points(y, h), stencil_points(y, h / 2.0)
+    gam = _modified_christoffel_stack(chart, [*coarse, *fine, np.asarray(y, float)])
+    n = len(coarse)
+    dgam = (4.0 * stencil_difference(gam[n:2 * n], h / 2.0)
+            - stencil_difference(gam[:n], h)) / 3.0
+    return CurvatureTensor(_assemble_curvature(gam[-1], dgam), chart.metric_at(y))
 
 
 class PointGeometry:
@@ -184,11 +224,11 @@ class PointGeometry:
 
     @cached_property
     def projector(self) -> np.ndarray:
-        return np.eye(self.chart.dim) - np.outer(self.xi, self.eta)
+        return horizontal_projector(self.xi, self.eta)
 
     @cached_property
     def reeb_gradient(self) -> LinearOp:
-        return nabla_xi(self.gamma, self.xi, self.chart.dxi_at(self.y))
+        return LinearOp(nabla_xi(self.gamma, self.xi, self.chart.dxi_at(self.y)))
 
     @cached_property
     def dxi_skew(self) -> LinearOp:
@@ -211,12 +251,8 @@ class PointGeometry:
         """Difference tensor h[k, i, j] between the modified connection and
         Levi-Civita, as a coordinate table: the k-th component of the
         correction applied to the frame pair (e_i, e_j)."""
-        gram, xi, eta, proj = self.metric.gram, self.xi, self.eta, self.projector
-        ap = self.reeb_gradient.mat @ proj
-        pairing = ap.T @ gram @ proj
-        return (np.einsum("ij,k->kij", pairing, xi)
-                - np.einsum("j,ki->kij", eta, ap)
-                + 0.5 * np.einsum("i,kj->kij", eta, self.skew_projected))
+        return _correction(self.metric.gram, self.xi, self.eta, self.projector,
+                           self.reeb_gradient.mat, self.skew_projected)
 
     @cached_property
     def riem(self) -> CurvatureTensor:

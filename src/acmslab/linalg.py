@@ -29,6 +29,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_gram(gram) -> None:
+    """Raise DegenerateInputError unless every Gram matrix ``gram[..., :, :]``
+    is symmetric and positive definite; the message describes the first
+    failing matrix in C order, symmetry checked before definiteness."""
+    g = np.asarray(gram, dtype=float)
+    asym = np.abs(g - g.swapaxes(-1, -2)).max(axis=(-2, -1))
+    unsym = asym > 1e-10 * (1.0 + np.abs(g).max(axis=(-2, -1)))
+    eigmin = np.linalg.eigvalsh(g).min(axis=-1)
+    bad = unsym | (eigmin <= DEFAULT_TOLERANCES.metric_pd)
+    if not bad.any():
+        return
+    n = np.flatnonzero(bad)[0]
+    if np.ravel(unsym)[n]:
+        raise DegenerateInputError(
+            f"gram matrix is not symmetric (residual {np.ravel(asym)[n]:.3e})")
+    raise DegenerateInputError(
+        f"gram matrix is not positive definite (min eigenvalue {np.ravel(eigmin)[n]:.3e})")
+
+
 @dataclass(frozen=True)
 class Metric:
     """Positive definite inner product given by its Gram matrix in the frame."""
@@ -37,14 +56,7 @@ class Metric:
 
     def __post_init__(self):
         g = _as_matrix(self.gram, "gram")
-        asym = float(np.max(np.abs(g - g.T)))
-        if asym > 1e-10 * (1.0 + float(np.max(np.abs(g)))):
-            raise DegenerateInputError(f"gram matrix is not symmetric (residual {asym:.3e})")
-        eigmin = float(np.min(np.linalg.eigvalsh(g)))
-        if eigmin <= DEFAULT_TOLERANCES.metric_pd:
-            raise DegenerateInputError(
-                f"gram matrix is not positive definite (min eigenvalue {eigmin:.3e})"
-            )
+        check_gram(g)
         object.__setattr__(self, "gram", _frozen(g))
 
     @property
@@ -121,15 +133,27 @@ def _check_same_dim(g: Metric, *ops: LinearOp):
             raise ShapeError(f"operator dim {op.dim} does not match metric dim {g.dim}")
 
 
+def _adjoint_matrix(mat, gram) -> np.ndarray:
+    """Matrix of the metric adjoint, over any leading axes of mat and gram."""
+    return np.linalg.solve(gram, mat.swapaxes(-1, -2) @ gram)
+
+
 def adjoint(op: LinearOp, g: Metric) -> LinearOp:
     """Metric adjoint: g(op x, y) = g(x, adjoint(op) y) for all x, y."""
     _check_same_dim(g, op)
-    return LinearOp(np.linalg.solve(g.gram, op.mat.T @ g.gram))
+    return LinearOp(_adjoint_matrix(op.mat, g.gram))
+
+
+def skew_matrix(mat, gram) -> np.ndarray:
+    """Skew component 0.5 * (mat - adjoint(mat)) with respect to the Gram
+    matrix, over any leading axes of mat and gram."""
+    return 0.5 * (mat - _adjoint_matrix(mat, gram))
 
 
 def skew_part(op: LinearOp, g: Metric) -> LinearOp:
     """Skew component 0.5 * (op - adjoint(op)) with respect to g."""
-    return LinearOp(0.5 * (op.mat - adjoint(op, g).mat))
+    _check_same_dim(g, op)
+    return LinearOp(skew_matrix(op.mat, g.gram))
 
 
 def anticommutator(a: LinearOp, b: LinearOp) -> LinearOp:

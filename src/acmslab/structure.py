@@ -23,6 +23,18 @@ from .linalg import LinearOp, Metric, gram_schmidt, operator_in_basis, skew_part
 from .report import Check, VerificationReport
 
 
+def dimension_error(dim: int) -> ShapeError:
+    """The error for a dimension that carries no almost contact metric
+    structure."""
+    return ShapeError(f"structure dimension must be odd and at least 3, got {dim}")
+
+
+def horizontal_projector(xi, eta) -> np.ndarray:
+    """Matrix of the projection onto ker eta along xi, over any leading axes
+    of xi and eta."""
+    return np.eye(xi.shape[-1]) - xi[..., :, None] * eta[..., None, :]
+
+
 @dataclass(frozen=True)
 class AcmsPoint:
     """Candidate almost contact metric structure on one tangent space.
@@ -41,7 +53,7 @@ class AcmsPoint:
     def __post_init__(self):
         dim = self.g.dim
         if dim < 3 or dim % 2 == 0:
-            raise ShapeError(f"structure dimension must be odd and at least 3, got {dim}")
+            raise dimension_error(dim)
         if self.phi.dim != dim:
             raise ShapeError(f"phi dim {self.phi.dim} does not match metric dim {dim}")
         xi = np.asarray(self.xi, dtype=float)
@@ -71,7 +83,7 @@ class AcmsPoint:
 
     @cached_property
     def projector(self) -> LinearOp:
-        return LinearOp(np.eye(self.dim) - np.outer(self.xi, self.eta))
+        return LinearOp(horizontal_projector(self.xi, self.eta))
 
 
 @dataclass(frozen=True)

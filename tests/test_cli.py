@@ -24,6 +24,11 @@ FLAT_TEXT = ("dim = 5\n"
 # no horizontal space: no horizontal probe can be drawn
 ONE_DIM_TEXT = "dim = 1\ng[1][1] = 1\nxi[1] = 1\neta[1] = 1\n"
 
+# flat R^4 with a constant phi: carries no almost contact metric structure
+FOUR_DIM_TEXT = ("dim = 4\n"
+                 + "".join(f"g[{i}][{i}] = 1\n" for i in range(1, 5))
+                 + "phi[2][1] = 1\nphi[1][2] = -1\nxi[4] = 1\neta[4] = 1\n")
+
 # where x1 > 0, g[1][1] dwarfs the rest, so every pair of g-unit horizontal
 # probes is nearly parallel to e_1
 STEEP_TEXT = ("dim = 5\ng[1][1] = exp(300*x1)\n"
@@ -277,24 +282,26 @@ class TestIdentities:
 
     def test_suites_share_one_geometry_per_point(self, capsys, monkeypatch):
         # every suite reads the same per-point curvature, so each point pays
-        # for one Levi-Civita and one modified curvature tensor
-        calls = {"riemann": 0, "modified_riemann": 0, "christoffel": 0}
-        for module, name in ((curvature, "riemann"), (curvature, "modified_riemann"),
-                             (curvature, "christoffel"), (charts, "christoffel")):
-            original = getattr(module, name)
+        # for one geometry, one Levi-Civita and one modified curvature tensor
+        calls = {"riemann": 0, "modified_riemann": 0, "christoffel": 0, "__init__": 0}
+        for owner, name in ((curvature, "riemann"), (curvature, "modified_riemann"),
+                            (curvature, "christoffel"), (charts, "christoffel"),
+                            (curvature.PointGeometry, "__init__")):
+            original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         code, out, _ = run(capsys, "identities", *S5, "--probes", "3")
         assert code == 0
         assert "skipped_suites: none" in out
         assert calls["riemann"] == 3 and calls["modified_riemann"] == 3
-        # Christoffel tables per point: the geometry's own, the one inside
-        # riemann, and one at each of the 4d + 1 = 21 Richardson stencil points
-        assert calls["christoffel"] <= 23 * 3
+        assert calls["__init__"] == 3
+        # Christoffel tables per point: the geometry's own and the one inside
+        # riemann; the 4d + 1 Richardson stencil points are one stacked pass
+        assert calls["christoffel"] <= 2 * 3
 
     @pytest.mark.parametrize("target, value, failing", [
         ("eta_parallel_residual", math.nan, ["eta_parallel_gate", "eta_parallel_gate"]),
@@ -370,6 +377,16 @@ class TestDegenerateCharts:
         assert out == ""
         assert err.startswith("acmslab: error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("command", ["validate", "curvature", "identities"])
+    def test_even_dimensional_chart_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "four.chart"
+        path.write_text(FOUR_DIM_TEXT)
+        code, out, err = run(capsys, command, "--chart", str(path), *FAST)
+        assert code == 2
+        assert out == ""
+        assert err == ("acmslab: error: structure dimension must be odd and at least 3, "
+                       "got 4\n")
 
     @pytest.mark.parametrize("command, message", [
         ("curvature", "no horizontal plane with |g(x, w)| <= 0.99"),

@@ -3,10 +3,12 @@ identity suites."""
 import numpy as np
 import pytest
 
-from acmslab.charts import DerivativeMode, chart_from_text, sample_points
+from acmslab.charts import DerivativeMode, central_difference, chart_from_text, sample_points
+from acmslab.config import FD_SECOND_STEP
 from acmslab.curvature import (
     CurvatureTensor,
     PointGeometry,
+    _assemble_curvature,
     bridge_residual,
     curvature_reconstruction_suite,
     defect_collapse_suite,
@@ -26,6 +28,7 @@ from acmslab.curvature import (
     unit_probes,
 )
 from acmslab.errors import DegenerateInputError, ShapeError
+from acmslab.exprs import EvalError
 from acmslab.gallery import gallery_chart
 from acmslab.linalg import Metric
 
@@ -156,7 +159,51 @@ class TestConnectionCorrection:
         assert np.max(np.abs(h)) == 0.0
 
 
+def _stencil_oracle(chart, y):
+    """Modified curvature one stencil point at a time: a `PointGeometry` at
+    each point, central differences at FD_SECOND_STEP and half of it, one
+    Richardson step."""
+    def gam_at(p):
+        pg = PointGeometry(chart, p)
+        return pg.gamma + pg.correction
+
+    coarse = central_difference(gam_at, y, FD_SECOND_STEP)
+    fine = central_difference(gam_at, y, FD_SECOND_STEP / 2.0)
+    return _assemble_curvature(gam_at(y), (4.0 * fine - coarse) / 3.0)
+
+
+# 3-D charts that fail at the stencil point y - FD_SECOND_STEP e_1 of
+# STENCIL_Y, before any other stencil point or the centre itself
+STENCIL_TEXT = ("dim = 3\ng[2][2] = 1\ng[3][3] = 1\nphi[2][1] = 1\nphi[1][2] = -1\n"
+                "xi[3] = 1\neta[3] = 1\n")
+STENCIL_Y = (5e-5, 0.1, 0.2)
+
+
 class TestModifiedRiemann:
+    @pytest.mark.parametrize("mode", ["symbolic", "fd"])
+    @pytest.mark.parametrize("name", ["s5", "sasakian_r5", "cosymplectic_r5"])
+    def test_stacked_stencil_matches_pointwise_oracle(self, name, mode):
+        chart = gallery_chart(name).with_mode(DerivativeMode.parse(mode))
+        for y in sample_points(chart, 3, seed=13):
+            assert np.array_equal(modified_riemann(chart, y).comps,
+                                  _stencil_oracle(chart, y))
+
+    @pytest.mark.parametrize("g11, error, message", [
+        ("sqrt(x1)", EvalError,
+         "g[1][1] at point [-5e-05, 0.1, 0.2]: square root of negative value -5e-05 "
+         "in 'sqrt(x1)'"),
+        ("x1", DegenerateInputError,
+         "gram matrix is not positive definite (min eigenvalue -5.000e-05)"),
+        # the metric check at y - h e_1 comes before the failing g read at y - h e_3
+        ("x1 + 0*sqrt(x3 - 0.2)", DegenerateInputError,
+         "gram matrix is not positive definite (min eigenvalue -5.000e-05)"),
+    ])
+    def test_first_failing_stencil_point_names_the_error(self, g11, error, message):
+        chart = chart_from_text(STENCIL_TEXT + f"g[1][1] = {g11}\n")
+        with pytest.raises(error) as excinfo:
+            modified_riemann(chart, STENCIL_Y)
+        assert str(excinfo.value) == message
+
     def test_antisymmetry_survives(self, s5):
         r = modified_riemann(s5, np.zeros(5))
         assert r.antisymmetry_residual() < 1e-12

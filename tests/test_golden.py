@@ -23,6 +23,8 @@ from acmslab.gallery import gallery_chart
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 S5_FD_CHART = "s5_fd.chart"  # relative, so the config label is stable
+SASAKIAN_FD_CHART = "sasakian_r5_fd.chart"
+FD_CHARTS = {S5_FD_CHART: "s5", SASAKIAN_FD_CHART: "sasakian_r5"}
 
 CASES = {
     "validate_s5": ("validate", "--gallery", "s5", "--probes", "4", "--seed", "17"),
@@ -40,19 +42,21 @@ CASES = {
                                "--seed", "4"),
     "identities_cosymplectic_r5": ("identities", "--gallery", "cosymplectic_r5",
                                    "--probes", "3", "--seed", "4"),
+    "identities_sasakian_r5_fd": ("identities", "--chart", SASAKIAN_FD_CHART,
+                                  "--probes", "3", "--seed", "4"),
     "lemma_dim8": ("lemma", "--dim", "8", "--trials", "10", "--seed", "3"),
     "lemma_dim6": ("lemma", "--dim", "6", "--trials", "10", "--seed", "3"),
 }
 
 
-def write_s5_fd_chart(directory: pathlib.Path) -> None:
-    chart = gallery_chart("s5")
-    fd = chart.with_mode(DerivativeMode.parse("fd"))
-    (directory / S5_FD_CHART).write_text(chart_to_text(fd))
+def write_fd_charts(directory: pathlib.Path) -> None:
+    for filename, name in FD_CHARTS.items():
+        fd = gallery_chart(name).with_mode(DerivativeMode.parse("fd"))
+        (directory / filename).write_text(chart_to_text(fd))
 
 
 def run_case(argv) -> str:
-    """stdout of one ``--json`` run; run from the directory holding the fd chart."""
+    """stdout of one ``--json`` run; run from the directory holding the fd charts."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         main([*argv, "--json"])
@@ -62,7 +66,7 @@ def run_case(argv) -> str:
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden")
-    write_s5_fd_chart(path)
+    write_fd_charts(path)
     return path
 
 
@@ -79,7 +83,7 @@ def regenerate() -> None:
     os.environ.pop("ACMSLAB_SEED", None)
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        write_s5_fd_chart(pathlib.Path(tmp))
+        write_fd_charts(pathlib.Path(tmp))
         os.chdir(tmp)
         try:
             outputs = {name: run_case(argv) for name, argv in CASES.items()}

@@ -1,4 +1,6 @@
 """Unit tests for the metric linear algebra layer."""
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from acmslab.linalg import (
     Metric,
     adjoint,
     anticommutator,
+    check_gram,
     g_singular_values,
     gram_schmidt,
     operator_in_basis,
@@ -33,6 +36,17 @@ class TestMetric:
     def test_rejects_nonsquare(self):
         with pytest.raises(ShapeError):
             Metric(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("first, message", [
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "not symmetric (residual 5.000e-01)"),
+        (np.diag([1.0, -2.0]), "not positive definite (min eigenvalue -2.000e+00)"),
+    ])
+    def test_stack_reports_first_failure(self, first, message):
+        # the later matrix fails both checks; the earlier failure is reported
+        stack = np.array([np.eye(2), first, [[1.0, 1.0], [0.0, -1.0]]])
+        check_gram(stack[:1])
+        with pytest.raises(DegenerateInputError, match=re.escape(message)):
+            check_gram(stack)
 
     def test_inner_and_norm(self):
         g = Metric(np.diag([1.0, 2.0]))
