@@ -73,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lemma", help="randomized dimension campaigns for "
                                       "anticommuting operators")
-    sp.add_argument("--dim", type=int, default=8, help="even ambient dimension")
+    sp.add_argument("--dim", type=int, default=8,
+                    help="even ambient dimension, at least 4")
     sp.add_argument("--trials", type=int, default=50, help="random operators per campaign")
     _add_run_options(sp)
 
@@ -247,8 +248,9 @@ def cmd_validate(args) -> int:
 def cmd_lemma(args) -> int:
     tol = _resolve_tolerances(args)
     seed = _resolve_seed(args)
-    if args.dim < 2 or args.dim % 2 != 0:
-        raise GeometryError(f"--dim must be an even integer >= 2, got {args.dim}")
+    # in dimension 2 the triple {Y, JY, AY} can never be independent
+    if args.dim < 4 or args.dim % 2 != 0:
+        raise GeometryError(f"--dim must be an even integer >= 4, got {args.dim}")
     if args.trials < 1:
         raise GeometryError(f"--trials must be positive, got {args.trials}")
     part1 = generic_vector_campaign(args.dim, args.trials, seed, tol=tol)

@@ -17,6 +17,10 @@ modified curvature once.
 
 Index layout throughout: ``comps[i, j, k, l]`` is the i-th component of
 ``R(e_k, e_l) e_j``.
+
+Random probes come as stacks, one vector per column (see `linalg`), and each
+residual formula is written once for a vector and evaluated over the whole
+stack at once.
 """
 from __future__ import annotations
 
@@ -60,12 +64,12 @@ class CurvatureTensor:
         return self.metric.dim
 
     def apply(self, x, y, z) -> np.ndarray:
-        """The vector R(x, y) z."""
-        return np.einsum("ijkl,k,l,j->i", self.comps, x, y, z)
+        """The vector R(x, y) z, column by column for stacks."""
+        return np.einsum("ijkl,k...,l...,j...->i...", self.comps, x, y, z)
 
-    def pair(self, w, x, y, z) -> float:
-        """The scalar g(R(x, y) z, w)."""
-        return float(np.asarray(w, float) @ self.metric.gram @ self.apply(x, y, z))
+    def pair(self, w, x, y, z):
+        """The scalar g(R(x, y) z, w), column by column for stacks."""
+        return self.metric.inners(np.asarray(w, float), self.apply(x, y, z))
 
     def lowered(self) -> np.ndarray:
         return np.einsum("mi,ijkl->mjkl", self.metric.gram, self.comps)
@@ -78,11 +82,13 @@ class CurvatureTensor:
                + np.einsum("iljk->ijkl", self.comps))
         return float(np.max(np.abs(cyc)))
 
-    def sectional(self, x, y, *, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+    def sectional(self, x, y, *, tol: Tolerances = DEFAULT_TOLERANCES):
+        """Sectional curvature of the plane span{x, y}, column by column for
+        stacks; raises if any plane is degenerate."""
         g = self.metric
-        xx, yy, xy = g.inner(x, x), g.inner(y, y), g.inner(x, y)
+        xx, yy, xy = g.inners(x, x), g.inners(y, y), g.inners(x, y)
         denom = xx * yy - xy * xy
-        if denom <= tol.rank * max(xx * yy, 1e-30):
+        if np.any(denom <= tol.rank * np.maximum(xx * yy, 1e-30)):
             raise DegenerateInputError("sectional curvature of a degenerate plane")
         return self.pair(x, x, y, y) / denom
 
@@ -275,15 +281,16 @@ class PointGeometry:
         """Matrix of the modified derivative of phi along the Reeb field."""
         return np.einsum("i,ijk->jk", self.xi, self.modified_nphi)
 
-    def inner(self, u, v) -> float:
-        return self.metric.inner(u, v)
+    def inner(self, u, v):
+        return self.metric.inners(u, v)
 
-    def gnorm(self, v) -> float:
-        return self.metric.norm(v)
+    def gnorm(self, v):
+        return self.metric.norms(v)
 
     def nphi_vec(self, x, z) -> np.ndarray:
-        """The vector (nabla_x phi) z from the coordinate table."""
-        return np.einsum("ijk,i,k->j", self.nphi, x, z)
+        """The vector (nabla_x phi) z from the coordinate table, column by
+        column for stacks."""
+        return np.einsum("ijk,i...,k...->j...", self.nphi, x, z)
 
     def modified_curvature_horizontal(self, x, y, z) -> np.ndarray:
         """Horizontal part of the modified curvature on horizontal arguments,
@@ -304,37 +311,59 @@ class PointGeometry:
 # probe generation
 
 
-def unit_probes(metric: Metric, rng, count: int, *, projector=None) -> list[np.ndarray]:
-    """``count`` g-unit vectors from standard normal draws (projected first
-    when a projector is given), redrawing any whose g-norm is at most 1e-6.
+def _accepted_draws(draw, keep, count: int, what: str) -> np.ndarray:
+    """``count`` accepted items in the order drawn, stacked along the last
+    axis. ``draw(n)`` returns n fresh items stacked that way and ``keep``
+    marks the acceptable ones.
 
-    Raises DegenerateInputError after ``MAX_PROBE_DRAWS`` consecutive
-    redraws, as on a chart whose horizontal space is trivial."""
-    out: list[np.ndarray] = []
-    while len(out) < count:
-        for _ in range(MAX_PROBE_DRAWS):
-            v = rng.standard_normal(metric.dim)
-            if projector is not None:
-                v = projector @ v
-            n = metric.norm(v)
-            if n > 1e-6:
-                out.append(v / n)
-                break
-        else:
-            raise DegenerateInputError(
-                f"no probe vector with g-norm above 1e-6 in {MAX_PROBE_DRAWS} draws")
-    return out
+    No batch asks for more items than are missing, nor for more than the
+    consecutive rejections left under ``MAX_PROBE_DRAWS``, so the random
+    stream is consumed exactly as by drawing one item at a time, and
+    DegenerateInputError ("no <what> in ... draws") is raised after the
+    same draw."""
+    parts, missing, run = [], count, 0
+    while True:
+        items = draw(min(missing, MAX_PROBE_DRAWS - run))
+        ok = keep(items)
+        parts.append(items[..., ok])
+        missing -= int(np.count_nonzero(ok))
+        if missing == 0:
+            return np.concatenate(parts, axis=-1)
+        hits = np.flatnonzero(ok)
+        run = run + ok.size if hits.size == 0 else ok.size - 1 - int(hits[-1])
+        if run >= MAX_PROBE_DRAWS:
+            raise DegenerateInputError(f"no {what} in {MAX_PROBE_DRAWS} draws")
 
 
-def horizontal_unit_probes(pg: PointGeometry, rng, count: int) -> list[np.ndarray]:
+def unit_probes(metric: Metric, rng, count: int, *, projector=None) -> np.ndarray:
+    """Stack of ``count`` g-unit vectors, one per column, from standard
+    normal draws (projected first when a projector is given), redrawing any
+    whose g-norm is at most 1e-6.
+
+    The draws are rows of one ``standard_normal((n, dim))`` matrix, which
+    holds the same numbers as n draws of ``standard_normal(dim)``. Raises
+    DegenerateInputError after ``MAX_PROBE_DRAWS`` consecutive redraws, as
+    on a chart whose horizontal space is trivial."""
+    def draw(n):
+        v = rng.standard_normal((n, metric.dim)).T
+        return v if projector is None else projector @ v
+
+    probes = _accepted_draws(draw, lambda v: metric.norms(v) > 1e-6, count,
+                             "probe vector with g-norm above 1e-6")
+    return probes / metric.norms(probes)
+
+
+def horizontal_unit_probes(pg: PointGeometry, rng, count: int) -> np.ndarray:
     return unit_probes(pg.metric, rng, count, projector=pg.projector)
 
 
-def _probe_tuples(metric: Metric, rng, k: int, count: int, *, projector=None):
-    """``count`` k-tuples of g-unit probes, consecutive in one draw of
-    ``k * count`` from `unit_probes`."""
+def _probe_tuples(metric: Metric, rng, k: int, count: int, *, projector=None) -> np.ndarray:
+    """``count`` k-tuples of g-unit probes as a ``(k, dim, count)`` array,
+    so that ``x, y = _probe_tuples(...)`` unpacks k stacks; the members of
+    each tuple are consecutive in one draw of ``k * count`` from
+    `unit_probes`."""
     probes = unit_probes(metric, rng, k * count, projector=projector)
-    return zip(*[iter(probes)] * k)
+    return probes.reshape(metric.dim, count, k).transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +388,11 @@ def nearly_cosymplectic_residuals(pg: PointGeometry, rng,
     """
     hor = horizontal_unit_probes(pg, rng, probes)
     full = unit_probes(pg.metric, rng, probes)
-    pairs = _probe_tuples(pg.metric, rng, 2, probes // 2, projector=pg.projector)
+    x, y = _probe_tuples(pg.metric, rng, 2, probes // 2, projector=pg.projector)
     return {
-        "horizontal": worst(pg.gnorm(pg.nphi_vec(v, v)) for v in hor),
-        "full": worst(pg.gnorm(pg.nphi_vec(v, v)) for v in full),
-        "symmetrized": worst(pg.gnorm(pg.nphi_vec(x, y) + pg.nphi_vec(y, x))
-                             for x, y in pairs),
+        "horizontal": worst(pg.gnorm(pg.nphi_vec(hor, hor))),
+        "full": worst(pg.gnorm(pg.nphi_vec(full, full))),
+        "symmetrized": worst(pg.gnorm(pg.nphi_vec(x, y) + pg.nphi_vec(y, x))),
     }
 
 
@@ -385,11 +413,9 @@ def eta_parallel_residual(pg: PointGeometry) -> float:
 def bridge_residual(pg: PointGeometry, rng, pairs: int = PROBES_PER_RESIDUAL) -> float:
     """Worst gap between the exterior derivative of the contact form and the
     skew pairing of the Reeb gradient, on horizontal pairs."""
-    smat = pg.dxi_skew.mat
-    gram = pg.metric.gram
-    probes = _probe_tuples(pg.metric, rng, 2, pairs, projector=pg.projector)
-    return worst(abs(float(x @ pg.deta @ y) - float((smat @ x) @ gram @ y))
-                 for x, y in probes)
+    x, y = _probe_tuples(pg.metric, rng, 2, pairs, projector=pg.projector)
+    deta_xy = np.sum(x * (pg.deta @ y), axis=0)
+    return worst(np.abs(deta_xy - pg.inner(pg.dxi_skew.mat @ x, y)))
 
 
 def factorization_lhs(pg: PointGeometry, x, y, z) -> np.ndarray:
@@ -432,14 +458,16 @@ def modified_connection_suite(geoms: Sequence[PointGeometry], seed: int = 0, *,
         h = pg.correction
         a = pg.reeb_gradient.mat
         fix.append(float(np.max(np.abs(np.einsum("kij,i,j->k", h, pg.xi, pg.xi)))))
-        for x in horizontal_unit_probes(pg, rng, probes):
-            reeb.append(pg.gnorm(a @ x + np.einsum("kij,i,j->k", h, x, pg.xi)))
-        for x, z in _probe_tuples(pg.metric, rng, 2, probes, projector=pg.projector):
-            phi_h.append(pg.gnorm(np.einsum("ijk,i,k->j", pg.modified_nphi, x, z)))
-        for x, w, z in _probe_tuples(pg.metric, rng, 3, probes, projector=pg.projector):
-            one = pg.projector @ pg.modified_riem.apply(x, w, z)
-            two = pg.modified_curvature_horizontal(x, w, z)
-            agree.append(pg.gnorm(one - two))
+        x = horizontal_unit_probes(pg, rng, probes)
+        # h(x, xi) as the matrix h(., xi) times x: where that matrix is -A
+        # exactly, both products round alike and cancel to 0
+        reeb.extend(pg.gnorm(a @ x + (h @ pg.xi) @ x))
+        x, z = _probe_tuples(pg.metric, rng, 2, probes, projector=pg.projector)
+        phi_h.extend(pg.gnorm(np.einsum("ijk,i...,k...->j...", pg.modified_nphi, x, z)))
+        x, w, z = _probe_tuples(pg.metric, rng, 3, probes, projector=pg.projector)
+        one = pg.projector @ pg.modified_riem.apply(x, w, z)
+        two = pg.modified_curvature_horizontal(x, w, z)
+        agree.extend(pg.gnorm(one - two))
     return VerificationReport.of([
         Check.below("correction_kills_reeb_pair", worst(fix), tol.acms_exact),
         Check.below("modified_reeb_parallel", worst(reeb), tol.condition_gate),
@@ -465,12 +493,12 @@ def defect_collapse_suite(geoms: Sequence[PointGeometry], seed: int = 0, *,
     resid = []
     for pg in geoms:
         phi = pg.phi.mat
-        for x, y_, z in _probe_tuples(pg.metric, rng, 3, probes, projector=pg.projector):
-            lhs = (pg.modified_riem.apply(x, y_, phi @ z)
-                   - phi @ pg.modified_riem.apply(x, y_, z))
-            factor = 2.0 * pg.inner(pg.dxi_skew.mat @ x, y_)
-            rhs = factor * (pg.modified_nphi_reeb @ z)
-            resid.append(pg.gnorm(pg.projector @ (lhs - rhs)))
+        x, y_, z = _probe_tuples(pg.metric, rng, 3, probes, projector=pg.projector)
+        lhs = (pg.modified_riem.apply(x, y_, phi @ z)
+               - phi @ pg.modified_riem.apply(x, y_, z))
+        factor = 2.0 * pg.inner(pg.dxi_skew.mat @ x, y_)
+        rhs = factor * (pg.modified_nphi_reeb @ z)
+        resid.extend(pg.gnorm(pg.projector @ (lhs - rhs)))
     checks.append(Check.below("defect_collapse", worst(resid), tol.identity))
     return VerificationReport.of(checks)
 
@@ -497,23 +525,20 @@ def defect_factorization_suite(geoms: Sequence[PointGeometry], seed: int = 0, *,
         return VerificationReport.of(checks)
     resid = []
     for pg in geoms:
-        for x, y_, z in _probe_tuples(pg.metric, rng, 3, probes, projector=pg.projector):
-            diff = factorization_lhs(pg, x, y_, z) - factorization_rhs(pg, x, y_, z)
-            resid.append(pg.gnorm(diff))
+        x, y_, z = _probe_tuples(pg.metric, rng, 3, probes, projector=pg.projector)
+        diff = factorization_lhs(pg, x, y_, z) - factorization_rhs(pg, x, y_, z)
+        resid.extend(pg.gnorm(diff))
     checks.append(Check.below("defect_factorization", worst(resid), tol.identity))
     return VerificationReport.of(checks)
 
 
 def _phi_plane_curvature(pg: PointGeometry, rng, samples: int = 8) -> float:
-    vals = []
-    for x in horizontal_unit_probes(pg, rng, samples):
-        px = pg.phi.apply(x)
-        if pg.gnorm(px) < 1e-6:
-            continue
-        vals.append(pg.riem.sectional(x, px, tol=pg.tol))
-    if not vals:
+    x = horizontal_unit_probes(pg, rng, samples)
+    px = pg.phi.mat @ x
+    keep = ~(pg.gnorm(px) < 1e-6)
+    if not keep.any():
         raise DegenerateInputError("no nondegenerate phi-plane found")
-    return float(np.mean(vals))
+    return float(np.mean(pg.riem.sectional(x[:, keep], px[:, keep], tol=pg.tol)))
 
 
 def curvature_reconstruction_suite(geoms: Sequence[PointGeometry], seed: int = 0, *,
@@ -544,43 +569,41 @@ def curvature_reconstruction_suite(geoms: Sequence[PointGeometry], seed: int = 0
         a2 = a @ a
         eta = pg.eta
 
-        def ip(u, v):
-            return g.inner(u, v)
+        ip = g.inners
+        w, x, y_, z = _probe_tuples(g, rng, 4, tuples)
+        lhs = 4.0 * pg.riem.pair(z, w, x, y_)
+        aw, ax, ay, az = a @ w, a @ x, a @ y_, a @ z
+        ew, ex, ey, ez = eta @ w, eta @ x, eta @ y_, eta @ z
+        rhs = (ip(pg.nphi_vec(w, z), pg.nphi_vec(x, y_))
+               - ip(pg.nphi_vec(w, y_), pg.nphi_vec(x, z))
+               - 2.0 * ip(pg.nphi_vec(w, x), pg.nphi_vec(y_, z))
+               + ip(aw, z) * ip(ax, y_) - ip(aw, y_) * ip(ax, z)
+               - 2.0 * ip(aw, x) * ip(ay, z)
+               - ew * ey * ip(ax, az) + ew * ez * ip(ax, ay)
+               + ex * ey * ip(aw, az) - ex * ez * ip(aw, ay))
+        rhs += c * (ip(x, y_) * ip(z, w) - ip(z, x) * ip(y_, w)
+                    + ez * ex * ip(y_, w) - ey * ex * ip(z, w)
+                    + ey * ew * ip(z, x) - ez * ew * ip(y_, x)
+                    + ip(phi @ y_, x) * ip(phi @ z, w)
+                    - ip(phi @ z, x) * ip(phi @ y_, w)
+                    - 2.0 * ip(phi @ z, y_) * ip(phi @ x, w))
+        full.extend(np.abs(lhs - rhs))
 
-        for w, x, y_, z in _probe_tuples(g, rng, 4, tuples):
-            lhs = 4.0 * pg.riem.pair(z, w, x, y_)
-            aw, ax, ay, az = a @ w, a @ x, a @ y_, a @ z
-            ew, ex, ey, ez = (float(eta @ w), float(eta @ x),
-                              float(eta @ y_), float(eta @ z))
-            rhs = (ip(pg.nphi_vec(w, z), pg.nphi_vec(x, y_))
-                   - ip(pg.nphi_vec(w, y_), pg.nphi_vec(x, z))
-                   - 2.0 * ip(pg.nphi_vec(w, x), pg.nphi_vec(y_, z))
-                   + ip(aw, z) * ip(ax, y_) - ip(aw, y_) * ip(ax, z)
-                   - 2.0 * ip(aw, x) * ip(ay, z)
-                   - ew * ey * ip(ax, az) + ew * ez * ip(ax, ay)
-                   + ex * ey * ip(aw, az) - ex * ez * ip(aw, ay))
-            rhs += c * (ip(x, y_) * ip(z, w) - ip(z, x) * ip(y_, w)
-                        + ez * ex * ip(y_, w) - ey * ex * ip(z, w)
-                        + ey * ew * ip(z, x) - ez * ew * ip(y_, x)
-                        + ip(phi @ y_, x) * ip(phi @ z, w)
-                        - ip(phi @ z, x) * ip(phi @ y_, w)
-                        - 2.0 * ip(phi @ z, y_) * ip(phi @ x, w))
-            full.append(abs(lhs - rhs))
-        for x, y_, w in _probe_tuples(g, rng, 3, tuples, projector=pg.projector):
-            lhs_v = 3.0 * c * (ip(y_, x) * w - ip(y_, w) * x)
-            py, px, pw = phi @ y_, phi @ x, phi @ w
-            ax, aw, ay = a @ x, a @ w, a @ y_
-            rhs_v = (-ip(py, ax) * (phi @ aw) + ip(py, aw) * (phi @ ax)
-                     + 2.0 * ip(px, aw) * (phi @ ay)
-                     + ip(ax, y_) * aw - ip(aw, y_) * ax - 2.0 * ip(aw, x) * ay)
-            rhs_v = rhs_v + c * (-ip(x, py) * pw + ip(py, w) * px + 2.0 * ip(px, w) * py)
-            hor.append(pg.gnorm(lhs_v - rhs_v))
-        for x, y_, z in _probe_tuples(g, rng, 3, tuples):
-            ex = float(eta @ x)
-            ey = float(eta @ y_)
-            lhs_s = ip(pg.nphi_vec(x, y_), a @ z)
-            rhs_s = ey * ip(a2 @ x, phi @ z) - ex * ip(a2 @ y_, phi @ z)
-            pair.append(abs(lhs_s - rhs_s))
+        x, y_, w = _probe_tuples(g, rng, 3, tuples, projector=pg.projector)
+        lhs_v = 3.0 * c * (ip(y_, x) * w - ip(y_, w) * x)
+        py, px, pw = phi @ y_, phi @ x, phi @ w
+        ax, aw, ay = a @ x, a @ w, a @ y_
+        rhs_v = (-ip(py, ax) * (phi @ aw) + ip(py, aw) * (phi @ ax)
+                 + 2.0 * ip(px, aw) * (phi @ ay)
+                 + ip(ax, y_) * aw - ip(aw, y_) * ax - 2.0 * ip(aw, x) * ay)
+        rhs_v = rhs_v + c * (-ip(x, py) * pw + ip(py, w) * px + 2.0 * ip(px, w) * py)
+        hor.extend(pg.gnorm(lhs_v - rhs_v))
+
+        x, y_, z = _probe_tuples(g, rng, 3, tuples)
+        ex, ey = eta @ x, eta @ y_
+        lhs_s = ip(pg.nphi_vec(x, y_), a @ z)
+        rhs_s = ey * ip(a2 @ x, phi @ z) - ex * ip(a2 @ y_, phi @ z)
+        pair.extend(np.abs(lhs_s - rhs_s))
     checks.append(Check.below("curvature_reconstruction_full", worst(full), tol.identity))
     checks.append(Check.below("curvature_reconstruction_horizontal", worst(hor), tol.identity))
     checks.append(Check.below("nabla_phi_pairing", worst(pair), tol.identity))
@@ -619,20 +642,17 @@ def horizontal_sectional_values(chart: Chart, points, seed: int = 0, *,
     """Sectional curvatures of random horizontal planes across the points.
 
     A probe pair with |g(x, w)| > 0.99 is redrawn; raises
-    DegenerateInputError after ``MAX_PROBE_DRAWS`` consecutive redraws."""
+    DegenerateInputError after ``MAX_PROBE_DRAWS`` consecutive redraws.
+    Each point's pairs are drawn and evaluated as one stack."""
     rng = np.random.default_rng(seed)
     values: list[float] = []
     for y in np.atleast_2d(np.asarray(points, float)):
         pg = PointGeometry(chart, y, tol=tol)
-        for _ in range(planes):
-            for _ in range(MAX_PROBE_DRAWS):
-                x, w = horizontal_unit_probes(pg, rng, 2)
-                if abs(pg.inner(x, w)) <= 0.99:
-                    break
-            else:
-                raise DegenerateInputError(
-                    f"no horizontal plane with |g(x, w)| <= 0.99 in {MAX_PROBE_DRAWS} draws")
-            values.append(pg.riem.sectional(x, w, tol=tol))
+        x, w = _accepted_draws(
+            lambda n: _probe_tuples(pg.metric, rng, 2, n, projector=pg.projector),
+            lambda xw: np.abs(pg.inner(*xw)) <= 0.99, planes,
+            "horizontal plane with |g(x, w)| <= 0.99")
+        values.extend(np.atleast_1d(pg.riem.sectional(x, w, tol=tol)).tolist())
     return values
 
 

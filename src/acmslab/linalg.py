@@ -4,6 +4,10 @@ Operators are plain component matrices relative to an arbitrary frame; a Gram
 matrix carries the inner product, so nothing here assumes the frame is
 orthonormal. Adjoints, skew parts, eigendecompositions and orthonormal bases
 all take the metric explicitly.
+
+A stack of vectors is a ``(dim, n)`` array holding one vector per column, so
+an operator matrix applies to the whole stack as ``mat @ stack`` and the
+formulas for one vector read the same for a stack.
 """
 from __future__ import annotations
 
@@ -81,6 +85,15 @@ class Metric:
 
     def norm(self, x) -> float:
         return float(np.sqrt(max(self.inner(x, x), 0.0)))
+
+    def inners(self, x, y) -> np.ndarray:
+        """g(x, y) column by column for stacks x and y (a scalar for two
+        vectors)."""
+        return np.sum(np.asarray(x) * (self.gram @ y), axis=0)
+
+    def norms(self, x) -> np.ndarray:
+        """g-norm of each column of a stack (a scalar for one vector)."""
+        return np.sqrt(np.maximum(self.inners(x, x), 0.0))
 
     def unit(self, x) -> np.ndarray:
         n = self.norm(x)
@@ -198,29 +211,31 @@ def symmetric_eigen(op: LinearOp, g: Metric, *, tol: float | None = None):
 
 
 def project_out(v, basis, g: Metric, *, passes: int = 2) -> np.ndarray:
-    """Remove the g-projection of v onto a g-orthonormal family, twice by
-    default to fight cancellation."""
+    """Remove from v (one vector or a stack) its g-projection onto the span of
+    a stack of g-orthonormal columns, twice by default to fight
+    cancellation."""
     out = np.array(v, dtype=float)
+    basis = np.asarray(basis, dtype=float)
     for _ in range(passes):
-        for b in basis:
-            out = out - g.inner(b, out) * np.asarray(b)
+        out = out - basis @ (basis.T @ (g.gram @ out))
     return out
 
 
 def gram_schmidt(vectors, g: Metric, *, rank_tol: float | None = None,
-                 pivot: bool = True, require_all: bool = False):
-    """Modified Gram-Schmidt with optional pivoting by largest remaining norm.
+                 pivot: bool = True, require_all: bool = False) -> np.ndarray:
+    """Gram-Schmidt over the columns of a stack, with optional pivoting by
+    largest remaining norm.
 
-    Returns a list of g-orthonormal vectors spanning the input span. Vectors
+    Returns a stack of g-orthonormal columns spanning the input span. Columns
     that project below ``rank_tol`` are dropped, or raise when ``require_all``.
     """
     if rank_tol is None:
         rank_tol = DEFAULT_TOLERANCES.rank
-    pool = [np.array(v, dtype=float) for v in vectors]
-    out: list[np.ndarray] = []
-    while pool:
-        residuals = [project_out(v, out, g) for v in pool]
-        norms = [g.norm(r) for r in residuals]
+    pool = np.array(vectors, dtype=float)
+    out = pool[:, :0]
+    while pool.shape[1]:
+        residuals = project_out(pool, out, g)
+        norms = g.norms(residuals)
         best = int(np.argmax(norms)) if pivot else 0
         if norms[best] < rank_tol:
             if require_all:
@@ -228,8 +243,8 @@ def gram_schmidt(vectors, g: Metric, *, rank_tol: float | None = None,
                     f"input vectors are linearly dependent (residual norm {norms[best]:.3e})"
                 )
             break
-        out.append(residuals[best] / norms[best])
-        pool.pop(best)
+        out = np.column_stack([out, residuals[:, best] / norms[best]])
+        pool = np.delete(pool, best, axis=1)
     return out
 
 

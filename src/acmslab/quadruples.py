@@ -80,16 +80,20 @@ def _check_skew(space: ComplexStructuredSpace, a: LinearOp, tol: float):
         raise PreconditionError(f"operator is not g-skew (residual {resid:.3e})")
 
 
+def _triple(space: ComplexStructuredSpace, a: LinearOp, y) -> np.ndarray:
+    """The stack (Y, JY, AY)."""
+    y = np.asarray(y, float)
+    return np.column_stack([y, space.j.apply(y), a.apply(y)])
+
+
 def _normalized_triple_gram_det(space: ComplexStructuredSpace, a: LinearOp, y) -> float:
     g = space.g
-    vecs = []
-    for v in (np.asarray(y, float), space.j.apply(y), a.apply(y)):
-        n = g.norm(v)
-        if n < 1e-14:
-            return 0.0
-        vecs.append(v / n)
-    gram = np.array([[g.inner(u, v) for v in vecs] for u in vecs])
-    return float(np.linalg.det(gram))
+    triple = _triple(space, a, y)
+    norms = g.norms(triple)
+    if np.any(norms < 1e-14):
+        return 0.0
+    unit = triple / norms
+    return float(np.linalg.det(unit.T @ g.gram @ unit))
 
 
 def _candidate_vectors(space: ComplexStructuredSpace, seed: int, max_random: int):
@@ -141,10 +145,10 @@ def find_orthogonal_witness(space: ComplexStructuredSpace, a: LinearOp, y,
     if tol is None:
         tol = DEFAULT_TOLERANCES.witness
     g = space.g
-    triple = [np.asarray(y, float), space.j.apply(y), a.apply(y)]
     if _normalized_triple_gram_det(space, a, y) <= DEFAULT_TOLERANCES.rank:
         raise DegenerateInputError("triple {Y, JY, AY} is numerically dependent")
-    onb = gram_schmidt(triple, g, rank_tol=DEFAULT_TOLERANCES.rank, require_all=True)
+    onb = gram_schmidt(_triple(space, a, y), g, rank_tol=DEFAULT_TOLERANCES.rank,
+                       require_all=True)
     jay = space.j.apply(a.apply(y))
     residue = project_out(jay, onb, g)
     norm = g.norm(residue)
@@ -186,43 +190,45 @@ def quadruple_decomposition(space: ComplexStructuredSpace, a: LinearOp,
         )
     g = space.g
     squared = a.compose(a)
-    pairs = symmetric_eigen(squared, g)
-    used: list[np.ndarray] = []
+    jm, am, a2 = space.j.mat, a.mat, squared.mat
+    candidates = np.column_stack([v for _, v in symmetric_eigen(squared, g)])
+    used = candidates[:, :0]
     quads: list[Quadruple] = []
     a_scale = 1.0 + a.max_norm ** 2
+    pairs = np.triu_indices(4, 1)
     while len(quads) < dim // 4:
-        residues = [project_out(v, used, g) for _, v in pairs]
-        norms = [g.norm(r) for r in residues]
+        # deflate every eigenvector candidate against the blocks found so far
+        residues = project_out(candidates, used, g)
+        norms = g.norms(residues)
         best = int(np.argmax(norms))
         if norms[best] < 1e-6:
             raise SearchError(
                 f"deflation pivot collapsed at quadruple {len(quads) + 1}; "
                 "eigenvectors no longer span the remaining space"
             )
-        x = residues[best] / norms[best]
-        lam = g.inner(squared.apply(x), x)
-        block = (x, space.j.apply(x), a.apply(x), space.j.apply(a.apply(x)))
-        normalized = []
-        for v in block:
-            norm = g.norm(v)
-            if norm < tol.quad:
-                raise DegenerateInputError("quadruple vector collapsed to zero")
-            normalized.append(v / norm)
-            eig_resid = g.norm(squared.apply(v) - lam * v) / norm
-            if eig_resid > tol.quad * (1.0 + abs(lam)) * a_scale:
-                raise DegenerateInputError(
-                    f"quadruple member drifts off the A^2 eigenspace (residual {eig_resid:.3e})"
-                )
-        for p in range(4):
-            for q in range(p + 1, 4):
-                inner = abs(g.inner(normalized[p], normalized[q]))
-                if inner > tol.quad:
-                    raise DegenerateInputError(
-                        f"quadruple members are not orthogonal (inner {inner:.3e})"
-                    )
-        used.extend(normalized)
-        quads.append(Quadruple(tuple(block), float(lam)))
-    gram = np.array([[g.inner(u, v) for v in used] for u in used])
+        x = residues[:, best] / norms[best]
+        lam = g.inner(a2 @ x, x)
+        ax = am @ x
+        block = np.column_stack([x, jm @ x, ax, jm @ ax])
+        norms = g.norms(block)
+        if np.any(norms < tol.quad):
+            raise DegenerateInputError("quadruple vector collapsed to zero")
+        eig_resid = g.norms(a2 @ block - lam * block) / norms
+        drift = eig_resid[eig_resid > tol.quad * (1.0 + abs(lam)) * a_scale]
+        if drift.size:
+            raise DegenerateInputError(
+                f"quadruple member drifts off the A^2 eigenspace (residual {drift[0]:.3e})"
+            )
+        normalized = block / norms
+        inner = np.abs(normalized.T @ g.gram @ normalized)[pairs]
+        skewed = inner[inner > tol.quad]
+        if skewed.size:
+            raise DegenerateInputError(
+                f"quadruple members are not orthogonal (inner {skewed[0]:.3e})"
+            )
+        used = np.column_stack([used, normalized])
+        quads.append(Quadruple(tuple(block.T), float(lam)))
+    gram = used.T @ g.gram @ used
     off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
     if off > tol.quad:
         raise DegenerateInputError(f"global quadruple Gram off-diagonal {off:.3e}")
@@ -238,22 +244,18 @@ def constrained_operator_basis(space: ComplexStructuredSpace, *, skew: bool) -> 
     d = space.dim
     jm = space.j.mat
     gram = space.g.gram
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            row = np.zeros((d, d))
-            row[i, :] += jm[:, j]
-            row[:, j] += jm[i, :]
-            rows.append(row.ravel())
-    if skew:
-        for i in range(d):
-            for j in range(d):
-                row = np.zeros((d, d))
-                row[:, i] += gram[:, j]
-                row[:, j] += gram[i, :]
-                rows.append(row.ravel())
-    system = np.vstack(rows)
-    _, s, vh = np.linalg.svd(system)
+    # system[0, i, j] holds the coefficients of (AJ + JA)[i, j] in the
+    # entries of A, and system[1, i, j] those of (G A + A^T G)[i, j]
+    system = np.zeros((2 if skew else 1, d, d, d, d))
+    idx = np.arange(d)
+    for j in range(d):
+        system[0, idx, j, idx, :] += jm[:, j]
+        system[0, :, j, :, j] += jm
+        if skew:
+            system[1, idx, j, :, idx] += gram[:, j]
+            system[1, :, j, :, j] += gram
+    system = system.reshape(-1, d * d)
+    _, s, vh = np.linalg.svd(system, full_matrices=False)
     rank = int(np.sum(s > s.max(initial=0.0) * np.finfo(float).eps * max(system.shape)))
     return vh[rank:].reshape(-1, d, d)
 
@@ -337,8 +339,9 @@ def decomposition_campaign(dim: int, trials: int, seed: int,
             a = random_constrained_operator(space, rng, skew=True, basis=basis,
                                             min_sigma=1e-3)
             quads = quadruple_decomposition(space, a, tol=tol)
-            vectors = [v / space.g.norm(v) for q in quads for v in q.vectors]
-            gram = np.array([[space.g.inner(u, v) for v in vectors] for u in vectors])
+            vectors = np.column_stack([v for q in quads for v in q.vectors])
+            vectors = vectors / space.g.norms(vectors)
+            gram = vectors.T @ space.g.gram @ vectors
             offs.append(float(np.max(np.abs(gram - np.diag(np.diag(gram))))))
         checks.append(Check.below("worst_gram_off_diagonal", worst(offs), tol.quad))
         # quadruple_decomposition returns dim // 4 blocks or raises, which exits 2

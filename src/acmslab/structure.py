@@ -137,19 +137,19 @@ def horizontal_basis(p: AcmsPoint, *, rank_tol: float | None = None) -> Horizont
     frame along xi and orthonormalizing with pivoting."""
     if rank_tol is None:
         rank_tol = DEFAULT_TOLERANCES.rank
-    dim = p.dim
-    candidates = [p.horizontal_project(np.eye(dim)[i]) for i in range(dim)]
+    candidates = np.column_stack([p.horizontal_project(e) for e in np.eye(p.dim)])
     basis = gram_schmidt(candidates, p.g, rank_tol=rank_tol)
-    if len(basis) != p.horizontal_dim:
+    rank = basis.shape[1]
+    if rank != p.horizontal_dim:
         raise DegenerateInputError(
-            f"horizontal space has numerical rank {len(basis)}, expected {p.horizontal_dim}"
+            f"horizontal space has numerical rank {rank}, expected {p.horizontal_dim}"
         )
-    worst_eta = max(abs(p.eta_of(b)) for b in basis)
+    worst_eta = float(np.max(np.abs(p.eta @ basis)))
     if worst_eta > 1e3 * max(p.tol, 1e-12):
         raise DegenerateInputError(
             f"horizontal basis leaks through eta (max |eta(b)| = {worst_eta:.3e})"
         )
-    return HorizontalSubspace(p, tuple(b for b in basis))
+    return HorizontalSubspace(p, tuple(basis.T))
 
 
 def horizontal_skew_matrix(a: LinearOp, p: AcmsPoint,

@@ -213,9 +213,34 @@ class TestLemma:
         assert code == 2
         assert "even" in err
 
+    def test_dim_two_rejected_up_front(self, capsys):
+        # Y, JY and AY can never be independent in two dimensions, so the
+        # flag is refused before any operator is drawn
+        code, out, err = run(capsys, "lemma", "--dim", "2")
+        assert code == 2
+        assert out == ""
+        assert "--dim must be an even integer >= 4, got 2" in err
+
     def test_zero_trials_rejected(self, capsys):
         code, _, err = run(capsys, "lemma", "--dim", "4", "--trials", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("dim", range(4, 17, 2))
+    def test_dimension_sweep(self, capsys, dim):
+        code, out, _ = run(capsys, "lemma", "--dim", str(dim), "--trials", "3", "--json")
+        assert code == 0
+        doc = strict_json(out)
+        if dim % 4 == 0:
+            branch = "decomposition"
+            names = ["worst_gram_off_diagonal", "all_decompositions_complete"]
+        else:
+            branch = "forced_singularity"
+            names = ["max_sigma_min", "all_draws_singular"]
+        assert doc["summary"] == {"dim_mod_4": dim % 4, "branch": branch}
+        assert [c["name"] for c in doc["checks"]] == [
+            "min_triple_gram_det", "min_witness_overlap", *names]
+        assert all(c["pass"] for c in doc["checks"])
+        assert doc["verdict"] == "PASS"
 
     def test_json_deterministic(self, capsys):
         args = ("lemma", "--dim", "4", "--trials", "5", "--json", "--seed", "9")
@@ -229,7 +254,8 @@ class TestCurvature:
         code, out, _ = run(capsys, "curvature", *S5, *FAST, "--planes", "4")
         assert code == 0
         assert "CONSISTENT" in out
-        assert "mean: 1.0" in out
+        mean = float(out.split("mean: ", 1)[1].split()[0])
+        assert abs(mean - 1.0) < 1e-12
 
     def test_sasakian_varies_but_still_exits_zero(self, capsys):
         code, out, _ = run(capsys, "curvature", "--gallery", "sasakian_r5",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acmslab.charts import DerivativeMode, central_difference, chart_from_text, sample_points
-from acmslab.config import FD_SECOND_STEP
+from acmslab.config import FD_SECOND_STEP, MAX_PROBE_DRAWS
 from acmslab.curvature import (
     CurvatureTensor,
     PointGeometry,
@@ -124,7 +124,7 @@ class TestRiemann:
         # horizontal ones
         r = riemann(s5, np.array([0.1, -0.05, 0.2, 0.0, 0.1]))
         rng = np.random.default_rng(7)
-        for x, w in zip(unit_probes(r.metric, rng, 6), unit_probes(r.metric, rng, 6)):
+        for x, w in zip(unit_probes(r.metric, rng, 6).T, unit_probes(r.metric, rng, 6).T):
             if abs(r.metric.inner(x, w)) > 0.95:
                 continue
             assert r.sectional(x, w) == pytest.approx(1.0, abs=1e-9)
@@ -213,6 +213,95 @@ class TestModifiedRiemann:
         # of the sphere chart the violation is exactly 3
         r = modified_riemann(s5, np.zeros(5))
         assert r.first_bianchi_residual() == pytest.approx(3.0, abs=1e-6)
+
+
+def _probes_one_at_a_time(metric, rng, count, projector=None):
+    """Oracle for unit_probes: draw, project and normalize one vector at a
+    time, with the same cap on consecutive redraws."""
+    out = []
+    while len(out) < count:
+        for _ in range(MAX_PROBE_DRAWS):
+            v = rng.standard_normal(metric.dim)
+            if projector is not None:
+                v = projector @ v
+            n = metric.norm(v)
+            if n > 1e-6:
+                out.append(v / n)
+                break
+        else:
+            raise DegenerateInputError(
+                f"no probe vector with g-norm above 1e-6 in {MAX_PROBE_DRAWS} draws")
+    return np.column_stack(out)
+
+
+class _ScriptedRng:
+    """Stand-in generator that replays fixed rows of length ``dim``, then
+    zero rows (always rejected); ``standard_normal`` accepts the vector and
+    the matrix form of ``size``."""
+
+    def __init__(self, rows, dim):
+        self.rows = [np.asarray(r, float) for r in rows]
+        self.zero = np.zeros(dim)
+        self.drawn = 0
+
+    def standard_normal(self, size):
+        take = size[0] if isinstance(size, tuple) else 1
+        out = [self.rows[i] if i < len(self.rows) else self.zero
+               for i in range(self.drawn, self.drawn + take)]
+        self.drawn += take
+        return np.array(out) if isinstance(size, tuple) else out[0]
+
+
+class TestUnitProbes:
+    @pytest.mark.parametrize("horizontal", [False, True])
+    def test_batched_draw_matches_one_at_a_time(self, s5, horizontal):
+        pg = PointGeometry(s5, np.array([0.2, -0.1, 0.3, 0.05, -0.2]))
+        projector = pg.projector if horizontal else None
+        one, two = np.random.default_rng(13), np.random.default_rng(13)
+        got = unit_probes(pg.metric, one, 60, projector=projector)
+        want = _probes_one_at_a_time(pg.metric, two, 60, projector=projector)
+        assert got.shape == (5, 60)
+        assert np.max(np.abs(got - want)) <= 4.4e-16
+        assert one.bit_generator.state == two.bit_generator.state
+
+    def test_rejected_rows_keep_order(self):
+        metric = Metric(np.diag([1.0, 4.0, 9.0]))
+        zero = [0.0, 0.0, 0.0]
+        # rejections mid-batch and at the end of the first batch of 5
+        rows = [[1.0, 0.0, 0.0], zero, [0.0, 2.0, 0.0], zero, zero,
+                [0.0, 0.0, 3.0], zero, [1.0, 1.0, 1.0], [2.0, 0.0, 1.0]]
+        batched, looped = _ScriptedRng(rows, 3), _ScriptedRng(rows, 3)
+        got = unit_probes(metric, batched, 5)
+        want = _probes_one_at_a_time(metric, looped, 5)
+        np.testing.assert_allclose(got, want, rtol=0, atol=4.4e-16)
+        assert batched.drawn == looped.drawn == len(rows)
+        accepted = np.array([r for r in rows if r != zero]).T
+        np.testing.assert_allclose(got, accepted / metric.norms(accepted), atol=4.4e-16)
+
+    @pytest.mark.parametrize("rejected", [MAX_PROBE_DRAWS - 1, MAX_PROBE_DRAWS])
+    def test_cap_counts_consecutive_rejections_across_batches(self, rejected):
+        metric = Metric.euclidean(3)
+        rows = [[1.0, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * rejected + [[0.0, 1.0, 0.0]] * 2
+        outcomes = []
+        for draw in (unit_probes, _probes_one_at_a_time):
+            rng = _ScriptedRng(rows, 3)
+            try:
+                outcomes.append((draw(metric, rng, 3).tolist(), rng.drawn))
+            except DegenerateInputError as exc:
+                outcomes.append((str(exc), rng.drawn))
+        assert outcomes[0] == outcomes[1]
+        # the cap stops the stream right after its 100th consecutive rejection
+        want = len(rows) if rejected < MAX_PROBE_DRAWS else 1 + MAX_PROBE_DRAWS
+        assert outcomes[0][1] == want
+
+    @pytest.mark.parametrize("count", [1, 3, 7])
+    def test_all_rejected_raises_after_cap(self, count):
+        rng = _ScriptedRng([], 3)
+        with pytest.raises(DegenerateInputError) as err:
+            unit_probes(Metric.euclidean(3), rng, count)
+        assert str(err.value) == (
+            f"no probe vector with g-norm above 1e-6 in {MAX_PROBE_DRAWS} draws")
+        assert rng.drawn == MAX_PROBE_DRAWS
 
 
 class TestPointResiduals:

@@ -6,7 +6,8 @@ these bytes must be deliberate: regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and record the reason in CHANGES.md.
+and record the reason in CHANGES.md. Regeneration prints, for each file,
+whether its bytes are new, unchanged or CHANGED.
 """
 import contextlib
 import io
@@ -90,8 +91,11 @@ def regenerate() -> None:
         finally:
             os.chdir(here)
     for name, text in outputs.items():
-        (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
-        print(f"wrote {GOLDEN / name}.json", file=sys.stderr)
+        path = GOLDEN / f"{name}.json"
+        before = path.read_text(encoding="utf-8") if path.exists() else None
+        path.write_text(text, encoding="utf-8")
+        status = "new" if before is None else "unchanged" if before == text else "CHANGED"
+        print(f"{status:9} {path}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -209,25 +209,24 @@ class TestSymmetricEigen:
 class TestGramSchmidt:
     def test_orthonormalizes(self):
         g = Metric(np.diag([1.0, 2.0, 3.0]))
-        basis = gram_schmidt([np.array([1.0, 1.0, 0.0]),
-                              np.array([0.0, 1.0, 1.0]),
-                              np.array([1.0, 0.0, 1.0])], g)
-        assert len(basis) == 3
-        for i, bi in enumerate(basis):
-            for j, bj in enumerate(basis):
+        basis = gram_schmidt(np.column_stack([[1.0, 1.0, 0.0],
+                                              [0.0, 1.0, 1.0],
+                                              [1.0, 0.0, 1.0]]), g)
+        assert basis.shape == (3, 3)
+        for i, bi in enumerate(basis.T):
+            for j, bj in enumerate(basis.T):
                 want = 1.0 if i == j else 0.0
                 assert abs(g.inner(bi, bj) - want) < 1e-10
 
     def test_drops_dependent(self):
         g = Metric.euclidean(3)
-        vecs = [np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]),
-                np.array([0.0, 1.0, 0.0])]
+        vecs = np.column_stack([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         basis = gram_schmidt(vecs, g)
-        assert len(basis) == 2
+        assert basis.shape == (3, 2)
 
     def test_require_all_raises(self):
         g = Metric.euclidean(2)
-        vecs = [np.array([1.0, 1.0]), np.array([2.0, 2.0])]
+        vecs = np.column_stack([[1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(DegenerateInputError):
             gram_schmidt(vecs, g, require_all=True)
 
@@ -235,19 +234,19 @@ class TestGramSchmidt:
         rng = np.random.default_rng(41)
         m = rng.normal(size=(4, 4))
         g = Metric(m @ m.T + 4.0 * np.eye(4))
-        vecs = [rng.normal(size=4) for _ in range(3)]
+        vecs = np.column_stack([rng.normal(size=4) for _ in range(3)])
         basis = gram_schmidt(vecs, g)
         # each input is reproduced by its coordinates in the output basis
-        for v in vecs:
-            coords = [g.inner(b, v) for b in basis]
-            rebuilt = sum(c * b for c, b in zip(coords, basis))
+        for v in vecs.T:
+            coords = [g.inner(b, v) for b in basis.T]
+            rebuilt = sum(c * b for c, b in zip(coords, basis.T))
             assert g.norm(v - rebuilt) < 1e-9
 
 
 class TestComplementAndProjection:
     def test_project_out(self):
         g = Metric.euclidean(3)
-        basis = gram_schmidt([np.array([1.0, 0.0, 0.0])], g)
+        basis = gram_schmidt(np.array([[1.0], [0.0], [0.0]]), g)
         v = project_out(np.array([2.0, 3.0, 0.0]), basis, g)
         np.testing.assert_allclose(v, [0.0, 3.0, 0.0], atol=1e-13)
 
@@ -263,9 +262,9 @@ class TestBasisRepresentation:
 
     def test_weighted_coordinates(self):
         g = Metric(np.diag([1.0, 4.0]))
-        basis = gram_schmidt([np.array([0.0, 1.0])], g)
+        basis = gram_schmidt(np.array([[0.0], [1.0]]), g)
         # basis vector is e2 / 2, so the coefficient of (3, 2) is 4
-        assert g.inner(basis[0], np.array([3.0, 2.0])) == pytest.approx(4.0)
+        assert g.inner(basis[:, 0], np.array([3.0, 2.0])) == pytest.approx(4.0)
 
 
 class TestGSingularValues:

@@ -22,6 +22,33 @@ from acmslab.quadruples import (
 )
 
 
+def _per_row_basis(space, *, skew):
+    """Oracle for constrained_operator_basis: one constraint row per entry
+    of AJ + JA (and G A + A^T G), built one row at a time, then the null
+    space of the stacked rows from a full SVD."""
+    d = space.dim
+    jm = space.j.mat
+    gram = space.g.gram
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            row = np.zeros((d, d))
+            row[i, :] += jm[:, j]
+            row[:, j] += jm[i, :]
+            rows.append(row.ravel())
+    if skew:
+        for i in range(d):
+            for j in range(d):
+                row = np.zeros((d, d))
+                row[:, i] += gram[:, j]
+                row[:, j] += gram[i, :]
+                rows.append(row.ravel())
+    system = np.vstack(rows)
+    _, s, vh = np.linalg.svd(system)
+    rank = int(np.sum(s > s.max(initial=0.0) * np.finfo(float).eps * max(system.shape)))
+    return vh[rank:].reshape(-1, d, d)
+
+
 def _skew_anticommuting_dim4():
     """Rotation-like operator on the standard dim-4 space: g-skew,
     anticommutes with J, A^2 = -I."""
@@ -170,21 +197,30 @@ class TestQuadrupleDecomposition:
         with pytest.raises((DegenerateInputError, PreconditionError)):
             quadruple_decomposition(space, a, tol=loose)
 
-    @pytest.mark.parametrize("dim", [4, 8])
+    @pytest.mark.parametrize("dim", [4, 8, 12, 16])
     def test_random_decompositions(self, dim):
+        # properties only: from dimension 12 on the operators drawn depend
+        # on the LAPACK build, so no vector can be frozen
         space = ComplexStructuredSpace.standard(dim)
+        g, jm = space.g, space.j.mat
         basis = constrained_operator_basis(space, skew=True)
         rng = np.random.default_rng(dim)
         for _ in range(10):
             a = random_constrained_operator(space, rng, skew=True, basis=basis,
                                             min_sigma=1e-3)
+            a2 = a.mat @ a.mat
             quads = quadruple_decomposition(space, a)
             assert len(quads) == dim // 4
-            vectors = [v / space.g.norm(v) for q in quads for v in q.vectors]
-            gram = np.array([[space.g.inner(u, v) for v in vectors]
-                             for u in vectors])
-            off = np.max(np.abs(gram - np.diag(np.diag(gram))))
-            assert off < 1e-8
+            for q in quads:
+                x, jx, ax, jax = q.vectors
+                np.testing.assert_allclose(jx, jm @ x, atol=1e-12)
+                np.testing.assert_allclose(ax, a.mat @ x, atol=1e-12)
+                np.testing.assert_allclose(jax, jm @ ax, atol=1e-12)
+                for v in q.vectors:
+                    assert g.norm(a2 @ v - q.eigenvalue * v) < 1e-8 * (1.0 + g.norm(v))
+            vectors = np.column_stack([v / g.norm(v) for q in quads for v in q.vectors])
+            np.testing.assert_allclose(vectors.T @ g.gram @ vectors, np.eye(dim),
+                                       atol=1e-8)
 
 
 class TestConstrainedBasis:
@@ -207,6 +243,13 @@ class TestConstrainedBasis:
                 if skew:
                     resid = (LinearOp(b) + adjoint(LinearOp(b), space.g)).max_norm
                     assert resid < 1e-10
+
+    @pytest.mark.parametrize("skew", [False, True])
+    @pytest.mark.parametrize("dim", range(2, 17, 2))
+    def test_matches_per_row_construction(self, dim, skew):
+        space = ComplexStructuredSpace.standard(dim)
+        got = constrained_operator_basis(space, skew=skew)
+        assert np.array_equal(got, _per_row_basis(space, skew=skew))
 
     def test_trivial_in_dim_two(self):
         space = ComplexStructuredSpace.standard(2)
