@@ -44,17 +44,17 @@ from .linalg import anticommutator
 _ENV_SEED = "ACMSLAB_SEED"
 
 
-def _add_chart_source(sp: argparse.ArgumentParser) -> None:
+def _add_chart_options(sp: argparse.ArgumentParser) -> None:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--chart", metavar="PATH", help="chart definition file")
     group.add_argument("--gallery", choices=GALLERY_NAMES, help="built-in chart")
+    sp.add_argument("--probes", type=int, default=None,
+                    help=f"points sampled per chart (default {POINTS_PER_CHART})")
 
 
 def _add_run_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=None,
                     help=f"RNG seed (default: ${_ENV_SEED} or 0)")
-    sp.add_argument("--probes", type=int, default=None,
-                    help=f"points sampled per chart (default {POINTS_PER_CHART})")
     sp.add_argument("--tol", action="append", default=[], metavar="KEY=VALUE",
                     help="override one tolerance; repeatable")
     sp.add_argument("--json", action="store_true", help="canonical JSON output")
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="pointwise structure checks over a chart")
-    _add_chart_source(sp)
+    _add_chart_options(sp)
     _add_run_options(sp)
 
     sp = sub.add_parser("lemma", help="randomized dimension campaigns for "
@@ -79,12 +79,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(sp)
 
     sp = sub.add_parser("curvature", help="sample horizontal sectional curvature")
-    _add_chart_source(sp)
+    _add_chart_options(sp)
     sp.add_argument("--planes", type=int, default=50, help="planes sampled per point")
     _add_run_options(sp)
 
     sp = sub.add_parser("identities", help="curvature identity suites")
-    _add_chart_source(sp)
+    _add_chart_options(sp)
     sp.add_argument("--c", type=float, default=None,
                     help="model curvature constant (default: estimated from "
                          "phi-plane sections)")

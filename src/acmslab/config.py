@@ -22,7 +22,7 @@ class Tolerances:
     acms_fd: float = 1e-5           # residuals fed by finite differences
     contact: float = 1e-6           # nondegeneracy gate for the contact checks
 
-    # dimension-lemma thresholds
+    # dimension-lemma thresholds (rank also cuts the horizontal frame)
     rank: float = 1e-8              # 3x3 Gram determinant of the generic triple
     witness: float = 1e-8           # |<Z, JAY>| lower bound
     quad: float = 1e-8              # orthogonality / eigenvalue slack in quadruples

@@ -233,6 +233,12 @@ class PointGeometry:
         return horizontal_projector(self.xi, self.eta)
 
     @cached_property
+    def horizontal_basis(self) -> np.ndarray:
+        """g-orthonormal frame of ker eta, one column stack shared by the
+        eta-parallel and contact checks."""
+        return horizontal_basis(self.point, rank_tol=self.tol.rank)
+
+    @cached_property
     def reeb_gradient(self) -> LinearOp:
         return LinearOp(nabla_xi(self.gamma, self.xi, self.chart.dxi_at(self.y)))
 
@@ -406,7 +412,7 @@ def skew_phi_anticommutation_residual(pg: PointGeometry) -> float:
 
 
 def eta_parallel_residual(pg: PointGeometry) -> float:
-    report = check_eta_parallel(pg.nphi, pg.point, tol=1.0)
+    report = check_eta_parallel(pg.nphi, pg.point, pg.horizontal_basis, tol=1.0)
     return report["eta_parallel"].residual
 
 
@@ -659,11 +665,7 @@ def horizontal_sectional_values(chart: Chart, points, seed: int = 0, *,
 def contact_residuals(pg: PointGeometry) -> tuple[float, float]:
     """Pair (sigma_min of the horizontal skew operator, absolute top-form
     coefficient of the contact volume)."""
-    h = horizontal_basis(pg.point, rank_tol=pg.tol.rank)
-    b = horizontal_skew_matrix(pg.reeb_gradient, pg.point, h)
-    if b.size == 0:
-        sigma = 0.0
-    else:
-        sigma = float(np.linalg.svd(b, compute_uv=False)[-1])
+    b = horizontal_skew_matrix(pg.reeb_gradient, pg.point, pg.horizontal_basis)
+    sigma = float(np.linalg.svd(b, compute_uv=False)[-1])
     volume = abs(contact_volume_coefficient(pg.eta, pg.deta))
     return sigma, volume

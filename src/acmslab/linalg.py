@@ -249,14 +249,10 @@ def gram_schmidt(vectors, g: Metric, *, rank_tol: float | None = None,
 
 
 def operator_in_basis(op: LinearOp, basis, g: Metric) -> np.ndarray:
-    """Component matrix of op restricted to the span of a g-orthonormal basis."""
-    k = len(basis)
-    out = np.empty((k, k))
-    for j, b in enumerate(basis):
-        image = op.apply(b)
-        for i, a in enumerate(basis):
-            out[i, j] = g.inner(a, image)
-    return out
+    """Component matrix of op compressed to the span of a stack of
+    g-orthonormal columns."""
+    basis = np.asarray(basis, dtype=float)
+    return basis.T @ g.gram @ op.mat @ basis
 
 
 def g_singular_values(op: LinearOp, g: Metric) -> np.ndarray:

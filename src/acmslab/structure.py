@@ -6,6 +6,11 @@ horizontal (contact) distribution, extracts the skew part of the shape
 operator on it, and runs the pointwise condition checks that the curvature
 identities later depend on.
 
+The horizontal frame is one ``(dim, dim - 1)`` column stack of g-orthonormal
+vectors (see `linalg`). The checks that need it take it as an optional
+argument, so a caller builds it once per point and shares it between the
+eta-parallel and contact checks (``curvature.PointGeometry`` does).
+
 Residual conventions: operator residuals use the entrywise max-norm of the
 frame matrix, vector residuals use the g-norm, scalar residuals the absolute
 value.
@@ -76,25 +81,9 @@ class AcmsPoint:
     def eta_of(self, v) -> float:
         return float(self.eta @ np.asarray(v, dtype=float))
 
-    def horizontal_project(self, v) -> np.ndarray:
-        """Projection onto ker eta along xi."""
-        v = np.asarray(v, dtype=float)
-        return v - self.eta_of(v) * self.xi
-
     @cached_property
     def projector(self) -> LinearOp:
         return LinearOp(horizontal_projector(self.xi, self.eta))
-
-
-@dataclass(frozen=True)
-class HorizontalSubspace:
-    """g-orthonormal basis of ker eta at a point."""
-
-    point: AcmsPoint
-    basis: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.basis)
 
 
 def validate_acms(p: AcmsPoint) -> VerificationReport:
@@ -132,13 +121,13 @@ def validate_acms(p: AcmsPoint) -> VerificationReport:
     return VerificationReport.of(checks)
 
 
-def horizontal_basis(p: AcmsPoint, *, rank_tol: float | None = None) -> HorizontalSubspace:
-    """g-orthonormal basis of ker eta, built by projecting the coordinate
-    frame along xi and orthonormalizing with pivoting."""
+def horizontal_basis(p: AcmsPoint, *, rank_tol: float | None = None) -> np.ndarray:
+    """g-orthonormal basis of ker eta as a ``(dim, dim - 1)`` column stack:
+    the coordinate frame projected along xi (the columns of the projector),
+    orthonormalized with pivoting."""
     if rank_tol is None:
         rank_tol = DEFAULT_TOLERANCES.rank
-    candidates = np.column_stack([p.horizontal_project(e) for e in np.eye(p.dim)])
-    basis = gram_schmidt(candidates, p.g, rank_tol=rank_tol)
+    basis = gram_schmidt(p.projector.mat, p.g, rank_tol=rank_tol)
     rank = basis.shape[1]
     if rank != p.horizontal_dim:
         raise DegenerateInputError(
@@ -149,27 +138,28 @@ def horizontal_basis(p: AcmsPoint, *, rank_tol: float | None = None) -> Horizont
         raise DegenerateInputError(
             f"horizontal basis leaks through eta (max |eta(b)| = {worst_eta:.3e})"
         )
-    return HorizontalSubspace(p, tuple(basis.T))
+    return basis
 
 
 def horizontal_skew_matrix(a: LinearOp, p: AcmsPoint,
-                           h: HorizontalSubspace | None = None) -> np.ndarray:
+                           basis: np.ndarray | None = None) -> np.ndarray:
     """Matrix of the horizontal skew part in a g-orthonormal horizontal basis.
 
     For contact metric geometry this operator represents d eta on the
     distribution; its nondegeneracy is the contact criterion.
     """
-    if h is None:
-        h = horizontal_basis(p)
+    if basis is None:
+        basis = horizontal_basis(p)
     proj = p.projector.mat
     full = LinearOp(proj @ skew_part(a, p.g).mat @ proj)
-    return operator_in_basis(full, h.basis, p.g)
+    return operator_in_basis(full, basis, p.g)
 
 
 def check_eta_parallel(nabla_phi_table: np.ndarray, p: AcmsPoint,
-                       h: HorizontalSubspace | None = None,
+                       basis: np.ndarray | None = None,
                        *, tol: float | None = None) -> VerificationReport:
-    """Vanishing of g((nabla_X phi) Y, Z) over horizontal X, Y, Z.
+    """Vanishing of g((nabla_X phi) Y, Z) over X, Y, Z in the horizontal
+    ``basis`` stack (built from ``p`` when not given).
 
     ``nabla_phi_table[i, j, k]`` holds the j-component of (nabla_{e_i} phi) e_k
     in the coordinate frame.
@@ -179,18 +169,12 @@ def check_eta_parallel(nabla_phi_table: np.ndarray, p: AcmsPoint,
     table = np.asarray(nabla_phi_table, dtype=float)
     if table.shape != (p.dim,) * 3:
         raise ShapeError(f"nabla_phi table must have shape {(p.dim,) * 3}")
-    if h is None:
-        h = horizontal_basis(p)
-    hb = np.stack(h.basis)  # (2n, dim)
+    if basis is None:
+        basis = horizontal_basis(p)
     lowered = np.einsum("ijk,jl->ilk", table, p.g.gram)  # g((nabla_i phi) e_k, e_l)
-    resid = np.einsum("ai,ilk,bl,ck->abc", hb, lowered, hb, hb)
+    resid = np.einsum("ia,ilk,lb,kc->abc", basis, lowered, basis, basis)
     worst = float(np.max(np.abs(resid)))
     return VerificationReport.of([Check.below("eta_parallel", worst, tol)])
-
-
-def restricted_operator(a: LinearOp, h: HorizontalSubspace) -> np.ndarray:
-    """Compression of an operator to the horizontal basis (g-orthonormal)."""
-    return operator_in_basis(a, h.basis, h.point.g)
 
 
 def dimension_consistency_gate(dim: int, star_passes: bool, contact_passes: bool) -> Check:

@@ -30,7 +30,7 @@ from acmslab.curvature import (
     skew_phi_anticommutation_residual,
 )
 from acmslab.gallery import GALLERY_NAMES, gallery_chart
-from acmslab.linalg import anticommutator, g_singular_values
+from acmslab.linalg import anticommutator, g_singular_values, operator_in_basis
 from acmslab.quadruples import (
     ComplexStructuredSpace,
     constrained_operator_basis,
@@ -39,11 +39,7 @@ from acmslab.quadruples import (
     quadruple_decomposition,
     random_constrained_operator,
 )
-from acmslab.structure import (
-    horizontal_basis,
-    restricted_operator,
-    validate_acms,
-)
+from acmslab.structure import validate_acms
 
 
 def _verdict_line(number: int, label: str, ok: bool) -> None:
@@ -141,8 +137,8 @@ def test_criterion_04_s5_instantiation_fd_mode(s5_fd):
         sigma, volume = contact_residuals(pg)
         assert sigma > DEFAULT_TOLERANCES.contact
         assert volume > DEFAULT_TOLERANCES.contact
-        h = horizontal_basis(pg.point)
-        a_restricted = restricted_operator(pg.reeb_gradient, h)
+        a_restricted = operator_in_basis(pg.reeb_gradient, pg.horizontal_basis,
+                                         pg.metric)
         min_sigma_a = min(min_sigma_a, float(
             np.linalg.svd(a_restricted, compute_uv=False)[-1]))
     values = horizontal_sectional_values(s5_fd, points, seed=41, planes=50)

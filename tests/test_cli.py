@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from acmslab import charts, curvature
+from acmslab import charts, curvature, structure
 from acmslab.cli import main
 
 S5 = ["--gallery", "s5"]
@@ -56,6 +56,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, targets):
+    """Wrap each ``(owner, name)`` attribute so its calls are counted by name
+    in the returned dict."""
+    calls = dict.fromkeys((name for _, name in targets), 0)
+    for owner, name in targets:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def _reject_constant(token):
@@ -141,6 +156,14 @@ class TestValidate:
         assert summary["contact_volume"] == pytest.approx(darboux.contact_volume(n),
                                                           rel=1e-12)
 
+    def test_one_horizontal_basis_per_point(self, capsys, monkeypatch):
+        # the eta-parallel and contact checks share the geometry's one frame
+        calls = count_calls(monkeypatch, ((curvature, "horizontal_basis"),
+                                          (structure, "horizontal_basis")))
+        code, _, _ = run(capsys, "validate", *S5, "--probes", "3")
+        assert code == 0
+        assert calls["horizontal_basis"] <= 3
+
     @pytest.mark.parametrize("target, value, failing", [
         ("killing_residual", math.nan, ["reeb_killing"]),
         ("contact_residuals", (math.nan, math.nan),
@@ -220,6 +243,14 @@ class TestLemma:
         assert code == 2
         assert out == ""
         assert "--dim must be an even integer >= 4, got 2" in err
+
+    @pytest.mark.parametrize("value", ["999", "-1"])
+    def test_probes_flag_rejected(self, capsys, value):
+        # lemma samples no chart points, so --probes is not one of its flags
+        with pytest.raises(SystemExit) as exc:
+            main(["lemma", "--dim", "8", "--trials", "2", "--probes", value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --probes" in capsys.readouterr().err
 
     def test_zero_trials_rejected(self, capsys):
         code, _, err = run(capsys, "lemma", "--dim", "4", "--trials", "0")
@@ -308,23 +339,19 @@ class TestIdentities:
 
     def test_suites_share_one_geometry_per_point(self, capsys, monkeypatch):
         # every suite reads the same per-point curvature, so each point pays
-        # for one geometry, one Levi-Civita and one modified curvature tensor
-        calls = {"riemann": 0, "modified_riemann": 0, "christoffel": 0, "__init__": 0}
-        for owner, name in ((curvature, "riemann"), (curvature, "modified_riemann"),
-                            (curvature, "christoffel"), (charts, "christoffel"),
-                            (curvature.PointGeometry, "__init__")):
-            original = getattr(owner, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, name, counted)
+        # for one geometry, one Levi-Civita and one modified curvature tensor,
+        # and both eta-parallel gates read its one horizontal frame
+        calls = count_calls(monkeypatch, (
+            (curvature, "riemann"), (curvature, "modified_riemann"),
+            (curvature, "christoffel"), (charts, "christoffel"),
+            (curvature.PointGeometry, "__init__"),
+            (curvature, "horizontal_basis"), (structure, "horizontal_basis")))
         code, out, _ = run(capsys, "identities", *S5, "--probes", "3")
         assert code == 0
         assert "skipped_suites: none" in out
         assert calls["riemann"] == 3 and calls["modified_riemann"] == 3
         assert calls["__init__"] == 3
+        assert calls["horizontal_basis"] <= 3
         # Christoffel tables per point: the geometry's own and the one inside
         # riemann; the 4d + 1 Richardson stencil points are one stacked pass
         assert calls["christoffel"] <= 2 * 3

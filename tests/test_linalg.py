@@ -256,7 +256,7 @@ class TestBasisRepresentation:
         g = Metric.euclidean(3)
         rot = LinearOp(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
                                  [0.0, 0.0, 1.0]]))
-        basis = [np.eye(3)[0], np.eye(3)[1]]
+        basis = np.eye(3)[:, :2]
         b = operator_in_basis(rot, basis, g)
         np.testing.assert_allclose(b, [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
 

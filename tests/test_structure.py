@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from acmslab.errors import DegenerateInputError, ShapeError
-from acmslab.linalg import LinearOp, Metric, anticommutator
+from acmslab.linalg import LinearOp, Metric, anticommutator, operator_in_basis
 from acmslab.structure import (
     AcmsPoint,
     check_eta_parallel,
     dimension_consistency_gate,
     horizontal_basis,
     horizontal_skew_matrix,
-    restricted_operator,
     validate_acms,
 )
 
@@ -110,7 +109,7 @@ class TestPointGeometryHelpers:
     def test_projection_kills_vertical(self):
         p = _standard_point()
         v = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        h = p.horizontal_project(v)
+        h = p.projector.mat @ v
         assert p.eta_of(h) == pytest.approx(0.0, abs=1e-14)
         np.testing.assert_allclose(h[:4], v[:4])
 
@@ -128,17 +127,17 @@ class TestPointGeometryHelpers:
 
 class TestHorizontalBasis:
     def test_standard_basis(self):
-        h = horizontal_basis(_standard_point())
-        assert len(h) == 4
-        for b in h.basis:
+        basis = horizontal_basis(_standard_point())
+        assert basis.shape == (5, 4)
+        for b in basis.T:
             assert abs(b[4]) < 1e-14
 
     def test_orthonormal_in_curved_metric(self):
         p = _conjugated_point(5)
-        h = horizontal_basis(p)
-        for i, bi in enumerate(h.basis):
+        basis = horizontal_basis(p)
+        for i, bi in enumerate(basis.T):
             assert abs(p.eta_of(bi)) < 1e-10
-            for j, bj in enumerate(h.basis):
+            for j, bj in enumerate(basis.T):
                 want = 1.0 if i == j else 0.0
                 assert abs(p.g.inner(bi, bj) - want) < 1e-9
 
@@ -169,8 +168,7 @@ class TestHorizontalSkew:
 
     def test_restricted_operator_matches(self):
         p = _standard_point()
-        h = horizontal_basis(p)
-        block = restricted_operator(p.phi, h)
+        block = operator_in_basis(p.phi, horizontal_basis(p), p.g)
         expected = p.phi.mat[:4, :4]
         np.testing.assert_allclose(block, expected, atol=1e-12)
 
