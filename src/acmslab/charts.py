@@ -8,12 +8,17 @@ differences of the base grids, selected by the mode. Everything downstream
 (Christoffel symbols, covariant derivatives, curvature assembly) consumes
 the arrays produced here.
 
-All grids go through one evaluator. On first use a chart builds each grid's
-component expressions and compiles them into one kernel
-(`exprs.compile_kernel`). If the kernel hits a domain error, the grid is
-re-evaluated with `exprs.evaluate` in component order, so the `EvalError`
-names the first failing component; a non-finite value is an `EvalError`
-too.
+All grids go through one evaluator, which reads a stack of points, row by
+row, into one array. On first use a chart builds each grid's component
+expressions and compiles them into one kernel (`exprs.compile_kernel`). If
+the kernel hits a domain error, the row is re-evaluated with
+`exprs.evaluate` in component order, so the `EvalError` names the first
+failing component; a non-finite value is an `EvalError` too, and the error
+raised is the one the first failing row raises on its own. In
+finite-difference mode a derivative grid reads the base grid over the
+stacked stencil of every point (`stencil_points`) and differences it.
+Finite-difference Christoffel derivatives likewise read their 2d stencil
+points as one stack (`read_points`).
 
 Chart files are line oriented: ``dim = 5``, an optional
 ``derivative_mode = symbolic | fd[:<step>]``, optional per-coordinate
@@ -25,8 +30,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -34,7 +39,7 @@ from .config import DEFAULT_TOLERANCES, FD_SECOND_STEP
 from .errors import ChartFormatError, ShapeError
 from .exprs import (EvalError, Expr, Num, compile_kernel, differentiate, evaluate,
                     free_variables, parse, to_text)
-from .linalg import LinearOp, Metric
+from .linalg import LinearOp, Metric, check_gram
 from .structure import AcmsPoint
 
 _ZERO = Num(0.0)
@@ -149,11 +154,11 @@ class Chart:
 
     # -- point evaluation ---------------------------------------------------
 
-    def _values(self, y) -> list[float]:
+    def _point(self, y) -> np.ndarray:
         y = np.asarray(y, float)
         if y.shape != (self.dim,):
             raise ShapeError(f"point has shape {y.shape}, expected ({self.dim},)")
-        return y.tolist()
+        return y
 
     def _eval(self, expr: Expr, values: list[float], what: str) -> float:
         try:
@@ -175,27 +180,36 @@ class Chart:
 
     def _grid_at(self, name: str, y) -> np.ndarray:
         """Evaluate grid ``name`` at ``y``: "g", "phi", "xi", "eta", or one of
-        them prefixed by a "d" per derivative order. Finite-difference charts
-        difference the base grid instead of compiling derivatives."""
+        them prefixed by a "d" per derivative order."""
+        return self._grids_at(name, self._point(y)[None])[0]
+
+    def _grids_at(self, name: str, points: np.ndarray) -> np.ndarray:
+        """Evaluate grid ``name`` at every row of the ``(n, dim)`` stack
+        ``points``, stacked along a new leading axis. Finite-difference charts
+        difference the base grid, read at each row's `stencil_points` as one
+        stack, instead of compiling derivatives.
+
+        Rows are read in order and the result is converted to an array once;
+        the error raised is the one the first failing row raises on its own."""
         if name.startswith("d") and self.mode.kind == "fd":
             if name.startswith("dd"):
                 raise ShapeError("second metric derivatives are symbolic-mode only")
-            return central_difference(lambda p: self._grid_at(name[1:], p), y,
-                                      self.mode.step)
+            h = self.mode.step
+            base = self._grids_at(name[1:], stencil_points(points, h).reshape(-1, self.dim))
+            base = base.reshape((len(points), 2 * self.dim) + base.shape[1:])
+            return stencil_difference(base.swapaxes(0, 1), h).swapaxes(0, 1)
         grid = self._grid(name)
-        values = self._values(y)
-        try:
-            flat = grid.kernel(values)
-        except (ZeroDivisionError, ValueError, OverflowError):
-            # the tree-walker names the first failing component, in order
-            flat = [self._eval(e, values, label)
-                    for label, e in zip(grid.labels, grid.exprs)]
-        out = np.array(flat).reshape(grid.shape)
-        if not np.isfinite(out).all():
-            n = next(n for n, v in enumerate(flat) if not math.isfinite(v))
-            raise EvalError(f"{grid.labels[n]} at point {values}: non-finite value {flat[n]!r}",
-                            to_text(grid.exprs[n]))
-        return out
+        rows: list[list[float]] = []
+        for values in points.tolist():
+            try:
+                rows.append(grid.kernel(values))
+            except (ZeroDivisionError, ValueError, OverflowError):
+                # a non-finite value in an earlier row comes first; then the
+                # tree-walker names the first failing component, in order
+                _finite_rows(grid, points, rows)
+                rows.append([self._eval(e, values, label)
+                             for label, e in zip(grid.labels, grid.exprs)])
+        return _finite_rows(grid, points, rows).reshape((len(rows),) + grid.shape)
 
     def g_at(self, y) -> np.ndarray:
         return self._grid_at("g", y)
@@ -283,16 +297,30 @@ class _Grid:
         return cls.of((dim,) + inner.shape, labels, exprs)
 
 
+def _finite_rows(grid: _Grid, points: np.ndarray, rows: list[list[float]]) -> np.ndarray:
+    """``rows``, the values of ``grid`` at the leading rows of ``points``, as
+    one array; raises EvalError naming the first non-finite value, row by row
+    and component by component."""
+    out = np.array(rows)
+    if not np.isfinite(out).all():
+        r, n = divmod(int(np.flatnonzero(~np.isfinite(out))[0]), len(grid.exprs))
+        raise EvalError(f"{grid.labels[n]} at point {points[r].tolist()}: "
+                        f"non-finite value {rows[r][n]!r}", to_text(grid.exprs[n]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # derived pointwise geometry
 
 
 def stencil_points(y, h: float) -> np.ndarray:
     """The 2d rows y + h e_0, y - h e_0, y + h e_1, y - h e_1, ... at which
-    a central difference of step ``h`` evaluates."""
+    a central difference of step ``h`` evaluates, over any leading axes of
+    ``y``."""
     y = np.asarray(y, float)
-    steps = h * np.eye(len(y))
-    return np.stack([y + steps, y - steps], axis=1).reshape(-1, len(y))
+    offsets = np.repeat(h * np.eye(y.shape[-1]), 2, axis=0)
+    offsets[1::2] *= -1.0  # y + (-h) rounds exactly as y - h
+    return y[..., None, :] + offsets
 
 
 def stencil_difference(values, h: float) -> np.ndarray:
@@ -302,10 +330,26 @@ def stencil_difference(values, h: float) -> np.ndarray:
     return (values[0::2] - values[1::2]) / (2.0 * h)
 
 
-def central_difference(fn, y, h: float) -> np.ndarray:
-    """out[m] = (fn(y + h e_m) - fn(y - h e_m)) / 2h: the central difference
-    of ``fn`` along each coordinate direction, as a new leading index."""
-    return stencil_difference([fn(p) for p in stencil_points(y, h)], h)
+def read_points(chart: Chart, points, names: Sequence[str]) -> tuple[np.ndarray, ...]:
+    """The metric grid g and then each grid in ``names`` ("dg", "xi", ...,
+    read through the chart's ``<name>_at``) at every row of ``points``, each
+    stacked along a new leading axis.
+
+    The reads go point by point, in the order a caller reading one point at
+    a time makes them, and every metric gets `Metric`'s checks (one
+    `check_gram` over the stack), so the error raised is the one the first
+    failing point raises on its own."""
+    readers = [chart.g_at] + [getattr(chart, f"{name}_at") for name in names]
+    grids: list[list[np.ndarray]] = [[] for _ in readers]
+    try:
+        for p in points:
+            for read, got in zip(readers, grids):
+                got.append(read(p))
+    finally:
+        # a point's metric check comes right after its g, so a failing
+        # metric takes precedence over an error in any later read
+        check_gram(np.reshape(grids[0], (-1, chart.dim, chart.dim)))
+    return tuple(map(np.array, grids))
 
 
 def _lowered_christoffel_x2(dg) -> np.ndarray:
@@ -331,16 +375,17 @@ def christoffel_derivative(chart: Chart, y) -> np.ndarray:
     """dGam[m, k, i, j], the x_m derivative of Gam[k, i, j].
 
     Symbolic mode differentiates the closed form through the metric inverse;
-    finite-difference mode takes the central difference of `christoffel`
-    with the second-level step.
+    finite-difference mode takes the central difference, with the
+    second-level step, of the Christoffel symbols at the 2d stencil points,
+    evaluated as one stack.
     """
     if chart.mode.kind == "fd":
-        return central_difference(lambda p: christoffel(chart, p), y, FD_SECOND_STEP)
-    ginv = chart.metric_at(y).inverse
-    dg = chart.dg_at(y)
-    ddg = chart.ddg_at(y)
+        gram, dg = read_points(chart, stencil_points(y, FD_SECOND_STEP), ("dg",))
+        return stencil_difference(levi_civita(np.linalg.inv(gram), dg), FD_SECOND_STEP)
+    gram, dg, ddg = read_points(chart, [y], ("dg", "ddg"))
+    ginv, dg = np.linalg.inv(gram[0]), dg[0]
     term = _lowered_christoffel_x2(dg)
-    dterm = _lowered_christoffel_x2(ddg)  # ddg's leading index m rides along
+    dterm = _lowered_christoffel_x2(ddg[0])  # ddg's leading index m rides along
     dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
     return (0.5 * np.einsum("mkl,ijl->mkij", dginv, term)
             + 0.5 * np.einsum("kl,mijl->mkij", ginv, dterm))

@@ -32,15 +32,14 @@ import numpy as np
 
 from .charts import (SYMBOLIC, Chart, DerivativeMode, christoffel,
                      christoffel_derivative, contact_volume_coefficient, d_eta,
-                     levi_civita, nabla_phi, nabla_xi, stencil_difference,
-                     stencil_points)
+                     levi_civita, nabla_phi, nabla_xi, read_points,
+                     stencil_difference, stencil_points)
 from .config import (DEFAULT_TOLERANCES, FD_SECOND_STEP, MAX_PROBE_DRAWS,
                      PROBES_PER_RESIDUAL, Tolerances)
 from .errors import DegenerateInputError, ShapeError
-from .linalg import LinearOp, Metric, check_gram, skew_matrix, skew_part
+from .linalg import LinearOp, Metric, operator_in_basis, skew_matrix, skew_part
 from .report import Check, VerificationReport, worst
-from .structure import (AcmsPoint, check_eta_parallel, horizontal_basis,
-                        horizontal_projector, horizontal_skew_matrix)
+from .structure import AcmsPoint, check_eta_parallel, horizontal_basis, horizontal_projector
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,9 @@ def riemann(chart: Chart, y, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Curvatu
     mode-appropriate tolerance; these hold for a torsion-free metric
     connection and catch assembly mistakes early.
     """
-    comps = _assemble_curvature(christoffel(chart, y), christoffel_derivative(chart, y))
-    out = CurvatureTensor(comps, chart.metric_at(y))
+    metric = chart.metric_at(y)
+    gam = levi_civita(metric.inverse, chart.dg_at(y))
+    out = CurvatureTensor(_assemble_curvature(gam, christoffel_derivative(chart, y)), metric)
     gate = tol.curvature_symbolic if chart.mode.kind == "symbolic" else tol.curvature_fd
     scale = 1.0 + float(np.max(np.abs(out.comps)))
     anti = out.antisymmetry_residual()
@@ -138,37 +138,27 @@ def _correction(gram, xi, eta, proj, reeb, skew_projected) -> np.ndarray:
             + 0.5 * np.einsum("...i,...kj->...kij", eta, skew_projected))
 
 
-def _modified_christoffel_stack(chart: Chart, points) -> np.ndarray:
-    """Coefficients of the modified connection at each row of ``points``,
-    stacked along a new leading axis: the formulas of `PointGeometry`,
-    evaluated once for the whole stack.
+def _modified_christoffel_stack(chart: Chart, points) -> tuple[np.ndarray, np.ndarray]:
+    """The checked Gram matrices and the coefficients of the modified
+    connection at each row of ``points``, stacked along a new leading axis:
+    the formulas of `PointGeometry`, evaluated once for the whole stack.
 
     Each point's grids are read in the order a `PointGeometry` reads them
-    (g, dg, xi, eta, dxi), and every metric gets `Metric`'s checks, so the
-    error raised is the one the first failing point would raise on its own.
+    (g, dg, xi, eta, dxi; see `charts.read_points`), so the error raised is
+    the one the first failing point would raise on its own.
     """
-    readers = (chart.g_at, chart.dg_at, chart.xi_at, chart.eta_at, chart.dxi_at)
-    grids: list[list[np.ndarray]] = [[] for _ in readers]
-    try:
-        for p in points:
-            for read, got in zip(readers, grids):
-                got.append(read(p))
-    finally:
-        # a point's metric check comes right after its g, so a failing
-        # metric takes precedence over an error in any later read
-        check_gram(np.reshape(grids[0], (-1, chart.dim, chart.dim)))
-    gram, dg, xi, eta, dxi = map(np.array, grids)
+    gram, dg, xi, eta, dxi = read_points(chart, points, ("dg", "xi", "eta", "dxi"))
     gam = levi_civita(np.linalg.inv(gram), dg)
     reeb = nabla_xi(gam, xi, dxi)
     proj = horizontal_projector(xi, eta)
     skew_projected = proj @ skew_matrix(reeb, gram) @ proj
-    return gam + _correction(gram, xi, eta, proj, reeb, skew_projected)
+    return gram, gam + _correction(gram, xi, eta, proj, reeb, skew_projected)
 
 
 def modified_christoffel(chart: Chart, y) -> np.ndarray:
     """Coefficients of the modified connection at one point: the Levi-Civita
     symbols plus the correction table of `PointGeometry.correction`."""
-    return _modified_christoffel_stack(chart, [y])[0]
+    return _modified_christoffel_stack(chart, [y])[1][0]
 
 
 def modified_riemann(chart: Chart, y) -> CurvatureTensor:
@@ -183,11 +173,11 @@ def modified_riemann(chart: Chart, y) -> CurvatureTensor:
     """
     h = FD_SECOND_STEP
     coarse, fine = stencil_points(y, h), stencil_points(y, h / 2.0)
-    gam = _modified_christoffel_stack(chart, [*coarse, *fine, np.asarray(y, float)])
+    gram, gam = _modified_christoffel_stack(chart, [*coarse, *fine, np.asarray(y, float)])
     n = len(coarse)
     dgam = (4.0 * stencil_difference(gam[n:2 * n], h / 2.0)
             - stencil_difference(gam[:n], h)) / 3.0
-    return CurvatureTensor(_assemble_curvature(gam[-1], dgam), chart.metric_at(y))
+    return CurvatureTensor(_assemble_curvature(gam[-1], dgam), Metric.from_checked(gram[-1]))
 
 
 class PointGeometry:
@@ -665,7 +655,7 @@ def horizontal_sectional_values(chart: Chart, points, seed: int = 0, *,
 def contact_residuals(pg: PointGeometry) -> tuple[float, float]:
     """Pair (sigma_min of the horizontal skew operator, absolute top-form
     coefficient of the contact volume)."""
-    b = horizontal_skew_matrix(pg.reeb_gradient, pg.point, pg.horizontal_basis)
+    b = operator_in_basis(LinearOp(pg.skew_projected), pg.horizontal_basis, pg.metric)
     sigma = float(np.linalg.svd(b, compute_uv=False)[-1])
     volume = abs(contact_volume_coefficient(pg.eta, pg.deta))
     return sigma, volume

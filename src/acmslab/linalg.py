@@ -68,6 +68,14 @@ class Metric:
         return self.gram.shape[0]
 
     @classmethod
+    def from_checked(cls, gram) -> "Metric":
+        """The metric of a Gram matrix that has already passed `check_gram`,
+        without checking it a second time."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "gram", _frozen(_as_matrix(gram, "gram")))
+        return out
+
+    @classmethod
     def euclidean(cls, dim: int) -> "Metric":
         return cls(np.eye(dim))
 

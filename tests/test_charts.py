@@ -162,6 +162,52 @@ def test_grids_equal_tree_walker(source):
             assert np.array_equal(got, expected), (source, name, y)
 
 
+def _central_difference(fn, y, h):
+    """out[m] = (fn(y + h e_m) - fn(y - h e_m)) / 2h, one point at a time."""
+    y = np.asarray(y, float)
+    return np.array([(fn(y + e) - fn(y - e)) / (2.0 * h) for e in h * np.eye(len(y))])
+
+
+class TestStackedReads:
+    """`Chart._grids_at` reads a stack of points as one array: the same
+    numbers as reading one row at a time, and the error that the first
+    failing row raises on its own."""
+
+    @pytest.mark.parametrize("mode", ["symbolic", "fd"])
+    @pytest.mark.parametrize("source", GALLERY_NAMES)
+    def test_equals_row_by_row(self, source, mode):
+        chart = gallery_chart(source).with_mode(DerivativeMode.parse(mode))
+        points = sample_points(chart, 3, seed=21)
+        for name in GRIDS if mode == "symbolic" else [n for n in GRIDS if n != "ddg"]:
+            rows = [chart._grid_at(name, y) for y in points]
+            if mode == "fd" and name.startswith("d"):
+                # the central difference of base grids read one row at a time
+                base = lambda p, name=name: chart._grid_at(name[1:], p)  # noqa: E731
+                rows = [_central_difference(base, y, chart.mode.step) for y in points]
+            assert np.array_equal(chart._grids_at(name, points), np.array(rows)), name
+
+    # x1 * x1 overflows to inf without raising; sqrt(x1) raises below 0
+    @pytest.mark.parametrize("mode, name, rows, first", [
+        ("symbolic", "g", [[1.0], [1e200], [-1.0]], 1),  # non-finite, then a raise
+        ("symbolic", "g", [[1.0], [-1.0], [1e200]], 1),  # a raise, then non-finite
+        ("symbolic", "g", [[4.0], [-1.0], [-4.0]], 1),   # two raising rows
+        ("symbolic", "dg", [[4.0], [1e308], [0.0]], 1),
+        ("fd", "dg", [[1.0], [5e-6], [-1.0]], 1),        # a stencil row below 0
+        ("fd", "dg", [[1.0], [1e200], [5e-6]], 1),
+    ])
+    def test_first_failing_row_names_the_error(self, mode, name, rows, first):
+        chart = chart_from_text("dim = 1\ng[1][1] = x1 * x1 + sqrt(x1)\n")
+        chart = chart.with_mode(DerivativeMode.parse(mode))
+        with pytest.raises(EvalError) as alone:
+            chart._grid_at(name, rows[first])
+        with pytest.raises(EvalError) as stacked:
+            chart._grids_at(name, np.array(rows))
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.where == alone.value.where
+        for y in rows[:first]:
+            chart._grid_at(name, y)
+
+
 class TestGridErrors:
     """Grid methods raise the tree-walker's EvalError, with the component
     label in front, whatever the compiled kernel raised first."""

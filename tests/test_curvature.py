@@ -3,7 +3,8 @@ identity suites."""
 import numpy as np
 import pytest
 
-from acmslab.charts import DerivativeMode, central_difference, chart_from_text, sample_points
+from acmslab import charts, linalg
+from acmslab.charts import DerivativeMode, chart_from_text, levi_civita, sample_points
 from acmslab.config import FD_SECOND_STEP, MAX_PROBE_DRAWS
 from acmslab.curvature import (
     CurvatureTensor,
@@ -29,7 +30,7 @@ from acmslab.curvature import (
 )
 from acmslab.errors import DegenerateInputError, ShapeError
 from acmslab.exprs import EvalError
-from acmslab.gallery import gallery_chart
+from acmslab.gallery import GALLERY_NAMES, gallery_chart
 from acmslab.linalg import Metric
 
 SPHERE_TEXT = """\
@@ -130,6 +131,53 @@ class TestRiemann:
             assert r.sectional(x, w) == pytest.approx(1.0, abs=1e-9)
 
 
+def _central_difference(fn, y, h):
+    """out[m] = (fn(y + h e_m) - fn(y - h e_m)) / 2h, one point at a time."""
+    y = np.asarray(y, float)
+    return np.array([(fn(y + e) - fn(y - e)) / (2.0 * h) for e in h * np.eye(len(y))])
+
+
+def _fd_riemann_oracle(chart, y):
+    """Levi-Civita curvature of a finite-difference chart one point at a
+    time: every g read on its own, central differences of g at the chart's
+    step and of the Christoffel symbols at FD_SECOND_STEP."""
+    def gam_at(p):
+        dg = _central_difference(chart.g_at, p, chart.mode.step)
+        return levi_civita(Metric(chart.g_at(p)).inverse, dg)
+
+    return _assemble_curvature(gam_at(y), _central_difference(gam_at, y, FD_SECOND_STEP))
+
+
+class TestFdRiemann:
+    @pytest.mark.parametrize("name", GALLERY_NAMES)
+    def test_stacked_stencil_matches_pointwise_oracle(self, name):
+        chart = gallery_chart(name).with_mode(DerivativeMode("fd"))
+        for y in sample_points(chart, 3, seed=13):
+            assert np.array_equal(riemann(chart, y).comps, _fd_riemann_oracle(chart, y))
+
+
+@pytest.mark.parametrize("mode, derivative_rows", [("symbolic", 1), ("fd", 10)])
+def test_metric_checks_per_point_geometry(monkeypatch, mode, derivative_rows):
+    # one check each for the geometry's metric and its Christoffel table;
+    # riemann checks its metric once and reuses it for the table and the
+    # tensor, while christoffel_derivative checks the rows it reads (y alone,
+    # or the 2d stencil points); modified_riemann checks its 4d + 1 rows once
+    # and reuses the centre row
+    shapes = []
+    for module in (linalg, charts):
+        def counted(gram, _check=module.check_gram):
+            shapes.append(np.shape(gram))
+            return _check(gram)
+
+        monkeypatch.setattr(module, "check_gram", counted)
+    chart = gallery_chart("s5").with_mode(DerivativeMode.parse(mode))
+    pg = PointGeometry(chart, sample_points(chart, 1, seed=3)[0])
+    for name in ("metric", "gamma", "riem", "modified_riem", "point", "horizontal_basis",
+                 "dxi_skew", "nphi", "deta", "modified_nphi_reeb"):
+        getattr(pg, name)
+    assert shapes == [(5, 5), (5, 5), (5, 5), (derivative_rows, 5, 5), (21, 5, 5)]
+
+
 class TestConnectionCorrection:
     def test_behavior_at_s5_origin(self, s5):
         # contract the correction table against frame pairs; the four
@@ -167,8 +215,8 @@ def _stencil_oracle(chart, y):
         pg = PointGeometry(chart, p)
         return pg.gamma + pg.correction
 
-    coarse = central_difference(gam_at, y, FD_SECOND_STEP)
-    fine = central_difference(gam_at, y, FD_SECOND_STEP / 2.0)
+    coarse = _central_difference(gam_at, y, FD_SECOND_STEP)
+    fine = _central_difference(gam_at, y, FD_SECOND_STEP / 2.0)
     return _assemble_curvature(gam_at(y), (4.0 * fine - coarse) / 3.0)
 
 
@@ -202,6 +250,35 @@ class TestModifiedRiemann:
         chart = chart_from_text(STENCIL_TEXT + f"g[1][1] = {g11}\n")
         with pytest.raises(error) as excinfo:
             modified_riemann(chart, STENCIL_Y)
+        assert str(excinfo.value) == message
+
+    # In fd mode every read of a derivative grid is itself a stencil of g
+    # reads at step 1e-5; the messages are the ones reading one point at a
+    # time raises
+    @pytest.mark.parametrize("fn, g11, error, message", [
+        *((fn, "sqrt(x1)", EvalError,
+           "g[1][1] at point [-5e-05, 0.1, 0.2]: square root of negative value -5e-05 "
+           "in 'sqrt(x1)'") for fn in (riemann, modified_riemann)),
+        *((fn, "x1", DegenerateInputError,
+           "gram matrix is not positive definite (min eigenvalue -5.000e-05)")
+          for fn in (riemann, modified_riemann)),
+        # the first dg read already steps below x3 = 0.2: riemann's at y,
+        # modified_riemann's at its first stencil point y + h e_1
+        (riemann, "x1 + 0*sqrt(x3 - 0.2)", EvalError,
+         "g[1][1] at point [5e-05, 0.1, 0.19999]: square root of negative value -1e-05 "
+         "in 'sqrt(x3 - 0.2)'"),
+        (modified_riemann, "x1 + 0*sqrt(x3 - 0.2)", EvalError,
+         "g[1][1] at point [0.00015000000000000001, 0.1, 0.19999]: square root of "
+         "negative value -1e-05 in 'sqrt(x3 - 0.2)'"),
+        # the metric check at y - h e_1 comes before the failing g read at y - h e_3
+        *((fn, "x1 + 0*sqrt(x3 - 0.19995)", DegenerateInputError,
+           "gram matrix is not positive definite (min eigenvalue -5.000e-05)")
+          for fn in (riemann, modified_riemann)),
+    ])
+    def test_first_failing_fd_stencil_point_names_the_error(self, fn, g11, error, message):
+        chart = chart_from_text(STENCIL_TEXT + f"g[1][1] = {g11}\n")
+        with pytest.raises(error) as excinfo:
+            fn(chart.with_mode(DerivativeMode("fd")), STENCIL_Y)
         assert str(excinfo.value) == message
 
     def test_antisymmetry_survives(self, s5):
