@@ -172,7 +172,8 @@ def check_eta_parallel(nabla_phi_table: np.ndarray, p: AcmsPoint,
     if basis is None:
         basis = horizontal_basis(p)
     lowered = np.einsum("ijk,jl->ilk", table, p.g.gram)  # g((nabla_i phi) e_k, e_l)
-    resid = np.einsum("ia,ilk,lb,kc->abc", basis, lowered, basis, basis)
+    # one basis index at a time: three O(d^4) products, not one O(d^6) loop
+    resid = np.einsum("alk,lb->abk", np.einsum("ia,ilk->alk", basis, lowered), basis) @ basis
     worst = float(np.max(np.abs(resid)))
     return VerificationReport.of([Check.below("eta_parallel", worst, tol)])
 

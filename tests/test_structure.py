@@ -35,12 +35,12 @@ def _skew_anticommuting_block():
     return LinearOp(b)
 
 
-def _conjugated_point(seed):
+def _conjugated_point(seed, dim=5):
     """Push the standard structure through a random frame change; every
     defining identity is invariant."""
     rng = np.random.default_rng(seed)
-    p = _standard_point()
-    t = rng.normal(size=(5, 5)) * 0.3 + np.eye(5)
+    p = _standard_point(dim)
+    t = rng.normal(size=(dim, dim)) * 0.3 + np.eye(dim)
     t_inv = np.linalg.inv(t)
     phi = LinearOp(t @ p.phi.mat @ t_inv)
     xi = t @ p.xi
@@ -214,6 +214,17 @@ class TestEtaParallel:
     def test_shape_checked(self):
         with pytest.raises(ShapeError):
             check_eta_parallel(np.zeros((5, 5)), _standard_point())
+
+    def test_matches_single_contraction_at_d13(self):
+        # the pairwise products sum in another order than one four-operand
+        # loop, so they agree to rounding only
+        p = _conjugated_point(13, dim=13)
+        table = np.random.default_rng(13).normal(size=(13, 13, 13))
+        basis = horizontal_basis(p)
+        lowered = np.einsum("ijk,jl->ilk", table, p.g.gram)
+        want = np.max(np.abs(np.einsum("ia,ilk,lb,kc->abc", basis, lowered, basis, basis)))
+        got = check_eta_parallel(table, p, basis, tol=1.0)["eta_parallel"].residual
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestDimensionGate:
