@@ -17,8 +17,11 @@ failing component; a non-finite value is an `EvalError` too, and the error
 raised is the one the first failing row raises on its own. In
 finite-difference mode a derivative grid reads the base grid over the
 stacked stencil of every point (`stencil_points`) and differences it.
-Finite-difference Christoffel derivatives likewise read their 2d stencil
-points as one stack (`read_points`).
+
+Only `Chart` methods, `read_points` and `curvature.PointGeometry` read a
+chart. Christoffel symbols and their derivatives, the covariant derivatives
+and the exterior derivative of the contact form are formulas over the
+arrays those reads return, so each grid is read once per point.
 
 Chart files are line oriented: ``dim = 5``, an optional
 ``derivative_mode = symbolic | fd[:<step>]``, optional per-coordinate
@@ -35,12 +38,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, FD_SECOND_STEP
 from .errors import ChartFormatError, ShapeError
 from .exprs import (EvalError, Expr, Num, compile_kernel, differentiate, evaluate,
                     free_variables, parse, to_text)
 from .linalg import LinearOp, Metric, check_gram
-from .structure import AcmsPoint
 
 _ZERO = Num(0.0)
 _DEFAULT_FD_STEP = 1e-5
@@ -226,12 +227,6 @@ class Chart:
     def eta_at(self, y) -> np.ndarray:
         return self._grid_at("eta", y)
 
-    def acms_point_at(self, y, *, tol: float | None = None) -> AcmsPoint:
-        if tol is None:
-            tol = DEFAULT_TOLERANCES.acms_exact
-        return AcmsPoint(self.phi_at(y), self.xi_at(y), self.eta_at(y),
-                         self.metric_at(y), tol=tol)
-
     # -- derivative grids ---------------------------------------------------
 
     def dg_at(self, y) -> np.ndarray:
@@ -359,33 +354,19 @@ def _lowered_christoffel_x2(dg) -> np.ndarray:
     return dg + swapped - swapped.swapaxes(-2, -1)
 
 
-def levi_civita(ginv, dg) -> np.ndarray:
-    """Christoffel symbols Gam[..., k, i, j] from the inverse metric
-    ginv[..., k, l] and the metric derivatives dg[..., k, i, j], over any
-    leading axes."""
+def christoffel(ginv, dg) -> np.ndarray:
+    """Levi-Civita symbols Gam[..., k, i, j], upper index first, from the
+    inverse metric ginv[..., k, l] and the metric derivatives dg[..., k, i, j],
+    over any leading axes."""
     return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, _lowered_christoffel_x2(dg))
 
 
-def christoffel(chart: Chart, y) -> np.ndarray:
-    """Levi-Civita symbols Gam[k, i, j] with upper index first."""
-    return levi_civita(chart.metric_at(y).inverse, chart.dg_at(y))
-
-
-def christoffel_derivative(chart: Chart, y) -> np.ndarray:
-    """dGam[m, k, i, j], the x_m derivative of Gam[k, i, j].
-
-    Symbolic mode differentiates the closed form through the metric inverse;
-    finite-difference mode takes the central difference, with the
-    second-level step, of the Christoffel symbols at the 2d stencil points,
-    evaluated as one stack.
-    """
-    if chart.mode.kind == "fd":
-        gram, dg = read_points(chart, stencil_points(y, FD_SECOND_STEP), ("dg",))
-        return stencil_difference(levi_civita(np.linalg.inv(gram), dg), FD_SECOND_STEP)
-    gram, dg, ddg = read_points(chart, [y], ("dg", "ddg"))
-    ginv, dg = np.linalg.inv(gram[0]), dg[0]
+def christoffel_derivative(ginv, dg, ddg) -> np.ndarray:
+    """dGam[m, k, i, j], the x_m derivative of Gam[k, i, j], in closed form
+    from the inverse metric and the first and second metric derivatives
+    dg[k, i, j] and ddg[m, k, i, j]: the product rule through the inverse."""
     term = _lowered_christoffel_x2(dg)
-    dterm = _lowered_christoffel_x2(ddg[0])  # ddg's leading index m rides along
+    dterm = _lowered_christoffel_x2(ddg)  # ddg's leading index m rides along
     dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
     return (0.5 * np.einsum("mkl,ijl->mkij", dginv, term)
             + 0.5 * np.einsum("kl,mijl->mkij", ginv, dterm))
@@ -407,11 +388,11 @@ def nabla_phi(gam, phi, dphi) -> np.ndarray:
             - np.einsum("lik,jl->ijk", gam, phi))
 
 
-def d_eta(chart: Chart, y) -> np.ndarray:
-    """Exterior derivative of the contact form with the 1/2 convention,
-    so that d eta agrees with g(nabla xi applied and paired) exactly."""
-    deta = chart.deta_at(y)
-    return 0.5 * (deta - deta.T)
+def d_eta(deta) -> np.ndarray:
+    """Exterior derivative of the contact form with the 1/2 convention, from
+    its coordinate derivatives deta[..., k, i], over any leading axes, so
+    that d eta agrees with g(nabla xi applied and paired) exactly."""
+    return 0.5 * (deta - deta.swapaxes(-1, -2))
 
 
 def _pfaffian(a: np.ndarray) -> float:

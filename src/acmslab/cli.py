@@ -93,15 +93,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(_ENV_SEED)
-    if env is not None:
+    """The ``--seed`` value, else ``$ACMSLAB_SEED``, else 0; numpy's
+    generators take non-negative seeds only."""
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        env = os.environ.get(_ENV_SEED)
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), _ENV_SEED
         except ValueError as exc:
             raise GeometryError(f"bad {_ENV_SEED} value {env!r}") from exc
-    return 0
+    if seed < 0:
+        raise GeometryError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _resolve_tolerances(args) -> Tolerances:
@@ -111,9 +116,14 @@ def _resolve_tolerances(args) -> Tolerances:
             raise GeometryError(f"--tol wants KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         try:
-            overrides[key.strip()] = float(value)
+            number = float(value)
         except ValueError as exc:
             raise GeometryError(f"--tol {key}: bad float {value!r}") from exc
+        # a NaN gate never fires and a negative one always does
+        if not math.isfinite(number) or number < 0.0:
+            raise GeometryError(
+                f"--tol {key}: must be finite and non-negative, got {value!r}")
+        overrides[key.strip()] = number
     try:
         return DEFAULT_TOLERANCES.replace(**overrides)
     except KeyError as exc:

@@ -10,10 +10,13 @@ factorization through the horizontal skew operator, and the reconstruction
 of curvature from first derivatives of the structure on nearly cosymplectic
 charts.
 
-The four identity suites take a list of prebuilt ``PointGeometry`` objects,
-one per point, so a caller that runs several suites over the same points
-(the ``identities`` subcommand) computes each point's curvature and
-modified curvature once.
+``PointGeometry`` is the one reader of a point's chart grids: it reads each
+grid at the point once, and the modified curvature's Richardson stencil as
+one stack. `riemann` and `modified_riemann` assemble curvature from the
+arrays it holds. The four identity suites take a list of prebuilt
+``PointGeometry`` objects, one per point, so a caller that runs several
+suites over the same points (the ``identities`` subcommand) computes each
+point's curvature and modified curvature once.
 
 Index layout throughout: ``comps[i, j, k, l]`` is the i-th component of
 ``R(e_k, e_l) e_j``.
@@ -32,8 +35,8 @@ import numpy as np
 
 from .charts import (SYMBOLIC, Chart, DerivativeMode, christoffel,
                      christoffel_derivative, contact_volume_coefficient, d_eta,
-                     levi_civita, nabla_phi, nabla_xi, read_points,
-                     stencil_difference, stencil_points)
+                     nabla_phi, nabla_xi, read_points, stencil_difference,
+                     stencil_points)
 from .config import (DEFAULT_TOLERANCES, FD_SECOND_STEP, MAX_PROBE_DRAWS,
                      PROBES_PER_RESIDUAL, Tolerances)
 from .errors import DegenerateInputError, ShapeError
@@ -100,17 +103,15 @@ def _assemble_curvature(gam, dgam) -> np.ndarray:
             - np.einsum("ilm,mkj->ijkl", gam, gam))
 
 
-def riemann(chart: Chart, y, *, tol: Tolerances = DEFAULT_TOLERANCES) -> CurvatureTensor:
-    """Levi-Civita curvature of the chart metric at a point.
+def riemann(metric: Metric, gam, dgam, gate: float) -> CurvatureTensor:
+    """Levi-Civita curvature from the metric, its Christoffel symbols
+    gam[k, i, j] and their derivatives dgam[m, k, i, j].
 
-    The antisymmetry and first Bianchi identities are verified at a
-    mode-appropriate tolerance; these hold for a torsion-free metric
+    The antisymmetry and first Bianchi identities are verified at ``gate``,
+    relative to the largest component; these hold for a torsion-free metric
     connection and catch assembly mistakes early.
     """
-    metric = chart.metric_at(y)
-    gam = levi_civita(metric.inverse, chart.dg_at(y))
-    out = CurvatureTensor(_assemble_curvature(gam, christoffel_derivative(chart, y)), metric)
-    gate = tol.curvature_symbolic if chart.mode.kind == "symbolic" else tol.curvature_fd
+    out = CurvatureTensor(_assemble_curvature(gam, dgam), metric)
     scale = 1.0 + float(np.max(np.abs(out.comps)))
     anti = out.antisymmetry_residual()
     bianchi = out.first_bianchi_residual()
@@ -138,54 +139,56 @@ def _correction(gram, xi, eta, proj, reeb, skew_projected) -> np.ndarray:
             + 0.5 * np.einsum("...i,...kj->...kij", eta, skew_projected))
 
 
-def _modified_christoffel_stack(chart: Chart, points) -> tuple[np.ndarray, np.ndarray]:
-    """The checked Gram matrices and the coefficients of the modified
-    connection at each row of ``points``, stacked along a new leading axis:
-    the formulas of `PointGeometry`, evaluated once for the whole stack.
+def _modified_christoffel_stack(chart: Chart, points) -> np.ndarray:
+    """The coefficients of the modified connection at each row of
+    ``points``, stacked along a new leading axis: the formulas of
+    `PointGeometry`, evaluated once for the whole stack.
 
     Each point's grids are read in the order a `PointGeometry` reads them
     (g, dg, xi, eta, dxi; see `charts.read_points`), so the error raised is
     the one the first failing point would raise on its own.
     """
     gram, dg, xi, eta, dxi = read_points(chart, points, ("dg", "xi", "eta", "dxi"))
-    gam = levi_civita(np.linalg.inv(gram), dg)
+    gam = christoffel(np.linalg.inv(gram), dg)
     reeb = nabla_xi(gam, xi, dxi)
     proj = horizontal_projector(xi, eta)
     skew_projected = proj @ skew_matrix(reeb, gram) @ proj
-    return gram, gam + _correction(gram, xi, eta, proj, reeb, skew_projected)
+    return gam + _correction(gram, xi, eta, proj, reeb, skew_projected)
 
 
 def modified_christoffel(chart: Chart, y) -> np.ndarray:
     """Coefficients of the modified connection at one point: the Levi-Civita
     symbols plus the correction table of `PointGeometry.correction`."""
-    return _modified_christoffel_stack(chart, [y])[1][0]
+    return _modified_christoffel_stack(chart, [y])[0]
 
 
-def modified_riemann(chart: Chart, y) -> CurvatureTensor:
-    """Curvature of the modified connection, assembled from numerically
-    differentiated connection coefficients.
+def modified_riemann(pg: PointGeometry) -> CurvatureTensor:
+    """Curvature of the modified connection at the point of ``pg``,
+    assembled from numerically differentiated connection coefficients.
 
     One Richardson step on the central difference (at ``FD_SECOND_STEP`` and
-    half of it) keeps the truncation error at fourth order. The 4d + 1
-    connection tables (the coarse stencil, the fine stencil, then ``y``)
-    are evaluated as one stack. No Bianchi check here: the modified
-    connection carries torsion, so the plain cyclic identity genuinely fails.
+    half of it) keeps the truncation error at fourth order. The 4d
+    connection tables of the coarse and the fine stencil are read as one
+    stack before the centre; the centre table is the geometry's own. No
+    Bianchi check here: the modified connection carries torsion, so the
+    plain cyclic identity genuinely fails.
     """
     h = FD_SECOND_STEP
-    coarse, fine = stencil_points(y, h), stencil_points(y, h / 2.0)
-    gram, gam = _modified_christoffel_stack(chart, [*coarse, *fine, np.asarray(y, float)])
-    n = len(coarse)
-    dgam = (4.0 * stencil_difference(gam[n:2 * n], h / 2.0)
+    gam = _modified_christoffel_stack(
+        pg.chart, [*stencil_points(pg.y, h), *stencil_points(pg.y, h / 2.0)])
+    n = len(gam) // 2
+    dgam = (4.0 * stencil_difference(gam[n:], h / 2.0)
             - stencil_difference(gam[:n], h)) / 3.0
-    return CurvatureTensor(_assemble_curvature(gam[-1], dgam), Metric.from_checked(gram[-1]))
+    return CurvatureTensor(_assemble_curvature(pg.gamma + pg.correction, dgam), pg.metric)
 
 
 class PointGeometry:
     """Lazy bundle of every pointwise tensor the identity suites need.
 
     Construct once per (chart, point); each derived quantity is computed on
-    first access and cached for the lifetime of the object. Every tensor
-    derived from the Christoffel symbols reads the one cached ``gamma``.
+    first access and cached for the lifetime of the object. Each grid at the
+    point is read once, and every tensor derived from the Christoffel
+    symbols reads the one cached ``gamma``.
     """
 
     def __init__(self, chart: Chart, y, *, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -214,9 +217,28 @@ class PointGeometry:
         return AcmsPoint(self.phi, self.xi, self.eta, self.metric, tol=self.tol.acms_exact)
 
     @cached_property
+    def dg(self) -> np.ndarray:
+        """Metric derivatives dg[k, i, j] along x_k."""
+        return self.chart.dg_at(self.y)
+
+    @cached_property
     def gamma(self) -> np.ndarray:
         """Levi-Civita symbols Gam[k, i, j], evaluated once per point."""
-        return christoffel(self.chart, self.y)
+        return christoffel(self.metric.inverse, self.dg)
+
+    @cached_property
+    def dgamma(self) -> np.ndarray:
+        """dGam[m, k, i, j], the x_m derivative of Gam[k, i, j].
+
+        Symbolic mode differentiates the closed form through the metric
+        inverse; finite-difference mode takes the central difference, with
+        the second-level step, of the Christoffel symbols at the 2d stencil
+        points, read as one stack.
+        """
+        if self.chart.mode.kind == "fd":
+            gram, dg = read_points(self.chart, stencil_points(self.y, FD_SECOND_STEP), ("dg",))
+            return stencil_difference(christoffel(np.linalg.inv(gram), dg), FD_SECOND_STEP)
+        return christoffel_derivative(self.metric.inverse, self.dg, self.chart.ddg_at(self.y))
 
     @cached_property
     def projector(self) -> np.ndarray:
@@ -246,7 +268,7 @@ class PointGeometry:
 
     @cached_property
     def deta(self) -> np.ndarray:
-        return d_eta(self.chart, self.y)
+        return d_eta(self.chart.deta_at(self.y))
 
     @cached_property
     def correction(self) -> np.ndarray:
@@ -258,11 +280,13 @@ class PointGeometry:
 
     @cached_property
     def riem(self) -> CurvatureTensor:
-        return riemann(self.chart, self.y, tol=self.tol)
+        symbolic = self.chart.mode.kind == "symbolic"
+        gate = self.tol.curvature_symbolic if symbolic else self.tol.curvature_fd
+        return riemann(self.metric, self.gamma, self.dgamma, gate)
 
     @cached_property
     def modified_riem(self) -> CurvatureTensor:
-        return modified_riemann(self.chart, self.y)
+        return modified_riemann(self)
 
     @cached_property
     def modified_nphi(self) -> np.ndarray:
@@ -528,8 +552,8 @@ def defect_factorization_suite(geoms: Sequence[PointGeometry], seed: int = 0, *,
     return VerificationReport.of(checks)
 
 
-def _phi_plane_curvature(pg: PointGeometry, rng, samples: int = 8) -> float:
-    x = horizontal_unit_probes(pg, rng, samples)
+def _phi_plane_curvature(pg: PointGeometry, rng) -> float:
+    x = horizontal_unit_probes(pg, rng, 8)
     px = pg.phi.mat @ x
     keep = ~(pg.gnorm(px) < 1e-6)
     if not keep.any():

@@ -68,14 +68,6 @@ class Metric:
         return self.gram.shape[0]
 
     @classmethod
-    def from_checked(cls, gram) -> "Metric":
-        """The metric of a Gram matrix that has already passed `check_gram`,
-        without checking it a second time."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "gram", _frozen(_as_matrix(gram, "gram")))
-        return out
-
-    @classmethod
     def euclidean(cls, dim: int) -> "Metric":
         return cls(np.eye(dim))
 
@@ -218,21 +210,20 @@ def symmetric_eigen(op: LinearOp, g: Metric, *, tol: float | None = None):
     return pairs
 
 
-def project_out(v, basis, g: Metric, *, passes: int = 2) -> np.ndarray:
+def project_out(v, basis, g: Metric) -> np.ndarray:
     """Remove from v (one vector or a stack) its g-projection onto the span of
-    a stack of g-orthonormal columns, twice by default to fight
-    cancellation."""
+    a stack of g-orthonormal columns, twice to fight cancellation."""
     out = np.array(v, dtype=float)
     basis = np.asarray(basis, dtype=float)
-    for _ in range(passes):
+    for _ in range(2):
         out = out - basis @ (basis.T @ (g.gram @ out))
     return out
 
 
 def gram_schmidt(vectors, g: Metric, *, rank_tol: float | None = None,
-                 pivot: bool = True, require_all: bool = False) -> np.ndarray:
-    """Gram-Schmidt over the columns of a stack, with optional pivoting by
-    largest remaining norm.
+                 require_all: bool = False) -> np.ndarray:
+    """Gram-Schmidt over the columns of a stack, pivoting by largest
+    remaining norm.
 
     Returns a stack of g-orthonormal columns spanning the input span. Columns
     that project below ``rank_tol`` are dropped, or raise when ``require_all``.
@@ -244,7 +235,7 @@ def gram_schmidt(vectors, g: Metric, *, rank_tol: float | None = None,
     while pool.shape[1]:
         residuals = project_out(pool, out, g)
         norms = g.norms(residuals)
-        best = int(np.argmax(norms)) if pivot else 0
+        best = int(np.argmax(norms))
         if norms[best] < rank_tol:
             if require_all:
                 raise DegenerateInputError(

@@ -22,6 +22,8 @@ from .linalg import (LinearOp, Metric, adjoint, g_singular_values, gram_schmidt,
                      project_out, symmetric_eigen)
 from .report import Check, VerificationReport, least, worst
 
+_MAX_OPERATOR_DRAWS = 200  # draws before a min_sigma search gives up
+
 
 @dataclass(frozen=True)
 class ComplexStructuredSpace:
@@ -269,13 +271,12 @@ def constrained_operator_basis(space: ComplexStructuredSpace, *, skew: bool) -> 
 
 def random_constrained_operator(space: ComplexStructuredSpace, rng,
                                 *, skew: bool, basis: np.ndarray | None = None,
-                                min_sigma: float = 0.0,
-                                max_tries: int = 200) -> LinearOp:
+                                min_sigma: float = 0.0) -> LinearOp:
     """Draw A = sum c_i B_i with coefficients uniform in [-1, 1].
 
     With ``min_sigma`` set, resamples until sigma_min exceeds it (used to
-    condition the decomposition campaigns). Each draw is verified against
-    the constraints before use.
+    condition the decomposition campaigns), at most ``_MAX_OPERATOR_DRAWS``
+    times. Each draw is verified against the constraints before use.
     """
     if basis is None:
         basis = constrained_operator_basis(space, skew=skew)
@@ -283,7 +284,7 @@ def random_constrained_operator(space: ComplexStructuredSpace, rng,
         raise DegenerateInputError(
             f"constraint space is trivial in dimension {space.dim}; only A = 0 qualifies"
         )
-    for _ in range(max_tries):
+    for _ in range(_MAX_OPERATOR_DRAWS):
         coeffs = rng.uniform(-1.0, 1.0, basis.shape[0])
         a = LinearOp(np.tensordot(coeffs, basis, axes=1))
         resid = float(np.max(np.abs(a.mat @ space.j.mat + space.j.mat @ a.mat)))
@@ -297,7 +298,8 @@ def random_constrained_operator(space: ComplexStructuredSpace, rng,
             return a
         if float(g_singular_values(a, space.g)[-1]) > min_sigma:
             return a
-    raise SearchError(f"no operator with sigma_min > {min_sigma} after {max_tries} draws")
+    raise SearchError(
+        f"no operator with sigma_min > {min_sigma} after {_MAX_OPERATOR_DRAWS} draws")
 
 
 # ---------------------------------------------------------------------------

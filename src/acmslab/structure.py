@@ -2,9 +2,8 @@
 
 A structure at a point is the tuple (phi, xi, eta, g) on an odd-dimensional
 tangent space. This module validates the defining identities, builds the
-horizontal (contact) distribution, extracts the skew part of the shape
-operator on it, and runs the pointwise condition checks that the curvature
-identities later depend on.
+horizontal (contact) distribution, and runs the pointwise condition checks
+that the curvature identities later depend on.
 
 The horizontal frame is one ``(dim, dim - 1)`` column stack of g-orthonormal
 vectors (see `linalg`). The checks that need it take it as an optional
@@ -24,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateInputError, ShapeError
-from .linalg import LinearOp, Metric, gram_schmidt, operator_in_basis, skew_part
+from .linalg import LinearOp, Metric, gram_schmidt
 from .report import Check, VerificationReport
 
 
@@ -139,20 +138,6 @@ def horizontal_basis(p: AcmsPoint, *, rank_tol: float | None = None) -> np.ndarr
             f"horizontal basis leaks through eta (max |eta(b)| = {worst_eta:.3e})"
         )
     return basis
-
-
-def horizontal_skew_matrix(a: LinearOp, p: AcmsPoint,
-                           basis: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of the horizontal skew part in a g-orthonormal horizontal basis.
-
-    For contact metric geometry this operator represents d eta on the
-    distribution; its nondegeneracy is the contact criterion.
-    """
-    if basis is None:
-        basis = horizontal_basis(p)
-    proj = p.projector.mat
-    full = LinearOp(proj @ skew_part(a, p.g).mat @ proj)
-    return operator_in_basis(full, basis, p.g)
 
 
 def check_eta_parallel(nabla_phi_table: np.ndarray, p: AcmsPoint,

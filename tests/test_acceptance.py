@@ -12,7 +12,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from acmslab.charts import DerivativeMode, d_eta, sample_points
+from acmslab.charts import DerivativeMode, sample_points
 from acmslab.cli import main
 from acmslab.config import DEFAULT_TOLERANCES
 from acmslab.curvature import (
@@ -165,7 +165,7 @@ def test_criterion_05_bridge_on_every_validating_chart():
                 chart = chart.with_mode(DerivativeMode("fd"))
             points = sample_points(chart, 5, seed=50)
             rng = np.random.default_rng(51)
-            validates = all(validate_acms(chart.acms_point_at(y)).verdict
+            validates = all(validate_acms(PointGeometry(chart, y).point).verdict
                             for y in points)
             assert validates, f"{name} unexpectedly fails structure validation"
             worst = max(bridge_residual(PointGeometry(chart, y), rng, pairs=10)
@@ -226,7 +226,7 @@ def test_criterion_08_negative_controls():
         nearly = nearly_cosymplectic_residuals(pg, rng, probes=32)
         nearly_gap = max(nearly_gap, abs(nearly["horizontal"] - 1.0))
     cos = gallery_chart("cosymplectic_r5")
-    deta_max = max(float(np.max(np.abs(d_eta(cos, y))))
+    deta_max = max(float(np.max(np.abs(PointGeometry(cos, y).deta)))
                    for y in sample_points(cos, 5, seed=82))
     cos_sigma, cos_volume = contact_residuals(PointGeometry(cos, np.zeros(5)))
     ok = (star_gap < 1e-9 and nearly_gap < 1e-8 and deta_max == 0.0

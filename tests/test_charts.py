@@ -13,8 +13,6 @@ from acmslab.charts import (
     SYMBOLIC,
     chart_from_text,
     chart_to_text,
-    christoffel,
-    christoffel_derivative,
     contact_volume_coefficient,
     d_eta,
     load_chart,
@@ -259,7 +257,7 @@ class TestGridErrors:
 class TestChristoffel:
     def test_sphere_frozen_values(self, sphere):
         theta = math.pi / 3
-        gam = christoffel(sphere, [theta, 1.0])
+        gam = PointGeometry(sphere, [theta, 1.0]).gamma
         # Gam[k, i, j] has the upper index first
         assert gam[0, 1, 1] == pytest.approx(-math.sqrt(3.0) / 4.0)
         assert gam[1, 0, 1] == pytest.approx(1.0 / math.sqrt(3.0))
@@ -268,27 +266,27 @@ class TestChristoffel:
 
     def test_polar_plane_frozen_values(self):
         chart = chart_from_text(POLAR_PLANE_TEXT)
-        gam = christoffel(chart, [2.0, 0.7])
+        gam = PointGeometry(chart, [2.0, 0.7]).gamma
         assert gam[0, 1, 1] == pytest.approx(-2.0)
         assert gam[1, 0, 1] == pytest.approx(0.5)
 
     def test_symmetric_in_lower_indices(self, sphere):
         for y in sample_points(sphere, 5, seed=2):
-            gam = christoffel(sphere, y)
+            gam = PointGeometry(sphere, y).gamma
             np.testing.assert_allclose(gam, np.transpose(gam, (0, 2, 1)),
                                        atol=1e-12)
 
     def test_fd_mode_agrees(self, sphere):
         fd = sphere.with_mode(DerivativeMode("fd"))
         for y in sample_points(sphere, 5, seed=3):
-            np.testing.assert_allclose(christoffel(fd, y),
-                                       christoffel(sphere, y), atol=1e-8)
+            np.testing.assert_allclose(PointGeometry(fd, y).gamma,
+                                       PointGeometry(sphere, y).gamma, atol=1e-8)
 
     def test_derivative_fd_agrees(self, sphere):
         fd = sphere.with_mode(DerivativeMode("fd"))
         for y in sample_points(sphere, 3, seed=4):
-            np.testing.assert_allclose(christoffel_derivative(fd, y),
-                                       christoffel_derivative(sphere, y),
+            np.testing.assert_allclose(PointGeometry(fd, y).dgamma,
+                                       PointGeometry(sphere, y).dgamma,
                                        atol=1e-6)
 
     def test_ddg_rejected_in_fd_mode(self, sphere):
@@ -313,14 +311,14 @@ class TestStructureDerivatives:
 
     def test_d_eta_antisymmetrization(self):
         chart = chart_from_text("dim = 2\ng[1][1] = 1\ng[2][2] = 1\neta[1] = x2\n")
-        mat = d_eta(chart, [0.0, 0.0])
+        mat = d_eta(chart.deta_at([0.0, 0.0]))
         np.testing.assert_allclose(mat, [[0.0, -0.5], [0.5, 0.0]], atol=1e-14)
 
     def test_d_eta_of_closed_form_vanishes(self):
         # eta = d(x1 x2) is exact, so its exterior derivative is zero
         chart = chart_from_text(
             "dim = 2\ng[1][1] = 1\ng[2][2] = 1\neta[1] = x2\neta[2] = x1\n")
-        np.testing.assert_allclose(d_eta(chart, [0.7, -0.3]), np.zeros((2, 2)),
+        np.testing.assert_allclose(d_eta(chart.deta_at([0.7, -0.3])), np.zeros((2, 2)),
                                    atol=1e-13)
 
 

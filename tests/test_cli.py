@@ -180,6 +180,15 @@ class TestValidate:
         assert all(c["residual"] is None for c in checks if c["name"] in failing)
 
 
+# a short run of each subcommand, all of which draw from a seeded generator
+SEEDED = {
+    "validate": ("validate", *S5, *FAST),
+    "lemma": ("lemma", "--dim", "4", "--trials", "2"),
+    "curvature": ("curvature", *S5, *FAST, "--planes", "2"),
+    "identities": ("identities", *S5, *FAST),
+}
+
+
 class TestSeedResolution:
     def test_env_seed_used(self, capsys, monkeypatch):
         monkeypatch.setenv("ACMSLAB_SEED", "11")
@@ -196,6 +205,20 @@ class TestSeedResolution:
         code, _, err = run(capsys, "validate", *S5, *FAST)
         assert code == 2
         assert "ACMSLAB_SEED" in err
+
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_negative_flag_seed_is_usage_error(self, capsys, command):
+        code, out, err = run(capsys, *SEEDED[command], "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "acmslab: error: --seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_negative_env_seed_is_usage_error(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("ACMSLAB_SEED", "-5")
+        code, out, err = run(capsys, *SEEDED[command])
+        assert (code, out) == (2, "")
+        assert err == ("acmslab: error: ACMSLAB_SEED must be a non-negative integer, "
+                       "got -5\n")
 
 
 class TestToleranceOverrides:
@@ -217,6 +240,20 @@ class TestToleranceOverrides:
         code, _, err = run(capsys, "validate", *S5, "--tol", "contact")
         assert code == 2
         assert "KEY=VALUE" in err
+
+    # a NaN gate never fires, so these once ended in a message about the
+    # chart (rank) or in a PASS (acms_exact, identity)
+    @pytest.mark.parametrize("command, override", [
+        ("identities", "rank=nan"),
+        ("validate", "acms_exact=inf"),
+        ("validate", "identity=-1"),
+    ])
+    def test_non_finite_or_negative_value_is_usage_error(self, capsys, command, override):
+        code, out, err = run(capsys, command, *S5, *FAST, "--tol", override)
+        assert (code, out) == (2, "")
+        key, _, value = override.partition("=")
+        assert err == (f"acmslab: error: --tol {key}: must be finite and non-negative, "
+                       f"got {value!r}\n")
 
 
 class TestLemma:
@@ -352,9 +389,9 @@ class TestIdentities:
         assert calls["riemann"] == 3 and calls["modified_riemann"] == 3
         assert calls["__init__"] == 3
         assert calls["horizontal_basis"] <= 3
-        # Christoffel tables per point: the geometry's own and the one inside
-        # riemann; the 4d + 1 Richardson stencil points are one stacked pass
-        assert calls["christoffel"] <= 2 * 3
+        # Christoffel tables per point: the geometry's own, and one stacked
+        # pass over the 4d Richardson stencil points
+        assert calls["christoffel"] == 2 * 3
 
     @pytest.mark.parametrize("target, value, failing", [
         ("eta_parallel_residual", math.nan, ["eta_parallel_gate", "eta_parallel_gate"]),

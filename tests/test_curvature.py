@@ -1,10 +1,13 @@
 """Unit tests for curvature assembly, the modified connection and the
 identity suites."""
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from acmslab import charts, linalg
-from acmslab.charts import DerivativeMode, chart_from_text, levi_civita, sample_points
+from acmslab.charts import (DerivativeMode, chart_from_text, christoffel, sample_points,
+                            stencil_points)
 from acmslab.config import FD_SECOND_STEP, MAX_PROBE_DRAWS
 from acmslab.curvature import (
     CurvatureTensor,
@@ -21,10 +24,8 @@ from acmslab.curvature import (
     horizontal_sectional_values,
     killing_residual,
     modified_connection_suite,
-    modified_riemann,
     nearly_cosymplectic_residuals,
     reeb_deta_kernel_residual,
-    riemann,
     skew_phi_anticommutation_residual,
     unit_probes,
 )
@@ -74,7 +75,7 @@ class TestCurvatureTensor:
             CurvatureTensor(np.zeros((2, 2, 2)), Metric.euclidean(2))
 
     def test_apply_pair_consistent(self, sphere):
-        r = riemann(sphere, [1.1, 0.4])
+        r = PointGeometry(sphere, [1.1, 0.4]).riem
         rng = np.random.default_rng(1)
         w, x, y, z = (rng.normal(size=2) for _ in range(4))
         direct = r.pair(w, x, y, z)
@@ -82,7 +83,7 @@ class TestCurvatureTensor:
         assert direct == pytest.approx(via_apply)
 
     def test_degenerate_plane_rejected(self, sphere):
-        r = riemann(sphere, [1.1, 0.4])
+        r = PointGeometry(sphere, [1.1, 0.4]).riem
         v = np.array([1.0, 2.0])
         with pytest.raises(DegenerateInputError):
             r.sectional(v, 2.0 * v)
@@ -91,28 +92,28 @@ class TestCurvatureTensor:
 class TestRiemann:
     def test_unit_sphere_curvature(self, sphere):
         for y in sample_points(sphere, 6, seed=11):
-            r = riemann(sphere, y)
+            r = PointGeometry(sphere, y).riem
             assert r.sectional(np.eye(2)[0], np.eye(2)[1]) == pytest.approx(1.0)
 
     def test_flat_polar_plane(self):
         chart = chart_from_text(FLAT_POLAR_TEXT)
         for y in sample_points(chart, 4, seed=12):
-            r = riemann(chart, y)
+            r = PointGeometry(chart, y).riem
             assert np.max(np.abs(r.comps)) < 1e-12
 
     def test_invariants_tiny_in_symbolic_mode(self, sphere):
-        r = riemann(sphere, [0.9, -0.2])
+        r = PointGeometry(sphere, [0.9, -0.2]).riem
         assert r.antisymmetry_residual() < 1e-14
         assert r.first_bianchi_residual() < 1e-12
 
     def test_fd_mode_agrees(self, sphere):
         fd = sphere.with_mode(DerivativeMode("fd"))
         y = [1.3, 0.5]
-        np.testing.assert_allclose(riemann(fd, y).comps,
-                                   riemann(sphere, y).comps, atol=1e-6)
+        np.testing.assert_allclose(PointGeometry(fd, y).riem.comps,
+                                   PointGeometry(sphere, y).riem.comps, atol=1e-6)
 
     def test_sectional_curvature_helper(self, sphere):
-        r = riemann(sphere, [1.0, 0.0])
+        r = PointGeometry(sphere, [1.0, 0.0]).riem
         got = r.sectional(np.array([1.0, 0.3]), np.array([0.2, 2.0]))
         assert got == pytest.approx(1.0)
 
@@ -123,7 +124,7 @@ class TestRiemann:
     def test_full_planes_on_s5(self, s5):
         # the round metric has constant curvature on every plane, not just
         # horizontal ones
-        r = riemann(s5, np.array([0.1, -0.05, 0.2, 0.0, 0.1]))
+        r = PointGeometry(s5, np.array([0.1, -0.05, 0.2, 0.0, 0.1])).riem
         rng = np.random.default_rng(7)
         for x, w in zip(unit_probes(r.metric, rng, 6).T, unit_probes(r.metric, rng, 6).T):
             if abs(r.metric.inner(x, w)) > 0.95:
@@ -143,7 +144,7 @@ def _fd_riemann_oracle(chart, y):
     step and of the Christoffel symbols at FD_SECOND_STEP."""
     def gam_at(p):
         dg = _central_difference(chart.g_at, p, chart.mode.step)
-        return levi_civita(Metric(chart.g_at(p)).inverse, dg)
+        return christoffel(Metric(chart.g_at(p)).inverse, dg)
 
     return _assemble_curvature(gam_at(y), _central_difference(gam_at, y, FD_SECOND_STEP))
 
@@ -153,16 +154,22 @@ class TestFdRiemann:
     def test_stacked_stencil_matches_pointwise_oracle(self, name):
         chart = gallery_chart(name).with_mode(DerivativeMode("fd"))
         for y in sample_points(chart, 3, seed=13):
-            assert np.array_equal(riemann(chart, y).comps, _fd_riemann_oracle(chart, y))
+            assert np.array_equal(PointGeometry(chart, y).riem.comps,
+                                  _fd_riemann_oracle(chart, y))
+
+
+# PointGeometry fields that between them compute every cached tensor, the
+# curvature tensors first
+GEOMETRY_FIELDS = ("metric", "gamma", "riem", "modified_riem", "point", "horizontal_basis",
+                   "dxi_skew", "nphi", "deta", "modified_nphi_reeb")
 
 
 @pytest.mark.parametrize("mode, derivative_rows", [("symbolic", 1), ("fd", 10)])
 def test_metric_checks_per_point_geometry(monkeypatch, mode, derivative_rows):
-    # one check each for the geometry's metric and its Christoffel table;
-    # riemann checks its metric once and reuses it for the table and the
-    # tensor, while christoffel_derivative checks the rows it reads (y alone,
-    # or the 2d stencil points); modified_riemann checks its 4d + 1 rows once
-    # and reuses the centre row
+    # one check for the geometry's metric, one over the rows the Christoffel
+    # derivative reads (y alone in symbolic mode, whose metric is already
+    # checked, or the 2d stencil points), and one over the modified
+    # curvature's 4d Richardson rows
     shapes = []
     for module in (linalg, charts):
         def counted(gram, _check=module.check_gram):
@@ -172,10 +179,40 @@ def test_metric_checks_per_point_geometry(monkeypatch, mode, derivative_rows):
         monkeypatch.setattr(module, "check_gram", counted)
     chart = gallery_chart("s5").with_mode(DerivativeMode.parse(mode))
     pg = PointGeometry(chart, sample_points(chart, 1, seed=3)[0])
-    for name in ("metric", "gamma", "riem", "modified_riem", "point", "horizontal_basis",
-                 "dxi_skew", "nphi", "deta", "modified_nphi_reeb"):
+    for name in GEOMETRY_FIELDS:
         getattr(pg, name)
-    assert shapes == [(5, 5), (5, 5), (5, 5), (derivative_rows, 5, 5), (21, 5, 5)]
+    stencil = [(derivative_rows, 5, 5)] if derivative_rows > 1 else []
+    assert shapes == [(5, 5), *stencil, (20, 5, 5)]
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "fd"])
+def test_each_grid_at_the_point_is_read_once(monkeypatch, mode):
+    reads = []
+    original = charts.Chart._grids_at
+
+    def counted(self, name, points):
+        reads.append((name, np.asarray(points).tolist()))
+        return original(self, name, points)
+
+    monkeypatch.setattr(charts.Chart, "_grids_at", counted)
+    chart = gallery_chart("s5").with_mode(DerivativeMode.parse(mode))
+    y = sample_points(chart, 1, seed=3)[0]
+    pg = PointGeometry(chart, y)
+    for name in GEOMETRY_FIELDS:
+        getattr(pg, name)
+    at_y = [name for name, rows in reads if rows == [y.tolist()]]
+    grids = ["g", "dg", "ddg", "xi", "eta", "dxi", "phi", "dphi", "deta"]
+    if mode == "fd":
+        grids.remove("ddg")
+    assert sorted(at_y) == sorted(grids)
+    # the modified curvature's 4d Richardson rows, each read once per grid;
+    # in fd mode the Christoffel derivative also reads g and dg at the coarse
+    # stencil, which is the stencil of FD_SECOND_STEP
+    h = FD_SECOND_STEP
+    richardson = [*stencil_points(y, h).tolist(), *stencil_points(y, h / 2.0).tolist()]
+    counts = Counter(name for name, rows in reads if len(rows) == 1 and rows[0] in richardson)
+    extra = 10 if mode == "fd" else 0
+    assert counts == {"g": 20 + extra, "dg": 20 + extra, "xi": 20, "eta": 20, "dxi": 20}
 
 
 class TestConnectionCorrection:
@@ -220,6 +257,10 @@ def _stencil_oracle(chart, y):
     return _assemble_curvature(gam_at(y), (4.0 * fine - coarse) / 3.0)
 
 
+# the PointGeometry attribute holding each curvature tensor, by the function
+# that assembles it
+TENSORS = {"riemann": "riem", "modified_riemann": "modified_riem"}
+
 # 3-D charts that fail at the stencil point y - FD_SECOND_STEP e_1 of
 # STENCIL_Y, before any other stencil point or the centre itself
 STENCIL_TEXT = ("dim = 3\ng[2][2] = 1\ng[3][3] = 1\nphi[2][1] = 1\nphi[1][2] = -1\n"
@@ -233,7 +274,7 @@ class TestModifiedRiemann:
     def test_stacked_stencil_matches_pointwise_oracle(self, name, mode):
         chart = gallery_chart(name).with_mode(DerivativeMode.parse(mode))
         for y in sample_points(chart, 3, seed=13):
-            assert np.array_equal(modified_riemann(chart, y).comps,
+            assert np.array_equal(PointGeometry(chart, y).modified_riem.comps,
                                   _stencil_oracle(chart, y))
 
     @pytest.mark.parametrize("g11, error, message", [
@@ -249,46 +290,47 @@ class TestModifiedRiemann:
     def test_first_failing_stencil_point_names_the_error(self, g11, error, message):
         chart = chart_from_text(STENCIL_TEXT + f"g[1][1] = {g11}\n")
         with pytest.raises(error) as excinfo:
-            modified_riemann(chart, STENCIL_Y)
+            PointGeometry(chart, STENCIL_Y).modified_riem
         assert str(excinfo.value) == message
 
     # In fd mode every read of a derivative grid is itself a stencil of g
     # reads at step 1e-5; the messages are the ones reading one point at a
-    # time raises
+    # time raises. ``fn`` names the function that assembles the tensor.
     @pytest.mark.parametrize("fn, g11, error, message", [
         *((fn, "sqrt(x1)", EvalError,
            "g[1][1] at point [-5e-05, 0.1, 0.2]: square root of negative value -5e-05 "
-           "in 'sqrt(x1)'") for fn in (riemann, modified_riemann)),
+           "in 'sqrt(x1)'") for fn in TENSORS),
         *((fn, "x1", DegenerateInputError,
            "gram matrix is not positive definite (min eigenvalue -5.000e-05)")
-          for fn in (riemann, modified_riemann)),
+          for fn in TENSORS),
         # the first dg read already steps below x3 = 0.2: riemann's at y,
         # modified_riemann's at its first stencil point y + h e_1
-        (riemann, "x1 + 0*sqrt(x3 - 0.2)", EvalError,
+        ("riemann", "x1 + 0*sqrt(x3 - 0.2)", EvalError,
          "g[1][1] at point [5e-05, 0.1, 0.19999]: square root of negative value -1e-05 "
          "in 'sqrt(x3 - 0.2)'"),
-        (modified_riemann, "x1 + 0*sqrt(x3 - 0.2)", EvalError,
+        ("modified_riemann", "x1 + 0*sqrt(x3 - 0.2)", EvalError,
          "g[1][1] at point [0.00015000000000000001, 0.1, 0.19999]: square root of "
          "negative value -1e-05 in 'sqrt(x3 - 0.2)'"),
         # the metric check at y - h e_1 comes before the failing g read at y - h e_3
         *((fn, "x1 + 0*sqrt(x3 - 0.19995)", DegenerateInputError,
            "gram matrix is not positive definite (min eigenvalue -5.000e-05)")
-          for fn in (riemann, modified_riemann)),
+          for fn in TENSORS),
     ])
     def test_first_failing_fd_stencil_point_names_the_error(self, fn, g11, error, message):
         chart = chart_from_text(STENCIL_TEXT + f"g[1][1] = {g11}\n")
+        pg = PointGeometry(chart.with_mode(DerivativeMode("fd")), STENCIL_Y)
         with pytest.raises(error) as excinfo:
-            fn(chart.with_mode(DerivativeMode("fd")), STENCIL_Y)
+            getattr(pg, TENSORS[fn])
         assert str(excinfo.value) == message
 
     def test_antisymmetry_survives(self, s5):
-        r = modified_riemann(s5, np.zeros(5))
+        r = PointGeometry(s5, np.zeros(5)).modified_riem
         assert r.antisymmetry_residual() < 1e-12
 
     def test_first_bianchi_fails_with_torsion(self, s5):
         # the cyclic identity needs a torsion-free connection; at the origin
         # of the sphere chart the violation is exactly 3
-        r = modified_riemann(s5, np.zeros(5))
+        r = PointGeometry(s5, np.zeros(5)).modified_riem
         assert r.first_bianchi_residual() == pytest.approx(3.0, abs=1e-6)
 
 

@@ -3,7 +3,7 @@ product behind the sphere chart."""
 import numpy as np
 import pytest
 
-from acmslab.charts import chart_from_text, chart_to_text, d_eta, sample_points
+from acmslab.charts import chart_from_text, chart_to_text, sample_points
 from acmslab.curvature import PointGeometry, contact_residuals, killing_residual
 from acmslab.errors import PreconditionError
 from acmslab.gallery import (
@@ -110,7 +110,7 @@ class TestGalleryAccess:
     def test_structures_validate_at_sample_points(self, name):
         chart = gallery_chart(name)
         for y in sample_points(chart, 6, seed=13):
-            assert validate_acms(chart.acms_point_at(y)).verdict
+            assert validate_acms(PointGeometry(chart, y).point).verdict
 
 
 class TestSphereChart:
@@ -171,7 +171,7 @@ class TestCosymplecticChart:
     def test_contact_form_closed(self):
         chart = gallery_chart("cosymplectic_r5")
         for y in sample_points(chart, 5, seed=41):
-            np.testing.assert_allclose(d_eta(chart, y), np.zeros((5, 5)),
+            np.testing.assert_allclose(PointGeometry(chart, y).deta, np.zeros((5, 5)),
                                        atol=1e-15)
 
     def test_contact_fails_exactly(self):
