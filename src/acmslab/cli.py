@@ -9,11 +9,11 @@ the built-in gallery (``--gallery``).
 Exit codes: 0 when every check passes (or a curvature assessment is merely
 inconclusive), 1 when a check or gate fails (a NaN residual or a non-finite
 sectional curvature sample fails), 2 for usage and input errors. Output is
-deterministic for a fixed seed on a given numpy and LAPACK build: ``lemma
---dim`` 12 and above draws its operators from a null-space basis that LAPACK
-does not fix, so that output can differ between builds. ``--json`` switches
-to a canonical, strict JSON document with sorted keys and no timestamps, in
-which a non-finite number (NaN or infinity) prints as ``null``.
+deterministic for a fixed seed on a given numpy and LAPACK build; between
+builds it can differ by rounding (``lemma`` takes eigenvectors of A^2 from
+LAPACK). ``--json`` switches to a canonical, strict JSON document with
+sorted keys and no timestamps, in which a non-finite number (NaN or
+infinity) prints as ``null``.
 """
 from __future__ import annotations
 

@@ -19,7 +19,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateInputError, PreconditionError, SearchError, ShapeError
 from .linalg import (LinearOp, Metric, adjoint, g_singular_values, gram_schmidt,
-                     project_out, symmetric_eigen)
+                     project_out, skew_matrix, symmetric_eigen)
 from .report import Check, VerificationReport, least, worst
 
 _MAX_OPERATOR_DRAWS = 200  # draws before a min_sigma search gives up
@@ -116,51 +116,48 @@ def _candidate_vectors(space: ComplexStructuredSpace, seed: int, max_random: int
 
 
 def find_generic_vector(space: ComplexStructuredSpace, a: LinearOp,
-                        *, tol: float | None = None, seed: int = 0,
+                        *, tol: Tolerances = DEFAULT_TOLERANCES, seed: int = 0,
                         max_random: int = 200) -> np.ndarray:
     """First vector (in a deterministic scan order) whose triple
-    {Y, JY, AY} has normalized Gram determinant above the rank tolerance.
+    {Y, JY, AY} has normalized Gram determinant above ``tol.rank``.
 
     Scans the coordinate frame, then pairwise sums, then J-mixed sums, then
-    seeded random draws. Returns the g-unit representative.
+    seeded random draws. Returns the g-unit representative. The operator
+    must anticommute with J to within ``tol.acms_exact``.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.rank
     if a.dim != space.dim:
         raise ShapeError(f"operator dim {a.dim} does not match space dim {space.dim}")
     if a.max_norm == 0.0:
         raise PreconditionError("operator is identically zero")
-    _check_anticommutes(space, a, DEFAULT_TOLERANCES.acms_exact)
+    _check_anticommutes(space, a, tol.acms_exact)
     for candidate in _candidate_vectors(space, seed, max_random):
-        if _normalized_triple_gram_det(space, a, candidate) > tol:
+        if _normalized_triple_gram_det(space, a, candidate) > tol.rank:
             return space.g.unit(candidate)
     raise SearchError("no generic vector found; operator may be numerically degenerate")
 
 
 def find_orthogonal_witness(space: ComplexStructuredSpace, a: LinearOp, y,
-                            *, tol: float | None = None) -> np.ndarray:
-    """Unit Z orthogonal to span{Y, JY, AY} with <Z, JAY> above threshold.
+                            *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Unit Z orthogonal to span{Y, JY, AY} with <Z, JAY> above ``tol.witness``.
 
-    The component of JAY orthogonal to the triple can never vanish when the
-    triple is independent, so the projection of JAY itself serves as witness.
+    The triple must be independent to within ``tol.rank``. The component of
+    JAY orthogonal to the triple can never vanish when the triple is
+    independent, so the projection of JAY itself serves as witness.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.witness
     g = space.g
-    if _normalized_triple_gram_det(space, a, y) <= DEFAULT_TOLERANCES.rank:
+    if _normalized_triple_gram_det(space, a, y) <= tol.rank:
         raise DegenerateInputError("triple {Y, JY, AY} is numerically dependent")
-    onb = gram_schmidt(_triple(space, a, y), g, rank_tol=DEFAULT_TOLERANCES.rank,
-                       require_all=True)
+    onb = gram_schmidt(_triple(space, a, y), g, rank_tol=tol.rank, require_all=True)
     jay = space.j.apply(a.apply(y))
     residue = project_out(jay, onb, g)
     norm = g.norm(residue)
-    if norm < tol:
+    if norm < tol.witness:
         raise SearchError(
             f"witness overlap {norm:.3e} below threshold; JAY almost lies in the triple span"
         )
     z = residue / norm
     overlap = abs(g.inner(z, jay))
-    if overlap < tol:
+    if overlap < tol.witness:
         raise SearchError(f"witness overlap {overlap:.3e} below threshold")
     return z
 
@@ -249,7 +246,10 @@ def _decompose(space: ComplexStructuredSpace, a: LinearOp,
 
 def constrained_operator_basis(space: ComplexStructuredSpace, *, skew: bool) -> np.ndarray:
     """Basis of {A : AJ + JA = 0} (optionally also g-skew) as an array of
-    matrices, obtained from the null space of the stacked linear constraints."""
+    matrices, obtained from the null space of the stacked linear constraints.
+
+    The draws use ``constrained_projection``; this basis is its test oracle.
+    """
     d = space.dim
     jm = space.j.mat
     gram = space.g.gram
@@ -269,24 +269,48 @@ def constrained_operator_basis(space: ComplexStructuredSpace, *, skew: bool) -> 
     return vh[rank:].reshape(-1, d, d)
 
 
+def constrained_projection(space: ComplexStructuredSpace, a, *, skew: bool) -> np.ndarray:
+    """Project matrices onto {A : AJ + JA = 0}, and with ``skew`` also onto
+    the g-skew operators, over any leading axes of ``a``.
+
+    P1(A) = (A + JAJ) / 2 fixes exactly the operators that anticommute with
+    J, and P2(A) = (A - G^-1 A^T G) / 2 the g-skew ones. J is a g-isometry
+    with J^2 = -I, so its adjoint is -J and the two projections commute:
+    P2 P1 projects onto the intersection.
+    """
+    jm = space.j.mat
+    a = 0.5 * (a + jm @ a @ jm)
+    return skew_matrix(a, space.g.gram) if skew else a
+
+
+def _constrained_dimension(space: ComplexStructuredSpace, *, skew: bool) -> int:
+    """Dimension of the constrained space: the trace of ``constrained_projection``
+    as a map on d x d matrices.
+
+    A map A -> L A R has trace tr(L) tr(R), and A -> L A^T R has trace
+    tr(L R^T). With tr J = 0 (J^2 = -I) and J^T G J = G, P1 has trace
+    d^2 / 2 and P2 P1 has trace (d^2 - 2d) / 4.
+    """
+    d = space.dim
+    return d * (d - 2) // 4 if skew else d * d // 2
+
+
 def random_constrained_operator(space: ComplexStructuredSpace, rng,
-                                *, skew: bool, basis: np.ndarray | None = None,
-                                min_sigma: float = 0.0) -> LinearOp:
-    """Draw A = sum c_i B_i with coefficients uniform in [-1, 1].
+                                *, skew: bool, min_sigma: float = 0.0) -> LinearOp:
+    """Draw A = P(Z), with P the ``constrained_projection`` and Z a d x d
+    matrix of i.i.d. standard normal entries from ``rng``.
 
     With ``min_sigma`` set, resamples until sigma_min exceeds it (used to
     condition the decomposition campaigns), at most ``_MAX_OPERATOR_DRAWS``
     times. Each draw is verified against the constraints before use.
     """
-    if basis is None:
-        basis = constrained_operator_basis(space, skew=skew)
-    if basis.shape[0] == 0:
+    if _constrained_dimension(space, skew=skew) == 0:
         raise DegenerateInputError(
             f"constraint space is trivial in dimension {space.dim}; only A = 0 qualifies"
         )
+    d = space.dim
     for _ in range(_MAX_OPERATOR_DRAWS):
-        coeffs = rng.uniform(-1.0, 1.0, basis.shape[0])
-        a = LinearOp(np.tensordot(coeffs, basis, axes=1))
+        a = LinearOp(constrained_projection(space, rng.standard_normal((d, d)), skew=skew))
         resid = float(np.max(np.abs(a.mat @ space.j.mat + space.j.mat @ a.mat)))
         if resid > 1e-12 * (1.0 + a.max_norm):
             raise DegenerateInputError(f"sampled operator violates anticommutation ({resid:.3e})")
@@ -309,16 +333,14 @@ def generic_vector_campaign(dim: int, trials: int, seed: int,
                             *, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
     """Randomized existence check for the generic vector and its witness."""
     space = ComplexStructuredSpace.standard(dim)
-    basis = constrained_operator_basis(space, skew=False)
     rng = np.random.default_rng(seed)
     dets, overlaps = [], []
     for _ in range(trials):
-        a = random_constrained_operator(space, rng, skew=False, basis=basis,
-                                        min_sigma=0.0)
+        a = random_constrained_operator(space, rng, skew=False)
         if a.max_norm < 1e-8:
             continue
-        y = find_generic_vector(space, a, tol=tol.rank)
-        z = find_orthogonal_witness(space, a, y, tol=tol.witness)
+        y = find_generic_vector(space, a, tol=tol)
+        z = find_orthogonal_witness(space, a, y, tol=tol)
         dets.append(_normalized_triple_gram_det(space, a, y))
         overlaps.append(abs(space.g.inner(z, space.j.apply(a.apply(y)))))
     return VerificationReport.of([
@@ -335,18 +357,16 @@ def decomposition_campaign(dim: int, trials: int, seed: int,
     decompositions; the others certify that every draw is singular.
     """
     space = ComplexStructuredSpace.standard(dim)
-    basis = constrained_operator_basis(space, skew=True)
     rng = np.random.default_rng(seed)
     checks = []
-    if basis.shape[0] == 0:
+    if _constrained_dimension(space, skew=True) == 0:
         checks.append(Check.flag("degenerate_dimension_notice", True))
         checks.append(Check.below("max_sigma_min", 0.0, tol.singular))
         return VerificationReport.of(checks)
     if dim % 4 == 0:
         offs = []
         for _ in range(trials):
-            a = random_constrained_operator(space, rng, skew=True, basis=basis,
-                                            min_sigma=1e-3)
+            a = random_constrained_operator(space, rng, skew=True, min_sigma=1e-3)
             offs.append(_decompose(space, a, tol)[1])
         checks.append(Check.below("worst_gram_off_diagonal", worst(offs), tol.quad))
         # _decompose returns dim // 4 blocks or raises, which exits 2
@@ -354,7 +374,7 @@ def decomposition_campaign(dim: int, trials: int, seed: int,
     else:
         sigmas = []
         for _ in range(trials):
-            a = random_constrained_operator(space, rng, skew=True, basis=basis)
+            a = random_constrained_operator(space, rng, skew=True)
             sigmas.append(float(g_singular_values(a, space.g)[-1]))
         worst_sigma = worst(sigmas)
         checks.append(Check.below("max_sigma_min", worst_sigma,

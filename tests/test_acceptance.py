@@ -33,7 +33,6 @@ from acmslab.gallery import GALLERY_NAMES, gallery_chart
 from acmslab.linalg import anticommutator, g_singular_values, operator_in_basis
 from acmslab.quadruples import (
     ComplexStructuredSpace,
-    constrained_operator_basis,
     find_generic_vector,
     find_orthogonal_witness,
     quadruple_decomposition,
@@ -61,11 +60,9 @@ def test_criterion_01_quadruple_decomposition_dims_4_8_12():
     worst_off = 0.0
     for dim in (4, 8, 12):
         space = ComplexStructuredSpace.standard(dim)
-        basis = constrained_operator_basis(space, skew=True)
         rng = np.random.default_rng(dim)
         for _ in range(100):
-            a = random_constrained_operator(space, rng, skew=True, basis=basis,
-                                            min_sigma=1e-3)
+            a = random_constrained_operator(space, rng, skew=True, min_sigma=1e-3)
             quads = quadruple_decomposition(space, a)
             assert len(quads) == dim // 4
             vectors = [v / space.g.norm(v) for q in quads for v in q.vectors]
@@ -83,11 +80,10 @@ def test_criterion_01_quadruple_decomposition_dims_4_8_12():
 def test_criterion_02_dim6_operators_all_singular():
     start = perf_counter()
     space = ComplexStructuredSpace.standard(6)
-    basis = constrained_operator_basis(space, skew=True)
     rng = np.random.default_rng(6)
     worst_sigma = 0.0
     for _ in range(1000):
-        a = random_constrained_operator(space, rng, skew=True, basis=basis)
+        a = random_constrained_operator(space, rng, skew=True)
         worst_sigma = max(worst_sigma, float(g_singular_values(a, space.g)[-1]))
     elapsed = perf_counter() - start
     ok = worst_sigma < 1e-8 and elapsed < 10.0
@@ -101,11 +97,10 @@ def test_criterion_03_generic_vector_and_witness_dims_4_to_12():
     worst_overlap = np.inf
     for dim in (4, 6, 8, 10, 12):
         space = ComplexStructuredSpace.standard(dim)
-        basis = constrained_operator_basis(space, skew=False)
         rng = np.random.default_rng(100 + dim)
         found = 0
         while found < 100:
-            a = random_constrained_operator(space, rng, skew=False, basis=basis)
+            a = random_constrained_operator(space, rng, skew=False)
             if a.max_norm < 1e-8:
                 continue
             y = find_generic_vector(space, a)

@@ -310,6 +310,22 @@ class TestLemma:
         assert all(c["pass"] for c in doc["checks"])
         assert doc["verdict"] == "PASS"
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_answers(self, capsys, seed):
+        # the answers the lemma_mod4 benchmark checks: dim 16 decomposes into
+        # quadruples and dim 14 forces every skew anticommuting draw singular
+        code, out, _ = run(capsys, "lemma", "--dim", "16", "--trials", "8", "--json",
+                           "--seed", str(seed))
+        doc = strict_json(out)
+        assert code == 0
+        assert doc["summary"]["branch"] == "decomposition"
+        assert all(c["pass"] for c in doc["checks"])
+        code, out, _ = run(capsys, "lemma", "--dim", "14", "--trials", "8", "--json",
+                           "--seed", str(seed))
+        checks = {c["name"]: c for c in strict_json(out)["checks"]}
+        assert code == 0
+        assert checks["all_draws_singular"]["pass"]
+
     def test_json_deterministic(self, capsys):
         args = ("lemma", "--dim", "4", "--trials", "5", "--json", "--seed", "9")
         _, first, _ = run(capsys, *args)

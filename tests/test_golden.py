@@ -47,6 +47,7 @@ CASES = {
                                   "--probes", "3", "--seed", "4"),
     "lemma_dim8": ("lemma", "--dim", "8", "--trials", "10", "--seed", "3"),
     "lemma_dim6": ("lemma", "--dim", "6", "--trials", "10", "--seed", "3"),
+    "lemma_dim16": ("lemma", "--dim", "16", "--trials", "4", "--seed", "3"),
 }
 
 

@@ -12,7 +12,9 @@ from acmslab.errors import (
 from acmslab.linalg import LinearOp, Metric, adjoint, g_singular_values
 from acmslab.quadruples import (
     ComplexStructuredSpace,
+    _constrained_dimension,
     constrained_operator_basis,
+    constrained_projection,
     decomposition_campaign,
     find_generic_vector,
     find_orthogonal_witness,
@@ -47,6 +49,22 @@ def _per_row_basis(space, *, skew):
     _, s, vh = np.linalg.svd(system)
     rank = int(np.sum(s > s.max(initial=0.0) * np.finfo(float).eps * max(system.shape)))
     return vh[rank:].reshape(-1, d, d)
+
+
+def _projection_trace(space, *, skew):
+    """Trace of constrained_projection as a map on d x d matrices, from one
+    application to the stack of the d^2 unit matrices."""
+    d = space.dim
+    units = np.eye(d * d).reshape(d * d, d, d)
+    return float(np.trace(constrained_projection(space, units, skew=skew).reshape(d * d, d * d)))
+
+
+def _non_euclidean_space(dim, seed):
+    """G = S^T S and J = S^-1 J0 S for the standard J0 and a random S, so J
+    is a g-isometry with J^2 = -I and G is not a multiple of the identity."""
+    s = np.eye(dim) + 0.3 * np.random.default_rng(seed).standard_normal((dim, dim))
+    j0 = ComplexStructuredSpace.standard(dim).j.mat
+    return ComplexStructuredSpace(LinearOp(np.linalg.solve(s, j0 @ s)), Metric(s.T @ s))
 
 
 def _skew_anticommuting_dim4():
@@ -119,10 +137,9 @@ class TestGenericVector:
 
     def test_triple_independent_across_random_draws(self):
         space = ComplexStructuredSpace.standard(8)
-        basis = constrained_operator_basis(space, skew=False)
         rng = np.random.default_rng(17)
         for _ in range(20):
-            a = random_constrained_operator(space, rng, skew=False, basis=basis)
+            a = random_constrained_operator(space, rng, skew=False)
             if a.max_norm < 1e-8:
                 continue
             y = find_generic_vector(space, a)
@@ -142,11 +159,10 @@ class TestOrthogonalWitness:
 
     def test_witness_properties(self):
         space = ComplexStructuredSpace.standard(6)
-        basis = constrained_operator_basis(space, skew=False)
         rng = np.random.default_rng(23)
         g = space.g
         for _ in range(15):
-            a = random_constrained_operator(space, rng, skew=False, basis=basis)
+            a = random_constrained_operator(space, rng, skew=False)
             if a.max_norm < 1e-8:
                 continue
             y = find_generic_vector(space, a)
@@ -199,15 +215,13 @@ class TestQuadrupleDecomposition:
 
     @pytest.mark.parametrize("dim", [4, 8, 12, 16])
     def test_random_decompositions(self, dim):
-        # properties only: from dimension 12 on the operators drawn depend
-        # on the LAPACK build, so no vector can be frozen
+        # properties only: the eigenvectors of A^2 come from LAPACK, so no
+        # vector is frozen
         space = ComplexStructuredSpace.standard(dim)
         g, jm = space.g, space.j.mat
-        basis = constrained_operator_basis(space, skew=True)
         rng = np.random.default_rng(dim)
         for _ in range(10):
-            a = random_constrained_operator(space, rng, skew=True, basis=basis,
-                                            min_sigma=1e-3)
+            a = random_constrained_operator(space, rng, skew=True, min_sigma=1e-3)
             a2 = a.mat @ a.mat
             quads = quadruple_decomposition(space, a)
             assert len(quads) == dim // 4
@@ -221,6 +235,58 @@ class TestQuadrupleDecomposition:
             vectors = np.column_stack([v / g.norm(v) for q in quads for v in q.vectors])
             np.testing.assert_allclose(vectors.T @ g.gram @ vectors, np.eye(dim),
                                        atol=1e-8)
+
+
+class TestChosenTolerances:
+    def test_generic_vector_honours_acms_exact(self):
+        # anticommutation residual 1e-10: inside the default 1e-9 gate, outside 1e-12
+        space = ComplexStructuredSpace.standard(4)
+        a = _skew_anticommuting_dim4().mat.copy()
+        a[0, 0] = 1e-10
+        find_generic_vector(space, LinearOp(a))
+        strict = DEFAULT_TOLERANCES.replace(acms_exact=1e-12)
+        with pytest.raises(PreconditionError, match="does not anticommute"):
+            find_generic_vector(space, LinearOp(a), tol=strict)
+
+    def test_witness_honours_rank(self):
+        # the triple of Y = e1 + e2 / 2 has normalized Gram determinant 0.64
+        space = ComplexStructuredSpace.standard(4)
+        a = _symmetric_anticommuting_dim4()
+        y = np.array([1.0, 0.5, 0.0, 0.0])
+        find_orthogonal_witness(space, a, y)
+        with pytest.raises(DegenerateInputError, match="numerically dependent"):
+            find_orthogonal_witness(space, a, y, tol=DEFAULT_TOLERANCES.replace(rank=0.9))
+
+
+class TestConstrainedProjection:
+    @pytest.mark.parametrize("skew", [False, True])
+    @pytest.mark.parametrize("space", [
+        *(ComplexStructuredSpace.standard(dim) for dim in range(2, 17, 2)),
+        _non_euclidean_space(8, seed=5),
+    ], ids=[*(f"standard{dim}" for dim in range(2, 17, 2)), "non_euclidean8"])
+    def test_trace_counts_basis_and_basis_is_fixed(self, space, skew):
+        basis = constrained_operator_basis(space, skew=skew)
+        assert abs(_projection_trace(space, skew=skew) - basis.shape[0]) < 1e-9
+        assert _constrained_dimension(space, skew=skew) == basis.shape[0]
+        np.testing.assert_allclose(constrained_projection(space, basis, skew=skew), basis,
+                                   atol=1e-12)
+
+    def test_skew_dimensions(self):
+        dims = [_constrained_dimension(ComplexStructuredSpace.standard(d), skew=True)
+                for d in (4, 6, 8, 14, 16)]
+        assert dims == [2, 6, 12, 42, 56]
+
+    def test_non_euclidean_draw_decomposes(self):
+        # the G^-1 A^T G adjoint differs from the transpose here
+        space = _non_euclidean_space(8, seed=5)
+        a = random_constrained_operator(space, np.random.default_rng(11), skew=True,
+                                        min_sigma=1e-3)
+        assert np.max(np.abs(a.mat + a.mat.T)) > 1e-3
+        assert (a + adjoint(a, space.g)).max_norm < 1e-12 * (1.0 + a.max_norm)
+        quads = quadruple_decomposition(space, a)
+        assert len(quads) == 2
+        vectors = np.column_stack([v / space.g.norm(v) for q in quads for v in q.vectors])
+        np.testing.assert_allclose(vectors.T @ space.g.gram @ vectors, np.eye(8), atol=1e-8)
 
 
 class TestConstrainedBasis:
