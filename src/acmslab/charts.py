@@ -8,13 +8,14 @@ differences of the base grids, selected by the mode. Everything downstream
 (Christoffel symbols, covariant derivatives, curvature assembly) consumes
 the arrays produced here.
 
-All grids go through one evaluator, which reads a stack of points, row by
-row, into one array. On first use a chart builds each grid's component
-expressions and compiles them into one kernel (`exprs.compile_kernel`). If
-the kernel hits a domain error, the row is re-evaluated with
-`exprs.evaluate` in component order, so the `EvalError` names the first
-failing component; a non-finite value is an `EvalError` too, and the error
-raised is the one the first failing row raises on its own. In
+All grids go through one stack reader, `Chart._grids_at`, which runs each
+grid's compiled kernel (`exprs.compile_kernel`, built on first use) over
+the rows of a stack of points in order. A row on which the kernel hits a
+domain error is re-evaluated with `exprs.evaluate` in component order, so
+the `EvalError` names the first failing component; a non-finite value is
+an `EvalError` too. The reader returns the rows before the first failing
+row and the error that row raises on its own, so `read_points` reads each
+grid once per stack and still raises what a point-by-point reader would. In
 finite-difference mode a derivative grid reads the base grid over the
 stacked stencil of every point (`stencil_points`) and differences it.
 
@@ -161,12 +162,6 @@ class Chart:
             raise ShapeError(f"point has shape {y.shape}, expected ({self.dim},)")
         return y
 
-    def _eval(self, expr: Expr, values: list[float], what: str) -> float:
-        try:
-            return evaluate(expr, values)
-        except EvalError as exc:
-            raise EvalError(f"{what} at point {values}: {exc.message}", exc.where) from exc
-
     def _grid(self, name: str) -> "_Grid":
         """The symbolic grid ``name`` with its compiled kernel, built on
         first use and kept for the life of the chart."""
@@ -182,35 +177,49 @@ class Chart:
     def _grid_at(self, name: str, y) -> np.ndarray:
         """Evaluate grid ``name`` at ``y``: "g", "phi", "xi", "eta", or one of
         them prefixed by a "d" per derivative order."""
-        return self._grids_at(name, self._point(y)[None])[0]
+        rows, error = self._grids_at(name, self._point(y)[None])
+        if error is not None:
+            raise error
+        return rows[0]
 
-    def _grids_at(self, name: str, points: np.ndarray) -> np.ndarray:
-        """Evaluate grid ``name`` at every row of the ``(n, dim)`` stack
-        ``points``, stacked along a new leading axis. Finite-difference charts
-        difference the base grid, read at each row's `stencil_points` as one
-        stack, instead of compiling derivatives.
-
-        Rows are read in order and the result is converted to an array once;
-        the error raised is the one the first failing row raises on its own."""
+    def _grids_at(self, name: str, points: np.ndarray) -> tuple[np.ndarray, EvalError | None]:
+        """Evaluate grid ``name`` at the rows of the ``(n, dim)`` stack
+        ``points`` in order, up to the first failing row: the values of the
+        rows before it, stacked along a new leading axis, and the `EvalError`
+        that row raises on its own (None when every row reads).
+        Finite-difference charts difference the base grid, read at each row's
+        `stencil_points` as one stack, instead of compiling derivatives."""
         if name.startswith("d") and self.mode.kind == "fd":
             if name.startswith("dd"):
                 raise ShapeError("second metric derivatives are symbolic-mode only")
-            h = self.mode.step
-            base = self._grids_at(name[1:], stencil_points(points, h).reshape(-1, self.dim))
-            base = base.reshape((len(points), 2 * self.dim) + base.shape[1:])
-            return stencil_difference(base.swapaxes(0, 1), h).swapaxes(0, 1)
+            h, n = self.mode.step, 2 * self.dim
+            base, error = self._grids_at(name[1:], stencil_points(points, h).reshape(-1, self.dim))
+            base = base[:len(base) // n * n].reshape((-1, n) + base.shape[1:])
+            return stencil_difference(base.swapaxes(0, 1), h).swapaxes(0, 1), error
         grid = self._grid(name)
         rows: list[list[float]] = []
+        error = None
         for values in points.tolist():
             try:
                 rows.append(grid.kernel(values))
             except (ZeroDivisionError, ValueError, OverflowError):
-                # a non-finite value in an earlier row comes first; then the
-                # tree-walker names the first failing component, in order
-                _finite_rows(grid, points, rows)
-                rows.append([self._eval(e, values, label)
-                             for label, e in zip(grid.labels, grid.exprs)])
-        return _finite_rows(grid, points, rows).reshape((len(rows),) + grid.shape)
+                # the tree-walker names the first failing component, in order
+                row: list[float] = []
+                try:
+                    for label, e in zip(grid.labels, grid.exprs):
+                        row.append(evaluate(e, values))
+                except EvalError as exc:
+                    error = EvalError(f"{label} at point {values}: {exc.message}", exc.where)
+                    break
+                rows.append(row)
+        out = np.array(rows).reshape((len(rows),) + grid.shape)
+        bad = np.flatnonzero(~np.isfinite(out))  # a non-finite value is an error too
+        if bad.size:
+            r, n = divmod(int(bad[0]), len(grid.exprs))
+            error = EvalError(f"{grid.labels[n]} at point {points[r].tolist()}: "
+                              f"non-finite value {rows[r][n]!r}", to_text(grid.exprs[n]))
+            out = out[:r]
+        return out, error
 
     def g_at(self, y) -> np.ndarray:
         return self._grid_at("g", y)
@@ -292,18 +301,6 @@ class _Grid:
         return cls.of((dim,) + inner.shape, labels, exprs)
 
 
-def _finite_rows(grid: _Grid, points: np.ndarray, rows: list[list[float]]) -> np.ndarray:
-    """``rows``, the values of ``grid`` at the leading rows of ``points``, as
-    one array; raises EvalError naming the first non-finite value, row by row
-    and component by component."""
-    out = np.array(rows)
-    if not np.isfinite(out).all():
-        r, n = divmod(int(np.flatnonzero(~np.isfinite(out))[0]), len(grid.exprs))
-        raise EvalError(f"{grid.labels[n]} at point {points[r].tolist()}: "
-                        f"non-finite value {rows[r][n]!r}", to_text(grid.exprs[n]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # derived pointwise geometry
 
@@ -326,25 +323,25 @@ def stencil_difference(values, h: float) -> np.ndarray:
 
 
 def read_points(chart: Chart, points, names: Sequence[str]) -> tuple[np.ndarray, ...]:
-    """The metric grid g and then each grid in ``names`` ("dg", "xi", ...,
-    read through the chart's ``<name>_at``) at every row of ``points``, each
-    stacked along a new leading axis.
-
-    The reads go point by point, in the order a caller reading one point at
-    a time makes them, and every metric gets `Metric`'s checks (one
-    `check_gram` over the stack), so the error raised is the one the first
-    failing point raises on its own."""
-    readers = [chart.g_at] + [getattr(chart, f"{name}_at") for name in names]
-    grids: list[list[np.ndarray]] = [[] for _ in readers]
-    try:
-        for p in points:
-            for read, got in zip(readers, grids):
-                got.append(read(p))
-    finally:
-        # a point's metric check comes right after its g, so a failing
-        # metric takes precedence over an error in any later read
-        check_gram(np.reshape(grids[0], (-1, chart.dim, chart.dim)))
-    return tuple(map(np.array, grids))
+    """The metric grid g and then each grid in ``names`` ("dg", "xi", ...)
+    at every row of the ``(n, dim)`` stack ``points``, stacked along a new
+    leading axis, every metric checked as `Metric` checks it (one
+    `check_gram`). Each grid is read once, up to the earliest failing point
+    found so far, so the error raised is the one a point-by-point reader,
+    which checks each metric right after its g, hits first."""
+    points = np.asarray(points, float)
+    if points.ndim != 2 or points.shape[1] != chart.dim:
+        raise ShapeError(f"points have shape {points.shape}, expected (n, {chart.dim})")
+    end, error, grids = len(points), None, []
+    for name in ("g", *names):
+        rows, failed = chart._grids_at(name, points[:end])
+        if failed is not None:
+            end, error = len(rows), failed
+        grids.append(rows)
+    check_gram(grids[0][:end + 1])  # the metrics up to the failing point
+    if error is not None:
+        raise error
+    return tuple(grids)
 
 
 def _lowered_christoffel_x2(dg) -> np.ndarray:

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -60,6 +61,7 @@ def _add_run_options(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json", action="store_true", help="canonical JSON output")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="acmslab",
@@ -127,7 +129,7 @@ def _resolve_tolerances(args) -> Tolerances:
     try:
         return DEFAULT_TOLERANCES.replace(**overrides)
     except KeyError as exc:
-        raise GeometryError(f"unknown tolerance name {exc.args[0]!r}") from exc
+        raise GeometryError(exc.args[0]) from exc
 
 
 def _resolve_points(args) -> int:

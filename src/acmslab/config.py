@@ -1,8 +1,9 @@
 """Numeric tolerances and sampling defaults.
 
-Every threshold used by a check lives here so the CLI can override any of
-them by name. Two-tier entries exist because closed-form field evaluations
-are exact to rounding while finite-difference derivatives are not.
+Every field of `Tolerances` is a threshold some check reads from the
+tolerances it is given, so ``--tol`` can override it by name. Two-tier
+entries exist because closed-form field evaluations are exact to rounding
+while finite-difference derivatives are not.
 """
 from __future__ import annotations
 
@@ -12,10 +13,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # metric / operator plumbing
-    metric_pd: float = 1e-10        # smallest admissible gram eigenvalue
+    # operator plumbing
     self_adjoint: float = 1e-8      # asymmetry gate in symmetric_eigen
-    eigen_residual: float = 1e-8    # |op v - lambda v| after eigensolve
 
     # almost contact metric structure residuals
     acms_exact: float = 1e-9        # pointwise algebraic residuals

@@ -144,9 +144,9 @@ def _modified_christoffel_stack(chart: Chart, points) -> np.ndarray:
     ``points``, stacked along a new leading axis: the formulas of
     `PointGeometry`, evaluated once for the whole stack.
 
-    Each point's grids are read in the order a `PointGeometry` reads them
-    (g, dg, xi, eta, dxi; see `charts.read_points`), so the error raised is
-    the one the first failing point would raise on its own.
+    `charts.read_points` reads g, dg, xi, eta and dxi once each over the
+    whole stack, so the error raised is the one a `PointGeometry` at the
+    first failing point raises, reading its grids in that order.
     """
     gram, dg, xi, eta, dxi = read_points(chart, points, ("dg", "xi", "eta", "dxi"))
     gam = christoffel(np.linalg.inv(gram), dg)

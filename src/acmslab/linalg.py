@@ -19,6 +19,9 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateInputError, PreconditionError, ShapeError
 
+_METRIC_PD = 1e-10       # smallest admissible gram eigenvalue
+_EIGEN_RESIDUAL = 1e-8   # |op v - lambda v| after eigensolve
+
 
 def _as_matrix(a, name: str) -> np.ndarray:
     out = np.asarray(a, dtype=float)
@@ -41,7 +44,7 @@ def check_gram(gram) -> None:
     asym = np.abs(g - g.swapaxes(-1, -2)).max(axis=(-2, -1))
     unsym = asym > 1e-10 * (1.0 + np.abs(g).max(axis=(-2, -1)))
     eigmin = np.linalg.eigvalsh(g).min(axis=-1)
-    bad = unsym | (eigmin <= DEFAULT_TOLERANCES.metric_pd)
+    bad = unsym | (eigmin <= _METRIC_PD)
     if not bad.any():
         return
     n = np.flatnonzero(bad)[0]
@@ -197,12 +200,11 @@ def symmetric_eigen(op: LinearOp, g: Metric, *, tol: float | None = None):
     vecs = l_inv_t @ w
     order = np.argsort(vals, kind="stable")
     pairs = []
-    eig_tol = DEFAULT_TOLERANCES.eigen_residual
     for idx in order:
         lam = float(vals[idx])
         v = vecs[:, idx]
         resid = float(np.max(np.abs(op.mat @ v - lam * v)))
-        if resid > eig_tol * (1.0 + abs(lam)) * (1.0 + float(np.max(np.abs(op.mat)))):
+        if resid > _EIGEN_RESIDUAL * (1.0 + abs(lam)) * (1.0 + float(np.max(np.abs(op.mat)))):
             raise DegenerateInputError(
                 f"eigenpair residual {resid:.3e} exceeds tolerance for eigenvalue {lam:.6g}"
             )

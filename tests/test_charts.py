@@ -16,13 +16,15 @@ from acmslab.charts import (
     contact_volume_coefficient,
     d_eta,
     load_chart,
+    read_points,
     sample_points,
     save_chart,
 )
 from acmslab.curvature import PointGeometry
-from acmslab.errors import ChartFormatError, ShapeError
+from acmslab.errors import ChartFormatError, DegenerateInputError, ShapeError
 from acmslab.exprs import EvalError, Num, differentiate, evaluate, parse, to_text
 from acmslab.gallery import GALLERY_NAMES, gallery_chart
+from acmslab.linalg import Metric
 
 SPHERE_TEXT = """\
 # round two-sphere in polar coordinates
@@ -168,8 +170,8 @@ def _central_difference(fn, y, h):
 
 class TestStackedReads:
     """`Chart._grids_at` reads a stack of points as one array: the same
-    numbers as reading one row at a time, and the error that the first
-    failing row raises on its own."""
+    numbers as reading one row at a time, and, with the rows before it, the
+    error that the first failing row raises on its own."""
 
     @pytest.mark.parametrize("mode", ["symbolic", "fd"])
     @pytest.mark.parametrize("source", GALLERY_NAMES)
@@ -182,7 +184,9 @@ class TestStackedReads:
                 # the central difference of base grids read one row at a time
                 base = lambda p, name=name: chart._grid_at(name[1:], p)  # noqa: E731
                 rows = [_central_difference(base, y, chart.mode.step) for y in points]
-            assert np.array_equal(chart._grids_at(name, points), np.array(rows)), name
+            got, error = chart._grids_at(name, points)
+            assert error is None, name
+            assert np.array_equal(got, np.array(rows)), name
 
     # x1 * x1 overflows to inf without raising; sqrt(x1) raises below 0
     @pytest.mark.parametrize("mode, name, rows, first", [
@@ -198,12 +202,65 @@ class TestStackedReads:
         chart = chart.with_mode(DerivativeMode.parse(mode))
         with pytest.raises(EvalError) as alone:
             chart._grid_at(name, rows[first])
-        with pytest.raises(EvalError) as stacked:
-            chart._grids_at(name, np.array(rows))
-        assert str(stacked.value) == str(alone.value)
-        assert stacked.value.where == alone.value.where
-        for y in rows[:first]:
-            chart._grid_at(name, y)
+        prefix, error = chart._grids_at(name, np.array(rows))
+        assert isinstance(error, EvalError)
+        assert str(error) == str(alone.value)
+        assert error.where == alone.value.where
+        assert np.array_equal(prefix, [chart._grid_at(name, y) for y in rows[:first]])
+
+
+def _read_point_by_point(chart, points, names):
+    """Oracle for `read_points`: at each point in turn, g and its metric
+    check, then each grid in ``names``."""
+    grids = [[] for _ in range(1 + len(names))]
+    for y in points:
+        grids[0].append(Metric(chart.g_at(y)).gram)
+        for name, got in zip(names, grids[1:]):
+            got.append(chart._grid_at(name, y))
+    return tuple(map(np.array, grids))
+
+
+def _outcome(read, chart, points, names):
+    try:
+        return read(chart, points, names)
+    except (EvalError, DegenerateInputError) as exc:
+        return type(exc), str(exc)
+
+
+class TestReadPoints:
+    """`read_points` reads each grid once over the whole stack and raises
+    the error that reading one point at a time hits first."""
+
+    @pytest.mark.parametrize("text, mode, points, names", [
+        # every point reads
+        ("g[1][1] = 1 + x1^2\nxi[1] = x1", "symbolic", [[0.5], [1.0]], ("dg", "xi")),
+        # xi fails at point 1, before g fails at point 2
+        ("g[1][1] = 1 + sqrt(x1)\nxi[1] = 1 / (x1 - 2)", "symbolic",
+         [[3.0], [2.0], [-1.0]], ("dg", "xi")),
+        # a non-positive-definite metric at point 0, a dg error at point 1
+        ("g[1][1] = sqrt(x1) - 1", "symbolic", [[0.25], [0.0]], ("dg",)),
+        # a non-positive-definite metric and a dg error at the same point
+        ("g[1][1] = sqrt(x1) - 1", "symbolic", [[4.0], [0.0]], ("dg",)),
+        # an xi error at point 0, a non-positive-definite metric at point 1
+        ("g[1][1] = 1 - x1\nxi[1] = 1 / x1", "symbolic", [[0.0], [2.0]], ("xi",)),
+        # a g error at point 0, a degenerate metric at point 1
+        ("g[1][1] = sqrt(x1)", "symbolic", [[-1.0], [0.0]], ("dg",)),
+        # point 1's dg stencil steps below 0, point 2's g fails outright
+        ("g[1][1] = 1 + sqrt(x1)", "fd", [[1.0], [5e-6], [-1.0]], ("dg",)),
+    ])
+    def test_matches_point_by_point_reads(self, text, mode, points, names):
+        chart = chart_from_text(f"dim = 1\n{text}\n").with_mode(DerivativeMode.parse(mode))
+        expected = _outcome(_read_point_by_point, chart, points, names)
+        got = _outcome(read_points, chart, points, names)
+        if isinstance(expected[0], type):
+            assert got == expected
+        else:
+            assert len(got) == len(expected)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_points_must_be_a_stack(self, sphere):
+        with pytest.raises(ShapeError):
+            read_points(sphere, [0.5, 0.3], ("dg",))
 
 
 class TestGridErrors:

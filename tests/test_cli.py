@@ -1,4 +1,5 @@
 """End-to-end tests of the command line front end (in-process)."""
+import dataclasses
 import importlib.util
 import json
 import math
@@ -10,7 +11,8 @@ import sys
 import pytest
 
 from acmslab import charts, curvature, structure
-from acmslab.cli import main
+from acmslab.cli import build_parser, main
+from acmslab.config import DEFAULT_TOLERANCES, Tolerances
 
 S5 = ["--gallery", "s5"]
 FAST = ["--probes", "2"]
@@ -254,6 +256,38 @@ class TestToleranceOverrides:
         key, _, value = override.partition("=")
         assert err == (f"acmslab: error: --tol {key}: must be finite and non-negative, "
                        f"got {value!r}\n")
+
+
+    # thresholds that no check takes from the chosen tolerances are not names
+    @pytest.mark.parametrize("name", ["metric_pd", "eigen_residual"])
+    def test_name_no_check_reads_is_unknown(self, capsys, name):
+        code, out, err = run(capsys, "validate", *S5, *FAST, "--tol", f"{name}=1e6")
+        assert (code, out) == (2, "")
+        assert "unknown tolerance name" in err and name in err
+
+    def test_readme_table_names_every_field(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        table = readme.split("### Tolerance names", 1)[1].split("\n## ", 1)[0]
+        names = [line.split("`")[1] for line in table.splitlines() if line.startswith("| `")]
+        assert names == [f.name for f in dataclasses.fields(Tolerances)]
+
+    def test_calls_in_one_process_share_one_parser(self, capsys):
+        # an override, a usage error and a default run in a row: the cached
+        # parser carries nothing from one call into the next
+        argv = ["identities", *S5, "--probes", "1", "--json"]
+        code, out, _ = run(capsys, *argv, "--tol", "identity=0.5")
+        assert code == 0
+        tolerances = {c["name"]: c["tolerance"] for c in strict_json(out)["checks"]}
+        assert tolerances["defect_collapse"] == 0.5
+        with pytest.raises(SystemExit) as exc:
+            main(["identities", "--gallery", "s9"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        tolerances = {c["name"]: c["tolerance"] for c in strict_json(out)["checks"]}
+        assert tolerances["defect_collapse"] == DEFAULT_TOLERANCES.identity
+        assert build_parser() is build_parser()
 
 
 class TestLemma:

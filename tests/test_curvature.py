@@ -205,14 +205,20 @@ def test_each_grid_at_the_point_is_read_once(monkeypatch, mode):
     if mode == "fd":
         grids.remove("ddg")
     assert sorted(at_y) == sorted(grids)
-    # the modified curvature's 4d Richardson rows, each read once per grid;
-    # in fd mode the Christoffel derivative also reads g and dg at the coarse
-    # stencil, which is the stencil of FD_SECOND_STEP
+    # the modified curvature's 4d Richardson rows, read as one stack per
+    # grid; in fd mode the Christoffel derivative also reads g and dg at the
+    # coarse stencil, which is the stencil of FD_SECOND_STEP, as one stack
     h = FD_SECOND_STEP
-    richardson = [*stencil_points(y, h).tolist(), *stencil_points(y, h / 2.0).tolist()]
-    counts = Counter(name for name, rows in reads if len(rows) == 1 and rows[0] in richardson)
-    extra = 10 if mode == "fd" else 0
-    assert counts == {"g": 20 + extra, "dg": 20 + extra, "xi": 20, "eta": 20, "dxi": 20}
+    coarse = stencil_points(y, h).tolist()
+    richardson = [*coarse, *stencil_points(y, h / 2.0).tolist()]
+    touching = Counter((name, len(rows)) for name, rows in reads
+                       if any(row in richardson for row in rows))
+    stacks = Counter((name, len(rows)) for name, rows in reads
+                     if rows in (richardson, coarse))
+    expected = {(name, 20): 1 for name in ("g", "dg", "xi", "eta", "dxi")}
+    if mode == "fd":
+        expected.update({("g", 10): 1, ("dg", 10): 1})
+    assert touching == stacks == expected
 
 
 class TestConnectionCorrection:
