@@ -46,6 +46,7 @@ from .linalg import LinearOp, Metric, check_gram
 
 _ZERO = Num(0.0)
 _DEFAULT_FD_STEP = 1e-5
+_SAMPLE_SHRINK = 0.9   # sampling box half-width as a fraction of the domain's
 
 
 @dataclass(frozen=True)
@@ -436,14 +437,15 @@ def contact_volume_coefficient(eta_vec, deta_mat) -> float:
     return float(math.factorial(d // 2) * _pfaffian(bordered))
 
 
-def sample_points(chart: Chart, count: int, seed: int, *, shrink: float = 0.9) -> np.ndarray:
+def sample_points(chart: Chart, count: int, seed: int) -> np.ndarray:
     """Uniform draws from the chart's domain box, shrunk toward its center
-    to keep finite-difference stencils inside the domain."""
+    by ``_SAMPLE_SHRINK`` to keep finite-difference stencils inside the
+    domain."""
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in chart.domain])
     hi = np.array([b[1] for b in chart.domain])
     center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * shrink
+    half = 0.5 * (hi - lo) * _SAMPLE_SHRINK
     return center + rng.uniform(-1.0, 1.0, (count, chart.dim)) * half
 
 

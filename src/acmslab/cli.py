@@ -140,12 +140,11 @@ def _resolve_points(args) -> int:
 
 
 def _resolve_chart(args) -> Chart:
-    """The ``--chart``/``--gallery`` chart. An even dimension is rejected
-    here, once per command, since ``curvature`` builds no structure that
-    would check it; dimension 1 ends in exit 2 where it is first used (the
-    structure check or the probe-draw cap)."""
+    """The ``--chart``/``--gallery`` chart. A dimension that carries no
+    almost contact metric structure is rejected here, once per command,
+    since ``curvature`` builds no structure that would check it."""
     chart = gallery_chart(args.gallery) if args.gallery is not None else load_chart(args.chart)
-    if chart.dim % 2 == 0:
+    if chart.dim < 3 or chart.dim % 2 == 0:
         raise dimension_error(chart.dim)
     return chart
 
@@ -220,7 +219,7 @@ def cmd_validate(args) -> int:
     rows = []
     for y in points:
         pg = PointGeometry(chart, y, tol=tol)
-        acms_reports.append(validate_acms(pg.point))
+        acms_reports.append(validate_acms(pg.point, tol=tol))
         rows.append((
             anticommutator(pg.phi, pg.reeb_gradient).max_norm,
             skew_phi_anticommutation_residual(pg),

@@ -73,9 +73,6 @@ class CurvatureTensor:
         """The scalar g(R(x, y) z, w), column by column for stacks."""
         return self.metric.inners(np.asarray(w, float), self.apply(x, y, z))
 
-    def lowered(self) -> np.ndarray:
-        return np.einsum("mi,ijkl->mjkl", self.metric.gram, self.comps)
-
     def antisymmetry_residual(self) -> float:
         return float(np.max(np.abs(self.comps + np.einsum("ijlk->ijkl", self.comps))))
 
@@ -214,7 +211,7 @@ class PointGeometry:
 
     @cached_property
     def point(self) -> AcmsPoint:
-        return AcmsPoint(self.phi, self.xi, self.eta, self.metric, tol=self.tol.acms_exact)
+        return AcmsPoint(self.phi, self.xi, self.eta, self.metric)
 
     @cached_property
     def dg(self) -> np.ndarray:
@@ -248,7 +245,7 @@ class PointGeometry:
     def horizontal_basis(self) -> np.ndarray:
         """g-orthonormal frame of ker eta, one column stack shared by the
         eta-parallel and contact checks."""
-        return horizontal_basis(self.point, rank_tol=self.tol.rank)
+        return horizontal_basis(self.point, tol=self.tol)
 
     @cached_property
     def reeb_gradient(self) -> LinearOp:
@@ -426,7 +423,7 @@ def skew_phi_anticommutation_residual(pg: PointGeometry) -> float:
 
 
 def eta_parallel_residual(pg: PointGeometry) -> float:
-    report = check_eta_parallel(pg.nphi, pg.point, pg.horizontal_basis, tol=1.0)
+    report = check_eta_parallel(pg.nphi, pg.point, pg.horizontal_basis, tol=pg.tol)
     return report["eta_parallel"].residual
 
 
@@ -444,20 +441,14 @@ def factorization_lhs(pg: PointGeometry, x, y, z) -> np.ndarray:
     return 2.0 * pg.inner(pg.dxi_skew.mat @ x, y) * v
 
 
-def factorization_rhs(pg: PointGeometry, x, y, z, r_apply=None) -> np.ndarray:
-    """Curvature side of the factorization identity on a horizontal triple.
-
-    ``r_apply`` defaults to the Levi-Civita curvature; injecting a substitute
-    (for instance the zero map) isolates the purely algebraic terms.
-    """
-    if r_apply is None:
-        r_apply = pg.riem.apply
+def factorization_rhs(pg: PointGeometry, x, y, z) -> np.ndarray:
+    """Curvature side of the factorization identity on a horizontal triple."""
     phi = pg.phi.mat
     a = pg.reeb_gradient.mat
+    r = pg.riem
     phz = phi @ z
     ax, ay = a @ x, a @ y
-    out = pg.projector @ np.asarray(r_apply(x, y, phz), float)
-    out = out - phi @ np.asarray(r_apply(x, y, z), float)
+    out = pg.projector @ r.apply(x, y, phz) - phi @ r.apply(x, y, z)
     out = out + pg.inner(ay, phz) * ax - pg.inner(ax, phz) * ay
     out = out - pg.inner(ay, z) * (phi @ ax) + pg.inner(ax, z) * (phi @ ay)
     return out

@@ -16,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .errors import DegenerateInputError, PreconditionError, ShapeError
 
 _METRIC_PD = 1e-10       # smallest admissible gram eigenvalue
@@ -178,15 +177,14 @@ def anticommutator(a: LinearOp, b: LinearOp) -> LinearOp:
     return LinearOp(a.mat @ b.mat + b.mat @ a.mat)
 
 
-def symmetric_eigen(op: LinearOp, g: Metric, *, tol: float | None = None):
-    """Eigendecomposition of a g-self-adjoint operator.
+def symmetric_eigen(op: LinearOp, g: Metric, *, tol: float):
+    """Eigendecomposition of a g-self-adjoint operator, whose asymmetry
+    residual must stay below ``tol`` relative to its size.
 
     Returns a list of (eigenvalue, eigenvector) pairs, eigenvalues ascending
     with stable index tie-break, eigenvectors g-orthonormal.
     """
     _check_same_dim(g, op)
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.self_adjoint
     gm = g.gram @ op.mat
     asym = float(np.max(np.abs(gm - gm.T)))
     if asym > tol * (1.0 + float(np.max(np.abs(gm)))):
@@ -222,7 +220,7 @@ def project_out(v, basis, g: Metric) -> np.ndarray:
     return out
 
 
-def gram_schmidt(vectors, g: Metric, *, rank_tol: float | None = None,
+def gram_schmidt(vectors, g: Metric, *, rank_tol: float,
                  require_all: bool = False) -> np.ndarray:
     """Gram-Schmidt over the columns of a stack, pivoting by largest
     remaining norm.
@@ -230,8 +228,6 @@ def gram_schmidt(vectors, g: Metric, *, rank_tol: float | None = None,
     Returns a stack of g-orthonormal columns spanning the input span. Columns
     that project below ``rank_tol`` are dropped, or raise when ``require_all``.
     """
-    if rank_tol is None:
-        rank_tol = DEFAULT_TOLERANCES.rank
     pool = np.array(vectors, dtype=float)
     out = pool[:, :0]
     while pool.shape[1]:

@@ -68,10 +68,12 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def __getitem__(self, name: str) -> Check:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
+        """The one check called ``name``; a name that occurs more than once
+        (as when suites are merged) is ambiguous and raises KeyError."""
+        found = [c for c in self.checks if c.name == name]
+        if len(found) != 1:
+            raise KeyError(f"{name!r} occurs {len(found)} times" if found else name)
+        return found[0]
 
     def merged(self, other: "VerificationReport") -> "VerificationReport":
         return VerificationReport(self.checks + other.checks)

@@ -6,9 +6,11 @@ horizontal (contact) distribution, and runs the pointwise condition checks
 that the curvature identities later depend on.
 
 The horizontal frame is one ``(dim, dim - 1)`` column stack of g-orthonormal
-vectors (see `linalg`). The checks that need it take it as an optional
-argument, so a caller builds it once per point and shares it between the
-eta-parallel and contact checks (``curvature.PointGeometry`` does).
+vectors (see `linalg`). The checks that need it take it as an argument, so a
+caller builds it once per point and shares it between the eta-parallel and
+contact checks (``curvature.PointGeometry`` does).
+
+Each check reads its thresholds from the ``Tolerances`` it is given.
 
 Residual conventions: operator residuals use the entrywise max-norm of the
 frame matrix, vector residuals use the g-norm, scalar residuals the absolute
@@ -21,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateInputError, ShapeError
 from .linalg import LinearOp, Metric, gram_schmidt
 from .report import Check, VerificationReport
@@ -52,7 +54,6 @@ class AcmsPoint:
     xi: np.ndarray
     eta: np.ndarray
     g: Metric
-    tol: float = DEFAULT_TOLERANCES.acms_exact
 
     def __post_init__(self):
         dim = self.g.dim
@@ -85,8 +86,9 @@ class AcmsPoint:
         return LinearOp(horizontal_projector(self.xi, self.eta))
 
 
-def validate_acms(p: AcmsPoint) -> VerificationReport:
-    """Check the defining identities of an almost contact metric structure.
+def validate_acms(p: AcmsPoint, *, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
+    """Check the defining identities of an almost contact metric structure
+    against ``tol.acms_exact``.
 
     One report entry per identity; residuals use the entrywise max-norm for
     operator equations. rank_phi records how many g-singular values of phi
@@ -105,62 +107,57 @@ def validate_acms(p: AcmsPoint) -> VerificationReport:
     eta_phi = float(np.max(np.abs(p.eta @ phi)))
     eta_flat = float(np.max(np.abs(p.eta - g @ p.xi)))
 
+    gate = tol.acms_exact
     sing = np.linalg.svd(p.g.to_orthonormal(phi), compute_uv=False)
-    null_count = int(np.sum(sing < p.tol))
+    null_count = int(np.sum(sing < gate))
 
     checks = [
-        Check.below("phi_squared", phi_sq, p.tol),
-        Check.below("eta_xi", eta_xi, p.tol),
-        Check.below("metric_compatibility", compat, p.tol),
-        Check.below("phi_xi", phi_xi, p.tol),
-        Check.below("eta_phi", eta_phi, p.tol),
+        Check.below("phi_squared", phi_sq, gate),
+        Check.below("eta_xi", eta_xi, gate),
+        Check.below("metric_compatibility", compat, gate),
+        Check.below("phi_xi", phi_xi, gate),
+        Check.below("eta_phi", eta_phi, gate),
         Check("rank_phi", float(null_count), 1.0, null_count == 1),
-        Check.below("eta_flat_xi", eta_flat, p.tol),
+        Check.below("eta_flat_xi", eta_flat, gate),
     ]
     return VerificationReport.of(checks)
 
 
-def horizontal_basis(p: AcmsPoint, *, rank_tol: float | None = None) -> np.ndarray:
+def horizontal_basis(p: AcmsPoint, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """g-orthonormal basis of ker eta as a ``(dim, dim - 1)`` column stack:
     the coordinate frame projected along xi (the columns of the projector),
-    orthonormalized with pivoting."""
-    if rank_tol is None:
-        rank_tol = DEFAULT_TOLERANCES.rank
-    basis = gram_schmidt(p.projector.mat, p.g, rank_tol=rank_tol)
+    orthonormalized with pivoting that drops columns below ``tol.rank``.
+    Its eta leak is gated at 1e3 times ``tol.acms_exact``."""
+    basis = gram_schmidt(p.projector.mat, p.g, rank_tol=tol.rank)
     rank = basis.shape[1]
     if rank != p.horizontal_dim:
         raise DegenerateInputError(
             f"horizontal space has numerical rank {rank}, expected {p.horizontal_dim}"
         )
     worst_eta = float(np.max(np.abs(p.eta @ basis)))
-    if worst_eta > 1e3 * max(p.tol, 1e-12):
+    if worst_eta > 1e3 * max(tol.acms_exact, 1e-12):
         raise DegenerateInputError(
             f"horizontal basis leaks through eta (max |eta(b)| = {worst_eta:.3e})"
         )
     return basis
 
 
-def check_eta_parallel(nabla_phi_table: np.ndarray, p: AcmsPoint,
-                       basis: np.ndarray | None = None,
-                       *, tol: float | None = None) -> VerificationReport:
+def check_eta_parallel(nabla_phi_table: np.ndarray, p: AcmsPoint, basis: np.ndarray,
+                       *, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
     """Vanishing of g((nabla_X phi) Y, Z) over X, Y, Z in the horizontal
-    ``basis`` stack (built from ``p`` when not given).
+    ``basis`` stack, gated at ``tol.acms_exact``.
 
     ``nabla_phi_table[i, j, k]`` holds the j-component of (nabla_{e_i} phi) e_k
     in the coordinate frame.
     """
-    if tol is None:
-        tol = p.tol
     table = np.asarray(nabla_phi_table, dtype=float)
     if table.shape != (p.dim,) * 3:
         raise ShapeError(f"nabla_phi table must have shape {(p.dim,) * 3}")
-    if basis is None:
-        basis = horizontal_basis(p)
     lowered = np.einsum("ijk,jl->ilk", table, p.g.gram)  # g((nabla_i phi) e_k, e_l)
     # one basis index at a time: three O(d^4) products, not one O(d^6) loop
     resid = np.einsum("alk,lb->abk", np.einsum("ia,ilk->alk", basis, lowered), basis) @ basis
     worst = float(np.max(np.abs(resid)))
-    return VerificationReport.of([Check.below("eta_parallel", worst, tol)])
+    return VerificationReport.of([Check.below("eta_parallel", worst, tol.acms_exact)])
 
 
 def dimension_consistency_gate(dim: int, star_passes: bool, contact_passes: bool) -> Check:

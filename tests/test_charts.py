@@ -454,7 +454,7 @@ class TestSamplePoints:
         np.testing.assert_array_equal(a, b)
 
     def test_respects_shrunk_domain(self, sphere):
-        pts = sample_points(sphere, 200, seed=1, shrink=0.9)
+        pts = sample_points(sphere, 200, seed=1)
         lo = np.array([b[0] for b in sphere.domain])
         hi = np.array([b[1] for b in sphere.domain])
         center = 0.5 * (lo + hi)

@@ -10,9 +10,11 @@ import sys
 
 import pytest
 
-from acmslab import charts, curvature, structure
+from acmslab import charts, cli, curvature, structure
+from acmslab.charts import DerivativeMode, chart_to_text
 from acmslab.cli import build_parser, main
 from acmslab.config import DEFAULT_TOLERANCES, Tolerances
+from acmslab.gallery import GALLERY_NAMES, gallery_chart
 
 S5 = ["--gallery", "s5"]
 FAST = ["--probes", "2"]
@@ -23,7 +25,7 @@ FLAT_TEXT = ("dim = 5\n"
              + "phi[3][1] = 1\nphi[1][3] = -1\nphi[4][2] = 1\nphi[2][4] = -1\n"
              + "xi[5] = 1\neta[5] = 1\n")
 
-# no horizontal space: no horizontal probe can be drawn
+# dimension 1: no horizontal space, so no almost contact metric structure
 ONE_DIM_TEXT = "dim = 1\ng[1][1] = 1\nxi[1] = 1\neta[1] = 1\n"
 
 # flat R^4 with a constant phi: carries no almost contact metric structure
@@ -290,6 +292,60 @@ class TestToleranceOverrides:
         assert build_parser() is build_parser()
 
 
+def _readme_read_by() -> dict[str, set[str]]:
+    """Subcommand -> the tolerance names README's table says it reads."""
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Tolerance names", 1)[1].split("\n## ", 1)[0]
+    read_by: dict[str, set[str]] = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            name, readers = line.split("`")[1], line.rstrip(" |").rsplit("|", 1)[1]
+            for command in readers.replace("`", "").replace(",", " ").split():
+                read_by.setdefault(command, set()).add(name)
+    return read_by
+
+
+class TestToleranceReads:
+    """Every gate a subcommand reaches reads the tolerances the command line
+    chose, and nothing reads the defaults once they are chosen."""
+
+    @pytest.fixture
+    def argvs(self, tmp_path):
+        fd_s5 = tmp_path / "s5_fd.chart"
+        fd_s5.write_text(chart_to_text(gallery_chart("s5").with_mode(DerivativeMode("fd"))))
+        sources = [["--gallery", name] for name in GALLERY_NAMES] + [["--chart", str(fd_s5)]]
+        chart_runs = {command: [[command, *source, *FAST] for source in sources]
+                      for command in ("validate", "curvature", "identities")}
+        return {**chart_runs,
+                "lemma": [["lemma", "--dim", str(dim), "--trials", "4"] for dim in (6, 8)]}
+
+    @pytest.mark.parametrize("command", ["validate", "lemma", "curvature", "identities"])
+    def test_reads_only_the_chosen_tolerances(self, capsys, monkeypatch, argvs, command):
+        fields = {f.name for f in dataclasses.fields(Tolerances)}
+        chosen = []
+        reads = []
+        resolve = cli._resolve_tolerances
+
+        def resolved(args):
+            chosen.append(resolve(args))
+            return chosen[-1]
+
+        def recording(self, name, _get=object.__getattribute__):
+            if chosen and name in fields:
+                reads.append((self is chosen[-1], self is DEFAULT_TOLERANCES, name))
+            return _get(self, name)
+
+        monkeypatch.setattr(cli, "_resolve_tolerances", resolved)
+        monkeypatch.setattr(Tolerances, "__getattribute__", recording)
+        for argv in argvs[command]:
+            chosen.clear()  # until this run has resolved its own
+            code, _, err = run(capsys, *argv, "--tol", "identity=0.5")
+            assert code in (0, 1), err
+        assert sorted({name for _, default, name in reads if default}) == []
+        assert all(from_chosen for from_chosen, _, _ in reads)
+        assert {name for _, _, name in reads} == _readme_read_by()[command]
+
+
 class TestLemma:
     def test_dim8_decomposition_branch(self, capsys):
         code, out, _ = run(capsys, "lemma", "--dim", "8", "--trials", "5")
@@ -443,6 +499,23 @@ class TestIdentities:
         # pass over the 4d Richardson stencil points
         assert calls["christoffel"] == 2 * 3
 
+    def test_duplicate_name_lookup_is_ambiguous(self, capsys, monkeypatch):
+        # the collapse and factorization suites each report an eta_parallel_gate
+        reports = []
+        emit = cli._emit
+
+        def capture(args, command, config, report, summary):
+            reports.append(report)
+            return emit(args, command, config, report, summary)
+
+        monkeypatch.setattr(cli, "_emit", capture)
+        code, _, _ = run(capsys, "identities", "--gallery", "sasakian_r5", *FAST)
+        assert code == 1
+        assert [c.name for c in reports[0].checks].count("eta_parallel_gate") == 2
+        with pytest.raises(KeyError, match="'eta_parallel_gate' occurs 2 times"):
+            reports[0]["eta_parallel_gate"]
+        assert reports[0]["defect_collapse"].name == "defect_collapse"
+
     @pytest.mark.parametrize("target, value, failing", [
         ("eta_parallel_residual", math.nan, ["eta_parallel_gate", "eta_parallel_gate"]),
         ("skew_phi_anticommutation_residual", math.nan, ["skew_anticommutation_gate"]),
@@ -505,8 +578,8 @@ class TestInputErrors:
 class TestDegenerateCharts:
     @pytest.mark.parametrize("command, message", [
         ("validate", "structure dimension must be odd and at least 3, got 1"),
-        ("curvature", "no probe vector with g-norm above 1e-6"),
-        ("identities", "no probe vector with g-norm above 1e-6"),
+        ("curvature", "structure dimension must be odd and at least 3, got 1"),
+        ("identities", "structure dimension must be odd and at least 3, got 1"),
     ])
     def test_one_dimensional_chart_is_usage_error(self, capsys, tmp_path, command,
                                                   message):

@@ -526,9 +526,9 @@ class TestDefectFactorizationSuite:
         # dropping the curvature terms must leave exactly the four algebraic
         # shape-operator terms; frozen at the origin on frame vectors
         pg = PointGeometry(s5, np.zeros(5))
+        pg.riem = CurvatureTensor(np.zeros((5,) * 4), pg.metric)  # fills the cache
         e = np.eye(5)
-        out = factorization_rhs(pg, e[1], e[2], e[3],
-                                r_apply=lambda x, y, z: np.zeros(5))
+        out = factorization_rhs(pg, e[1], e[2], e[3])
         np.testing.assert_allclose(out, -e[2], atol=1e-14)
         phi = pg.phi.mat
         a = pg.reeb_gradient.mat

@@ -172,7 +172,7 @@ class TestSymmetricEigen:
     def test_diagonal_oracle(self):
         g = Metric.euclidean(3)
         op = LinearOp(np.diag([3.0, 1.0, 2.0]))
-        pairs = symmetric_eigen(op, g)
+        pairs = symmetric_eigen(op, g, tol=1e-8)
         vals = [lam for lam, _ in pairs]
         assert vals == pytest.approx([1.0, 2.0, 3.0])
 
@@ -181,7 +181,7 @@ class TestSymmetricEigen:
         # G A = [[0, 2], [2, 0]] is symmetric; eigenvalues +-sqrt(2)
         g = Metric(np.diag([1.0, 2.0]))
         op = LinearOp(np.array([[0.0, 2.0], [1.0, 0.0]]))
-        pairs = symmetric_eigen(op, g)
+        pairs = symmetric_eigen(op, g, tol=1e-8)
         vals = [lam for lam, _ in pairs]
         assert vals == pytest.approx([-np.sqrt(2.0), np.sqrt(2.0)])
         for lam, v in pairs:
@@ -193,7 +193,7 @@ class TestSymmetricEigen:
         g = Metric(m @ m.T + 5.0 * np.eye(5))
         sym = rng.normal(size=(5, 5))
         op = LinearOp(g.inverse @ (sym + sym.T))
-        pairs = symmetric_eigen(op, g)
+        pairs = symmetric_eigen(op, g, tol=1e-8)
         vecs = [v for _, v in pairs]
         for i, vi in enumerate(vecs):
             for j, vj in enumerate(vecs):
@@ -203,7 +203,7 @@ class TestSymmetricEigen:
     def test_rejects_non_self_adjoint(self):
         g = Metric.euclidean(2)
         with pytest.raises(PreconditionError):
-            symmetric_eigen(LinearOp(np.array([[0.0, 1.0], [0.0, 0.0]])), g)
+            symmetric_eigen(LinearOp(np.array([[0.0, 1.0], [0.0, 0.0]])), g, tol=1e-8)
 
 
 class TestGramSchmidt:
@@ -211,7 +211,7 @@ class TestGramSchmidt:
         g = Metric(np.diag([1.0, 2.0, 3.0]))
         basis = gram_schmidt(np.column_stack([[1.0, 1.0, 0.0],
                                               [0.0, 1.0, 1.0],
-                                              [1.0, 0.0, 1.0]]), g)
+                                              [1.0, 0.0, 1.0]]), g, rank_tol=1e-8)
         assert basis.shape == (3, 3)
         for i, bi in enumerate(basis.T):
             for j, bj in enumerate(basis.T):
@@ -221,21 +221,21 @@ class TestGramSchmidt:
     def test_drops_dependent(self):
         g = Metric.euclidean(3)
         vecs = np.column_stack([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        basis = gram_schmidt(vecs, g)
+        basis = gram_schmidt(vecs, g, rank_tol=1e-8)
         assert basis.shape == (3, 2)
 
     def test_require_all_raises(self):
         g = Metric.euclidean(2)
         vecs = np.column_stack([[1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(DegenerateInputError):
-            gram_schmidt(vecs, g, require_all=True)
+            gram_schmidt(vecs, g, rank_tol=1e-8, require_all=True)
 
     def test_span_preserved(self):
         rng = np.random.default_rng(41)
         m = rng.normal(size=(4, 4))
         g = Metric(m @ m.T + 4.0 * np.eye(4))
         vecs = np.column_stack([rng.normal(size=4) for _ in range(3)])
-        basis = gram_schmidt(vecs, g)
+        basis = gram_schmidt(vecs, g, rank_tol=1e-8)
         # each input is reproduced by its coordinates in the output basis
         for v in vecs.T:
             coords = [g.inner(b, v) for b in basis.T]
@@ -246,7 +246,7 @@ class TestGramSchmidt:
 class TestComplementAndProjection:
     def test_project_out(self):
         g = Metric.euclidean(3)
-        basis = gram_schmidt(np.array([[1.0], [0.0], [0.0]]), g)
+        basis = gram_schmidt(np.array([[1.0], [0.0], [0.0]]), g, rank_tol=1e-8)
         v = project_out(np.array([2.0, 3.0, 0.0]), basis, g)
         np.testing.assert_allclose(v, [0.0, 3.0, 0.0], atol=1e-13)
 
@@ -262,7 +262,7 @@ class TestBasisRepresentation:
 
     def test_weighted_coordinates(self):
         g = Metric(np.diag([1.0, 4.0]))
-        basis = gram_schmidt(np.array([[0.0], [1.0]]), g)
+        basis = gram_schmidt(np.array([[0.0], [1.0]]), g, rank_tol=1e-8)
         # basis vector is e2 / 2, so the coefficient of (3, 2) is 4
         assert g.inner(basis[:, 0], np.array([3.0, 2.0])) == pytest.approx(4.0)
 

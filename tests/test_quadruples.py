@@ -133,7 +133,7 @@ class TestGenericVector:
         space = ComplexStructuredSpace.standard(2)
         a = LinearOp(np.diag([1.0, -1.0]))
         with pytest.raises(SearchError):
-            find_generic_vector(space, a, max_random=20)
+            find_generic_vector(space, a)
 
     def test_triple_independent_across_random_draws(self):
         space = ComplexStructuredSpace.standard(8)

@@ -199,7 +199,7 @@ class TestPhiAnticommutation:
 class TestEtaParallel:
     def test_zero_table_passes(self):
         p = _standard_point()
-        assert check_eta_parallel(np.zeros((5, 5, 5)), p).verdict
+        assert check_eta_parallel(np.zeros((5, 5, 5)), p, horizontal_basis(p)).verdict
 
     def test_vertical_slices_invisible(self):
         # entries with any vertical index do not contribute to the
@@ -209,19 +209,20 @@ class TestEtaParallel:
         table[4, :, :] = 1.0
         table[:, 4, :] = -2.0
         table[:, :, 4] = 0.5
-        assert check_eta_parallel(table, p).verdict
+        assert check_eta_parallel(table, p, horizontal_basis(p)).verdict
 
     def test_horizontal_entry_detected(self):
         p = _standard_point()
         table = np.zeros((5, 5, 5))
         table[0, 1, 2] = 1.0
-        report = check_eta_parallel(table, p)
+        report = check_eta_parallel(table, p, horizontal_basis(p))
         assert not report.verdict
         assert report["eta_parallel"].residual == pytest.approx(1.0)
 
     def test_shape_checked(self):
+        p = _standard_point()
         with pytest.raises(ShapeError):
-            check_eta_parallel(np.zeros((5, 5)), _standard_point())
+            check_eta_parallel(np.zeros((5, 5)), p, horizontal_basis(p))
 
     def test_matches_single_contraction_at_d13(self):
         # the pairwise products sum in another order than one four-operand
@@ -231,7 +232,7 @@ class TestEtaParallel:
         basis = horizontal_basis(p)
         lowered = np.einsum("ijk,jl->ilk", table, p.g.gram)
         want = np.max(np.abs(np.einsum("ia,ilk,lb,kc->abc", basis, lowered, basis, basis)))
-        got = check_eta_parallel(table, p, basis, tol=1.0)["eta_parallel"].residual
+        got = check_eta_parallel(table, p, basis)["eta_parallel"].residual
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
