@@ -14,15 +14,15 @@ the rows of a stack of points in order. A row on which the kernel hits a
 domain error is re-evaluated with `exprs.evaluate` in component order, so
 the `EvalError` names the first failing component; a non-finite value is
 an `EvalError` too. The reader returns the rows before the first failing
-row and the error that row raises on its own, so `read_points` reads each
-grid once per stack and still raises what a point-by-point reader would. In
-finite-difference mode a derivative grid reads the base grid over the
-stacked stencil of every point (`stencil_points`) and differences it.
+row and the error that row raises on its own. In finite-difference mode a
+derivative grid reads the base grid over the stacked stencil of every
+point (`stencil_points`) and differences it.
 
-Only `Chart` methods, `read_points` and `curvature.PointGeometry` read a
-chart. Christoffel symbols and their derivatives, the covariant derivatives
-and the exterior derivative of the contact form are formulas over the
-arrays those reads return, so each grid is read once per point.
+`curvature.PointGeometry` is the only reader of a chart: it reads each grid
+once over its point or its stack of rows, and the one-point `Chart.<grid>_at`
+methods wrap the same reader. Christoffel symbols and their derivatives, the
+covariant derivatives and the exterior derivative of the contact form are
+formulas over the arrays it reads.
 
 Chart files are line oriented: ``dim = 5``, an optional
 ``derivative_mode = symbolic | fd[:<step>]``, optional per-coordinate
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ChartFormatError, ShapeError
 from .exprs import (EvalError, Expr, Num, compile_kernel, differentiate, evaluate,
                     free_variables, parse, to_text)
-from .linalg import LinearOp, Metric, check_gram
+from .linalg import LinearOp, Metric
 
 _ZERO = Num(0.0)
 _DEFAULT_FD_STEP = 1e-5
@@ -321,28 +321,6 @@ def stencil_difference(values, h: float) -> np.ndarray:
     `stencil_points` (y, h): the derivative along e_m as a new leading index."""
     values = np.asarray(values)
     return (values[0::2] - values[1::2]) / (2.0 * h)
-
-
-def read_points(chart: Chart, points, names: Sequence[str]) -> tuple[np.ndarray, ...]:
-    """The metric grid g and then each grid in ``names`` ("dg", "xi", ...)
-    at every row of the ``(n, dim)`` stack ``points``, stacked along a new
-    leading axis, every metric checked as `Metric` checks it (one
-    `check_gram`). Each grid is read once, up to the earliest failing point
-    found so far, so the error raised is the one a point-by-point reader,
-    which checks each metric right after its g, hits first."""
-    points = np.asarray(points, float)
-    if points.ndim != 2 or points.shape[1] != chart.dim:
-        raise ShapeError(f"points have shape {points.shape}, expected (n, {chart.dim})")
-    end, error, grids = len(points), None, []
-    for name in ("g", *names):
-        rows, failed = chart._grids_at(name, points[:end])
-        if failed is not None:
-            end, error = len(rows), failed
-        grids.append(rows)
-    check_gram(grids[0][:end + 1])  # the metrics up to the failing point
-    if error is not None:
-        raise error
-    return tuple(grids)
 
 
 def _lowered_christoffel_x2(dg) -> np.ndarray:

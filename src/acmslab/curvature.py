@@ -10,13 +10,20 @@ factorization through the horizontal skew operator, and the reconstruction
 of curvature from first derivatives of the structure on nearly cosymplectic
 charts.
 
-``PointGeometry`` is the one reader of a point's chart grids: it reads each
-grid at the point once, and the modified curvature's Richardson stencil as
-one stack. `riemann` and `modified_riemann` assemble curvature from the
-arrays it holds. The four identity suites take a list of prebuilt
-``PointGeometry`` objects, one per point, so a caller that runs several
-suites over the same points (the ``identities`` subcommand) computes each
-point's curvature and modified curvature once.
+``PointGeometry`` is the only reader of a chart. It holds one point or a
+stack of rows and reads each grid once over all of them. The connection
+tensors (Christoffel symbols, Reeb gradient, modified connection) are
+array formulas over the leading row axis, so the derivative stencils of
+the finite-difference Christoffel derivative and of the modified
+curvature's Richardson step are geometries over stacks. A stack
+is read grid by grid (g, dg, xi, eta, dxi), each grid over all of its
+rows: the first failing row of the first failing grid raises, after the
+metrics of the g rows read before it are checked. `riemann` and
+`modified_riemann` assemble curvature from the arrays it holds. The four
+identity suites take a list of prebuilt ``PointGeometry`` objects, one per
+point, so a caller that runs several suites over the same points (the
+``identities`` subcommand) computes each point's curvature and modified
+curvature once.
 
 Index layout throughout: ``comps[i, j, k, l]`` is the i-th component of
 ``R(e_k, e_l) e_j``.
@@ -35,12 +42,11 @@ import numpy as np
 
 from .charts import (SYMBOLIC, Chart, DerivativeMode, christoffel,
                      christoffel_derivative, contact_volume_coefficient, d_eta,
-                     nabla_phi, nabla_xi, read_points, stencil_difference,
-                     stencil_points)
+                     nabla_phi, nabla_xi, stencil_difference, stencil_points)
 from .config import (DEFAULT_TOLERANCES, FD_SECOND_STEP, MAX_PROBE_DRAWS,
                      PROBES_PER_RESIDUAL, Tolerances)
 from .errors import DegenerateInputError, ShapeError
-from .linalg import LinearOp, Metric, operator_in_basis, skew_matrix, skew_part
+from .linalg import LinearOp, Metric, check_gram, operator_in_basis, skew_matrix
 from .report import Check, VerificationReport, worst
 from .structure import AcmsPoint, check_eta_parallel, horizontal_basis, horizontal_projector
 
@@ -60,10 +66,6 @@ class CurvatureTensor:
         comps = comps.copy()
         comps.flags.writeable = False
         object.__setattr__(self, "comps", comps)
-
-    @property
-    def dim(self) -> int:
-        return self.metric.dim
 
     def apply(self, x, y, z) -> np.ndarray:
         """The vector R(x, y) z, column by column for stacks."""
@@ -136,27 +138,9 @@ def _correction(gram, xi, eta, proj, reeb, skew_projected) -> np.ndarray:
             + 0.5 * np.einsum("...i,...kj->...kij", eta, skew_projected))
 
 
-def _modified_christoffel_stack(chart: Chart, points) -> np.ndarray:
-    """The coefficients of the modified connection at each row of
-    ``points``, stacked along a new leading axis: the formulas of
-    `PointGeometry`, evaluated once for the whole stack.
-
-    `charts.read_points` reads g, dg, xi, eta and dxi once each over the
-    whole stack, so the error raised is the one a `PointGeometry` at the
-    first failing point raises, reading its grids in that order.
-    """
-    gram, dg, xi, eta, dxi = read_points(chart, points, ("dg", "xi", "eta", "dxi"))
-    gam = christoffel(np.linalg.inv(gram), dg)
-    reeb = nabla_xi(gam, xi, dxi)
-    proj = horizontal_projector(xi, eta)
-    skew_projected = proj @ skew_matrix(reeb, gram) @ proj
-    return gam + _correction(gram, xi, eta, proj, reeb, skew_projected)
-
-
 def modified_christoffel(chart: Chart, y) -> np.ndarray:
-    """Coefficients of the modified connection at one point: the Levi-Civita
-    symbols plus the correction table of `PointGeometry.correction`."""
-    return _modified_christoffel_stack(chart, [y])[0]
+    """Coefficients of the modified connection at one point."""
+    return PointGeometry(chart, y).modified_gamma
 
 
 def modified_riemann(pg: PointGeometry) -> CurvatureTensor:
@@ -164,64 +148,91 @@ def modified_riemann(pg: PointGeometry) -> CurvatureTensor:
     assembled from numerically differentiated connection coefficients.
 
     One Richardson step on the central difference (at ``FD_SECOND_STEP`` and
-    half of it) keeps the truncation error at fourth order. The 4d
-    connection tables of the coarse and the fine stencil are read as one
-    stack before the centre; the centre table is the geometry's own. No
-    Bianchi check here: the modified connection carries torsion, so the
-    plain cyclic identity genuinely fails.
+    half of it) keeps the truncation error at fourth order. The connection
+    tables of the coarse and the fine stencil come from one `PointGeometry`
+    over their 4d rows, read before the centre; the centre table is the
+    geometry's own. No Bianchi check here: the modified connection carries
+    torsion, so the plain cyclic identity genuinely fails.
     """
     h = FD_SECOND_STEP
-    gam = _modified_christoffel_stack(
-        pg.chart, [*stencil_points(pg.y, h), *stencil_points(pg.y, h / 2.0)])
+    rows = np.concatenate([stencil_points(pg.y, h), stencil_points(pg.y, h / 2.0)])
+    gam = PointGeometry(pg.chart, rows, tol=pg.tol).modified_gamma
     n = len(gam) // 2
     dgam = (4.0 * stencil_difference(gam[n:], h / 2.0)
             - stencil_difference(gam[:n], h)) / 3.0
-    return CurvatureTensor(_assemble_curvature(pg.gamma + pg.correction, dgam), pg.metric)
+    return CurvatureTensor(_assemble_curvature(pg.modified_gamma, dgam), pg.metric)
 
 
 class PointGeometry:
-    """Lazy bundle of every pointwise tensor the identity suites need.
+    """Lazy bundle of every tensor the identity suites need, at one point
+    ``y`` of shape ``(dim,)`` or at each row of a stack ``(n, dim)``.
 
-    Construct once per (chart, point); each derived quantity is computed on
-    first access and cached for the lifetime of the object. Each grid at the
-    point is read once, and every tensor derived from the Christoffel
-    symbols reads the one cached ``gamma``.
+    Each tensor is computed on first access and cached for the lifetime of
+    the object. `_read` is its only chart reader and reads each grid once.
+    The connection tensors, up to ``modified_gamma``, are array formulas
+    over the leading row axis of a stack, so the derivative stencils are
+    geometries too. Everything derived from the Christoffel symbols reads
+    the one cached ``gamma``. ``metric``, and the tensors built on it, exist
+    at a single point only.
     """
 
     def __init__(self, chart: Chart, y, *, tol: Tolerances = DEFAULT_TOLERANCES):
         self.chart = chart
         self.y = np.asarray(y, float)
         self.tol = tol
+        if self.y.ndim not in (1, 2) or self.y.shape[-1] != chart.dim:
+            raise ShapeError(f"points have shape {self.y.shape}, "
+                             f"expected ({chart.dim},) or (n, {chart.dim})")
+
+    def _read(self, name: str) -> np.ndarray:
+        """Grid ``name`` at the point, or over every row of the stack. Over
+        a stack the metrics of the g rows read are checked before a failing
+        row raises; a point's metric is checked once, by ``metric``."""
+        rows, error = self.chart._grids_at(name, self.y.reshape(-1, self.chart.dim))
+        if name == "g" and self.y.ndim == 2:
+            check_gram(rows)
+        if error is not None:
+            raise error
+        return rows.reshape(self.y.shape[:-1] + rows.shape[1:])
 
     @cached_property
     def metric(self) -> Metric:
-        return self.chart.metric_at(self.y)
+        return Metric(self._read("g"))
 
     @cached_property
-    def phi(self) -> LinearOp:
-        return self.chart.phi_at(self.y)
+    def gram(self) -> np.ndarray:
+        """Gram matrix, or one per row: a point's is that of its `metric`."""
+        return self.metric.gram if self.y.ndim == 1 else self._read("g")
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return self._read("phi")
 
     @cached_property
     def xi(self) -> np.ndarray:
-        return self.chart.xi_at(self.y)
+        return self._read("xi")
 
     @cached_property
     def eta(self) -> np.ndarray:
-        return self.chart.eta_at(self.y)
+        return self._read("eta")
 
     @cached_property
     def point(self) -> AcmsPoint:
-        return AcmsPoint(self.phi, self.xi, self.eta, self.metric)
+        return AcmsPoint(LinearOp(self.phi), self.xi, self.eta, self.metric)
 
     @cached_property
     def dg(self) -> np.ndarray:
-        """Metric derivatives dg[k, i, j] along x_k."""
-        return self.chart.dg_at(self.y)
+        """Metric derivatives dg[..., k, i, j] along x_k."""
+        return self._read("dg")
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        return np.linalg.inv(self.gram)
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        """Levi-Civita symbols Gam[k, i, j], evaluated once per point."""
-        return christoffel(self.metric.inverse, self.dg)
+        """Levi-Civita symbols Gam[..., k, i, j], evaluated once."""
+        return christoffel(self.ginv, self.dg)
 
     @cached_property
     def dgamma(self) -> np.ndarray:
@@ -229,13 +240,14 @@ class PointGeometry:
 
         Symbolic mode differentiates the closed form through the metric
         inverse; finite-difference mode takes the central difference, with
-        the second-level step, of the Christoffel symbols at the 2d stencil
-        points, read as one stack.
+        the second-level step, of the Christoffel symbols of the geometry
+        over the 2d stencil points.
         """
         if self.chart.mode.kind == "fd":
-            gram, dg = read_points(self.chart, stencil_points(self.y, FD_SECOND_STEP), ("dg",))
-            return stencil_difference(christoffel(np.linalg.inv(gram), dg), FD_SECOND_STEP)
-        return christoffel_derivative(self.metric.inverse, self.dg, self.chart.ddg_at(self.y))
+            stencil = PointGeometry(self.chart, stencil_points(self.y, FD_SECOND_STEP),
+                                    tol=self.tol)
+            return stencil_difference(stencil.gamma, FD_SECOND_STEP)
+        return christoffel_derivative(self.ginv, self.dg, self._read("ddg"))
 
     @cached_property
     def projector(self) -> np.ndarray:
@@ -248,32 +260,45 @@ class PointGeometry:
         return horizontal_basis(self.point, tol=self.tol)
 
     @cached_property
-    def reeb_gradient(self) -> LinearOp:
-        return LinearOp(nabla_xi(self.gamma, self.xi, self.chart.dxi_at(self.y)))
+    def reeb_gradient(self) -> np.ndarray:
+        """Matrix of the covariant gradient of the Reeb field."""
+        return nabla_xi(self.gamma, self.xi, self._read("dxi"))
 
     @cached_property
-    def dxi_skew(self) -> LinearOp:
-        return skew_part(self.reeb_gradient, self.metric)
+    def dxi_skew(self) -> np.ndarray:
+        """The g-skew part of the Reeb gradient."""
+        return skew_matrix(self.reeb_gradient, self.gram)
 
     @cached_property
     def skew_projected(self) -> np.ndarray:
-        return self.projector @ self.dxi_skew.mat @ self.projector
+        return self.projector @ self.dxi_skew @ self.projector
 
     @cached_property
     def nphi(self) -> np.ndarray:
-        return nabla_phi(self.gamma, self.phi.mat, self.chart.dphi_at(self.y))
+        return nabla_phi(self.gamma, self.phi, self._read("dphi"))
 
     @cached_property
     def deta(self) -> np.ndarray:
-        return d_eta(self.chart.deta_at(self.y))
+        return d_eta(self._read("deta"))
 
     @cached_property
     def correction(self) -> np.ndarray:
-        """Difference tensor h[k, i, j] between the modified connection and
-        Levi-Civita, as a coordinate table: the k-th component of the
+        """Difference tensor h[..., k, i, j] between the modified connection
+        and Levi-Civita, as a coordinate table: the k-th component of the
         correction applied to the frame pair (e_i, e_j)."""
-        return _correction(self.metric.gram, self.xi, self.eta, self.projector,
-                           self.reeb_gradient.mat, self.skew_projected)
+        return _correction(self.gram, self.xi, self.eta, self.projector,
+                           self.reeb_gradient, self.skew_projected)
+
+    @cached_property
+    def modified_gamma(self) -> np.ndarray:
+        """Coefficients of the modified connection: the Levi-Civita symbols
+        plus the correction table."""
+        return self.gamma + self.correction
+
+    @cached_property
+    def eta_parallel(self) -> float:
+        """The eta-parallel residual, shared by every check that gates on it."""
+        return eta_parallel_residual(self)
 
     @cached_property
     def riem(self) -> CurvatureTensor:
@@ -289,7 +314,7 @@ class PointGeometry:
     def modified_nphi(self) -> np.ndarray:
         """Coordinate table of the modified covariant derivative of phi."""
         h = self.correction
-        phi = self.phi.mat
+        phi = self.phi
         return (self.nphi + np.einsum("jil,lk->ijk", h, phi)
                 - np.einsum("jl,lik->ijk", phi, h))
 
@@ -316,9 +341,9 @@ class PointGeometry:
         This is the second, independent route to the modified curvature; the
         differentiated route must agree with it on horizontal triples.
         """
-        a = self.reeb_gradient.mat
+        a = self.reeb_gradient
         ax, ay = a @ x, a @ y
-        sx = self.dxi_skew.mat @ x
+        sx = self.dxi_skew @ x
         return (self.projector @ self.riem.apply(x, y, z)
                 + self.inner(ay, z) * ax - self.inner(ax, z) * ay
                 + self.inner(sx, y) * (self.skew_projected @ z))
@@ -388,7 +413,7 @@ def _probe_tuples(metric: Metric, rng, k: int, count: int, *, projector=None) ->
 
 
 def killing_residual(pg: PointGeometry) -> float:
-    ga = pg.metric.gram @ pg.reeb_gradient.mat
+    ga = pg.metric.gram @ pg.reeb_gradient
     return float(np.max(np.abs(ga + ga.T)))
 
 
@@ -417,7 +442,7 @@ def skew_phi_anticommutation_residual(pg: PointGeometry) -> float:
     """Anticommutator of the projected skew operator with phi, on the
     horizontal subspace."""
     b = pg.skew_projected
-    phi = pg.phi.mat
+    phi = pg.phi
     m = pg.projector @ (b @ phi + phi @ b) @ pg.projector
     return float(np.max(np.abs(m)))
 
@@ -432,19 +457,19 @@ def bridge_residual(pg: PointGeometry, rng, pairs: int = PROBES_PER_RESIDUAL) ->
     skew pairing of the Reeb gradient, on horizontal pairs."""
     x, y = _probe_tuples(pg.metric, rng, 2, pairs, projector=pg.projector)
     deta_xy = np.sum(x * (pg.deta @ y), axis=0)
-    return worst(np.abs(deta_xy - pg.inner(pg.dxi_skew.mat @ x, y)))
+    return worst(np.abs(deta_xy - pg.inner(pg.dxi_skew @ x, y)))
 
 
 def factorization_lhs(pg: PointGeometry, x, y, z) -> np.ndarray:
     v = (pg.projector @ (pg.modified_nphi_reeb @ z)
-         - pg.skew_projected @ (pg.phi.mat @ z))
-    return 2.0 * pg.inner(pg.dxi_skew.mat @ x, y) * v
+         - pg.skew_projected @ (pg.phi @ z))
+    return 2.0 * pg.inner(pg.dxi_skew @ x, y) * v
 
 
 def factorization_rhs(pg: PointGeometry, x, y, z) -> np.ndarray:
     """Curvature side of the factorization identity on a horizontal triple."""
-    phi = pg.phi.mat
-    a = pg.reeb_gradient.mat
+    phi = pg.phi
+    a = pg.reeb_gradient
     r = pg.riem
     phz = phi @ z
     ax, ay = a @ x, a @ y
@@ -467,7 +492,7 @@ def modified_connection_suite(geoms: Sequence[PointGeometry], seed: int = 0, *,
     fix, reeb, phi_h, agree = [], [], [], []
     for pg in geoms:
         h = pg.correction
-        a = pg.reeb_gradient.mat
+        a = pg.reeb_gradient
         fix.append(float(np.max(np.abs(np.einsum("kij,i,j->k", h, pg.xi, pg.xi)))))
         x = horizontal_unit_probes(pg, rng, probes)
         # h(x, xi) as the matrix h(., xi) times x: where that matrix is -A
@@ -496,18 +521,18 @@ def defect_collapse_suite(geoms: Sequence[PointGeometry], seed: int = 0, *,
     Gated on the horizontal derivative of phi vanishing (the identity only
     holds on charts where it does)."""
     rng = np.random.default_rng(seed)
-    gate_resid = worst(eta_parallel_residual(pg) for pg in geoms)
+    gate_resid = worst(pg.eta_parallel for pg in geoms)
     gate_ok = bool(gate_resid < tol.condition_gate)
     checks = [Check("eta_parallel_gate", gate_resid, tol.condition_gate, gate_ok)]
     if not gate_ok:
         return VerificationReport.of(checks)
     resid = []
     for pg in geoms:
-        phi = pg.phi.mat
+        phi = pg.phi
         x, y_, z = _probe_tuples(pg.metric, rng, 3, probes, projector=pg.projector)
         lhs = (pg.modified_riem.apply(x, y_, phi @ z)
                - phi @ pg.modified_riem.apply(x, y_, z))
-        factor = 2.0 * pg.inner(pg.dxi_skew.mat @ x, y_)
+        factor = 2.0 * pg.inner(pg.dxi_skew @ x, y_)
         rhs = factor * (pg.modified_nphi_reeb @ z)
         resid.extend(pg.gnorm(pg.projector @ (lhs - rhs)))
     checks.append(Check.below("defect_collapse", worst(resid), tol.identity))
@@ -525,7 +550,7 @@ def defect_factorization_suite(geoms: Sequence[PointGeometry], seed: int = 0, *,
     rng = np.random.default_rng(seed)
     eta_par, skew = [], []
     for pg in geoms:
-        eta_par.append(eta_parallel_residual(pg))
+        eta_par.append(pg.eta_parallel)
         skew.append(skew_phi_anticommutation_residual(pg))
     gate4, gate3 = worst(eta_par), worst(skew)
     ok4 = bool(gate4 < tol.condition_gate)
@@ -545,7 +570,7 @@ def defect_factorization_suite(geoms: Sequence[PointGeometry], seed: int = 0, *,
 
 def _phi_plane_curvature(pg: PointGeometry, rng) -> float:
     x = horizontal_unit_probes(pg, rng, 8)
-    px = pg.phi.mat @ x
+    px = pg.phi @ x
     keep = ~(pg.gnorm(px) < 1e-6)
     if not keep.any():
         raise DegenerateInputError("no nondegenerate phi-plane found")
@@ -575,8 +600,8 @@ def curvature_reconstruction_suite(geoms: Sequence[PointGeometry], seed: int = 0
     full, hor, pair = [], [], []
     for pg in geoms:
         g = pg.metric
-        phi = pg.phi.mat
-        a = pg.reeb_gradient.mat
+        phi = pg.phi
+        a = pg.reeb_gradient
         a2 = a @ a
         eta = pg.eta
 
@@ -635,7 +660,7 @@ def dual_mode_suite(chart: Chart, points, *,
         one, two = PointGeometry(sym, y, tol=tol), PointGeometry(fd, y, tol=tol)
         got = {
             "dual_mode_christoffel": (one.gamma, two.gamma),
-            "dual_mode_reeb_gradient": (one.reeb_gradient.mat, two.reeb_gradient.mat),
+            "dual_mode_reeb_gradient": (one.reeb_gradient, two.reeb_gradient),
             "dual_mode_nabla_phi": (one.nphi, two.nphi),
             "dual_mode_riemann": (one.riem.comps, two.riem.comps),
         }

@@ -200,8 +200,7 @@ def _decompose(space: ComplexStructuredSpace, a: LinearOp,
     g = space.g
     squared = a.compose(a)
     jm, am, a2 = space.j.mat, a.mat, squared.mat
-    candidates = np.column_stack(
-        [v for _, v in symmetric_eigen(squared, g, tol=tol.self_adjoint)])
+    _, candidates = symmetric_eigen(squared, g, tol=tol.self_adjoint)
     used = candidates[:, :0]
     quads: list[Quadruple] = []
     a_scale = 1.0 + a.max_norm ** 2

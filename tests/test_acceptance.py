@@ -30,7 +30,7 @@ from acmslab.curvature import (
     skew_phi_anticommutation_residual,
 )
 from acmslab.gallery import GALLERY_NAMES, gallery_chart
-from acmslab.linalg import anticommutator, g_singular_values, operator_in_basis
+from acmslab.linalg import LinearOp, anticommutator, g_singular_values, operator_in_basis
 from acmslab.quadruples import (
     ComplexStructuredSpace,
     find_generic_vector,
@@ -132,8 +132,8 @@ def test_criterion_04_s5_instantiation_fd_mode(s5_fd):
         sigma, volume = contact_residuals(pg)
         assert sigma > DEFAULT_TOLERANCES.contact
         assert volume > DEFAULT_TOLERANCES.contact
-        a_restricted = operator_in_basis(pg.reeb_gradient, pg.horizontal_basis,
-                                         pg.metric)
+        a_restricted = operator_in_basis(LinearOp(pg.reeb_gradient),
+                                         pg.horizontal_basis, pg.metric)
         min_sigma_a = min(min_sigma_a, float(
             np.linalg.svd(a_restricted, compute_uv=False)[-1]))
     values = horizontal_sectional_values(s5_fd, points, seed=41, planes=50)
@@ -216,7 +216,7 @@ def test_criterion_08_negative_controls():
         sigma, _ = contact_residuals(pg)
         assert sigma > DEFAULT_TOLERANCES.contact
         assert eta_parallel_residual(pg) < 1e-4
-        star = anticommutator(pg.phi, pg.reeb_gradient).max_norm
+        star = anticommutator(pg.point.phi, LinearOp(pg.reeb_gradient)).max_norm
         star_gap = max(star_gap, abs(star - 2.0))
         nearly = nearly_cosymplectic_residuals(pg, rng, probes=32)
         nearly_gap = max(nearly_gap, abs(nearly["horizontal"] - 1.0))

@@ -16,15 +16,13 @@ from acmslab.charts import (
     contact_volume_coefficient,
     d_eta,
     load_chart,
-    read_points,
     sample_points,
     save_chart,
 )
 from acmslab.curvature import PointGeometry
-from acmslab.errors import ChartFormatError, DegenerateInputError, ShapeError
+from acmslab.errors import ChartFormatError, ShapeError
 from acmslab.exprs import EvalError, Num, differentiate, evaluate, parse, to_text
 from acmslab.gallery import GALLERY_NAMES, gallery_chart
-from acmslab.linalg import Metric
 
 SPHERE_TEXT = """\
 # round two-sphere in polar coordinates
@@ -209,60 +207,6 @@ class TestStackedReads:
         assert np.array_equal(prefix, [chart._grid_at(name, y) for y in rows[:first]])
 
 
-def _read_point_by_point(chart, points, names):
-    """Oracle for `read_points`: at each point in turn, g and its metric
-    check, then each grid in ``names``."""
-    grids = [[] for _ in range(1 + len(names))]
-    for y in points:
-        grids[0].append(Metric(chart.g_at(y)).gram)
-        for name, got in zip(names, grids[1:]):
-            got.append(chart._grid_at(name, y))
-    return tuple(map(np.array, grids))
-
-
-def _outcome(read, chart, points, names):
-    try:
-        return read(chart, points, names)
-    except (EvalError, DegenerateInputError) as exc:
-        return type(exc), str(exc)
-
-
-class TestReadPoints:
-    """`read_points` reads each grid once over the whole stack and raises
-    the error that reading one point at a time hits first."""
-
-    @pytest.mark.parametrize("text, mode, points, names", [
-        # every point reads
-        ("g[1][1] = 1 + x1^2\nxi[1] = x1", "symbolic", [[0.5], [1.0]], ("dg", "xi")),
-        # xi fails at point 1, before g fails at point 2
-        ("g[1][1] = 1 + sqrt(x1)\nxi[1] = 1 / (x1 - 2)", "symbolic",
-         [[3.0], [2.0], [-1.0]], ("dg", "xi")),
-        # a non-positive-definite metric at point 0, a dg error at point 1
-        ("g[1][1] = sqrt(x1) - 1", "symbolic", [[0.25], [0.0]], ("dg",)),
-        # a non-positive-definite metric and a dg error at the same point
-        ("g[1][1] = sqrt(x1) - 1", "symbolic", [[4.0], [0.0]], ("dg",)),
-        # an xi error at point 0, a non-positive-definite metric at point 1
-        ("g[1][1] = 1 - x1\nxi[1] = 1 / x1", "symbolic", [[0.0], [2.0]], ("xi",)),
-        # a g error at point 0, a degenerate metric at point 1
-        ("g[1][1] = sqrt(x1)", "symbolic", [[-1.0], [0.0]], ("dg",)),
-        # point 1's dg stencil steps below 0, point 2's g fails outright
-        ("g[1][1] = 1 + sqrt(x1)", "fd", [[1.0], [5e-6], [-1.0]], ("dg",)),
-    ])
-    def test_matches_point_by_point_reads(self, text, mode, points, names):
-        chart = chart_from_text(f"dim = 1\n{text}\n").with_mode(DerivativeMode.parse(mode))
-        expected = _outcome(_read_point_by_point, chart, points, names)
-        got = _outcome(read_points, chart, points, names)
-        if isinstance(expected[0], type):
-            assert got == expected
-        else:
-            assert len(got) == len(expected)
-            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-
-    def test_points_must_be_a_stack(self, sphere):
-        with pytest.raises(ShapeError):
-            read_points(sphere, [0.5, 0.3], ("dg",))
-
-
 class TestGridErrors:
     """Grid methods raise the tree-walker's EvalError, with the component
     label in front, whatever the compiled kernel raised first."""
@@ -356,7 +300,7 @@ class TestStructureDerivatives:
     def test_nabla_xi_flat(self):
         chart = chart_from_text("dim = 2\ng[1][1] = 1\ng[2][2] = 1\nxi[1] = x2\n")
         op = PointGeometry(chart, [0.2, 0.4]).reeb_gradient
-        np.testing.assert_allclose(op.mat, [[0.0, 1.0], [0.0, 0.0]], atol=1e-13)
+        np.testing.assert_allclose(op, [[0.0, 1.0], [0.0, 0.0]], atol=1e-13)
 
     def test_nabla_phi_flat(self):
         chart = chart_from_text(

@@ -482,19 +482,22 @@ class TestIdentities:
 
     def test_suites_share_one_geometry_per_point(self, capsys, monkeypatch):
         # every suite reads the same per-point curvature, so each point pays
-        # for one geometry, one Levi-Civita and one modified curvature tensor,
-        # and both eta-parallel gates read its one horizontal frame
+        # for one geometry (and one over its Richardson rows), one Levi-Civita
+        # and one modified curvature tensor, and both eta-parallel gates read
+        # its one horizontal frame and its one eta-parallel residual
         calls = count_calls(monkeypatch, (
             (curvature, "riemann"), (curvature, "modified_riemann"),
             (curvature, "christoffel"), (charts, "christoffel"),
             (curvature.PointGeometry, "__init__"),
-            (curvature, "horizontal_basis"), (structure, "horizontal_basis")))
+            (curvature, "horizontal_basis"), (structure, "horizontal_basis"),
+            (curvature, "check_eta_parallel"), (structure, "check_eta_parallel")))
         code, out, _ = run(capsys, "identities", *S5, "--probes", "3")
         assert code == 0
         assert "skipped_suites: none" in out
         assert calls["riemann"] == 3 and calls["modified_riemann"] == 3
-        assert calls["__init__"] == 3
+        assert calls["__init__"] == 2 * 3
         assert calls["horizontal_basis"] <= 3
+        assert calls["check_eta_parallel"] == 3
         # Christoffel tables per point: the geometry's own, and one stacked
         # pass over the 4d Richardson stencil points
         assert calls["christoffel"] == 2 * 3

@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from acmslab import charts, linalg
+from acmslab import charts, curvature, linalg
 from acmslab.charts import (DerivativeMode, chart_from_text, christoffel, sample_points,
                             stencil_points)
 from acmslab.config import FD_SECOND_STEP, MAX_PROBE_DRAWS
@@ -169,9 +169,10 @@ def test_metric_checks_per_point_geometry(monkeypatch, mode, derivative_rows):
     # one check for the geometry's metric, one over the rows the Christoffel
     # derivative reads (y alone in symbolic mode, whose metric is already
     # checked, or the 2d stencil points), and one over the modified
-    # curvature's 4d Richardson rows
+    # curvature's 4d Richardson rows: `Metric` checks a point, and a stack
+    # geometry checks its rows
     shapes = []
-    for module in (linalg, charts):
+    for module in (linalg, curvature):
         def counted(gram, _check=module.check_gram):
             shapes.append(np.shape(gram))
             return _check(gram)
@@ -221,13 +222,68 @@ def test_each_grid_at_the_point_is_read_once(monkeypatch, mode):
     assert touching == stacks == expected
 
 
+def _read_grid_by_grid(chart, points, fields):
+    """Oracle for a stack geometry: g at every row in turn, each metric
+    checked right after its row, then each of ``fields`` ("dg", "xi", ...)
+    at every row in turn, one point at a time."""
+    grams = [Metric(chart.g_at(y)).gram for y in points]
+    return (np.array(grams),
+            *(np.array([chart._grid_at(name, y) for y in points]) for name in fields))
+
+
+def _outcome(read):
+    try:
+        return read()
+    except (EvalError, DegenerateInputError) as exc:
+        return type(exc), str(exc)
+
+
+class TestStackReads:
+    """A stack `PointGeometry` reads grid by grid, each grid over all of its
+    rows: the first failing row of the first failing grid raises, after the
+    metrics of the g rows read before it are checked."""
+
+    @pytest.mark.parametrize("text, mode, points, fields", [
+        # every row reads
+        ("g[1][1] = 1 + x1^2\nxi[1] = x1", "symbolic", [[0.5], [1.0]], ("dg", "xi")),
+        # g fails at row 2; xi, which fails at row 1, is read after g
+        ("g[1][1] = 1 + sqrt(x1)\nxi[1] = 1 / (x1 - 2)", "symbolic",
+         [[3.0], [2.0], [-1.0]], ("dg", "xi")),
+        # a non-positive-definite metric at row 0, a dg error at row 1
+        ("g[1][1] = sqrt(x1) - 1", "symbolic", [[0.25], [0.0]], ("dg",)),
+        # a non-positive-definite metric and a dg error at the same row
+        ("g[1][1] = sqrt(x1) - 1", "symbolic", [[4.0], [0.0]], ("dg",)),
+        # xi fails at row 0, but the metric at row 1 is checked first
+        ("g[1][1] = 1 - x1\nxi[1] = 1 / x1", "symbolic", [[0.0], [2.0]], ("xi",)),
+        # a g error at row 0, a degenerate metric at row 1
+        ("g[1][1] = sqrt(x1)", "symbolic", [[-1.0], [0.0]], ("dg",)),
+        # g fails at row 2; dg, whose stencil at row 1 steps below 0, comes after
+        ("g[1][1] = 1 + sqrt(x1)", "fd", [[1.0], [5e-6], [-1.0]], ("dg",)),
+    ])
+    def test_matches_grid_by_grid_reads(self, text, mode, points, fields):
+        chart = chart_from_text(f"dim = 1\n{text}\n").with_mode(DerivativeMode.parse(mode))
+        pg = PointGeometry(chart, points)
+        expected = _outcome(lambda: _read_grid_by_grid(chart, points, fields))
+        got = _outcome(lambda: tuple(getattr(pg, name) for name in ("gram", *fields)))
+        if isinstance(expected[0], type):
+            assert got == expected
+        else:
+            assert len(got) == len(expected)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    @pytest.mark.parametrize("y", [[0.5], [[[0.5, 0.3]]], [[0.5, 0.3, 0.1]], 0.5])
+    def test_points_must_be_a_point_or_a_stack(self, sphere, y):
+        with pytest.raises(ShapeError):
+            PointGeometry(sphere, y)
+
+
 class TestConnectionCorrection:
     def test_behavior_at_s5_origin(self, s5):
         # contract the correction table against frame pairs; the four
         # defining behaviors pin it completely
         pg = PointGeometry(s5, np.zeros(5))
         h = pg.correction
-        a = pg.reeb_gradient.mat
+        a = pg.reeb_gradient
         e = np.eye(5)
         xi = pg.xi
 
@@ -299,9 +355,20 @@ class TestModifiedRiemann:
             PointGeometry(chart, STENCIL_Y).modified_riem
         assert str(excinfo.value) == message
 
+    def test_richardson_stack_reads_grid_by_grid(self):
+        # xi fails at y - h e_2, a row before the first non-positive-definite
+        # metric at y - h e_3; the stack reads and checks g over all of its
+        # rows before it reads xi
+        text = STENCIL_TEXT.replace("xi[3] = 1\n", "xi[3] = 1 + 0*sqrt(x2 - 0.1)\n")
+        chart = chart_from_text(text + "g[1][1] = x3 - 0.19991\n")
+        with pytest.raises(DegenerateInputError) as excinfo:
+            PointGeometry(chart, STENCIL_Y).modified_riem
+        assert str(excinfo.value) == ("gram matrix is not positive definite "
+                                      "(min eigenvalue -1.000e-05)")
+
     # In fd mode every read of a derivative grid is itself a stencil of g
-    # reads at step 1e-5; the messages are the ones reading one point at a
-    # time raises. ``fn`` names the function that assembles the tensor.
+    # reads at step 1e-5. ``fn`` names the function that assembles the
+    # tensor.
     @pytest.mark.parametrize("fn, g11, error, message", [
         *((fn, "sqrt(x1)", EvalError,
            "g[1][1] at point [-5e-05, 0.1, 0.2]: square root of negative value -5e-05 "
@@ -314,9 +381,10 @@ class TestModifiedRiemann:
         ("riemann", "x1 + 0*sqrt(x3 - 0.2)", EvalError,
          "g[1][1] at point [5e-05, 0.1, 0.19999]: square root of negative value -1e-05 "
          "in 'sqrt(x3 - 0.2)'"),
-        ("modified_riemann", "x1 + 0*sqrt(x3 - 0.2)", EvalError,
-         "g[1][1] at point [0.00015000000000000001, 0.1, 0.19999]: square root of "
-         "negative value -1e-05 in 'sqrt(x3 - 0.2)'"),
+        # modified_riemann reads g over all 4d Richardson rows first: the
+        # metric at y - h e_1 fails before the g read at y - h e_3
+        ("modified_riemann", "x1 + 0*sqrt(x3 - 0.2)", DegenerateInputError,
+         "gram matrix is not positive definite (min eigenvalue -5.000e-05)"),
         # the metric check at y - h e_1 comes before the failing g read at y - h e_3
         *((fn, "x1 + 0*sqrt(x3 - 0.19995)", DegenerateInputError,
            "gram matrix is not positive definite (min eigenvalue -5.000e-05)")
@@ -530,8 +598,8 @@ class TestDefectFactorizationSuite:
         e = np.eye(5)
         out = factorization_rhs(pg, e[1], e[2], e[3])
         np.testing.assert_allclose(out, -e[2], atol=1e-14)
-        phi = pg.phi.mat
-        a = pg.reeb_gradient.mat
+        phi = pg.phi
+        a = pg.reeb_gradient
         x, y, z = e[1], e[2], e[3]
         manual = (pg.inner(a @ y, phi @ z) * (a @ x)
                   - pg.inner(a @ x, phi @ z) * (a @ y)

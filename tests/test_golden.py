@@ -36,6 +36,8 @@ CASES = {
     "validate_s5_fd": ("validate", "--chart", S5_FD_CHART, "--probes", "4", "--seed", "17"),
     "curvature_s5": ("curvature", "--gallery", "s5", "--probes", "3", "--seed", "5"),
     "curvature_s5_fd": ("curvature", "--chart", S5_FD_CHART, "--probes", "3", "--seed", "5"),
+    "curvature_sasakian_r5": ("curvature", "--gallery", "sasakian_r5", "--probes", "3",
+                              "--seed", "5"),
     "identities_s5": ("identities", "--gallery", "s5", "--probes", "2", "--seed", "23"),
     "identities_s5_fd": ("identities", "--chart", S5_FD_CHART, "--probes", "2",
                          "--seed", "23"),
