@@ -19,7 +19,7 @@ from .errors import (ChartFormatError, DegenerateInputError, GeometryError,
                      PreconditionError, SearchError, ShapeError)
 from .exprs import EvalError, ParseError, differentiate, evaluate, parse, to_text
 from .gallery import FANO_TRIPLES, GALLERY_NAMES, gallery_chart, nearly_kahler_j, octonion_cross
-from .linalg import LinearOp, Metric, adjoint, anticommutator, gram_schmidt, skew_part
+from .linalg import Metric, adjoint, gram_schmidt, skew_matrix
 from .quadruples import (ComplexStructuredSpace, Quadruple, decomposition_campaign,
                          find_generic_vector, find_orthogonal_witness,
                          generic_vector_campaign, quadruple_decomposition,

@@ -19,10 +19,12 @@ derivative grid reads the base grid over the stacked stencil of every
 point (`stencil_points`) and differences it.
 
 `curvature.PointGeometry` is the only reader of a chart: it reads each grid
-once over its point or its stack of rows, and the one-point `Chart.<grid>_at`
-methods wrap the same reader. Christoffel symbols and their derivatives, the
-covariant derivatives and the exterior derivative of the contact form are
-formulas over the arrays it reads.
+once over its point or its stack of rows. The five one-point readers
+(`Chart.g_at`, `phi_at`, `dg_at`, `ddg_at`, `dphi_at`) wrap the same reader
+and are kept for the benchmark's tracer, which times them by name.
+Christoffel symbols and their derivatives, the covariant derivatives and
+the exterior derivative of the contact form are formulas over the arrays it
+reads.
 
 Chart files are line oriented: ``dim = 5``, an optional
 ``derivative_mode = symbolic | fd[:<step>]``, optional per-coordinate
@@ -42,7 +44,6 @@ import numpy as np
 from .errors import ChartFormatError, ShapeError
 from .exprs import (EvalError, Expr, Num, compile_kernel, differentiate, evaluate,
                     free_variables, parse, to_text)
-from .linalg import LinearOp, Metric
 
 _ZERO = Num(0.0)
 _DEFAULT_FD_STEP = 1e-5
@@ -225,17 +226,8 @@ class Chart:
     def g_at(self, y) -> np.ndarray:
         return self._grid_at("g", y)
 
-    def metric_at(self, y) -> Metric:
-        return Metric(self.g_at(y))
-
-    def phi_at(self, y) -> LinearOp:
-        return LinearOp(self._grid_at("phi", y))
-
-    def xi_at(self, y) -> np.ndarray:
-        return self._grid_at("xi", y)
-
-    def eta_at(self, y) -> np.ndarray:
-        return self._grid_at("eta", y)
+    def phi_at(self, y) -> np.ndarray:
+        return self._grid_at("phi", y)
 
     # -- derivative grids ---------------------------------------------------
 
@@ -252,14 +244,6 @@ class Chart:
     def dphi_at(self, y) -> np.ndarray:
         """dphi[k, i, j] is the x_k derivative of phi[i][j]."""
         return self._grid_at("dphi", y)
-
-    def dxi_at(self, y) -> np.ndarray:
-        """dxi[k, i] is the x_k derivative of xi[i]."""
-        return self._grid_at("dxi", y)
-
-    def deta_at(self, y) -> np.ndarray:
-        """deta[k, i] is the x_k derivative of eta[i]."""
-        return self._grid_at("deta", y)
 
 
 @dataclass(frozen=True)
@@ -543,8 +527,12 @@ def chart_to_text(chart: Chart) -> str:
 
 
 def load_chart(path, *, name: str | None = None) -> Chart:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ChartFormatError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from exc
     if name is None:
         name = str(path)
     return chart_from_text(text, name=name)

@@ -307,6 +307,8 @@ def cmd_curvature(args) -> int:
 def cmd_identities(args) -> int:
     tol = _resolve_tolerances(args)
     seed = _resolve_seed(args)
+    if args.c is not None and not math.isfinite(args.c):
+        raise GeometryError(f"--c must be finite, got {args.c}")
     n_points = _resolve_points(args)
     chart = _resolve_chart(args)
     points = sample_points(chart, n_points, seed)

@@ -46,7 +46,7 @@ from .charts import (SYMBOLIC, Chart, DerivativeMode, christoffel,
 from .config import (DEFAULT_TOLERANCES, FD_SECOND_STEP, MAX_PROBE_DRAWS,
                      PROBES_PER_RESIDUAL, Tolerances)
 from .errors import DegenerateInputError, ShapeError
-from .linalg import LinearOp, Metric, check_gram, operator_in_basis, skew_matrix
+from .linalg import Metric, check_gram, operator_in_basis, skew_matrix
 from .report import Check, VerificationReport, worst
 from .structure import AcmsPoint, check_eta_parallel, horizontal_basis, horizontal_projector
 
@@ -218,7 +218,7 @@ class PointGeometry:
 
     @cached_property
     def point(self) -> AcmsPoint:
-        return AcmsPoint(LinearOp(self.phi), self.xi, self.eta, self.metric)
+        return AcmsPoint(self.phi, self.xi, self.eta, self.metric)
 
     @cached_property
     def dg(self) -> np.ndarray:
@@ -695,7 +695,7 @@ def horizontal_sectional_values(chart: Chart, points, seed: int = 0, *,
 def contact_residuals(pg: PointGeometry) -> tuple[float, float]:
     """Pair (sigma_min of the horizontal skew operator, absolute top-form
     coefficient of the contact volume)."""
-    b = operator_in_basis(LinearOp(pg.skew_projected), pg.horizontal_basis, pg.metric)
+    b = operator_in_basis(pg.skew_projected, pg.horizontal_basis, pg.metric)
     sigma = float(np.linalg.svd(b, compute_uv=False)[-1])
     volume = abs(contact_volume_coefficient(pg.eta, pg.deta))
     return sigma, volume

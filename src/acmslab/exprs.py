@@ -84,12 +84,6 @@ def num(value: float) -> Num:
     return Num(float(value))
 
 
-def var(index: int) -> Var:
-    if index < 1:
-        raise ValueError(f"variable index must be >= 1, got {index}")
-    return Var(index)
-
-
 def _is_const(e: Expr, value: float | None = None) -> bool:
     return isinstance(e, Num) and (value is None or e.value == value)
 
@@ -153,12 +147,6 @@ def pow_(base: Expr, exponent: int) -> Expr:
     if _is_const(base):
         return num(base.value ** exponent)
     return Pow(base, exponent)
-
-
-def call(func: str, arg: Expr) -> Expr:
-    if func not in FUNCTIONS:
-        raise ValueError(f"unknown function {func!r}")
-    return Call(func, arg)
 
 
 def _d_sqrt(a: Expr, da: Expr) -> Expr:

@@ -1,9 +1,9 @@
 """Metric-aware linear algebra on a finite-dimensional real vector space.
 
-Operators are plain component matrices relative to an arbitrary frame; a Gram
-matrix carries the inner product, so nothing here assumes the frame is
-orthonormal. Adjoints, skew parts, eigendecompositions and orthonormal bases
-all take the metric explicitly.
+Operators are plain ``(d, d)`` component matrices relative to an arbitrary
+frame; a Gram matrix carries the inner product, so nothing here assumes the
+frame is orthonormal. Adjoints, skew parts, eigendecompositions and
+orthonormal bases all take the metric explicitly.
 
 A stack of vectors is a ``(dim, n)`` array holding one vector per column, so
 an operator matrix applies to the whole stack as ``mat @ stack`` and the
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DegenerateInputError, PreconditionError, ShapeError
 
 _METRIC_PD = 1e-10       # smallest admissible gram eigenvalue
-_EIGEN_RESIDUAL = 1e-8   # |op v - lambda v| after eigensolve
+_EIGEN_RESIDUAL = 1e-8   # |mat v - lambda v| after eigensolve
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
@@ -74,10 +74,6 @@ class Metric:
         return cls(np.eye(dim))
 
     @cached_property
-    def inverse(self) -> np.ndarray:
-        return _frozen(np.linalg.inv(self.gram))
-
-    @cached_property
     def chol_upper(self) -> np.ndarray:
         # gram = R^T R; mapping v -> R v takes the frame to an orthonormal one
         return _frozen(np.linalg.cholesky(self.gram).T)
@@ -109,79 +105,40 @@ class Metric:
         return r @ mat @ np.linalg.inv(r)
 
 
-@dataclass(frozen=True)
-class LinearOp:
-    """Endomorphism stored as its component matrix (columns are images)."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mat", _frozen(_as_matrix(self.mat, "operator")))
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def apply(self, v) -> np.ndarray:
-        return self.mat @ np.asarray(v, dtype=float)
-
-    def compose(self, other: "LinearOp") -> "LinearOp":
-        return LinearOp(self.mat @ other.mat)
-
-    def __add__(self, other: "LinearOp") -> "LinearOp":
-        return LinearOp(self.mat + other.mat)
-
-    @property
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.mat)))
+def _check_same_dim(gram, *mats):
+    """Raise ShapeError unless every matrix is square of the Gram matrix's
+    size, over any leading axes."""
+    d = np.shape(gram)[-1]
+    for mat in mats:
+        if np.shape(mat)[-2:] != (d, d):
+            raise ShapeError(f"operator shape {np.shape(mat)} does not match metric dim {d}")
 
 
-def _check_same_dim(g: Metric, *ops: LinearOp):
-    for op in ops:
-        if op.dim != g.dim:
-            raise ShapeError(f"operator dim {op.dim} does not match metric dim {g.dim}")
-
-
-def _adjoint_matrix(mat, gram) -> np.ndarray:
-    """Matrix of the metric adjoint, over any leading axes of mat and gram."""
+def adjoint(mat, gram) -> np.ndarray:
+    """Matrix of the metric adjoint, g(mat x, y) = g(x, adjoint(mat) y), over
+    any leading axes of mat and gram."""
+    _check_same_dim(gram, mat)
+    mat = np.asarray(mat, dtype=float)
     return np.linalg.solve(gram, mat.swapaxes(-1, -2) @ gram)
-
-
-def adjoint(op: LinearOp, g: Metric) -> LinearOp:
-    """Metric adjoint: g(op x, y) = g(x, adjoint(op) y) for all x, y."""
-    _check_same_dim(g, op)
-    return LinearOp(_adjoint_matrix(op.mat, g.gram))
 
 
 def skew_matrix(mat, gram) -> np.ndarray:
     """Skew component 0.5 * (mat - adjoint(mat)) with respect to the Gram
     matrix, over any leading axes of mat and gram."""
-    return 0.5 * (mat - _adjoint_matrix(mat, gram))
+    return 0.5 * (mat - adjoint(mat, gram))
 
 
-def skew_part(op: LinearOp, g: Metric) -> LinearOp:
-    """Skew component 0.5 * (op - adjoint(op)) with respect to g."""
-    _check_same_dim(g, op)
-    return LinearOp(skew_matrix(op.mat, g.gram))
-
-
-def anticommutator(a: LinearOp, b: LinearOp) -> LinearOp:
-    if a.dim != b.dim:
-        raise ShapeError(f"operator dims differ: {a.dim} vs {b.dim}")
-    return LinearOp(a.mat @ b.mat + b.mat @ a.mat)
-
-
-def symmetric_eigen(op: LinearOp, g: Metric, *, tol: float):
-    """Eigendecomposition of a g-self-adjoint operator, whose asymmetry
+def symmetric_eigen(mat, g: Metric, *, tol: float):
+    """Eigendecomposition of a g-self-adjoint operator matrix, whose asymmetry
     residual must stay below ``tol`` relative to its size.
 
     Returns ``(vals, vecs)``: the eigenvalues ascending with stable index
     tie-break, and the g-orthonormal eigenvectors as the columns of a stack
-    in the same order. Every pair is checked for ``|op v - lambda v|`` at
+    in the same order. Every pair is checked for ``|mat v - lambda v|`` at
     once; the first failing pair in that order raises.
     """
-    _check_same_dim(g, op)
-    gm = g.gram @ op.mat
+    _check_same_dim(g.gram, mat)
+    gm = g.gram @ mat
     asym = float(np.max(np.abs(gm - gm.T)))
     if asym > tol * (1.0 + float(np.max(np.abs(gm)))):
         raise PreconditionError(
@@ -193,8 +150,9 @@ def symmetric_eigen(op: LinearOp, g: Metric, *, tol: float):
     vals, w = np.linalg.eigh(l_inv_t.T @ (0.5 * (gm + gm.T)) @ l_inv_t)
     order = np.argsort(vals, kind="stable")
     vals, vecs = vals[order], (l_inv_t @ w)[:, order]
-    resid = np.max(np.abs(op.mat @ vecs - vecs * vals), axis=0)
-    bad = np.flatnonzero(resid > _EIGEN_RESIDUAL * (1.0 + np.abs(vals)) * (1.0 + op.max_norm))
+    resid = np.max(np.abs(mat @ vecs - vecs * vals), axis=0)
+    scale = 1.0 + float(np.max(np.abs(mat)))
+    bad = np.flatnonzero(resid > _EIGEN_RESIDUAL * (1.0 + np.abs(vals)) * scale)
     if bad.size:
         n = bad[0]
         raise DegenerateInputError(
@@ -238,14 +196,15 @@ def gram_schmidt(vectors, g: Metric, *, rank_tol: float,
     return out
 
 
-def operator_in_basis(op: LinearOp, basis, g: Metric) -> np.ndarray:
-    """Component matrix of op compressed to the span of a stack of
+def operator_in_basis(mat, basis, g: Metric) -> np.ndarray:
+    """Component matrix of an operator compressed to the span of a stack of
     g-orthonormal columns."""
     basis = np.asarray(basis, dtype=float)
-    return basis.T @ g.gram @ op.mat @ basis
+    return basis.T @ g.gram @ mat @ basis
 
 
-def g_singular_values(op: LinearOp, g: Metric) -> np.ndarray:
-    """Singular values of the operator with respect to the g inner product."""
-    _check_same_dim(g, op)
-    return np.linalg.svd(g.to_orthonormal(op.mat), compute_uv=False)
+def g_singular_values(mat, g: Metric) -> np.ndarray:
+    """Singular values of an operator matrix with respect to the g inner
+    product."""
+    _check_same_dim(g.gram, mat)
+    return np.linalg.svd(g.to_orthonormal(mat), compute_uv=False)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateInputError, PreconditionError, SearchError, ShapeError
-from .linalg import (LinearOp, Metric, adjoint, g_singular_values, gram_schmidt,
-                     project_out, skew_matrix, symmetric_eigen)
+from .linalg import (Metric, adjoint, g_singular_values, gram_schmidt, project_out,
+                     skew_matrix, symmetric_eigen)
 from .report import Check, VerificationReport, least, worst
 
 _MAX_OPERATOR_DRAWS = 200  # draws before a min_sigma search gives up
@@ -33,16 +33,18 @@ class ComplexStructuredSpace:
     """Even-dimensional space with a g-isometric complex structure J,
     checked at the fixed ``_J_EXACT`` when built."""
 
-    j: LinearOp
+    j: np.ndarray
     g: Metric
 
     def __post_init__(self):
         dim = self.g.dim
         if dim % 2 != 0:
             raise ShapeError(f"complex structure needs even dimension, got {dim}")
-        if self.j.dim != dim:
-            raise ShapeError(f"J dim {self.j.dim} does not match metric dim {dim}")
-        jm = self.j.mat
+        jm = np.array(self.j, dtype=float)
+        if jm.shape != (dim, dim):
+            raise ShapeError(f"J has shape {jm.shape}, expected ({dim}, {dim})")
+        jm.setflags(write=False)
+        object.__setattr__(self, "j", jm)
         square = float(np.max(np.abs(jm @ jm + np.eye(dim))))
         if square > _J_EXACT:
             raise PreconditionError(f"J^2 + I residual {square:.3e} too large")
@@ -63,7 +65,7 @@ class ComplexStructuredSpace:
         jm = np.zeros((dim, dim))
         jm[m:, :m] = np.eye(m)
         jm[:m, m:] = -np.eye(m)
-        return cls(LinearOp(jm), Metric.euclidean(dim))
+        return cls(jm, Metric.euclidean(dim))
 
 
 @dataclass(frozen=True)
@@ -74,25 +76,25 @@ class Quadruple:
     eigenvalue: float
 
 
-def _check_anticommutes(space: ComplexStructuredSpace, a: LinearOp, tol: float):
-    resid = float(np.max(np.abs(a.mat @ space.j.mat + space.j.mat @ a.mat)))
-    if resid > tol * (1.0 + a.max_norm):
+def _check_anticommutes(space: ComplexStructuredSpace, a: np.ndarray, tol: float):
+    resid = float(np.max(np.abs(a @ space.j + space.j @ a)))
+    if resid > tol * (1.0 + float(np.max(np.abs(a)))):
         raise PreconditionError(f"operator does not anticommute with J (residual {resid:.3e})")
 
 
-def _check_skew(space: ComplexStructuredSpace, a: LinearOp, tol: float):
-    resid = (a + adjoint(a, space.g)).max_norm
-    if resid > tol * (1.0 + a.max_norm):
+def _check_skew(space: ComplexStructuredSpace, a: np.ndarray, tol: float):
+    resid = float(np.max(np.abs(a + adjoint(a, space.g.gram))))
+    if resid > tol * (1.0 + float(np.max(np.abs(a)))):
         raise PreconditionError(f"operator is not g-skew (residual {resid:.3e})")
 
 
-def _triple(space: ComplexStructuredSpace, a: LinearOp, y) -> np.ndarray:
+def _triple(space: ComplexStructuredSpace, a: np.ndarray, y) -> np.ndarray:
     """The stack (Y, JY, AY)."""
     y = np.asarray(y, float)
-    return np.column_stack([y, space.j.apply(y), a.apply(y)])
+    return np.column_stack([y, space.j @ y, a @ y])
 
 
-def _normalized_triple_gram_det(space: ComplexStructuredSpace, a: LinearOp, y) -> float:
+def _normalized_triple_gram_det(space: ComplexStructuredSpace, a: np.ndarray, y) -> float:
     g = space.g
     triple = _triple(space, a, y)
     norms = g.norms(triple)
@@ -113,13 +115,13 @@ def _candidate_vectors(space: ComplexStructuredSpace):
     for i in range(dim):
         for j in range(dim):
             if i != j:
-                yield eye[i] + space.j.apply(eye[j])
+                yield eye[i] + space.j @ eye[j]
     rng = np.random.default_rng(_GENERIC_SEED)
     for _ in range(_GENERIC_RANDOM):
         yield rng.standard_normal(dim)
 
 
-def find_generic_vector(space: ComplexStructuredSpace, a: LinearOp,
+def find_generic_vector(space: ComplexStructuredSpace, a: np.ndarray,
                         *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """First vector (in a deterministic scan order) whose triple
     {Y, JY, AY} has normalized Gram determinant above ``tol.rank``.
@@ -128,9 +130,9 @@ def find_generic_vector(space: ComplexStructuredSpace, a: LinearOp,
     seeded random draws. Returns the g-unit representative. The operator
     must anticommute with J to within ``tol.acms_exact``.
     """
-    if a.dim != space.dim:
-        raise ShapeError(f"operator dim {a.dim} does not match space dim {space.dim}")
-    if a.max_norm == 0.0:
+    if np.shape(a) != (space.dim, space.dim):
+        raise ShapeError(f"operator shape {np.shape(a)} does not match space dim {space.dim}")
+    if not np.any(a):
         raise PreconditionError("operator is identically zero")
     _check_anticommutes(space, a, tol.acms_exact)
     for candidate in _candidate_vectors(space):
@@ -139,7 +141,7 @@ def find_generic_vector(space: ComplexStructuredSpace, a: LinearOp,
     raise SearchError("no generic vector found; operator may be numerically degenerate")
 
 
-def find_orthogonal_witness(space: ComplexStructuredSpace, a: LinearOp, y,
+def find_orthogonal_witness(space: ComplexStructuredSpace, a: np.ndarray, y,
                             *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Unit Z orthogonal to span{Y, JY, AY} with <Z, JAY> above ``tol.witness``.
 
@@ -151,7 +153,7 @@ def find_orthogonal_witness(space: ComplexStructuredSpace, a: LinearOp, y,
     if _normalized_triple_gram_det(space, a, y) <= tol.rank:
         raise DegenerateInputError("triple {Y, JY, AY} is numerically dependent")
     onb = gram_schmidt(_triple(space, a, y), g, rank_tol=tol.rank, require_all=True)
-    jay = space.j.apply(a.apply(y))
+    jay = space.j @ (a @ y)
     residue = project_out(jay, onb, g)
     norm = g.norm(residue)
     if norm < tol.witness:
@@ -165,7 +167,7 @@ def find_orthogonal_witness(space: ComplexStructuredSpace, a: LinearOp, y,
     return z
 
 
-def quadruple_decomposition(space: ComplexStructuredSpace, a: LinearOp,
+def quadruple_decomposition(space: ComplexStructuredSpace, a: np.ndarray,
                             *, tol: Tolerances = DEFAULT_TOLERANCES) -> list[Quadruple]:
     """Split the space into g-orthogonal quadruples (X, JX, AX, JAX).
 
@@ -177,13 +179,13 @@ def quadruple_decomposition(space: ComplexStructuredSpace, a: LinearOp,
     return _decompose(space, a, tol)[0]
 
 
-def _decompose(space: ComplexStructuredSpace, a: LinearOp,
+def _decompose(space: ComplexStructuredSpace, a: np.ndarray,
                tol: Tolerances) -> tuple[list[Quadruple], float]:
     """The quadruples and the largest off-diagonal entry of the Gram matrix
     of all their normalized vectors."""
     dim = space.dim
-    if a.dim != dim:
-        raise ShapeError(f"operator dim {a.dim} does not match space dim {dim}")
+    if np.shape(a) != (dim, dim):
+        raise ShapeError(f"operator shape {np.shape(a)} does not match space dim {dim}")
     _check_anticommutes(space, a, tol.acms_exact)
     _check_skew(space, a, tol.acms_exact)
     sigma_min = float(g_singular_values(a, space.g)[-1])
@@ -198,12 +200,11 @@ def _decompose(space: ComplexStructuredSpace, a: LinearOp,
             "anticommuting operator exists; refusing to decompose"
         )
     g = space.g
-    squared = a.compose(a)
-    jm, am, a2 = space.j.mat, a.mat, squared.mat
-    _, candidates = symmetric_eigen(squared, g, tol=tol.self_adjoint)
+    jm, a2 = space.j, a @ a
+    _, candidates = symmetric_eigen(a2, g, tol=tol.self_adjoint)
     used = candidates[:, :0]
     quads: list[Quadruple] = []
-    a_scale = 1.0 + a.max_norm ** 2
+    a_scale = 1.0 + float(np.max(np.abs(a))) ** 2
     pairs = np.triu_indices(4, 1)
     while len(quads) < dim // 4:
         # deflate every eigenvector candidate against the blocks found so far
@@ -217,7 +218,7 @@ def _decompose(space: ComplexStructuredSpace, a: LinearOp,
             )
         x = residues[:, best] / norms[best]
         lam = g.inner(a2 @ x, x)
-        ax = am @ x
+        ax = a @ x
         block = np.column_stack([x, jm @ x, ax, jm @ ax])
         norms = g.norms(block)
         if np.any(norms < tol.quad):
@@ -254,7 +255,7 @@ def constrained_operator_basis(space: ComplexStructuredSpace, *, skew: bool) -> 
     The draws use ``constrained_projection``; this basis is its test oracle.
     """
     d = space.dim
-    jm = space.j.mat
+    jm = space.j
     gram = space.g.gram
     # system[0, i, j] holds the coefficients of (AJ + JA)[i, j] in the
     # entries of A, and system[1, i, j] those of (G A + A^T G)[i, j]
@@ -281,7 +282,7 @@ def constrained_projection(space: ComplexStructuredSpace, a, *, skew: bool) -> n
     with J^2 = -I, so its adjoint is -J and the two projections commute:
     P2 P1 projects onto the intersection.
     """
-    jm = space.j.mat
+    jm = space.j
     a = 0.5 * (a + jm @ a @ jm)
     return skew_matrix(a, space.g.gram) if skew else a
 
@@ -299,7 +300,7 @@ def _constrained_dimension(space: ComplexStructuredSpace, *, skew: bool) -> int:
 
 
 def random_constrained_operator(space: ComplexStructuredSpace, rng,
-                                *, skew: bool, min_sigma: float = 0.0) -> LinearOp:
+                                *, skew: bool, min_sigma: float = 0.0) -> np.ndarray:
     """Draw A = P(Z), with P the ``constrained_projection`` and Z a d x d
     matrix of i.i.d. standard normal entries from ``rng``.
 
@@ -311,15 +312,16 @@ def random_constrained_operator(space: ComplexStructuredSpace, rng,
         raise DegenerateInputError(
             f"constraint space is trivial in dimension {space.dim}; only A = 0 qualifies"
         )
-    d = space.dim
+    d, jm = space.dim, space.j
     for _ in range(_MAX_OPERATOR_DRAWS):
-        a = LinearOp(constrained_projection(space, rng.standard_normal((d, d)), skew=skew))
-        resid = float(np.max(np.abs(a.mat @ space.j.mat + space.j.mat @ a.mat)))
-        if resid > 1e-12 * (1.0 + a.max_norm):
+        a = constrained_projection(space, rng.standard_normal((d, d)), skew=skew)
+        gate = 1e-12 * (1.0 + float(np.max(np.abs(a))))
+        resid = float(np.max(np.abs(a @ jm + jm @ a)))
+        if resid > gate:
             raise DegenerateInputError(f"sampled operator violates anticommutation ({resid:.3e})")
         if skew:
-            skew_resid = (a + adjoint(a, space.g)).max_norm
-            if skew_resid > 1e-12 * (1.0 + a.max_norm):
+            skew_resid = float(np.max(np.abs(a + adjoint(a, space.g.gram))))
+            if skew_resid > gate:
                 raise DegenerateInputError(f"sampled operator is not g-skew ({skew_resid:.3e})")
         if min_sigma <= 0.0:
             return a
@@ -340,12 +342,12 @@ def generic_vector_campaign(dim: int, trials: int, seed: int,
     dets, overlaps = [], []
     for _ in range(trials):
         a = random_constrained_operator(space, rng, skew=False)
-        if a.max_norm < 1e-8:
+        if float(np.max(np.abs(a))) < 1e-8:
             continue
         y = find_generic_vector(space, a, tol=tol)
         z = find_orthogonal_witness(space, a, y, tol=tol)
         dets.append(_normalized_triple_gram_det(space, a, y))
-        overlaps.append(abs(space.g.inner(z, space.j.apply(a.apply(y)))))
+        overlaps.append(abs(space.g.inner(z, space.j @ (a @ y))))
     return VerificationReport.of([
         Check.above("min_triple_gram_det", least(dets), tol.rank),
         Check.above("min_witness_overlap", least(overlaps), tol.witness),

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateInputError, ShapeError
-from .linalg import LinearOp, Metric, gram_schmidt
+from .linalg import Metric, gram_schmidt
 from .report import Check, VerificationReport
 
 
@@ -50,7 +50,7 @@ class AcmsPoint:
     deliberately broken structures can be built and reported on.
     """
 
-    phi: LinearOp
+    phi: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
     g: Metric
@@ -59,13 +59,14 @@ class AcmsPoint:
         dim = self.g.dim
         if dim < 3 or dim % 2 == 0:
             raise dimension_error(dim)
-        if self.phi.dim != dim:
-            raise ShapeError(f"phi dim {self.phi.dim} does not match metric dim {dim}")
+        phi = np.asarray(self.phi, dtype=float)
+        if phi.shape != (dim, dim):
+            raise ShapeError(f"phi has shape {phi.shape}, expected ({dim}, {dim})")
         xi = np.asarray(self.xi, dtype=float)
         eta = np.asarray(self.eta, dtype=float)
         if xi.shape != (dim,) or eta.shape != (dim,):
             raise ShapeError(f"xi/eta must have shape ({dim},)")
-        for field, arr in (("xi", xi), ("eta", eta)):
+        for field, arr in (("phi", phi), ("xi", xi), ("eta", eta)):
             frozen = arr.copy()
             frozen.setflags(write=False)
             object.__setattr__(self, field, frozen)
@@ -82,8 +83,10 @@ class AcmsPoint:
         return float(self.eta @ np.asarray(v, dtype=float))
 
     @cached_property
-    def projector(self) -> LinearOp:
-        return LinearOp(horizontal_projector(self.xi, self.eta))
+    def projector(self) -> np.ndarray:
+        out = horizontal_projector(self.xi, self.eta)
+        out.setflags(write=False)
+        return out
 
 
 def validate_acms(p: AcmsPoint, *, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
@@ -96,14 +99,14 @@ def validate_acms(p: AcmsPoint, *, tol: Tolerances = DEFAULT_TOLERANCES) -> Veri
     """
     dim = p.dim
     g = p.g.gram
-    phi = p.phi.mat
+    phi = p.phi
     eye = np.eye(dim)
     eta_xi_outer = np.outer(p.xi, p.eta)
 
     phi_sq = float(np.max(np.abs(phi @ phi + eye - eta_xi_outer)))
     eta_xi = abs(p.eta_of(p.xi) - 1.0)
     compat = float(np.max(np.abs(phi.T @ g @ phi - g + np.outer(p.eta, p.eta))))
-    phi_xi = p.g.norm(p.phi.apply(p.xi))
+    phi_xi = p.g.norm(phi @ p.xi)
     eta_phi = float(np.max(np.abs(p.eta @ phi)))
     eta_flat = float(np.max(np.abs(p.eta - g @ p.xi)))
 
@@ -128,7 +131,7 @@ def horizontal_basis(p: AcmsPoint, *, tol: Tolerances = DEFAULT_TOLERANCES) -> n
     the coordinate frame projected along xi (the columns of the projector),
     orthonormalized with pivoting that drops columns below ``tol.rank``.
     Its eta leak is gated at 1e3 times ``tol.acms_exact``."""
-    basis = gram_schmidt(p.projector.mat, p.g, rank_tol=tol.rank)
+    basis = gram_schmidt(p.projector, p.g, rank_tol=tol.rank)
     rank = basis.shape[1]
     if rank != p.horizontal_dim:
         raise DegenerateInputError(

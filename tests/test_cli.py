@@ -577,6 +577,23 @@ class TestInputErrors:
         assert "non-finite value nan" in err
         assert "VERDICT" not in out
 
+    @pytest.mark.parametrize("command", ["validate", "curvature", "identities"])
+    def test_non_utf8_chart_file_rejected(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.chart"
+        path.write_bytes(b"dim = 3\ng[1][1] = 1\xff\n")
+        code, out, err = run(capsys, command, "--chart", str(path), *FAST)
+        assert (code, out) == (2, "")
+        assert err == (f"acmslab: error: {path}: byte 19 is not UTF-8 "
+                       "(invalid start byte)\n")
+
+    # a non-finite constant once reached the reconstruction suite and ended
+    # in residual=nan or inf verdicts with exit 1
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_constant_rejected(self, capsys, value):
+        code, out, err = run(capsys, "identities", *S5, *FAST, f"--c={value}")
+        assert (code, out) == (2, "")
+        assert err == f"acmslab: error: --c must be finite, got {value}\n"
+
 
 class TestDegenerateCharts:
     @pytest.mark.parametrize("command, message", [

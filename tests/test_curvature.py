@@ -144,7 +144,7 @@ def _fd_riemann_oracle(chart, y):
     step and of the Christoffel symbols at FD_SECOND_STEP."""
     def gam_at(p):
         dg = _central_difference(chart.g_at, p, chart.mode.step)
-        return christoffel(Metric(chart.g_at(p)).inverse, dg)
+        return christoffel(np.linalg.inv(Metric(chart.g_at(p)).gram), dg)
 
     return _assemble_curvature(gam_at(y), _central_difference(gam_at, y, FD_SECOND_STEP))
 

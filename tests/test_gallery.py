@@ -119,12 +119,13 @@ class TestSphereChart:
         origin = np.zeros(5)
         np.testing.assert_allclose(s5.g_at(origin), np.eye(5), atol=1e-14)
         e1 = np.eye(5)[0]
-        np.testing.assert_allclose(s5.xi_at(origin), e1, atol=1e-14)
-        np.testing.assert_allclose(s5.eta_at(origin), e1, atol=1e-14)
+        pg = PointGeometry(s5, origin)
+        np.testing.assert_allclose(pg.xi, e1, atol=1e-14)
+        np.testing.assert_allclose(pg.eta, e1, atol=1e-14)
         phi = np.zeros((5, 5))
         phi[1, 3], phi[2, 4] = -1.0, 1.0
         phi[3, 1], phi[4, 2] = 1.0, -1.0
-        np.testing.assert_allclose(s5.phi_at(origin).mat, phi, atol=1e-14)
+        np.testing.assert_allclose(s5.phi_at(origin), phi, atol=1e-14)
 
     def test_origin_reeb_gradient_frozen(self):
         s5 = gallery_chart("s5")
@@ -151,7 +152,7 @@ class TestSasakianChart:
         chart = gallery_chart("sasakian_r5")
         for y in sample_points(chart, 6, seed=31):
             a = PointGeometry(chart, y).reeb_gradient
-            phi = chart.phi_at(y).mat
+            phi = chart.phi_at(y)
             assert np.max(np.abs(a + phi)) < 1e-12
 
     def test_contact_frozen(self):

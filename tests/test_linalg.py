@@ -6,16 +6,14 @@ import pytest
 
 from acmslab.errors import DegenerateInputError, PreconditionError, ShapeError
 from acmslab.linalg import (
-    LinearOp,
     Metric,
     adjoint,
-    anticommutator,
     check_gram,
     g_singular_values,
     gram_schmidt,
     operator_in_basis,
     project_out,
-    skew_part,
+    skew_matrix,
     symmetric_eigen,
 )
 
@@ -59,18 +57,12 @@ class TestMetric:
         with pytest.raises(DegenerateInputError):
             g.unit(np.zeros(2))
 
-    def test_inverse_roundtrip(self):
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(4, 4))
-        g = Metric(m @ m.T + 4.0 * np.eye(4))
-        np.testing.assert_allclose(g.gram @ g.inverse, np.eye(4), atol=1e-12)
-
     def test_to_orthonormal_preserves_singulars(self):
         # conjugating by the Cholesky factor turns g-singular values into
         # plain ones
         g = Metric(np.diag([1.0, 4.0]))
-        op = LinearOp(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        plain = np.linalg.svd(g.to_orthonormal(op.mat), compute_uv=False)
+        op = np.array([[0.0, 1.0], [0.0, 0.0]])
+        plain = np.linalg.svd(g.to_orthonormal(op), compute_uv=False)
         np.testing.assert_allclose(sorted(plain), sorted(g_singular_values(op, g)))
 
     def test_gram_is_readonly(self):
@@ -79,98 +71,79 @@ class TestMetric:
             g.gram[0, 0] = 7.0
 
 
-class TestLinearOp:
-    def test_identity_apply(self):
-        v = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(LinearOp(np.eye(3)).apply(v), v)
-
-    def test_compose_order(self):
-        # compose(other) means self after other
-        a = LinearOp(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        b = LinearOp(np.array([[0.0, 0.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(a.compose(b).mat, a.mat @ b.mat)
-
-    def test_arithmetic(self):
-        a = LinearOp(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        np.testing.assert_allclose((a + LinearOp(0.5 * a.mat)).mat, 1.5 * a.mat)
-
-    def test_max_norm(self):
-        a = LinearOp(np.array([[1.0, -7.0], [3.0, 4.0]]))
-        assert a.max_norm == pytest.approx(7.0)
-
-    def test_rejects_vector(self):
-        with pytest.raises(ShapeError):
-            LinearOp(np.ones(3))
-
-
 class TestAdjoint:
     def test_weighted_adjoint_frozen(self):
         # g = diag(1, 2): adjoint of the nilpotent shift [[0,1],[0,0]]
         # picks up the weight ratio
         g = Metric(np.diag([1.0, 2.0]))
-        a = LinearOp(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
         expected = np.array([[0.0, 0.0], [0.5, 0.0]])
-        np.testing.assert_allclose(adjoint(a, g).mat, expected, atol=1e-14)
+        np.testing.assert_allclose(adjoint(a, g.gram), expected, atol=1e-14)
 
     def test_defining_pairing(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             m = rng.normal(size=(5, 5))
             g = Metric(m @ m.T + 5.0 * np.eye(5))
-            a = LinearOp(rng.normal(size=(5, 5)))
-            a_star = adjoint(a, g)
+            a = rng.normal(size=(5, 5))
+            a_star = adjoint(a, g.gram)
             x = rng.normal(size=5)
             y = rng.normal(size=5)
-            lhs = g.inner(a.apply(x), y)
-            rhs = g.inner(x, a_star.apply(y))
+            lhs = g.inner(a @ x, y)
+            rhs = g.inner(x, a_star @ y)
             assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(lhs))
 
     def test_involution(self):
         rng = np.random.default_rng(12)
         m = rng.normal(size=(4, 4))
         g = Metric(m @ m.T + 4.0 * np.eye(4))
-        a = LinearOp(rng.normal(size=(4, 4)))
-        np.testing.assert_allclose(adjoint(adjoint(a, g), g).mat, a.mat, atol=1e-12)
+        a = rng.normal(size=(4, 4))
+        np.testing.assert_allclose(adjoint(adjoint(a, g.gram), g.gram), a, atol=1e-12)
+
+    def test_over_leading_axes(self):
+        # one solve over a stack equals the adjoints taken one at a time
+        rng = np.random.default_rng(13)
+        m = rng.normal(size=(3, 4, 4))
+        grams = m @ m.swapaxes(-1, -2) + 4.0 * np.eye(4)
+        mats = rng.normal(size=(3, 4, 4))
+        np.testing.assert_allclose(adjoint(mats, grams),
+                                   [adjoint(a, gr) for a, gr in zip(mats, grams)],
+                                   rtol=1e-12, atol=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            adjoint(LinearOp(np.eye(3)), Metric.euclidean(2))
+            adjoint(np.eye(3), Metric.euclidean(2).gram)
+
+    def test_rejects_vector(self):
+        with pytest.raises(ShapeError):
+            adjoint(np.ones(3), np.eye(3))
 
 
 class TestSkewPart:
     def test_euclidean_frozen(self):
-        a = LinearOp(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        a = np.array([[1.0, 2.0], [0.0, 1.0]])
         expected = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        np.testing.assert_allclose(skew_part(a, Metric.euclidean(2)).mat, expected)
+        np.testing.assert_allclose(skew_matrix(a, Metric.euclidean(2).gram), expected)
 
     def test_is_g_skew(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             m = rng.normal(size=(6, 6))
             g = Metric(m @ m.T + 6.0 * np.eye(6))
-            s = skew_part(LinearOp(rng.normal(size=(6, 6))), g)
-            gs = g.gram @ s.mat
+            s = skew_matrix(rng.normal(size=(6, 6)), g.gram)
+            gs = g.gram @ s
             assert np.max(np.abs(gs + gs.T)) < 1e-10 * (1.0 + np.max(np.abs(gs)))
 
     def test_idempotent_on_skew(self):
         g = Metric.euclidean(3)
-        s = LinearOp(np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 3.0], [2.0, -3.0, 0.0]]))
-        np.testing.assert_allclose(skew_part(s, g).mat, s.mat, atol=1e-14)
-
-
-def test_anticommutator_frozen():
-    a = LinearOp(np.array([[1.0, 0.0], [0.0, -1.0]]))
-    b = LinearOp(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    # sigma_z sigma_x + sigma_x sigma_z = 0
-    assert anticommutator(a, b).max_norm == pytest.approx(0.0, abs=1e-15)
-    c = LinearOp(np.eye(2))
-    np.testing.assert_allclose(anticommutator(a, c).mat, 2.0 * a.mat)
+        s = np.array([[0.0, 1.0, -2.0], [-1.0, 0.0, 3.0], [2.0, -3.0, 0.0]])
+        np.testing.assert_allclose(skew_matrix(s, g.gram), s, atol=1e-14)
 
 
 class TestSymmetricEigen:
     def test_diagonal_oracle(self):
         g = Metric.euclidean(3)
-        op = LinearOp(np.diag([3.0, 1.0, 2.0]))
+        op = np.diag([3.0, 1.0, 2.0])
         vals, _ = symmetric_eigen(op, g, tol=1e-8)
         assert list(vals) == pytest.approx([1.0, 2.0, 3.0])
 
@@ -178,18 +151,18 @@ class TestSymmetricEigen:
         # with g = diag(1, 2) the matrix [[0, 2], [1, 0]] is self-adjoint:
         # G A = [[0, 2], [2, 0]] is symmetric; eigenvalues +-sqrt(2)
         g = Metric(np.diag([1.0, 2.0]))
-        op = LinearOp(np.array([[0.0, 2.0], [1.0, 0.0]]))
+        op = np.array([[0.0, 2.0], [1.0, 0.0]])
         vals, vecs = symmetric_eigen(op, g, tol=1e-8)
         assert list(vals) == pytest.approx([-np.sqrt(2.0), np.sqrt(2.0)])
         for lam, v in zip(vals, vecs.T):
-            assert g.norm(op.apply(v) - lam * v) < 1e-10
+            assert g.norm(op @ v - lam * v) < 1e-10
 
     def test_vectors_g_orthonormal(self):
         rng = np.random.default_rng(31)
         m = rng.normal(size=(5, 5))
         g = Metric(m @ m.T + 5.0 * np.eye(5))
         sym = rng.normal(size=(5, 5))
-        op = LinearOp(g.inverse @ (sym + sym.T))
+        op = np.linalg.inv(g.gram) @ (sym + sym.T)
         _, vecs = symmetric_eigen(op, g, tol=1e-8)
         for i, vi in enumerate(vecs.T):
             for j, vj in enumerate(vecs.T):
@@ -199,7 +172,11 @@ class TestSymmetricEigen:
     def test_rejects_non_self_adjoint(self):
         g = Metric.euclidean(2)
         with pytest.raises(PreconditionError):
-            symmetric_eigen(LinearOp(np.array([[0.0, 1.0], [0.0, 0.0]])), g, tol=1e-8)
+            symmetric_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]), g, tol=1e-8)
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ShapeError):
+            symmetric_eigen(np.eye(3), Metric.euclidean(2), tol=1e-8)
 
 
 class TestGramSchmidt:
@@ -250,8 +227,8 @@ class TestComplementAndProjection:
 class TestBasisRepresentation:
     def test_operator_in_basis_rotation(self):
         g = Metric.euclidean(3)
-        rot = LinearOp(np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
-                                 [0.0, 0.0, 1.0]]))
+        rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                        [0.0, 0.0, 1.0]])
         basis = np.eye(3)[:, :2]
         b = operator_in_basis(rot, basis, g)
         np.testing.assert_allclose(b, [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
@@ -266,17 +243,21 @@ class TestBasisRepresentation:
 class TestGSingularValues:
     def test_euclidean_matches_svd(self):
         rng = np.random.default_rng(61)
-        a = LinearOp(rng.normal(size=(4, 4)))
+        a = rng.normal(size=(4, 4))
         got = g_singular_values(a, Metric.euclidean(4))
-        want = np.linalg.svd(a.mat, compute_uv=False)
+        want = np.linalg.svd(a, compute_uv=False)
         np.testing.assert_allclose(sorted(got), sorted(want), atol=1e-12)
 
     def test_norm_bounds_application(self):
         rng = np.random.default_rng(62)
         m = rng.normal(size=(5, 5))
         g = Metric(m @ m.T + 5.0 * np.eye(5))
-        a = LinearOp(rng.normal(size=(5, 5)))
+        a = rng.normal(size=(5, 5))
         bound = float(np.max(g_singular_values(a, g)))
         for _ in range(30):
             x = rng.normal(size=5)
-            assert g.norm(a.apply(x)) <= bound * g.norm(x) + 1e-9
+            assert g.norm(a @ x) <= bound * g.norm(x) + 1e-9
+
+    def test_dim_mismatch(self):
+        with pytest.raises(ShapeError):
+            g_singular_values(np.eye(3), Metric.euclidean(2))

@@ -9,7 +9,7 @@ from acmslab.errors import (
     SearchError,
     ShapeError,
 )
-from acmslab.linalg import LinearOp, Metric, adjoint, g_singular_values
+from acmslab.linalg import Metric, adjoint, g_singular_values
 from acmslab.quadruples import (
     ComplexStructuredSpace,
     _constrained_dimension,
@@ -29,7 +29,7 @@ def _per_row_basis(space, *, skew):
     of AJ + JA (and G A + A^T G), built one row at a time, then the null
     space of the stacked rows from a full SVD."""
     d = space.dim
-    jm = space.j.mat
+    jm = space.j
     gram = space.g.gram
     rows = []
     for i in range(d):
@@ -63,8 +63,8 @@ def _non_euclidean_space(dim, seed):
     """G = S^T S and J = S^-1 J0 S for the standard J0 and a random S, so J
     is a g-isometry with J^2 = -I and G is not a multiple of the identity."""
     s = np.eye(dim) + 0.3 * np.random.default_rng(seed).standard_normal((dim, dim))
-    j0 = ComplexStructuredSpace.standard(dim).j.mat
-    return ComplexStructuredSpace(LinearOp(np.linalg.solve(s, j0 @ s)), Metric(s.T @ s))
+    j0 = ComplexStructuredSpace.standard(dim).j
+    return ComplexStructuredSpace(np.linalg.solve(s, j0 @ s), Metric(s.T @ s))
 
 
 def _skew_anticommuting_dim4():
@@ -73,20 +73,20 @@ def _skew_anticommuting_dim4():
     a = np.zeros((4, 4))
     a[1, 0], a[0, 1] = -1.0, 1.0
     a[3, 2], a[2, 3] = 1.0, -1.0
-    return LinearOp(a)
+    return a
 
 
 def _symmetric_anticommuting_dim4():
     """Reflection-like operator: anticommutes with J but is symmetric, so it
     is valid input for the generic-vector search and invalid for the
     decomposition."""
-    return LinearOp(np.diag([1.0, -1.0, -1.0, 1.0]))
+    return np.diag([1.0, -1.0, -1.0, 1.0])
 
 
 class TestComplexStructuredSpace:
     def test_standard_block_structure(self):
         space = ComplexStructuredSpace.standard(4)
-        jm = space.j.mat
+        jm = space.j
         np.testing.assert_allclose(jm @ jm, -np.eye(4))
         np.testing.assert_allclose(jm.T @ jm, np.eye(4))
 
@@ -96,12 +96,25 @@ class TestComplexStructuredSpace:
 
     def test_bad_square_rejected(self):
         with pytest.raises(PreconditionError):
-            ComplexStructuredSpace(LinearOp(np.eye(2)), Metric.euclidean(2))
+            ComplexStructuredSpace(np.eye(2), Metric.euclidean(2))
+
+    @pytest.mark.parametrize("jm", [np.eye(2), np.zeros((4, 2)), np.zeros(4)])
+    def test_wrong_shape_rejected(self, jm):
+        with pytest.raises(ShapeError):
+            ComplexStructuredSpace(jm, Metric.euclidean(4))
+
+    def test_j_is_a_readonly_copy(self):
+        jm = ComplexStructuredSpace.standard(4).j.copy()
+        space = ComplexStructuredSpace(jm, Metric.euclidean(4))
+        jm[0, 0] = 7.0
+        assert space.j[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            space.j[0, 0] = 7.0
 
     def test_non_isometry_rejected(self):
         jm = np.array([[0.0, -1.0], [1.0, 0.0]])
         with pytest.raises(PreconditionError):
-            ComplexStructuredSpace(LinearOp(jm), Metric(np.diag([1.0, 4.0])))
+            ComplexStructuredSpace(jm, Metric(np.diag([1.0, 4.0])))
 
 
 class TestGenericVector:
@@ -121,17 +134,23 @@ class TestGenericVector:
     def test_zero_operator_rejected(self):
         space = ComplexStructuredSpace.standard(4)
         with pytest.raises(PreconditionError):
-            find_generic_vector(space, LinearOp(np.zeros((4, 4))))
+            find_generic_vector(space, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("a", [np.eye(2), np.zeros((4, 2))])
+    def test_wrong_shape_rejected(self, a):
+        space = ComplexStructuredSpace.standard(4)
+        with pytest.raises(ShapeError):
+            find_generic_vector(space, a)
 
     def test_non_anticommuting_rejected(self):
         space = ComplexStructuredSpace.standard(4)
         with pytest.raises(PreconditionError):
-            find_generic_vector(space, LinearOp(np.eye(4)))
+            find_generic_vector(space, np.eye(4))
 
     def test_dim_two_has_no_generic_vector(self):
         # three vectors cannot be independent in two dimensions
         space = ComplexStructuredSpace.standard(2)
-        a = LinearOp(np.diag([1.0, -1.0]))
+        a = np.diag([1.0, -1.0])
         with pytest.raises(SearchError):
             find_generic_vector(space, a)
 
@@ -140,10 +159,10 @@ class TestGenericVector:
         rng = np.random.default_rng(17)
         for _ in range(20):
             a = random_constrained_operator(space, rng, skew=False)
-            if a.max_norm < 1e-8:
+            if np.max(np.abs(a)) < 1e-8:
                 continue
             y = find_generic_vector(space, a)
-            triple = np.stack([y, space.j.apply(y), a.apply(y)])
+            triple = np.stack([y, space.j @ y, a @ y])
             gram = triple @ space.g.gram @ triple.T
             assert np.linalg.det(gram) > 1e-10
 
@@ -163,18 +182,18 @@ class TestOrthogonalWitness:
         g = space.g
         for _ in range(15):
             a = random_constrained_operator(space, rng, skew=False)
-            if a.max_norm < 1e-8:
+            if np.max(np.abs(a)) < 1e-8:
                 continue
             y = find_generic_vector(space, a)
             z = find_orthogonal_witness(space, a, y)
             assert g.norm(z) == pytest.approx(1.0)
-            for t in (y, space.j.apply(y), a.apply(y)):
+            for t in (y, space.j @ y, a @ y):
                 assert abs(g.inner(z, t)) < 1e-9
-            assert abs(g.inner(z, space.j.apply(a.apply(y)))) > 1e-8
+            assert abs(g.inner(z, space.j @ (a @ y))) > 1e-8
 
     def test_dependent_triple_rejected(self):
         space = ComplexStructuredSpace.standard(2)
-        a = LinearOp(np.diag([1.0, -1.0]))
+        a = np.diag([1.0, -1.0])
         with pytest.raises(DegenerateInputError):
             find_orthogonal_witness(space, a, np.eye(2)[0])
 
@@ -187,8 +206,8 @@ class TestQuadrupleDecomposition:
         q = quads[0]
         assert q.eigenvalue == pytest.approx(-1.0)
         x, jx, ax, jax = q.vectors
-        np.testing.assert_allclose(jx, space.j.apply(x), atol=1e-12)
-        np.testing.assert_allclose(jax, space.j.apply(ax), atol=1e-12)
+        np.testing.assert_allclose(jx, space.j @ x, atol=1e-12)
+        np.testing.assert_allclose(jax, space.j @ ax, atol=1e-12)
         gram = np.array([[space.g.inner(u, v) for v in q.vectors]
                          for u in q.vectors])
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
@@ -201,7 +220,12 @@ class TestQuadrupleDecomposition:
     def test_singular_operator_rejected(self):
         space = ComplexStructuredSpace.standard(4)
         with pytest.raises(PreconditionError):
-            quadruple_decomposition(space, LinearOp(np.zeros((4, 4))))
+            quadruple_decomposition(space, np.zeros((4, 4)))
+
+    def test_wrong_shape_rejected(self):
+        space = ComplexStructuredSpace.standard(4)
+        with pytest.raises(ShapeError):
+            quadruple_decomposition(space, _skew_anticommuting_dim4()[:2, :2])
 
     def test_dim_not_divisible_by_four_refused(self):
         # genuine operators in dim 6 are always singular; drop the
@@ -218,17 +242,17 @@ class TestQuadrupleDecomposition:
         # properties only: the eigenvectors of A^2 come from LAPACK, so no
         # vector is frozen
         space = ComplexStructuredSpace.standard(dim)
-        g, jm = space.g, space.j.mat
+        g, jm = space.g, space.j
         rng = np.random.default_rng(dim)
         for _ in range(10):
             a = random_constrained_operator(space, rng, skew=True, min_sigma=1e-3)
-            a2 = a.mat @ a.mat
+            a2 = a @ a
             quads = quadruple_decomposition(space, a)
             assert len(quads) == dim // 4
             for q in quads:
                 x, jx, ax, jax = q.vectors
                 np.testing.assert_allclose(jx, jm @ x, atol=1e-12)
-                np.testing.assert_allclose(ax, a.mat @ x, atol=1e-12)
+                np.testing.assert_allclose(ax, a @ x, atol=1e-12)
                 np.testing.assert_allclose(jax, jm @ ax, atol=1e-12)
                 for v in q.vectors:
                     assert g.norm(a2 @ v - q.eigenvalue * v) < 1e-8 * (1.0 + g.norm(v))
@@ -241,12 +265,12 @@ class TestChosenTolerances:
     def test_generic_vector_honours_acms_exact(self):
         # anticommutation residual 1e-10: inside the default 1e-9 gate, outside 1e-12
         space = ComplexStructuredSpace.standard(4)
-        a = _skew_anticommuting_dim4().mat.copy()
+        a = _skew_anticommuting_dim4()
         a[0, 0] = 1e-10
-        find_generic_vector(space, LinearOp(a))
+        find_generic_vector(space, a)
         strict = DEFAULT_TOLERANCES.replace(acms_exact=1e-12)
         with pytest.raises(PreconditionError, match="does not anticommute"):
-            find_generic_vector(space, LinearOp(a), tol=strict)
+            find_generic_vector(space, a, tol=strict)
 
     def test_witness_honours_rank(self):
         # the triple of Y = e1 + e2 / 2 has normalized Gram determinant 0.64
@@ -281,8 +305,8 @@ class TestConstrainedProjection:
         space = _non_euclidean_space(8, seed=5)
         a = random_constrained_operator(space, np.random.default_rng(11), skew=True,
                                         min_sigma=1e-3)
-        assert np.max(np.abs(a.mat + a.mat.T)) > 1e-3
-        assert (a + adjoint(a, space.g)).max_norm < 1e-12 * (1.0 + a.max_norm)
+        assert np.max(np.abs(a + a.T)) > 1e-3
+        assert np.max(np.abs(a + adjoint(a, space.g.gram))) < 1e-12 * (1.0 + np.max(np.abs(a)))
         quads = quadruple_decomposition(space, a)
         assert len(quads) == 2
         vectors = np.column_stack([v / space.g.norm(v) for q in quads for v in q.vectors])
@@ -300,14 +324,14 @@ class TestConstrainedBasis:
 
     def test_elements_satisfy_constraints(self):
         space = ComplexStructuredSpace.standard(6)
-        jm = space.j.mat
+        jm = space.j
         for skew in (False, True):
             basis = constrained_operator_basis(space, skew=skew)
             assert basis.shape[0] > 0
             for b in basis:
                 assert np.max(np.abs(b @ jm + jm @ b)) < 1e-10
                 if skew:
-                    resid = (LinearOp(b) + adjoint(LinearOp(b), space.g)).max_norm
+                    resid = np.max(np.abs(b + adjoint(b, space.g.gram)))
                     assert resid < 1e-10
 
     @pytest.mark.parametrize("skew", [False, True])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from acmslab.errors import DegenerateInputError, ShapeError
-from acmslab.linalg import LinearOp, Metric, anticommutator, operator_in_basis, skew_part
+from acmslab.linalg import Metric, operator_in_basis, skew_matrix
 from acmslab.structure import (
     AcmsPoint,
     check_eta_parallel,
@@ -22,7 +22,7 @@ def _standard_point(dim=5):
         phi[k + 1, k] = 1.0
         phi[k, k + 1] = -1.0
     e_last = np.eye(dim)[dim - 1]
-    return AcmsPoint(LinearOp(phi), e_last, e_last, Metric.euclidean(dim))
+    return AcmsPoint(phi, e_last, e_last, Metric.euclidean(dim))
 
 
 def _skew_anticommuting_block():
@@ -31,7 +31,7 @@ def _skew_anticommuting_block():
     b = np.zeros((5, 5))
     b[2, 0], b[0, 2] = 1.0, -1.0
     b[3, 1], b[1, 3] = -1.0, 1.0
-    return LinearOp(b)
+    return b
 
 
 def _conjugated_point(seed, dim=5):
@@ -41,7 +41,7 @@ def _conjugated_point(seed, dim=5):
     p = _standard_point(dim)
     t = rng.normal(size=(dim, dim)) * 0.3 + np.eye(dim)
     t_inv = np.linalg.inv(t)
-    phi = LinearOp(t @ p.phi.mat @ t_inv)
+    phi = t @ p.phi @ t_inv
     xi = t @ p.xi
     eta = t_inv.T @ p.eta
     g = Metric(t_inv.T @ p.g.gram @ t_inv)
@@ -65,9 +65,9 @@ class TestValidateAcms:
 
     def test_detects_broken_phi(self):
         p = _standard_point()
-        phi = p.phi.mat.copy()
+        phi = p.phi.copy()
         phi[0, 1] += 1e-3
-        bad = AcmsPoint(LinearOp(phi), p.xi, p.eta, p.g)
+        bad = AcmsPoint(phi, p.xi, p.eta, p.g)
         report = validate_acms(bad)
         assert not report.verdict
         assert not report["phi_squared"].passed
@@ -81,26 +81,31 @@ class TestValidateAcms:
 
     def test_detects_rank_drop(self):
         p = _standard_point()
-        phi = p.phi.mat.copy()
+        phi = p.phi.copy()
         phi[:, 0] = 0.0
         phi[0, :] = 0.0
-        bad = AcmsPoint(LinearOp(phi), p.xi, p.eta, p.g)
+        bad = AcmsPoint(phi, p.xi, p.eta, p.g)
         report = validate_acms(bad)
         assert not report["rank_phi"].passed
 
     def test_even_dim_rejected_at_construction(self):
         with pytest.raises(ShapeError):
-            AcmsPoint(LinearOp(np.zeros((4, 4))), np.zeros(4), np.zeros(4),
+            AcmsPoint(np.zeros((4, 4)), np.zeros(4), np.zeros(4),
                       Metric.euclidean(4))
 
     def test_mismatched_phi_dim(self):
         with pytest.raises(ShapeError):
-            AcmsPoint(LinearOp(np.zeros((3, 3))), np.zeros(5), np.zeros(5),
+            AcmsPoint(np.zeros((3, 3)), np.zeros(5), np.zeros(5),
+                      Metric.euclidean(5))
+
+    def test_non_square_phi(self):
+        with pytest.raises(ShapeError):
+            AcmsPoint(np.zeros((5, 4)), np.zeros(5), np.zeros(5),
                       Metric.euclidean(5))
 
     def test_bad_xi_shape(self):
         with pytest.raises(ShapeError):
-            AcmsPoint(LinearOp(np.zeros((5, 5))), np.zeros(4), np.zeros(5),
+            AcmsPoint(np.zeros((5, 5)), np.zeros(4), np.zeros(5),
                       Metric.euclidean(5))
 
 
@@ -108,15 +113,24 @@ class TestPointGeometryHelpers:
     def test_projection_kills_vertical(self):
         p = _standard_point()
         v = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        h = p.projector.mat @ v
+        h = p.projector @ v
         assert p.eta_of(h) == pytest.approx(0.0, abs=1e-14)
         np.testing.assert_allclose(h[:4], v[:4])
 
     def test_projector_idempotent(self):
         p = _conjugated_point(3)
-        pr = p.projector.mat
+        pr = p.projector
         np.testing.assert_allclose(pr @ pr, pr, atol=1e-12)
         assert p.g.norm(pr @ p.xi) < 1e-12
+
+    def test_phi_and_projector_are_readonly_copies(self):
+        phi = _standard_point().phi.copy()
+        p = AcmsPoint(phi, np.eye(5)[4], np.eye(5)[4], Metric.euclidean(5))
+        phi[0, 1] = 7.0
+        assert p.phi[0, 1] == -1.0
+        for frozen in (p.phi, p.projector):
+            with pytest.raises(ValueError):
+                frozen[0, 0] = 7.0
 
     def test_dims(self):
         p = _standard_point(9)
@@ -149,10 +163,10 @@ class TestHorizontalBasis:
 
 def _horizontal_skew(a, p):
     """The operator whose smallest singular value is the contact check
-    (`curvature.contact_residuals`): P skew_part(A) P, with P the horizontal
+    (`curvature.contact_residuals`): P skew_matrix(A) P, with P the horizontal
     projector, in the g-orthonormal horizontal basis."""
-    proj = p.projector.mat
-    return operator_in_basis(LinearOp(proj @ skew_part(a, p.g).mat @ proj),
+    proj = p.projector
+    return operator_in_basis(proj @ skew_matrix(a, p.g.gram) @ proj,
                              horizontal_basis(p), p.g)
 
 
@@ -170,30 +184,36 @@ class TestHorizontalSkew:
 
     def test_matrix_antisymmetric(self):
         p = _conjugated_point(9)
-        a = LinearOp(np.random.default_rng(2).normal(size=(5, 5)))
+        a = np.random.default_rng(2).normal(size=(5, 5))
         b = _horizontal_skew(a, p)
         np.testing.assert_allclose(b, -b.T, atol=1e-9)
 
     def test_restricted_operator_matches(self):
         p = _standard_point()
         block = operator_in_basis(p.phi, horizontal_basis(p), p.g)
-        expected = p.phi.mat[:4, :4]
+        expected = p.phi[:4, :4]
         np.testing.assert_allclose(block, expected, atol=1e-12)
+
+
+def _anticommutator_residual(a, b) -> float:
+    """Max-norm of AB + BA, the form `cli.cmd_validate` gates."""
+    return float(np.max(np.abs(a @ b + b @ a)))
 
 
 class TestPhiAnticommutation:
     def test_passes_on_anticommuting_operator(self):
         p = _standard_point()
-        assert anticommutator(p.phi, _skew_anticommuting_block()).max_norm < 1e-14
+        assert _anticommutator_residual(p.phi, _skew_anticommuting_block()) < 1e-14
 
     def test_fails_on_phi_itself(self):
         # phi never anticommutes with itself: the residual is 2 phi^2
         p = _standard_point()
-        assert anticommutator(p.phi, p.phi).max_norm == pytest.approx(2.0)
+        assert _anticommutator_residual(p.phi, p.phi) == pytest.approx(2.0)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            anticommutator(LinearOp(np.zeros((3, 3))), _standard_point().phi)
+        # operators are plain arrays, so numpy refuses the product
+        with pytest.raises(ValueError):
+            _anticommutator_residual(np.zeros((3, 3)), _standard_point().phi)
 
 
 class TestEtaParallel:
