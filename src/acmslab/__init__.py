@@ -25,7 +25,7 @@ from .quadruples import (ComplexStructuredSpace, Quadruple, decomposition_campai
                          generic_vector_campaign, quadruple_decomposition,
                          random_constrained_operator)
 from .report import Check, VerificationReport
-from .structure import AcmsPoint, check_eta_parallel, horizontal_basis, validate_acms
+from .structure import check_eta_parallel, horizontal_basis, validate_acms
 
 __version__ = "0.1.0"
 

@@ -26,11 +26,12 @@ Christoffel symbols and their derivatives, the covariant derivatives and
 the exterior derivative of the contact form are formulas over the arrays it
 reads.
 
-Chart files are line oriented: ``dim = 5``, an optional
-``derivative_mode = symbolic | fd[:<step>]``, optional per-coordinate
-``domain[i] = <lo> <hi>`` bounds, and component lines ``g[i][j] = <expr>``,
-``phi[i][j] = <expr>``, ``xi[i] = <expr>``, ``eta[i] = <expr>`` with
-1-based indices. Omitted components are zero; ``#`` starts a comment.
+Chart files are line oriented: ``dim = 5`` (at most ``MAX_CHART_DIM``), an
+optional ``derivative_mode = symbolic | fd[:<step>]``, optional
+per-coordinate ``domain[i] = <lo> <hi>`` bounds, and component lines
+``g[i][j] = <expr>``, ``phi[i][j] = <expr>``, ``xi[i] = <expr>``,
+``eta[i] = <expr>`` with 1-based indices. Omitted components are zero; ``#``
+starts a comment.
 """
 from __future__ import annotations
 
@@ -48,6 +49,9 @@ from .exprs import (EvalError, Expr, Num, compile_kernel, differentiate, evaluat
 _ZERO = Num(0.0)
 _DEFAULT_FD_STEP = 1e-5
 _SAMPLE_SHRINK = 0.9   # sampling box half-width as a fraction of the domain's
+#: Largest ``dim`` a chart file may declare: the paper's dimensions are 4n + 1,
+#: and a chart holds dim^2 expressions per matrix grid.
+MAX_CHART_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -263,11 +267,8 @@ class _Grid:
 
     @classmethod
     def base(cls, name: str, entries, dim: int) -> "_Grid":
-        if name in ("g", "phi"):
-            index = [(i, j) for i in range(dim) for j in range(dim)]
-            return cls.of((dim, dim), [f"{name}[{i + 1}][{j + 1}]" for i, j in index],
-                          [entries[i][j] for i, j in index])
-        return cls.of((dim,), [f"{name}[{i + 1}]" for i in range(dim)], entries)
+        shape = (dim, dim) if name in ("g", "phi") else (dim,)
+        return cls.of(shape, *_components(name, entries, dim))
 
     @classmethod
     def derivative(cls, inner: "_Grid", dim: int) -> "_Grid":
@@ -284,6 +285,16 @@ class _Grid:
                 labels.append(f"d{label} d x{k + 1}" if label.startswith("d")
                               else f"d {label} / d x{k + 1}")
         return cls.of((dim,) + inner.shape, labels, exprs)
+
+
+def _components(name: str, entries, dim: int) -> tuple[list[str], list[Expr]]:
+    """Labels ("g[1][2]", "xi[3]") and expressions of the components of the
+    chart grid ``name`` in C order."""
+    if name in ("g", "phi"):
+        index = [(i, j) for i in range(dim) for j in range(dim)]
+        return ([f"{name}[{i + 1}][{j + 1}]" for i, j in index],
+                [entries[i][j] for i, j in index])
+    return [f"{name}[{i + 1}]" for i in range(dim)], list(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +455,9 @@ def chart_from_text(text: str, *, name: str = "") -> Chart:
                 raise ChartFormatError(f"line {lineno}: dim must be an integer") from exc
             if dim < 1:
                 raise ChartFormatError(f"line {lineno}: dim must be positive")
+            if dim > MAX_CHART_DIM:
+                raise ChartFormatError(
+                    f"line {lineno}: dim must be at most {MAX_CHART_DIM}, got {dim}")
             continue
         if lhs == "derivative_mode":
             try:
@@ -509,20 +523,10 @@ def chart_to_text(chart: Chart) -> str:
     for i, (lo, hi) in enumerate(chart.domain):
         if (lo, hi) != (-1.0, 1.0):
             lines.append(f"domain[{i + 1}] = {lo!r} {hi!r}")
-    for i in range(chart.dim):
-        for j in range(chart.dim):
-            if chart.g[i][j] != _ZERO and chart.g[i][j] != Num(0):
-                lines.append(f"g[{i + 1}][{j + 1}] = {to_text(chart.g[i][j])}")
-    for i in range(chart.dim):
-        for j in range(chart.dim):
-            if chart.phi[i][j] != _ZERO and chart.phi[i][j] != Num(0):
-                lines.append(f"phi[{i + 1}][{j + 1}] = {to_text(chart.phi[i][j])}")
-    for i in range(chart.dim):
-        if chart.xi[i] != _ZERO and chart.xi[i] != Num(0):
-            lines.append(f"xi[{i + 1}] = {to_text(chart.xi[i])}")
-    for i in range(chart.dim):
-        if chart.eta[i] != _ZERO and chart.eta[i] != Num(0):
-            lines.append(f"eta[{i + 1}] = {to_text(chart.eta[i])}")
+    for name in ("g", "phi", "xi", "eta"):
+        for label, expr in zip(*_components(name, getattr(chart, name), chart.dim)):
+            if expr != _ZERO:  # Num(0) == Num(0.0)
+                lines.append(f"{label} = {to_text(expr)}")
     return "\n".join(lines) + "\n"
 
 

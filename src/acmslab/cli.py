@@ -152,18 +152,6 @@ def _chart_label(args) -> str:
     return args.gallery if args.gallery is not None else args.chart
 
 
-def _aggregate(reports: list[VerificationReport]) -> VerificationReport:
-    """Merge per-point reports by taking the worst residual per check name."""
-    by_name: dict[str, list[Check]] = {}
-    for report in reports:
-        for c in report.checks:
-            by_name.setdefault(c.name, []).append(c)
-    return VerificationReport.of(
-        Check(name, worst(c.residual for c in cs), cs[0].tolerance,
-              all(c.passed for c in cs))
-        for name, cs in by_name.items())
-
-
 def _finite_or_null(value):
     """Copy of a JSON-ready value with every non-finite float replaced by
     None, so the document stays strict JSON (RFC 8259 has no NaN or inf)."""
@@ -214,11 +202,11 @@ def cmd_validate(args) -> int:
     bridge_tol = tol.bridge_symbolic if chart.mode.kind == "symbolic" else tol.bridge_fd
 
     rng = np.random.default_rng(seed)
-    acms_reports = []
+    structures = []
     rows = []
     for y in points:
         pg = PointGeometry(chart, y, tol=tol)
-        acms_reports.append(validate_acms(pg.point, tol=tol))
+        structures.append((pg.phi, pg.xi, pg.eta, pg.gram))
         rows.append((
             float(np.max(np.abs(pg.phi @ pg.reeb_gradient + pg.reeb_gradient @ pg.phi))),
             skew_phi_anticommutation_residual(pg),
@@ -232,7 +220,7 @@ def cmd_validate(args) -> int:
     star, skew_star, eta_par, killing, kernel, nearly, bridge, sigma, volume = zip(*rows)
     sigma_min, volume_min = least(sigma), least(volume)
 
-    report = _aggregate(acms_reports)
+    report = validate_acms(*map(np.stack, zip(*structures)), tol=tol)
     star_check = Check.below("phi_anticommutation", worst(star), value_tol)
     contact_check = Check.above("contact_sigma_min", sigma_min, tol.contact)
     extra = [

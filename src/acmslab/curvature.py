@@ -48,7 +48,7 @@ from .config import (DEFAULT_TOLERANCES, FD_SECOND_STEP, MAX_PROBE_DRAWS,
 from .errors import DegenerateInputError, ShapeError
 from .linalg import Metric, check_gram, operator_in_basis, skew_matrix
 from .report import Check, VerificationReport, worst
-from .structure import AcmsPoint, check_eta_parallel, horizontal_basis, horizontal_projector
+from .structure import check_eta_parallel, horizontal_basis, horizontal_projector
 
 
 @dataclass(frozen=True)
@@ -217,10 +217,6 @@ class PointGeometry:
         return self._read("eta")
 
     @cached_property
-    def point(self) -> AcmsPoint:
-        return AcmsPoint(self.phi, self.xi, self.eta, self.metric)
-
-    @cached_property
     def dg(self) -> np.ndarray:
         """Metric derivatives dg[..., k, i, j] along x_k."""
         return self._read("dg")
@@ -257,7 +253,7 @@ class PointGeometry:
     def horizontal_basis(self) -> np.ndarray:
         """g-orthonormal frame of ker eta, one column stack shared by the
         eta-parallel and contact checks."""
-        return horizontal_basis(self.point, tol=self.tol)
+        return horizontal_basis(self.projector, self.eta, self.gram, tol=self.tol)
 
     @cached_property
     def reeb_gradient(self) -> np.ndarray:
@@ -298,7 +294,7 @@ class PointGeometry:
     @cached_property
     def eta_parallel(self) -> float:
         """The eta-parallel residual, shared by every check that gates on it."""
-        return eta_parallel_residual(self)
+        return check_eta_parallel(self.nphi, self.gram, self.horizontal_basis)
 
     @cached_property
     def riem(self) -> CurvatureTensor:
@@ -445,11 +441,6 @@ def skew_phi_anticommutation_residual(pg: PointGeometry) -> float:
     phi = pg.phi
     m = pg.projector @ (b @ phi + phi @ b) @ pg.projector
     return float(np.max(np.abs(m)))
-
-
-def eta_parallel_residual(pg: PointGeometry) -> float:
-    report = check_eta_parallel(pg.nphi, pg.point, pg.horizontal_basis, tol=pg.tol)
-    return report["eta_parallel"].residual
 
 
 def bridge_residual(pg: PointGeometry, rng, pairs: int = PROBES_PER_RESIDUAL) -> float:

@@ -161,20 +161,20 @@ def symmetric_eigen(mat, g: Metric, *, tol: float):
     return vals, vecs
 
 
-def project_out(v, basis, g: Metric) -> np.ndarray:
-    """Remove from v (one vector or a stack) its g-projection onto the span of
-    a stack of g-orthonormal columns, twice to fight cancellation."""
+def project_out(v, basis, gram) -> np.ndarray:
+    """Remove from v (one vector or a stack) its projection onto the span of a
+    stack of columns orthonormal in ``gram``, twice to fight cancellation."""
     out = np.array(v, dtype=float)
     basis = np.asarray(basis, dtype=float)
     for _ in range(2):
-        out = out - basis @ (basis.T @ (g.gram @ out))
+        out = out - basis @ (basis.T @ (gram @ out))
     return out
 
 
-def gram_schmidt(vectors, g: Metric, *, rank_tol: float,
+def gram_schmidt(vectors, gram, *, rank_tol: float,
                  require_all: bool = False) -> np.ndarray:
-    """Gram-Schmidt over the columns of a stack, pivoting by largest
-    remaining norm.
+    """Gram-Schmidt over the columns of a stack in the metric ``gram``,
+    pivoting by largest remaining norm.
 
     Returns a stack of g-orthonormal columns spanning the input span. Columns
     that project below ``rank_tol`` are dropped, or raise when ``require_all``.
@@ -182,8 +182,8 @@ def gram_schmidt(vectors, g: Metric, *, rank_tol: float,
     pool = np.array(vectors, dtype=float)
     out = pool[:, :0]
     while pool.shape[1]:
-        residuals = project_out(pool, out, g)
-        norms = g.norms(residuals)
+        residuals = project_out(pool, out, gram)
+        norms = np.sqrt(np.maximum(np.sum(residuals * (gram @ residuals), axis=0), 0.0))
         best = int(np.argmax(norms))
         if norms[best] < rank_tol:
             if require_all:

@@ -152,9 +152,9 @@ def find_orthogonal_witness(space: ComplexStructuredSpace, a: np.ndarray, y,
     g = space.g
     if _normalized_triple_gram_det(space, a, y) <= tol.rank:
         raise DegenerateInputError("triple {Y, JY, AY} is numerically dependent")
-    onb = gram_schmidt(_triple(space, a, y), g, rank_tol=tol.rank, require_all=True)
+    onb = gram_schmidt(_triple(space, a, y), g.gram, rank_tol=tol.rank, require_all=True)
     jay = space.j @ (a @ y)
-    residue = project_out(jay, onb, g)
+    residue = project_out(jay, onb, g.gram)
     norm = g.norm(residue)
     if norm < tol.witness:
         raise SearchError(
@@ -208,7 +208,7 @@ def _decompose(space: ComplexStructuredSpace, a: np.ndarray,
     pairs = np.triu_indices(4, 1)
     while len(quads) < dim // 4:
         # deflate every eigenvector candidate against the blocks found so far
-        residues = project_out(candidates, used, g)
+        residues = project_out(candidates, used, g.gram)
         norms = g.norms(residues)
         best = int(np.argmax(norms))
         if norms[best] < 1e-6:

@@ -23,7 +23,6 @@ from acmslab.curvature import (
     defect_collapse_suite,
     defect_factorization_suite,
     dual_mode_suite,
-    eta_parallel_residual,
     horizontal_sectional_values,
     modified_connection_suite,
     nearly_cosymplectic_residuals,
@@ -126,9 +125,9 @@ def test_criterion_04_s5_instantiation_fd_mode(s5_fd):
     min_sigma_a = np.inf
     for y in points:
         pg = PointGeometry(s5_fd, y)
-        assert validate_acms(pg.point).verdict
+        assert validate_acms(pg.phi, pg.xi, pg.eta, pg.gram).verdict
         worst_cond3 = max(worst_cond3, skew_phi_anticommutation_residual(pg))
-        worst_cond4 = max(worst_cond4, eta_parallel_residual(pg))
+        worst_cond4 = max(worst_cond4, pg.eta_parallel)
         sigma, volume = contact_residuals(pg)
         assert sigma > DEFAULT_TOLERANCES.contact
         assert volume > DEFAULT_TOLERANCES.contact
@@ -159,8 +158,8 @@ def test_criterion_05_bridge_on_every_validating_chart():
                 chart = chart.with_mode(DerivativeMode("fd"))
             points = sample_points(chart, 5, seed=50)
             rng = np.random.default_rng(51)
-            validates = all(validate_acms(PointGeometry(chart, y).point).verdict
-                            for y in points)
+            stack = PointGeometry(chart, points)
+            validates = validate_acms(stack.phi, stack.xi, stack.eta, stack.gram).verdict
             assert validates, f"{name} unexpectedly fails structure validation"
             worst = max(bridge_residual(PointGeometry(chart, y), rng, pairs=10)
                         for y in points)
@@ -211,11 +210,11 @@ def test_criterion_08_negative_controls():
     nearly_gap = 0.0
     for y in sample_points(sas, 5, seed=81):
         pg = PointGeometry(sas, y)
-        assert validate_acms(pg.point).verdict
+        assert validate_acms(pg.phi, pg.xi, pg.eta, pg.gram).verdict
         sigma, _ = contact_residuals(pg)
         assert sigma > DEFAULT_TOLERANCES.contact
-        assert eta_parallel_residual(pg) < 1e-4
-        phi, a = pg.point.phi, pg.reeb_gradient
+        assert pg.eta_parallel < 1e-4
+        phi, a = pg.phi, pg.reeb_gradient
         star = float(np.max(np.abs(phi @ a + a @ phi)))
         star_gap = max(star_gap, abs(star - 2.0))
         nearly = nearly_cosymplectic_residuals(pg, rng, probes=32)

@@ -437,6 +437,7 @@ class TestFileFormat:
         ("g[1][1] = 1\n", "dim must be set before"),
         ("dim = 2\ndim = 3\n", "line 2: duplicate"),
         ("dim = one\n", "dim must be an integer"),
+        ("# cap\ndim = 65\n", "line 2: dim must be at most 64, got 65"),
         ("dim = 2\ng[3][1] = 1\n", "index out of range"),
         ("dim = 2\ng[1][1] = 1 +\n", "line 2"),
         ("dim = 2\nbogus[1] = 1\n", "unrecognized field"),

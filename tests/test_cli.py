@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -520,7 +521,7 @@ class TestIdentities:
         assert reports[0]["defect_collapse"].name == "defect_collapse"
 
     @pytest.mark.parametrize("target, value, failing", [
-        ("eta_parallel_residual", math.nan, ["eta_parallel_gate", "eta_parallel_gate"]),
+        ("check_eta_parallel", math.nan, ["eta_parallel_gate", "eta_parallel_gate"]),
         ("skew_phi_anticommutation_residual", math.nan, ["skew_anticommutation_gate"]),
         ("nearly_cosymplectic_residuals",
          dict.fromkeys(("horizontal", "full", "symmetrized"), math.nan),
@@ -620,6 +621,18 @@ class TestDegenerateCharts:
         assert out == ""
         assert err == ("acmslab: error: structure dimension must be odd and at least 3, "
                        "got 4\n")
+
+    @pytest.mark.parametrize("command", ["validate", "curvature", "identities"])
+    def test_huge_dimension_rejected_at_its_line(self, capsys, tmp_path, command):
+        # rejected before any dim x dim grid is built
+        path = tmp_path / "huge.chart"
+        path.write_text("# no structure fits\ndim = 99999999999\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--chart", str(path), *FAST)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == "acmslab: error: line 2: dim must be at most 64, got 99999999999\n"
 
     @pytest.mark.parametrize("command, message", [
         ("curvature", "no horizontal plane with |g(x, w)| <= 0.99"),

@@ -18,7 +18,6 @@ from acmslab.curvature import (
     defect_collapse_suite,
     defect_factorization_suite,
     dual_mode_suite,
-    eta_parallel_residual,
     factorization_lhs,
     factorization_rhs,
     horizontal_sectional_values,
@@ -160,7 +159,7 @@ class TestFdRiemann:
 
 # PointGeometry fields that between them compute every cached tensor, the
 # curvature tensors first
-GEOMETRY_FIELDS = ("metric", "gamma", "riem", "modified_riem", "point", "horizontal_basis",
+GEOMETRY_FIELDS = ("metric", "gamma", "riem", "modified_riem", "horizontal_basis",
                    "dxi_skew", "nphi", "deta", "modified_nphi_reeb")
 
 
@@ -508,7 +507,7 @@ class TestPointResiduals:
         for y in s5_points:
             pg = PointGeometry(s5, y)
             assert skew_phi_anticommutation_residual(pg) < 1e-10
-            assert eta_parallel_residual(pg) < 1e-10
+            assert pg.eta_parallel < 1e-10
 
     def test_sasakian_skew_anticommutation_fails_exactly(self):
         chart = gallery_chart("sasakian_r5")
@@ -520,7 +519,7 @@ class TestPointResiduals:
         # derivative of phi
         chart = gallery_chart("sasakian_r5")
         pg = PointGeometry(chart, np.array([0.2, -0.3, 0.1, 0.4, 0.25]))
-        assert eta_parallel_residual(pg) < 1e-12
+        assert pg.eta_parallel < 1e-12
 
     def test_sasakian_nearly_residual_frozen(self):
         chart = gallery_chart("sasakian_r5")

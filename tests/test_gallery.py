@@ -109,8 +109,8 @@ class TestGalleryAccess:
     @pytest.mark.parametrize("name", GALLERY_NAMES)
     def test_structures_validate_at_sample_points(self, name):
         chart = gallery_chart(name)
-        for y in sample_points(chart, 6, seed=13):
-            assert validate_acms(PointGeometry(chart, y).point).verdict
+        pg = PointGeometry(chart, sample_points(chart, 6, seed=13))
+        assert validate_acms(pg.phi, pg.xi, pg.eta, pg.gram).verdict
 
 
 class TestSphereChart:

@@ -184,7 +184,7 @@ class TestGramSchmidt:
         g = Metric(np.diag([1.0, 2.0, 3.0]))
         basis = gram_schmidt(np.column_stack([[1.0, 1.0, 0.0],
                                               [0.0, 1.0, 1.0],
-                                              [1.0, 0.0, 1.0]]), g, rank_tol=1e-8)
+                                              [1.0, 0.0, 1.0]]), g.gram, rank_tol=1e-8)
         assert basis.shape == (3, 3)
         for i, bi in enumerate(basis.T):
             for j, bj in enumerate(basis.T):
@@ -194,21 +194,21 @@ class TestGramSchmidt:
     def test_drops_dependent(self):
         g = Metric.euclidean(3)
         vecs = np.column_stack([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        basis = gram_schmidt(vecs, g, rank_tol=1e-8)
+        basis = gram_schmidt(vecs, g.gram, rank_tol=1e-8)
         assert basis.shape == (3, 2)
 
     def test_require_all_raises(self):
         g = Metric.euclidean(2)
         vecs = np.column_stack([[1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(DegenerateInputError):
-            gram_schmidt(vecs, g, rank_tol=1e-8, require_all=True)
+            gram_schmidt(vecs, g.gram, rank_tol=1e-8, require_all=True)
 
     def test_span_preserved(self):
         rng = np.random.default_rng(41)
         m = rng.normal(size=(4, 4))
         g = Metric(m @ m.T + 4.0 * np.eye(4))
         vecs = np.column_stack([rng.normal(size=4) for _ in range(3)])
-        basis = gram_schmidt(vecs, g, rank_tol=1e-8)
+        basis = gram_schmidt(vecs, g.gram, rank_tol=1e-8)
         # each input is reproduced by its coordinates in the output basis
         for v in vecs.T:
             coords = [g.inner(b, v) for b in basis.T]
@@ -219,8 +219,8 @@ class TestGramSchmidt:
 class TestComplementAndProjection:
     def test_project_out(self):
         g = Metric.euclidean(3)
-        basis = gram_schmidt(np.array([[1.0], [0.0], [0.0]]), g, rank_tol=1e-8)
-        v = project_out(np.array([2.0, 3.0, 0.0]), basis, g)
+        basis = gram_schmidt(np.array([[1.0], [0.0], [0.0]]), g.gram, rank_tol=1e-8)
+        v = project_out(np.array([2.0, 3.0, 0.0]), basis, g.gram)
         np.testing.assert_allclose(v, [0.0, 3.0, 0.0], atol=1e-13)
 
 
@@ -235,7 +235,7 @@ class TestBasisRepresentation:
 
     def test_weighted_coordinates(self):
         g = Metric(np.diag([1.0, 4.0]))
-        basis = gram_schmidt(np.array([[0.0], [1.0]]), g, rank_tol=1e-8)
+        basis = gram_schmidt(np.array([[0.0], [1.0]]), g.gram, rank_tol=1e-8)
         # basis vector is e2 / 2, so the coefficient of (3, 2) is 4
         assert g.inner(basis[:, 0], np.array([3.0, 2.0])) == pytest.approx(4.0)
 

@@ -6,23 +6,23 @@ import pytest
 from acmslab.errors import DegenerateInputError, ShapeError
 from acmslab.linalg import Metric, operator_in_basis, skew_matrix
 from acmslab.structure import (
-    AcmsPoint,
     check_eta_parallel,
     dimension_consistency_gate,
     horizontal_basis,
+    horizontal_projector,
     validate_acms,
 )
 
 
 def _standard_point(dim=5):
-    """Euclidean structure: a rotation by 90 degrees on consecutive
-    coordinate pairs, last axis vertical."""
+    """Euclidean structure (phi, xi, eta, gram): a rotation by 90 degrees
+    on consecutive coordinate pairs, last axis vertical."""
     phi = np.zeros((dim, dim))
     for k in range(0, dim - 1, 2):
         phi[k + 1, k] = 1.0
         phi[k, k + 1] = -1.0
     e_last = np.eye(dim)[dim - 1]
-    return AcmsPoint(phi, e_last, e_last, Metric.euclidean(dim))
+    return phi, e_last, e_last, np.eye(dim)
 
 
 def _skew_anticommuting_block():
@@ -38,136 +38,155 @@ def _conjugated_point(seed, dim=5):
     """Push the standard structure through a random frame change; every
     defining identity is invariant."""
     rng = np.random.default_rng(seed)
-    p = _standard_point(dim)
+    phi, xi, eta, gram = _standard_point(dim)
     t = rng.normal(size=(dim, dim)) * 0.3 + np.eye(dim)
     t_inv = np.linalg.inv(t)
-    phi = t @ p.phi @ t_inv
-    xi = t @ p.xi
-    eta = t_inv.T @ p.eta
-    g = Metric(t_inv.T @ p.g.gram @ t_inv)
-    return AcmsPoint(phi, xi, eta, g)
+    return t @ phi @ t_inv, t @ xi, t_inv.T @ eta, t_inv.T @ gram @ t_inv
+
+
+def _basis(phi, xi, eta, gram):
+    """The horizontal frame of a structure, from its projector."""
+    return horizontal_basis(horizontal_projector(xi, eta), eta, gram)
 
 
 class TestValidateAcms:
     def test_standard_point_passes(self):
-        report = validate_acms(_standard_point())
+        report = validate_acms(*_standard_point())
         assert report.verdict
         names = {c.name for c in report.checks}
         assert names == {"phi_squared", "eta_xi", "metric_compatibility",
                          "phi_xi", "eta_phi", "rank_phi", "eta_flat_xi"}
 
     def test_dim_seven(self):
-        assert validate_acms(_standard_point(7)).verdict
+        assert validate_acms(*_standard_point(7)).verdict
 
     @pytest.mark.parametrize("seed", range(8))
     def test_frame_change_invariance(self, seed):
-        assert validate_acms(_conjugated_point(seed)).verdict
+        assert validate_acms(*_conjugated_point(seed)).verdict
 
     def test_detects_broken_phi(self):
-        p = _standard_point()
-        phi = p.phi.copy()
+        phi, xi, eta, gram = _standard_point()
         phi[0, 1] += 1e-3
-        bad = AcmsPoint(phi, p.xi, p.eta, p.g)
-        report = validate_acms(bad)
+        report = validate_acms(phi, xi, eta, gram)
         assert not report.verdict
         assert not report["phi_squared"].passed
 
     def test_detects_scaled_eta(self):
-        p = _standard_point()
-        bad = AcmsPoint(p.phi, p.xi, 1.01 * p.eta, p.g)
-        report = validate_acms(bad)
+        phi, xi, eta, gram = _standard_point()
+        report = validate_acms(phi, xi, 1.01 * eta, gram)
         assert not report["eta_xi"].passed
         assert not report["eta_flat_xi"].passed
 
     def test_detects_rank_drop(self):
-        p = _standard_point()
-        phi = p.phi.copy()
+        phi, xi, eta, gram = _standard_point()
         phi[:, 0] = 0.0
         phi[0, :] = 0.0
-        bad = AcmsPoint(phi, p.xi, p.eta, p.g)
-        report = validate_acms(bad)
+        report = validate_acms(phi, xi, eta, gram)
         assert not report["rank_phi"].passed
 
-    def test_even_dim_rejected_at_construction(self):
-        with pytest.raises(ShapeError):
-            AcmsPoint(np.zeros((4, 4)), np.zeros(4), np.zeros(4),
-                      Metric.euclidean(4))
+    def test_stack_is_worst_of_its_points(self):
+        # broken points in the middle: eta scaled at one, phi losing rank
+        # at the next; the stack reports each check's worst point exactly
+        points = [_conjugated_point(seed) for seed in range(6)]
+        phi, xi, eta, gram = points[2]
+        points[2] = (phi, xi, 1.01 * eta, gram)
+        phi, xi, eta, gram = _standard_point()
+        phi[:, 0] = phi[0, :] = 0.0
+        points[3] = (phi, xi, eta, gram)
+        singles = [validate_acms(*p) for p in points]
+        stack = [np.stack(arrays) for arrays in zip(*points)]
+        report = validate_acms(*stack)
+        assert not report.verdict and not report["rank_phi"].passed
+        assert report["rank_phi"].residual == 3.0
+        for check in report.checks:
+            at_points = [single[check.name] for single in singles]
+            assert check.residual == max(c.residual for c in at_points)
+            assert check.passed == all(c.passed for c in at_points)
+            assert check.tolerance == at_points[0].tolerance
+        grid = [a.reshape((2, 3) + a.shape[1:]) for a in stack]
+        assert validate_acms(*grid) == report
+
+    def test_even_dim_rejected(self):
+        with pytest.raises(ShapeError, match="odd and at least 3"):
+            validate_acms(np.zeros((4, 4)), np.zeros(4), np.zeros(4), np.eye(4))
 
     def test_mismatched_phi_dim(self):
         with pytest.raises(ShapeError):
-            AcmsPoint(np.zeros((3, 3)), np.zeros(5), np.zeros(5),
-                      Metric.euclidean(5))
+            validate_acms(np.zeros((3, 3)), np.zeros(5), np.zeros(5), np.eye(5))
 
     def test_non_square_phi(self):
         with pytest.raises(ShapeError):
-            AcmsPoint(np.zeros((5, 4)), np.zeros(5), np.zeros(5),
-                      Metric.euclidean(5))
+            validate_acms(np.zeros((5, 4)), np.zeros(5), np.zeros(5), np.eye(5))
+
+    def test_empty_stack_rejected(self):
+        # no point, no verdict: an empty stack must not pass vacuously
+        with pytest.raises(ShapeError, match="no points"):
+            validate_acms(np.zeros((0, 5, 5)), np.zeros((0, 5)), np.zeros((0, 5)),
+                          np.zeros((0, 5, 5)))
 
     def test_bad_xi_shape(self):
         with pytest.raises(ShapeError):
-            AcmsPoint(np.zeros((5, 5)), np.zeros(4), np.zeros(5),
-                      Metric.euclidean(5))
+            validate_acms(np.zeros((5, 5)), np.zeros(4), np.zeros(5), np.eye(5))
 
 
 class TestPointGeometryHelpers:
     def test_projection_kills_vertical(self):
-        p = _standard_point()
+        _, xi, eta, _ = _standard_point()
         v = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        h = p.projector @ v
-        assert p.eta_of(h) == pytest.approx(0.0, abs=1e-14)
+        h = horizontal_projector(xi, eta) @ v
+        assert eta @ h == pytest.approx(0.0, abs=1e-14)
         np.testing.assert_allclose(h[:4], v[:4])
 
     def test_projector_idempotent(self):
-        p = _conjugated_point(3)
-        pr = p.projector
+        _, xi, eta, gram = _conjugated_point(3)
+        pr = horizontal_projector(xi, eta)
         np.testing.assert_allclose(pr @ pr, pr, atol=1e-12)
-        assert p.g.norm(pr @ p.xi) < 1e-12
-
-    def test_phi_and_projector_are_readonly_copies(self):
-        phi = _standard_point().phi.copy()
-        p = AcmsPoint(phi, np.eye(5)[4], np.eye(5)[4], Metric.euclidean(5))
-        phi[0, 1] = 7.0
-        assert p.phi[0, 1] == -1.0
-        for frozen in (p.phi, p.projector):
-            with pytest.raises(ValueError):
-                frozen[0, 0] = 7.0
-
-    def test_dims(self):
-        p = _standard_point(9)
-        assert p.dim == 9
-        assert p.horizontal_dim == 8
+        assert Metric(gram).norm(pr @ xi) < 1e-12
 
 
 class TestHorizontalBasis:
     def test_standard_basis(self):
-        basis = horizontal_basis(_standard_point())
+        basis = _basis(*_standard_point())
         assert basis.shape == (5, 4)
         for b in basis.T:
             assert abs(b[4]) < 1e-14
 
     def test_orthonormal_in_curved_metric(self):
         p = _conjugated_point(5)
-        basis = horizontal_basis(p)
+        _, _, eta, gram = p
+        g = Metric(gram)
+        basis = _basis(*p)
         for i, bi in enumerate(basis.T):
-            assert abs(p.eta_of(bi)) < 1e-10
+            assert abs(eta @ bi) < 1e-10
             for j, bj in enumerate(basis.T):
                 want = 1.0 if i == j else 0.0
-                assert abs(p.g.inner(bi, bj) - want) < 1e-9
+                assert abs(g.inner(bi, bj) - want) < 1e-9
 
     def test_degenerate_eta_raises(self):
-        p = AcmsPoint(_standard_point().phi, np.eye(5)[4], np.zeros(5),
-                      Metric.euclidean(5))
+        phi, xi, _, gram = _standard_point()
         with pytest.raises(DegenerateInputError):
-            horizontal_basis(p)
+            _basis(phi, xi, np.zeros(5), gram)
+
+    @pytest.mark.parametrize("projector, eta, gram", [
+        (np.eye(4), np.eye(5)[4], np.eye(5)),
+        (np.eye(5)[:, :4], np.eye(5)[4], np.eye(5)),
+        (np.eye(5), np.eye(4)[3], np.eye(5)),
+        (np.eye(5), np.eye(5)[None, 4], np.eye(5)),
+        (np.eye(5), np.eye(5)[4], np.eye(5)[:4]),
+        (np.eye(5), np.eye(5)[4], np.eye(5)[None]),
+    ])
+    def test_wrong_shape_rejected(self, projector, eta, gram):
+        with pytest.raises(ShapeError):
+            horizontal_basis(projector, eta, gram)
 
 
 def _horizontal_skew(a, p):
     """The operator whose smallest singular value is the contact check
     (`curvature.contact_residuals`): P skew_matrix(A) P, with P the horizontal
     projector, in the g-orthonormal horizontal basis."""
-    proj = p.projector
-    return operator_in_basis(proj @ skew_matrix(a, p.g.gram) @ proj,
-                             horizontal_basis(p), p.g)
+    _, xi, eta, gram = p
+    proj = horizontal_projector(xi, eta)
+    return operator_in_basis(proj @ skew_matrix(a, gram) @ proj, _basis(*p), Metric(gram))
 
 
 class TestHorizontalSkew:
@@ -190,8 +209,9 @@ class TestHorizontalSkew:
 
     def test_restricted_operator_matches(self):
         p = _standard_point()
-        block = operator_in_basis(p.phi, horizontal_basis(p), p.g)
-        expected = p.phi[:4, :4]
+        phi, gram = p[0], p[3]
+        block = operator_in_basis(phi, _basis(*p), Metric(gram))
+        expected = phi[:4, :4]
         np.testing.assert_allclose(block, expected, atol=1e-12)
 
 
@@ -202,24 +222,25 @@ def _anticommutator_residual(a, b) -> float:
 
 class TestPhiAnticommutation:
     def test_passes_on_anticommuting_operator(self):
-        p = _standard_point()
-        assert _anticommutator_residual(p.phi, _skew_anticommuting_block()) < 1e-14
+        phi = _standard_point()[0]
+        assert _anticommutator_residual(phi, _skew_anticommuting_block()) < 1e-14
 
     def test_fails_on_phi_itself(self):
         # phi never anticommutes with itself: the residual is 2 phi^2
-        p = _standard_point()
-        assert _anticommutator_residual(p.phi, p.phi) == pytest.approx(2.0)
+        phi = _standard_point()[0]
+        assert _anticommutator_residual(phi, phi) == pytest.approx(2.0)
 
     def test_dim_mismatch(self):
         # operators are plain arrays, so numpy refuses the product
         with pytest.raises(ValueError):
-            _anticommutator_residual(np.zeros((3, 3)), _standard_point().phi)
+            _anticommutator_residual(np.zeros((3, 3)), _standard_point()[0])
 
 
 class TestEtaParallel:
+    # the residual that validate and the suites gate; 1e-9 is acms_exact
     def test_zero_table_passes(self):
         p = _standard_point()
-        assert check_eta_parallel(np.zeros((5, 5, 5)), p, horizontal_basis(p)).verdict
+        assert check_eta_parallel(np.zeros((5, 5, 5)), p[3], _basis(*p)) < 1e-9
 
     def test_vertical_slices_invisible(self):
         # entries with any vertical index do not contribute to the
@@ -229,30 +250,31 @@ class TestEtaParallel:
         table[4, :, :] = 1.0
         table[:, 4, :] = -2.0
         table[:, :, 4] = 0.5
-        assert check_eta_parallel(table, p, horizontal_basis(p)).verdict
+        assert check_eta_parallel(table, p[3], _basis(*p)) < 1e-9
 
     def test_horizontal_entry_detected(self):
         p = _standard_point()
         table = np.zeros((5, 5, 5))
         table[0, 1, 2] = 1.0
-        report = check_eta_parallel(table, p, horizontal_basis(p))
-        assert not report.verdict
-        assert report["eta_parallel"].residual == pytest.approx(1.0)
+        resid = check_eta_parallel(table, p[3], _basis(*p))
+        assert not resid < 1e-9
+        assert resid == pytest.approx(1.0)
 
     def test_shape_checked(self):
         p = _standard_point()
         with pytest.raises(ShapeError):
-            check_eta_parallel(np.zeros((5, 5)), p, horizontal_basis(p))
+            check_eta_parallel(np.zeros((5, 5)), p[3], _basis(*p))
 
     def test_matches_single_contraction_at_d13(self):
         # the pairwise products sum in another order than one four-operand
         # loop, so they agree to rounding only
         p = _conjugated_point(13, dim=13)
+        gram = p[3]
         table = np.random.default_rng(13).normal(size=(13, 13, 13))
-        basis = horizontal_basis(p)
-        lowered = np.einsum("ijk,jl->ilk", table, p.g.gram)
+        basis = _basis(*p)
+        lowered = np.einsum("ijk,jl->ilk", table, gram)
         want = np.max(np.abs(np.einsum("ia,ilk,lb,kc->abc", basis, lowered, basis, basis)))
-        got = check_eta_parallel(table, p, basis)["eta_parallel"].residual
+        got = check_eta_parallel(table, gram, basis)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
