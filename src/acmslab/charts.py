@@ -18,6 +18,15 @@ row and the error that row raises on its own. In finite-difference mode a
 derivative grid reads the base grid over the stacked stencil of every
 point (`stencil_points`) and differences it.
 
+A chart's expressions are one DAG. `chart_from_text` parses every
+component through one node table, so equal subtrees anywhere in the chart
+are one object. The symbolic derivative grids share one `differentiate`
+memo, kept in `Chart._dcache` next to the grids, so across all of a chart's
+grids each (node, variable) pair is differentiated once. The check that a
+chart uses only x1..xd visits each distinct node once, and walks the
+components one by one only when it fails, to name the first offender.
+Nothing is cached across charts: each chart parses and builds its own.
+
 `curvature.PointGeometry` is the only reader of a chart: it reads each grid
 once over its point or its stack of rows. The five one-point readers
 (`Chart.g_at`, `phi_at`, `dg_at`, `ddg_at`, `dphi_at`) wrap the same reader
@@ -122,6 +131,8 @@ class Chart:
     mode: DerivativeMode = SYMBOLIC
     domain: tuple[tuple[float, float], ...] = ()
     name: str = ""
+    # grids by name ("g", "ddg") and, as `differentiate`'s memo, derivatives
+    # by (id(node), index), so the chart's grids differentiate each node once
     _dcache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -141,13 +152,14 @@ class Chart:
                 if not lo < hi:
                     raise ChartFormatError(f"domain[{k + 1}] is empty: [{lo}, {hi}]")
             object.__setattr__(self, "domain", dom)
-        for expr in self._all_exprs():
-            extra = {i for i in free_variables(expr) if i > self.dim}
-            if extra:
-                names = ", ".join(f"x{i}" for i in sorted(extra))
-                raise ChartFormatError(
-                    f"expression {to_text(expr)!r} uses variables outside the chart: {names}"
-                )
+        if max(free_variables(*self._all_exprs()), default=0) > self.dim:
+            for expr in self._all_exprs():  # name the first offender
+                extra = {i for i in free_variables(expr) if i > self.dim}
+                if extra:
+                    names = ", ".join(f"x{i}" for i in sorted(extra))
+                    raise ChartFormatError(
+                        f"expression {to_text(expr)!r} uses variables outside the chart: {names}"
+                    )
 
     def _all_exprs(self):
         for row in self.g:
@@ -174,7 +186,7 @@ class Chart:
         grid = self._dcache.get(name)
         if grid is None:
             if name.startswith("d"):
-                grid = _Grid.derivative(self._grid(name[1:]), self.dim)
+                grid = _Grid.derivative(self._grid(name[1:]), self.dim, self._dcache)
             else:
                 grid = _Grid.base(name, getattr(self, name), self.dim)
             self._dcache[name] = grid
@@ -271,17 +283,14 @@ class _Grid:
         return cls.of(shape, *_components(name, entries, dim))
 
     @classmethod
-    def derivative(cls, inner: "_Grid", dim: int) -> "_Grid":
-        """Grid of d inner / d x_k, with k as the new leading index. Labels
-        read "d g[1][2] / d x3", then "dd g[1][2] / d x3 d x4"."""
+    def derivative(cls, inner: "_Grid", dim: int, memo: dict) -> "_Grid":
+        """Grid of d inner / d x_k, with k as the new leading index, taken
+        through `differentiate`'s ``memo``. Labels read "d g[1][2] / d x3",
+        then "dd g[1][2] / d x3 d x4"."""
         labels, exprs = [], []
-        memo: dict[tuple[int, int], Expr] = {}  # symmetric grids share entries
         for k in range(dim):
             for label, e in zip(inner.labels, inner.exprs):
-                key = (id(e), k)
-                if key not in memo:
-                    memo[key] = differentiate(e, k + 1)
-                exprs.append(memo[key])
+                exprs.append(differentiate(e, k + 1, memo))
                 labels.append(f"d{label} d x{k + 1}" if label.startswith("d")
                               else f"d {label} / d x{k + 1}")
         return cls.of((dim,) + inner.shape, labels, exprs)
@@ -430,6 +439,7 @@ _INDEXED1 = re.compile(r"^(xi|eta|domain)\[(\d+)\]$")
 
 
 def chart_from_text(text: str, *, name: str = "") -> Chart:
+    nodes: dict = {}  # one node table, so equal subtrees of all components are one object
     dim = None
     mode = SYMBOLIC
     domain: dict[int, tuple[float, float]] = {}
@@ -473,7 +483,7 @@ def chart_from_text(text: str, *, name: str = "") -> Chart:
             kind, i, j = m2.group(1), int(m2.group(2)), int(m2.group(3))
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise ChartFormatError(f"line {lineno}: index out of range in {lhs} (dim {dim})")
-            fields2[(kind, i - 1, j - 1)] = _parse_component(rhs, lineno)
+            fields2[(kind, i - 1, j - 1)] = _parse_component(rhs, lineno, nodes)
         elif m1:
             kind, i = m1.group(1), int(m1.group(2))
             if not 1 <= i <= dim:
@@ -490,7 +500,7 @@ def chart_from_text(text: str, *, name: str = "") -> Chart:
                     raise ChartFormatError(f"line {lineno}: empty domain [{lo}, {hi}]")
                 domain[i - 1] = (lo, hi)
             else:
-                fields1[(kind, i - 1)] = _parse_component(rhs, lineno)
+                fields1[(kind, i - 1)] = _parse_component(rhs, lineno, nodes)
         else:
             raise ChartFormatError(f"line {lineno}: unrecognized field {lhs!r}")
     if dim is None:
@@ -511,9 +521,9 @@ def chart_from_text(text: str, *, name: str = "") -> Chart:
                  tuple(xi), tuple(eta), mode=mode, domain=dom, name=name)
 
 
-def _parse_component(rhs: str, lineno: int) -> Expr:
+def _parse_component(rhs: str, lineno: int, nodes: dict) -> Expr:
     try:
-        return parse(rhs)
+        return parse(rhs, nodes)
     except Exception as exc:
         raise ChartFormatError(f"line {lineno}: {exc}") from exc
 
@@ -525,8 +535,9 @@ def chart_to_text(chart: Chart) -> str:
             lines.append(f"domain[{i + 1}] = {lo!r} {hi!r}")
     for name in ("g", "phi", "xi", "eta"):
         for label, expr in zip(*_components(name, getattr(chart, name), chart.dim)):
-            if expr != _ZERO:  # Num(0) == Num(0.0)
-                lines.append(f"{label} = {to_text(expr)}")
+            text = to_text(expr)
+            if text != "0":  # an omitted component reads as +0.0; -0.0 prints "-0"
+                lines.append(f"{label} = {text}")
     return "\n".join(lines) + "\n"
 
 

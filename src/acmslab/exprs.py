@@ -7,6 +7,17 @@ symbolically so Christoffel data can be evaluated without finite-difference
 noise; simplification is limited to float constant folding and the 0/1
 identities, which keeps printed output predictable.
 
+A chart's expressions are one DAG, not a forest of trees. `parse` builds
+each repeated subtree once, and callers that parse many components pass one
+node table so that equal subtrees across all of them are one object too.
+`differentiate` takes a memo keyed by node and variable, so over a whole
+chart each shared subexpression is differentiated once per variable and
+its derivative is one object wherever it is used. (Equal derivatives of
+different nodes stay separate objects; `hash_cons` merges them by
+structure.) `free_variables` and `hash_cons` visit each distinct object
+once. Sharing changes no value: every tree prints, evaluates and compiles
+as before.
+
 Two evaluators give the same floats. `evaluate` walks one tree recursively
 and names the failing subexpression in an `EvalError`; it is the reference.
 `compile_kernel` hash-conses many trees into one straight-line program over
@@ -16,7 +27,8 @@ whole grid at many points.
 ``parse(to_text(e)) == e`` holds for every tree built by ``parse`` or
 ``differentiate`` (the canonical forms): the parser folds a unary minus on a
 bare literal into the literal, and the printer parenthesizes negative
-literals appearing as operands.
+literals appearing as operands. -0.0 prints as ``-0``, so its sign
+survives the round trip.
 """
 from __future__ import annotations
 
@@ -231,9 +243,20 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token], nodes: dict[tuple, Expr]):
         self.tokens = tokens
         self.pos = 0
+        self.nodes = nodes
+
+    def share(self, key: tuple, cls, *fields) -> Expr:
+        """The table's node ``cls(*fields)`` under ``key``, made on first
+        sight. A key is the node's structure: child fields are table nodes
+        already, so their ids stand for them, and a number stands as its
+        ``repr``, which keeps 0.0 and -0.0 apart."""
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(*fields)
+        return node
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -256,7 +279,7 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.next().text
             right = self.parse_term()
-            node = Bin(op, node, right)
+            node = self.share(("bin", op, id(node), id(right)), Bin, op, node, right)
         return node
 
     def parse_term(self) -> Expr:
@@ -264,7 +287,7 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.next().text
             right = self.parse_unary()
-            node = Bin(op, node, right)
+            node = self.share(("bin", op, id(node), id(right)), Bin, op, node, right)
         return node
 
     def parse_unary(self) -> Expr:
@@ -274,8 +297,9 @@ class _Parser:
             inner = self.parse_unary()
             # fold a minus on a bare literal into the literal (canonical form)
             if isinstance(inner, Num):
-                return Num(-inner.value)
-            return Neg(inner)
+                value = -inner.value
+                return self.share(("num", repr(value)), Num, value)
+            return self.share(("neg", id(inner)), Neg, inner)
         return self.parse_power()
 
     def parse_power(self) -> Expr:
@@ -292,24 +316,26 @@ class _Parser:
                 raise ParseError("exponent must be an integer literal",
                                  exp_tok.line, exp_tok.column)
             self.next()
-            return Pow(base, sign * int(exp_tok.text))
+            exponent = sign * int(exp_tok.text)
+            return self.share(("pow", exponent, id(base)), Pow, base, exponent)
         return base
 
     def parse_atom(self) -> Expr:
         tok = self.next()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            value = float(tok.text)
+            return self.share(("num", repr(value)), Num, value)
         if tok.kind == "name":
             if tok.text in FUNCTIONS:
                 open_tok = self.expect_op("(")
                 arg = self.parse_expr()
                 self.expect_op(")", context=open_tok)
-                return Call(tok.text, arg)
+                return self.share(("call", tok.text, id(arg)), Call, tok.text, arg)
             if tok.text[0] == "x" and tok.text[1:].isdigit():
                 index = int(tok.text[1:])
                 if index < 1:
                     raise ParseError("variable indices start at x1", tok.line, tok.column)
-                return Var(index)
+                return self.share(("var", index), Var, index)
             raise ParseError(f"unknown variable name {tok.text!r}", tok.line, tok.column)
         if tok.kind == "op" and tok.text == "(":
             if self.peek().kind == "end":
@@ -322,8 +348,11 @@ class _Parser:
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
 
 
-def parse(text: str) -> Expr:
-    parser = _Parser(_tokenize(text))
+def parse(text: str, nodes: dict[tuple, Expr] | None = None) -> Expr:
+    """The tree of ``text``, with each repeated subtree one shared object.
+    Calls that pass the same ``nodes`` table share subtrees with each other
+    too; the table maps each node's structure to the node."""
+    parser = _Parser(_tokenize(text), {} if nodes is None else nodes)
     node = parser.parse_expr()
     trailing = parser.peek()
     if trailing.kind != "end":
@@ -351,6 +380,8 @@ def _precedence(e: Expr) -> int:
 
 
 def _format_number(value: float) -> str:
+    if value == 0.0 and math.copysign(1.0, value) < 0:
+        return "-0"  # int() would drop the sign
     if value.is_integer() and abs(value) < 1e16:
         return str(int(value))
     return repr(value)
@@ -431,41 +462,60 @@ def evaluate(e: Expr, values) -> float:
 # ---------------------------------------------------------------------------
 # differentiation
 
-def differentiate(e: Expr, index: int) -> Expr:
-    """Exact partial derivative with respect to x<index>."""
+def differentiate(e: Expr, index: int, memo: dict | None = None) -> Expr:
+    """Exact partial derivative with respect to x<index>.
+
+    ``memo`` maps ``(id(node), index)`` to ``(node, derivative)`` for every
+    node already differentiated; holding the node keeps its id from being
+    reused. Calls that share one memo differentiate each (node, variable)
+    pair once, however many trees hold the node."""
+    if memo is None:
+        memo = {}
+    key = (id(e), index)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[1]
     if isinstance(e, Num):
-        return num(0.0)
-    if isinstance(e, Var):
-        return num(1.0 if e.index == index else 0.0)
-    if isinstance(e, Bin):
-        da = differentiate(e.left, index)
-        db = differentiate(e.right, index)
+        d = num(0.0)
+    elif isinstance(e, Var):
+        d = num(1.0 if e.index == index else 0.0)
+    elif isinstance(e, Bin):
+        da = differentiate(e.left, index, memo)
+        db = differentiate(e.right, index, memo)
         if e.op == "+":
-            return add(da, db)
-        if e.op == "-":
-            return sub(da, db)
-        if e.op == "*":
-            return add(mul(da, e.right), mul(e.left, db))
-        return div(sub(mul(da, e.right), mul(e.left, db)), pow_(e.right, 2))
-    if isinstance(e, Neg):
-        return neg(differentiate(e.arg, index))
-    if isinstance(e, Pow):
-        da = differentiate(e.base, index)
-        return mul(mul(num(float(e.exponent)), pow_(e.base, e.exponent - 1)), da)
-    if isinstance(e, Call):
-        da = differentiate(e.arg, index)
-        if _is_const(da, 0.0):
-            return num(0.0)
-        return FUNCTIONS[e.func][1](e.arg, da)
-    raise TypeError(f"not an expression node: {e!r}")
+            d = add(da, db)
+        elif e.op == "-":
+            d = sub(da, db)
+        elif e.op == "*":
+            d = add(mul(da, e.right), mul(e.left, db))
+        else:
+            d = div(sub(mul(da, e.right), mul(e.left, db)), pow_(e.right, 2))
+    elif isinstance(e, Neg):
+        d = neg(differentiate(e.arg, index, memo))
+    elif isinstance(e, Pow):
+        da = differentiate(e.base, index, memo)
+        d = mul(mul(num(float(e.exponent)), pow_(e.base, e.exponent - 1)), da)
+    elif isinstance(e, Call):
+        da = differentiate(e.arg, index, memo)
+        d = num(0.0) if _is_const(da, 0.0) else FUNCTIONS[e.func][1](e.arg, da)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[key] = (e, d)
+    return d
 
 
-def free_variables(e: Expr) -> set[int]:
-    """Indices of the coordinates ``e`` uses; iterative, so deep trees are fine."""
+def free_variables(*exprs: Expr) -> set[int]:
+    """Indices of the coordinates ``exprs`` use. Each distinct node is
+    visited once, however many trees share it; iterative, so deep trees are
+    fine."""
     found: set[int] = set()
-    stack = [e]
+    seen: set[int] = set()
+    stack = list(exprs)
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if isinstance(node, Var):
             found.add(node.index)
         elif not isinstance(node, (Num, Bin, Neg, Pow, Call)):

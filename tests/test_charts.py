@@ -19,9 +19,10 @@ from acmslab.charts import (
     sample_points,
     save_chart,
 )
+from acmslab import charts, exprs
 from acmslab.curvature import PointGeometry
 from acmslab.errors import ChartFormatError, ShapeError
-from acmslab.exprs import EvalError, Num, differentiate, evaluate, parse, to_text
+from acmslab.exprs import EvalError, Num, differentiate, evaluate, hash_cons, parse, to_text
 from acmslab.gallery import GALLERY_NAMES, gallery_chart
 
 SPHERE_TEXT = """\
@@ -74,10 +75,53 @@ class TestDerivativeMode:
 
 
 class TestChartConstruction:
+    OUT_OF_RANGE = "expression 'x7 * x1' uses variables outside the chart: x7"
+
     def test_out_of_range_variable(self):
+        text = "dim = 2\nxi[1] = x9\ng[2][2] = x1 + x3\ng[1][2] = x7 * x1\n"
         with pytest.raises(ChartFormatError) as exc:
-            chart_from_text("dim = 2\ng[1][1] = x3\n")
-        assert "x3" in str(exc.value)
+            chart_from_text(text)
+        # the first offender in the order g, phi, xi, eta, each in C order
+        assert str(exc.value) == self.OUT_OF_RANGE
+
+    def test_out_of_range_variable_in_constructor(self):
+        zero, bad = Num(0.0), parse("x7 * x1")
+        with pytest.raises(ChartFormatError) as exc:
+            Chart(2, ((zero, bad), (bad, parse("x1 + x3"))), ((zero,) * 2,) * 2,
+                  (parse("x9"), zero), (zero,) * 2)
+        assert str(exc.value) == self.OUT_OF_RANGE
+
+    def test_equal_subtrees_of_parsed_chart_are_one_object(self):
+        # the S^5 metric repeats 1 - (x1^2 + ... + x5^2) in every entry
+        g = [e for row in gallery_chart("s5").g for e in row]
+        assert g[0].right.right is g[1].right
+        distinct, stack = {}, list(g)
+        while stack:
+            node = stack.pop()
+            if id(node) not in distinct:
+                distinct[id(node)] = node
+                stack.extend(getattr(node, f) for f in ("left", "right", "base", "arg")
+                             if hasattr(node, f))
+        assert len(distinct) == len(hash_cons(g)[0])
+
+    def test_chart_build_differentiates_each_node_once(self, monkeypatch):
+        # every call through the module attribute, the recursive ones too
+        original = exprs.differentiate
+        calls, done = [], []
+
+        def counting(e, index, memo=None):
+            calls.append(e)
+            if memo is None or (id(e), index) not in memo:
+                done.append((id(e), index))
+            return original(e, index, memo)
+
+        monkeypatch.setattr(exprs, "differentiate", counting)
+        monkeypatch.setattr(charts, "differentiate", counting)
+        chart = gallery_chart("s5").with_mode(SYMBOLIC)  # a fresh _dcache
+        for name in GRIDS:
+            chart._grid(name)
+        assert len(set(done)) == len(done)
+        assert len(calls) <= 5000
 
     def test_domain_length_checked(self):
         with pytest.raises(ShapeError):
@@ -419,6 +463,13 @@ class TestFileFormat:
     def test_round_trip(self, sphere):
         again = chart_from_text(chart_to_text(sphere), name="sphere")
         assert again == sphere
+
+    def test_negative_zero_component_survives(self):
+        chart = chart_from_text("dim = 1\ng[1][1] = 1\nxi[1] = -0\neta[1] = 0\n")
+        text = chart_to_text(chart)
+        assert "xi[1] = -0\n" in text and "eta" not in text
+        again = chart_from_text(text)
+        assert math.copysign(1.0, again.xi[0].value) == -1.0
 
     def test_round_trip_fd_mode(self):
         chart = chart_from_text(

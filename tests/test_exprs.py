@@ -66,6 +66,23 @@ class TestParsing:
     def test_variable_indices(self):
         assert parse("x12") == Var(12)
 
+    def test_equal_subtrees_are_one_object(self):
+        e = parse("sin(x1 + 1) * sin(x1 + 1) - (x1 + 1)")
+        assert e.left.left is e.left.right
+        assert e.right is e.left.left.arg
+
+    def test_one_table_shares_across_calls(self):
+        nodes = {}
+        a = parse("x1^2 + 1", nodes)
+        b = parse("2 * (x1^2 + 1)", nodes)
+        assert b.right is a
+        assert parse("x1^2 + 1") is not a  # a fresh table
+
+    def test_signed_zeros_stay_distinct(self):
+        e = parse("0 + -0")
+        assert e.left is not e.right
+        assert [math.copysign(1.0, n.value) for n in (e.left, e.right)] == [1.0, -1.0]
+
 
 class TestParseErrors:
     def test_dangling_operator(self):
@@ -150,6 +167,19 @@ class TestPrinting:
 
     def test_negative_literal_as_power_base(self):
         assert to_text(Pow(Num(-2.0), 3)) == "(-2)^3"
+
+    def test_negative_zero_keeps_its_sign(self):
+        assert to_text(Num(-0.0)) == "-0"
+        assert to_text(Num(0.0)) == "0"
+        assert math.copysign(1.0, parse(to_text(Num(-0.0))).value) == -1.0
+
+    def test_negative_zero_round_trip_keeps_kernel_sign(self):
+        # -0.0 + -0.0 is -0.0, while -0.0 + 0.0 is 0.0
+        e = parse("x1 + -0")
+        again = parse(to_text(e))
+        assert to_text(e) == "x1 + -0"
+        assert [math.copysign(1.0, compile_kernel([t])([-0.0])[0])
+                for t in (e, again)] == [-1.0, -1.0]
 
     @pytest.mark.parametrize("text", [
         "x1 + x2 * x3",
@@ -245,6 +275,15 @@ class TestDifferentiate:
         d = differentiate(parse("x1 * exp(x1^2)"), 1)
         assert parse(to_text(d)) == d
 
+    def test_memo_differentiates_each_node_once(self):
+        e = parse("sin(x1 * x2) * sin(x1 * x2) + cos(x1 * x2)")
+        memo = {}
+        d = differentiate(e, 1, memo)
+        assert d == differentiate(e, 1)
+        assert differentiate(e, 1, memo) is d
+        # seven distinct nodes (x1 * x2 and sin(x1 * x2) are one each), one entry each
+        assert len({id(node) for node, _ in memo.values()}) == len(memo) == 7
+
     def test_product_rule_value(self):
         e = parse("x1 * sin(x1)")
         d = differentiate(e, 1)
@@ -307,6 +346,7 @@ class TestDerivativeAgainstFiniteDifference:
 def test_free_variables():
     assert free_variables(parse("x1 * sin(x3) + 2")) == {1, 3}
     assert free_variables(parse("4.5")) == set()
+    assert free_variables(parse("x2"), parse("x5 + 1"), parse("0")) == {2, 5}
 
 
 DEEP_SUM = "1" + " + x1" * 2999  # parses to a left-deep tree 3000 levels down
