@@ -148,18 +148,17 @@ def modified_riemann(pg: PointGeometry) -> CurvatureTensor:
     assembled from numerically differentiated connection coefficients.
 
     One Richardson step on the central difference (at ``FD_SECOND_STEP`` and
-    half of it) keeps the truncation error at fourth order. The connection
-    tables of the coarse and the fine stencil come from one `PointGeometry`
-    over their 4d rows, read before the centre; the centre table is the
-    geometry's own. No Bianchi check here: the modified connection carries
-    torsion, so the plain cyclic identity genuinely fails.
+    half of it) keeps the truncation error at fourth order. The coarse
+    connection table comes from the geometry's `coarse_stencil`, which the
+    fd Christoffel derivative shares, and the fine one from a geometry over
+    the 2d fine rows; both stencils are read before the centre, whose table
+    is the geometry's own. No Bianchi check here: the modified connection
+    carries torsion, so the plain cyclic identity genuinely fails.
     """
     h = FD_SECOND_STEP
-    rows = np.concatenate([stencil_points(pg.y, h), stencil_points(pg.y, h / 2.0)])
-    gam = PointGeometry(pg.chart, rows, tol=pg.tol).modified_gamma
-    n = len(gam) // 2
-    dgam = (4.0 * stencil_difference(gam[n:], h / 2.0)
-            - stencil_difference(gam[:n], h)) / 3.0
+    coarse = pg.coarse_stencil.modified_gamma
+    fine = PointGeometry(pg.chart, stencil_points(pg.y, h / 2.0), tol=pg.tol).modified_gamma
+    dgam = (4.0 * stencil_difference(fine, h / 2.0) - stencil_difference(coarse, h)) / 3.0
     return CurvatureTensor(_assemble_curvature(pg.modified_gamma, dgam), pg.metric)
 
 
@@ -236,14 +235,19 @@ class PointGeometry:
 
         Symbolic mode differentiates the closed form through the metric
         inverse; finite-difference mode takes the central difference, with
-        the second-level step, of the Christoffel symbols of the geometry
-        over the 2d stencil points.
+        the second-level step, of the Christoffel symbols of the
+        `coarse_stencil`.
         """
         if self.chart.mode.kind == "fd":
-            stencil = PointGeometry(self.chart, stencil_points(self.y, FD_SECOND_STEP),
-                                    tol=self.tol)
-            return stencil_difference(stencil.gamma, FD_SECOND_STEP)
+            return stencil_difference(self.coarse_stencil.gamma, FD_SECOND_STEP)
         return christoffel_derivative(self.ginv, self.dg, self._read("ddg"))
+
+    @cached_property
+    def coarse_stencil(self) -> PointGeometry:
+        """Geometry over the 2d `stencil_points` of step ``FD_SECOND_STEP``:
+        the rows the fd Christoffel derivative differences and the coarse
+        rows of `modified_riemann`'s Richardson step, read once for both."""
+        return PointGeometry(self.chart, stencil_points(self.y, FD_SECOND_STEP), tol=self.tol)
 
     @cached_property
     def projector(self) -> np.ndarray:

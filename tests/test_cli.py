@@ -483,9 +483,10 @@ class TestIdentities:
 
     def test_suites_share_one_geometry_per_point(self, capsys, monkeypatch):
         # every suite reads the same per-point curvature, so each point pays
-        # for one geometry (and one over its Richardson rows), one Levi-Civita
-        # and one modified curvature tensor, and both eta-parallel gates read
-        # its one horizontal frame and its one eta-parallel residual
+        # for one geometry (and one over each stencil of its Richardson
+        # step), one Levi-Civita and one modified curvature tensor, and both
+        # eta-parallel gates read its one horizontal frame and its one
+        # eta-parallel residual
         calls = count_calls(monkeypatch, (
             (curvature, "riemann"), (curvature, "modified_riemann"),
             (curvature, "christoffel"), (charts, "christoffel"),
@@ -496,12 +497,12 @@ class TestIdentities:
         assert code == 0
         assert "skipped_suites: none" in out
         assert calls["riemann"] == 3 and calls["modified_riemann"] == 3
-        assert calls["__init__"] == 2 * 3
+        assert calls["__init__"] == 3 * 3
         assert calls["horizontal_basis"] <= 3
         assert calls["check_eta_parallel"] == 3
         # Christoffel tables per point: the geometry's own, and one stacked
-        # pass over the 4d Richardson stencil points
-        assert calls["christoffel"] == 2 * 3
+        # pass over each 2d Richardson stencil
+        assert calls["christoffel"] == 3 * 3
 
     def test_duplicate_name_lookup_is_ambiguous(self, capsys, monkeypatch):
         # the collapse and factorization suites each report an eta_parallel_gate

@@ -163,13 +163,13 @@ GEOMETRY_FIELDS = ("metric", "gamma", "riem", "modified_riem", "horizontal_basis
                    "dxi_skew", "nphi", "deta", "modified_nphi_reeb")
 
 
-@pytest.mark.parametrize("mode, derivative_rows", [("symbolic", 1), ("fd", 10)])
-def test_metric_checks_per_point_geometry(monkeypatch, mode, derivative_rows):
-    # one check for the geometry's metric, one over the rows the Christoffel
-    # derivative reads (y alone in symbolic mode, whose metric is already
-    # checked, or the 2d stencil points), and one over the modified
-    # curvature's 4d Richardson rows: `Metric` checks a point, and a stack
-    # geometry checks its rows
+@pytest.mark.parametrize("mode", ["symbolic", "fd"])
+def test_metric_checks_per_point_geometry(monkeypatch, mode):
+    # one check for the geometry's metric and one over each stencil of the
+    # modified curvature's Richardson step: the coarse one, which the fd
+    # Christoffel derivative reads too, and the fine one (the symbolic
+    # derivative reads y alone, whose metric is already checked); `Metric`
+    # checks a point, and a stack geometry checks its rows
     shapes = []
     for module in (linalg, curvature):
         def counted(gram, _check=module.check_gram):
@@ -181,8 +181,7 @@ def test_metric_checks_per_point_geometry(monkeypatch, mode, derivative_rows):
     pg = PointGeometry(chart, sample_points(chart, 1, seed=3)[0])
     for name in GEOMETRY_FIELDS:
         getattr(pg, name)
-    stencil = [(derivative_rows, 5, 5)] if derivative_rows > 1 else []
-    assert shapes == [(5, 5), *stencil, (20, 5, 5)]
+    assert shapes == [(5, 5), (10, 5, 5), (10, 5, 5)]
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "fd"])
@@ -205,19 +204,16 @@ def test_each_grid_at_the_point_is_read_once(monkeypatch, mode):
     if mode == "fd":
         grids.remove("ddg")
     assert sorted(at_y) == sorted(grids)
-    # the modified curvature's 4d Richardson rows, read as one stack per
-    # grid; in fd mode the Christoffel derivative also reads g and dg at the
-    # coarse stencil, which is the stencil of FD_SECOND_STEP, as one stack
+    # the modified curvature's Richardson rows, read as one stack per grid
+    # and stencil; the coarse stencil, of step FD_SECOND_STEP, is the one
+    # the fd Christoffel derivative differences, so its g and dg are read
+    # once for both
     h = FD_SECOND_STEP
-    coarse = stencil_points(y, h).tolist()
-    richardson = [*coarse, *stencil_points(y, h / 2.0).tolist()]
+    coarse, fine = stencil_points(y, h).tolist(), stencil_points(y, h / 2.0).tolist()
     touching = Counter((name, len(rows)) for name, rows in reads
-                       if any(row in richardson for row in rows))
-    stacks = Counter((name, len(rows)) for name, rows in reads
-                     if rows in (richardson, coarse))
-    expected = {(name, 20): 1 for name in ("g", "dg", "xi", "eta", "dxi")}
-    if mode == "fd":
-        expected.update({("g", 10): 1, ("dg", 10): 1})
+                       if any(row in coarse + fine for row in rows))
+    stacks = Counter((name, len(rows)) for name, rows in reads if rows in (coarse, fine))
+    expected = {(name, 10): 2 for name in ("g", "dg", "xi", "eta", "dxi")}
     assert touching == stacks == expected
 
 
