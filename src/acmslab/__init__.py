@@ -18,7 +18,7 @@ from .curvature import (CurvatureTensor, PointGeometry, curvature_reconstruction
 from .errors import (ChartFormatError, DegenerateInputError, GeometryError,
                      PreconditionError, SearchError, ShapeError)
 from .exprs import EvalError, ParseError, differentiate, evaluate, parse, to_text
-from .gallery import FANO_TRIPLES, GALLERY_NAMES, gallery_chart, nearly_kahler_j, octonion_cross
+from .gallery import FANO_TRIPLES, GALLERY_NAMES, gallery_chart
 from .linalg import Metric, adjoint, gram_schmidt, skew_matrix
 from .quadruples import (ComplexStructuredSpace, Quadruple, decomposition_campaign,
                          find_generic_vector, find_orthogonal_witness,
@@ -29,4 +29,18 @@ from .structure import check_eta_parallel, horizontal_basis, validate_acms
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Chart", "DerivativeMode", "SYMBOLIC", "chart_from_text", "chart_to_text", "christoffel",
+    "contact_volume_coefficient", "d_eta", "load_chart", "nabla_phi", "nabla_xi",
+    "sample_points", "save_chart", "DEFAULT_TOLERANCES", "Tolerances", "CurvatureTensor",
+    "PointGeometry", "curvature_reconstruction_suite", "defect_collapse_suite",
+    "defect_factorization_suite", "dual_mode_suite", "horizontal_sectional_values",
+    "modified_connection_suite", "modified_riemann", "riemann", "ChartFormatError",
+    "DegenerateInputError", "GeometryError", "PreconditionError", "SearchError", "ShapeError",
+    "EvalError", "ParseError", "differentiate", "evaluate", "parse", "to_text", "FANO_TRIPLES",
+    "GALLERY_NAMES", "gallery_chart", "Metric", "adjoint", "gram_schmidt", "skew_matrix",
+    "ComplexStructuredSpace", "Quadruple", "decomposition_campaign", "find_generic_vector",
+    "find_orthogonal_witness", "generic_vector_campaign", "quadruple_decomposition",
+    "random_constrained_operator", "Check", "VerificationReport", "check_eta_parallel",
+    "horizontal_basis", "validate_acms",
+]

@@ -32,7 +32,7 @@ from .curvature import (PointGeometry, bridge_residual, contact_residuals,
                         curvature_reconstruction_suite, defect_collapse_suite,
                         defect_factorization_suite, horizontal_sectional_values,
                         killing_residual, modified_connection_suite,
-                        nearly_cosymplectic_residuals, reeb_deta_kernel_residual,
+                        nearly_cosymplectic_residual, reeb_deta_kernel_residual,
                         skew_phi_anticommutation_residual)
 from .errors import GeometryError
 from .exprs import EvalError
@@ -201,7 +201,6 @@ def cmd_validate(args) -> int:
     value_tol = tol.acms_exact if chart.mode.kind == "symbolic" else tol.acms_fd
     bridge_tol = tol.bridge_symbolic if chart.mode.kind == "symbolic" else tol.bridge_fd
 
-    rng = np.random.default_rng(seed)
     structures = []
     rows = []
     for y in points:
@@ -213,8 +212,8 @@ def cmd_validate(args) -> int:
             pg.eta_parallel,
             killing_residual(pg),
             reeb_deta_kernel_residual(pg),
-            worst(nearly_cosymplectic_residuals(pg, rng, probes=16).values()),
-            bridge_residual(pg, rng, pairs=16),
+            nearly_cosymplectic_residual(pg),
+            bridge_residual(pg),
             *contact_residuals(pg),
         ))
     star, skew_star, eta_par, killing, kernel, nearly, bridge, sigma, volume = zip(*rows)
@@ -301,14 +300,11 @@ def cmd_identities(args) -> int:
     chart = _resolve_chart(args)
     points = sample_points(chart, n_points, seed)
     geoms = [PointGeometry(chart, y, tol=tol) for y in points]
-    probes = 12
     suites = {
-        "modified": modified_connection_suite(geoms, seed, tol=tol, probes=probes),
-        "collapse": defect_collapse_suite(geoms, seed, tol=tol, probes=probes),
-        "factorization": defect_factorization_suite(geoms, seed, tol=tol,
-                                                    probes=probes),
-        "reconstruction": curvature_reconstruction_suite(geoms, seed, tol=tol,
-                                                         tuples=probes, c=args.c),
+        "modified": modified_connection_suite(geoms, tol=tol),
+        "collapse": defect_collapse_suite(geoms, tol=tol),
+        "factorization": defect_factorization_suite(geoms, tol=tol),
+        "reconstruction": curvature_reconstruction_suite(geoms, tol=tol, c=args.c),
     }
     merged = VerificationReport.of(
         [c for rep in suites.values() for c in rep.checks])

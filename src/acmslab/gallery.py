@@ -24,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 from .charts import Chart, chart_from_text
-from .errors import PreconditionError
 
 #: Oriented multiplication triples of the octonion imaginary units: for each
 #: triple (i, j, k), e_i e_j = e_k and cyclic rotations.
@@ -43,21 +42,6 @@ def cayley_structure_tensor() -> np.ndarray:
             c[b - 1, a - 1, out - 1] = -1.0
     c.flags.writeable = False
     return c
-
-
-def octonion_cross(u, v) -> np.ndarray:
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    return np.einsum("abk,a,b->k", cayley_structure_tensor(), u, v)
-
-
-def nearly_kahler_j(p) -> np.ndarray:
-    """Matrix of v -> p x v, the almost complex structure of the round S^6
-    at a unit point p, acting on the ambient R^7."""
-    p = np.asarray(p, float)
-    if abs(float(p @ p) - 1.0) > 1e-9:
-        raise PreconditionError("base point of the 6-sphere must be a unit vector")
-    return np.einsum("abk,a->kb", cayley_structure_tensor(), p)
 
 
 # ---------------------------------------------------------------------------

@@ -524,9 +524,7 @@ class TestIdentities:
     @pytest.mark.parametrize("target, value, failing", [
         ("check_eta_parallel", math.nan, ["eta_parallel_gate", "eta_parallel_gate"]),
         ("skew_phi_anticommutation_residual", math.nan, ["skew_anticommutation_gate"]),
-        ("nearly_cosymplectic_residuals",
-         dict.fromkeys(("horizontal", "full", "symmetrized"), math.nan),
-         ["nearly_cosymplectic_gate"]),
+        ("nearly_cosymplectic_residual", math.nan, ["nearly_cosymplectic_gate"]),
     ])
     def test_nan_gate_fails(self, capsys, monkeypatch, target, value, failing):
         # the suites look these up in the curvature module
@@ -536,6 +534,34 @@ class TestIdentities:
         checks = strict_json(out)["checks"]
         assert [c["name"] for c in checks if not c["pass"]] == failing
         assert all(c["residual"] is None for c in checks if not c["pass"])
+
+
+class TestNoProbeDraws:
+    """`validate` and `identities` decide every identity on frames: with
+    the probe generators made to raise, both still reach their verdicts."""
+
+    @pytest.mark.parametrize("command, chart, code", [
+        (command, chart, code)
+        for command in ("validate", "identities")
+        for chart, code in (("s5", 0), ("sasakian_r5", 1), ("s5_fd", 0))
+    ])
+    def test_verdict_without_probes(self, capsys, monkeypatch, tmp_path, command, chart,
+                                    code):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a probe was drawn")
+
+        monkeypatch.setattr(curvature, "unit_probes", refuse)
+        monkeypatch.setattr(curvature, "_probe_tuples", refuse)
+        if chart == "s5_fd":
+            path = tmp_path / "s5_fd.chart"
+            path.write_text(chart_to_text(
+                gallery_chart("s5").with_mode(DerivativeMode.parse("fd"))))
+            source = ["--chart", str(path)]
+        else:
+            source = ["--gallery", chart]
+        got, out, _ = run(capsys, command, *source, "--probes", "3", "--json")
+        assert got == code
+        assert strict_json(out)["verdict"] == ("PASS" if code == 0 else "FAIL")
 
 
 class TestUsageErrors:
@@ -637,7 +663,8 @@ class TestDegenerateCharts:
 
     @pytest.mark.parametrize("command, message", [
         ("curvature", "no horizontal plane with |g(x, w)| <= 0.99"),
-        ("identities", "no nondegenerate phi-plane found"),
+        # phi vanishes, so every phi-plane of the curvature estimate is degenerate
+        ("identities", "sectional curvature of a degenerate plane"),
     ])
     def test_steep_metric_ends(self, capsys, tmp_path, command, message):
         path = tmp_path / "steep.chart"

@@ -6,19 +6,28 @@ import pytest
 from acmslab.charts import chart_from_text, chart_to_text, sample_points
 from acmslab.curvature import PointGeometry, contact_residuals, killing_residual
 from acmslab.errors import PreconditionError
-from acmslab.gallery import (
-    FANO_TRIPLES,
-    GALLERY_NAMES,
-    cayley_structure_tensor,
-    gallery_chart,
-    nearly_kahler_j,
-    octonion_cross,
-)
+from acmslab.gallery import FANO_TRIPLES, GALLERY_NAMES, cayley_structure_tensor, gallery_chart
 from acmslab.structure import validate_acms
 
 
 def _unit(v):
     return np.asarray(v, float) / np.linalg.norm(v)
+
+
+def octonion_cross(u, v) -> np.ndarray:
+    """The cross product u x v on R^7 from the gallery's structure constants."""
+    u = np.asarray(u, float)
+    v = np.asarray(v, float)
+    return np.einsum("abk,a,b->k", cayley_structure_tensor(), u, v)
+
+
+def nearly_kahler_j(p) -> np.ndarray:
+    """Matrix of v -> p x v, the almost complex structure of the round S^6
+    at a unit point p, acting on the ambient R^7."""
+    p = np.asarray(p, float)
+    if abs(float(p @ p) - 1.0) > 1e-9:
+        raise PreconditionError("base point of the 6-sphere must be a unit vector")
+    return np.einsum("abk,a->kb", cayley_structure_tensor(), p)
 
 
 class TestOctonionCross:

@@ -7,14 +7,18 @@ these bytes must be deliberate: regenerate with
     PYTHONPATH=src python tests/test_golden.py
 
 and record the reason in CHANGES.md. Regeneration prints, for each file,
-whether its bytes are new, unchanged or CHANGED.
+whether its bytes are new, unchanged or CHANGED, and under each CHANGED
+file every check whose residual or pass flag moved, with its old and new
+state.
 """
 import contextlib
 import io
+import json
 import os
 import pathlib
 import sys
 import tempfile
+from itertools import zip_longest
 
 import pytest
 
@@ -82,6 +86,37 @@ def test_json_matches_golden(name, workdir, monkeypatch):
     assert run_case(CASES[name]) == expected
 
 
+def _state(check) -> str:
+    if check is None:
+        return "absent"
+    return f"{check['residual']!r} {'PASS' if check['pass'] else 'FAIL'}"
+
+
+def moved_checks(before: str, after: str) -> list[str]:
+    """``name: old -> new`` for each check of two ``--json`` documents,
+    matched by position (a name may occur twice), whose residual or pass
+    flag differs."""
+    lines = []
+    for old, new in zip_longest(*(json.loads(text)["checks"] for text in (before, after))):
+        if old is None or new is None or (old["name"], old["residual"], old["pass"]) != (
+                new["name"], new["residual"], new["pass"]):
+            name = " -> ".join(dict.fromkeys(c["name"] for c in (old, new) if c is not None))
+            lines.append(f"{name}: {_state(old)} -> {_state(new)}")
+    return lines
+
+
+def test_moved_checks_lists_each_changed_check():
+    def doc(*checks):
+        return json.dumps({"checks": [dict(zip(("name", "residual", "pass"), c))
+                                      for c in checks]})
+
+    before = doc(("a", 1.0, True), ("gate", 0.5, False), ("gate", 0.5, False), ("b", 2.0, True))
+    after = doc(("a", 1.0, True), ("gate", 0.5, False), ("gate", 0.25, True))
+    assert moved_checks(before, after) == ["gate: 0.5 FAIL -> 0.25 PASS",
+                                           "b: 2.0 PASS -> absent"]
+    assert moved_checks(after, after) == []
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     os.environ.pop("ACMSLAB_SEED", None)
@@ -99,6 +134,9 @@ def regenerate() -> None:
         path.write_text(text, encoding="utf-8")
         status = "new" if before is None else "unchanged" if before == text else "CHANGED"
         print(f"{status:9} {path}", file=sys.stderr)
+        if status == "CHANGED":
+            for line in moved_checks(before, text):
+                print(f"          {line}", file=sys.stderr)
 
 
 if __name__ == "__main__":
