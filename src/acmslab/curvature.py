@@ -462,11 +462,6 @@ def bridge_residual(pg: PointGeometry) -> float:
 
 # ---------------------------------------------------------------------------
 # identity suites
-#
-# Each identity is lowered into the point's g-orthonormal frame: a
-# horizontal one takes its arguments from `horizontal_basis`, a full-space
-# one from `frame`, and a vector output is written in `frame`. The residual
-# is the largest entry of the difference tensor.
 
 
 def modified_connection_suite(geoms: Sequence[PointGeometry], *,
@@ -549,14 +544,15 @@ def defect_factorization_suite(geoms: Sequence[PointGeometry], *,
         b, phi, a, r = pg.horizontal_basis, pg.phi, pg.reeb_gradient, pg.riem.comps
         gf = pg.gram @ pg.frame
         w = pg.projector @ pg.modified_nphi_reeb - pg.skew_projected @ phi
-        bb = operator_in_basis(pg.dxi_skew, b, pg.metric)
         ab = (a @ b).T @ pg.gram  # rows g(A h_i, .)
         a_phi, a_z, af, phi_af = ab @ phi @ b, ab @ b, gf.T @ a @ b, gf.T @ phi @ a @ b
         rhs = (_in_frames(r, pg.projector.T @ gf, phi @ b, b, b)
                - _in_frames(r, phi.T @ gf, b, b, b)
                + _terms("azxy", (1, "yz,ax", a_phi, af), (-1, "xz,ay", a_phi, af),
                         (-1, "yz,ax", a_z, phi_af), (1, "xz,ay", a_z, phi_af)))
-        resid.append(_max_entry(_terms("azxy", (2, "yx,az", bb, gf.T @ w @ b)) - rhs))
+        lhs = 2.0 * np.einsum("yx,az->azxy", operator_in_basis(pg.dxi_skew, b, pg.metric),
+                              gf.T @ w @ b)
+        resid.append(_max_entry(lhs - rhs))
     checks.append(Check.below("defect_factorization", worst(resid), tol.identity))
     return VerificationReport.of(checks)
 
