@@ -361,11 +361,11 @@ def nabla_xi(gam, xi, dxi) -> np.ndarray:
 
 
 def nabla_phi(gam, phi, dphi) -> np.ndarray:
-    """Table T[i, j, k]: the j-th component of (nabla_{e_i} phi)(e_k), from
-    the Christoffel symbols, the matrix of phi and its coordinate
-    derivatives dphi[k, i, j]."""
-    return (dphi + np.einsum("jil,lk->ijk", gam, phi)
-            - np.einsum("lik,jl->ijk", gam, phi))
+    """Table T[..., i, j, k]: the j-th component of (nabla_{e_i} phi)(e_k),
+    from the Christoffel symbols, the matrix of phi and its coordinate
+    derivatives dphi[..., k, i, j], over any leading axes."""
+    return (dphi + np.einsum("...jil,...lk->...ijk", gam, phi)
+            - np.einsum("...lik,...jl->...ijk", gam, phi))
 
 
 def d_eta(deta) -> np.ndarray:
@@ -375,48 +375,55 @@ def d_eta(deta) -> np.ndarray:
     return 0.5 * (deta - deta.swapaxes(-1, -2))
 
 
-def _pfaffian(a: np.ndarray) -> float:
+def _pfaffian(a: np.ndarray) -> float | np.ndarray:
     """Pfaffian of a real skew matrix by skew LTL^T (Parlett-Reid) elimination
     with partial pivoting: Wimmer, *Algorithm 923: Efficient numerical
     computation of the Pfaffian*, ACM TOMS 38(4), 2012. O(size^3); 0.0 for
-    odd sizes."""
+    odd sizes. A float for one matrix; over leading axes, one Pfaffian per
+    matrix, each pivoting on its own."""
     a = np.array(a, float)
-    size = a.shape[0]
+    lead, size = a.shape[:-2], a.shape[-1]
     if size % 2:
-        return 0.0
-    pf = 1.0
+        return np.zeros(lead) if lead else 0.0
+    a = a.reshape(-1, size, size)
+    rows = np.arange(len(a))
+    pf = np.ones(len(a))
+    dead = np.zeros(len(a), dtype=bool)  # a zero pivot makes the Pfaffian 0.0
     for k in range(0, size - 1, 2):
-        p = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
-        if p != k + 1:  # move the largest entry of column k under the diagonal
-            a[[k + 1, p], k:] = a[[p, k + 1], k:]
-            a[k:, [k + 1, p]] = a[k:, [p, k + 1]]
-            pf = -pf
-        if a[k + 1, k] == 0.0:
-            return 0.0
-        pf *= a[k, k + 1]
-        tau = a[k, k + 2:] / a[k, k + 1]
-        col = a[k + 2:, k + 1]
-        a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    return pf
+        p = k + 1 + np.argmax(np.abs(a[:, k + 1:, k]), axis=-1)
+        s = rows[p != k + 1]  # move the largest entry of column k under the diagonal
+        if s.size:
+            a[s, k + 1, k:], a[s, p[s], k:] = a[s, p[s], k:], a[s, k + 1, k:]
+            a[s, k:, k + 1], a[s, k:, p[s]] = a[s, k:, p[s]], a[s, k:, k + 1]
+            pf[s] = -pf[s]
+        dead |= a[:, k + 1, k] == 0.0
+        pf *= a[:, k, k + 1]
+        tau = a[:, k, k + 2:] / np.where(dead, 1.0, a[:, k, k + 1])[:, None]
+        col = a[:, k + 2:, k + 1]
+        a[:, k + 2:, k + 2:] += (tau[:, :, None] * col[:, None, :]
+                                 - col[:, :, None] * tau[:, None, :])
+    pf = np.where(dead, 0.0, pf).reshape(lead)
+    return float(pf) if not lead else pf
 
 
-def contact_volume_coefficient(eta_vec, deta_mat) -> float:
+def contact_volume_coefficient(eta_vec, deta_mat) -> float | np.ndarray:
     """Coordinate coefficient of eta wedge (d eta)^n on the frame, d = 2n + 1.
 
     With the determinant convention for wedge products (a 1/2^n
     normalization for the n two-form factors) this is n! Pf(M) for the
     bordered (d + 1) x (d + 1) skew matrix M = [[0, eta], [-eta, d eta]],
     where d eta enters through its skew part. For even d, M has odd size
-    and the coefficient is 0.0.
+    and the coefficient is 0.0. A float at one point; over leading axes
+    shared by eta ``(..., d)`` and d eta ``(..., d, d)``, one per row.
     """
     eta_vec = np.asarray(eta_vec, float)
     deta_mat = np.asarray(deta_mat, float)
-    d = eta_vec.shape[0]
-    bordered = np.zeros((d + 1, d + 1))
-    bordered[0, 1:] = eta_vec
-    bordered[1:, 0] = -eta_vec
-    bordered[1:, 1:] = 0.5 * (deta_mat - deta_mat.T)
-    return float(math.factorial(d // 2) * _pfaffian(bordered))
+    d = eta_vec.shape[-1]
+    bordered = np.zeros(eta_vec.shape[:-1] + (d + 1, d + 1))
+    bordered[..., 0, 1:] = eta_vec
+    bordered[..., 1:, 0] = -eta_vec
+    bordered[..., 1:, 1:] = 0.5 * (deta_mat - deta_mat.swapaxes(-1, -2))
+    return math.factorial(d // 2) * _pfaffian(bordered)
 
 
 def sample_points(chart: Chart, count: int, seed: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from functools import cache
 import numpy as np
 
 from .charts import Chart, load_chart, sample_points
-from .config import DEFAULT_TOLERANCES, POINTS_PER_CHART, Tolerances
+from .config import DEFAULT_TOLERANCES, POINTS_PER_CHART, PROBES_PER_RESIDUAL, Tolerances
 from .curvature import (PointGeometry, bridge_residual, contact_residuals,
                         curvature_reconstruction_suite, defect_collapse_suite,
                         defect_factorization_suite, horizontal_sectional_values,
@@ -37,6 +37,7 @@ from .curvature import (PointGeometry, bridge_residual, contact_residuals,
 from .errors import GeometryError
 from .exprs import EvalError
 from .gallery import GALLERY_NAMES, gallery_chart
+from .linalg import max_entry
 from .quadruples import decomposition_campaign, generic_vector_campaign
 from .report import Check, VerificationReport, least, worst
 from .structure import dimension_consistency_gate, dimension_error, validate_acms
@@ -81,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("curvature", help="sample horizontal sectional curvature")
     _add_chart_options(sp)
-    sp.add_argument("--planes", type=int, default=50, help="planes sampled per point")
+    sp.add_argument("--planes", type=int, default=PROBES_PER_RESIDUAL,
+                    help=f"planes sampled per point (default {PROBES_PER_RESIDUAL})")
     _add_run_options(sp)
 
     sp = sub.add_parser("identities", help="curvature identity suites")
@@ -201,25 +203,21 @@ def cmd_validate(args) -> int:
     value_tol = tol.acms_exact if chart.mode.kind == "symbolic" else tol.acms_fd
     bridge_tol = tol.bridge_symbolic if chart.mode.kind == "symbolic" else tol.bridge_fd
 
-    structures = []
-    rows = []
-    for y in points:
-        pg = PointGeometry(chart, y, tol=tol)
-        structures.append((pg.phi, pg.xi, pg.eta, pg.gram))
-        rows.append((
-            float(np.max(np.abs(pg.phi @ pg.reeb_gradient + pg.reeb_gradient @ pg.phi))),
-            skew_phi_anticommutation_residual(pg),
-            pg.eta_parallel,
-            killing_residual(pg),
-            reeb_deta_kernel_residual(pg),
-            nearly_cosymplectic_residual(pg),
-            bridge_residual(pg),
-            *contact_residuals(pg),
-        ))
-    star, skew_star, eta_par, killing, kernel, nearly, bridge, sigma, volume = zip(*rows)
+    # one geometry over the whole sample; its grids are read in the order
+    # the checks need them, each over every point
+    pg = PointGeometry(chart, points, tol=tol)
+    report = validate_acms(pg.phi, pg.xi, pg.eta, pg.gram, tol=tol)
+    a = pg.reeb_gradient
+    star = max_entry(pg.phi @ a + a @ pg.phi, 2)
+    skew_star = skew_phi_anticommutation_residual(pg)
+    eta_par = pg.eta_parallel
+    killing = killing_residual(pg)
+    kernel = reeb_deta_kernel_residual(pg)
+    nearly = nearly_cosymplectic_residual(pg)
+    bridge = bridge_residual(pg)
+    sigma, volume = contact_residuals(pg)
     sigma_min, volume_min = least(sigma), least(volume)
 
-    report = validate_acms(*map(np.stack, zip(*structures)), tol=tol)
     star_check = Check.below("phi_anticommutation", worst(star), value_tol)
     contact_check = Check.above("contact_sigma_min", sigma_min, tol.contact)
     extra = [

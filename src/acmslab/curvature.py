@@ -19,7 +19,10 @@ curvature's Richardson step are geometries over stacks. A stack
 is read grid by grid (g, dg, xi, eta, dxi), each grid over all of its
 rows: the first failing row of the first failing grid raises, after the
 metrics of the g rows read before it are checked. `riemann` and
-`modified_riemann` assemble curvature from the arrays it holds. The four
+`modified_riemann` assemble curvature from the arrays it holds. The
+pointwise residuals (`killing_residual` through `contact_residuals`) take a
+geometry over a point, giving a float, or over a stack, giving one value
+per row, so ``validate`` checks its whole sample as one geometry. The four
 identity suites take a list of prebuilt ``PointGeometry`` objects, one per
 point, so a caller that runs several suites over the same points (the
 ``identities`` subcommand) computes each point's curvature and modified
@@ -53,7 +56,7 @@ from .charts import (SYMBOLIC, Chart, DerivativeMode, christoffel,
 from .config import (DEFAULT_TOLERANCES, FD_SECOND_STEP, MAX_PROBE_DRAWS,
                      PROBES_PER_RESIDUAL, Tolerances)
 from .errors import DegenerateInputError, ShapeError
-from .linalg import Metric, check_gram, operator_in_basis, skew_matrix
+from .linalg import Metric, check_gram, max_entry, operator_in_basis, skew_matrix
 from .report import Check, VerificationReport, worst
 from .structure import check_eta_parallel, horizontal_basis, horizontal_projector
 
@@ -174,8 +177,12 @@ class PointGeometry:
     the object. `_read` is its only chart reader and reads each grid once.
     The connection tensors, up to ``modified_gamma``, are array formulas
     over the leading row axis of a stack, so the derivative stencils are
-    geometries too. Everything derived from the Christoffel symbols reads
-    the one cached ``gamma``. ``metric``, and the tensors built on it, exist
+    geometries too; so are the structure tensors ``validate`` checks
+    (``nphi``, ``deta``, ``projector``, ``horizontal_basis``, ``frame``,
+    ``eta_parallel``), each row exactly what the point alone gives.
+    Everything derived from the Christoffel symbols reads the one cached
+    ``gamma``. ``metric``, ``dgamma``, ``coarse_stencil``, ``riem``,
+    ``modified_riem``, ``modified_nphi`` and ``modified_nphi_reeb`` exist
     at a single point only.
     """
 
@@ -270,8 +277,9 @@ class PointGeometry:
         itself when the structure holds). Adapted to the splitting, the
         frame gives residuals that do not depend on the chart's coordinates.
         """
-        normal = np.linalg.solve(self.gram, self.eta)
-        return np.column_stack([self.horizontal_basis, normal / self.metric.norm(normal)])
+        normal = np.linalg.solve(self.gram, self.eta[..., None])
+        norm = np.sqrt(np.maximum(normal.swapaxes(-1, -2) @ self.gram @ normal, 0.0))
+        return np.concatenate([self.horizontal_basis, normal / norm], axis=-1)
 
     @cached_property
     def reeb_gradient(self) -> np.ndarray:
@@ -400,7 +408,8 @@ def _probe_tuples(metric: Metric, rng, k: int, count: int, *, projector=None) ->
 def _in_frames(table, *mats) -> np.ndarray:
     """``table`` with each axis n contracted against the first axis of
     ``mats[n]``, one axis at a time: out[a, b, ...] = sum over i, j, ... of
-    table[i, j, ...] mats[0][i, a] mats[1][j, b] ...
+    table[i, j, ...] mats[0][i, a] mats[1][j, b] ...; over a stack, every
+    array carries the same leading axes, which ride along.
 
     An argument slot takes a frame (its columns the arguments); a vector
     output slot takes ``gram @ frame``, which gives the output's components
@@ -408,7 +417,10 @@ def _in_frames(table, *mats) -> np.ndarray:
     components of ``m @ v``."""
     out = np.asarray(table)
     for mat in mats:  # the new axis goes last, so after every axis the order is back
-        out = (out.reshape(len(mat), -1).T @ mat).reshape(out.shape[1:] + mat.shape[1:])
+        lead = mat.shape[:-2]
+        rest = out.shape[len(lead) + 1:]
+        out = (out.reshape(lead + (mat.shape[-2], -1)).swapaxes(-1, -2) @ mat).reshape(
+            lead + rest + mat.shape[-1:])
     return out
 
 
@@ -418,46 +430,43 @@ def _terms(out: str, *terms) -> np.ndarray:
     return sum(sign * np.einsum(f"{spec}->{out}", *ops) for sign, spec, *ops in terms)
 
 
-def _max_entry(table) -> float:
-    return float(np.max(np.abs(table)))
-
-
 # ---------------------------------------------------------------------------
 # pointwise residuals
 
 
-def killing_residual(pg: PointGeometry) -> float:
-    ga = pg.metric.gram @ pg.reeb_gradient
-    return float(np.max(np.abs(ga + ga.T)))
+def killing_residual(pg: PointGeometry) -> float | np.ndarray:
+    ga = pg.gram @ pg.reeb_gradient
+    return max_entry(ga + ga.swapaxes(-1, -2), 2)
 
 
-def reeb_deta_kernel_residual(pg: PointGeometry) -> float:
-    return float(np.max(np.abs(pg.deta @ pg.xi)))
+def reeb_deta_kernel_residual(pg: PointGeometry) -> float | np.ndarray:
+    return max_entry((pg.deta @ pg.xi[..., None])[..., 0], 1)
 
 
-def nearly_cosymplectic_residual(pg: PointGeometry) -> float:
+def nearly_cosymplectic_residual(pg: PointGeometry) -> float | np.ndarray:
     """Residual of the defining symmetry (nabla_v phi) v = 0: the largest
     entry of its polarization (nabla_x phi) z + (nabla_z phi) x in the
     point's frame."""
     f = pg.frame
-    n = _in_frames(pg.nphi, f, pg.gram @ f, f)  # n[x, a, z]: (nabla_x phi) z
-    return _max_entry(n + n.transpose(2, 1, 0))
+    n = _in_frames(pg.nphi, f, pg.gram @ f, f)  # n[..., x, a, z]: (nabla_x phi) z
+    return max_entry(n + n.swapaxes(-1, -3), 3)
 
 
-def skew_phi_anticommutation_residual(pg: PointGeometry) -> float:
+def skew_phi_anticommutation_residual(pg: PointGeometry) -> float | np.ndarray:
     """Anticommutator of the projected skew operator with phi, on the
     horizontal subspace."""
     b = pg.skew_projected
     phi = pg.phi
     m = pg.projector @ (b @ phi + phi @ b) @ pg.projector
-    return float(np.max(np.abs(m)))
+    return max_entry(m, 2)
 
 
-def bridge_residual(pg: PointGeometry) -> float:
+def bridge_residual(pg: PointGeometry) -> float | np.ndarray:
     """Gap between the exterior derivative of the contact form and the skew
     pairing g(Bx, y) of the Reeb gradient, on the horizontal frame."""
     h = pg.horizontal_basis
-    return _max_entry(h.T @ (pg.deta - pg.dxi_skew.T @ pg.gram) @ h)
+    return max_entry(h.swapaxes(-1, -2) @ (pg.deta - pg.dxi_skew.swapaxes(-1, -2) @ pg.gram)
+                     @ h, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +484,16 @@ def modified_connection_suite(geoms: Sequence[PointGeometry], *,
         fix.append(float(np.max(np.abs(np.einsum("kij,i,j->k", h, pg.xi, pg.xi)))))
         # h(x, xi) as the matrix h(., xi) times x: where that matrix is -A
         # exactly, both products round alike and cancel to 0
-        reeb.append(_max_entry(gf.T @ (a @ b + (h @ pg.xi) @ b)))
-        phi_h.append(_max_entry(_in_frames(pg.modified_nphi, b, gf, b)))
+        reeb.append(max_entry(gf.T @ (a @ b + (h @ pg.xi) @ b)))
+        phi_h.append(max_entry(_in_frames(pg.modified_nphi, b, gf, b)))
         # the differentiated route against the closed formula
         # P R(x, w) z + g(Aw, z) Ax - g(Ax, z) Aw + g(Bx, w) P B P z
-        ab, af = operator_in_basis(a, b, pg.metric), gf.T @ a @ b
-        bb, sf = operator_in_basis(pg.dxi_skew, b, pg.metric), gf.T @ pg.skew_projected @ b
+        ab, af = operator_in_basis(a, b, pg.gram), gf.T @ a @ b
+        bb, sf = operator_in_basis(pg.dxi_skew, b, pg.gram), gf.T @ pg.skew_projected @ b
         routes = _in_frames(pg.modified_riem.comps - pg.riem.comps,
                             pg.projector.T @ gf, b, b, b)
-        agree.append(_max_entry(routes - _terms("azxw", (1, "zw,ax", ab, af),
-                                                (-1, "zx,aw", ab, af), (1, "wx,az", bb, sf))))
+        agree.append(max_entry(routes - _terms("azxw", (1, "zw,ax", ab, af),
+                                               (-1, "zx,aw", ab, af), (1, "wx,az", bb, sf))))
     return VerificationReport.of([
         Check.below("correction_kills_reeb_pair", worst(fix), tol.acms_exact),
         Check.below("modified_reeb_parallel", worst(reeb), tol.condition_gate),
@@ -510,10 +519,10 @@ def defect_collapse_suite(geoms: Sequence[PointGeometry], *,
     for pg in geoms:
         b, phi, r = pg.horizontal_basis, pg.phi, pg.modified_riem.comps
         pt = pg.projector.T @ pg.gram @ pg.frame
-        rhs = 2.0 * np.einsum("yx,az->azxy", operator_in_basis(pg.dxi_skew, b, pg.metric),
+        rhs = 2.0 * np.einsum("yx,az->azxy", operator_in_basis(pg.dxi_skew, b, pg.gram),
                               pt.T @ pg.modified_nphi_reeb @ b)
-        resid.append(_max_entry(_in_frames(r, pt, phi @ b, b, b)
-                                - _in_frames(r, phi.T @ pt, b, b, b) - rhs))
+        resid.append(max_entry(_in_frames(r, pt, phi @ b, b, b)
+                               - _in_frames(r, phi.T @ pt, b, b, b) - rhs))
     checks.append(Check.below("defect_collapse", worst(resid), tol.identity))
     return VerificationReport.of(checks)
 
@@ -550,9 +559,9 @@ def defect_factorization_suite(geoms: Sequence[PointGeometry], *,
                - _in_frames(r, phi.T @ gf, b, b, b)
                + _terms("azxy", (1, "yz,ax", a_phi, af), (-1, "xz,ay", a_phi, af),
                         (-1, "yz,ax", a_z, phi_af), (1, "xz,ay", a_z, phi_af)))
-        lhs = 2.0 * np.einsum("yx,az->azxy", operator_in_basis(pg.dxi_skew, b, pg.metric),
+        lhs = 2.0 * np.einsum("yx,az->azxy", operator_in_basis(pg.dxi_skew, b, pg.gram),
                               gf.T @ w @ b)
-        resid.append(_max_entry(lhs - rhs))
+        resid.append(max_entry(lhs - rhs))
     checks.append(Check.below("defect_factorization", worst(resid), tol.identity))
     return VerificationReport.of(checks)
 
@@ -577,15 +586,15 @@ def _reconstruction_residuals(pg: PointGeometry, c: float) -> tuple[float, float
                            (1, "y,w,zx", e, e, one), (-1, "z,w,yx", e, e, one),
                            (1, "xy,wz", phi, phi), (-1, "xz,wy", phi, phi),
                            (-2, "yz,wx", phi, phi))
-    full = _max_entry(lhs - rhs)
+    full = max_entry(lhs - rhs)
 
     # its horizontal specialization, a vector identity in horizontal x, y, w
     ah, ph = pg.reeb_gradient @ b, pg.phi @ b
     pa, a_y = ph.T @ pg.gram @ ah, ah.T @ pg.gram @ b  # g(phi h_i, A h_j), g(A h_i, h_j)
-    p_y = operator_in_basis(pg.phi, b, pg.metric)       # g(h_i, phi h_j)
+    p_y = operator_in_basis(pg.phi, b, pg.gram)         # g(h_i, phi h_j)
     af, pf, paf, hf = gf.T @ ah, gf.T @ ph, gf.T @ pg.phi @ ah, gf.T @ b
     hone = np.eye(b.shape[1])
-    horizontal = _max_entry(_terms(
+    horizontal = max_entry(_terms(
         "axyw", (3 * c, "yx,aw", hone, hf), (-3 * c, "yw,ax", hone, hf),
         (1, "yx,aw", pa, paf), (-1, "yw,ax", pa, paf), (-2, "xw,ay", pa, paf),
         (-1, "xy,aw", a_y, af), (1, "wy,ax", a_y, af), (2, "wx,ay", a_y, af),
@@ -593,8 +602,8 @@ def _reconstruction_residuals(pg: PointGeometry, c: float) -> tuple[float, float
 
     # g((nabla_x phi) y, Az) = eta(y) g(A^2 x, phi z) - eta(x) g(A^2 y, phi z)
     q = (a @ a).T @ phi
-    pairing = _max_entry(_terms("xyz", (1, "xay,az", n, a), (-1, "y,xz", e, q),
-                                (1, "x,yz", e, q)))
+    pairing = max_entry(_terms("xyz", (1, "xay,az", n, a), (-1, "y,xz", e, q),
+                               (1, "x,yz", e, q)))
     return full, horizontal, pairing
 
 
@@ -604,7 +613,8 @@ def curvature_reconstruction_suite(geoms: Sequence[PointGeometry], *,
     """Reconstruction of the full curvature from first derivatives of the
     structure tensors, valid on nearly cosymplectic charts whose phi-plane
     curvature is the constant ``c``; without ``c``, the mean of
-    K(h, phi h) over the horizontal frame vectors h of every point.
+    K(h, phi h) over the horizontal frame vectors h of every point, and a
+    point where some phi-plane is degenerate raises DegenerateInputError.
 
     Includes the horizontal specialization and the pairing identity for the
     derivative of phi. Gated on the nearly cosymplectic residual."""
@@ -614,9 +624,17 @@ def curvature_reconstruction_suite(geoms: Sequence[PointGeometry], *,
     if not gate_ok:
         return VerificationReport.of(checks)
     if c is None:
-        c = float(np.mean([np.mean(pg.riem.sectional(pg.horizontal_basis,
-                                                     pg.phi @ pg.horizontal_basis, tol=pg.tol))
-                           for pg in geoms]))
+        sections = []
+        for pg in geoms:
+            riem, b = pg.riem, pg.horizontal_basis
+            try:
+                sections.append(np.mean(riem.sectional(b, pg.phi @ b, tol=pg.tol)))
+            except DegenerateInputError as exc:
+                raise DegenerateInputError(
+                    f"cannot estimate c at point {pg.y.tolist()}: phi maps a horizontal "
+                    "frame vector h to zero or into span{h}, so the phi-plane "
+                    "span{h, phi h} is degenerate; give c (--c) instead") from exc
+        c = float(np.mean(sections))
     full, hor, pair = zip(*(_reconstruction_residuals(pg, c) for pg in geoms))
     checks.append(Check.below("curvature_reconstruction_full", worst(full), tol.identity))
     checks.append(Check.below("curvature_reconstruction_horizontal", worst(hor), tol.identity))
@@ -670,10 +688,11 @@ def horizontal_sectional_values(chart: Chart, points, seed: int = 0, *,
     return values
 
 
-def contact_residuals(pg: PointGeometry) -> tuple[float, float]:
+def contact_residuals(pg: PointGeometry) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Pair (sigma_min of the horizontal skew operator, absolute top-form
-    coefficient of the contact volume)."""
-    b = operator_in_basis(pg.skew_projected, pg.horizontal_basis, pg.metric)
-    sigma = float(np.linalg.svd(b, compute_uv=False)[-1])
+    coefficient of the contact volume): floats at a point, one value per
+    row each over a stack."""
+    b = operator_in_basis(pg.skew_projected, pg.horizontal_basis, pg.gram)
+    sigma = np.linalg.svd(b, compute_uv=False)[..., -1]
     volume = abs(contact_volume_coefficient(pg.eta, pg.deta))
-    return sigma, volume
+    return (float(sigma), volume) if sigma.ndim == 0 else (sigma, volume)

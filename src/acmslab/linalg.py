@@ -163,44 +163,70 @@ def symmetric_eigen(mat, g: Metric, *, tol: float):
 
 def project_out(v, basis, gram) -> np.ndarray:
     """Remove from v (one vector or a stack) its projection onto the span of a
-    stack of columns orthonormal in ``gram``, twice to fight cancellation."""
+    stack of columns orthonormal in ``gram``, twice to fight cancellation;
+    over any leading axes when v is a stack."""
     out = np.array(v, dtype=float)
     basis = np.asarray(basis, dtype=float)
     for _ in range(2):
-        out = out - basis @ (basis.T @ (gram @ out))
+        out = out - basis @ (basis.swapaxes(-1, -2) @ (gram @ out))
     return out
 
 
 def gram_schmidt(vectors, gram, *, rank_tol: float,
                  require_all: bool = False) -> np.ndarray:
     """Gram-Schmidt over the columns of a stack in the metric ``gram``,
-    pivoting by largest remaining norm.
+    pivoting by largest remaining norm, over any leading axes shared by
+    ``vectors`` and ``gram``; each slice pivots on its own.
 
     Returns a stack of g-orthonormal columns spanning the input span. Columns
-    that project below ``rank_tol`` are dropped, or raise when ``require_all``.
+    that project below ``rank_tol`` are dropped, or raise when ``require_all``
+    (for the first such slice in C order). A slice ends at its first dropped
+    column: over leading axes the output has as many columns as the largest
+    rank, and a slice of lower rank holds zero columns past its own, so each
+    slice's leading columns are what the slice alone gives.
     """
     pool = np.array(vectors, dtype=float)
-    out = pool[:, :0]
-    while pool.shape[1]:
+    out = pool[..., :0]
+    live = np.ones(pool.shape[:-2], dtype=bool)
+    stop = np.zeros(live.shape)  # the residual norm at which each slice stopped
+    while pool.shape[-1]:
         residuals = project_out(pool, out, gram)
-        norms = np.sqrt(np.maximum(np.sum(residuals * (gram @ residuals), axis=0), 0.0))
-        best = int(np.argmax(norms))
-        if norms[best] < rank_tol:
-            if require_all:
-                raise DegenerateInputError(
-                    f"input vectors are linearly dependent (residual norm {norms[best]:.3e})"
-                )
+        norms = np.sqrt(np.maximum(np.sum(residuals * (gram @ residuals), axis=-2), 0.0))
+        best = np.argmax(norms, axis=-1)[..., None]
+        top = np.take_along_axis(norms, best, axis=-1)[..., 0]
+        ends = live & (top < rank_tol)
+        stop = np.where(ends, top, stop)
+        live &= ~ends
+        if not live.any():
             break
-        out = np.column_stack([out, residuals[:, best] / norms[best]])
-        pool = np.delete(pool, best, axis=1)
+        # a slice that has ended gets a zero column
+        col = (np.take_along_axis(residuals, best[..., None, :], axis=-1)
+               / np.where(live, top, np.inf)[..., None, None])
+        out = np.concatenate([out, col], axis=-1)
+        # the remaining columns of each slice, in order
+        rest = np.argsort(np.arange(pool.shape[-1]) == best, axis=-1, kind="stable")[..., :-1]
+        pool = np.take_along_axis(pool, rest[..., None, :], axis=-1)
+    if require_all and not live.all():
+        raise DegenerateInputError(
+            f"input vectors are linearly dependent (residual norm "
+            f"{np.ravel(stop)[np.flatnonzero(~live)[0]]:.3e})"
+        )
     return out
 
 
-def operator_in_basis(mat, basis, g: Metric) -> np.ndarray:
+def operator_in_basis(mat, basis, gram) -> np.ndarray:
     """Component matrix of an operator compressed to the span of a stack of
-    g-orthonormal columns."""
+    columns orthonormal in ``gram``, over any leading axes."""
     basis = np.asarray(basis, dtype=float)
-    return basis.T @ g.gram @ mat @ basis
+    return basis.swapaxes(-1, -2) @ gram @ mat @ basis
+
+
+def max_entry(table, axes: int | None = None) -> float | np.ndarray:
+    """Largest |entry| of a tensor, as a float; with ``axes``, of each
+    tensor held in the last ``axes`` axes of a stack, one value per leading
+    index (a float when there are none)."""
+    out = np.max(np.abs(table), axis=None if axes is None else tuple(range(-axes, 0)))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def g_singular_values(mat, g: Metric) -> np.ndarray:

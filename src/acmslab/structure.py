@@ -4,14 +4,15 @@ A structure is the tuple (phi, xi, eta, g) of plain arrays on an
 odd-dimensional tangent space: phi a ``(dim, dim)`` matrix, xi and eta
 ``(dim,)`` vectors, and g a Gram matrix that every function here takes as
 an array, as `linalg` takes ``(mat, gram)``.
-`validate_acms` checks the defining identities at one point or over a stack
-with leading point axes; the horizontal (contact) distribution and the
-pointwise condition checks the curvature identities depend on take one point.
+Every function here takes one point or a stack with the same leading point
+axes on all its arrays: `validate_acms` reports the worst point of each
+identity, and the horizontal (contact) frame and the eta-parallel check
+give one result per point.
 
 The horizontal frame is one ``(dim, dim - 1)`` column stack of g-orthonormal
-vectors (see `linalg`), built from the horizontal projector. The checks that
-need it take it as an argument, so a caller builds it once per point and
-shares it between the eta-parallel and contact checks
+vectors (see `linalg`), built from the horizontal projector; over a stack,
+one per point. The checks that need it take it as an argument, so a caller
+builds it once and shares it between the eta-parallel and contact checks
 (``curvature.PointGeometry`` does, along with the projector).
 
 `validate_acms` and `horizontal_basis` read their thresholds from the
@@ -28,7 +29,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateInputError, ShapeError
-from .linalg import check_gram, gram_schmidt
+from .linalg import check_gram, gram_schmidt, max_entry
 from .report import Check, VerificationReport
 
 
@@ -105,40 +106,52 @@ def horizontal_basis(projector, eta, gram, *,
     the coordinate frame projected along xi (the columns of the horizontal
     ``projector``), orthonormalized with pivoting that drops columns below
     ``tol.rank``. Its eta leak is gated at 1e3 times ``tol.acms_exact``.
-    ShapeError unless gram and projector are ``(dim, dim)`` and eta ``(dim,)``."""
-    dim = np.shape(gram)[-1]
-    want = ((dim, dim), (dim, dim), (dim,))
+
+    Over leading axes shared by all three arrays, one basis per row; the
+    first row (in C order) whose rank is not dim - 1 or whose basis leaks
+    raises the error that row alone raises. ShapeError unless gram and
+    projector are ``(..., dim, dim)`` and eta ``(..., dim)``."""
+    lead, dim = np.shape(gram)[:-2], np.shape(gram)[-1]
+    want = (lead + (dim, dim), lead + (dim, dim), lead + (dim,))
     if (np.shape(gram), np.shape(projector), np.shape(eta)) != want:
         raise ShapeError(f"gram, projector and eta must have shapes {want}")
     basis = gram_schmidt(projector, gram, rank_tol=tol.rank)
-    rank = basis.shape[1]
-    if rank != dim - 1:
+    # a row of lower rank than the widest holds zero columns past its own
+    rank = np.count_nonzero(np.any(basis != 0.0, axis=-2), axis=-1)
+    leak = np.max(np.abs(eta[..., None, :] @ basis), axis=(-2, -1), initial=0.0)
+    bad = (rank != dim - 1) | (leak > 1e3 * max(tol.acms_exact, 1e-12))
+    if bad.any():
+        n = np.flatnonzero(bad)[0]
+        if np.ravel(rank)[n] != dim - 1:
+            raise DegenerateInputError(
+                f"horizontal space has numerical rank {np.ravel(rank)[n]}, expected {dim - 1}"
+            )
         raise DegenerateInputError(
-            f"horizontal space has numerical rank {rank}, expected {dim - 1}"
-        )
-    worst_eta = float(np.max(np.abs(eta @ basis)))
-    if worst_eta > 1e3 * max(tol.acms_exact, 1e-12):
-        raise DegenerateInputError(
-            f"horizontal basis leaks through eta (max |eta(b)| = {worst_eta:.3e})"
+            f"horizontal basis leaks through eta (max |eta(b)| = {np.ravel(leak)[n]:.3e})"
         )
     return basis
 
 
-def check_eta_parallel(nabla_phi_table: np.ndarray, gram, basis: np.ndarray) -> float:
+def check_eta_parallel(nabla_phi_table: np.ndarray, gram,
+                       basis: np.ndarray) -> float | np.ndarray:
     """Worst |g((nabla_X phi) Y, Z)| over X, Y, Z in the horizontal ``basis``
-    stack: the residual of eta-parallel phi, which callers gate.
+    stack: the residual of eta-parallel phi, which callers gate. A float at
+    one point; over leading axes shared by the three arrays, one residual
+    per row.
 
-    ``nabla_phi_table[i, j, k]`` holds the j-component of (nabla_{e_i} phi) e_k
-    in the coordinate frame.
+    ``nabla_phi_table[..., i, j, k]`` holds the j-component of
+    (nabla_{e_i} phi) e_k in the coordinate frame.
     """
     table = np.asarray(nabla_phi_table, dtype=float)
-    dim = np.shape(gram)[-1]
-    if table.shape != (dim,) * 3:
-        raise ShapeError(f"nabla_phi table must have shape {(dim,) * 3}")
-    lowered = np.einsum("ijk,jl->ilk", table, gram)  # g((nabla_i phi) e_k, e_l)
+    lead, dim = np.shape(gram)[:-2], np.shape(gram)[-1]
+    if table.shape != lead + (dim,) * 3:
+        raise ShapeError(f"nabla_phi table must have shape {lead + (dim,) * 3}")
+    lowered = np.einsum("...ijk,...jl->...ilk", table, gram)  # g((nabla_i phi) e_k, e_l)
     # one basis index at a time: three O(d^4) products, not one O(d^6) loop
-    resid = np.einsum("alk,lb->abk", np.einsum("ia,ilk->alk", basis, lowered), basis) @ basis
-    return float(np.max(np.abs(resid)))
+    resid = np.einsum("...alk,...lb->...abk",
+                      np.einsum("...ia,...ilk->...alk", basis, lowered),
+                      basis) @ basis[..., None, :, :]
+    return max_entry(resid, 3)
 
 
 def dimension_consistency_gate(dim: int, star_passes: bool, contact_passes: bool) -> Check:

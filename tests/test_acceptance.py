@@ -131,7 +131,7 @@ def test_criterion_04_s5_instantiation_fd_mode(s5_fd):
         sigma, volume = contact_residuals(pg)
         assert sigma > DEFAULT_TOLERANCES.contact
         assert volume > DEFAULT_TOLERANCES.contact
-        a_restricted = operator_in_basis(pg.reeb_gradient, pg.horizontal_basis, pg.metric)
+        a_restricted = operator_in_basis(pg.reeb_gradient, pg.horizontal_basis, pg.gram)
         min_sigma_a = min(min_sigma_a, float(
             np.linalg.svd(a_restricted, compute_uv=False)[-1]))
     values = horizontal_sectional_values(s5_fd, points, seed=41, planes=50)

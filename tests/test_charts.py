@@ -434,6 +434,43 @@ class TestContactVolumePfaffian:
         assert contact_volume_coefficient(rng.normal(size=4), a - a.T) == 0.0
 
 
+class TestStackedPfaffian:
+    """The batched Parlett-Reid elimination pivots each matrix on its own and
+    gives, matrix by matrix, exactly the one-matrix Pfaffian."""
+
+    @staticmethod
+    def _skew(rng, size):
+        a = rng.normal(size=(size, size))
+        return a - a.T
+
+    def test_matches_per_matrix(self):
+        rng = np.random.default_rng(12)
+        mats = [self._skew(rng, 6) for _ in range(5)]
+        mats[1][0, :] = mats[1][:, 0] = 0.0  # column 0 zero: a zero pivot
+        mats[2][1:, 0] = [1e-3, 5.0, -0.2, 0.1, 0.3]  # largest entry off the
+        mats[2][0, 1:] = -mats[2][1:, 0]               # diagonal: a pivot swap
+        stack = np.array(mats)
+        got = charts._pfaffian(stack)
+        want = [charts._pfaffian(m) for m in mats]
+        assert all(isinstance(w, float) for w in want)
+        assert got.shape == (5,) and got.tolist() == want
+        assert want[1] == 0.0 and want[2] != 0.0
+        assert charts._pfaffian(stack.reshape(5, 1, 6, 6)).shape == (5, 1)
+
+    def test_odd_size_is_zero(self):
+        rng = np.random.default_rng(13)
+        stack = np.array([self._skew(rng, 5) for _ in range(3)])
+        assert charts._pfaffian(stack).tolist() == [0.0, 0.0, 0.0]
+        assert charts._pfaffian(stack[0]) == 0.0
+
+    def test_contact_volume_per_row(self):
+        rng = np.random.default_rng(14)
+        eta, deta = rng.normal(size=(4, 7)), rng.normal(size=(4, 7, 7))
+        eta[2, 0] = 0.0  # the first pivot column of the bordered matrix is -eta
+        got = contact_volume_coefficient(eta, deta)
+        assert got.tolist() == [contact_volume_coefficient(e, d) for e, d in zip(eta, deta)]
+
+
 class TestSamplePoints:
     def test_deterministic(self, sphere):
         a = sample_points(sphere, 10, seed=42)

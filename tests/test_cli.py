@@ -9,12 +9,13 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from acmslab import charts, cli, curvature, structure
 from acmslab.charts import DerivativeMode, chart_to_text
 from acmslab.cli import build_parser, main
-from acmslab.config import DEFAULT_TOLERANCES, Tolerances
+from acmslab.config import DEFAULT_TOLERANCES, PROBES_PER_RESIDUAL, Tolerances
 from acmslab.gallery import GALLERY_NAMES, gallery_chart
 
 S5 = ["--gallery", "s5"]
@@ -162,21 +163,49 @@ class TestValidate:
                                                           rel=1e-12)
 
     def test_one_horizontal_basis_per_point(self, capsys, monkeypatch):
-        # the eta-parallel and contact checks share the geometry's one frame
+        # the eta-parallel and contact checks share the geometry's one frame,
+        # built once for every point of the sample
         calls = count_calls(monkeypatch, ((curvature, "horizontal_basis"),
                                           (structure, "horizontal_basis")))
         code, _, _ = run(capsys, "validate", *S5, "--probes", "3")
         assert code == 0
-        assert calls["horizontal_basis"] <= 3
+        assert calls["horizontal_basis"] == 1
+
+    @pytest.mark.parametrize("probes", ["3", "20"])
+    def test_one_geometry_per_sample(self, capsys, monkeypatch, probes):
+        # the whole sample is one stack: one geometry and one Pfaffian pass,
+        # however many points it holds
+        calls = count_calls(monkeypatch, ((curvature.PointGeometry, "__init__"),
+                                          (curvature, "contact_volume_coefficient")))
+        code, _, _ = run(capsys, "validate", *S5, "--probes", probes)
+        assert code == 0
+        assert calls == {"__init__": 1, "contact_volume_coefficient": 1}
+
+    def test_sample_is_read_grid_by_grid(self, capsys, tmp_path):
+        # at seed 0, point 0 reads phi but not g, and point 1 fails phi; the
+        # sample is one stack read grid by grid, phi before g, so the later
+        # point's phi error wins over the earlier point's g error
+        path = tmp_path / "two_failures.chart"
+        path.write_text(FLAT_TEXT.replace("g[1][1] = 1\n", "g[1][1] = 1 + sqrt(x2)\n")
+                        .replace("phi[3][1] = 1\n", "phi[3][1] = sqrt(0.5 - x1)\n"))
+        source = ("validate", "--chart", str(path), "--seed", "0")
+        code, out, err = run(capsys, *source, "--probes", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("acmslab: error: phi[3][1] at point [0.7429600390998992, ")
+        # a sample of point 0 alone keeps its own message
+        code, out, err = run(capsys, *source, "--probes", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("acmslab: error: g[1][1] at point [0.24653103717861777, ")
 
     @pytest.mark.parametrize("target, value, failing", [
-        ("killing_residual", math.nan, ["reeb_killing"]),
-        ("contact_residuals", (math.nan, math.nan),
+        ("killing_residual", lambda n: np.full(n, math.nan), ["reeb_killing"]),
+        ("contact_residuals", lambda n: (np.full(n, math.nan), np.full(n, math.nan)),
          ["contact_sigma_min", "contact_volume"]),
     ])
     def test_nan_residual_fails(self, capsys, monkeypatch, target, value, failing):
-        # max(0.0, nan) is 0.0 and min(inf, nan) is inf: a NaN must not pass
-        monkeypatch.setattr(f"acmslab.cli.{target}", lambda *args, **kwargs: value)
+        # max(0.0, nan) is 0.0 and min(inf, nan) is inf: a NaN must not pass;
+        # the residuals come one per point of the sample's geometry
+        monkeypatch.setattr(f"acmslab.cli.{target}", lambda pg: value(len(pg.y)))
         code, out, _ = run(capsys, "validate", *S5, *FAST, "--json")
         assert code == 1
         checks = strict_json(out)["checks"]
@@ -455,6 +484,14 @@ class TestCurvature:
         assert doc["summary"]["mean"] is None
 
 
+    def test_planes_default_is_the_config_constant(self, capsys):
+        assert build_parser().parse_args(["curvature", *S5]).planes == PROBES_PER_RESIDUAL
+        with pytest.raises(SystemExit):
+            main(["curvature", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"planes sampled per point (default {PROBES_PER_RESIDUAL})" in help_text
+
+
 class TestIdentities:
     def test_s5_all_suites(self, capsys):
         code, out, _ = run(capsys, "identities", *S5, *FAST)
@@ -663,8 +700,13 @@ class TestDegenerateCharts:
 
     @pytest.mark.parametrize("command, message", [
         ("curvature", "no horizontal plane with |g(x, w)| <= 0.99"),
-        # phi vanishes, so every phi-plane of the curvature estimate is degenerate
-        ("identities", "sectional curvature of a degenerate plane"),
+        # phi vanishes, so every phi-plane of the curvature estimate is
+        # degenerate: the error names phi, the first point and the way out
+        ("identities", "cannot estimate c at point [0.24653103717861777, "
+                       "-0.41438391522503343, -0.8262476569148496, -0.8702502560486477, "
+                       "0.5638864305604904]: phi maps a horizontal frame vector h to zero "
+                       "or into span{h}, so the phi-plane span{h, phi h} is degenerate; "
+                       "give c (--c) instead"),
     ])
     def test_steep_metric_ends(self, capsys, tmp_path, command, message):
         path = tmp_path / "steep.chart"

@@ -1,5 +1,7 @@
 """Unit tests for curvature assembly, the modified connection and the
 identity suites."""
+import importlib.util
+import pathlib
 from collections import Counter
 from itertools import product
 
@@ -15,6 +17,7 @@ from acmslab.curvature import (
     PointGeometry,
     _assemble_curvature,
     bridge_residual,
+    contact_residuals,
     curvature_reconstruction_suite,
     defect_collapse_suite,
     defect_factorization_suite,
@@ -553,6 +556,53 @@ class TestPointResiduals:
             np.testing.assert_allclose(f.T @ pg.gram @ f, np.eye(5), atol=1e-12)
             assert np.array_equal(f[:, :4], pg.horizontal_basis)
             np.testing.assert_allclose(f[:, 4], pg.xi, atol=1e-12)
+
+
+def _darboux_chart(n):
+    """The benchmark's Darboux Sasakian chart of dimension 2n + 1."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "darboux.py"
+    spec = importlib.util.spec_from_file_location("perfbench_darboux", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return chart_from_text(module.darboux_sasakian_text(n))
+
+
+STACK_CHARTS = {
+    **{name: (lambda name=name: gallery_chart(name))
+       for name in ("s5", "sasakian_r5", "cosymplectic_r5")},
+    "s5_fd": lambda: gallery_chart("s5").with_mode(DerivativeMode("fd")),
+    **{f"darboux_d{2 * n + 1}": (lambda n=n: _darboux_chart(n)) for n in range(1, 6)},
+}
+
+
+class TestStackedResiduals:
+    """Each residual over a stack of points is, row by row, exactly the
+    residual of the point alone; a point gives a float."""
+
+    RESIDUALS = {
+        "killing": killing_residual,
+        "reeb_deta_kernel": reeb_deta_kernel_residual,
+        "skew_phi_anticommutation": skew_phi_anticommutation_residual,
+        "nearly_cosymplectic": nearly_cosymplectic_residual,
+        "bridge": bridge_residual,
+        "contact_sigma": lambda pg: contact_residuals(pg)[0],
+        "contact_volume": lambda pg: contact_residuals(pg)[1],
+        "eta_parallel": lambda pg: pg.eta_parallel,
+    }
+
+    @pytest.mark.parametrize("name", sorted(STACK_CHARTS))
+    def test_stack_equals_loop_of_points(self, name):
+        chart = STACK_CHARTS[name]()
+        points = sample_points(chart, 4, seed=31)
+        stack = PointGeometry(chart, points)
+        ones = [PointGeometry(chart, y) for y in points]
+        for label, residual in self.RESIDUALS.items():
+            got, want = residual(stack), [residual(pg) for pg in ones]
+            assert all(isinstance(w, float) for w in want), label
+            assert got.shape == (4,) and got.tolist() == want, label
+        for tensor in ("horizontal_basis", "frame", "nphi", "deta"):
+            assert np.array_equal(getattr(stack, tensor),
+                                  [getattr(pg, tensor) for pg in ones]), tensor
 
 
 # Reference formulas of the identity suites, written for one argument

@@ -216,6 +216,50 @@ class TestGramSchmidt:
             assert g.norm(v - rebuilt) < 1e-9
 
 
+class TestStackedGramSchmidt:
+    """A stack pivots slice by slice: each slice's columns are exactly what
+    the slice alone gives, and a slice of lower rank than the widest is
+    padded with zero columns."""
+
+    @staticmethod
+    def _stack(seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(6, 4, 4))
+        grams = m @ m.swapaxes(-1, -2) + 4.0 * np.eye(4)
+        vecs = rng.normal(size=(6, 4, 4))
+        vecs[1, :, 2] = 2.0 * vecs[1, :, 0]                         # rank 3
+        vecs[3, :, 1:] = vecs[3, :, :1] * [1.0, -3.0, 0.5]          # rank 1
+        vecs[4, :, 3] = vecs[4, :, 0] - vecs[4, :, 1] + 1e-12       # rank 3, late
+        return vecs, grams
+
+    def test_matches_slices(self):
+        vecs, grams = self._stack(7)
+        stacked = gram_schmidt(vecs, grams, rank_tol=1e-8)
+        assert stacked.shape == (6, 4, 4)
+        for v, g, got in zip(vecs, grams, stacked):
+            one = gram_schmidt(v, g, rank_tol=1e-8)
+            assert np.array_equal(got[:, :one.shape[1]], one)
+            assert not got[:, one.shape[1]:].any()
+        assert [np.any(b != 0.0, axis=0).sum() for b in stacked] == [4, 3, 4, 1, 3, 4]
+
+    def test_narrows_to_the_largest_rank(self):
+        vecs, grams = self._stack(8)
+        stacked = gram_schmidt(vecs[[1, 4]], grams[[1, 4]], rank_tol=1e-8)
+        assert stacked.shape == (2, 4, 3)
+
+    def test_require_all_raises_for_the_first_failing_slice(self):
+        # slice 1 fails at its third column, slice 3 at its second: the loop
+        # of one-slice calls raises for slice 1 first, and so does the stack
+        vecs, grams = self._stack(9)
+        with pytest.raises(DegenerateInputError) as one:
+            gram_schmidt(vecs[1], grams[1], rank_tol=1e-8, require_all=True)
+        with pytest.raises(DegenerateInputError) as stacked:
+            gram_schmidt(vecs, grams, rank_tol=1e-8, require_all=True)
+        assert str(stacked.value) == str(one.value)
+        assert gram_schmidt(vecs[[0, 2, 5]], grams[[0, 2, 5]], rank_tol=1e-8,
+                            require_all=True).shape == (3, 4, 4)
+
+
 class TestComplementAndProjection:
     def test_project_out(self):
         g = Metric.euclidean(3)
@@ -230,7 +274,7 @@ class TestBasisRepresentation:
         rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
                         [0.0, 0.0, 1.0]])
         basis = np.eye(3)[:, :2]
-        b = operator_in_basis(rot, basis, g)
+        b = operator_in_basis(rot, basis, g.gram)
         np.testing.assert_allclose(b, [[0.0, -1.0], [1.0, 0.0]], atol=1e-14)
 
     def test_weighted_coordinates(self):

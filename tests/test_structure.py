@@ -180,13 +180,56 @@ class TestHorizontalBasis:
             horizontal_basis(projector, eta, gram)
 
 
+class TestStackedHorizontalBasis:
+    """Over a stack of rows, one basis per row, and the first failing row
+    raises what it raises alone."""
+
+    @staticmethod
+    def _rows(kinds):
+        """Projector, eta and gram rows: "ok" is a conjugated structure,
+        "rank" has eta(xi) = 2 (a full-rank projector), "leak" pairs the
+        coordinate projector of ker e_5 with a tilted eta."""
+        rows = []
+        for n, kind in enumerate(kinds):
+            _, xi, eta, gram = _conjugated_point(30 + n)
+            proj = horizontal_projector(xi, eta)
+            if kind == "rank":
+                proj = horizontal_projector(2.0 * xi, eta)
+            elif kind == "leak":
+                proj, eta, gram = np.diag([1.0, 1.0, 1.0, 1.0, 0.0]), np.eye(5)[4] + 0.01, np.eye(5)
+            rows.append((proj, eta, gram))
+        return tuple(np.array(a) for a in zip(*rows))
+
+    def test_matches_rows(self):
+        proj, eta, gram = self._rows(["ok"] * 4)
+        stacked = horizontal_basis(proj, eta, gram)
+        assert stacked.shape == (4, 5, 4)
+        for n in range(4):
+            assert np.array_equal(stacked[n], horizontal_basis(proj[n], eta[n], gram[n]))
+
+    @pytest.mark.parametrize("kinds, first", [
+        (["ok", "leak", "rank"], 1),
+        (["ok", "rank", "leak"], 1),
+        (["ok", "ok", "leak"], 2),
+        (["rank", "ok", "ok"], 0),
+    ])
+    def test_first_failing_row_raises_its_own_message(self, kinds, first):
+        proj, eta, gram = self._rows(kinds)
+        with pytest.raises(DegenerateInputError) as alone:
+            horizontal_basis(proj[first], eta[first], gram[first])
+        with pytest.raises(DegenerateInputError) as stacked:
+            horizontal_basis(proj, eta, gram)
+        assert str(stacked.value) == str(alone.value)
+        assert ("rank 5" if kinds[first] == "rank" else "leaks") in str(alone.value)
+
+
 def _horizontal_skew(a, p):
     """The operator whose smallest singular value is the contact check
     (`curvature.contact_residuals`): P skew_matrix(A) P, with P the horizontal
     projector, in the g-orthonormal horizontal basis."""
     _, xi, eta, gram = p
     proj = horizontal_projector(xi, eta)
-    return operator_in_basis(proj @ skew_matrix(a, gram) @ proj, _basis(*p), Metric(gram))
+    return operator_in_basis(proj @ skew_matrix(a, gram) @ proj, _basis(*p), gram)
 
 
 class TestHorizontalSkew:
@@ -210,7 +253,7 @@ class TestHorizontalSkew:
     def test_restricted_operator_matches(self):
         p = _standard_point()
         phi, gram = p[0], p[3]
-        block = operator_in_basis(phi, _basis(*p), Metric(gram))
+        block = operator_in_basis(phi, _basis(*p), gram)
         expected = phi[:4, :4]
         np.testing.assert_allclose(block, expected, atol=1e-12)
 
