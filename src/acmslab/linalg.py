@@ -186,32 +186,37 @@ def gram_schmidt(vectors, gram, *, rank_tol: float,
     slice's leading columns are what the slice alone gives.
     """
     pool = np.array(vectors, dtype=float)
+    lead, dim = pool.shape[:-2], pool.shape[-2]
+    pool = pool.reshape(-1, dim, pool.shape[-1])  # one leading axis of slices
+    gram = np.reshape(gram, (-1, dim, dim))
+    slices, axis = np.arange(len(pool)), np.arange(dim)[:, None]
     out = pool[..., :0]
-    live = np.ones(pool.shape[:-2], dtype=bool)
-    stop = np.zeros(live.shape)  # the residual norm at which each slice stopped
+    live = np.ones(len(pool), dtype=bool)
+    stop = np.zeros(len(pool))  # the residual norm at which each slice stopped
     while pool.shape[-1]:
         residuals = project_out(pool, out, gram)
-        norms = np.sqrt(np.maximum(np.sum(residuals * (gram @ residuals), axis=-2), 0.0))
-        best = np.argmax(norms, axis=-1)[..., None]
-        top = np.take_along_axis(norms, best, axis=-1)[..., 0]
+        norms = np.sqrt(np.maximum((residuals * (gram @ residuals)).sum(axis=-2), 0.0))
+        best = norms.argmax(axis=-1)
+        top = norms[slices, best]
         ends = live & (top < rank_tol)
-        stop = np.where(ends, top, stop)
-        live &= ~ends
-        if not live.any():
-            break
-        # a slice that has ended gets a zero column
-        col = (np.take_along_axis(residuals, best[..., None, :], axis=-1)
-               / np.where(live, top, np.inf)[..., None, None])
-        out = np.concatenate([out, col], axis=-1)
-        # the remaining columns of each slice, in order
-        rest = np.argsort(np.arange(pool.shape[-1]) == best, axis=-1, kind="stable")[..., :-1]
-        pool = np.take_along_axis(pool, rest[..., None, :], axis=-1)
+        if ends.any():
+            stop[ends] = top[ends]
+            live &= ~ends
+            if not live.any():
+                break
+        if not live.all():
+            top = np.where(live, top, np.inf)  # a slice that has stopped gets a zero column
+        col = residuals[slices, :, best] / top[:, None]
+        out = np.concatenate([out, col[:, :, None]], axis=-1)
+        rest = np.arange(pool.shape[-1] - 1)  # the other columns of each slice, in order
+        rest = rest + (rest >= best[:, None])
+        pool = pool[slices[:, None, None], axis, rest[:, None, :]]
     if require_all and not live.all():
         raise DegenerateInputError(
             f"input vectors are linearly dependent (residual norm "
-            f"{np.ravel(stop)[np.flatnonzero(~live)[0]]:.3e})"
+            f"{stop[np.flatnonzero(~live)[0]]:.3e})"
         )
-    return out
+    return out.reshape(lead + out.shape[-2:])
 
 
 def operator_in_basis(mat, basis, gram) -> np.ndarray:
