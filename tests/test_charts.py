@@ -447,8 +447,9 @@ class TestStackedPfaffian:
         rng = np.random.default_rng(12)
         mats = [self._skew(rng, 6) for _ in range(5)]
         mats[1][0, :] = mats[1][:, 0] = 0.0  # column 0 zero: a zero pivot
-        mats[2][1:, 0] = [1e-3, 5.0, -0.2, 0.1, 0.3]  # largest entry off the
-        mats[2][0, 1:] = -mats[2][1:, 0]               # diagonal: a pivot swap
+        # the largest entry of column 0 sits two rows under the diagonal: a swap
+        mats[2][1:, 0] = [1e-3, 5.0, -0.2, 0.1, 0.3]
+        mats[2][0, 1:] = -mats[2][1:, 0]
         stack = np.array(mats)
         got = charts._pfaffian(stack)
         want = [charts._pfaffian(m) for m in mats]

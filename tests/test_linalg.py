@@ -248,8 +248,9 @@ class TestStackedGramSchmidt:
         assert stacked.shape == (2, 4, 3)
 
     def test_require_all_raises_for_the_first_failing_slice(self):
-        # slice 1 fails at its third column, slice 3 at its second: the loop
-        # of one-slice calls raises for slice 1 first, and so does the stack
+        # slice 3 stops first, at its second pick, and slice 1 later, at its
+        # fourth: a loop of one-slice calls raises for slice 1, and so does
+        # the stack
         vecs, grams = self._stack(9)
         with pytest.raises(DegenerateInputError) as one:
             gram_schmidt(vecs[1], grams[1], rank_tol=1e-8, require_all=True)

@@ -196,7 +196,8 @@ class TestStackedHorizontalBasis:
             if kind == "rank":
                 proj = horizontal_projector(2.0 * xi, eta)
             elif kind == "leak":
-                proj, eta, gram = np.diag([1.0, 1.0, 1.0, 1.0, 0.0]), np.eye(5)[4] + 0.01, np.eye(5)
+                proj, gram = np.diag([1.0, 1.0, 1.0, 1.0, 0.0]), np.eye(5)
+                eta = np.eye(5)[4] + 0.01
             rows.append((proj, eta, gram))
         return tuple(np.array(a) for a in zip(*rows))
 
