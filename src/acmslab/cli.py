@@ -203,8 +203,10 @@ def cmd_validate(args) -> int:
     value_tol = tol.acms_exact if chart.mode.kind == "symbolic" else tol.acms_fd
     bridge_tol = tol.bridge_symbolic if chart.mode.kind == "symbolic" else tol.bridge_fd
 
-    # one geometry over the whole sample; its grids are read in the order
-    # the checks need them, each over every point
+    # one geometry over the whole sample: each grid is read over every point
+    # when a check first needs it, so the order below decides which error a
+    # chart failing at several points reports (phi, xi, eta, g, dg, dxi,
+    # dphi, the horizontal frame, deta)
     pg = PointGeometry(chart, points, tol=tol)
     report = validate_acms(pg.phi, pg.xi, pg.eta, pg.gram, tol=tol)
     a = pg.reeb_gradient
