@@ -11,10 +11,10 @@ from .charts import (Chart, DerivativeMode, SYMBOLIC, chart_from_text,
                      d_eta, load_chart, nabla_phi, nabla_xi, sample_points,
                      save_chart)
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .curvature import (CurvatureTensor, PointGeometry, curvature_reconstruction_suite,
-                        defect_collapse_suite, defect_factorization_suite,
-                        dual_mode_suite, horizontal_sectional_values,
-                        modified_connection_suite, modified_riemann, riemann)
+from .curvature import (PointGeometry, curvature_reconstruction_suite, defect_collapse_suite,
+                        defect_factorization_suite, dual_mode_suite,
+                        horizontal_sectional_values, modified_connection_suite,
+                        modified_riemann, riemann)
 from .errors import (ChartFormatError, DegenerateInputError, GeometryError,
                      PreconditionError, SearchError, ShapeError)
 from .exprs import EvalError, ParseError, differentiate, evaluate, parse, to_text
@@ -32,8 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Chart", "DerivativeMode", "SYMBOLIC", "chart_from_text", "chart_to_text", "christoffel",
     "contact_volume_coefficient", "d_eta", "load_chart", "nabla_phi", "nabla_xi",
-    "sample_points", "save_chart", "DEFAULT_TOLERANCES", "Tolerances", "CurvatureTensor",
-    "PointGeometry", "curvature_reconstruction_suite", "defect_collapse_suite",
+    "sample_points", "save_chart", "DEFAULT_TOLERANCES", "Tolerances", "PointGeometry",
+    "curvature_reconstruction_suite", "defect_collapse_suite",
     "defect_factorization_suite", "dual_mode_suite", "horizontal_sectional_values",
     "modified_connection_suite", "modified_riemann", "riemann", "ChartFormatError",
     "DegenerateInputError", "GeometryError", "PreconditionError", "SearchError", "ShapeError",

@@ -213,7 +213,7 @@ class Chart:
             h, n = self.mode.step, 2 * self.dim
             base, error = self._grids_at(name[1:], stencil_points(points, h).reshape(-1, self.dim))
             base = base[:len(base) // n * n].reshape((-1, n) + base.shape[1:])
-            return stencil_difference(base.swapaxes(0, 1), h).swapaxes(0, 1), error
+            return stencil_difference(base, h, 1), error
         grid = self._grid(name)
         rows: list[list[float]] = []
         error = None
@@ -320,11 +320,14 @@ def stencil_points(y, h: float) -> np.ndarray:
     return y[..., None, :] + offsets
 
 
-def stencil_difference(values, h: float) -> np.ndarray:
-    """out[m] = (values[2m] - values[2m + 1]) / 2h for values taken at
-    `stencil_points` (y, h): the derivative along e_m as a new leading index."""
+def stencil_difference(values, h: float, axis: int) -> np.ndarray:
+    """out[..., m, ...] = (values[..., 2m, ...] - values[..., 2m + 1, ...]) / 2h
+    along ``axis``, for values taken at `stencil_points` (y, h): the
+    derivative along e_m as the index in the stencil's place."""
     values = np.asarray(values)
-    return (values[0::2] - values[1::2]) / (2.0 * h)
+    lead = (slice(None),) * axis
+    plus, minus = values[lead + (slice(0, None, 2),)], values[lead + (slice(1, None, 2),)]
+    return (plus - minus) / (2.0 * h)
 
 
 def _lowered_christoffel_x2(dg) -> np.ndarray:
@@ -342,14 +345,15 @@ def christoffel(ginv, dg) -> np.ndarray:
 
 
 def christoffel_derivative(ginv, dg, ddg) -> np.ndarray:
-    """dGam[m, k, i, j], the x_m derivative of Gam[k, i, j], in closed form
-    from the inverse metric and the first and second metric derivatives
-    dg[k, i, j] and ddg[m, k, i, j]: the product rule through the inverse."""
+    """dGam[..., m, k, i, j], the x_m derivative of Gam[..., k, i, j], in
+    closed form from the inverse metric and the first and second metric
+    derivatives dg[..., k, i, j] and ddg[..., m, k, i, j], over any leading
+    axes: the product rule through the inverse."""
     term = _lowered_christoffel_x2(dg)
-    dterm = _lowered_christoffel_x2(ddg)  # ddg's leading index m rides along
-    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-    return (0.5 * np.einsum("mkl,ijl->mkij", dginv, term)
-            + 0.5 * np.einsum("kl,mijl->mkij", ginv, dterm))
+    dterm = _lowered_christoffel_x2(ddg)  # ddg's index m rides along
+    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
+    return (0.5 * np.einsum("...mkl,...ijl->...mkij", dginv, term)
+            + 0.5 * np.einsum("...kl,...mijl->...mkij", ginv, dterm))
 
 
 def nabla_xi(gam, xi, dxi) -> np.ndarray:

@@ -299,12 +299,12 @@ def cmd_identities(args) -> int:
     n_points = _resolve_points(args)
     chart = _resolve_chart(args)
     points = sample_points(chart, n_points, seed)
-    geoms = [PointGeometry(chart, y, tol=tol) for y in points]
+    pg = PointGeometry(chart, points, tol=tol)  # one stack, read grid by grid
     suites = {
-        "modified": modified_connection_suite(geoms, tol=tol),
-        "collapse": defect_collapse_suite(geoms, tol=tol),
-        "factorization": defect_factorization_suite(geoms, tol=tol),
-        "reconstruction": curvature_reconstruction_suite(geoms, tol=tol, c=args.c),
+        "modified": modified_connection_suite(pg, tol=tol),
+        "collapse": defect_collapse_suite(pg, tol=tol),
+        "factorization": defect_factorization_suite(pg, tol=tol),
+        "reconstruction": curvature_reconstruction_suite(pg, tol=tol, c=args.c),
     }
     merged = VerificationReport.of(
         [c for rep in suites.values() for c in rep.checks])

@@ -10,25 +10,22 @@ factorization through the horizontal skew operator, and the reconstruction
 of curvature from first derivatives of the structure on nearly cosymplectic
 charts.
 
-``PointGeometry`` is the only reader of a chart. It holds one point or a
-stack of rows and reads each grid once over all of them. The connection
-tensors (Christoffel symbols, Reeb gradient, modified connection) are
-array formulas over the leading row axis, so the derivative stencils of
-the finite-difference Christoffel derivative and of the modified
-curvature's Richardson step are geometries over stacks. A stack
-is read grid by grid (g, dg, xi, eta, dxi), each grid over all of its
-rows: the first failing row of the first failing grid raises, after the
-metrics of the g rows read before it are checked. `riemann` and
-`modified_riemann` assemble curvature from the arrays it holds. The
-pointwise residuals (`killing_residual` through `contact_residuals`) take a
-geometry over a point, giving a float, or over a stack, giving one value
-per row, so ``validate`` checks its whole sample as one geometry. The four
-identity suites take a list of prebuilt ``PointGeometry`` objects, one per
-point, so a caller that runs several suites over the same points (the
-``identities`` subcommand) computes each point's curvature and modified
-curvature once.
+``PointGeometry`` is the only reader of a chart. It holds points of any
+leading shape, reads each grid once over all of them, and every tensor it
+holds (curvature included) is an array formula over those leading axes, so
+the derivative stencils of the finite-difference Christoffel derivative and
+of the modified curvature's Richardson step are geometries too. A geometry
+is read grid by grid, each grid over all of its rows, in the order its
+tensors need them: the first failing row of the first failing grid raises,
+after the metrics of the g rows read before it are checked. The pointwise
+residuals (`killing_residual` through `contact_residuals`) and the four
+identity suites take one geometry: a residual gives a float at a point or
+one value per point, and a suite reports each check's worst point. So
+``validate``, ``identities`` and ``curvature`` each read their sample as one
+geometry, and the suites of ``identities`` share its one curvature and
+modified curvature.
 
-Index layout throughout: ``comps[i, j, k, l]`` is the i-th component of
+Index layout throughout: ``comps[..., i, j, k, l]`` is the i-th component of
 ``R(e_k, e_l) e_j``.
 
 Each identity is decided on the point's g-orthonormal frame, not on random
@@ -44,8 +41,6 @@ column (see `linalg`).
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -61,72 +56,61 @@ from .report import Check, VerificationReport, worst
 from .structure import check_eta_parallel, horizontal_basis, horizontal_projector
 
 
-@dataclass(frozen=True)
-class CurvatureTensor:
-    """Type (1,3) curvature at a point, with the metric that lowers it."""
-
-    comps: np.ndarray
-    metric: Metric
-
-    def __post_init__(self):
-        comps = np.asarray(self.comps, float)
-        d = self.metric.dim
-        if comps.shape != (d, d, d, d):
-            raise ShapeError(f"curvature components have shape {comps.shape}, expected {(d,) * 4}")
-        comps = comps.copy()
-        comps.flags.writeable = False
-        object.__setattr__(self, "comps", comps)
-
-    def pair(self, w, x, y, z):
-        """The scalar g(R(x, y) z, w), column by column for stacks."""
-        rxyz = np.einsum("ijkl,k...,l...,j...->i...", self.comps, x, y, z)
-        return self.metric.inners(np.asarray(w, float), rxyz)
-
-    def antisymmetry_residual(self) -> float:
-        return float(np.max(np.abs(self.comps + np.einsum("ijlk->ijkl", self.comps))))
-
-    def first_bianchi_residual(self) -> float:
-        cyc = (self.comps + np.einsum("iklj->ijkl", self.comps)
-               + np.einsum("iljk->ijkl", self.comps))
-        return float(np.max(np.abs(cyc)))
-
-    def sectional(self, x, y, *, tol: Tolerances = DEFAULT_TOLERANCES):
-        """Sectional curvature of the plane span{x, y}, column by column for
-        stacks; raises if any plane is degenerate."""
-        g = self.metric
-        xx, yy, xy = g.inners(x, x), g.inners(y, y), g.inners(x, y)
-        denom = xx * yy - xy * xy
-        if np.any(denom <= tol.rank * np.maximum(xx * yy, 1e-30)):
-            raise DegenerateInputError("sectional curvature of a degenerate plane")
-        return self.pair(x, x, y, y) / denom
-
-
 def _assemble_curvature(gam, dgam) -> np.ndarray:
-    """comps[i, j, k, l] of a connection with coefficients gam[k, i, j] and
-    their coordinate derivatives dgam[m, k, i, j]."""
-    return (np.einsum("kilj->ijkl", dgam) - np.einsum("likj->ijkl", dgam)
-            + np.einsum("ikm,mlj->ijkl", gam, gam)
-            - np.einsum("ilm,mkj->ijkl", gam, gam))
+    """comps[..., i, j, k, l] of a connection with coefficients
+    gam[..., k, i, j] and their coordinate derivatives dgam[..., m, k, i, j],
+    over any leading axes. The table is returned in C order: the sums would
+    inherit the transposed layout of dgam, and einsum sums in layout order,
+    so the layout decides the last bits of every contraction of the table."""
+    return np.ascontiguousarray(
+        np.einsum("...kilj->...ijkl", dgam) - np.einsum("...likj->...ijkl", dgam)
+        + np.einsum("...ikm,...mlj->...ijkl", gam, gam)
+        - np.einsum("...ilm,...mkj->...ijkl", gam, gam))
 
 
-def riemann(metric: Metric, gam, dgam, gate: float) -> CurvatureTensor:
-    """Levi-Civita curvature from the metric, its Christoffel symbols
-    gam[k, i, j] and their derivatives dgam[m, k, i, j].
+def riemann(gam, dgam, gate: float) -> np.ndarray:
+    """Levi-Civita curvature ``comps[..., i, j, k, l]`` from the Christoffel
+    symbols gam[..., k, i, j] and their derivatives dgam[..., m, k, i, j],
+    over any leading axes.
 
     The antisymmetry and first Bianchi identities are verified at ``gate``,
-    relative to the largest component; these hold for a torsion-free metric
-    connection and catch assembly mistakes early.
+    each tensor relative to its own largest component; these hold for a
+    torsion-free metric connection and catch assembly mistakes early. The
+    first failing tensor, in C order, raises.
     """
-    out = CurvatureTensor(_assemble_curvature(gam, dgam), metric)
-    scale = 1.0 + float(np.max(np.abs(out.comps)))
-    anti = out.antisymmetry_residual()
-    bianchi = out.first_bianchi_residual()
-    if anti > gate * scale or bianchi > gate * scale:
+    comps = _assemble_curvature(gam, dgam)
+    scale = 1.0 + max_entry(comps, 4)
+    anti = max_entry(comps + np.einsum("...ijlk->...ijkl", comps), 4)
+    bianchi = max_entry(comps + np.einsum("...iklj->...ijkl", comps)
+                        + np.einsum("...iljk->...ijkl", comps), 4)
+    bad = np.flatnonzero((anti > gate * scale) | (bianchi > gate * scale))
+    if bad.size:
+        anti, bianchi, scale = (np.ravel(v)[bad[0]] for v in (anti, bianchi, scale))
         raise DegenerateInputError(
             f"curvature invariants fail: antisymmetry {anti:.3e}, "
             f"first Bianchi {bianchi:.3e} (gate {gate * scale:.3e})"
         )
-    return out
+    return comps
+
+
+def _plane_areas(gram, x, y, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """g(x, x) g(y, y) - g(x, y)^2 of each plane span{x, y}, for stacks x
+    and y of columns over leading axes, and where that plane is degenerate."""
+    xx, yy, xy = (np.sum(u * (gram @ v), axis=-2) for u, v in ((x, x), (y, y), (x, y)))
+    area = xx * yy - xy * xy
+    return area, area <= tol.rank * np.maximum(xx * yy, 1e-30)
+
+
+def sectional(riem, gram, x, y, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+    """Sectional curvature of each plane span{x, y}, one value per column of
+    the stacks x and y ``(..., dim, planes)``, over the leading axes they
+    share with the curvature table ``riem`` and the Gram matrix; raises
+    DegenerateInputError if any plane is degenerate."""
+    area, degenerate = _plane_areas(gram, x, y, tol)
+    if np.any(degenerate):
+        raise DegenerateInputError("sectional curvature of a degenerate plane")
+    rxyy = np.einsum("...ijkl,...kp,...lp,...jp->...ip", riem, x, y, y)  # R(x, y) y
+    return np.sum(x * (gram @ rxyy), axis=-2) / area
 
 
 # ---------------------------------------------------------------------------
@@ -146,73 +130,66 @@ def _correction(gram, xi, eta, proj, reeb, skew_projected) -> np.ndarray:
 
 
 def modified_christoffel(chart: Chart, y) -> np.ndarray:
-    """Coefficients of the modified connection at one point."""
+    """Coefficients of the modified connection at a point, or at each row of
+    a stack."""
     return PointGeometry(chart, y).modified_gamma
 
 
-def modified_riemann(pg: PointGeometry) -> CurvatureTensor:
-    """Curvature of the modified connection at the point of ``pg``,
+def modified_riemann(pg: PointGeometry) -> np.ndarray:
+    """Curvature of the modified connection at every point of ``pg``,
     assembled from numerically differentiated connection coefficients.
 
     One Richardson step on the central difference (at ``FD_SECOND_STEP`` and
     half of it) keeps the truncation error at fourth order. The coarse
-    connection table comes from the geometry's `coarse_stencil`, which the
-    fd Christoffel derivative shares, and the fine one from a geometry over
-    the 2d fine rows; both stencils are read before the centre, whose table
-    is the geometry's own. No Bianchi check here: the modified connection
-    carries torsion, so the plain cyclic identity genuinely fails.
+    connection tables come from the geometry's `coarse_stencil`, which the
+    fd Christoffel derivative shares, and the fine ones from one geometry
+    over the 2d fine rows of every point; both stencils are read before the
+    centre, whose table is the geometry's own. No Bianchi check here: the
+    modified connection carries torsion, so the plain cyclic identity
+    genuinely fails.
     """
-    h = FD_SECOND_STEP
+    h, axis = FD_SECOND_STEP, pg.y.ndim - 1  # the stencil rows follow the point axes
     coarse = pg.coarse_stencil.modified_gamma
     fine = PointGeometry(pg.chart, stencil_points(pg.y, h / 2.0), tol=pg.tol).modified_gamma
-    dgam = (4.0 * stencil_difference(fine, h / 2.0) - stencil_difference(coarse, h)) / 3.0
-    return CurvatureTensor(_assemble_curvature(pg.modified_gamma, dgam), pg.metric)
+    dgam = (4.0 * stencil_difference(fine, h / 2.0, axis)
+            - stencil_difference(coarse, h, axis)) / 3.0
+    return _assemble_curvature(pg.modified_gamma, dgam)
 
 
 class PointGeometry:
-    """Lazy bundle of every tensor the identity suites need, at one point
-    ``y`` of shape ``(dim,)`` or at each row of a stack ``(n, dim)``.
+    """Lazy bundle of every tensor the identity suites need, at each point
+    of ``y`` of shape ``(..., dim)``: one point ``(dim,)``, a sample
+    ``(n, dim)`` or the ``(n, 2d, dim)`` rows of a derivative stencil.
 
     Each tensor is computed on first access and cached for the lifetime of
-    the object. `_read` is its only chart reader and reads each grid once.
-    The connection tensors, up to ``modified_gamma``, are array formulas
-    over the leading row axis of a stack, so the derivative stencils are
-    geometries too; so are the structure tensors ``validate`` checks
-    (``nphi``, ``deta``, ``projector``, ``horizontal_basis``, ``frame``,
-    ``eta_parallel``), each row exactly what the point alone gives.
+    the object. `_read` is its only chart reader and reads each grid once,
+    over every point. Every tensor is an array formula over the leading
+    axes of ``y``, each point exactly what the point alone gives.
     Everything derived from the Christoffel symbols reads the one cached
-    ``gamma``. ``metric``, ``dgamma``, ``coarse_stencil``, ``riem``,
-    ``modified_riem``, ``modified_nphi`` and ``modified_nphi_reeb`` exist
-    at a single point only.
+    ``gamma``.
     """
 
     def __init__(self, chart: Chart, y, *, tol: Tolerances = DEFAULT_TOLERANCES):
         self.chart = chart
         self.y = np.asarray(y, float)
         self.tol = tol
-        if self.y.ndim not in (1, 2) or self.y.shape[-1] != chart.dim:
-            raise ShapeError(f"points have shape {self.y.shape}, "
-                             f"expected ({chart.dim},) or (n, {chart.dim})")
+        if self.y.ndim == 0 or self.y.shape[-1] != chart.dim:
+            raise ShapeError(f"points have shape {self.y.shape}, expected (..., {chart.dim})")
 
     def _read(self, name: str) -> np.ndarray:
-        """Grid ``name`` at the point, or over every row of the stack. Over
-        a stack the metrics of the g rows read are checked before a failing
-        row raises; a point's metric is checked once, by ``metric``."""
+        """Grid ``name`` at every point, read as one stack of rows: the
+        metrics of the g rows read are checked before a failing row
+        raises."""
         rows, error = self.chart._grids_at(name, self.y.reshape(-1, self.chart.dim))
-        if name == "g" and self.y.ndim == 2:
+        if name == "g":
             check_gram(rows)
         if error is not None:
             raise error
         return rows.reshape(self.y.shape[:-1] + rows.shape[1:])
 
     @cached_property
-    def metric(self) -> Metric:
-        return Metric(self._read("g"))
-
-    @cached_property
     def gram(self) -> np.ndarray:
-        """Gram matrix, or one per row: a point's is that of its `metric`."""
-        return self.metric.gram if self.y.ndim == 1 else self._read("g")
+        return self._read("g")
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -242,7 +219,7 @@ class PointGeometry:
 
     @cached_property
     def dgamma(self) -> np.ndarray:
-        """dGam[m, k, i, j], the x_m derivative of Gam[k, i, j].
+        """dGam[..., m, k, i, j], the x_m derivative of Gam[..., k, i, j].
 
         Symbolic mode differentiates the closed form through the metric
         inverse; finite-difference mode takes the central difference, with
@@ -250,14 +227,16 @@ class PointGeometry:
         `coarse_stencil`.
         """
         if self.chart.mode.kind == "fd":
-            return stencil_difference(self.coarse_stencil.gamma, FD_SECOND_STEP)
+            return stencil_difference(self.coarse_stencil.gamma, FD_SECOND_STEP,
+                                      self.y.ndim - 1)
         return christoffel_derivative(self.ginv, self.dg, self._read("ddg"))
 
     @cached_property
     def coarse_stencil(self) -> PointGeometry:
-        """Geometry over the 2d `stencil_points` of step ``FD_SECOND_STEP``:
-        the rows the fd Christoffel derivative differences and the coarse
-        rows of `modified_riemann`'s Richardson step, read once for both."""
+        """Geometry over the 2d `stencil_points` of step ``FD_SECOND_STEP``
+        of every point: the rows the fd Christoffel derivative differences
+        and the coarse rows of `modified_riemann`'s Richardson step, read
+        once for both."""
         return PointGeometry(self.chart, stencil_points(self.y, FD_SECOND_STEP), tol=self.tol)
 
     @cached_property
@@ -318,18 +297,18 @@ class PointGeometry:
         return self.gamma + self.correction
 
     @cached_property
-    def eta_parallel(self) -> float:
+    def eta_parallel(self) -> float | np.ndarray:
         """The eta-parallel residual, shared by every check that gates on it."""
         return check_eta_parallel(self.nphi, self.gram, self.horizontal_basis)
 
     @cached_property
-    def riem(self) -> CurvatureTensor:
+    def riem(self) -> np.ndarray:
         symbolic = self.chart.mode.kind == "symbolic"
         gate = self.tol.curvature_symbolic if symbolic else self.tol.curvature_fd
-        return riemann(self.metric, self.gamma, self.dgamma, gate)
+        return riemann(self.gamma, self.dgamma, gate)
 
     @cached_property
-    def modified_riem(self) -> CurvatureTensor:
+    def modified_riem(self) -> np.ndarray:
         return modified_riemann(self)
 
     @cached_property
@@ -337,13 +316,13 @@ class PointGeometry:
         """Coordinate table of the modified covariant derivative of phi."""
         h = self.correction
         phi = self.phi
-        return (self.nphi + np.einsum("jil,lk->ijk", h, phi)
-                - np.einsum("jl,lik->ijk", phi, h))
+        return (self.nphi + np.einsum("...jil,...lk->...ijk", h, phi)
+                - np.einsum("...jl,...lik->...ijk", phi, h))
 
     @cached_property
     def modified_nphi_reeb(self) -> np.ndarray:
         """Matrix of the modified derivative of phi along the Reeb field."""
-        return np.einsum("i,ijk->jk", self.xi, self.modified_nphi)
+        return np.einsum("...i,...ijk->...jk", self.xi, self.modified_nphi)
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +403,17 @@ def _in_frames(table, *mats) -> np.ndarray:
     return out
 
 
+def _t(mat) -> np.ndarray:
+    """The transpose of each matrix of a stack."""
+    return mat.swapaxes(-1, -2)
+
+
 def _terms(out: str, *terms) -> np.ndarray:
     """Sum of ``sign * einsum(f"{spec}->{out}", *operands)`` over the terms
-    ``(sign, spec, *operands)``: a tensor written index by index."""
-    return sum(sign * np.einsum(f"{spec}->{out}", *ops) for sign, spec, *ops in terms)
+    ``(sign, spec, *operands)``: a tensor written index by index, with the
+    leading axes of a stack riding along on every operand."""
+    return sum(sign * np.einsum(f"...{spec.replace(',', ',...')}->...{out}", *ops)
+               for sign, spec, *ops in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -473,27 +459,25 @@ def bridge_residual(pg: PointGeometry) -> float | np.ndarray:
 # identity suites
 
 
-def modified_connection_suite(geoms: Sequence[PointGeometry], *,
+def modified_connection_suite(pg: PointGeometry, *,
                               tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
     """Structural checks of the modified connection plus the two-route
-    agreement of its curvature on horizontal triples."""
-    fix, reeb, phi_h, agree = [], [], [], []
-    for pg in geoms:
-        h, a, b = pg.correction, pg.reeb_gradient, pg.horizontal_basis
-        gf = pg.gram @ pg.frame
-        fix.append(float(np.max(np.abs(np.einsum("kij,i,j->k", h, pg.xi, pg.xi)))))
-        # h(x, xi) as the matrix h(., xi) times x: where that matrix is -A
-        # exactly, both products round alike and cancel to 0
-        reeb.append(max_entry(gf.T @ (a @ b + (h @ pg.xi) @ b)))
-        phi_h.append(max_entry(_in_frames(pg.modified_nphi, b, gf, b)))
-        # the differentiated route against the closed formula
-        # P R(x, w) z + g(Aw, z) Ax - g(Ax, z) Aw + g(Bx, w) P B P z
-        ab, af = operator_in_basis(a, b, pg.gram), gf.T @ a @ b
-        bb, sf = operator_in_basis(pg.dxi_skew, b, pg.gram), gf.T @ pg.skew_projected @ b
-        routes = _in_frames(pg.modified_riem.comps - pg.riem.comps,
-                            pg.projector.T @ gf, b, b, b)
-        agree.append(max_entry(routes - _terms("azxw", (1, "zw,ax", ab, af),
-                                               (-1, "zx,aw", ab, af), (1, "wx,az", bb, sf))))
+    agreement of its curvature on horizontal triples, at every point of
+    ``pg``."""
+    h, a, b = pg.correction, pg.reeb_gradient, pg.horizontal_basis
+    gf = pg.gram @ pg.frame
+    fix = max_entry(np.einsum("...kij,...i,...j->...k", h, pg.xi, pg.xi), 1)
+    # h(x, xi) as the matrix h(., xi) times x: where that matrix is -A
+    # exactly, both products round alike and cancel to 0
+    reeb = max_entry(_t(gf) @ (a @ b + (h @ pg.xi[..., None, :, None])[..., 0] @ b), 2)
+    phi_h = max_entry(_in_frames(pg.modified_nphi, b, gf, b), 3)
+    # the differentiated route against the closed formula
+    # P R(x, w) z + g(Aw, z) Ax - g(Ax, z) Aw + g(Bx, w) P B P z
+    ab, af = operator_in_basis(a, b, pg.gram), _t(gf) @ a @ b
+    bb, sf = operator_in_basis(pg.dxi_skew, b, pg.gram), _t(gf) @ pg.skew_projected @ b
+    routes = _in_frames(pg.modified_riem - pg.riem, _t(pg.projector) @ gf, b, b, b)
+    agree = max_entry(routes - _terms("azxw", (1, "zw,ax", ab, af), (-1, "zx,aw", ab, af),
+                                      (1, "wx,az", bb, sf)), 4)
     return VerificationReport.of([
         Check.below("correction_kills_reeb_pair", worst(fix), tol.acms_exact),
         Check.below("modified_reeb_parallel", worst(reeb), tol.condition_gate),
@@ -502,7 +486,7 @@ def modified_connection_suite(geoms: Sequence[PointGeometry], *,
     ])
 
 
-def defect_collapse_suite(geoms: Sequence[PointGeometry], *,
+def defect_collapse_suite(pg: PointGeometry, *,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
     """Commutation defect of the modified curvature against phi, collapsed
     onto the Reeb-direction derivative of phi: on horizontal x, y, z,
@@ -510,24 +494,22 @@ def defect_collapse_suite(geoms: Sequence[PointGeometry], *,
 
     Gated on the horizontal derivative of phi vanishing (the identity only
     holds on charts where it does)."""
-    gate_resid = worst(pg.eta_parallel for pg in geoms)
+    gate_resid = worst(pg.eta_parallel)
     gate_ok = bool(gate_resid < tol.condition_gate)
     checks = [Check("eta_parallel_gate", gate_resid, tol.condition_gate, gate_ok)]
     if not gate_ok:
         return VerificationReport.of(checks)
-    resid = []
-    for pg in geoms:
-        b, phi, r = pg.horizontal_basis, pg.phi, pg.modified_riem.comps
-        pt = pg.projector.T @ pg.gram @ pg.frame
-        rhs = 2.0 * np.einsum("yx,az->azxy", operator_in_basis(pg.dxi_skew, b, pg.gram),
-                              pt.T @ pg.modified_nphi_reeb @ b)
-        resid.append(max_entry(_in_frames(r, pt, phi @ b, b, b)
-                               - _in_frames(r, phi.T @ pt, b, b, b) - rhs))
+    b, phi, r = pg.horizontal_basis, pg.phi, pg.modified_riem
+    pt = _t(pg.projector) @ pg.gram @ pg.frame
+    rhs = 2.0 * np.einsum("...yx,...az->...azxy", operator_in_basis(pg.dxi_skew, b, pg.gram),
+                          _t(pt) @ pg.modified_nphi_reeb @ b)
+    resid = max_entry(_in_frames(r, pt, phi @ b, b, b)
+                      - _in_frames(r, _t(phi) @ pt, b, b, b) - rhs, 4)
     checks.append(Check.below("defect_collapse", worst(resid), tol.identity))
     return VerificationReport.of(checks)
 
 
-def defect_factorization_suite(geoms: Sequence[PointGeometry], *,
+def defect_factorization_suite(pg: PointGeometry, *,
                                tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
     """Fully expanded form of the commutation defect, phrased against the
     Levi-Civita curvature: on horizontal x, y, z,
@@ -537,46 +519,41 @@ def defect_factorization_suite(geoms: Sequence[PointGeometry], *,
 
     Needs both gates: the horizontal derivative of phi must vanish and the
     projected skew operator must anticommute with phi."""
-    eta_par, skew = [], []
-    for pg in geoms:
-        eta_par.append(pg.eta_parallel)
-        skew.append(skew_phi_anticommutation_residual(pg))
-    gate4, gate3 = worst(eta_par), worst(skew)
+    gate4 = worst(pg.eta_parallel)
+    gate3 = worst(skew_phi_anticommutation_residual(pg))
     ok4 = bool(gate4 < tol.condition_gate)
     ok3 = bool(gate3 < tol.condition_gate)
     checks = [Check("eta_parallel_gate", gate4, tol.condition_gate, ok4),
               Check("skew_anticommutation_gate", gate3, tol.condition_gate, ok3)]
     if not (ok4 and ok3):
         return VerificationReport.of(checks)
-    resid = []
-    for pg in geoms:
-        b, phi, a, r = pg.horizontal_basis, pg.phi, pg.reeb_gradient, pg.riem.comps
-        gf = pg.gram @ pg.frame
-        w = pg.projector @ pg.modified_nphi_reeb - pg.skew_projected @ phi
-        ab = (a @ b).T @ pg.gram  # rows g(A h_i, .)
-        a_phi, a_z, af, phi_af = ab @ phi @ b, ab @ b, gf.T @ a @ b, gf.T @ phi @ a @ b
-        rhs = (_in_frames(r, pg.projector.T @ gf, phi @ b, b, b)
-               - _in_frames(r, phi.T @ gf, b, b, b)
-               + _terms("azxy", (1, "yz,ax", a_phi, af), (-1, "xz,ay", a_phi, af),
-                        (-1, "yz,ax", a_z, phi_af), (1, "xz,ay", a_z, phi_af)))
-        lhs = 2.0 * np.einsum("yx,az->azxy", operator_in_basis(pg.dxi_skew, b, pg.gram),
-                              gf.T @ w @ b)
-        resid.append(max_entry(lhs - rhs))
+    b, phi, a, r = pg.horizontal_basis, pg.phi, pg.reeb_gradient, pg.riem
+    gf = pg.gram @ pg.frame
+    w = pg.projector @ pg.modified_nphi_reeb - pg.skew_projected @ phi
+    ab = _t(a @ b) @ pg.gram  # rows g(A h_i, .)
+    a_phi, a_z, af, phi_af = ab @ phi @ b, ab @ b, _t(gf) @ a @ b, _t(gf) @ phi @ a @ b
+    rhs = (_in_frames(r, _t(pg.projector) @ gf, phi @ b, b, b)
+           - _in_frames(r, _t(phi) @ gf, b, b, b)
+           + _terms("azxy", (1, "yz,ax", a_phi, af), (-1, "xz,ay", a_phi, af),
+                    (-1, "yz,ax", a_z, phi_af), (1, "xz,ay", a_z, phi_af)))
+    lhs = 2.0 * np.einsum("...yx,...az->...azxy", operator_in_basis(pg.dxi_skew, b, pg.gram),
+                          _t(gf) @ w @ b)
+    resid = max_entry(lhs - rhs, 4)
     checks.append(Check.below("defect_factorization", worst(resid), tol.identity))
     return VerificationReport.of(checks)
 
 
-def _reconstruction_residuals(pg: PointGeometry, c: float) -> tuple[float, float, float]:
+def _reconstruction_residuals(pg: PointGeometry, c: float):
     """(full, horizontal, pairing) residuals of the curvature
-    reconstruction at one point with phi-plane constant ``c``."""
+    reconstruction with phi-plane constant ``c``, one value per point."""
     f, b = pg.frame, pg.horizontal_basis
     gf = pg.gram @ f
-    n = _in_frames(pg.nphi, f, gf, f)  # n[x, a, z]: (nabla_x phi) z
-    a, phi = gf.T @ pg.reeb_gradient @ f, gf.T @ pg.phi @ f  # [i, j] = g(f_i, M f_j)
-    e, one, aa = pg.eta @ f, np.eye(len(f)), a.T @ a
+    n = _in_frames(pg.nphi, f, gf, f)  # n[..., x, a, z]: (nabla_x phi) z
+    a, phi = _t(gf) @ pg.reeb_gradient @ f, _t(gf) @ pg.phi @ f  # [i, j] = g(f_i, M f_j)
+    e, one, aa = (pg.eta[..., None, :] @ f)[..., 0, :], np.eye(f.shape[-1]), _t(a) @ a
 
     # 4 g(R(w, x) y, z) from first derivatives of the structure
-    lhs = 4.0 * np.einsum("zywx->wxyz", _in_frames(pg.riem.comps, gf, f, f, f))
+    lhs = 4.0 * np.einsum("...zywx->...wxyz", _in_frames(pg.riem, gf, f, f, f))
     rhs = _terms("wxyz", (1, "waz,xay", n, n), (-1, "way,xaz", n, n), (-2, "wax,yaz", n, n),
                  (1, "zw,yx", a, a), (-1, "yw,zx", a, a), (-2, "xw,zy", a, a),
                  (-1, "w,y,xz", e, e, aa), (1, "w,z,xy", e, e, aa),
@@ -586,56 +563,58 @@ def _reconstruction_residuals(pg: PointGeometry, c: float) -> tuple[float, float
                            (1, "y,w,zx", e, e, one), (-1, "z,w,yx", e, e, one),
                            (1, "xy,wz", phi, phi), (-1, "xz,wy", phi, phi),
                            (-2, "yz,wx", phi, phi))
-    full = max_entry(lhs - rhs)
+    full = max_entry(lhs - rhs, 4)
 
     # its horizontal specialization, a vector identity in horizontal x, y, w
     ah, ph = pg.reeb_gradient @ b, pg.phi @ b
-    pa, a_y = ph.T @ pg.gram @ ah, ah.T @ pg.gram @ b  # g(phi h_i, A h_j), g(A h_i, h_j)
-    p_y = operator_in_basis(pg.phi, b, pg.gram)         # g(h_i, phi h_j)
-    af, pf, paf, hf = gf.T @ ah, gf.T @ ph, gf.T @ pg.phi @ ah, gf.T @ b
-    hone = np.eye(b.shape[1])
+    pa, a_y = _t(ph) @ pg.gram @ ah, _t(ah) @ pg.gram @ b  # g(phi h_i, A h_j), g(A h_i, h_j)
+    p_y = operator_in_basis(pg.phi, b, pg.gram)           # g(h_i, phi h_j)
+    af, pf, paf, hf = _t(gf) @ ah, _t(gf) @ ph, _t(gf) @ pg.phi @ ah, _t(gf) @ b
+    hone = np.eye(b.shape[-1])
     horizontal = max_entry(_terms(
         "axyw", (3 * c, "yx,aw", hone, hf), (-3 * c, "yw,ax", hone, hf),
         (1, "yx,aw", pa, paf), (-1, "yw,ax", pa, paf), (-2, "xw,ay", pa, paf),
         (-1, "xy,aw", a_y, af), (1, "wy,ax", a_y, af), (2, "wx,ay", a_y, af),
-        (c, "xy,aw", p_y, pf), (-c, "wy,ax", p_y, pf), (-2 * c, "wx,ay", p_y, pf)))
+        (c, "xy,aw", p_y, pf), (-c, "wy,ax", p_y, pf), (-2 * c, "wx,ay", p_y, pf)), 4)
 
     # g((nabla_x phi) y, Az) = eta(y) g(A^2 x, phi z) - eta(x) g(A^2 y, phi z)
-    q = (a @ a).T @ phi
+    q = _t(a @ a) @ phi
     pairing = max_entry(_terms("xyz", (1, "xay,az", n, a), (-1, "y,xz", e, q),
-                               (1, "x,yz", e, q)))
+                               (1, "x,yz", e, q)), 3)
     return full, horizontal, pairing
 
 
-def curvature_reconstruction_suite(geoms: Sequence[PointGeometry], *,
+def curvature_reconstruction_suite(pg: PointGeometry, *,
                                    tol: Tolerances = DEFAULT_TOLERANCES,
                                    c: float | None = None) -> VerificationReport:
     """Reconstruction of the full curvature from first derivatives of the
     structure tensors, valid on nearly cosymplectic charts whose phi-plane
-    curvature is the constant ``c``; without ``c``, the mean of
-    K(h, phi h) over the horizontal frame vectors h of every point, and a
-    point where some phi-plane is degenerate raises DegenerateInputError.
+    curvature is the constant ``c``; without ``c``, the mean over points of
+    the mean of K(h, phi h) over the horizontal frame vectors h, and the
+    first point where some phi-plane is degenerate raises
+    DegenerateInputError.
 
     Includes the horizontal specialization and the pairing identity for the
     derivative of phi. Gated on the nearly cosymplectic residual."""
-    gate = worst(nearly_cosymplectic_residual(pg) for pg in geoms)
+    gate = worst(nearly_cosymplectic_residual(pg))
     gate_ok = bool(gate < tol.nearly_gate)
     checks = [Check("nearly_cosymplectic_gate", gate, tol.nearly_gate, gate_ok)]
     if not gate_ok:
         return VerificationReport.of(checks)
     if c is None:
-        sections = []
-        for pg in geoms:
-            riem, b = pg.riem, pg.horizontal_basis
-            try:
-                sections.append(np.mean(riem.sectional(b, pg.phi @ b, tol=pg.tol)))
-            except DegenerateInputError as exc:
-                raise DegenerateInputError(
-                    f"cannot estimate c at point {pg.y.tolist()}: phi maps a horizontal "
-                    "frame vector h to zero or into span{h}, so the phi-plane "
-                    "span{h, phi h} is degenerate; give c (--c) instead") from exc
-        c = float(np.mean(sections))
-    full, hor, pair = zip(*(_reconstruction_residuals(pg, c) for pg in geoms))
+        riem, b = pg.riem, pg.horizontal_basis
+        pb = pg.phi @ b
+        try:
+            sections = sectional(riem, pg.gram, b, pb, tol=pg.tol)
+        except DegenerateInputError as exc:
+            bad = np.any(_plane_areas(pg.gram, b, pb, pg.tol)[1], axis=-1)
+            y = pg.y.reshape(-1, pg.chart.dim)[np.flatnonzero(bad)[0]]
+            raise DegenerateInputError(
+                f"cannot estimate c at point {y.tolist()}: phi maps a horizontal "
+                "frame vector h to zero or into span{h}, so the phi-plane "
+                "span{h, phi h} is degenerate; give c (--c) instead") from exc
+        c = float(np.mean(np.mean(sections, axis=-1)))
+    full, hor, pair = _reconstruction_residuals(pg, c)
     checks.append(Check.below("curvature_reconstruction_full", worst(full), tol.identity))
     checks.append(Check.below("curvature_reconstruction_horizontal", worst(hor), tol.identity))
     checks.append(Check.below("nabla_phi_pairing", worst(pair), tol.identity))
@@ -646,25 +625,20 @@ def dual_mode_suite(chart: Chart, points, *,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
     """Relative agreement of symbolic and finite-difference derivatives for
     the Christoffel symbols, the Reeb gradient, the derivative of phi and
-    the curvature, over the given points."""
-    sym = chart.with_mode(SYMBOLIC)
-    fd = chart.with_mode(DerivativeMode("fd"))
-    names = ("dual_mode_christoffel", "dual_mode_reeb_gradient",
-             "dual_mode_nabla_phi", "dual_mode_riemann")
-    rels: dict[str, list[float]] = {name: [] for name in names}
-    for y in np.atleast_2d(np.asarray(points, float)):
-        one, two = PointGeometry(sym, y, tol=tol), PointGeometry(fd, y, tol=tol)
-        got = {
-            "dual_mode_christoffel": (one.gamma, two.gamma),
-            "dual_mode_reeb_gradient": (one.reeb_gradient, two.reeb_gradient),
-            "dual_mode_nabla_phi": (one.nphi, two.nphi),
-            "dual_mode_riemann": (one.riem.comps, two.riem.comps),
-        }
-        for name, (a, b) in got.items():
-            rel = float(np.max(np.abs(a - b))) / (1.0 + float(np.max(np.abs(a))))
-            rels[name].append(rel)
+    the curvature, over the given points: one geometry per mode."""
+    points = np.atleast_2d(np.asarray(points, float))
+    one = PointGeometry(chart.with_mode(SYMBOLIC), points, tol=tol)
+    two = PointGeometry(chart.with_mode(DerivativeMode("fd")), points, tol=tol)
+    got = {
+        "dual_mode_christoffel": (one.gamma, two.gamma),
+        "dual_mode_reeb_gradient": (one.reeb_gradient, two.reeb_gradient),
+        "dual_mode_nabla_phi": (one.nphi, two.nphi),
+        "dual_mode_riemann": (one.riem, two.riem),
+    }
     return VerificationReport.of([
-        Check.below(name, worst(rels[name]), tol.dual_mode) for name in names
+        Check.below(name, worst(max_entry(a - b, a.ndim - 1)
+                                / (1.0 + max_entry(a, a.ndim - 1))), tol.dual_mode)
+        for name, (a, b) in got.items()
     ])
 
 
@@ -675,17 +649,19 @@ def horizontal_sectional_values(chart: Chart, points, seed: int = 0, *,
 
     A probe pair with |g(x, w)| > 0.99 is redrawn; raises
     DegenerateInputError after ``MAX_PROBE_DRAWS`` consecutive redraws.
-    Each point's pairs are drawn and evaluated as one stack."""
+    The points are one geometry; each point's pairs are drawn in turn, as
+    one stack, and every pair is evaluated at once."""
     rng = np.random.default_rng(seed)
-    values: list[float] = []
-    for y in np.atleast_2d(np.asarray(points, float)):
-        pg = PointGeometry(chart, y, tol=tol)
-        x, w = _accepted_draws(
-            lambda n: _probe_tuples(pg.metric, rng, 2, n, projector=pg.projector),
-            lambda xw: np.abs(pg.metric.inners(*xw)) <= 0.99, planes,
-            "horizontal plane with |g(x, w)| <= 0.99")
-        values.extend(np.atleast_1d(pg.riem.sectional(x, w, tol=tol)).tolist())
-    return values
+    pg = PointGeometry(chart, np.atleast_2d(np.asarray(points, float)), tol=tol)
+    pairs = []
+    for gram, projector in zip(pg.gram, pg.projector):
+        metric = Metric(gram)
+        pairs.append(_accepted_draws(
+            lambda n: _probe_tuples(metric, rng, 2, n, projector=projector),
+            lambda xw: np.abs(metric.inners(*xw)) <= 0.99, planes,
+            "horizontal plane with |g(x, w)| <= 0.99"))
+    x, w = np.stack(pairs, axis=1)
+    return sectional(pg.riem, pg.gram, x, w, tol=tol).ravel().tolist()
 
 
 def contact_residuals(pg: PointGeometry) -> tuple[float | np.ndarray, float | np.ndarray]:

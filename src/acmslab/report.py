@@ -6,12 +6,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-def worst(values: Iterable[float]) -> float:
-    """Largest residual, floored at 0.0, as ``max(0.0, *values)``; any NaN
+def worst(values: float | Iterable[float]) -> float:
+    """Largest residual, floored at 0.0, as ``max(0.0, *values)``, of an
+    iterable such as one residual per point, or of a lone float; any NaN
     makes it NaN (the builtin keeps whichever comes first, so it would
     report ``max(0.0, nan)`` as 0.0). The floor also turns a -0.0 residual
     into 0.0."""
-    values = list(values)
+    values = [values] if isinstance(values, float) else list(values)
     return math.nan if any(map(math.isnan, values)) else float(max([0.0, *values]))
 
 

@@ -170,10 +170,10 @@ def test_criterion_05_bridge_on_every_validating_chart():
 
 
 def test_criterion_06_modified_connection_identities(s5):
-    geoms = [PointGeometry(s5, y) for y in sample_points(s5, 4, seed=60)]
-    modified = modified_connection_suite(geoms)
-    collapse = defect_collapse_suite(geoms)
-    factor = defect_factorization_suite(geoms)
+    pg = PointGeometry(s5, sample_points(s5, 4, seed=60))
+    modified = modified_connection_suite(pg)
+    collapse = defect_collapse_suite(pg)
+    factor = defect_factorization_suite(pg)
     phi_resid = modified["modified_phi_horizontal"].residual
     agree = modified["modified_curvature_mode_agreement"].residual
     collapse_resid = collapse["defect_collapse"].residual
@@ -188,8 +188,8 @@ def test_criterion_06_modified_connection_identities(s5):
 
 
 def test_criterion_07_curvature_reconstruction_c1(s5):
-    geoms = [PointGeometry(s5, y) for y in sample_points(s5, 2, seed=70)]
-    report = curvature_reconstruction_suite(geoms, c=1.0)
+    report = curvature_reconstruction_suite(PointGeometry(s5, sample_points(s5, 2, seed=70)),
+                                            c=1.0)
     assert report["nearly_cosymplectic_gate"].passed
     full = report["curvature_reconstruction_full"].residual
     horizontal = report["curvature_reconstruction_horizontal"].residual

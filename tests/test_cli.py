@@ -181,21 +181,44 @@ class TestValidate:
         assert code == 0
         assert calls == {"__init__": 1, "contact_volume_coefficient": 1}
 
-    def test_sample_is_read_grid_by_grid(self, capsys, tmp_path):
-        # at seed 0, point 0 reads phi but not g, and point 1 fails phi; the
-        # sample is one stack read grid by grid, phi before g, so the later
-        # point's phi error wins over the earlier point's g error
+    # at seed 0, point 0 reads phi but not g, and point 1 fails phi; every
+    # sample-reading command reads its sample as one stack, grid by grid, in
+    # the order its checks need the grids: `validate` reads phi before g, so
+    # the later point's phi error wins over the earlier point's g error, and
+    # `identities` and `curvature` read g first
+    @pytest.mark.parametrize("command, first", [
+        ("validate", "phi[3][1] at point [0.7429600390998992, "),
+        ("identities", "g[1][1] at point [0.24653103717861777, "),
+        ("curvature", "g[1][1] at point [0.24653103717861777, "),
+    ])
+    def test_sample_is_read_grid_by_grid(self, capsys, tmp_path, command, first):
         path = tmp_path / "two_failures.chart"
         path.write_text(FLAT_TEXT.replace("g[1][1] = 1\n", "g[1][1] = 1 + sqrt(x2)\n")
                         .replace("phi[3][1] = 1\n", "phi[3][1] = sqrt(0.5 - x1)\n"))
-        source = ("validate", "--chart", str(path), "--seed", "0")
+        source = (command, "--chart", str(path), "--seed", "0")
         code, out, err = run(capsys, *source, "--probes", "2")
         assert (code, out) == (2, "")
-        assert err.startswith("acmslab: error: phi[3][1] at point [0.7429600390998992, ")
+        assert err.startswith(f"acmslab: error: {first}")
         # a sample of point 0 alone keeps its own message
         code, out, err = run(capsys, *source, "--probes", "1")
         assert (code, out) == (2, "")
         assert err.startswith("acmslab: error: g[1][1] at point [0.24653103717861777, ")
+
+    @pytest.mark.parametrize("command", ["identities", "curvature"])
+    def test_later_point_failing_g_wins(self, capsys, tmp_path, command):
+        # at seed 0, point 0 fails xi and point 1 fails g; g is read first
+        # over the whole sample, so point 1's g error wins, where a loop over
+        # the points would have stopped at point 0's xi
+        path = tmp_path / "two_failures.chart"
+        path.write_text(FLAT_TEXT.replace("g[1][1] = 1\n", "g[1][1] = 1 + sqrt(0.5 - x1)\n")
+                        .replace("xi[5] = 1\n", "xi[5] = 1 + 0*sqrt(x2)\n"))
+        source = (command, "--chart", str(path), "--seed", "0")
+        code, out, err = run(capsys, *source, "--probes", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("acmslab: error: g[1][1] at point [0.7429600390998992, ")
+        code, out, err = run(capsys, *source, "--probes", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("acmslab: error: xi[5] at point [0.24653103717861777, ")
 
     @pytest.mark.parametrize("target, value, failing", [
         ("killing_residual", lambda n: np.full(n, math.nan), ["reeb_killing"]),
@@ -474,8 +497,8 @@ class TestCurvature:
         assert first == second
 
     def test_nan_sample_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(curvature.CurvatureTensor, "sectional",
-                            lambda *args, **kwargs: math.nan)
+        monkeypatch.setattr(curvature, "sectional",
+                            lambda riem, gram, x, y, **kwargs: np.full(x[..., 0, :].shape, math.nan))
         code, out, _ = run(capsys, "curvature", *S5, *FAST, "--planes", "4", "--json")
         assert code == 1
         doc = strict_json(out)
@@ -517,28 +540,41 @@ class TestIdentities:
         _, second, _ = run(capsys, *args)
         assert first == second
 
-    def test_suites_share_one_geometry_per_point(self, capsys, monkeypatch):
-        # every suite reads the same per-point curvature, so each point pays
-        # for one geometry (and one over each stencil of its Richardson
-        # step), one Levi-Civita and one modified curvature tensor, and both
-        # eta-parallel gates read its one horizontal frame and its one
-        # eta-parallel residual
+    @pytest.mark.parametrize("probes", ["1", "3"])
+    def test_suites_share_one_geometry_stack(self, capsys, monkeypatch, probes):
+        # the sample is one geometry, and every suite reads its one
+        # Levi-Civita and one modified curvature; the Richardson step adds
+        # one geometry over each of its two stencils, for every point at
+        # once, and both eta-parallel gates read the one horizontal frame
+        # and the one eta-parallel residual
         calls = count_calls(monkeypatch, (
             (curvature, "riemann"), (curvature, "modified_riemann"),
             (curvature, "christoffel"), (charts, "christoffel"),
             (curvature.PointGeometry, "__init__"),
             (curvature, "horizontal_basis"), (structure, "horizontal_basis"),
             (curvature, "check_eta_parallel"), (structure, "check_eta_parallel")))
-        code, out, _ = run(capsys, "identities", *S5, "--probes", "3")
+        code, out, _ = run(capsys, "identities", *S5, "--probes", probes)
         assert code == 0
         assert "skipped_suites: none" in out
-        assert calls["riemann"] == 3 and calls["modified_riemann"] == 3
-        assert calls["__init__"] == 3 * 3
-        assert calls["horizontal_basis"] <= 3
-        assert calls["check_eta_parallel"] == 3
-        # Christoffel tables per point: the geometry's own, and one stacked
-        # pass over each 2d Richardson stencil
-        assert calls["christoffel"] == 3 * 3
+        assert calls == {"riemann": 1, "modified_riemann": 1, "christoffel": 3,
+                         "__init__": 3, "horizontal_basis": 1, "check_eta_parallel": 1}
+
+    @pytest.mark.parametrize("probes", ["1", "3"])
+    @pytest.mark.parametrize("fd, geometries", [(False, 1), (True, 2)])
+    def test_curvature_reads_one_geometry_stack(self, capsys, monkeypatch, tmp_path, probes,
+                                                fd, geometries):
+        # symbolic charts differentiate the Christoffel symbols in closed
+        # form; an fd chart adds one geometry over the stencils of every point
+        calls = count_calls(monkeypatch, ((curvature.PointGeometry, "__init__"),
+                                          (curvature, "riemann")))
+        source = S5
+        if fd:
+            path = tmp_path / "s5_fd.chart"
+            path.write_text(chart_to_text(gallery_chart("s5").with_mode(DerivativeMode("fd"))))
+            source = ["--chart", str(path)]
+        code, _, _ = run(capsys, "curvature", *source, "--probes", probes, "--planes", "2")
+        assert code == 0
+        assert calls == {"__init__": geometries, "riemann": 1}
 
     def test_duplicate_name_lookup_is_ambiguous(self, capsys, monkeypatch):
         # the collapse and factorization suites each report an eta_parallel_gate
@@ -558,13 +594,17 @@ class TestIdentities:
         assert reports[0]["defect_collapse"].name == "defect_collapse"
 
     @pytest.mark.parametrize("target, value, failing", [
-        ("check_eta_parallel", math.nan, ["eta_parallel_gate", "eta_parallel_gate"]),
-        ("skew_phi_anticommutation_residual", math.nan, ["skew_anticommutation_gate"]),
-        ("nearly_cosymplectic_residual", math.nan, ["nearly_cosymplectic_gate"]),
+        ("check_eta_parallel", lambda table, gram, basis: np.full(len(gram), math.nan),
+         ["eta_parallel_gate", "eta_parallel_gate"]),
+        ("skew_phi_anticommutation_residual", lambda pg: np.full(len(pg.y), math.nan),
+         ["skew_anticommutation_gate"]),
+        ("nearly_cosymplectic_residual", lambda pg: np.full(len(pg.y), math.nan),
+         ["nearly_cosymplectic_gate"]),
     ])
     def test_nan_gate_fails(self, capsys, monkeypatch, target, value, failing):
-        # the suites look these up in the curvature module
-        monkeypatch.setattr(curvature, target, lambda *args, **kwargs: value)
+        # the suites look these up in the curvature module; each residual
+        # comes one per point of the sample's geometry
+        monkeypatch.setattr(curvature, target, value)
         code, out, _ = run(capsys, "identities", *S5, *FAST, "--json")
         assert code == 1
         checks = strict_json(out)["checks"]

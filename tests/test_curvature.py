@@ -13,7 +13,6 @@ from acmslab.charts import (DerivativeMode, chart_from_text, christoffel, sample
                             stencil_points)
 from acmslab.config import DEFAULT_TOLERANCES, FD_SECOND_STEP, MAX_PROBE_DRAWS
 from acmslab.curvature import (
-    CurvatureTensor,
     PointGeometry,
     _assemble_curvature,
     bridge_residual,
@@ -27,13 +26,16 @@ from acmslab.curvature import (
     modified_connection_suite,
     nearly_cosymplectic_residual,
     reeb_deta_kernel_residual,
+    riemann,
+    sectional,
     skew_phi_anticommutation_residual,
     unit_probes,
 )
 from acmslab.errors import DegenerateInputError, ShapeError
 from acmslab.exprs import EvalError
 from acmslab.gallery import GALLERY_NAMES, gallery_chart
-from acmslab.linalg import Metric
+from acmslab.linalg import Metric, max_entry
+from acmslab.report import worst
 
 SPHERE_TEXT = """\
 dim = 2
@@ -66,10 +68,6 @@ def s5_points(s5):
     return sample_points(s5, 2, seed=5)
 
 
-def _geoms(chart, points):
-    return [PointGeometry(chart, y) for y in points]
-
-
 def _riem_vec(comps, x, y, z):
     """The vector R(x, y) z from a curvature table."""
     return np.einsum("ijkl,k,l,j->i", comps, x, y, z)
@@ -80,57 +78,75 @@ def _nphi_vec(table, x, z):
     return np.einsum("ijk,i,k->j", table, x, z)
 
 
+def _antisymmetry(comps):
+    """Largest entry of R(x, y) + R(y, x) in a curvature table."""
+    return max_entry(comps + np.einsum("ijlk->ijkl", comps))
+
+
+def _first_bianchi(comps):
+    """Largest entry of the cyclic sum R(x, y) z + R(y, z) x + R(z, x) y."""
+    return max_entry(comps + np.einsum("iklj->ijkl", comps) + np.einsum("iljk->ijkl", comps))
+
+
 def _inner(pg, u, v):
     return float(u @ pg.gram @ v)
 
 
-class TestCurvatureTensor:
-    def test_shape_checked(self):
-        with pytest.raises(ShapeError):
-            CurvatureTensor(np.zeros((2, 2, 2)), Metric.euclidean(2))
+def _plane(pg, x, y):
+    """Sectional curvature of the one plane span{x, y} at a point."""
+    return float(sectional(pg.riem, pg.gram, np.c_[x], np.c_[y])[0])
 
-    def test_pair_lowers_r_xyz(self, sphere):
-        r = PointGeometry(sphere, [1.1, 0.4]).riem
-        rng = np.random.default_rng(1)
-        w, x, y, z = (rng.normal(size=2) for _ in range(4))
-        direct = r.pair(w, x, y, z)
-        via_vector = float(w @ r.metric.gram @ _riem_vec(r.comps, x, y, z))
-        assert direct == pytest.approx(via_vector)
 
+class TestSectional:
     def test_degenerate_plane_rejected(self, sphere):
-        r = PointGeometry(sphere, [1.1, 0.4]).riem
+        pg = PointGeometry(sphere, [1.1, 0.4])
         v = np.array([1.0, 2.0])
         with pytest.raises(DegenerateInputError):
-            r.sectional(v, 2.0 * v)
+            _plane(pg, v, 2.0 * v)
+
+    def test_degenerate_plane_at_any_row_rejected(self, sphere):
+        # a stack of two points whose second plane is degenerate
+        pg = PointGeometry(sphere, [[1.1, 0.4], [0.9, -0.2]])
+        x = np.array([[[1.0], [0.0]], [[1.0], [2.0]]])
+        y = np.array([[[0.0], [1.0]], [[2.0], [4.0]]])
+        with pytest.raises(DegenerateInputError, match="degenerate plane"):
+            sectional(pg.riem, pg.gram, x, y)
+
+    def test_stack_is_each_point_alone(self, s5):
+        points = sample_points(s5, 3, seed=9)
+        stack = PointGeometry(s5, points)
+        b = stack.horizontal_basis
+        got = sectional(stack.riem, stack.gram, b, stack.phi @ b)
+        for row, y in zip(got, points):
+            pg = PointGeometry(s5, y)
+            b = pg.horizontal_basis
+            assert np.array_equal(row, sectional(pg.riem, pg.gram, b, pg.phi @ b))
 
 
 class TestRiemann:
     def test_unit_sphere_curvature(self, sphere):
         for y in sample_points(sphere, 6, seed=11):
-            r = PointGeometry(sphere, y).riem
-            assert r.sectional(np.eye(2)[0], np.eye(2)[1]) == pytest.approx(1.0)
+            assert _plane(PointGeometry(sphere, y), *np.eye(2)) == pytest.approx(1.0)
 
     def test_flat_polar_plane(self):
         chart = chart_from_text(FLAT_POLAR_TEXT)
         for y in sample_points(chart, 4, seed=12):
-            r = PointGeometry(chart, y).riem
-            assert np.max(np.abs(r.comps)) < 1e-12
+            assert np.max(np.abs(PointGeometry(chart, y).riem)) < 1e-12
 
     def test_invariants_tiny_in_symbolic_mode(self, sphere):
         r = PointGeometry(sphere, [0.9, -0.2]).riem
-        assert r.antisymmetry_residual() < 1e-14
-        assert r.first_bianchi_residual() < 1e-12
+        assert _antisymmetry(r) < 1e-14
+        assert _first_bianchi(r) < 1e-12
 
     def test_fd_mode_agrees(self, sphere):
         fd = sphere.with_mode(DerivativeMode("fd"))
         y = [1.3, 0.5]
-        np.testing.assert_allclose(PointGeometry(fd, y).riem.comps,
-                                   PointGeometry(sphere, y).riem.comps, atol=1e-6)
+        np.testing.assert_allclose(PointGeometry(fd, y).riem,
+                                   PointGeometry(sphere, y).riem, atol=1e-6)
 
     def test_sectional_curvature_helper(self, sphere):
-        r = PointGeometry(sphere, [1.0, 0.0]).riem
-        got = r.sectional(np.array([1.0, 0.3]), np.array([0.2, 2.0]))
-        assert got == pytest.approx(1.0)
+        pg = PointGeometry(sphere, [1.0, 0.0])
+        assert _plane(pg, np.array([1.0, 0.3]), np.array([0.2, 2.0])) == pytest.approx(1.0)
 
     def test_round_sphere_five(self, s5, s5_points):
         values = horizontal_sectional_values(s5, s5_points, planes=5)
@@ -139,12 +155,13 @@ class TestRiemann:
     def test_full_planes_on_s5(self, s5):
         # the round metric has constant curvature on every plane, not just
         # horizontal ones
-        r = PointGeometry(s5, np.array([0.1, -0.05, 0.2, 0.0, 0.1])).riem
+        pg = PointGeometry(s5, np.array([0.1, -0.05, 0.2, 0.0, 0.1]))
+        metric = Metric(pg.gram)
         rng = np.random.default_rng(7)
-        for x, w in zip(unit_probes(r.metric, rng, 6).T, unit_probes(r.metric, rng, 6).T):
-            if abs(r.metric.inner(x, w)) > 0.95:
+        for x, w in zip(unit_probes(metric, rng, 6).T, unit_probes(metric, rng, 6).T):
+            if abs(metric.inner(x, w)) > 0.95:
                 continue
-            assert r.sectional(x, w) == pytest.approx(1.0, abs=1e-9)
+            assert _plane(pg, x, w) == pytest.approx(1.0, abs=1e-9)
 
 
 def _central_difference(fn, y, h):
@@ -169,13 +186,66 @@ class TestFdRiemann:
     def test_stacked_stencil_matches_pointwise_oracle(self, name):
         chart = gallery_chart(name).with_mode(DerivativeMode("fd"))
         for y in sample_points(chart, 3, seed=13):
-            assert np.array_equal(PointGeometry(chart, y).riem.comps,
-                                  _fd_riemann_oracle(chart, y))
+            assert np.array_equal(PointGeometry(chart, y).riem, _fd_riemann_oracle(chart, y))
+
+
+def _connections(seed, d=3):
+    """(gam, dgam) of two connections: a torsion-free one with components
+    near 1e6, whose curvature has components near 1e12 and keeps both
+    invariants, and one with derivative tables of no symmetry, whose
+    curvature has components near 1 and breaks the first Bianchi identity."""
+    rng = np.random.default_rng(seed)
+    gam, dgam = rng.standard_normal((d, d, d)), rng.standard_normal((d, d, d, d))
+    valid = (1e6 * (gam + gam.swapaxes(-1, -2)), 1e6 * (dgam + dgam.swapaxes(-1, -2)))
+    return valid, (np.zeros((d, d, d)), rng.standard_normal((d, d, d, d)))
+
+
+def _gate_message(gam, dgam, gate):
+    """The message `riemann` raises for one connection, from the invariants
+    of its curvature table, scaled by its own largest component."""
+    comps = _assemble_curvature(gam, dgam)
+    return (f"curvature invariants fail: antisymmetry {_antisymmetry(comps):.3e}, "
+            f"first Bianchi {_first_bianchi(comps):.3e} "
+            f"(gate {gate * (1.0 + max_entry(comps)):.3e})")
+
+
+class TestRiemannGate:
+    """`riemann` checks each curvature tensor of a stack against its own
+    largest component; the first failing one raises."""
+
+    GATE = 1e-6
+
+    def test_each_connection_alone(self):
+        valid, broken = _connections(3)
+        assert riemann(*valid, self.GATE).shape == (3,) * 4
+        with pytest.raises(DegenerateInputError) as excinfo:
+            riemann(*broken, self.GATE)
+        assert str(excinfo.value) == _gate_message(*broken, self.GATE)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_a_broken_row_of_a_stack_raises(self, order):
+        # the first failing row raises, whether or not a far larger row,
+        # which would hide it under one scale for the whole stack, comes first
+        rows = _connections(4)
+        gam, dgam = (np.stack([rows[i][part] for i in order]) for part in (0, 1))
+        with pytest.raises(DegenerateInputError) as excinfo:
+            riemann(gam, dgam, self.GATE)
+        assert str(excinfo.value) == _gate_message(*rows[1], self.GATE)
+        # one scale for the stack would have passed it
+        comps = _assemble_curvature(gam, dgam)
+        assert _first_bianchi(comps[order.index(1)]) < self.GATE * max_entry(comps)
+
+    def test_first_failing_row_in_order(self):
+        (_, broken), (_, other) = _connections(5), _connections(6)
+        gam, dgam = (np.stack([broken[part], other[part]]) for part in (0, 1))
+        with pytest.raises(DegenerateInputError) as excinfo:
+            riemann(gam, dgam, self.GATE)
+        assert str(excinfo.value) == _gate_message(*broken, self.GATE)
 
 
 # PointGeometry fields that between them compute every cached tensor, the
 # curvature tensors first
-GEOMETRY_FIELDS = ("metric", "gamma", "riem", "modified_riem", "horizontal_basis",
+GEOMETRY_FIELDS = ("gram", "gamma", "riem", "modified_riem", "horizontal_basis",
                    "dxi_skew", "nphi", "deta", "modified_nphi_reeb")
 
 
@@ -184,8 +254,8 @@ def test_metric_checks_per_point_geometry(monkeypatch, mode):
     # one check for the geometry's metric and one over each stencil of the
     # modified curvature's Richardson step: the coarse one, which the fd
     # Christoffel derivative reads too, and the fine one (the symbolic
-    # derivative reads y alone, whose metric is already checked); `Metric`
-    # checks a point, and a stack geometry checks its rows
+    # derivative reads y alone, whose metric is already checked); every
+    # geometry checks the rows it reads as one stack
     shapes = []
     for module in (linalg, curvature):
         def counted(gram, _check=module.check_gram):
@@ -197,7 +267,7 @@ def test_metric_checks_per_point_geometry(monkeypatch, mode):
     pg = PointGeometry(chart, sample_points(chart, 1, seed=3)[0])
     for name in GEOMETRY_FIELDS:
         getattr(pg, name)
-    assert shapes == [(5, 5), (10, 5, 5), (10, 5, 5)]
+    assert shapes == [(1, 5, 5), (10, 5, 5), (10, 5, 5)]
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "fd"])
@@ -282,10 +352,15 @@ class TestStackReads:
             assert len(got) == len(expected)
             assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
-    @pytest.mark.parametrize("y", [[0.5], [[[0.5, 0.3]]], [[0.5, 0.3, 0.1]], 0.5])
-    def test_points_must_be_a_point_or_a_stack(self, sphere, y):
+    @pytest.mark.parametrize("y", [[0.5], [[[0.5, 0.3, 0.1]]], [[0.5, 0.3, 0.1]], 0.5])
+    def test_points_must_end_in_the_chart_dimension(self, sphere, y):
         with pytest.raises(ShapeError):
             PointGeometry(sphere, y)
+
+    def test_any_leading_axes(self, sphere):
+        points = sample_points(sphere, 6, seed=4)
+        grid = PointGeometry(sphere, points.reshape(2, 3, 2))
+        assert np.array_equal(grid.riem.reshape(6, 2, 2, 2, 2), PointGeometry(sphere, points).riem)
 
 
 class TestConnectionCorrection:
@@ -347,7 +422,7 @@ class TestModifiedRiemann:
     def test_stacked_stencil_matches_pointwise_oracle(self, name, mode):
         chart = gallery_chart(name).with_mode(DerivativeMode.parse(mode))
         for y in sample_points(chart, 3, seed=13):
-            assert np.array_equal(PointGeometry(chart, y).modified_riem.comps,
+            assert np.array_equal(PointGeometry(chart, y).modified_riem,
                                   _stencil_oracle(chart, y))
 
     @pytest.mark.parametrize("g11, error, message", [
@@ -410,13 +485,13 @@ class TestModifiedRiemann:
 
     def test_antisymmetry_survives(self, s5):
         r = PointGeometry(s5, np.zeros(5)).modified_riem
-        assert r.antisymmetry_residual() < 1e-12
+        assert _antisymmetry(r) < 1e-12
 
     def test_first_bianchi_fails_with_torsion(self, s5):
         # the cyclic identity needs a torsion-free connection; at the origin
         # of the sphere chart the violation is exactly 3
         r = PointGeometry(s5, np.zeros(5)).modified_riem
-        assert r.first_bianchi_residual() == pytest.approx(3.0, abs=1e-6)
+        assert _first_bianchi(r) == pytest.approx(3.0, abs=1e-6)
 
 
 def _probes_one_at_a_time(metric, rng, count, projector=None):
@@ -462,8 +537,9 @@ class TestUnitProbes:
         pg = PointGeometry(s5, np.array([0.2, -0.1, 0.3, 0.05, -0.2]))
         projector = pg.projector if horizontal else None
         one, two = np.random.default_rng(13), np.random.default_rng(13)
-        got = unit_probes(pg.metric, one, 60, projector=projector)
-        want = _probes_one_at_a_time(pg.metric, two, 60, projector=projector)
+        metric = Metric(pg.gram)
+        got = unit_probes(metric, one, 60, projector=projector)
+        want = _probes_one_at_a_time(metric, two, 60, projector=projector)
         assert got.shape == (5, 60)
         assert np.max(np.abs(got - want)) <= 4.4e-16
         assert one.bit_generator.state == two.bit_generator.state
@@ -618,7 +694,7 @@ def _factorization_lhs(pg, x, y, z):
 
 def _factorization_rhs(pg, x, y, z):
     """Curvature side of the factorization identity on a horizontal triple."""
-    phi, a, r = pg.phi, pg.reeb_gradient, pg.riem.comps
+    phi, a, r = pg.phi, pg.reeb_gradient, pg.riem
     phz = phi @ z
     ax, ay = a @ x, a @ y
     out = pg.projector @ _riem_vec(r, x, y, phz) - phi @ _riem_vec(r, x, y, z)
@@ -632,7 +708,7 @@ def _reference_residuals(pg, c):
     the point's frame."""
     hor, full = pg.horizontal_basis.T, pg.frame.T
     p, phi, a, b = pg.projector, pg.phi, pg.reeb_gradient, pg.dxi_skew
-    r, rt, eta = pg.riem.comps, pg.modified_riem.comps, pg.eta
+    r, rt, eta = pg.riem, pg.modified_riem, pg.eta
 
     def ip(u, v):
         return _inner(pg, u, v)
@@ -720,10 +796,10 @@ class TestFrameOracle:
         pg = PointGeometry(gallery_chart(name), np.array(y))
         c = 1.0
         want = _reference_residuals(pg, c)
-        reports = (modified_connection_suite([pg], tol=OPEN_GATES),
-                   defect_collapse_suite([pg], tol=OPEN_GATES),
-                   defect_factorization_suite([pg], tol=OPEN_GATES),
-                   curvature_reconstruction_suite([pg], tol=OPEN_GATES, c=c))
+        reports = (modified_connection_suite(pg, tol=OPEN_GATES),
+                   defect_collapse_suite(pg, tol=OPEN_GATES),
+                   defect_factorization_suite(pg, tol=OPEN_GATES),
+                   curvature_reconstruction_suite(pg, tol=OPEN_GATES, c=c))
         got = {check.name: check.residual for report in reports for check in report.checks}
         got["nearly_cosymplectic"] = nearly_cosymplectic_residual(pg)
         got["contact_bridge"] = bridge_residual(pg)
@@ -739,21 +815,61 @@ class TestFrameOracle:
             assert max(want.values()) < 1e-9
 
 
+# the suites, each with the one phi-plane constant every point shares (an
+# estimated constant is the mean over the points given)
+SUITES = {
+    "modified": modified_connection_suite,
+    "collapse": defect_collapse_suite,
+    "factorization": defect_factorization_suite,
+    "reconstruction": lambda pg, tol: curvature_reconstruction_suite(pg, tol=tol, c=1.0),
+}
+
+
+def _worst_of(reports):
+    """The report of a stack from the reports of its points one at a time:
+    the same checks, each at its worst point."""
+    names = [[c.name for c in report.checks] for report in reports]
+    assert all(n == names[0] for n in names)
+    return [{**check, "residual": worst(r.checks[i].residual for r in reports),
+             "pass": all(r.checks[i].passed for r in reports)}
+            for i, check in enumerate(reports[0].to_dicts())]
+
+
+class TestStackedSuites:
+    """Each suite, and `dual_mode_suite`, over a stack of points reports
+    exactly the worst of the points one at a time, every check value equal
+    bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("tol", [DEFAULT_TOLERANCES, OPEN_GATES], ids=["gated", "open"])
+    @pytest.mark.parametrize("name", ["s5", "s5_fd", "sasakian_r5", "cosymplectic_r5"])
+    def test_stack_reports_the_worst_point(self, name, tol, n):
+        chart = STACK_CHARTS[name]()
+        points = sample_points(chart, n, seed=37)
+        stack = PointGeometry(chart, points, tol=tol)
+        ones = [PointGeometry(chart, y, tol=tol) for y in points]
+        for label, suite in SUITES.items():
+            got = suite(stack, tol=tol).to_dicts()
+            assert got == _worst_of([suite(pg, tol=tol) for pg in ones]), label
+        got = dual_mode_suite(chart, points).to_dicts()
+        assert got == _worst_of([dual_mode_suite(chart, y) for y in points])
+
+
 class TestModifiedConnectionSuite:
     def test_s5(self, s5, s5_points):
-        report = modified_connection_suite(_geoms(s5, s5_points))
+        report = modified_connection_suite(PointGeometry(s5, s5_points))
         assert report.verdict
         assert report["modified_curvature_mode_agreement"].residual < 1e-9
 
     def test_cosymplectic_trivial(self):
         chart = gallery_chart("cosymplectic_r5")
-        report = modified_connection_suite(_geoms(chart, np.zeros((1, 5))))
+        report = modified_connection_suite(PointGeometry(chart, np.zeros((1, 5))))
         assert report.verdict
 
 
 class TestDefectCollapseSuite:
     def test_s5(self, s5, s5_points):
-        report = defect_collapse_suite(_geoms(s5, s5_points))
+        report = defect_collapse_suite(PointGeometry(s5, s5_points))
         assert report.verdict
         assert report["defect_collapse"].residual < 1e-9
 
@@ -761,19 +877,19 @@ class TestDefectCollapseSuite:
         # the Reeb-direction derivative of phi vanishes for this chart, so
         # both sides of the collapsed identity are zero
         chart = gallery_chart("sasakian_r5")
-        report = defect_collapse_suite(_geoms(chart, sample_points(chart, 2, seed=5)))
+        report = defect_collapse_suite(PointGeometry(chart, sample_points(chart, 2, seed=5)))
         assert report.verdict
 
 
 class TestDefectFactorizationSuite:
     def test_s5(self, s5, s5_points):
-        report = defect_factorization_suite(_geoms(s5, s5_points))
+        report = defect_factorization_suite(PointGeometry(s5, s5_points))
         assert report.verdict
         assert report["defect_factorization"].residual < 1e-12
 
     def test_sasakian_gated_out(self):
         chart = gallery_chart("sasakian_r5")
-        report = defect_factorization_suite(_geoms(chart, sample_points(chart, 2, seed=5)))
+        report = defect_factorization_suite(PointGeometry(chart, sample_points(chart, 2, seed=5)))
         assert not report.verdict
         assert report["eta_parallel_gate"].passed
         assert not report["skew_anticommutation_gate"].passed
@@ -792,7 +908,7 @@ class TestDefectFactorizationSuite:
         # dropping the curvature terms must leave exactly the four algebraic
         # shape-operator terms; frozen at the origin on frame vectors
         pg = PointGeometry(s5, np.zeros(5))
-        pg.riem = CurvatureTensor(np.zeros((5,) * 4), pg.metric)  # fills the cache
+        pg.riem = np.zeros((5,) * 4)  # fills the cache
         e = np.eye(5)
         out = _factorization_rhs(pg, e[1], e[2], e[3])
         np.testing.assert_allclose(out, -e[2], atol=1e-14)
@@ -808,24 +924,24 @@ class TestDefectFactorizationSuite:
 
 class TestCurvatureReconstructionSuite:
     def test_s5_with_given_constant(self, s5, s5_points):
-        report = curvature_reconstruction_suite(_geoms(s5, s5_points), c=1.0)
+        report = curvature_reconstruction_suite(PointGeometry(s5, s5_points), c=1.0)
         assert report.verdict
         assert report["curvature_reconstruction_full"].residual < 1e-12
         assert report["curvature_reconstruction_horizontal"].residual < 1e-12
         assert report["nabla_phi_pairing"].residual < 1e-12
 
     def test_s5_estimates_constant(self, s5, s5_points):
-        report = curvature_reconstruction_suite(_geoms(s5, s5_points))
+        report = curvature_reconstruction_suite(PointGeometry(s5, s5_points))
         assert report.verdict
 
     def test_cosymplectic_trivially_flat(self):
         chart = gallery_chart("cosymplectic_r5")
-        report = curvature_reconstruction_suite(_geoms(chart, np.zeros((1, 5))))
+        report = curvature_reconstruction_suite(PointGeometry(chart, np.zeros((1, 5))))
         assert report.verdict
 
     def test_sasakian_gated_out(self):
         chart = gallery_chart("sasakian_r5")
-        report = curvature_reconstruction_suite(_geoms(chart, sample_points(chart, 2, seed=5)))
+        report = curvature_reconstruction_suite(PointGeometry(chart, sample_points(chart, 2, seed=5)))
         assert not report.verdict
         assert [c.name for c in report.checks] == ["nearly_cosymplectic_gate"]
 
