@@ -19,7 +19,7 @@ from .errors import (ChartFormatError, DegenerateInputError, GeometryError,
                      PreconditionError, SearchError, ShapeError)
 from .exprs import EvalError, ParseError, differentiate, evaluate, parse, to_text
 from .gallery import FANO_TRIPLES, GALLERY_NAMES, gallery_chart
-from .linalg import Metric, adjoint, gram_schmidt, skew_matrix
+from .linalg import adjoint, gram_schmidt, skew_matrix
 from .quadruples import (ComplexStructuredSpace, Quadruple, decomposition_campaign,
                          find_generic_vector, find_orthogonal_witness,
                          generic_vector_campaign, quadruple_decomposition,
@@ -38,7 +38,7 @@ __all__ = [
     "modified_connection_suite", "modified_riemann", "riemann", "ChartFormatError",
     "DegenerateInputError", "GeometryError", "PreconditionError", "SearchError", "ShapeError",
     "EvalError", "ParseError", "differentiate", "evaluate", "parse", "to_text", "FANO_TRIPLES",
-    "GALLERY_NAMES", "gallery_chart", "Metric", "adjoint", "gram_schmidt", "skew_matrix",
+    "GALLERY_NAMES", "gallery_chart", "adjoint", "gram_schmidt", "skew_matrix",
     "ComplexStructuredSpace", "Quadruple", "decomposition_campaign", "find_generic_vector",
     "find_orthogonal_witness", "generic_vector_campaign", "quadruple_decomposition",
     "random_constrained_operator", "Check", "VerificationReport", "check_eta_parallel",

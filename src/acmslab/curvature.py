@@ -51,7 +51,7 @@ from .charts import (SYMBOLIC, Chart, DerivativeMode, christoffel,
 from .config import (DEFAULT_TOLERANCES, FD_SECOND_STEP, MAX_PROBE_DRAWS,
                      PROBES_PER_RESIDUAL, Tolerances)
 from .errors import DegenerateInputError, ShapeError
-from .linalg import Metric, check_gram, max_entry, operator_in_basis, skew_matrix
+from .linalg import check_gram, inners, max_entry, norms, operator_in_basis, skew_matrix
 from .report import Check, VerificationReport, worst
 from .structure import check_eta_parallel, horizontal_basis, horizontal_projector
 
@@ -96,7 +96,7 @@ def riemann(gam, dgam, gate: float) -> np.ndarray:
 def _plane_areas(gram, x, y, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """g(x, x) g(y, y) - g(x, y)^2 of each plane span{x, y}, for stacks x
     and y of columns over leading axes, and where that plane is degenerate."""
-    xx, yy, xy = (np.sum(u * (gram @ v), axis=-2) for u, v in ((x, x), (y, y), (x, y)))
+    xx, yy, xy = (inners(u, v, gram) for u, v in ((x, x), (y, y), (x, y)))
     area = xx * yy - xy * xy
     return area, area <= tol.rank * np.maximum(xx * yy, 1e-30)
 
@@ -110,7 +110,7 @@ def sectional(riem, gram, x, y, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.n
     if np.any(degenerate):
         raise DegenerateInputError("sectional curvature of a degenerate plane")
     rxyy = np.einsum("...ijkl,...kp,...lp,...jp->...ip", riem, x, y, y)  # R(x, y) y
-    return np.sum(x * (gram @ rxyy), axis=-2) / area
+    return inners(x, rxyy, gram) / area
 
 
 # ---------------------------------------------------------------------------
@@ -353,31 +353,31 @@ def _accepted_draws(draw, keep, count: int, what: str) -> np.ndarray:
             raise DegenerateInputError(f"no {what} in {MAX_PROBE_DRAWS} draws")
 
 
-def unit_probes(metric: Metric, rng, count: int, *, projector=None) -> np.ndarray:
-    """Stack of ``count`` g-unit vectors, one per column, from standard
-    normal draws (projected first when a projector is given), redrawing any
-    whose g-norm is at most 1e-6.
+def unit_probes(gram, rng, count: int, *, projector=None) -> np.ndarray:
+    """Stack of ``count`` g-unit vectors of the Gram matrix ``gram``, one
+    per column, from standard normal draws (projected first when a
+    projector is given), redrawing any whose g-norm is at most 1e-6.
 
     The draws are rows of one ``standard_normal((n, dim))`` matrix, which
     holds the same numbers as n draws of ``standard_normal(dim)``. Raises
     DegenerateInputError after ``MAX_PROBE_DRAWS`` consecutive redraws, as
     on a chart whose horizontal space is trivial."""
     def draw(n):
-        v = rng.standard_normal((n, metric.dim)).T
+        v = rng.standard_normal((n, len(gram))).T
         return v if projector is None else projector @ v
 
-    probes = _accepted_draws(draw, lambda v: metric.norms(v) > 1e-6, count,
+    probes = _accepted_draws(draw, lambda v: norms(v, gram) > 1e-6, count,
                              "probe vector with g-norm above 1e-6")
-    return probes / metric.norms(probes)
+    return probes / norms(probes, gram)
 
 
-def _probe_tuples(metric: Metric, rng, k: int, count: int, *, projector=None) -> np.ndarray:
+def _probe_tuples(gram, rng, k: int, count: int, *, projector=None) -> np.ndarray:
     """``count`` k-tuples of g-unit probes as a ``(k, dim, count)`` array,
     so that ``x, y = _probe_tuples(...)`` unpacks k stacks; the members of
     each tuple are consecutive in one draw of ``k * count`` from
     `unit_probes`."""
-    probes = unit_probes(metric, rng, k * count, projector=projector)
-    return probes.reshape(metric.dim, count, k).transpose(2, 0, 1)
+    probes = unit_probes(gram, rng, k * count, projector=projector)
+    return probes.reshape(len(gram), count, k).transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +655,9 @@ def horizontal_sectional_values(chart: Chart, points, seed: int = 0, *,
     pg = PointGeometry(chart, np.atleast_2d(np.asarray(points, float)), tol=tol)
     pairs = []
     for gram, projector in zip(pg.gram, pg.projector):
-        metric = Metric(gram)
         pairs.append(_accepted_draws(
-            lambda n: _probe_tuples(metric, rng, 2, n, projector=projector),
-            lambda xw: np.abs(metric.inners(*xw)) <= 0.99, planes,
+            lambda n: _probe_tuples(gram, rng, 2, n, projector=projector),
+            lambda xw: np.abs(inners(*xw, gram)) <= 0.99, planes,
             "horizontal plane with |g(x, w)| <= 0.99"))
     x, w = np.stack(pairs, axis=1)
     return sectional(pg.riem, pg.gram, x, w, tol=tol).ravel().tolist()

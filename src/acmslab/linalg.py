@@ -1,9 +1,12 @@
-"""Metric-aware linear algebra on a finite-dimensional real vector space.
+"""Linear algebra on a finite-dimensional real vector space with an inner
+product given by its Gram matrix.
 
 Operators are plain ``(d, d)`` component matrices relative to an arbitrary
-frame; a Gram matrix carries the inner product, so nothing here assumes the
-frame is orthonormal. Adjoints, skew parts, eigendecompositions and
-orthonormal bases all take the metric explicitly.
+frame, and the inner product is a plain ``(d, d)`` Gram matrix, so nothing
+here assumes the frame is orthonormal. Inner products, norms, adjoints,
+skew parts, eigendecompositions, singular values and orthonormal bases all
+take the Gram matrix as an argument; `check_gram` is the one check that it
+is symmetric and positive definite.
 
 A stack of vectors is a ``(dim, n)`` array holding one vector per column, so
 an operator matrix applies to the whole stack as ``mat @ stack`` and the
@@ -11,28 +14,12 @@ formulas for one vector read the same for a stack.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 import numpy as np
 
 from .errors import DegenerateInputError, PreconditionError, ShapeError
 
 _METRIC_PD = 1e-10       # smallest admissible gram eigenvalue
 _EIGEN_RESIDUAL = 1e-8   # |mat v - lambda v| after eigensolve
-
-
-def _as_matrix(a, name: str) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise ShapeError(f"{name} must be a square matrix, got shape {out.shape}")
-    return out
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 def check_gram(gram) -> None:
@@ -54,55 +41,15 @@ def check_gram(gram) -> None:
         f"gram matrix is not positive definite (min eigenvalue {np.ravel(eigmin)[n]:.3e})")
 
 
-@dataclass(frozen=True)
-class Metric:
-    """Positive definite inner product given by its Gram matrix in the frame."""
+def inners(x, y, gram) -> np.ndarray:
+    """g(x, y) column by column for stacks x and y of columns on axis -2,
+    over any leading axes they share with ``gram``."""
+    return (np.asarray(x) * (gram @ y)).sum(axis=-2)
 
-    gram: np.ndarray
 
-    def __post_init__(self):
-        g = _as_matrix(self.gram, "gram")
-        check_gram(g)
-        object.__setattr__(self, "gram", _frozen(g))
-
-    @property
-    def dim(self) -> int:
-        return self.gram.shape[0]
-
-    @classmethod
-    def euclidean(cls, dim: int) -> "Metric":
-        return cls(np.eye(dim))
-
-    @cached_property
-    def chol_upper(self) -> np.ndarray:
-        # gram = R^T R; mapping v -> R v takes the frame to an orthonormal one
-        return _frozen(np.linalg.cholesky(self.gram).T)
-
-    def inner(self, x, y) -> float:
-        return float(np.asarray(x) @ self.gram @ np.asarray(y))
-
-    def norm(self, x) -> float:
-        return float(np.sqrt(max(self.inner(x, x), 0.0)))
-
-    def inners(self, x, y) -> np.ndarray:
-        """g(x, y) column by column for stacks x and y (a scalar for two
-        vectors)."""
-        return np.sum(np.asarray(x) * (self.gram @ y), axis=0)
-
-    def norms(self, x) -> np.ndarray:
-        """g-norm of each column of a stack (a scalar for one vector)."""
-        return np.sqrt(np.maximum(self.inners(x, x), 0.0))
-
-    def unit(self, x) -> np.ndarray:
-        n = self.norm(x)
-        if n == 0.0:
-            raise DegenerateInputError("cannot normalize the zero vector")
-        return np.asarray(x, dtype=float) / n
-
-    def to_orthonormal(self, mat: np.ndarray) -> np.ndarray:
-        """Conjugate an operator matrix into orthonormal coordinates."""
-        r = self.chol_upper
-        return r @ mat @ np.linalg.inv(r)
+def norms(x, gram) -> np.ndarray:
+    """g-norm of each column of a stack, over any leading axes."""
+    return np.sqrt(np.maximum(inners(x, x, gram), 0.0))
 
 
 def _check_same_dim(gram, *mats):
@@ -128,17 +75,18 @@ def skew_matrix(mat, gram) -> np.ndarray:
     return 0.5 * (mat - adjoint(mat, gram))
 
 
-def symmetric_eigen(mat, g: Metric, *, tol: float):
-    """Eigendecomposition of a g-self-adjoint operator matrix, whose asymmetry
-    residual must stay below ``tol`` relative to its size.
+def symmetric_eigen(mat, gram, *, tol: float):
+    """Eigendecomposition of an operator matrix self-adjoint in the Gram
+    matrix ``gram``, whose asymmetry residual must stay below ``tol``
+    relative to its size.
 
     Returns ``(vals, vecs)``: the eigenvalues ascending with stable index
     tie-break, and the g-orthonormal eigenvectors as the columns of a stack
     in the same order. Every pair is checked for ``|mat v - lambda v|`` at
     once; the first failing pair in that order raises.
     """
-    _check_same_dim(g.gram, mat)
-    gm = g.gram @ mat
+    _check_same_dim(gram, mat)
+    gm = gram @ mat
     asym = float(np.max(np.abs(gm - gm.T)))
     if asym > tol * (1.0 + float(np.max(np.abs(gm)))):
         raise PreconditionError(
@@ -146,7 +94,7 @@ def symmetric_eigen(mat, g: Metric, *, tol: float):
         )
     # generalized problem gm v = lam G v, reduced through G = L L^T to the
     # standard symmetric problem for L^-1 gm L^-T, with v = L^-T w
-    l_inv_t = np.linalg.inv(g.chol_upper)
+    l_inv_t = np.linalg.inv(np.linalg.cholesky(gram).T)
     vals, w = np.linalg.eigh(l_inv_t.T @ (0.5 * (gm + gm.T)) @ l_inv_t)
     order = np.argsort(vals, kind="stable")
     vals, vecs = vals[order], (l_inv_t @ w)[:, order]
@@ -195,9 +143,9 @@ def gram_schmidt(vectors, gram, *, rank_tol: float,
     stop = np.zeros(len(pool))  # the residual norm at which each slice stopped
     while pool.shape[-1]:
         residuals = project_out(pool, out, gram)
-        norms = np.sqrt(np.maximum((residuals * (gram @ residuals)).sum(axis=-2), 0.0))
-        best = norms.argmax(axis=-1)
-        top = norms[slices, best]
+        lengths = norms(residuals, gram)
+        best = lengths.argmax(axis=-1)
+        top = lengths[slices, best]
         ends = live & (top < rank_tol)
         if ends.any():
             stop[ends] = top[ends]
@@ -234,8 +182,11 @@ def max_entry(table, axes: int | None = None) -> float | np.ndarray:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def g_singular_values(mat, g: Metric) -> np.ndarray:
-    """Singular values of an operator matrix with respect to the g inner
-    product."""
-    _check_same_dim(g.gram, mat)
-    return np.linalg.svd(g.to_orthonormal(mat), compute_uv=False)
+def g_singular_values(mat, gram) -> np.ndarray:
+    """Singular values of an operator matrix with respect to the inner
+    product of ``gram``, descending, over any leading axes of mat and gram:
+    the plain singular values of the matrix conjugated into orthonormal
+    coordinates."""
+    _check_same_dim(gram, mat)
+    chol_upper = np.linalg.cholesky(gram).swapaxes(-1, -2)  # gram = R^T R
+    return np.linalg.svd(chol_upper @ mat @ np.linalg.inv(chol_upper), compute_uv=False)

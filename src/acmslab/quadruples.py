@@ -18,8 +18,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateInputError, PreconditionError, SearchError, ShapeError
-from .linalg import (Metric, adjoint, g_singular_values, gram_schmidt, project_out,
-                     skew_matrix, symmetric_eigen)
+from .linalg import (adjoint, check_gram, g_singular_values, gram_schmidt, norms,
+                     project_out, skew_matrix, symmetric_eigen)
 from .report import Check, VerificationReport, least, worst
 
 _MAX_OPERATOR_DRAWS = 200  # draws before a min_sigma search gives up
@@ -30,14 +30,22 @@ _GENERIC_RANDOM = 200      # random candidates after the deterministic scan
 
 @dataclass(frozen=True)
 class ComplexStructuredSpace:
-    """Even-dimensional space with a g-isometric complex structure J,
-    checked at the fixed ``_J_EXACT`` when built."""
+    """Even-dimensional space with a complex structure J that is an isometry
+    of the Gram matrix ``gram``. When built, the gram must be square,
+    symmetric and positive definite (checked first), and J is checked at the
+    fixed ``_J_EXACT``; both are kept as read-only copies."""
 
     j: np.ndarray
-    g: Metric
+    gram: np.ndarray
 
     def __post_init__(self):
-        dim = self.g.dim
+        gram = np.array(self.gram, dtype=float)
+        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+            raise ShapeError(f"gram must be a square matrix, got shape {gram.shape}")
+        check_gram(gram)
+        gram.setflags(write=False)
+        object.__setattr__(self, "gram", gram)
+        dim = len(gram)
         if dim % 2 != 0:
             raise ShapeError(f"complex structure needs even dimension, got {dim}")
         jm = np.array(self.j, dtype=float)
@@ -48,13 +56,13 @@ class ComplexStructuredSpace:
         square = float(np.max(np.abs(jm @ jm + np.eye(dim))))
         if square > _J_EXACT:
             raise PreconditionError(f"J^2 + I residual {square:.3e} too large")
-        iso = float(np.max(np.abs(jm.T @ self.g.gram @ jm - self.g.gram)))
-        if iso > _J_EXACT * (1.0 + float(np.max(np.abs(self.g.gram)))):
+        iso = float(np.max(np.abs(jm.T @ gram @ jm - gram)))
+        if iso > _J_EXACT * (1.0 + float(np.max(np.abs(gram)))):
             raise PreconditionError(f"J is not a g-isometry (residual {iso:.3e})")
 
     @property
     def dim(self) -> int:
-        return self.g.dim
+        return len(self.gram)
 
     @classmethod
     def standard(cls, dim: int) -> "ComplexStructuredSpace":
@@ -65,7 +73,7 @@ class ComplexStructuredSpace:
         jm = np.zeros((dim, dim))
         jm[m:, :m] = np.eye(m)
         jm[:m, m:] = -np.eye(m)
-        return cls(jm, Metric.euclidean(dim))
+        return cls(jm, np.eye(dim))
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,7 @@ def _check_anticommutes(space: ComplexStructuredSpace, a: np.ndarray, tol: float
 
 
 def _check_skew(space: ComplexStructuredSpace, a: np.ndarray, tol: float):
-    resid = float(np.max(np.abs(a + adjoint(a, space.g.gram))))
+    resid = float(np.max(np.abs(a + adjoint(a, space.gram))))
     if resid > tol * (1.0 + float(np.max(np.abs(a)))):
         raise PreconditionError(f"operator is not g-skew (residual {resid:.3e})")
 
@@ -95,13 +103,12 @@ def _triple(space: ComplexStructuredSpace, a: np.ndarray, y) -> np.ndarray:
 
 
 def _normalized_triple_gram_det(space: ComplexStructuredSpace, a: np.ndarray, y) -> float:
-    g = space.g
     triple = _triple(space, a, y)
-    norms = g.norms(triple)
-    if np.any(norms < 1e-14):
+    lengths = norms(triple, space.gram)
+    if np.any(lengths < 1e-14):
         return 0.0
-    unit = triple / norms
-    return float(np.linalg.det(unit.T @ g.gram @ unit))
+    unit = triple / lengths
+    return float(np.linalg.det(unit.T @ space.gram @ unit))
 
 
 def _candidate_vectors(space: ComplexStructuredSpace):
@@ -137,7 +144,7 @@ def find_generic_vector(space: ComplexStructuredSpace, a: np.ndarray,
     _check_anticommutes(space, a, tol.acms_exact)
     for candidate in _candidate_vectors(space):
         if _normalized_triple_gram_det(space, a, candidate) > tol.rank:
-            return space.g.unit(candidate)
+            return candidate / np.sqrt(candidate @ space.gram @ candidate)
     raise SearchError("no generic vector found; operator may be numerically degenerate")
 
 
@@ -149,19 +156,19 @@ def find_orthogonal_witness(space: ComplexStructuredSpace, a: np.ndarray, y,
     JAY orthogonal to the triple can never vanish when the triple is
     independent, so the projection of JAY itself serves as witness.
     """
-    g = space.g
+    gram = space.gram
     if _normalized_triple_gram_det(space, a, y) <= tol.rank:
         raise DegenerateInputError("triple {Y, JY, AY} is numerically dependent")
-    onb = gram_schmidt(_triple(space, a, y), g.gram, rank_tol=tol.rank, require_all=True)
+    onb = gram_schmidt(_triple(space, a, y), gram, rank_tol=tol.rank, require_all=True)
     jay = space.j @ (a @ y)
-    residue = project_out(jay, onb, g.gram)
-    norm = g.norm(residue)
+    residue = project_out(jay, onb, gram)
+    norm = float(np.sqrt(max(residue @ gram @ residue, 0.0)))
     if norm < tol.witness:
         raise SearchError(
             f"witness overlap {norm:.3e} below threshold; JAY almost lies in the triple span"
         )
     z = residue / norm
-    overlap = abs(g.inner(z, jay))
+    overlap = abs(float(z @ gram @ jay))
     if overlap < tol.witness:
         raise SearchError(f"witness overlap {overlap:.3e} below threshold")
     return z
@@ -188,7 +195,7 @@ def _decompose(space: ComplexStructuredSpace, a: np.ndarray,
         raise ShapeError(f"operator shape {np.shape(a)} does not match space dim {dim}")
     _check_anticommutes(space, a, tol.acms_exact)
     _check_skew(space, a, tol.acms_exact)
-    sigma_min = float(g_singular_values(a, space.g)[-1])
+    sigma_min = float(g_singular_values(a, space.gram)[-1])
     if sigma_min <= tol.singular:
         raise PreconditionError(
             f"operator is numerically singular (sigma_min {sigma_min:.3e}); "
@@ -199,47 +206,46 @@ def _decompose(space: ComplexStructuredSpace, a: np.ndarray,
             f"dimension {dim} is not divisible by 4, so no nonsingular skew "
             "anticommuting operator exists; refusing to decompose"
         )
-    g = space.g
-    jm, a2 = space.j, a @ a
-    _, candidates = symmetric_eigen(a2, g, tol=tol.self_adjoint)
+    gram, jm, a2 = space.gram, space.j, a @ a
+    _, candidates = symmetric_eigen(a2, gram, tol=tol.self_adjoint)
     used = candidates[:, :0]
     quads: list[Quadruple] = []
     a_scale = 1.0 + float(np.max(np.abs(a))) ** 2
     pairs = np.triu_indices(4, 1)
     while len(quads) < dim // 4:
         # deflate every eigenvector candidate against the blocks found so far
-        residues = project_out(candidates, used, g.gram)
-        norms = g.norms(residues)
-        best = int(np.argmax(norms))
-        if norms[best] < 1e-6:
+        residues = project_out(candidates, used, gram)
+        lengths = norms(residues, gram)
+        best = int(np.argmax(lengths))
+        if lengths[best] < 1e-6:
             raise SearchError(
                 f"deflation pivot collapsed at quadruple {len(quads) + 1}; "
                 "eigenvectors no longer span the remaining space"
             )
-        x = residues[:, best] / norms[best]
-        lam = g.inner(a2 @ x, x)
+        x = residues[:, best] / lengths[best]
+        lam = float((a2 @ x) @ gram @ x)
         ax = a @ x
         block = np.column_stack([x, jm @ x, ax, jm @ ax])
-        norms = g.norms(block)
-        if np.any(norms < tol.quad):
+        lengths = norms(block, gram)
+        if np.any(lengths < tol.quad):
             raise DegenerateInputError("quadruple vector collapsed to zero")
-        eig_resid = g.norms(a2 @ block - lam * block) / norms
+        eig_resid = norms(a2 @ block - lam * block, gram) / lengths
         drift = eig_resid[eig_resid > tol.quad * (1.0 + abs(lam)) * a_scale]
         if drift.size:
             raise DegenerateInputError(
                 f"quadruple member drifts off the A^2 eigenspace (residual {drift[0]:.3e})"
             )
-        normalized = block / norms
-        inner = np.abs(normalized.T @ g.gram @ normalized)[pairs]
+        normalized = block / lengths
+        inner = np.abs(normalized.T @ gram @ normalized)[pairs]
         skewed = inner[inner > tol.quad]
         if skewed.size:
             raise DegenerateInputError(
                 f"quadruple members are not orthogonal (inner {skewed[0]:.3e})"
             )
         used = np.column_stack([used, normalized])
-        quads.append(Quadruple(tuple(block.T), float(lam)))
-    gram = used.T @ g.gram @ used
-    off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
+        quads.append(Quadruple(tuple(block.T), lam))
+    overlaps = used.T @ gram @ used
+    off = float(np.max(np.abs(overlaps - np.diag(np.diag(overlaps)))))
     if off > tol.quad:
         raise DegenerateInputError(f"global quadruple Gram off-diagonal {off:.3e}")
     return quads, off
@@ -256,7 +262,7 @@ def constrained_operator_basis(space: ComplexStructuredSpace, *, skew: bool) -> 
     """
     d = space.dim
     jm = space.j
-    gram = space.g.gram
+    gram = space.gram
     # system[0, i, j] holds the coefficients of (AJ + JA)[i, j] in the
     # entries of A, and system[1, i, j] those of (G A + A^T G)[i, j]
     system = np.zeros((2 if skew else 1, d, d, d, d))
@@ -284,7 +290,7 @@ def constrained_projection(space: ComplexStructuredSpace, a, *, skew: bool) -> n
     """
     jm = space.j
     a = 0.5 * (a + jm @ a @ jm)
-    return skew_matrix(a, space.g.gram) if skew else a
+    return skew_matrix(a, space.gram) if skew else a
 
 
 def _constrained_dimension(space: ComplexStructuredSpace, *, skew: bool) -> int:
@@ -320,12 +326,12 @@ def random_constrained_operator(space: ComplexStructuredSpace, rng,
         if resid > gate:
             raise DegenerateInputError(f"sampled operator violates anticommutation ({resid:.3e})")
         if skew:
-            skew_resid = float(np.max(np.abs(a + adjoint(a, space.g.gram))))
+            skew_resid = float(np.max(np.abs(a + adjoint(a, space.gram))))
             if skew_resid > gate:
                 raise DegenerateInputError(f"sampled operator is not g-skew ({skew_resid:.3e})")
         if min_sigma <= 0.0:
             return a
-        if float(g_singular_values(a, space.g)[-1]) > min_sigma:
+        if float(g_singular_values(a, space.gram)[-1]) > min_sigma:
             return a
     raise SearchError(
         f"no operator with sigma_min > {min_sigma} after {_MAX_OPERATOR_DRAWS} draws")
@@ -347,7 +353,7 @@ def generic_vector_campaign(dim: int, trials: int, seed: int,
         y = find_generic_vector(space, a, tol=tol)
         z = find_orthogonal_witness(space, a, y, tol=tol)
         dets.append(_normalized_triple_gram_det(space, a, y))
-        overlaps.append(abs(space.g.inner(z, space.j @ (a @ y))))
+        overlaps.append(abs(float(z @ space.gram @ (space.j @ (a @ y)))))
     return VerificationReport.of([
         Check.above("min_triple_gram_det", least(dets), tol.rank),
         Check.above("min_witness_overlap", least(overlaps), tol.witness),
@@ -380,7 +386,7 @@ def decomposition_campaign(dim: int, trials: int, seed: int,
         sigmas = []
         for _ in range(trials):
             a = random_constrained_operator(space, rng, skew=True)
-            sigmas.append(float(g_singular_values(a, space.g)[-1]))
+            sigmas.append(float(g_singular_values(a, space.gram)[-1]))
         worst_sigma = worst(sigmas)
         checks.append(Check.below("max_sigma_min", worst_sigma,
                                   tol.singular * tol.singular_slack))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateInputError, ShapeError
-from .linalg import check_gram, gram_schmidt, max_entry
+from .linalg import check_gram, g_singular_values, gram_schmidt, max_entry
 from .report import Check, VerificationReport
 
 
@@ -84,9 +84,7 @@ def validate_acms(phi, xi, eta, gram, *,
     eta_flat = np.max(np.abs(row - (gram @ col).swapaxes(-1, -2)))
 
     gate = tol.acms_exact
-    chol_upper = np.linalg.cholesky(gram).swapaxes(-1, -2)  # gram = R^T R
-    sing = np.linalg.svd(chol_upper @ phi @ np.linalg.inv(chol_upper), compute_uv=False)
-    null_counts = np.sum(sing < gate, axis=-1)
+    null_counts = np.sum(g_singular_values(phi, gram) < gate, axis=-1)
 
     checks = [
         Check.below("phi_squared", phi_sq, gate),

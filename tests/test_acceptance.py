@@ -64,8 +64,8 @@ def test_criterion_01_quadruple_decomposition_dims_4_8_12():
             a = random_constrained_operator(space, rng, skew=True, min_sigma=1e-3)
             quads = quadruple_decomposition(space, a)
             assert len(quads) == dim // 4
-            vectors = [v / space.g.norm(v) for q in quads for v in q.vectors]
-            gram = np.array([[space.g.inner(u, v) for v in vectors]
+            vectors = [v / np.sqrt(v @ space.gram @ v) for q in quads for v in q.vectors]
+            gram = np.array([[u @ space.gram @ v for v in vectors]
                              for u in vectors])
             off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
             worst_off = max(worst_off, off)
@@ -83,7 +83,7 @@ def test_criterion_02_dim6_operators_all_singular():
     worst_sigma = 0.0
     for _ in range(1000):
         a = random_constrained_operator(space, rng, skew=True)
-        worst_sigma = max(worst_sigma, float(g_singular_values(a, space.g)[-1]))
+        worst_sigma = max(worst_sigma, float(g_singular_values(a, space.gram)[-1]))
     elapsed = perf_counter() - start
     ok = worst_sigma < 1e-8 and elapsed < 10.0
     _verdict_line(2, "dim-6 contrapositive, 1000 draws", ok)
@@ -105,9 +105,9 @@ def test_criterion_03_generic_vector_and_witness_dims_4_to_12():
             y = find_generic_vector(space, a)
             z = find_orthogonal_witness(space, a, y)
             triple = np.stack([y, space.j @ y, a @ y])
-            unit = np.stack([t / space.g.norm(t) for t in triple])
-            det = float(np.linalg.det(unit @ space.g.gram @ unit.T))
-            overlap = abs(space.g.inner(z, space.j @ (a @ y)))
+            unit = np.stack([t / np.sqrt(t @ space.gram @ t) for t in triple])
+            det = float(np.linalg.det(unit @ space.gram @ unit.T))
+            overlap = abs(z @ space.gram @ (space.j @ (a @ y)))
             worst_det = min(worst_det, det)
             worst_overlap = min(worst_overlap, overlap)
             found += 1

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from acmslab import charts, cli, curvature, structure
+from acmslab import charts, cli, curvature, linalg, structure
 from acmslab.charts import DerivativeMode, chart_to_text
 from acmslab.cli import build_parser, main
 from acmslab.config import DEFAULT_TOLERANCES, PROBES_PER_RESIDUAL, Tolerances
@@ -564,9 +564,13 @@ class TestIdentities:
     def test_curvature_reads_one_geometry_stack(self, capsys, monkeypatch, tmp_path, probes,
                                                 fd, geometries):
         # symbolic charts differentiate the Christoffel symbols in closed
-        # form; an fd chart adds one geometry over the stencils of every point
+        # form; an fd chart adds one geometry over the stencils of every point.
+        # Each geometry checks its metrics once, as one stack, and the probes
+        # of each point are drawn in the gram the geometry already checked
         calls = count_calls(monkeypatch, ((curvature.PointGeometry, "__init__"),
-                                          (curvature, "riemann")))
+                                          (curvature, "riemann"),
+                                          *((module, "check_gram")
+                                            for module in (linalg, curvature, structure))))
         source = S5
         if fd:
             path = tmp_path / "s5_fd.chart"
@@ -574,7 +578,7 @@ class TestIdentities:
             source = ["--chart", str(path)]
         code, _, _ = run(capsys, "curvature", *source, "--probes", probes, "--planes", "2")
         assert code == 0
-        assert calls == {"__init__": geometries, "riemann": 1}
+        assert calls == {"__init__": geometries, "riemann": 1, "check_gram": geometries}
 
     def test_duplicate_name_lookup_is_ambiguous(self, capsys, monkeypatch):
         # the collapse and factorization suites each report an eta_parallel_gate

@@ -34,7 +34,7 @@ from acmslab.curvature import (
 from acmslab.errors import DegenerateInputError, ShapeError
 from acmslab.exprs import EvalError
 from acmslab.gallery import GALLERY_NAMES, gallery_chart
-from acmslab.linalg import Metric, max_entry
+from acmslab.linalg import check_gram, max_entry, norms
 from acmslab.report import worst
 
 SPHERE_TEXT = """\
@@ -156,10 +156,9 @@ class TestRiemann:
         # the round metric has constant curvature on every plane, not just
         # horizontal ones
         pg = PointGeometry(s5, np.array([0.1, -0.05, 0.2, 0.0, 0.1]))
-        metric = Metric(pg.gram)
         rng = np.random.default_rng(7)
-        for x, w in zip(unit_probes(metric, rng, 6).T, unit_probes(metric, rng, 6).T):
-            if abs(metric.inner(x, w)) > 0.95:
+        for x, w in zip(unit_probes(pg.gram, rng, 6).T, unit_probes(pg.gram, rng, 6).T):
+            if abs(x @ pg.gram @ w) > 0.95:
                 continue
             assert _plane(pg, x, w) == pytest.approx(1.0, abs=1e-9)
 
@@ -176,7 +175,9 @@ def _fd_riemann_oracle(chart, y):
     step and of the Christoffel symbols at FD_SECOND_STEP."""
     def gam_at(p):
         dg = _central_difference(chart.g_at, p, chart.mode.step)
-        return christoffel(np.linalg.inv(Metric(chart.g_at(p)).gram), dg)
+        gram = chart.g_at(p)
+        check_gram(gram)
+        return christoffel(np.linalg.inv(gram), dg)
 
     return _assemble_curvature(gam_at(y), _central_difference(gam_at, y, FD_SECOND_STEP))
 
@@ -307,7 +308,10 @@ def _read_grid_by_grid(chart, points, fields):
     """Oracle for a stack geometry: g at every row in turn, each metric
     checked right after its row, then each of ``fields`` ("dg", "xi", ...)
     at every row in turn, one point at a time."""
-    grams = [Metric(chart.g_at(y)).gram for y in points]
+    grams = []
+    for y in points:
+        grams.append(chart.g_at(y))
+        check_gram(grams[-1])
     return (np.array(grams),
             *(np.array([chart._grid_at(name, y) for y in points]) for name in fields))
 
@@ -494,16 +498,16 @@ class TestModifiedRiemann:
         assert _first_bianchi(r) == pytest.approx(3.0, abs=1e-6)
 
 
-def _probes_one_at_a_time(metric, rng, count, projector=None):
+def _probes_one_at_a_time(gram, rng, count, projector=None):
     """Oracle for unit_probes: draw, project and normalize one vector at a
     time, with the same cap on consecutive redraws."""
     out = []
     while len(out) < count:
         for _ in range(MAX_PROBE_DRAWS):
-            v = rng.standard_normal(metric.dim)
+            v = rng.standard_normal(len(gram))
             if projector is not None:
                 v = projector @ v
-            n = metric.norm(v)
+            n = np.sqrt(max(v @ gram @ v, 0.0))
             if n > 1e-6:
                 out.append(v / n)
                 break
@@ -537,36 +541,35 @@ class TestUnitProbes:
         pg = PointGeometry(s5, np.array([0.2, -0.1, 0.3, 0.05, -0.2]))
         projector = pg.projector if horizontal else None
         one, two = np.random.default_rng(13), np.random.default_rng(13)
-        metric = Metric(pg.gram)
-        got = unit_probes(metric, one, 60, projector=projector)
-        want = _probes_one_at_a_time(metric, two, 60, projector=projector)
+        got = unit_probes(pg.gram, one, 60, projector=projector)
+        want = _probes_one_at_a_time(pg.gram, two, 60, projector=projector)
         assert got.shape == (5, 60)
         assert np.max(np.abs(got - want)) <= 4.4e-16
         assert one.bit_generator.state == two.bit_generator.state
 
     def test_rejected_rows_keep_order(self):
-        metric = Metric(np.diag([1.0, 4.0, 9.0]))
+        gram = np.diag([1.0, 4.0, 9.0])
         zero = [0.0, 0.0, 0.0]
         # rejections mid-batch and at the end of the first batch of 5
         rows = [[1.0, 0.0, 0.0], zero, [0.0, 2.0, 0.0], zero, zero,
                 [0.0, 0.0, 3.0], zero, [1.0, 1.0, 1.0], [2.0, 0.0, 1.0]]
         batched, looped = _ScriptedRng(rows, 3), _ScriptedRng(rows, 3)
-        got = unit_probes(metric, batched, 5)
-        want = _probes_one_at_a_time(metric, looped, 5)
+        got = unit_probes(gram, batched, 5)
+        want = _probes_one_at_a_time(gram, looped, 5)
         np.testing.assert_allclose(got, want, rtol=0, atol=4.4e-16)
         assert batched.drawn == looped.drawn == len(rows)
         accepted = np.array([r for r in rows if r != zero]).T
-        np.testing.assert_allclose(got, accepted / metric.norms(accepted), atol=4.4e-16)
+        np.testing.assert_allclose(got, accepted / norms(accepted, gram), atol=4.4e-16)
 
     @pytest.mark.parametrize("rejected", [MAX_PROBE_DRAWS - 1, MAX_PROBE_DRAWS])
     def test_cap_counts_consecutive_rejections_across_batches(self, rejected):
-        metric = Metric.euclidean(3)
+        gram = np.eye(3)
         rows = [[1.0, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * rejected + [[0.0, 1.0, 0.0]] * 2
         outcomes = []
         for draw in (unit_probes, _probes_one_at_a_time):
             rng = _ScriptedRng(rows, 3)
             try:
-                outcomes.append((draw(metric, rng, 3).tolist(), rng.drawn))
+                outcomes.append((draw(gram, rng, 3).tolist(), rng.drawn))
             except DegenerateInputError as exc:
                 outcomes.append((str(exc), rng.drawn))
         assert outcomes[0] == outcomes[1]
@@ -578,7 +581,7 @@ class TestUnitProbes:
     def test_all_rejected_raises_after_cap(self, count):
         rng = _ScriptedRng([], 3)
         with pytest.raises(DegenerateInputError) as err:
-            unit_probes(Metric.euclidean(3), rng, count)
+            unit_probes(np.eye(3), rng, count)
         assert str(err.value) == (
             f"no probe vector with g-norm above 1e-6 in {MAX_PROBE_DRAWS} draws")
         assert rng.drawn == MAX_PROBE_DRAWS

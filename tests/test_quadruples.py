@@ -9,7 +9,7 @@ from acmslab.errors import (
     SearchError,
     ShapeError,
 )
-from acmslab.linalg import Metric, adjoint, g_singular_values
+from acmslab.linalg import adjoint, g_singular_values
 from acmslab.quadruples import (
     ComplexStructuredSpace,
     _constrained_dimension,
@@ -24,13 +24,18 @@ from acmslab.quadruples import (
 )
 
 
+def _norm(v, gram):
+    """g-norm of one vector."""
+    return np.sqrt(max(v @ gram @ v, 0.0))
+
+
 def _per_row_basis(space, *, skew):
     """Oracle for constrained_operator_basis: one constraint row per entry
     of AJ + JA (and G A + A^T G), built one row at a time, then the null
     space of the stacked rows from a full SVD."""
     d = space.dim
     jm = space.j
-    gram = space.g.gram
+    gram = space.gram
     rows = []
     for i in range(d):
         for j in range(d):
@@ -64,7 +69,7 @@ def _non_euclidean_space(dim, seed):
     is a g-isometry with J^2 = -I and G is not a multiple of the identity."""
     s = np.eye(dim) + 0.3 * np.random.default_rng(seed).standard_normal((dim, dim))
     j0 = ComplexStructuredSpace.standard(dim).j
-    return ComplexStructuredSpace(np.linalg.solve(s, j0 @ s), Metric(s.T @ s))
+    return ComplexStructuredSpace(np.linalg.solve(s, j0 @ s), s.T @ s)
 
 
 def _skew_anticommuting_dim4():
@@ -96,16 +101,16 @@ class TestComplexStructuredSpace:
 
     def test_bad_square_rejected(self):
         with pytest.raises(PreconditionError):
-            ComplexStructuredSpace(np.eye(2), Metric.euclidean(2))
+            ComplexStructuredSpace(np.eye(2), np.eye(2))
 
     @pytest.mark.parametrize("jm", [np.eye(2), np.zeros((4, 2)), np.zeros(4)])
     def test_wrong_shape_rejected(self, jm):
         with pytest.raises(ShapeError):
-            ComplexStructuredSpace(jm, Metric.euclidean(4))
+            ComplexStructuredSpace(jm, np.eye(4))
 
     def test_j_is_a_readonly_copy(self):
         jm = ComplexStructuredSpace.standard(4).j.copy()
-        space = ComplexStructuredSpace(jm, Metric.euclidean(4))
+        space = ComplexStructuredSpace(jm, np.eye(4))
         jm[0, 0] = 7.0
         assert space.j[0, 0] == 0.0
         with pytest.raises(ValueError):
@@ -114,7 +119,32 @@ class TestComplexStructuredSpace:
     def test_non_isometry_rejected(self):
         jm = np.array([[0.0, -1.0], [1.0, 0.0]])
         with pytest.raises(PreconditionError):
-            ComplexStructuredSpace(jm, Metric(np.diag([1.0, 4.0])))
+            ComplexStructuredSpace(jm, np.diag([1.0, 4.0]))
+
+    # the gram is checked before J, so each J below would pass on its own
+    # or fail with another error type
+
+    def test_rejects_asymmetric_gram(self):
+        with pytest.raises(DegenerateInputError, match="not symmetric"):
+            ComplexStructuredSpace(ComplexStructuredSpace.standard(2).j,
+                                   np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    def test_rejects_indefinite_gram(self):
+        with pytest.raises(DegenerateInputError, match="not positive definite"):
+            ComplexStructuredSpace(np.eye(2), np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("gram", [np.ones((2, 3)), np.ones(4), np.ones((1, 4, 4))])
+    def test_rejects_nonsquare_gram(self, gram):
+        with pytest.raises(ShapeError, match="gram must be a square matrix"):
+            ComplexStructuredSpace(np.eye(2), gram)
+
+    def test_gram_is_a_readonly_copy(self):
+        gram = np.eye(2)
+        space = ComplexStructuredSpace(ComplexStructuredSpace.standard(2).j, gram)
+        gram[0, 0] = 7.0
+        assert space.gram[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            space.gram[0, 0] = 7.0
 
 
 class TestGenericVector:
@@ -163,7 +193,7 @@ class TestGenericVector:
                 continue
             y = find_generic_vector(space, a)
             triple = np.stack([y, space.j @ y, a @ y])
-            gram = triple @ space.g.gram @ triple.T
+            gram = triple @ space.gram @ triple.T
             assert np.linalg.det(gram) > 1e-10
 
 
@@ -179,17 +209,17 @@ class TestOrthogonalWitness:
     def test_witness_properties(self):
         space = ComplexStructuredSpace.standard(6)
         rng = np.random.default_rng(23)
-        g = space.g
+        g = space.gram
         for _ in range(15):
             a = random_constrained_operator(space, rng, skew=False)
             if np.max(np.abs(a)) < 1e-8:
                 continue
             y = find_generic_vector(space, a)
             z = find_orthogonal_witness(space, a, y)
-            assert g.norm(z) == pytest.approx(1.0)
+            assert _norm(z, g) == pytest.approx(1.0)
             for t in (y, space.j @ y, a @ y):
-                assert abs(g.inner(z, t)) < 1e-9
-            assert abs(g.inner(z, space.j @ (a @ y))) > 1e-8
+                assert abs(z @ g @ t) < 1e-9
+            assert abs(z @ g @ (space.j @ (a @ y))) > 1e-8
 
     def test_dependent_triple_rejected(self):
         space = ComplexStructuredSpace.standard(2)
@@ -208,7 +238,7 @@ class TestQuadrupleDecomposition:
         x, jx, ax, jax = q.vectors
         np.testing.assert_allclose(jx, space.j @ x, atol=1e-12)
         np.testing.assert_allclose(jax, space.j @ ax, atol=1e-12)
-        gram = np.array([[space.g.inner(u, v) for v in q.vectors]
+        gram = np.array([[u @ space.gram @ v for v in q.vectors]
                          for u in q.vectors])
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
 
@@ -242,7 +272,7 @@ class TestQuadrupleDecomposition:
         # properties only: the eigenvectors of A^2 come from LAPACK, so no
         # vector is frozen
         space = ComplexStructuredSpace.standard(dim)
-        g, jm = space.g, space.j
+        g, jm = space.gram, space.j
         rng = np.random.default_rng(dim)
         for _ in range(10):
             a = random_constrained_operator(space, rng, skew=True, min_sigma=1e-3)
@@ -255,9 +285,9 @@ class TestQuadrupleDecomposition:
                 np.testing.assert_allclose(ax, a @ x, atol=1e-12)
                 np.testing.assert_allclose(jax, jm @ ax, atol=1e-12)
                 for v in q.vectors:
-                    assert g.norm(a2 @ v - q.eigenvalue * v) < 1e-8 * (1.0 + g.norm(v))
-            vectors = np.column_stack([v / g.norm(v) for q in quads for v in q.vectors])
-            np.testing.assert_allclose(vectors.T @ g.gram @ vectors, np.eye(dim),
+                    assert _norm(a2 @ v - q.eigenvalue * v, g) < 1e-8 * (1.0 + _norm(v, g))
+            vectors = np.column_stack([v / _norm(v, g) for q in quads for v in q.vectors])
+            np.testing.assert_allclose(vectors.T @ g @ vectors, np.eye(dim),
                                        atol=1e-8)
 
 
@@ -306,11 +336,11 @@ class TestConstrainedProjection:
         a = random_constrained_operator(space, np.random.default_rng(11), skew=True,
                                         min_sigma=1e-3)
         assert np.max(np.abs(a + a.T)) > 1e-3
-        assert np.max(np.abs(a + adjoint(a, space.g.gram))) < 1e-12 * (1.0 + np.max(np.abs(a)))
+        assert np.max(np.abs(a + adjoint(a, space.gram))) < 1e-12 * (1.0 + np.max(np.abs(a)))
         quads = quadruple_decomposition(space, a)
         assert len(quads) == 2
-        vectors = np.column_stack([v / space.g.norm(v) for q in quads for v in q.vectors])
-        np.testing.assert_allclose(vectors.T @ space.g.gram @ vectors, np.eye(8), atol=1e-8)
+        vectors = np.column_stack([v / _norm(v, space.gram) for q in quads for v in q.vectors])
+        np.testing.assert_allclose(vectors.T @ space.gram @ vectors, np.eye(8), atol=1e-8)
 
 
 class TestConstrainedBasis:
@@ -331,7 +361,7 @@ class TestConstrainedBasis:
             for b in basis:
                 assert np.max(np.abs(b @ jm + jm @ b)) < 1e-10
                 if skew:
-                    resid = np.max(np.abs(b + adjoint(b, space.g.gram)))
+                    resid = np.max(np.abs(b + adjoint(b, space.gram)))
                     assert resid < 1e-10
 
     @pytest.mark.parametrize("skew", [False, True])
@@ -352,7 +382,7 @@ class TestConstrainedBasis:
         space = ComplexStructuredSpace.standard(4)
         rng = np.random.default_rng(29)
         a = random_constrained_operator(space, rng, skew=True, min_sigma=0.1)
-        assert float(g_singular_values(a, space.g)[-1]) > 0.1
+        assert float(g_singular_values(a, space.gram)[-1]) > 0.1
 
 
 class TestCampaigns:
