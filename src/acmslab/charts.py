@@ -52,8 +52,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ChartFormatError, ShapeError
-from .exprs import (EvalError, Expr, Num, compile_kernel, differentiate, evaluate,
-                    free_variables, parse, to_text)
+from .exprs import (EvalError, Expr, Num, ParseError, compile_kernel, differentiate,
+                    evaluate, free_variables, parse, to_text)
 
 _ZERO = Num(0.0)
 _DEFAULT_FD_STEP = 1e-5
@@ -494,7 +494,7 @@ def chart_from_text(text: str, *, name: str = "") -> Chart:
             kind, i, j = m2.group(1), int(m2.group(2)), int(m2.group(3))
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise ChartFormatError(f"line {lineno}: index out of range in {lhs} (dim {dim})")
-            fields2[(kind, i - 1, j - 1)] = _parse_component(rhs, lineno, nodes)
+            fields2[(kind, i - 1, j - 1)] = _parse_component(raw, rhs, lineno, nodes)
         elif m1:
             kind, i = m1.group(1), int(m1.group(2))
             if not 1 <= i <= dim:
@@ -511,7 +511,7 @@ def chart_from_text(text: str, *, name: str = "") -> Chart:
                     raise ChartFormatError(f"line {lineno}: empty domain [{lo}, {hi}]")
                 domain[i - 1] = (lo, hi)
             else:
-                fields1[(kind, i - 1)] = _parse_component(rhs, lineno, nodes)
+                fields1[(kind, i - 1)] = _parse_component(raw, rhs, lineno, nodes)
         else:
             raise ChartFormatError(f"line {lineno}: unrecognized field {lhs!r}")
     if dim is None:
@@ -532,9 +532,15 @@ def chart_from_text(text: str, *, name: str = "") -> Chart:
                  tuple(xi), tuple(eta), mode=mode, domain=dom, name=name)
 
 
-def _parse_component(rhs: str, lineno: int, nodes: dict) -> Expr:
+def _parse_component(raw: str, rhs: str, lineno: int, nodes: dict) -> Expr:
     try:
         return parse(rhs, nodes)
+    except ParseError as exc:
+        # ``rhs`` is one line, and starts at the first non-blank after the
+        # first '=' of ``raw``
+        after = raw[raw.index("=") + 1:]
+        column = len(raw) - len(after.lstrip()) + exc.column
+        raise ChartFormatError(f"line {lineno}, column {column}: {exc.message}") from exc
     except Exception as exc:
         raise ChartFormatError(f"line {lineno}: {exc}") from exc
 

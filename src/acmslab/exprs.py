@@ -7,6 +7,10 @@ symbolically so Christoffel data can be evaluated without finite-difference
 noise; simplification is limited to float constant folding and the 0/1
 identities, which keeps printed output predictable.
 
+`parse` scans the whole text with one token pattern before parsing starts,
+and each token keeps its position as a character offset; only a
+`ParseError` turns an offset into a line and column.
+
 A chart's expressions are one DAG, not a forest of trees. `parse` builds
 each repeated subtree once, and callers that parse many components pass one
 node table so that equal subtrees across all of them are one object too.
@@ -33,6 +37,7 @@ survives the round trip.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Union
@@ -176,75 +181,48 @@ FUNCTIONS: dict[str, tuple[Callable[[float], float], Callable[[Expr, Expr], Expr
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
-_OPERATORS = set("+-*/^()")
+#: One token after optional blanks: a number, a name, an operator, the end
+#: of the text, or any other character (an error). Every position of a text
+#: matches, so the matches tile it. ``\d`` and ``\w`` are Unicode classes.
+_TOKEN = re.compile(r"""[ \t\r\n]*(?:
+    (?P<num>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)
+  | (?P<name>[^\W\d_]\w*)
+  | (?P<op>[-+*/^()])
+  | (?P<end>\Z)
+  | (?P<bad>.))""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | name | op | end
-    text: str
-    line: int
-    column: int
+def _error(text: str, message: str, offset: int) -> ParseError:
+    """A `ParseError` at character ``offset`` of ``text``, with its 1-based
+    line and column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The ``(kind, text, offset)`` tokens of ``text``, ending with one
+    ``end`` token; kind is num, name, op or end. An operator is known by its
+    text alone."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lexeme = text[i:j]
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        lexeme, offset = m[kind], m.start(kind)
+        if kind == "bad":
+            raise _error(text, f"unexpected character {lexeme!r}", offset)
+        if kind == "num":
             try:
                 float(lexeme)
             except ValueError:
-                raise ParseError(f"malformed number {lexeme!r}", line, start_col)
-            tokens.append(_Token("num", lexeme, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OPERATORS:
-            tokens.append(_Token("op", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("end", "", line, col))
-    return tokens
+                raise _error(text, f"malformed number {lexeme!r}", offset)
+        tokens.append((kind, lexeme, offset))
+        if kind == "end":
+            return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], nodes: dict[tuple, Expr]):
-        self.tokens = tokens
+    def __init__(self, text: str, nodes: dict[tuple, Expr]):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.nodes = nodes
 
@@ -258,41 +236,42 @@ class _Parser:
             node = self.nodes[key] = cls(*fields)
         return node
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect_op(self, text: str, *, context: _Token | None = None):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == text:
-            return self.next()
-        if context is not None and tok.kind == "end":
-            raise ParseError("unclosed parenthesis", context.line, context.column)
-        raise ParseError(f"expected {text!r}", tok.line, tok.column)
+    def expect_op(self, op: str, *, context: int | None = None) -> int:
+        """The offset of the next token, which must be ``op``. At the end
+        of the text, a ``context`` offset names the unclosed parenthesis."""
+        kind, text, offset = self.next()
+        if text == op:
+            return offset
+        if context is not None and kind == "end":
+            raise _error(self.text, "unclosed parenthesis", context)
+        raise _error(self.text, f"expected {op!r}", offset)
 
     def parse_expr(self) -> Expr:
         node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
+        while self.peek()[1] in ("+", "-"):
+            op = self.next()[1]
             right = self.parse_term()
             node = self.share(("bin", op, id(node), id(right)), Bin, op, node, right)
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
+        while self.peek()[1] in ("*", "/"):
+            op = self.next()[1]
             right = self.parse_unary()
             node = self.share(("bin", op, id(node), id(right)), Bin, op, node, right)
         return node
 
     def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        if self.peek()[1] == "-":
             self.next()
             inner = self.parse_unary()
             # fold a minus on a bare literal into the literal (canonical form)
@@ -304,60 +283,56 @@ class _Parser:
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
+        if self.peek()[1] != "^":
+            return base
+        self.next()
+        sign = 1
+        if self.peek()[1] == "-":
             self.next()
-            sign = 1
-            if self.peek().kind == "op" and self.peek().text == "-":
-                self.next()
-                sign = -1
-            exp_tok = self.peek()
-            if exp_tok.kind != "num" or not exp_tok.text.isdigit():
-                raise ParseError("exponent must be an integer literal",
-                                 exp_tok.line, exp_tok.column)
-            self.next()
-            exponent = sign * int(exp_tok.text)
-            return self.share(("pow", exponent, id(base)), Pow, base, exponent)
-        return base
+            sign = -1
+        kind, text, offset = self.next()
+        if kind != "num" or not text.isdigit():
+            raise _error(self.text, "exponent must be an integer literal", offset)
+        exponent = sign * int(text)
+        return self.share(("pow", exponent, id(base)), Pow, base, exponent)
 
     def parse_atom(self) -> Expr:
-        tok = self.next()
-        if tok.kind == "num":
-            value = float(tok.text)
+        kind, text, offset = self.next()
+        if kind == "num":
+            value = float(text)
             return self.share(("num", repr(value)), Num, value)
-        if tok.kind == "name":
-            if tok.text in FUNCTIONS:
-                open_tok = self.expect_op("(")
+        if kind == "name":
+            if text in FUNCTIONS:
+                opener = self.expect_op("(")
                 arg = self.parse_expr()
-                self.expect_op(")", context=open_tok)
-                return self.share(("call", tok.text, id(arg)), Call, tok.text, arg)
-            if tok.text[0] == "x" and tok.text[1:].isdigit():
-                index = int(tok.text[1:])
+                self.expect_op(")", context=opener)
+                return self.share(("call", text, id(arg)), Call, text, arg)
+            if text[0] == "x" and text[1:].isdigit():
+                index = int(text[1:])
                 if index < 1:
-                    raise ParseError("variable indices start at x1", tok.line, tok.column)
+                    raise _error(self.text, "variable indices start at x1", offset)
                 return self.share(("var", index), Var, index)
-            raise ParseError(f"unknown variable name {tok.text!r}", tok.line, tok.column)
-        if tok.kind == "op" and tok.text == "(":
-            if self.peek().kind == "end":
-                raise ParseError("unclosed parenthesis", tok.line, tok.column)
+            raise _error(self.text, f"unknown variable name {text!r}", offset)
+        if text == "(":
+            if self.peek()[0] == "end":
+                raise _error(self.text, "unclosed parenthesis", offset)
             inner = self.parse_expr()
-            self.expect_op(")", context=tok)
+            self.expect_op(")", context=offset)
             return inner
-        if tok.kind == "end":
-            raise ParseError("unexpected end of input", tok.line, tok.column)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.column)
+        if kind == "end":
+            raise _error(self.text, "unexpected end of input", offset)
+        raise _error(self.text, f"unexpected token {text!r}", offset)
 
 
 def parse(text: str, nodes: dict[tuple, Expr] | None = None) -> Expr:
     """The tree of ``text``, with each repeated subtree one shared object.
     Calls that pass the same ``nodes`` table share subtrees with each other
     too; the table maps each node's structure to the node."""
-    parser = _Parser(_tokenize(text), {} if nodes is None else nodes)
+    parser = _Parser(text, {} if nodes is None else nodes)
     node = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ParseError(f"unexpected trailing input {trailing.text!r}",
-                         trailing.line, trailing.column)
+    kind, trailing, offset = parser.peek()
+    if kind != "end":
+        raise _error(text, f"unexpected trailing input {trailing!r}", offset)
     return node
 
 
@@ -537,10 +512,13 @@ def _children(e: Expr) -> tuple:
 # ---------------------------------------------------------------------------
 # compiled kernels
 
-#: Statements per generated function, each compiled on its own. Compiling
-#: the S^5 second metric derivatives (1,681 nodes) in one piece peaks at about
-#: 5 MB of allocations; 200 statements at a time peak near 1.3 MB and run as
-#: fast.
+#: Statements per generated function, each compiled on its own. Chunks bound
+#: the compiler's memory (a dim-64 chart's `dphi` grid has 262,144
+#: components) and cost about a fifth of row speed. Building the nine S^5
+#: grids in a fresh process grew ru_maxrss by 1.2 MB chunked against 5.1 MB
+#: in one piece, and one piece evaluated `ddg` (1,681 nodes) at 2 rows in
+#: 97-143 µs against 122-179 µs chunked (best of 300; Python 3.11.7,
+#: numpy 2.4.6).
 _CHUNK = 200
 
 

@@ -529,6 +529,8 @@ class TestFileFormat:
         ("# cap\ndim = 65\n", "line 2: dim must be at most 64, got 65"),
         ("dim = 2\ng[3][1] = 1\n", "index out of range"),
         ("dim = 2\ng[1][1] = 1 +\n", "line 2"),
+        ("dim = 2\ng[1][1] = 1\ng[2][2] = 1 + $x1\n",
+         "line 3, column 15: unexpected character '$'"),
         ("dim = 2\nbogus[1] = 1\n", "unrecognized field"),
         ("dim = 2\njust words\n", "expected 'name = value'"),
         ("dim = 2\ndomain[1] = 1\n", "domain wants"),

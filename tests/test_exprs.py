@@ -150,6 +150,21 @@ class TestParseErrors:
         assert exc.value.line == 2
         assert exc.value.column == 3
 
+    @pytest.mark.parametrize("text,message,position", [
+        ("1 +\r\n  bogus", "unknown variable name 'bogus'", (2, 3)),
+        ("x1 +  ", "unexpected end of input", (1, 7)),
+        ("\tx1 $", "unexpected character '$'", (1, 5)),
+        ("x1 +\n1..2", "malformed number '1..2'", (2, 1)),
+        # the whole text is scanned before parsing, so the $ wins
+        ("x1 x2 $", "unexpected character '$'", (1, 7)),
+        ("x1 + ²", "unknown variable name '²'", (1, 6)),
+    ])
+    def test_positions(self, text, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.message == message
+        assert (exc.value.line, exc.value.column) == position
+
 
 class TestPrinting:
     def test_integers_print_bare(self):
