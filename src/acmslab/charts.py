@@ -9,12 +9,12 @@ differences of the base grids, selected by the mode. Everything downstream
 the arrays produced here.
 
 All grids go through one stack reader, `Chart._grids_at`, which runs each
-grid's compiled kernel (`exprs.compile_kernel`, built on first use) over
-the rows of a stack of points in order. A row on which the kernel hits a
-domain error is re-evaluated with `exprs.evaluate` in component order, so
-the `EvalError` names the first failing component; a non-finite value is
-an `EvalError` too. The reader returns the rows before the first failing
-row and the error that row raises on its own. In finite-difference mode a
+grid's array program (`exprs.array_program`, built on first use) over all
+the rows of a stack of points at once. If that raises or reads a
+non-finite value, the rows are read again one at a time, and the first
+row that fails alone is walked with `exprs.evaluate` in component order
+to name the failing component in an `EvalError`. The reader returns the
+rows before that row and its error. In finite-difference mode a
 derivative grid reads the base grid over the stacked stencil of every
 point (`stencil_points`) and differences it.
 
@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ChartFormatError, ShapeError
-from .exprs import (EvalError, Expr, Num, ParseError, compile_kernel, differentiate,
+from .exprs import (EvalError, Expr, Num, ParseError, array_program, differentiate,
                     evaluate, free_variables, parse, to_text)
 
 _ZERO = Num(0.0)
@@ -181,8 +181,8 @@ class Chart:
         return y
 
     def _grid(self, name: str) -> "_Grid":
-        """The symbolic grid ``name`` with its compiled kernel, built on
-        first use and kept for the life of the chart."""
+        """The symbolic grid ``name`` with its array program, built on first
+        use and kept for the life of the chart."""
         grid = self._dcache.get(name)
         if grid is None:
             if name.startswith("d"):
@@ -206,7 +206,7 @@ class Chart:
         rows before it, stacked along a new leading axis, and the `EvalError`
         that row raises on its own (None when every row reads).
         Finite-difference charts difference the base grid, read at each row's
-        `stencil_points` as one stack, instead of compiling derivatives."""
+        `stencil_points` as one stack, instead of reading symbolic derivatives."""
         if name.startswith("d") and self.mode.kind == "fd":
             if name.startswith("dd"):
                 raise ShapeError("second metric derivatives are symbolic-mode only")
@@ -215,29 +215,27 @@ class Chart:
             base = base[:len(base) // n * n].reshape((-1, n) + base.shape[1:])
             return stencil_difference(base, h, 1), error
         grid = self._grid(name)
-        rows: list[list[float]] = []
+        try:
+            values = grid.program(points)
+            if np.isfinite(values).all():
+                return values.reshape((len(points),) + grid.shape), None
+        except FloatingPointError:
+            pass
+        rows: list = []  # one row at a time, up to the first that fails
         error = None
-        for values in points.tolist():
+        for y in points:
             try:
-                rows.append(grid.kernel(values))
-            except (ZeroDivisionError, ValueError, OverflowError):
-                # the tree-walker names the first failing component, in order
-                row: list[float] = []
-                try:
-                    for label, e in zip(grid.labels, grid.exprs):
-                        row.append(evaluate(e, values))
-                except EvalError as exc:
-                    error = EvalError(f"{label} at point {values}: {exc.message}", exc.where)
-                    break
-                rows.append(row)
-        out = np.array(rows).reshape((len(rows),) + grid.shape)
-        bad = np.flatnonzero(~np.isfinite(out))  # a non-finite value is an error too
-        if bad.size:
-            r, n = divmod(int(bad[0]), len(grid.exprs))
-            error = EvalError(f"{grid.labels[n]} at point {points[r].tolist()}: "
-                              f"non-finite value {rows[r][n]!r}", to_text(grid.exprs[n]))
-            out = out[:r]
-        return out, error
+                row = grid.program(y[None])[0]
+                if np.isfinite(row).all():
+                    rows.append(row)
+                    continue
+            except FloatingPointError:
+                pass
+            row, error = grid.walk(y.tolist())
+            if error is not None:
+                break
+            rows.append(row)
+        return np.array(rows).reshape((len(rows),) + grid.shape), error
 
     def g_at(self, y) -> np.ndarray:
         return self._grid_at("g", y)
@@ -264,36 +262,54 @@ class Chart:
 
 @dataclass(frozen=True)
 class _Grid:
-    """A chart tensor as a flat tuple of component expressions in C order,
-    with the label each component carries in errors and the compiled kernel
-    that evaluates them all at once."""
+    """The chart grid ``name`` ("g", "dphi", "ddg") as a flat tuple of
+    component expressions in C order, with the array program that evaluates
+    them all over a stack of points."""
 
+    name: str
     shape: tuple[int, ...]
-    labels: tuple[str, ...]
     exprs: tuple[Expr, ...]
-    kernel: Callable[[list[float]], list[float]]
-
-    @classmethod
-    def of(cls, shape, labels, exprs) -> "_Grid":
-        return cls(shape, tuple(labels), tuple(exprs), compile_kernel(exprs))
+    program: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def base(cls, name: str, entries, dim: int) -> "_Grid":
         shape = (dim, dim) if name in ("g", "phi") else (dim,)
-        return cls.of(shape, *_components(name, entries, dim))
+        exprs = _components(name, entries, dim)[1]
+        return cls(name, shape, tuple(exprs), array_program(exprs))
 
     @classmethod
     def derivative(cls, inner: "_Grid", dim: int, memo: dict) -> "_Grid":
         """Grid of d inner / d x_k, with k as the new leading index, taken
-        through `differentiate`'s ``memo``. Labels read "d g[1][2] / d x3",
-        then "dd g[1][2] / d x3 d x4"."""
-        labels, exprs = [], []
-        for k in range(dim):
-            for label, e in zip(inner.labels, inner.exprs):
-                exprs.append(differentiate(e, k + 1, memo))
-                labels.append(f"d{label} d x{k + 1}" if label.startswith("d")
-                              else f"d {label} / d x{k + 1}")
-        return cls.of((dim,) + inner.shape, labels, exprs)
+        through `differentiate`'s ``memo``."""
+        exprs = [differentiate(e, k + 1, memo) for k in range(dim) for e in inner.exprs]
+        return cls("d" + inner.name, (dim,) + inner.shape, tuple(exprs), array_program(exprs))
+
+    def label(self, n: int) -> str:
+        """Component ``n``'s label in errors: "g[1][2]", "d g[1][2] / d x3",
+        "dd g[1][2] / d x3 d x4" (x4 the leading index)."""
+        base = self.name.lstrip("d")
+        order = len(self.name) - len(base)
+        index = np.unravel_index(n, self.shape)
+        label = base + "".join(f"[{i + 1}]" for i in index[order:])
+        wrt = " ".join(f"d x{k + 1}" for k in index[order - 1::-1])
+        return f"{'d' * order} {label} / {wrt}" if order else label
+
+    def walk(self, values: list[float]) -> tuple[list[float], EvalError | None]:
+        """The components at the point ``values`` by the tree-walker, in
+        order, before the first that raises (or else the first that is not
+        finite), and the `EvalError` naming that one (None if none fails)."""
+        row: list[float] = []
+        try:
+            for e in self.exprs:
+                row.append(evaluate(e, values))
+            bad = [n for n, v in enumerate(row) if not math.isfinite(v)]
+            if not bad:
+                return row, None
+            n = bad[0]
+            exc = EvalError(f"non-finite value {row[n]!r}", to_text(self.exprs[n]))
+        except EvalError as raised:
+            n, exc = len(row), raised
+        return row[:n], EvalError(f"{self.label(n)} at point {values}: {exc.message}", exc.where)
 
 
 def _components(name: str, entries, dim: int) -> tuple[list[str], list[Expr]]:

@@ -229,6 +229,37 @@ class TestStackedReads:
             assert error is None, name
             assert np.array_equal(got, np.array(rows)), name
 
+    @pytest.mark.parametrize("name", GRIDS)
+    def test_long_stack_equals_rows_and_chunks(self, name):
+        # bit for bit, signed zeros included: the origin, and -0.0 coordinates
+        chart = gallery_chart("s5")
+        points = sample_points(chart, 2100, seed=23)
+        points[0] = 0.0
+        points[1] = -0.0
+        points[2, ::2] = -0.0
+        got, error = chart._grids_at(name, points)
+        assert error is None
+        for size in (1, 7):
+            parts = [chart._grids_at(name, points[i:i + size])
+                     for i in range(0, len(points), size)]
+            assert all(e is None for _, e in parts)
+            assert got.tobytes() == np.concatenate([p for p, _ in parts]).tobytes(), size
+
+    def test_intermediate_overflow_reads_as_the_tree_walker(self):
+        # x1 * x1 overflows to inf in the middle row, and 1 / inf is 0.0
+        chart = chart_from_text("dim = 1\ng[1][1] = 1 / (x1 * x1)\n")
+        got, error = chart._grids_at("g", np.array([[2.0], [1e200], [4.0]]))
+        assert error is None
+        assert got.tolist() == [[[0.25]], [[0.0]], [[0.0625]]]
+
+    def test_overflow_returns_the_rows_before(self):
+        chart = chart_from_text("dim = 2\ng[1][1] = 1\ng[2][2] = x2^2\n")
+        got, error = chart._grids_at("g", np.array([[0.0, 3.0], [0.0, 1e200], [0.0, 2.0]]))
+        assert got.tolist() == [[[1.0, 0.0], [0.0, 9.0]]]
+        assert error.message == ("g[2][2] at point [0.0, 1e+200]: "
+                                 "math error: overflow encountered in power")
+        assert error.where == "x2^2"
+
     # x1 * x1 overflows to inf without raising; sqrt(x1) raises below 0
     @pytest.mark.parametrize("mode, name, rows, first", [
         ("symbolic", "g", [[1.0], [1e200], [-1.0]], 1),  # non-finite, then a raise
@@ -252,7 +283,7 @@ class TestStackedReads:
 
 class TestGridErrors:
     """Grid methods raise the tree-walker's EvalError, with the component
-    label in front, whatever the compiled kernel raised first."""
+    label in front, whatever the array program raised first."""
 
     @pytest.mark.parametrize("text,point", [
         ("1 / x1", [0.0]),        # division by zero
@@ -279,7 +310,7 @@ class TestGridErrors:
 
     def test_first_failing_component_in_order(self):
         # phi[1][2] fails at 1 / x2 first; sqrt(x1), shared with phi[2][1],
-        # fails too, and the kernel may reach it first
+        # fails too, and the array program may reach it first
         chart = chart_from_text(
             "dim = 2\nphi[1][2] = 1 / x2 + sqrt(x1)\nphi[2][1] = sqrt(x1)\n")
         with pytest.raises(EvalError) as exc:
