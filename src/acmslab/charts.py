@@ -20,9 +20,12 @@ point (`stencil_points`) and differences it.
 
 A chart's expressions are one DAG. `chart_from_text` parses every
 component through one node table, so equal subtrees anywhere in the chart
-are one object. The symbolic derivative grids share one `differentiate`
-memo, kept in `Chart._dcache` next to the grids, so across all of a chart's
-grids each (node, variable) pair is differentiated once. The check that a
+are one object, and each distinct parenthesized group, such as S^5's
+``(1 - (x1^2 + ... + x5^2))`` in almost every entry, is parsed once per
+chart and read from the table wherever it repeats. The symbolic
+derivative grids share one `differentiate` memo, kept in `Chart._dcache`
+next to the grids, so across all of a chart's grids each (node, variable)
+pair is differentiated once. The check that a
 chart uses only x1..xd visits each distinct node once, and walks the
 components one by one only when it fails, to name the first offender.
 Nothing is cached across charts: each chart parses and builds its own.
@@ -557,6 +560,8 @@ def _parse_component(raw: str, rhs: str, lineno: int, nodes: dict) -> Expr:
         after = raw[raw.index("=") + 1:]
         column = len(raw) - len(after.lstrip()) + exc.column
         raise ChartFormatError(f"line {lineno}, column {column}: {exc.message}") from exc
+    except RecursionError as exc:  # the parser descends once per nesting level
+        raise ChartFormatError(f"line {lineno}: expression nested too deeply") from exc
     except Exception as exc:
         raise ChartFormatError(f"line {lineno}: {exc}") from exc
 

@@ -7,13 +7,18 @@ symbolically so Christoffel data can be evaluated without finite-difference
 noise; simplification is limited to float constant folding and the 0/1
 identities, which keeps printed output predictable.
 
-`parse` scans the whole text with one token pattern before parsing starts,
-and each token keeps its position as a character offset; only a
-`ParseError` turns an offset into a line and column.
+`parse` splits the whole text into lexeme strings with one ``findall`` of
+one token pattern before parsing starts; a lexeme's kind is read off its
+first character. Token offsets are found only for a `ParseError`: the text
+is scanned again with the same pattern, which raises a bad character or a
+malformed number first, and the offset becomes a line and column.
 
 A chart's expressions are one DAG, not a forest of trees. `parse` builds
 each repeated subtree once, and callers that parse many components pass one
 node table so that equal subtrees across all of them are one object too.
+The table also maps the lexemes of each parenthesized group (a function's
+argument too) to the group's node, so each distinct group is parsed once
+per table: a repeated copy is skipped to its closing parenthesis.
 `differentiate` takes a memo keyed by node and variable, so over a whole
 chart each shared subexpression is differentiated once per variable and
 its derivative is one object wherever it is used. (Equal derivatives of
@@ -182,15 +187,31 @@ FUNCTIONS: dict[str, tuple[np.ufunc, Callable[[Expr, Expr], Expr]]] = {
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
-#: One token after optional blanks: a number, a name, an operator, the end
-#: of the text, or any other character (an error). Every position of a text
-#: matches, so the matches tile it. ``\d`` and ``\w`` are Unicode classes.
-_TOKEN = re.compile(r"""[ \t\r\n]*(?:
-    (?P<num>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)
-  | (?P<name>[^\W\d_]\w*)
-  | (?P<op>[-+*/^()])
-  | (?P<end>\Z)
-  | (?P<bad>.))""", re.VERBOSE)
+#: The kinds of token, each with the pattern of its lexemes, in the order
+#: they are tried: a number, a name, an operator, the end of the text, or
+#: any other character (an error). ``\d`` and ``\w`` are Unicode classes.
+_KINDS = (("num", r"(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?"),
+          ("name", r"[^\W\d_]\w*"),
+          ("op", r"[-+*/^()]"),
+          ("end", r"\Z"),
+          ("bad", r"."))
+
+#: One lexeme (group 1) after optional blanks. Every position of a text
+#: matches, so the matches tile it, and the last lexeme is the empty end.
+_TOKEN = re.compile(r"[ \t\r\n]*(%s)" % "|".join(pattern for _, pattern in _KINDS))
+
+
+def _kind(lexeme: str) -> str:
+    """The kind in `_KINDS` whose pattern scanned ``lexeme``. The first
+    character decides (the second after a leading '.'), by the pattern's
+    classes: ``\\d`` is `str.isdecimal`, ``\\w`` is `str.isalnum` or '_'."""
+    if not lexeme:
+        return "end"
+    if (lexeme[1:2] if lexeme[0] == "." else lexeme[0]).isdecimal():
+        return "num"
+    if lexeme[0].isalnum():
+        return "name"
+    return "op" if lexeme in "-+*/^()" else "bad"
 
 
 def _error(text: str, message: str, offset: int) -> ParseError:
@@ -200,14 +221,13 @@ def _error(text: str, message: str, offset: int) -> ParseError:
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """The ``(kind, text, offset)`` tokens of ``text``, ending with one
-    ``end`` token; kind is num, name, op or end. An operator is known by its
-    text alone."""
-    tokens = []
+def _offsets(text: str) -> list[int]:
+    """The character offset of each lexeme of ``text``. Raises the first
+    unexpected character or malformed number of the text, if any."""
+    offsets = []
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        lexeme, offset = m[kind], m.start(kind)
+        lexeme, offset = m[1], m.start(1)
+        kind = _kind(lexeme)
         if kind == "bad":
             raise _error(text, f"unexpected character {lexeme!r}", offset)
         if kind == "num":
@@ -215,17 +235,42 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 float(lexeme)
             except ValueError:
                 raise _error(text, f"malformed number {lexeme!r}", offset)
-        tokens.append((kind, lexeme, offset))
+        offsets.append(offset)
         if kind == "end":
-            return tokens
+            return offsets
+
+
+def _match_parens(lexemes: list[str]) -> dict[int, int]:
+    """The index of the ``)`` that closes each matched ``(`` of ``lexemes``."""
+    close: dict[int, int] = {}
+    opened = []
+    for i, lexeme in enumerate(lexemes):
+        if lexeme == "(":
+            opened.append(i)
+        elif lexeme == ")" and opened:
+            close[opened.pop()] = i
+    return close
 
 
 class _Parser:
+    """Recursive descent over the lexemes of one text. A parenthesized group
+    (a function's argument too) that parses is kept in the node table under
+    its lexemes, parentheses included, so a later copy of it, in this text
+    or in another parsed with the same table, is skipped to its closing
+    parenthesis and read as the same node."""
+
     def __init__(self, text: str, nodes: dict[tuple, Expr]):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.lexemes = _TOKEN.findall(text)
+        self.close = _match_parens(self.lexemes)
         self.pos = 0
         self.nodes = nodes
+
+    def error(self, message: str, index: int) -> ParseError:
+        """A `ParseError` at lexeme ``index``. Offsets are found only here,
+        by scanning the text again, and a bad character or malformed number
+        anywhere in the text is the error instead."""
+        return _error(self.text, message, _offsets(self.text)[index])
 
     def share(self, key: tuple, cls, *fields) -> Expr:
         """The table's node ``cls(*fields)`` under ``key``, made on first
@@ -237,42 +282,55 @@ class _Parser:
             node = self.nodes[key] = cls(*fields)
         return node
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.lexemes[self.pos]
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
+    def next(self) -> str:
+        lexeme = self.lexemes[self.pos]
         self.pos += 1
-        return tok
+        return lexeme
 
-    def expect_op(self, op: str, *, context: int | None = None) -> int:
-        """The offset of the next token, which must be ``op``. At the end
-        of the text, a ``context`` offset names the unclosed parenthesis."""
-        kind, text, offset = self.next()
-        if text == op:
-            return offset
-        if context is not None and kind == "end":
-            raise _error(self.text, "unclosed parenthesis", context)
-        raise _error(self.text, f"expected {op!r}", offset)
+    def expect_op(self, op: str, *, context: int | None = None) -> None:
+        """Consume the next lexeme, which must be ``op``. At the end of the
+        text, a ``context`` index names the unclosed parenthesis."""
+        if self.next() == op:
+            return
+        if context is not None and self.lexemes[self.pos - 1] == "":
+            raise self.error("unclosed parenthesis", context)
+        raise self.error(f"expected {op!r}", self.pos - 1)
+
+    def parse_group(self, opener: int) -> Expr:
+        """The expression between the ``(`` at lexeme ``opener``, just
+        consumed, and its ``)``."""
+        close = self.close.get(opener, opener)  # an unclosed group cannot parse
+        key = tuple(self.lexemes[opener:close + 1])
+        node = self.nodes.get(key)
+        if node is not None:
+            self.pos = close + 1
+            return node
+        node = self.parse_expr()
+        self.expect_op(")", context=opener)
+        self.nodes[key] = node  # it parsed, so the ``)`` just consumed is ``close``
+        return node
 
     def parse_expr(self) -> Expr:
         node = self.parse_term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
+        while self.peek() in ("+", "-"):
+            op = self.next()
             right = self.parse_term()
             node = self.share(("bin", op, id(node), id(right)), Bin, op, node, right)
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_unary()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
+        while self.peek() in ("*", "/"):
+            op = self.next()
             right = self.parse_unary()
             node = self.share(("bin", op, id(node), id(right)), Bin, op, node, right)
         return node
 
     def parse_unary(self) -> Expr:
-        if self.peek()[1] == "-":
+        if self.peek() == "-":
             self.next()
             inner = self.parse_unary()
             # fold a minus on a bare literal into the literal (canonical form)
@@ -284,56 +342,59 @@ class _Parser:
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
-        if self.peek()[1] != "^":
+        if self.peek() != "^":
             return base
         self.next()
         sign = 1
-        if self.peek()[1] == "-":
+        if self.peek() == "-":
             self.next()
             sign = -1
-        kind, text, offset = self.next()
-        if kind != "num" or not text.isdigit():
-            raise _error(self.text, "exponent must be an integer literal", offset)
+        text = self.next()
+        if not text.isdecimal():  # only a number lexeme can be all decimal digits
+            raise self.error("exponent must be an integer literal", self.pos - 1)
         exponent = sign * int(text)
         return self.share(("pow", exponent, id(base)), Pow, base, exponent)
 
     def parse_atom(self) -> Expr:
-        kind, text, offset = self.next()
+        at = self.pos
+        text = self.next()
+        if text == "(":
+            if self.peek() == "":
+                raise self.error("unclosed parenthesis", at)
+            return self.parse_group(at)
+        kind = _kind(text)
         if kind == "num":
-            value = float(text)
+            try:
+                value = float(text)
+            except ValueError:  # `error` raises the malformed number first
+                raise self.error(f"malformed number {text!r}", at)
             return self.share(("num", repr(value)), Num, value)
         if kind == "name":
             if text in FUNCTIONS:
-                opener = self.expect_op("(")
-                arg = self.parse_expr()
-                self.expect_op(")", context=opener)
+                self.expect_op("(")
+                arg = self.parse_group(at + 1)
                 return self.share(("call", text, id(arg)), Call, text, arg)
-            if text[0] == "x" and text[1:].isdigit():
+            if text[0] == "x" and text[1:].isdecimal():
                 index = int(text[1:])
                 if index < 1:
-                    raise _error(self.text, "variable indices start at x1", offset)
+                    raise self.error("variable indices start at x1", at)
                 return self.share(("var", index), Var, index)
-            raise _error(self.text, f"unknown variable name {text!r}", offset)
-        if text == "(":
-            if self.peek()[0] == "end":
-                raise _error(self.text, "unclosed parenthesis", offset)
-            inner = self.parse_expr()
-            self.expect_op(")", context=offset)
-            return inner
+            raise self.error(f"unknown variable name {text!r}", at)
         if kind == "end":
-            raise _error(self.text, "unexpected end of input", offset)
-        raise _error(self.text, f"unexpected token {text!r}", offset)
+            raise self.error("unexpected end of input", at)
+        raise self.error(f"unexpected token {text!r}", at)
 
 
 def parse(text: str, nodes: dict[tuple, Expr] | None = None) -> Expr:
     """The tree of ``text``, with each repeated subtree one shared object.
     Calls that pass the same ``nodes`` table share subtrees with each other
-    too; the table maps each node's structure to the node."""
+    too; the table maps each node's structure to the node, and each
+    parenthesized group parsed to its node."""
     parser = _Parser(text, {} if nodes is None else nodes)
     node = parser.parse_expr()
-    kind, trailing, offset = parser.peek()
-    if kind != "end":
-        raise _error(text, f"unexpected trailing input {trailing!r}", offset)
+    trailing = parser.peek()
+    if trailing:
+        raise parser.error(f"unexpected trailing input {trailing!r}", parser.pos)
     return node
 
 

@@ -519,6 +519,60 @@ class TestSamplePoints:
         assert np.all(pts >= center - 0.9 * half - 1e-12)
 
 
+def _entries(chart) -> list:
+    return [e for name in ("g", "phi", "xi", "eta")
+            for e in charts._components(name, getattr(chart, name), chart.dim)[1]]
+
+
+def _component_texts(text: str) -> list[str]:
+    """The right-hand side of each component line of a chart file."""
+    return [line.split("=", 1)[1] for line in text.splitlines()
+            if line.startswith(("g[", "phi[", "xi[", "eta["))]
+
+
+class TestParsedDag:
+    """`chart_from_text` reads each repeated parenthesized group from its
+    node table; the DAG is the one a parse of every copy would build."""
+
+    @pytest.mark.parametrize("mode", [SYMBOLIC, DerivativeMode("fd")], ids=["symbolic", "fd"])
+    @pytest.mark.parametrize("name", GALLERY_NAMES)
+    def test_round_trip_keeps_components(self, name, mode):
+        chart = gallery_chart(name).with_mode(mode)
+        again = chart_from_text(chart_to_text(chart))
+        assert _entries(again) == _entries(chart)
+        assert [to_text(e) for e in _entries(again)] == [to_text(e) for e in _entries(chart)]
+
+    @pytest.mark.parametrize("name", GALLERY_NAMES)
+    def test_shared_table_equals_fresh_tables(self, name):
+        texts = _component_texts(chart_to_text(gallery_chart(name)))
+        nodes: dict = {}
+        assert [parse(t, nodes) for t in texts] == [parse(t) for t in texts]
+
+    def test_equal_groups_are_one_object(self):
+        chart = chart_from_text(chart_to_text(gallery_chart("s5").with_mode(DerivativeMode("fd"))))
+        group = chart.g[0][1].right  # x1 * x2 / (1 - (...))
+        assert to_text(group) == "1 - (x1^2 + x2^2 + x3^2 + x4^2 + x5^2)"
+        assert chart.phi[1][0].right.right.arg is group  # x3 - x1 * x4 / sqrt(1 - (...))
+        assert chart.xi[0].arg is group
+
+    def test_repeated_group_is_parsed_once(self, monkeypatch):
+        text = chart_to_text(gallery_chart("s5").with_mode(DerivativeMode("fd")))
+        outer = exprs._TOKEN.findall("1 - (x1^2 + x2^2 + x3^2 + x4^2 + x5^2)")[:-1]
+        inner = outer[3:-1]
+        assert text.count("(1 - (x1^2 + x2^2 + x3^2 + x4^2 + x5^2))") == 56
+        starts = []
+        parse_expr = exprs._Parser.parse_expr
+
+        def counted(parser):
+            starts.append(parser.lexemes[parser.pos:])
+            return parse_expr(parser)
+
+        monkeypatch.setattr(exprs._Parser, "parse_expr", counted)
+        chart_from_text(text)
+        assert sum(s[:len(outer)] == outer for s in starts) == 1
+        assert sum(s[:len(inner)] == inner for s in starts) == 1
+
+
 class TestFileFormat:
     def test_metric_mirroring(self):
         chart = chart_from_text("dim = 2\ng[1][1] = 1\ng[1][2] = x1\ng[2][2] = 1\n")
@@ -562,6 +616,8 @@ class TestFileFormat:
         ("dim = 2\ng[1][1] = 1 +\n", "line 2"),
         ("dim = 2\ng[1][1] = 1\ng[2][2] = 1 + $x1\n",
          "line 3, column 15: unexpected character '$'"),
+        ("dim = 2\ng[1][1] = (x1 + x2)\ng[2][2] = (x1 + x2) * (x1 + x2) + y\n",
+         "line 3, column 35: unknown variable name 'y'"),
         ("dim = 2\nbogus[1] = 1\n", "unrecognized field"),
         ("dim = 2\njust words\n", "expected 'name = value'"),
         ("dim = 2\ndomain[1] = 1\n", "domain wants"),

@@ -789,3 +789,15 @@ class TestDeepExpressions:
         assert code == 2
         assert "nested too deeply" in err
         assert "derivative_mode = fd" in err
+
+    @pytest.mark.parametrize("expr", ["(" * 3000 + "x1" + ")" * 3000,
+                                      "-" * 3000 + "x1",
+                                      "sin(" * 3000 + "x1" + ")" * 3000],
+                             ids=["parentheses", "minuses", "calls"])
+    def test_nesting_too_deep_to_parse_is_usage_error(self, capsys, tmp_path, expr):
+        path = tmp_path / "nested.chart"
+        path.write_text(FLAT_TEXT.replace("g[1][1] = 1\n", f"g[1][1] = {expr}\n"))
+        code, out, err = run(capsys, "validate", "--chart", str(path), *FAST)
+        assert code == 2
+        assert out == ""
+        assert err == "acmslab: error: line 2: expression nested too deeply\n"

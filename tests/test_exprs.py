@@ -2,9 +2,11 @@
 exact derivatives."""
 import math
 import random
+import re
 
 import pytest
 
+from acmslab import exprs
 from acmslab.exprs import (
     Bin,
     Call,
@@ -77,6 +79,20 @@ class TestParsing:
         b = parse("2 * (x1^2 + 1)", nodes)
         assert b.right is a
         assert parse("x1^2 + 1") is not a  # a fresh table
+
+    def test_equal_groups_are_one_object(self):
+        nodes = {}
+        a = parse("(x1 - sqrt(x2)) * 2 + cos(x1 - sqrt(x2))", nodes)
+        b = parse("exp(x1 - sqrt(x2))", nodes)
+        assert a.left.left is a.right.arg is b.arg
+        assert a.left.left == parse("x1 - sqrt(x2)")
+
+    def test_group_nodes_equal_fresh_parses(self):
+        # a group read from the table is the node a fresh parse would build
+        nodes = {}
+        for text in ("-(2)", "(2)^3 - (2)", "(x1 * (x2 + 1)) / (x2 + 1)", "((x1))"):
+            assert parse(text, nodes) == parse(text)
+        assert parse("-(2)") == Num(-2.0)
 
     def test_signed_zeros_stay_distinct(self):
         e = parse("0 + -0")
@@ -164,6 +180,53 @@ class TestParseErrors:
             parse(text)
         assert exc.value.message == message
         assert (exc.value.line, exc.value.column) == position
+
+    @pytest.mark.parametrize("text,message,position", [
+        # the second group is read from the table; the $ after it still wins
+        ("(x1 + x2) * (x1 + x2) $", "unexpected character '$'", (1, 23)),
+        ("(x1 + x2) * (x1 + x2", "unclosed parenthesis", (1, 13)),
+        ("(x1 + x2) * (x1 + x2) + y", "unknown variable name 'y'", (1, 25)),
+        ("sin(x1 + x2) - (x1 + x2) x3", "unexpected trailing input 'x3'", (1, 26)),
+        ("(x1 + x2) *\n (x1 + x2) ^ x1", "exponent must be an integer literal", (2, 14)),
+    ])
+    def test_positions_after_a_repeated_group(self, text, message, position):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.message == message
+        assert (exc.value.line, exc.value.column) == position
+
+    def test_position_after_a_group_from_an_earlier_text(self):
+        nodes = {}
+        parse("(x1 + x2)^2", nodes)
+        with pytest.raises(ParseError) as exc:
+            parse("1 - (x1 + x2) * 2..5", nodes)
+        assert exc.value.message == "malformed number '2..5'"
+        assert exc.value.column == 17
+
+    @pytest.mark.parametrize("text,message", [
+        ("x1 + ½", "unknown variable name '½'"),
+        ("x²", "unknown variable name 'x²'"),
+        ("_x", "unexpected character '_'"),
+    ])
+    def test_unicode_lexemes(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.message == message
+
+    def test_arabic_indic_digits_are_numbers(self):
+        assert parse("\u0663 * x\u0662") == Bin("*", Num(3.0), Var(2))
+
+    @pytest.mark.parametrize("text", [
+        "²", "½", "\u0663", "\u0663\u0660.5", "x\u0662", "_x", "x1", "x²", ".5", ".",
+        "1..2", "1e5", "e5", "sin", "(", "^", "$", "\u00e9t\u00e9", "",
+    ])
+    def test_lexeme_kind_agrees_with_token_pattern(self, text):
+        # the parser reads a kind off each lexeme; it must be the kind of
+        # the pattern alternative that scanned it
+        for lexeme in exprs._TOKEN.findall(text):
+            expected = next(kind for kind, pattern in exprs._KINDS
+                            if re.fullmatch(pattern, lexeme))
+            assert exprs._kind(lexeme) == expected, lexeme
 
 
 class TestPrinting:
@@ -378,6 +441,20 @@ class TestHashCons:
         nodes, roots = hash_cons([parse("sin(x1) * sin(x1)"), parse("sin(x1)")])
         assert nodes == [("var", 1), ("call", "sin", 0), ("bin", "*", 1, 1)]
         assert roots == [2, 1]
+
+    def test_equal_groups_are_one_object(self):
+        nodes = {}
+        a = parse("(x1 - sqrt(x2)) * 2 + cos(x1 - sqrt(x2))", nodes)
+        b = parse("exp(x1 - sqrt(x2))", nodes)
+        assert a.left.left is a.right.arg is b.arg
+        assert a.left.left == parse("x1 - sqrt(x2)")
+
+    def test_group_nodes_equal_fresh_parses(self):
+        # a group read from the table is the node a fresh parse would build
+        nodes = {}
+        for text in ("-(2)", "(2)^3 - (2)", "(x1 * (x2 + 1)) / (x2 + 1)", "((x1))"):
+            assert parse(text, nodes) == parse(text)
+        assert parse("-(2)") == Num(-2.0)
 
     def test_signed_zeros_stay_distinct(self):
         nodes, _ = hash_cons([Num(0.0), Num(-0.0)])
