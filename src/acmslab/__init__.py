@@ -20,7 +20,7 @@ from .errors import (ChartFormatError, DegenerateInputError, GeometryError,
 from .exprs import EvalError, ParseError, differentiate, evaluate, parse, to_text
 from .gallery import FANO_TRIPLES, GALLERY_NAMES, gallery_chart
 from .linalg import adjoint, gram_schmidt, skew_matrix
-from .quadruples import (ComplexStructuredSpace, Quadruple, decomposition_campaign,
+from .quadruples import (ComplexStructuredSpace, decomposition_campaign,
                          find_generic_vector, find_orthogonal_witness,
                          generic_vector_campaign, quadruple_decomposition,
                          random_constrained_operator)
@@ -39,7 +39,7 @@ __all__ = [
     "DegenerateInputError", "GeometryError", "PreconditionError", "SearchError", "ShapeError",
     "EvalError", "ParseError", "differentiate", "evaluate", "parse", "to_text", "FANO_TRIPLES",
     "GALLERY_NAMES", "gallery_chart", "adjoint", "gram_schmidt", "skew_matrix",
-    "ComplexStructuredSpace", "Quadruple", "decomposition_campaign", "find_generic_vector",
+    "ComplexStructuredSpace", "decomposition_campaign", "find_generic_vector",
     "find_orthogonal_witness", "generic_vector_campaign", "quadruple_decomposition",
     "random_constrained_operator", "Check", "VerificationReport", "check_eta_parallel",
     "horizontal_basis", "validate_acms",

@@ -26,7 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .charts import Chart, load_chart, sample_points
+from .charts import MAX_CHART_DIM, Chart, load_chart, sample_points
 from .config import DEFAULT_TOLERANCES, POINTS_PER_CHART, PROBES_PER_RESIDUAL, Tolerances
 from .curvature import (PointGeometry, bridge_residual, contact_residuals,
                         curvature_reconstruction_suite, defect_collapse_suite,
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lemma", help="randomized dimension campaigns for "
                                       "anticommuting operators")
     sp.add_argument("--dim", type=int, default=8,
-                    help="even ambient dimension, at least 4")
+                    help=f"even ambient dimension, from 4 to {MAX_CHART_DIM}")
     sp.add_argument("--trials", type=int, default=50, help="random operators per campaign")
     _add_run_options(sp)
 
@@ -248,6 +248,8 @@ def cmd_lemma(args) -> int:
     # in dimension 2 the triple {Y, JY, AY} can never be independent
     if args.dim < 4 or args.dim % 2 != 0:
         raise GeometryError(f"--dim must be an even integer >= 4, got {args.dim}")
+    if args.dim > MAX_CHART_DIM:  # refused before any dim x dim array is built
+        raise GeometryError(f"--dim must be at most {MAX_CHART_DIM}, got {args.dim}")
     if args.trials < 1:
         raise GeometryError(f"--trials must be positive, got {args.trials}")
     part1 = generic_vector_campaign(args.dim, args.trials, seed, tol=tol)

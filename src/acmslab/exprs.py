@@ -272,6 +272,15 @@ class _Parser:
         anywhere in the text is the error instead."""
         return _error(self.text, message, _offsets(self.text)[index])
 
+    def integer(self, index: int, digits: str, what: str) -> int:
+        """The decimal ``digits`` of lexeme ``index`` as an int, or a
+        `ParseError` there when CPython refuses to convert that many digits
+        (`sys.get_int_max_str_digits`)."""
+        try:
+            return int(digits)
+        except ValueError:
+            raise self.error(f"{what} too long ({len(digits)} digits)", index)
+
     def share(self, key: tuple, cls, *fields) -> Expr:
         """The table's node ``cls(*fields)`` under ``key``, made on first
         sight. A key is the node's structure: child fields are table nodes
@@ -352,7 +361,7 @@ class _Parser:
         text = self.next()
         if not text.isdecimal():  # only a number lexeme can be all decimal digits
             raise self.error("exponent must be an integer literal", self.pos - 1)
-        exponent = sign * int(text)
+        exponent = sign * self.integer(self.pos - 1, text, "exponent")
         return self.share(("pow", exponent, id(base)), Pow, base, exponent)
 
     def parse_atom(self) -> Expr:
@@ -375,7 +384,7 @@ class _Parser:
                 arg = self.parse_group(at + 1)
                 return self.share(("call", text, id(arg)), Call, text, arg)
             if text[0] == "x" and text[1:].isdecimal():
-                index = int(text[1:])
+                index = self.integer(at, text[1:], "variable index")
                 if index < 1:
                     raise self.error("variable indices start at x1", at)
                 return self.share(("var", index), Var, index)

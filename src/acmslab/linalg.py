@@ -78,33 +78,39 @@ def skew_matrix(mat, gram) -> np.ndarray:
 def symmetric_eigen(mat, gram, *, tol: float):
     """Eigendecomposition of an operator matrix self-adjoint in the Gram
     matrix ``gram``, whose asymmetry residual must stay below ``tol``
-    relative to its size.
+    relative to its size, over any leading axes of mat and gram; each
+    slice is solved on its own, as alone.
 
-    Returns ``(vals, vecs)``: the eigenvalues ascending with stable index
-    tie-break, and the g-orthonormal eigenvectors as the columns of a stack
-    in the same order. Every pair is checked for ``|mat v - lambda v|`` at
-    once; the first failing pair in that order raises.
+    Returns ``(vals, vecs)``: each slice's eigenvalues ascending with stable
+    index tie-break, and its g-orthonormal eigenvectors as the columns of a
+    stack in the same order. The asymmetry is checked for every slice, then
+    every pair for ``|mat v - lambda v|``, each at once; the first failing
+    slice (and pair) in C order raises.
     """
     _check_same_dim(gram, mat)
     gm = gram @ mat
-    asym = float(np.max(np.abs(gm - gm.T)))
-    if asym > tol * (1.0 + float(np.max(np.abs(gm)))):
+    asym = np.abs(gm - gm.swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = np.flatnonzero(asym > tol * (1.0 + np.abs(gm).max(axis=(-2, -1))))
+    if bad.size:
         raise PreconditionError(
-            f"operator is not g-self-adjoint (asymmetry residual {asym:.3e})"
+            f"operator is not g-self-adjoint (asymmetry residual {np.ravel(asym)[bad[0]]:.3e})"
         )
     # generalized problem gm v = lam G v, reduced through G = L L^T to the
     # standard symmetric problem for L^-1 gm L^-T, with v = L^-T w
-    l_inv_t = np.linalg.inv(np.linalg.cholesky(gram).T)
-    vals, w = np.linalg.eigh(l_inv_t.T @ (0.5 * (gm + gm.T)) @ l_inv_t)
-    order = np.argsort(vals, kind="stable")
-    vals, vecs = vals[order], (l_inv_t @ w)[:, order]
-    resid = np.max(np.abs(mat @ vecs - vecs * vals), axis=0)
-    scale = 1.0 + float(np.max(np.abs(mat)))
-    bad = np.flatnonzero(resid > _EIGEN_RESIDUAL * (1.0 + np.abs(vals)) * scale)
+    l_inv_t = np.linalg.inv(np.linalg.cholesky(gram).swapaxes(-1, -2))
+    vals, w = np.linalg.eigh(
+        l_inv_t.swapaxes(-1, -2) @ (0.5 * (gm + gm.swapaxes(-1, -2))) @ l_inv_t)
+    order = np.argsort(vals, axis=-1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(l_inv_t @ w, order[..., None, :], axis=-1)
+    resid = np.abs(mat @ vecs - vecs * vals[..., None, :]).max(axis=-2)
+    scale = 1.0 + np.abs(mat).max(axis=(-2, -1))
+    bad = np.flatnonzero(resid > _EIGEN_RESIDUAL * (1.0 + np.abs(vals)) * scale[..., None])
     if bad.size:
         n = bad[0]
         raise DegenerateInputError(
-            f"eigenpair residual {resid[n]:.3e} exceeds tolerance for eigenvalue {vals[n]:.6g}"
+            f"eigenpair residual {np.ravel(resid)[n]:.3e} exceeds tolerance "
+            f"for eigenvalue {np.ravel(vals)[n]:.6g}"
         )
     return vals, vecs
 

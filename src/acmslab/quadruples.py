@@ -9,6 +9,15 @@ g-skew and nonsingular, the space splits into orthogonal quadruples
 to be divisible by four. The companion campaign helpers drive randomized
 checks of both facts, including the contrapositive (in dimensions not
 divisible by four every skew anticommuting operator is singular).
+
+Every function here works over a leading trial axis: an operator argument
+is one ``(d, d)`` matrix or a stack ``(..., d, d)`` of them, a vector
+argument has the matching leading shape, and each result keeps it. One
+operator is a stack of one, so a stack gives each trial exactly the floats
+its own call gives. A check over a stack raises for its first failing
+trial, and the checks run stage by stage, each over the whole stack, so
+the first failing trial of the first failing stage raises. The campaigns
+draw, check and reduce their trials as stacks of at most ``_BLOCK``.
 """
 from __future__ import annotations
 
@@ -22,10 +31,11 @@ from .linalg import (adjoint, check_gram, g_singular_values, gram_schmidt, norms
                      project_out, skew_matrix, symmetric_eigen)
 from .report import Check, VerificationReport, least, worst
 
-_MAX_OPERATOR_DRAWS = 200  # draws before a min_sigma search gives up
+_MAX_OPERATOR_DRAWS = 200  # consecutive rejected draws before a min_sigma search gives up
 _J_EXACT = 1e-9            # J^2 + I and g-isometry residual gate for J
 _GENERIC_SEED = 0          # seed of the random tail of the generic-vector scan
 _GENERIC_RANDOM = 200      # random candidates after the deterministic scan
+_BLOCK = 64                # trials per campaign stack, so --trials scales time, not memory
 
 
 @dataclass(frozen=True)
@@ -76,39 +86,65 @@ class ComplexStructuredSpace:
         return cls(jm, np.eye(dim))
 
 
-@dataclass(frozen=True)
-class Quadruple:
-    """One orthogonal block (X, JX, AX, JAX) tied to an eigenvalue of A^2."""
+def _first(bad) -> int | None:
+    """Index of the first true entry of ``bad`` in C order, or None."""
+    hit = np.flatnonzero(bad)
+    return int(hit[0]) if hit.size else None
 
-    vectors: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    eigenvalue: float
+
+def _operators(space: ComplexStructuredSpace, a) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``a`` as an ``(n, d, d)`` stack, and its leading shape (``()`` for
+    one operator)."""
+    a = np.asarray(a, dtype=float)
+    d = space.dim
+    if a.shape[-2:] != (d, d):
+        raise ShapeError(f"operator shape {a.shape} does not match space dim {d}")
+    return a.reshape(-1, d, d), a.shape[:-2]
+
+
+def _apply(mat, v) -> np.ndarray:
+    """``mat @ v`` for one vector per slice: one matrix-vector product each,
+    the product a lone vector gets."""
+    return (mat @ v[..., None])[..., 0]
+
+
+def _quadratic(u, gram, v) -> np.ndarray:
+    """``u @ gram @ v`` for one pair of vectors per slice, in that order."""
+    return (u[..., None, :] @ gram @ v[..., None])[..., 0, 0]
 
 
 def _check_anticommutes(space: ComplexStructuredSpace, a: np.ndarray, tol: float):
-    resid = float(np.max(np.abs(a @ space.j + space.j @ a)))
-    if resid > tol * (1.0 + float(np.max(np.abs(a)))):
-        raise PreconditionError(f"operator does not anticommute with J (residual {resid:.3e})")
+    resid = np.abs(a @ space.j + space.j @ a).max(axis=(-2, -1))
+    n = _first(resid > tol * (1.0 + np.abs(a).max(axis=(-2, -1))))
+    if n is not None:
+        raise PreconditionError(
+            f"operator does not anticommute with J (residual {resid[n]:.3e})")
 
 
 def _check_skew(space: ComplexStructuredSpace, a: np.ndarray, tol: float):
-    resid = float(np.max(np.abs(a + adjoint(a, space.gram))))
-    if resid > tol * (1.0 + float(np.max(np.abs(a)))):
-        raise PreconditionError(f"operator is not g-skew (residual {resid:.3e})")
+    resid = np.abs(a + adjoint(a, space.gram)).max(axis=(-2, -1))
+    n = _first(resid > tol * (1.0 + np.abs(a).max(axis=(-2, -1))))
+    if n is not None:
+        raise PreconditionError(f"operator is not g-skew (residual {resid[n]:.3e})")
 
 
 def _triple(space: ComplexStructuredSpace, a: np.ndarray, y) -> np.ndarray:
-    """The stack (Y, JY, AY)."""
-    y = np.asarray(y, float)
-    return np.column_stack([y, space.j @ y, a @ y])
+    """The column stacks (Y, JY, AY), one per operator of ``a``; ``y`` is
+    one vector per operator or one vector for all of them."""
+    y = np.broadcast_to(y, a.shape[:-1])
+    return np.stack([y, _apply(space.j, y), _apply(a, y)], axis=-1)
 
 
-def _normalized_triple_gram_det(space: ComplexStructuredSpace, a: np.ndarray, y) -> float:
+def _normalized_triple_gram_det(space: ComplexStructuredSpace, a: np.ndarray,
+                                y) -> np.ndarray:
+    """Gram determinant of the normalized triple of each operator; 0.0
+    where a member of the triple is shorter than 1e-14."""
     triple = _triple(space, a, y)
     lengths = norms(triple, space.gram)
-    if np.any(lengths < 1e-14):
-        return 0.0
-    unit = triple / lengths
-    return float(np.linalg.det(unit.T @ space.gram @ unit))
+    short = (lengths < 1e-14).any(axis=-1)
+    unit = triple / np.where(short[:, None], 1.0, lengths)[:, None, :]
+    det = np.linalg.det(unit.swapaxes(-1, -2) @ space.gram @ unit)
+    return np.where(short, 0.0, det)
 
 
 def _candidate_vectors(space: ComplexStructuredSpace):
@@ -128,77 +164,93 @@ def _candidate_vectors(space: ComplexStructuredSpace):
         yield rng.standard_normal(dim)
 
 
-def find_generic_vector(space: ComplexStructuredSpace, a: np.ndarray,
+def find_generic_vector(space: ComplexStructuredSpace, a,
                         *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """First vector (in a deterministic scan order) whose triple
-    {Y, JY, AY} has normalized Gram determinant above ``tol.rank``.
+    """For each operator, the first vector (in a deterministic scan order)
+    whose triple {Y, JY, AY} has normalized Gram determinant above
+    ``tol.rank``.
 
     Scans the coordinate frame, then pairwise sums, then J-mixed sums, then
-    seeded random draws. Returns the g-unit representative. The operator
-    must anticommute with J to within ``tol.acms_exact``.
+    seeded random draws, each candidate for every operator still without a
+    vector, until every operator has one. Returns the g-unit
+    representatives, one per operator. Every operator must be nonzero and
+    anticommute with J to within ``tol.acms_exact``.
     """
-    if np.shape(a) != (space.dim, space.dim):
-        raise ShapeError(f"operator shape {np.shape(a)} does not match space dim {space.dim}")
-    if not np.any(a):
+    a, lead = _operators(space, a)
+    if not a.any(axis=(-2, -1)).all():
         raise PreconditionError("operator is identically zero")
     _check_anticommutes(space, a, tol.acms_exact)
+    found = np.zeros(a.shape[:-1])
+    pending = np.arange(len(a))
     for candidate in _candidate_vectors(space):
-        if _normalized_triple_gram_det(space, a, candidate) > tol.rank:
-            return candidate / np.sqrt(candidate @ space.gram @ candidate)
+        hit = _normalized_triple_gram_det(space, a[pending], candidate) > tol.rank
+        if hit.any():
+            found[pending[hit]] = candidate / np.sqrt(candidate @ space.gram @ candidate)
+            pending = pending[~hit]
+            if not pending.size:
+                return found.reshape(*lead, space.dim)
     raise SearchError("no generic vector found; operator may be numerically degenerate")
 
 
-def find_orthogonal_witness(space: ComplexStructuredSpace, a: np.ndarray, y,
+def find_orthogonal_witness(space: ComplexStructuredSpace, a, y,
                             *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Unit Z orthogonal to span{Y, JY, AY} with <Z, JAY> above ``tol.witness``.
+    """For each operator and its vector Y, a unit Z orthogonal to
+    span{Y, JY, AY} with <Z, JAY> above ``tol.witness``.
 
-    The triple must be independent to within ``tol.rank``. The component of
-    JAY orthogonal to the triple can never vanish when the triple is
-    independent, so the projection of JAY itself serves as witness.
+    Each triple must be independent to within ``tol.rank``. The component
+    of JAY orthogonal to the triple can never vanish when the triple is
+    independent, so the projection of JAY itself serves as witness. All
+    triples are orthonormalized in one `gram_schmidt` call.
     """
-    gram = space.gram
-    if _normalized_triple_gram_det(space, a, y) <= tol.rank:
+    a, lead = _operators(space, a)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (*lead, space.dim):
+        raise ShapeError(f"vector shape {y.shape} does not match operators {(*lead, space.dim)}")
+    y, gram = y.reshape(-1, space.dim), space.gram
+    if (_normalized_triple_gram_det(space, a, y) <= tol.rank).any():
         raise DegenerateInputError("triple {Y, JY, AY} is numerically dependent")
     onb = gram_schmidt(_triple(space, a, y), gram, rank_tol=tol.rank, require_all=True)
-    jay = space.j @ (a @ y)
-    residue = project_out(jay, onb, gram)
-    norm = float(np.sqrt(max(residue @ gram @ residue, 0.0)))
-    if norm < tol.witness:
+    jay = _apply(space.j, _apply(a, y))
+    residue = project_out(jay[..., None], onb, gram)[..., 0]
+    norm = np.sqrt(np.maximum(_quadratic(residue, gram, residue), 0.0))
+    n = _first(norm < tol.witness)
+    if n is not None:
         raise SearchError(
-            f"witness overlap {norm:.3e} below threshold; JAY almost lies in the triple span"
+            f"witness overlap {norm[n]:.3e} below threshold; JAY almost lies in the triple span"
         )
-    z = residue / norm
-    overlap = abs(float(z @ gram @ jay))
-    if overlap < tol.witness:
-        raise SearchError(f"witness overlap {overlap:.3e} below threshold")
-    return z
+    z = residue / norm[:, None]
+    overlap = np.abs(_quadratic(z, gram, jay))
+    n = _first(overlap < tol.witness)
+    if n is not None:
+        raise SearchError(f"witness overlap {overlap[n]:.3e} below threshold")
+    return z.reshape(*lead, space.dim)
 
 
-def quadruple_decomposition(space: ComplexStructuredSpace, a: np.ndarray,
-                            *, tol: Tolerances = DEFAULT_TOLERANCES) -> list[Quadruple]:
-    """Split the space into g-orthogonal quadruples (X, JX, AX, JAX).
+def quadruple_decomposition(space: ComplexStructuredSpace, a,
+                            *, tol: Tolerances = DEFAULT_TOLERANCES
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split the space into g-orthogonal quadruples (X, JX, AX, JAX), for
+    each operator of ``a``.
 
     Requires A g-skew, anticommuting with J and nonsingular; under these
     hypotheses each eigenspace of A^2 is J- and A-invariant, and picking
     eigenvectors with orthogonal deflation yields dim/4 blocks. A dimension
     not divisible by four therefore certifies that no such operator exists.
+
+    Returns ``(blocks, eigenvalues, off)`` over the leading shape of ``a``:
+    ``blocks[..., k, :, :]`` holds the columns X, JX, AX, JAX of block k,
+    ``eigenvalues[..., k]`` its eigenvalue of A^2, and ``off`` the largest
+    off-diagonal entry of the Gram matrix of all the normalized vectors.
     """
-    return _decompose(space, a, tol)[0]
-
-
-def _decompose(space: ComplexStructuredSpace, a: np.ndarray,
-               tol: Tolerances) -> tuple[list[Quadruple], float]:
-    """The quadruples and the largest off-diagonal entry of the Gram matrix
-    of all their normalized vectors."""
-    dim = space.dim
-    if np.shape(a) != (dim, dim):
-        raise ShapeError(f"operator shape {np.shape(a)} does not match space dim {dim}")
+    a, lead = _operators(space, a)
+    dim, gram, jm = space.dim, space.gram, space.j
     _check_anticommutes(space, a, tol.acms_exact)
     _check_skew(space, a, tol.acms_exact)
-    sigma_min = float(g_singular_values(a, space.gram)[-1])
-    if sigma_min <= tol.singular:
+    sigma_min = g_singular_values(a, gram)[:, -1]
+    n = _first(sigma_min <= tol.singular)
+    if n is not None:
         raise PreconditionError(
-            f"operator is numerically singular (sigma_min {sigma_min:.3e}); "
+            f"operator is numerically singular (sigma_min {sigma_min[n]:.3e}); "
             "the decomposition needs a nonsingular operator"
         )
     if dim % 4 != 0:
@@ -206,49 +258,57 @@ def _decompose(space: ComplexStructuredSpace, a: np.ndarray,
             f"dimension {dim} is not divisible by 4, so no nonsingular skew "
             "anticommuting operator exists; refusing to decompose"
         )
-    gram, jm, a2 = space.gram, space.j, a @ a
+    a2 = a @ a
     _, candidates = symmetric_eigen(a2, gram, tol=tol.self_adjoint)
-    used = candidates[:, :0]
-    quads: list[Quadruple] = []
-    a_scale = 1.0 + float(np.max(np.abs(a))) ** 2
+    trials = np.arange(len(a))
+    used = candidates[..., :0]
+    blocks, lams = [], []
+    a_scale = 1.0 + np.abs(a).max(axis=(-2, -1)) ** 2
     pairs = np.triu_indices(4, 1)
-    while len(quads) < dim // 4:
+    for k in range(dim // 4):
         # deflate every eigenvector candidate against the blocks found so far
         residues = project_out(candidates, used, gram)
         lengths = norms(residues, gram)
-        best = int(np.argmax(lengths))
-        if lengths[best] < 1e-6:
+        best = lengths.argmax(axis=-1)
+        top = lengths[trials, best]
+        if (top < 1e-6).any():
             raise SearchError(
-                f"deflation pivot collapsed at quadruple {len(quads) + 1}; "
+                f"deflation pivot collapsed at quadruple {k + 1}; "
                 "eigenvectors no longer span the remaining space"
             )
-        x = residues[:, best] / lengths[best]
-        lam = float((a2 @ x) @ gram @ x)
-        ax = a @ x
-        block = np.column_stack([x, jm @ x, ax, jm @ ax])
+        x = residues[trials, :, best] / top[:, None]
+        lam = _quadratic(_apply(a2, x), gram, x)
+        ax = _apply(a, x)
+        block = np.stack([x, _apply(jm, x), ax, _apply(jm, ax)], axis=-1)
         lengths = norms(block, gram)
-        if np.any(lengths < tol.quad):
+        if (lengths < tol.quad).any():
             raise DegenerateInputError("quadruple vector collapsed to zero")
-        eig_resid = norms(a2 @ block - lam * block, gram) / lengths
-        drift = eig_resid[eig_resid > tol.quad * (1.0 + abs(lam)) * a_scale]
-        if drift.size:
+        eig_resid = norms(a2 @ block - lam[:, None, None] * block, gram) / lengths
+        n = _first(eig_resid > (tol.quad * (1.0 + abs(lam)) * a_scale)[:, None])
+        if n is not None:
             raise DegenerateInputError(
-                f"quadruple member drifts off the A^2 eigenspace (residual {drift[0]:.3e})"
+                "quadruple member drifts off the A^2 eigenspace "
+                f"(residual {np.ravel(eig_resid)[n]:.3e})"
             )
-        normalized = block / lengths
-        inner = np.abs(normalized.T @ gram @ normalized)[pairs]
-        skewed = inner[inner > tol.quad]
-        if skewed.size:
+        normalized = block / lengths[:, None, :]
+        inner = np.abs(normalized.swapaxes(-1, -2) @ gram @ normalized)[:, pairs[0], pairs[1]]
+        n = _first(inner > tol.quad)
+        if n is not None:
             raise DegenerateInputError(
-                f"quadruple members are not orthogonal (inner {skewed[0]:.3e})"
+                f"quadruple members are not orthogonal (inner {np.ravel(inner)[n]:.3e})"
             )
-        used = np.column_stack([used, normalized])
-        quads.append(Quadruple(tuple(block.T), lam))
-    overlaps = used.T @ gram @ used
-    off = float(np.max(np.abs(overlaps - np.diag(np.diag(overlaps)))))
-    if off > tol.quad:
-        raise DegenerateInputError(f"global quadruple Gram off-diagonal {off:.3e}")
-    return quads, off
+        used = np.concatenate([used, normalized], axis=-1)
+        blocks.append(block)
+        lams.append(lam)
+    overlaps = used.swapaxes(-1, -2) @ gram @ used
+    diagonal = np.arange(dim)
+    overlaps[:, diagonal, diagonal] -= overlaps[:, diagonal, diagonal]
+    off = np.abs(overlaps).max(axis=(-2, -1))
+    n = _first(off > tol.quad)
+    if n is not None:
+        raise DegenerateInputError(f"global quadruple Gram off-diagonal {off[n]:.3e}")
+    return (np.stack(blocks, axis=1).reshape(*lead, dim // 4, dim, 4),
+            np.stack(lams, axis=1).reshape(*lead, dim // 4), off.reshape(lead))
 
 
 # ---------------------------------------------------------------------------
@@ -305,40 +365,65 @@ def _constrained_dimension(space: ComplexStructuredSpace, *, skew: bool) -> int:
     return d * (d - 2) // 4 if skew else d * d // 2
 
 
-def random_constrained_operator(space: ComplexStructuredSpace, rng,
+def random_constrained_operator(space: ComplexStructuredSpace, rng, trials: int | None = None,
                                 *, skew: bool, min_sigma: float = 0.0) -> np.ndarray:
     """Draw A = P(Z), with P the ``constrained_projection`` and Z a d x d
-    matrix of i.i.d. standard normal entries from ``rng``.
+    matrix of i.i.d. standard normal entries from ``rng``: one ``(d, d)``
+    operator, or with ``trials`` a ``(trials, d, d)`` stack from one
+    ``rng.standard_normal((trials, d, d))`` call.
 
-    With ``min_sigma`` set, resamples until sigma_min exceeds it (used to
-    condition the decomposition campaigns), at most ``_MAX_OPERATOR_DRAWS``
-    times. Each draw is verified against the constraints before use.
+    With ``min_sigma`` set, a draw whose sigma_min does not exceed it is
+    rejected (used to condition the decomposition campaigns), and each
+    further call draws exactly the shortfall. Accepted draws fill the stack
+    in stream order, so a stack equals ``trials`` one-operator calls on the
+    same generator. ``_MAX_OPERATOR_DRAWS`` consecutive rejections raise
+    SearchError. Each draw is verified against the constraints before use,
+    in stream order.
     """
     if _constrained_dimension(space, skew=skew) == 0:
         raise DegenerateInputError(
             f"constraint space is trivial in dimension {space.dim}; only A = 0 qualifies"
         )
     d, jm = space.dim, space.j
-    for _ in range(_MAX_OPERATOR_DRAWS):
-        a = constrained_projection(space, rng.standard_normal((d, d)), skew=skew)
-        gate = 1e-12 * (1.0 + float(np.max(np.abs(a))))
-        resid = float(np.max(np.abs(a @ jm + jm @ a)))
-        if resid > gate:
-            raise DegenerateInputError(f"sampled operator violates anticommutation ({resid:.3e})")
-        if skew:
-            skew_resid = float(np.max(np.abs(a + adjoint(a, space.gram))))
-            if skew_resid > gate:
-                raise DegenerateInputError(f"sampled operator is not g-skew ({skew_resid:.3e})")
-        if min_sigma <= 0.0:
-            return a
-        if float(g_singular_values(a, space.gram)[-1]) > min_sigma:
-            return a
-    raise SearchError(
-        f"no operator with sigma_min > {min_sigma} after {_MAX_OPERATOR_DRAWS} draws")
+    wanted = 1 if trials is None else trials
+    kept, count, misses = [np.empty((0, d, d))], 0, 0  # misses: consecutive rejections so far
+    while count < wanted:
+        a = constrained_projection(space, rng.standard_normal((wanted - count, d, d)),
+                                   skew=skew)
+        gate = 1e-12 * (1.0 + np.abs(a).max(axis=(-2, -1)))
+        resid = np.abs(a @ jm + jm @ a).max(axis=(-2, -1))
+        skew_resid = (np.abs(a + adjoint(a, space.gram)).max(axis=(-2, -1)) if skew
+                      else np.zeros(len(a)))
+        accept = (np.ones(len(a), dtype=bool) if min_sigma <= 0.0
+                  else g_singular_values(a, space.gram)[:, -1] > min_sigma)
+        # rejections in a row up to and including each draw
+        draws = np.arange(len(a))
+        run = draws - np.maximum.accumulate(np.where(accept, draws, -1 - misses))
+        n = _first((resid > gate) | (skew_resid > gate) | (run >= _MAX_OPERATOR_DRAWS))
+        if n is not None:
+            if resid[n] > gate[n]:
+                raise DegenerateInputError(
+                    f"sampled operator violates anticommutation ({resid[n]:.3e})")
+            if skew_resid[n] > gate[n]:
+                raise DegenerateInputError(f"sampled operator is not g-skew ({skew_resid[n]:.3e})")
+            raise SearchError(
+                f"no operator with sigma_min > {min_sigma} after {_MAX_OPERATOR_DRAWS} draws")
+        kept.append(a[accept])
+        count += int(accept.sum())
+        misses = int(run[-1])
+    out = np.concatenate(kept)
+    return out[0] if trials is None else out
 
 
 # ---------------------------------------------------------------------------
 # campaigns
+
+def _blocks(trials: int):
+    """Sizes of the stacks a campaign of ``trials`` runs, in order, made
+    one at a time so that no list grows with ``trials``."""
+    for start in range(0, trials, _BLOCK):
+        yield min(_BLOCK, trials - start)
+
 
 def generic_vector_campaign(dim: int, trials: int, seed: int,
                             *, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
@@ -346,14 +431,15 @@ def generic_vector_campaign(dim: int, trials: int, seed: int,
     space = ComplexStructuredSpace.standard(dim)
     rng = np.random.default_rng(seed)
     dets, overlaps = [], []
-    for _ in range(trials):
-        a = random_constrained_operator(space, rng, skew=False)
-        if float(np.max(np.abs(a))) < 1e-8:
+    for size in _blocks(trials):
+        a = random_constrained_operator(space, rng, size, skew=False)
+        a = a[~(np.abs(a).max(axis=(-2, -1)) < 1e-8)]  # a zero draw has no generic vector
+        if not len(a):
             continue
         y = find_generic_vector(space, a, tol=tol)
         z = find_orthogonal_witness(space, a, y, tol=tol)
-        dets.append(_normalized_triple_gram_det(space, a, y))
-        overlaps.append(abs(float(z @ space.gram @ (space.j @ (a @ y)))))
+        dets.extend(_normalized_triple_gram_det(space, a, y))
+        overlaps.extend(np.abs(_quadratic(z, space.gram, _apply(space.j, _apply(a, y)))))
     return VerificationReport.of([
         Check.above("min_triple_gram_det", least(dets), tol.rank),
         Check.above("min_witness_overlap", least(overlaps), tol.witness),
@@ -376,17 +462,17 @@ def decomposition_campaign(dim: int, trials: int, seed: int,
         return VerificationReport.of(checks)
     if dim % 4 == 0:
         offs = []
-        for _ in range(trials):
-            a = random_constrained_operator(space, rng, skew=True, min_sigma=1e-3)
-            offs.append(_decompose(space, a, tol)[1])
+        for size in _blocks(trials):
+            a = random_constrained_operator(space, rng, size, skew=True, min_sigma=1e-3)
+            offs.extend(quadruple_decomposition(space, a, tol=tol)[2])
         checks.append(Check.below("worst_gram_off_diagonal", worst(offs), tol.quad))
-        # _decompose returns dim // 4 blocks or raises, which exits 2
+        # quadruple_decomposition returns dim // 4 blocks or raises, which exits 2
         checks.append(Check.flag("all_decompositions_complete", True))
     else:
         sigmas = []
-        for _ in range(trials):
-            a = random_constrained_operator(space, rng, skew=True)
-            sigmas.append(float(g_singular_values(a, space.gram)[-1]))
+        for size in _blocks(trials):
+            a = random_constrained_operator(space, rng, size, skew=True)
+            sigmas.extend(g_singular_values(a, space.gram)[:, -1])
         worst_sigma = worst(sigmas)
         checks.append(Check.below("max_sigma_min", worst_sigma,
                                   tol.singular * tol.singular_slack))

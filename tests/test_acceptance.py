@@ -62,9 +62,9 @@ def test_criterion_01_quadruple_decomposition_dims_4_8_12():
         rng = np.random.default_rng(dim)
         for _ in range(100):
             a = random_constrained_operator(space, rng, skew=True, min_sigma=1e-3)
-            quads = quadruple_decomposition(space, a)
-            assert len(quads) == dim // 4
-            vectors = [v / np.sqrt(v @ space.gram @ v) for q in quads for v in q.vectors]
+            blocks, _, _ = quadruple_decomposition(space, a)
+            assert len(blocks) == dim // 4
+            vectors = [v / np.sqrt(v @ space.gram @ v) for block in blocks for v in block.T]
             gram = np.array([[u @ space.gram @ v for v in vectors]
                              for u in vectors])
             off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))

@@ -424,6 +424,16 @@ class TestLemma:
         assert out == ""
         assert "--dim must be an even integer >= 4, got 2" in err
 
+    @pytest.mark.parametrize("dim", ["66", "1000000"])
+    def test_dim_above_largest_chart_rejected_up_front(self, capsys, dim):
+        # refused before any dim x dim operator is allocated
+        start = time.perf_counter()
+        code, out, err = run(capsys, "lemma", "--dim", dim)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == f"acmslab: error: --dim must be at most 64, got {dim}\n"
+
     @pytest.mark.parametrize("value", ["999", "-1"])
     def test_probes_flag_rejected(self, capsys, value):
         # lemma samples no chart points, so --probes is not one of its flags
@@ -768,6 +778,21 @@ def test_cli_import_leaves_scipy_out():
         [sys.executable, "-c", "import sys, acmslab.cli; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+class TestLongLiterals:
+    @pytest.mark.parametrize("expr,message", [
+        ("x1^" + "1" * 5000, "line 2, column 14: exponent too long (5000 digits)"),
+        ("1 + x" + "1" * 5000, "line 2, column 15: variable index too long (5000 digits)"),
+    ], ids=["exponent", "variable_index"])
+    def test_integer_beyond_int_conversion_is_usage_error(self, capsys, tmp_path, expr,
+                                                          message):
+        path = tmp_path / "long.chart"
+        path.write_text(FLAT_TEXT.replace("g[1][1] = 1\n", f"g[1][1] = {expr}\n"))
+        code, out, err = run(capsys, "validate", "--chart", str(path), *FAST)
+        assert code == 2
+        assert out == ""
+        assert err == f"acmslab: error: {message}\n"
 
 
 class TestDeepExpressions:

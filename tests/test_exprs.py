@@ -182,6 +182,18 @@ class TestParseErrors:
         assert (exc.value.line, exc.value.column) == position
 
     @pytest.mark.parametrize("text,message,position", [
+        ("x1^" + "1" * 5000, "exponent too long (5000 digits)", (1, 4)),
+        ("x1 ^ -" + "1" * 5000 + " + 1", "exponent too long (5000 digits)", (1, 7)),
+        ("1 +\n x" + "1" * 5000, "variable index too long (5000 digits)", (2, 2)),
+    ], ids=["exponent", "negative_exponent", "variable_index"])
+    def test_integer_literal_beyond_int_conversion(self, text, message, position):
+        # CPython converts at most 4,300 digits to an int by default
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.message == message
+        assert (exc.value.line, exc.value.column) == position
+
+    @pytest.mark.parametrize("text,message,position", [
         # the second group is read from the table; the $ after it still wins
         ("(x1 + x2) * (x1 + x2) $", "unexpected character '$'", (1, 23)),
         ("(x1 + x2) * (x1 + x2", "unclosed parenthesis", (1, 13)),

@@ -54,6 +54,9 @@ CASES = {
     "lemma_dim8": ("lemma", "--dim", "8", "--trials", "10", "--seed", "3"),
     "lemma_dim6": ("lemma", "--dim", "6", "--trials", "10", "--seed", "3"),
     "lemma_dim16": ("lemma", "--dim", "16", "--trials", "4", "--seed", "3"),
+    "lemma_dim14": ("lemma", "--dim", "14", "--trials", "8", "--seed", "3"),
+    # more trials than one block of the stacked campaigns: pins the draw order
+    "lemma_dim8_blocks": ("lemma", "--dim", "8", "--trials", "150", "--seed", "3"),
 }
 
 

@@ -165,6 +165,35 @@ class TestSymmetricEigen:
         with pytest.raises(ShapeError):
             symmetric_eigen(np.eye(3), np.eye(2), tol=1e-8)
 
+    @staticmethod
+    def _self_adjoint_stack(n, seed):
+        """A Gram matrix and ``n`` operators self-adjoint in it."""
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(5, 5))
+        g = m @ m.T + 5.0 * np.eye(5)
+        sym = rng.normal(size=(n, 5, 5))
+        return g, np.linalg.inv(g) @ (sym + sym.swapaxes(-1, -2))
+
+    def test_stack_equals_each_slice_alone(self):
+        g, ops = self._self_adjoint_stack(6, seed=37)
+        vals, vecs = symmetric_eigen(ops, g, tol=1e-8)
+        for op, val, vec in zip(ops, vals, vecs):
+            alone = symmetric_eigen(op, g, tol=1e-8)
+            assert np.array_equal(alone[0], val) and np.array_equal(alone[1], vec)
+        nested = symmetric_eigen(ops.reshape(2, 3, 5, 5), g, tol=1e-8)
+        assert np.array_equal(nested[0], vals.reshape(2, 3, 5))
+        assert np.array_equal(nested[1], vecs.reshape(2, 3, 5, 5))
+
+    def test_first_failing_slice_raises(self):
+        g, ops = self._self_adjoint_stack(5, seed=41)
+        ops[2, 0, 1] += 1e-3
+        ops[4, 0, 1] += 2e-3
+        with pytest.raises(PreconditionError) as alone:
+            symmetric_eigen(ops[2], g, tol=1e-8)
+        with pytest.raises(PreconditionError) as stacked:
+            symmetric_eigen(ops, g, tol=1e-8)
+        assert str(stacked.value) == str(alone.value)
+
 
 class TestGramSchmidt:
     def test_orthonormalizes(self):

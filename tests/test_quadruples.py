@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from acmslab import quadruples
+from acmslab.cli import main
 from acmslab.config import DEFAULT_TOLERANCES
 from acmslab.errors import (
     DegenerateInputError,
@@ -231,15 +233,14 @@ class TestOrthogonalWitness:
 class TestQuadrupleDecomposition:
     def test_dim4_frozen(self):
         space = ComplexStructuredSpace.standard(4)
-        quads = quadruple_decomposition(space, _skew_anticommuting_dim4())
-        assert len(quads) == 1
-        q = quads[0]
-        assert q.eigenvalue == pytest.approx(-1.0)
-        x, jx, ax, jax = q.vectors
+        blocks, lams, _ = quadruple_decomposition(space, _skew_anticommuting_dim4())
+        assert len(blocks) == 1
+        assert lams[0] == pytest.approx(-1.0)
+        x, jx, ax, jax = blocks[0].T
         np.testing.assert_allclose(jx, space.j @ x, atol=1e-12)
         np.testing.assert_allclose(jax, space.j @ ax, atol=1e-12)
-        gram = np.array([[u @ space.gram @ v for v in q.vectors]
-                         for u in q.vectors])
+        gram = np.array([[u @ space.gram @ v for v in blocks[0].T]
+                         for u in blocks[0].T])
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
 
     def test_symmetric_operator_rejected(self):
@@ -277,16 +278,16 @@ class TestQuadrupleDecomposition:
         for _ in range(10):
             a = random_constrained_operator(space, rng, skew=True, min_sigma=1e-3)
             a2 = a @ a
-            quads = quadruple_decomposition(space, a)
-            assert len(quads) == dim // 4
-            for q in quads:
-                x, jx, ax, jax = q.vectors
+            blocks, lams, _ = quadruple_decomposition(space, a)
+            assert len(blocks) == dim // 4
+            for block, lam in zip(blocks, lams):
+                x, jx, ax, jax = block.T
                 np.testing.assert_allclose(jx, jm @ x, atol=1e-12)
                 np.testing.assert_allclose(ax, a @ x, atol=1e-12)
                 np.testing.assert_allclose(jax, jm @ ax, atol=1e-12)
-                for v in q.vectors:
-                    assert _norm(a2 @ v - q.eigenvalue * v, g) < 1e-8 * (1.0 + _norm(v, g))
-            vectors = np.column_stack([v / _norm(v, g) for q in quads for v in q.vectors])
+                for v in block.T:
+                    assert _norm(a2 @ v - lam * v, g) < 1e-8 * (1.0 + _norm(v, g))
+            vectors = np.column_stack([v / _norm(v, g) for block in blocks for v in block.T])
             np.testing.assert_allclose(vectors.T @ g @ vectors, np.eye(dim),
                                        atol=1e-8)
 
@@ -337,9 +338,10 @@ class TestConstrainedProjection:
                                         min_sigma=1e-3)
         assert np.max(np.abs(a + a.T)) > 1e-3
         assert np.max(np.abs(a + adjoint(a, space.gram))) < 1e-12 * (1.0 + np.max(np.abs(a)))
-        quads = quadruple_decomposition(space, a)
-        assert len(quads) == 2
-        vectors = np.column_stack([v / _norm(v, space.gram) for q in quads for v in q.vectors])
+        blocks, _, _ = quadruple_decomposition(space, a)
+        assert len(blocks) == 2
+        vectors = np.column_stack([v / _norm(v, space.gram) for block in blocks
+                                   for v in block.T])
         np.testing.assert_allclose(vectors.T @ space.gram @ vectors, np.eye(8), atol=1e-8)
 
 
@@ -410,3 +412,177 @@ class TestCampaigns:
         a = generic_vector_campaign(4, 10, seed=7)
         b = generic_vector_campaign(4, 10, seed=7)
         assert a.to_dicts() == b.to_dicts()
+
+
+def _per_trial(fn, *stacks):
+    """Oracle for a stacked call: ``fn`` on each trial alone, as one
+    ``(d, d)`` operator, with the results stacked on a new leading axis."""
+    outs = [fn(*args) for args in zip(*stacks)]
+    if isinstance(outs[0], tuple):
+        return tuple(np.stack(parts) for parts in zip(*outs))
+    return np.stack(outs)
+
+
+def _conditioned_draws(space, seed, trials, *, min_sigma, cap):
+    """Oracle for skew draws with ``min_sigma``: the first ``trials`` draws of
+    the unconditioned stream whose sigma_min exceeds it, or None when ``cap``
+    draws in a row fail first."""
+    stream = random_constrained_operator(space, np.random.default_rng(seed), 20 * trials,
+                                         skew=True)
+    kept, misses = [], 0
+    for a, sigma in zip(stream, g_singular_values(stream, space.gram)[:, -1]):
+        misses = 0 if sigma > min_sigma else misses + 1
+        if misses == cap:
+            return None
+        if not misses:
+            kept.append(a)
+            if len(kept) == trials:
+                return np.stack(kept)
+    raise AssertionError("stream too short")
+
+
+def _split_operator(dim):
+    """diag(v, -v): anticommutes with the standard J, and every coordinate
+    vector is an eigenvector, so the generic-vector scan passes the frame."""
+    v = np.arange(1.0, dim // 2 + 1)
+    return np.diag(np.concatenate([v, -v]))
+
+
+class TestStacks:
+    """A stack gives each trial exactly what the trial gives alone."""
+
+    SPACES = [*(ComplexStructuredSpace.standard(dim) for dim in range(4, 17, 2)),
+              _non_euclidean_space(8, seed=5)]
+    IDS = [*(f"standard{dim}" for dim in range(4, 17, 2)), "non_euclidean8"]
+
+    @pytest.mark.parametrize("space", SPACES, ids=IDS)
+    def test_generic_vector_and_witness_match_per_trial_calls(self, space):
+        a = random_constrained_operator(space, np.random.default_rng(space.dim), 7, skew=False)
+        split = space is not self.SPACES[-1]
+        if split:
+            a[2] = _split_operator(space.dim)  # found later in the scan than the others
+        y = find_generic_vector(space, a)
+        assert np.array_equal(y, _per_trial(lambda x: find_generic_vector(space, x), a))
+        if split:
+            assert np.count_nonzero(y[2]) == 2 and np.count_nonzero(y[0]) == 1
+        z = find_orthogonal_witness(space, a, y)
+        assert np.array_equal(z, _per_trial(
+            lambda x, v: find_orthogonal_witness(space, x, v), a, y))
+        lead = (2, 3)
+        assert np.array_equal(find_generic_vector(space, a[1:].reshape(*lead, *a.shape[1:])),
+                              y[1:].reshape(*lead, space.dim))
+
+    @pytest.mark.parametrize("space", [s for s in SPACES if s.dim % 4 == 0],
+                             ids=[i for s, i in zip(SPACES, IDS) if s.dim % 4 == 0])
+    def test_decomposition_matches_per_trial_calls(self, space):
+        rng = np.random.default_rng(space.dim)
+        a = random_constrained_operator(space, rng, 6, skew=True, min_sigma=1e-3)
+        got = quadruple_decomposition(space, a)
+        want = _per_trial(lambda x: quadruple_decomposition(space, x), a)
+        assert [part.shape for part in got] == [
+            (6, space.dim // 4, space.dim, 4), (6, space.dim // 4), (6,)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        nested = quadruple_decomposition(space, a.reshape(2, 3, space.dim, space.dim))
+        assert all(np.array_equal(n, g.reshape(2, 3, *g.shape[1:]))
+                   for n, g in zip(nested, got))
+
+    @pytest.mark.parametrize("dim,skew,min_sigma", [
+        (6, False, 0.0), (6, True, 0.0), (4, True, 0.5), (8, True, 0.5)])
+    def test_stacked_draw_equals_one_operator_draws(self, dim, skew, min_sigma):
+        space = ComplexStructuredSpace.standard(dim)
+        stacked_rng, loop_rng = np.random.default_rng(5), np.random.default_rng(5)
+        stack = random_constrained_operator(space, stacked_rng, 12, skew=skew,
+                                            min_sigma=min_sigma)
+        loop = [random_constrained_operator(space, loop_rng, skew=skew, min_sigma=min_sigma)
+                for _ in range(12)]
+        assert np.array_equal(stack, np.stack(loop))
+        # the stack drew no more than the loop: the streams go on together
+        assert np.array_equal(stacked_rng.standard_normal(4), loop_rng.standard_normal(4))
+        if min_sigma:
+            # some of the first 12 draws were rejected and replaced
+            first = random_constrained_operator(space, np.random.default_rng(5), 12, skew=skew)
+            assert (g_singular_values(first, space.gram)[:, -1] <= min_sigma).any()
+
+    def test_consecutive_rejection_cap(self, monkeypatch):
+        # with a cap of 3, some seeds meet three rejections in a row within
+        # 12 trials and some do not; the stack and the loop must both stop
+        # where the unconditioned stream says
+        monkeypatch.setattr(quadruples, "_MAX_OPERATOR_DRAWS", 3)
+        space = ComplexStructuredSpace.standard(4)
+
+        def outcome(draw):
+            try:
+                return draw()
+            except SearchError as exc:
+                assert str(exc) == "no operator with sigma_min > 0.5 after 3 draws"
+                return None
+
+        raised = []
+        for seed in range(12):
+            want = _conditioned_draws(space, seed, 12, min_sigma=0.5, cap=3)
+            rng = np.random.default_rng(seed)
+            stack = outcome(lambda: random_constrained_operator(
+                space, rng, 12, skew=True, min_sigma=0.5))
+            rng = np.random.default_rng(seed)
+            loop = outcome(lambda: np.stack([random_constrained_operator(
+                space, rng, skew=True, min_sigma=0.5) for _ in range(12)]))
+            for got in (stack, loop):
+                assert (got is None) == (want is None)
+                assert want is None or np.array_equal(got, want)
+            raised.append(want is None)
+        assert any(raised) and not all(raised)
+
+    @pytest.mark.parametrize("trials", [None, 1, 3])
+    def test_two_hundred_rejections_raise(self, trials):
+        space = ComplexStructuredSpace.standard(4)
+        with pytest.raises(SearchError, match="sigma_min > 1000000.0 after 200 draws"):
+            random_constrained_operator(space, np.random.default_rng(0), trials, skew=True,
+                                        min_sigma=1e6)
+
+    @pytest.mark.parametrize("dim", [6, 8, 14, 16])
+    def test_campaigns_do_not_depend_on_the_block_size(self, monkeypatch, capsys, dim):
+        argv = ["lemma", "--dim", str(dim), "--trials", "8", "--json", "--seed", "3"]
+        assert main(argv) == 0
+        whole = capsys.readouterr().out
+        monkeypatch.setattr(quadruples, "_BLOCK", 3)  # blocks of 3, 3 and 2 trials
+        assert list(quadruples._blocks(8)) == [3, 3, 2]
+        assert next(quadruples._blocks(10**18)) == 3  # lazily, whatever --trials is
+        assert main(argv) == 0
+        assert capsys.readouterr().out == whole
+
+    @pytest.mark.parametrize("fn", [find_generic_vector, quadruple_decomposition],
+                             ids=lambda fn: fn.__name__)
+    def test_first_failing_trial_names_the_error(self, fn):
+        space = ComplexStructuredSpace.standard(8)
+        a = random_constrained_operator(space, np.random.default_rng(8), 5, skew=True,
+                                        min_sigma=1e-3)
+        a[2] += 1e-3 * np.eye(8)  # no longer anticommutes with J
+        a[4] += 2e-3 * np.eye(8)
+        messages = []
+        for trial in (a[2], a[4], a):
+            with pytest.raises(PreconditionError, match="does not anticommute") as exc:
+                fn(space, trial)
+            messages.append(str(exc.value))
+        third, fifth, stacked = messages
+        assert stacked == third != fifth
+
+    def test_earlier_stage_wins_over_earlier_trial(self):
+        # trial 0 is singular (checked after skewness), trial 2 is not g-skew
+        space = ComplexStructuredSpace.standard(8)
+        a = random_constrained_operator(space, np.random.default_rng(8), 4, skew=True,
+                                        min_sigma=1e-3)
+        a[0] *= 1e-12
+        a[2] += 1e-3 * _split_operator(8)  # symmetric and anticommuting
+        with pytest.raises(PreconditionError, match="not g-skew") as alone:
+            quadruple_decomposition(space, a[2])
+        with pytest.raises(PreconditionError, match="numerically singular"):
+            quadruple_decomposition(space, a[0])
+        with pytest.raises(PreconditionError) as stacked:
+            quadruple_decomposition(space, a)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_vector_shape_must_match_the_operators(self):
+        space = ComplexStructuredSpace.standard(4)
+        a = np.stack([_skew_anticommuting_dim4()] * 3)
+        with pytest.raises(ShapeError, match="vector shape"):
+            find_orthogonal_witness(space, a, np.eye(4)[0])
