@@ -80,8 +80,9 @@ class DerivativeMode:
         if self.kind == "fd":
             if self.step is None:
                 object.__setattr__(self, "step", _DEFAULT_FD_STEP)
-            elif self.step <= 0:
-                raise ChartFormatError(f"finite-difference step must be positive, got {self.step}")
+            elif not 0.0 < self.step < math.inf:  # NaN fails both comparisons
+                raise ChartFormatError(
+                    f"finite-difference step must be finite and positive, got {self.step}")
         elif self.step is not None:
             raise ChartFormatError("symbolic mode takes no step")
 
@@ -94,9 +95,10 @@ class DerivativeMode:
             return cls("fd")
         if text.startswith("fd:"):
             try:
-                return cls("fd", float(text[3:]))
+                step = float(text[3:])
             except ValueError as exc:
                 raise ChartFormatError(f"bad finite-difference step in {text!r}") from exc
+            return cls("fd", step)
         raise ChartFormatError(f"unknown derivative mode {text!r}")
 
     def format(self) -> str:
@@ -583,7 +585,7 @@ def load_chart(path, *, name: str | None = None) -> Chart:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")  # a byte-order mark, as some editors save
     except UnicodeDecodeError as exc:
         raise ChartFormatError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from exc
     if name is None:

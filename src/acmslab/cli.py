@@ -38,7 +38,7 @@ from .errors import GeometryError
 from .exprs import EvalError
 from .gallery import GALLERY_NAMES, gallery_chart
 from .linalg import max_entry
-from .quadruples import decomposition_campaign, generic_vector_campaign
+from .quadruples import ComplexStructuredSpace, decomposition_campaign, generic_vector_campaign
 from .report import Check, VerificationReport, least, worst
 from .structure import dimension_consistency_gate, dimension_error, validate_acms
 
@@ -133,25 +133,23 @@ def _resolve_tolerances(args) -> Tolerances:
         raise GeometryError(exc.args[0]) from exc
 
 
-def _resolve_points(args) -> int:
+def _chart_inputs(args, **options) -> tuple[Tolerances, Chart, np.ndarray, dict]:
+    """The tolerances, chart, sample points and report config of a chart
+    command; ``options`` are the command's own, already checked, and go
+    into the config after the points. A dimension that carries no almost
+    contact metric structure is rejected here, once per command, since
+    ``curvature`` builds no structure that would check it."""
+    tol = _resolve_tolerances(args)
+    seed = _resolve_seed(args)
     n_points = args.probes if args.probes is not None else POINTS_PER_CHART
     if n_points < 1:
         raise GeometryError(f"--probes must be positive, got {n_points}")
-    return n_points
-
-
-def _resolve_chart(args) -> Chart:
-    """The ``--chart``/``--gallery`` chart. A dimension that carries no
-    almost contact metric structure is rejected here, once per command,
-    since ``curvature`` builds no structure that would check it."""
     chart = gallery_chart(args.gallery) if args.gallery is not None else load_chart(args.chart)
     if chart.dim < 3 or chart.dim % 2 == 0:
         raise dimension_error(chart.dim)
-    return chart
-
-
-def _chart_label(args) -> str:
-    return args.gallery if args.gallery is not None else args.chart
+    config = {"chart": args.gallery if args.gallery is not None else args.chart,
+              "seed": seed, "points": n_points, **options, "mode": chart.mode.format()}
+    return tol, chart, sample_points(chart, n_points, seed), config
 
 
 def _finite_or_null(value):
@@ -195,11 +193,7 @@ def _emit(args, command: str, config: dict, report: VerificationReport,
 
 
 def cmd_validate(args) -> int:
-    tol = _resolve_tolerances(args)
-    seed = _resolve_seed(args)
-    n_points = _resolve_points(args)
-    chart = _resolve_chart(args)
-    points = sample_points(chart, n_points, seed)
+    tol, chart, points, config = _chart_inputs(args)
     value_tol = tol.acms_exact if chart.mode.kind == "symbolic" else tol.acms_fd
     bridge_tol = tol.bridge_symbolic if chart.mode.kind == "symbolic" else tol.bridge_fd
 
@@ -235,8 +229,6 @@ def cmd_validate(args) -> int:
         dimension_consistency_gate(chart.dim, star_check.passed, contact_check.passed),
     ]
     report = report.merged(VerificationReport.of(extra))
-    config = {"chart": _chart_label(args), "seed": seed, "points": n_points,
-              "mode": chart.mode.format()}
     summary = {"dim": chart.dim, "contact_sigma_min": sigma_min,
                "contact_volume": volume_min}
     return _emit(args, "validate", config, report, summary)
@@ -252,9 +244,9 @@ def cmd_lemma(args) -> int:
         raise GeometryError(f"--dim must be at most {MAX_CHART_DIM}, got {args.dim}")
     if args.trials < 1:
         raise GeometryError(f"--trials must be positive, got {args.trials}")
-    part1 = generic_vector_campaign(args.dim, args.trials, seed, tol=tol)
-    part2 = decomposition_campaign(args.dim, args.trials, seed, tol=tol)
-    report = part1.merged(part2)
+    space = ComplexStructuredSpace.standard(args.dim)
+    report = generic_vector_campaign(space, args.trials, seed, tol=tol).merged(
+        decomposition_campaign(space, args.trials, seed, tol=tol))
     config = {"dim": args.dim, "trials": args.trials, "seed": seed}
     summary = {"dim_mod_4": args.dim % 4,
                "branch": "decomposition" if args.dim % 4 == 0 else "forced_singularity"}
@@ -262,14 +254,10 @@ def cmd_lemma(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    tol = _resolve_tolerances(args)
-    seed = _resolve_seed(args)
     if args.planes < 1:
         raise GeometryError(f"--planes must be positive, got {args.planes}")
-    n_points = _resolve_points(args)
-    chart = _resolve_chart(args)
-    points = sample_points(chart, n_points, seed)
-    values = horizontal_sectional_values(chart, points, seed, tol=tol,
+    tol, chart, points, config = _chart_inputs(args, planes=args.planes)
+    values = horizontal_sectional_values(chart, points, config["seed"], tol=tol,
                                          planes=args.planes)
     arr = np.asarray(values)
     mean = float(arr.mean())
@@ -285,8 +273,6 @@ def cmd_curvature(args) -> int:
         Check.flag("sectional_curvature_sampled",
                    bool(values) and bool(np.isfinite(arr).all())),
     ])
-    config = {"chart": _chart_label(args), "seed": seed, "points": n_points,
-              "planes": args.planes, "mode": chart.mode.format()}
     summary = {"samples": len(values), "min": float(arr.min()),
                "max": float(arr.max()), "mean": mean, "spread": spread,
                "constant": constant, "assessment": assessment}
@@ -294,13 +280,9 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    tol = _resolve_tolerances(args)
-    seed = _resolve_seed(args)
     if args.c is not None and not math.isfinite(args.c):
         raise GeometryError(f"--c must be finite, got {args.c}")
-    n_points = _resolve_points(args)
-    chart = _resolve_chart(args)
-    points = sample_points(chart, n_points, seed)
+    tol, chart, points, config = _chart_inputs(args)
     pg = PointGeometry(chart, points, tol=tol)  # one stack, read grid by grid
     suites = {
         "modified": modified_connection_suite(pg, tol=tol),
@@ -313,8 +295,6 @@ def cmd_identities(args) -> int:
     skipped = [name for name, rep in suites.items()
                if not rep.verdict and any(c.name.endswith("_gate") and not c.passed
                                           for c in rep.checks)]
-    config = {"chart": _chart_label(args), "seed": seed, "points": n_points,
-              "mode": chart.mode.format()}
     summary = {"skipped_suites": ", ".join(skipped) if skipped else "none"}
     return _emit(args, "identities", config, merged, summary)
 
@@ -332,6 +312,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (GeometryError, EvalError, OSError) as exc:
         print(f"acmslab: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy refuses an allocation larger than the machine up front
+        print(f"acmslab: error: out of memory: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
         # symbolic differentiation and error messages recurse over the tree

@@ -193,7 +193,8 @@ def find_generic_vector(space: ComplexStructuredSpace, a,
 
 
 def find_orthogonal_witness(space: ComplexStructuredSpace, a, y,
-                            *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+                            *, tol: Tolerances = DEFAULT_TOLERANCES
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each operator and its vector Y, a unit Z orthogonal to
     span{Y, JY, AY} with <Z, JAY> above ``tol.witness``.
 
@@ -201,13 +202,18 @@ def find_orthogonal_witness(space: ComplexStructuredSpace, a, y,
     of JAY orthogonal to the triple can never vanish when the triple is
     independent, so the projection of JAY itself serves as witness. All
     triples are orthonormalized in one `gram_schmidt` call.
+
+    Returns ``(z, det, overlap)`` over the leading shape of ``a``: the
+    witnesses, and the two values their gates checked, the normalized
+    Gram determinant of each triple and |<Z, JAY>|.
     """
     a, lead = _operators(space, a)
     y = np.asarray(y, dtype=float)
     if y.shape != (*lead, space.dim):
         raise ShapeError(f"vector shape {y.shape} does not match operators {(*lead, space.dim)}")
     y, gram = y.reshape(-1, space.dim), space.gram
-    if (_normalized_triple_gram_det(space, a, y) <= tol.rank).any():
+    det = _normalized_triple_gram_det(space, a, y)
+    if (det <= tol.rank).any():
         raise DegenerateInputError("triple {Y, JY, AY} is numerically dependent")
     onb = gram_schmidt(_triple(space, a, y), gram, rank_tol=tol.rank, require_all=True)
     jay = _apply(space.j, _apply(a, y))
@@ -223,7 +229,7 @@ def find_orthogonal_witness(space: ComplexStructuredSpace, a, y,
     n = _first(overlap < tol.witness)
     if n is not None:
         raise SearchError(f"witness overlap {overlap[n]:.3e} below threshold")
-    return z.reshape(*lead, space.dim)
+    return z.reshape(*lead, space.dim), det.reshape(lead), overlap.reshape(lead)
 
 
 def quadruple_decomposition(space: ComplexStructuredSpace, a,
@@ -418,60 +424,55 @@ def random_constrained_operator(space: ComplexStructuredSpace, rng, trials: int 
 # ---------------------------------------------------------------------------
 # campaigns
 
-def _blocks(trials: int):
-    """Sizes of the stacks a campaign of ``trials`` runs, in order, made
+def _draws(space: ComplexStructuredSpace, trials: int, seed: int,
+           *, skew: bool, min_sigma: float = 0.0):
+    """The ``trials`` operators of a campaign, as stacks of at most
+    ``_BLOCK`` drawn in turn from one generator seeded with ``seed``, made
     one at a time so that no list grows with ``trials``."""
-    for start in range(0, trials, _BLOCK):
-        yield min(_BLOCK, trials - start)
-
-
-def generic_vector_campaign(dim: int, trials: int, seed: int,
-                            *, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
-    """Randomized existence check for the generic vector and its witness."""
-    space = ComplexStructuredSpace.standard(dim)
     rng = np.random.default_rng(seed)
+    for start in range(0, trials, _BLOCK):
+        yield random_constrained_operator(space, rng, min(_BLOCK, trials - start),
+                                          skew=skew, min_sigma=min_sigma)
+
+
+def generic_vector_campaign(space: ComplexStructuredSpace, trials: int, seed: int,
+                            *, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
+    """Randomized existence check for the generic vector and its witness in
+    ``space``, reducing the values the witness gated."""
     dets, overlaps = [], []
-    for size in _blocks(trials):
-        a = random_constrained_operator(space, rng, size, skew=False)
-        a = a[~(np.abs(a).max(axis=(-2, -1)) < 1e-8)]  # a zero draw has no generic vector
-        if not len(a):
-            continue
+    for a in _draws(space, trials, seed, skew=False):
         y = find_generic_vector(space, a, tol=tol)
-        z = find_orthogonal_witness(space, a, y, tol=tol)
-        dets.extend(_normalized_triple_gram_det(space, a, y))
-        overlaps.extend(np.abs(_quadratic(z, space.gram, _apply(space.j, _apply(a, y)))))
+        _, det, overlap = find_orthogonal_witness(space, a, y, tol=tol)
+        dets.extend(det)
+        overlaps.extend(overlap)
     return VerificationReport.of([
         Check.above("min_triple_gram_det", least(dets), tol.rank),
         Check.above("min_witness_overlap", least(overlaps), tol.witness),
     ])
 
 
-def decomposition_campaign(dim: int, trials: int, seed: int,
+def decomposition_campaign(space: ComplexStructuredSpace, trials: int, seed: int,
                            *, tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
-    """Randomized mod-4 campaign over skew anticommuting operators.
+    """Randomized mod-4 campaign over skew anticommuting operators of ``space``.
 
     Dimensions divisible by four get conditioned nonsingular draws and full
     decompositions; the others certify that every draw is singular.
     """
-    space = ComplexStructuredSpace.standard(dim)
-    rng = np.random.default_rng(seed)
     checks = []
     if _constrained_dimension(space, skew=True) == 0:
         checks.append(Check.flag("degenerate_dimension_notice", True))
         checks.append(Check.below("max_sigma_min", 0.0, tol.singular))
         return VerificationReport.of(checks)
-    if dim % 4 == 0:
+    if space.dim % 4 == 0:
         offs = []
-        for size in _blocks(trials):
-            a = random_constrained_operator(space, rng, size, skew=True, min_sigma=1e-3)
+        for a in _draws(space, trials, seed, skew=True, min_sigma=1e-3):
             offs.extend(quadruple_decomposition(space, a, tol=tol)[2])
         checks.append(Check.below("worst_gram_off_diagonal", worst(offs), tol.quad))
         # quadruple_decomposition returns dim // 4 blocks or raises, which exits 2
         checks.append(Check.flag("all_decompositions_complete", True))
     else:
         sigmas = []
-        for size in _blocks(trials):
-            a = random_constrained_operator(space, rng, size, skew=True)
+        for a in _draws(space, trials, seed, skew=True):
             sigmas.extend(g_singular_values(a, space.gram)[:, -1])
         worst_sigma = worst(sigmas)
         checks.append(Check.below("max_sigma_min", worst_sigma,

@@ -103,7 +103,7 @@ def test_criterion_03_generic_vector_and_witness_dims_4_to_12():
             if np.max(np.abs(a)) < 1e-8:
                 continue
             y = find_generic_vector(space, a)
-            z = find_orthogonal_witness(space, a, y)
+            z, _, _ = find_orthogonal_witness(space, a, y)
             triple = np.stack([y, space.j @ y, a @ y])
             unit = np.stack([t / np.sqrt(t @ space.gram @ t) for t in triple])
             det = float(np.linalg.det(unit @ space.gram @ unit.T))

@@ -73,6 +73,14 @@ class TestDerivativeMode:
         with pytest.raises(ChartFormatError):
             DerivativeMode("symbolic", 0.1)
 
+    # a NaN step is no smaller than 0 either, and an infinite one takes
+    # every difference quotient to zero
+    @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ChartFormatError,
+                           match=f"step must be finite and positive, got {step}"):
+            DerivativeMode("fd", step)
+
 
 class TestChartConstruction:
     OUT_OF_RANGE = "expression 'x7 * x1' uses variables outside the chart: x7"
@@ -606,6 +614,15 @@ class TestFileFormat:
         save_chart(sphere, path)
         loaded = load_chart(path, name="sphere")
         assert loaded == sphere
+
+    @pytest.mark.parametrize("name", GALLERY_NAMES)
+    def test_byte_order_mark_accepted(self, tmp_path, name):
+        # some editors start a UTF-8 file with the byte-order mark U+FEFF
+        text = chart_to_text(gallery_chart(name)).encode("utf-8")
+        plain, marked = tmp_path / "plain.chart", tmp_path / "marked.chart"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert load_chart(marked, name=name) == load_chart(plain, name=name)
 
     @pytest.mark.parametrize("text,fragment", [
         ("g[1][1] = 1\n", "dim must be set before"),

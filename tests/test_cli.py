@@ -17,6 +17,7 @@ from acmslab.charts import DerivativeMode, chart_to_text
 from acmslab.cli import build_parser, main
 from acmslab.config import DEFAULT_TOLERANCES, PROBES_PER_RESIDUAL, Tolerances
 from acmslab.gallery import GALLERY_NAMES, gallery_chart
+from acmslab.quadruples import ComplexStructuredSpace
 
 S5 = ["--gallery", "s5"]
 FAST = ["--probes", "2"]
@@ -442,6 +443,14 @@ class TestLemma:
         assert exc.value.code == 2
         assert "unrecognized arguments: --probes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", ["6", "8"])
+    def test_one_space_per_command(self, capsys, monkeypatch, dim):
+        # both campaigns run in the space the command builds
+        calls = count_calls(monkeypatch, [(ComplexStructuredSpace, "standard")])
+        code, _, _ = run(capsys, "lemma", "--dim", dim, "--trials", "3")
+        assert code == 0
+        assert calls == {"standard": 1}
+
     def test_zero_trials_rejected(self, capsys):
         code, _, err = run(capsys, "lemma", "--dim", "4", "--trials", "0")
         assert code == 2
@@ -698,11 +707,35 @@ class TestInputErrors:
     @pytest.mark.parametrize("command", ["validate", "curvature", "identities"])
     def test_non_utf8_chart_file_rejected(self, capsys, tmp_path, command):
         path = tmp_path / "bad.chart"
-        path.write_bytes(b"dim = 3\ng[1][1] = 1\xff\n")
+        for bom in (b"", b"\xef\xbb\xbf"):  # the offset counts a byte-order mark
+            path.write_bytes(bom + b"dim = 3\ng[1][1] = 1\xff\n")
+            code, out, err = run(capsys, command, "--chart", str(path), *FAST)
+            assert (code, out) == (2, "")
+            assert err == (f"acmslab: error: {path}: byte {19 + len(bom)} is not UTF-8 "
+                           "(invalid start byte)\n")
+
+    # a NaN step makes NaN derivatives and an infinite one zero derivatives;
+    # 0 is a number, out of range
+    @pytest.mark.parametrize("command", ["validate", "curvature", "identities"])
+    @pytest.mark.parametrize("step", ["nan", "inf", "-inf", "0"])
+    def test_fd_step_must_be_finite_and_positive(self, capsys, tmp_path, command, step):
+        path = tmp_path / "flat.chart"
+        path.write_text(f"dim = 3\nderivative_mode = fd:{step}\n"
+                        "g[1][1] = 1\ng[2][2] = 1\ng[3][3] = 1\n"
+                        "phi[2][1] = 1\nphi[1][2] = -1\nxi[3] = 1\neta[3] = 1\n")
         code, out, err = run(capsys, command, "--chart", str(path), *FAST)
         assert (code, out) == (2, "")
-        assert err == (f"acmslab: error: {path}: byte 19 is not UTF-8 "
-                       "(invalid start byte)\n")
+        assert err == ("acmslab: error: line 2: finite-difference step must be finite "
+                       f"and positive, got {float(step)}\n")
+
+    @pytest.mark.parametrize("command", ["validate", "curvature", "identities"])
+    def test_sample_too_large_for_memory(self, capsys, command):
+        # numpy refuses the 364 TiB sample up front, before any point is read
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, *S5, "--probes", "10000000000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("acmslab: error: out of memory: ") and err.count("\n") == 1
 
     # a non-finite constant once reached the reconstruction suite and ended
     # in residual=nan or inf verdicts with exit 1

@@ -204,7 +204,7 @@ class TestOrthogonalWitness:
         space = ComplexStructuredSpace.standard(4)
         a = _skew_anticommuting_dim4()
         y = np.eye(4)[0]
-        z = find_orthogonal_witness(space, a, y)
+        z, _, _ = find_orthogonal_witness(space, a, y)
         # JAY = -e4 and it is already orthogonal to span{e1, e3, e2}
         np.testing.assert_allclose(z, -np.eye(4)[3], atol=1e-12)
 
@@ -217,7 +217,7 @@ class TestOrthogonalWitness:
             if np.max(np.abs(a)) < 1e-8:
                 continue
             y = find_generic_vector(space, a)
-            z = find_orthogonal_witness(space, a, y)
+            z, _, _ = find_orthogonal_witness(space, a, y)
             assert _norm(z, g) == pytest.approx(1.0)
             for t in (y, space.j @ y, a @ y):
                 assert abs(z @ g @ t) < 1e-9
@@ -389,28 +389,44 @@ class TestConstrainedBasis:
 
 class TestCampaigns:
     def test_generic_vector_campaign(self):
-        report = generic_vector_campaign(6, 25, seed=101)
+        report = generic_vector_campaign(ComplexStructuredSpace.standard(6), 25, seed=101)
         assert report.verdict
         assert report["min_triple_gram_det"].passed
 
     def test_decomposition_campaign_mod4(self):
-        report = decomposition_campaign(8, 10, seed=59)
+        report = decomposition_campaign(ComplexStructuredSpace.standard(8), 10, seed=59)
         assert report.verdict
         assert report["all_decompositions_complete"].passed
 
     def test_decomposition_campaign_other_dims(self):
-        report = decomposition_campaign(6, 10, seed=61)
+        report = decomposition_campaign(ComplexStructuredSpace.standard(6), 10, seed=61)
         assert report.verdict
         assert report["all_draws_singular"].passed
 
     def test_decomposition_campaign_degenerate(self):
-        report = decomposition_campaign(2, 5, seed=3)
+        report = decomposition_campaign(ComplexStructuredSpace.standard(2), 5, seed=3)
         assert report.verdict
         assert report["degenerate_dimension_notice"].passed
 
+    def test_generic_campaign_reduces_the_gated_values(self, monkeypatch):
+        # only the generic-vector scan and the witness's gate compute the
+        # triple Gram determinant: the campaign computes it no more often
+        # than those two calls on the same draws
+        space = ComplexStructuredSpace.standard(8)
+        calls = []
+        det = quadruples._normalized_triple_gram_det
+        monkeypatch.setattr(quadruples, "_normalized_triple_gram_det",
+                            lambda *args: calls.append(1) or det(*args))
+        generic_vector_campaign(space, 5, seed=4)
+        campaign = len(calls)
+        a = random_constrained_operator(space, np.random.default_rng(4), 5, skew=False)
+        calls.clear()
+        find_orthogonal_witness(space, a, find_generic_vector(space, a))
+        assert campaign == len(calls) > 1
+
     def test_campaign_deterministic(self):
-        a = generic_vector_campaign(4, 10, seed=7)
-        b = generic_vector_campaign(4, 10, seed=7)
+        a = generic_vector_campaign(ComplexStructuredSpace.standard(4), 10, seed=7)
+        b = generic_vector_campaign(ComplexStructuredSpace.standard(4), 10, seed=7)
         assert a.to_dicts() == b.to_dicts()
 
 
@@ -465,12 +481,26 @@ class TestStacks:
         assert np.array_equal(y, _per_trial(lambda x: find_generic_vector(space, x), a))
         if split:
             assert np.count_nonzero(y[2]) == 2 and np.count_nonzero(y[0]) == 1
-        z = find_orthogonal_witness(space, a, y)
+        z, _, _ = find_orthogonal_witness(space, a, y)
         assert np.array_equal(z, _per_trial(
-            lambda x, v: find_orthogonal_witness(space, x, v), a, y))
+            lambda x, v: find_orthogonal_witness(space, x, v)[0], a, y))
         lead = (2, 3)
         assert np.array_equal(find_generic_vector(space, a[1:].reshape(*lead, *a.shape[1:])),
                               y[1:].reshape(*lead, space.dim))
+
+    @pytest.mark.parametrize("space", SPACES, ids=IDS)
+    def test_witness_returns_the_values_it_gated(self, space):
+        # the two values the generic-vector campaign reduces: the triple's
+        # Gram determinant and |<Z, JAY>|
+        a = random_constrained_operator(space, np.random.default_rng(space.dim), 7, skew=False)
+        y = find_generic_vector(space, a)
+        z, det, overlap = find_orthogonal_witness(space, a, y)
+        jay = quadruples._apply(space.j, quadruples._apply(a, y))
+        assert np.array_equal(det, quadruples._normalized_triple_gram_det(space, a, y))
+        assert np.array_equal(overlap, np.abs(quadruples._quadratic(z, space.gram, jay)))
+        assert det.shape == overlap.shape == (7,)
+        assert [part.shape for part in find_orthogonal_witness(space, a[0], y[0])] == [
+            (space.dim,), (), ()]
 
     @pytest.mark.parametrize("space", [s for s in SPACES if s.dim % 4 == 0],
                              ids=[i for s, i in zip(SPACES, IDS) if s.dim % 4 == 0])
@@ -545,8 +575,10 @@ class TestStacks:
         assert main(argv) == 0
         whole = capsys.readouterr().out
         monkeypatch.setattr(quadruples, "_BLOCK", 3)  # blocks of 3, 3 and 2 trials
-        assert list(quadruples._blocks(8)) == [3, 3, 2]
-        assert next(quadruples._blocks(10**18)) == 3  # lazily, whatever --trials is
+        space = ComplexStructuredSpace.standard(dim)
+        assert [len(a) for a in quadruples._draws(space, 8, 3, skew=False)] == [3, 3, 2]
+        # lazily, whatever --trials is
+        assert len(next(quadruples._draws(space, 10**18, 3, skew=False))) == 3
         assert main(argv) == 0
         assert capsys.readouterr().out == whole
 
