@@ -3,40 +3,43 @@
 A chart holds one expression per tensor component (metric, endomorphism
 field, Reeb field, contact form) in variables x1..xd, plus a derivative
 mode. Evaluation produces plain numpy arrays at a point; first and second
-derivatives come either from exact symbolic differentiation or from central
-differences of the base grids, selected by the mode. Everything downstream
-(Christoffel symbols, covariant derivatives, curvature assembly) consumes
-the arrays produced here.
+derivatives come either exactly, from the jets of the base grids' array
+programs, or from central differences of the base grids, selected by the
+mode. Everything downstream (Christoffel symbols, covariant derivatives,
+curvature assembly) consumes the arrays produced here.
 
-All grids go through one stack reader, `Chart._grids_at`, which runs each
-grid's array program (`exprs.array_program`, built on first use) over all
-the rows of a stack of points at once. If that raises or reads a
-non-finite value, the rows are read again one at a time, and the first
-row that fails alone is walked with `exprs.evaluate` in component order
-to name the failing component in an `EvalError`. The reader returns the
-rows before that row and its error. In finite-difference mode a
-derivative grid reads the base grid over the stacked stencil of every
-point (`stencil_points`) and differences it.
+All grids go through one stack reader, `Chart._grids_at`, which runs a
+base grid's array program (`exprs.array_program`, built on first use) over
+all the rows of a stack of points at once, up to the derivative order
+asked for: the values, and in symbolic mode the first and second
+derivatives, from one pass. If that raises or reads a non-finite value,
+the rows are read again one at a time. The first row that fails alone is
+walked with `exprs.evaluate` in component order to name a failing value in
+an `EvalError`; if its values walk, its first non-finite derivative names
+the base component, the direction and the point ("d g[1][2] / d x3"), with
+the base component's text as ``where``. The reader returns the rows before
+that row and its error. In finite-difference mode a derivative reads the
+base grid over the stacked stencil of every point (`stencil_points`) and
+differences it.
 
 A chart's expressions are one DAG. `chart_from_text` parses every
 component through one node table, so equal subtrees anywhere in the chart
 are one object, and each distinct parenthesized group, such as S^5's
 ``(1 - (x1^2 + ... + x5^2))`` in almost every entry, is parsed once per
-chart and read from the table wherever it repeats. The symbolic
-derivative grids share one `differentiate` memo, kept in `Chart._dcache`
-next to the grids, so across all of a chart's grids each (node, variable)
-pair is differentiated once. The check that a
-chart uses only x1..xd visits each distinct node once, and walks the
-components one by one only when it fails, to name the first offender.
-Nothing is cached across charts: each chart parses and builds its own.
+chart and read from the table wherever it repeats. A chart builds one
+array program per base grid, g, phi, xi and eta, and no derivative grid of
+its own. The check that a chart uses only x1..xd visits each distinct node
+once, and walks the components one by one only when it fails, to name the
+first offender. Nothing is cached across charts: each chart parses and
+builds its own.
 
-`curvature.PointGeometry` is the only reader of a chart: it reads each grid
-once over its point or its stack of rows. The five one-point readers
-(`Chart.g_at`, `phi_at`, `dg_at`, `ddg_at`, `dphi_at`) wrap the same reader
-and are kept for the benchmark's tracer, which times them by name.
-Christoffel symbols and their derivatives, the covariant derivatives and
-the exterior derivative of the contact form are formulas over the arrays it
-reads.
+`curvature.PointGeometry` is the only reader of a chart: it reads each base
+grid over its point or its stack of rows, with the derivatives its tensors
+need. The five one-point readers (`Chart.g_at`, `phi_at`, `dg_at`,
+`ddg_at`, `dphi_at`) wrap the same reader and are kept for the benchmark's
+tracer, which times them by name. Christoffel symbols and their
+derivatives, the covariant derivatives and the exterior derivative of the
+contact form are formulas over the arrays it reads.
 
 Chart files are line oriented: ``dim = 5`` (at most ``MAX_CHART_DIM``), an
 optional ``derivative_mode = symbolic | fd[:<step>]``, optional
@@ -55,8 +58,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ChartFormatError, ShapeError
-from .exprs import (EvalError, Expr, Num, ParseError, array_program, differentiate,
-                    evaluate, free_variables, parse, to_text)
+from .exprs import (EvalError, Expr, Num, ParseError, array_program, evaluate,
+                    free_variables, parse, to_text)
 
 _ZERO = Num(0.0)
 _DEFAULT_FD_STEP = 1e-5
@@ -136,9 +139,8 @@ class Chart:
     mode: DerivativeMode = SYMBOLIC
     domain: tuple[tuple[float, float], ...] = ()
     name: str = ""
-    # grids by name ("g", "ddg") and, as `differentiate`'s memo, derivatives
-    # by (id(node), index), so the chart's grids differentiate each node once
-    _dcache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the base grids by name ("g", "phi"), each built on first use
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -186,61 +188,58 @@ class Chart:
         return y
 
     def _grid(self, name: str) -> "_Grid":
-        """The symbolic grid ``name`` with its array program, built on first
-        use and kept for the life of the chart."""
-        grid = self._dcache.get(name)
+        """The base grid ``name`` ("g", "phi", "xi", "eta") with its array
+        program, built on first use and kept for the life of the chart."""
+        grid = self._grids.get(name)
         if grid is None:
-            if name.startswith("d"):
-                grid = _Grid.derivative(self._grid(name[1:]), self.dim, self._dcache)
-            else:
-                grid = _Grid.base(name, getattr(self, name), self.dim)
-            self._dcache[name] = grid
+            grid = self._grids[name] = _Grid.base(name, getattr(self, name), self.dim)
         return grid
 
     def _grid_at(self, name: str, y) -> np.ndarray:
         """Evaluate grid ``name`` at ``y``: "g", "phi", "xi", "eta", or one of
         them prefixed by a "d" per derivative order."""
-        rows, error = self._grids_at(name, self._point(y)[None])
+        base = name.lstrip("d")
+        order = len(name) - len(base)
+        jet, error = self._grids_at(base, self._point(y)[None], order)
         if error is not None:
             raise error
-        return rows[0]
+        return jet[order][0]
 
-    def _grids_at(self, name: str, points: np.ndarray) -> tuple[np.ndarray, EvalError | None]:
-        """Evaluate grid ``name`` at the rows of the ``(n, dim)`` stack
-        ``points`` in order, up to the first failing row: the values of the
-        rows before it, stacked along a new leading axis, and the `EvalError`
-        that row raises on its own (None when every row reads).
-        Finite-difference charts difference the base grid, read at each row's
-        `stencil_points` as one stack, instead of reading symbolic derivatives."""
-        if name.startswith("d") and self.mode.kind == "fd":
-            if name.startswith("dd"):
+    def _grids_at(self, name: str, points: np.ndarray,
+                  order: int) -> tuple[list[np.ndarray], EvalError | None]:
+        """The base grid ``name`` and its derivatives up to ``order`` at the
+        rows of the ``(n, dim)`` stack ``points`` in order, up to the first
+        failing row: the values ``(rows, *shape)``, first derivatives
+        ``(rows, dim, *shape)`` and second derivatives ``(rows, dim, dim,
+        *shape)`` of the rows before it (index k of a derivative is x_k),
+        and the `EvalError` that row raises on its own (None when every row
+        reads). A symbolic chart reads them in one pass of the grid's jet
+        program. A finite-difference chart reads the base grid at each row's
+        `stencil_points`, as one stack, and differences it, with None in
+        place of the values; it has no second derivatives."""
+        if order and self.mode.kind == "fd":
+            if order > 1:
                 raise ShapeError("second metric derivatives are symbolic-mode only")
             h, n = self.mode.step, 2 * self.dim
-            base, error = self._grids_at(name[1:], stencil_points(points, h).reshape(-1, self.dim))
+            rows = stencil_points(points, h).reshape(-1, self.dim)
+            (base,), error = self._grids_at(name, rows, 0)
             base = base[:len(base) // n * n].reshape((-1, n) + base.shape[1:])
-            return stencil_difference(base, h, 1), error
+            return [None, stencil_difference(base, h, 1)], error
         grid = self._grid(name)
         try:
-            values = grid.program(points)
-            if np.isfinite(values).all():
-                return values.reshape((len(points),) + grid.shape), None
+            return grid.shaped(grid.program(points, order)), None
         except FloatingPointError:
             pass
         rows: list = []  # one row at a time, up to the first that fails
         error = None
         for y in points:
-            try:
-                row = grid.program(y[None])[0]
-                if np.isfinite(row).all():
-                    rows.append(row)
-                    continue
-            except FloatingPointError:
-                pass
-            row, error = grid.walk(y.tolist())
+            row, error = grid.row(y, order)
             if error is not None:
                 break
             rows.append(row)
-        return np.array(rows).reshape((len(rows),) + grid.shape), error
+        return grid.shaped([np.array([row[k][0] for row in rows]).reshape(
+            (len(rows),) + (self.dim,) * k + (len(grid.exprs),))
+            for k in range(order + 1)]), error
 
     def g_at(self, y) -> np.ndarray:
         return self._grid_at("g", y)
@@ -267,14 +266,14 @@ class Chart:
 
 @dataclass(frozen=True)
 class _Grid:
-    """The chart grid ``name`` ("g", "dphi", "ddg") as a flat tuple of
-    component expressions in C order, with the array program that evaluates
-    them all over a stack of points."""
+    """The base chart grid ``name`` ("g", "xi") as a flat tuple of component
+    expressions in C order, with the jet program (`exprs.array_program`)
+    that evaluates them and their derivatives over a stack of points."""
 
     name: str
     shape: tuple[int, ...]
     exprs: tuple[Expr, ...]
-    program: Callable[[np.ndarray], np.ndarray]
+    program: Callable[..., list[np.ndarray]]
 
     @classmethod
     def base(cls, name: str, entries, dim: int) -> "_Grid":
@@ -282,22 +281,45 @@ class _Grid:
         exprs = _components(name, entries, dim)[1]
         return cls(name, shape, tuple(exprs), array_program(exprs))
 
-    @classmethod
-    def derivative(cls, inner: "_Grid", dim: int, memo: dict) -> "_Grid":
-        """Grid of d inner / d x_k, with k as the new leading index, taken
-        through `differentiate`'s ``memo``."""
-        exprs = [differentiate(e, k + 1, memo) for k in range(dim) for e in inner.exprs]
-        return cls("d" + inner.name, (dim,) + inner.shape, tuple(exprs), array_program(exprs))
+    def shaped(self, jet: list[np.ndarray]) -> list[np.ndarray]:
+        """A program's jet with each component axis unflattened to the
+        grid's shape."""
+        return [part.reshape(part.shape[:-1] + self.shape) for part in jet]
 
-    def label(self, n: int) -> str:
-        """Component ``n``'s label in errors: "g[1][2]", "d g[1][2] / d x3",
-        "dd g[1][2] / d x3 d x4" (x4 the leading index)."""
-        base = self.name.lstrip("d")
-        order = len(self.name) - len(base)
-        index = np.unravel_index(n, self.shape)
-        label = base + "".join(f"[{i + 1}]" for i in index[order:])
+    def label(self, n: int, order: int = 0) -> str:
+        """Label in errors of entry ``n`` of the flat derivative of ``order``:
+        "g[1][2]", "d g[1][2] / d x3", "dd g[1][2] / d x3 d x4" (x4 the
+        leading index)."""
+        index = np.unravel_index(n, (self.shape[0],) * order + self.shape)
+        label = self.name + "".join(f"[{i + 1}]" for i in index[order:])
         wrt = " ".join(f"d x{k + 1}" for k in index[order - 1::-1])
         return f"{'d' * order} {label} / {wrt}" if order else label
+
+    def row(self, y: np.ndarray, order: int) -> tuple[list[np.ndarray] | None, EvalError | None]:
+        """The jet of the one point ``y``, or the `EvalError` naming its
+        first failing entry: a value the tree-walker rejects (`walk`), else
+        the first non-finite derivative, first derivatives before second,
+        each in C order, with the base component's text as ``where``. A
+        row whose strict read raised but whose values walk and whose
+        derivatives are finite reads as the IEEE results."""
+        try:
+            return self.program(y[None], order), None
+        except FloatingPointError:
+            pass
+        values = y.tolist()
+        error = self.walk(values)[1]
+        if error is not None:
+            return None, error
+        jet = self.program(y[None], order, strict=False)
+        for k in range(1, order + 1):
+            bad = np.flatnonzero(~np.isfinite(jet[k]))
+            if bad.size:
+                n = int(bad[0])
+                return None, EvalError(
+                    f"{self.label(n, k)} at point {values}: "
+                    f"non-finite value {float(jet[k].flat[n])!r}",
+                    to_text(self.exprs[n % len(self.exprs)]))
+        return jet, None
 
     def walk(self, values: list[float]) -> tuple[list[float], EvalError | None]:
         """The components at the point ``values`` by the tree-walker, in

@@ -199,8 +199,9 @@ def cmd_validate(args) -> int:
 
     # one geometry over the whole sample: each grid is read over every point
     # when a check first needs it, so the order below decides which error a
-    # chart failing at several points reports (phi, xi, eta, g, dg, dxi,
-    # dphi, the horizontal frame, deta)
+    # chart failing at several points reports (phi, xi, eta, g, dg, dxi, dphi,
+    # the horizontal frame, deta; a symbolic chart reads dphi with phi, dxi
+    # with xi and dg with g)
     pg = PointGeometry(chart, points, tol=tol)
     report = validate_acms(pg.phi, pg.xi, pg.eta, pg.gram, tol=tol)
     a = pg.reeb_gradient
@@ -317,9 +318,9 @@ def main(argv=None) -> int:
         print(f"acmslab: error: out of memory: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # symbolic differentiation and error messages recurse over the tree
-        print("acmslab: error: expression nested too deeply to process; symbolic "
-              "differentiation recurses, so try derivative_mode = fd", file=sys.stderr)
+        # naming a failing component walks and prints its tree recursively
+        print("acmslab: error: expression nested too deeply to name its failing "
+              "component", file=sys.stderr)
         return 2
 
 

@@ -11,13 +11,14 @@ of curvature from first derivatives of the structure on nearly cosymplectic
 charts.
 
 ``PointGeometry`` is the only reader of a chart. It holds points of any
-leading shape, reads each grid once over all of them, and every tensor it
+leading shape, reads each base grid over all of them, and every tensor it
 holds (curvature included) is an array formula over those leading axes, so
 the derivative stencils of the finite-difference Christoffel derivative and
 of the modified curvature's Richardson step are geometries too. A geometry
-is read grid by grid, each grid over all of its rows, in the order its
-tensors need them: the first failing row of the first failing grid raises,
-after the metrics of the g rows read before it are checked. The pointwise
+is read grid by grid, each base grid with the derivatives its tensors need
+over all of its rows, in the order its tensors need them: the first
+failing row of the first failing read raises, after the metrics of the g
+rows read before it are checked. The pointwise
 residuals (`killing_residual` through `contact_residuals`) and the four
 identity suites take one geometry: a residual gives a float at a point or
 one value per point, and a suite reports each check's worst point. So
@@ -156,15 +157,28 @@ def modified_riemann(pg: PointGeometry) -> np.ndarray:
     return _assemble_curvature(pg.modified_gamma, dgam)
 
 
+#: The derivative order at which `PointGeometry` first reads each base grid
+#: of a symbolic chart. Every command that reads g, phi or xi needs its
+#: first derivatives too (the Christoffel symbols, nabla phi, the Reeb
+#: gradient), bar `curvature`, which reads xi for its projector alone, and
+#: the jet program gives them in the same pass. eta's derivative is read
+#: only by the contact checks of `validate`, and g's second derivatives
+#: only by the curvature: each is a second read of its grid. A
+#: finite-difference chart reads each order when it is needed, since a
+#: derivative costs it 2d more rows per point.
+_FIRST_ORDER = {"g": 1, "phi": 1, "xi": 1, "eta": 0}
+
+
 class PointGeometry:
     """Lazy bundle of every tensor the identity suites need, at each point
     of ``y`` of shape ``(..., dim)``: one point ``(dim,)``, a sample
     ``(n, dim)`` or the ``(n, 2d, dim)`` rows of a derivative stencil.
 
     Each tensor is computed on first access and cached for the lifetime of
-    the object. `_read` is its only chart reader and reads each grid once,
-    over every point. Every tensor is an array formula over the leading
-    axes of ``y``, each point exactly what the point alone gives.
+    the object. `_read` is its only chart reader and reads each base grid
+    over every point, with the derivatives its tensors need (see
+    `_FIRST_ORDER`). Every tensor is an array formula over the
+    leading axes of ``y``, each point exactly what the point alone gives.
     Everything derived from the Christoffel symbols reads the one cached
     ``gamma``.
     """
@@ -175,38 +189,52 @@ class PointGeometry:
         self.tol = tol
         if self.y.ndim == 0 or self.y.shape[-1] != chart.dim:
             raise ShapeError(f"points have shape {self.y.shape}, expected (..., {chart.dim})")
+        self._symbolic = chart.mode.kind == "symbolic"
+        self._stack = self.y.reshape(-1, chart.dim)  # the points as rows
+        self._parts: dict[tuple[str, int], np.ndarray] = {}
 
-    def _read(self, name: str) -> np.ndarray:
-        """Grid ``name`` at every point, read as one stack of rows: the
-        metrics of the g rows read are checked before a failing row
-        raises."""
-        rows, error = self.chart._grids_at(name, self.y.reshape(-1, self.chart.dim))
-        if name == "g":
-            check_gram(rows)
+    def _read(self, name: str, order: int) -> np.ndarray:
+        """Derivative ``order`` (0 for the values) of base grid ``name`` at
+        every point, from the jet `Chart._grids_at` reads over one stack of
+        rows. Every order the jet holds is kept: a symbolic grid is read up
+        to at least its `_FIRST_ORDER`, and an order not kept reads the
+        grid again. The metrics of the g rows read are checked, on the
+        first read of g's values, before a failing row raises."""
+        part = self._parts.get((name, order))
+        if part is not None:
+            return part
+        jet, error = self.chart._grids_at(
+            name, self._stack, max(order, _FIRST_ORDER[name]) if self._symbolic else order)
+        if name == "g" and jet[0] is not None and ("g", 0) not in self._parts:
+            check_gram(jet[0])
         if error is not None:
             raise error
-        return rows.reshape(self.y.shape[:-1] + rows.shape[1:])
+        lead = self.y.shape[:-1]
+        for k, rows in enumerate(jet):
+            if rows is not None:
+                self._parts[name, k] = rows.reshape(lead + rows.shape[1:])
+        return self._parts[name, order]
 
     @cached_property
     def gram(self) -> np.ndarray:
-        return self._read("g")
+        return self._read("g", 0)
 
     @cached_property
     def phi(self) -> np.ndarray:
-        return self._read("phi")
+        return self._read("phi", 0)
 
     @cached_property
     def xi(self) -> np.ndarray:
-        return self._read("xi")
+        return self._read("xi", 0)
 
     @cached_property
     def eta(self) -> np.ndarray:
-        return self._read("eta")
+        return self._read("eta", 0)
 
     @cached_property
     def dg(self) -> np.ndarray:
         """Metric derivatives dg[..., k, i, j] along x_k."""
-        return self._read("dg")
+        return self._read("g", 1)
 
     @cached_property
     def ginv(self) -> np.ndarray:
@@ -226,10 +254,10 @@ class PointGeometry:
         the second-level step, of the Christoffel symbols of the
         `coarse_stencil`.
         """
-        if self.chart.mode.kind == "fd":
+        if not self._symbolic:
             return stencil_difference(self.coarse_stencil.gamma, FD_SECOND_STEP,
                                       self.y.ndim - 1)
-        return christoffel_derivative(self.ginv, self.dg, self._read("ddg"))
+        return christoffel_derivative(self.ginv, self.dg, self._read("g", 2))
 
     @cached_property
     def coarse_stencil(self) -> PointGeometry:
@@ -263,7 +291,7 @@ class PointGeometry:
     @cached_property
     def reeb_gradient(self) -> np.ndarray:
         """Matrix of the covariant gradient of the Reeb field."""
-        return nabla_xi(self.gamma, self.xi, self._read("dxi"))
+        return nabla_xi(self.gamma, self.xi, self._read("xi", 1))
 
     @cached_property
     def dxi_skew(self) -> np.ndarray:
@@ -276,11 +304,11 @@ class PointGeometry:
 
     @cached_property
     def nphi(self) -> np.ndarray:
-        return nabla_phi(self.gamma, self.phi, self._read("dphi"))
+        return nabla_phi(self.gamma, self.phi, self._read("phi", 1))
 
     @cached_property
     def deta(self) -> np.ndarray:
-        return d_eta(self._read("deta"))
+        return d_eta(self._read("eta", 1))
 
     @cached_property
     def correction(self) -> np.ndarray:
@@ -303,8 +331,7 @@ class PointGeometry:
 
     @cached_property
     def riem(self) -> np.ndarray:
-        symbolic = self.chart.mode.kind == "symbolic"
-        gate = self.tol.curvature_symbolic if symbolic else self.tol.curvature_fd
+        gate = self.tol.curvature_symbolic if self._symbolic else self.tol.curvature_fd
         return riemann(self.gamma, self.dgamma, gate)
 
     @cached_property

@@ -2,10 +2,11 @@
 
 A deliberately small language carries chart tensor components: numeric
 literals, coordinates x1..xk, the four arithmetic operators, integer powers,
-unary minus and the functions sin, cos, sqrt, exp. Derivatives are produced
-symbolically so Christoffel data can be evaluated without finite-difference
-noise; simplification is limited to float constant folding and the 0/1
-identities, which keeps printed output predictable.
+unary minus and the functions sin, cos, sqrt, exp. Derivatives are exact, so
+Christoffel data can be evaluated without finite-difference noise: the
+array program carries truncated Taylor series (jets) through the tree.
+Simplification is limited to float constant folding and the 0/1 identities,
+which keeps printed output predictable.
 
 `parse` splits the whole text into lexeme strings with one ``findall`` of
 one token pattern before parsing starts; a lexeme's kind is read off its
@@ -19,18 +20,19 @@ node table so that equal subtrees across all of them are one object too.
 The table also maps the lexemes of each parenthesized group (a function's
 argument too) to the group's node, so each distinct group is parsed once
 per table: a repeated copy is skipped to its closing parenthesis.
-`differentiate` takes a memo keyed by node and variable, so over a whole
-chart each shared subexpression is differentiated once per variable and
-its derivative is one object wherever it is used. (Equal derivatives of
-different nodes stay separate objects; `hash_cons` merges them by
-structure.) `free_variables` and `hash_cons` visit each distinct object
-once. Sharing changes no value: every tree prints and evaluates as before.
+`free_variables` and `hash_cons` visit each distinct object once. Sharing
+changes no value: every tree prints and evaluates as before.
 
-Two evaluators give the same floats. `evaluate` walks one tree at one point
+Two evaluators give the same values. `evaluate` walks one tree at one point
 and names the failing subexpression in an `EvalError`; it is the reference.
 `array_program` runs many trees over a stack of points, one ufunc call per
-group of nodes of one depth and operation. Both take each power and
-function's ufunc from `_operation`.
+group of nodes of one depth and operation, and carries each node's first
+and second derivatives along with its value by forward-mode automatic
+differentiation: a few more array calls per group, and no derivative tree
+is built. Both take each power and function's ufunc from `_operation`, and
+`FUNCTIONS` holds each function's value ufunc, symbolic derivative and
+Taylor coefficients. `differentiate` builds the derivative as a tree; no
+command calls it, and the tests compare the jets against it.
 
 ``parse(to_text(e)) == e`` holds for every tree built by ``parse`` or
 ``differentiate`` (the canonical forms): the parser folds a unary minus on a
@@ -43,6 +45,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -175,12 +178,18 @@ def _d_sqrt(a: Expr, da: Expr) -> Expr:
     return div(da, mul(num(2.0), Call("sqrt", a)))
 
 
-#: name -> (value ufunc, derivative rule) of every function of the language
-FUNCTIONS: dict[str, tuple[np.ufunc, Callable[[Expr, Expr], Expr]]] = {
-    "sin": (np.sin, lambda a, da: mul(Call("cos", a), da)),
-    "cos": (np.cos, lambda a, da: neg(mul(Call("sin", a), da))),
-    "sqrt": (np.sqrt, _d_sqrt),
-    "exp": (np.exp, lambda a, da: mul(Call("exp", a), da)),
+#: name -> (value ufunc, symbolic derivative rule, Taylor coefficients) of
+#: every function of the language. ``taylor(u, w, order)`` gives f'(u) and,
+#: at order 2, f''(u) (else None), from the argument ``u`` and ``w = f(u)``.
+FUNCTIONS: dict[str, tuple[np.ufunc, Callable[[Expr, Expr], Expr], Callable]] = {
+    "sin": (np.sin, lambda a, da: mul(Call("cos", a), da),
+            lambda u, w, order: (np.cos(u), -w if order > 1 else None)),
+    "cos": (np.cos, lambda a, da: neg(mul(Call("sin", a), da)),
+            lambda u, w, order: (-np.sin(u), -w if order > 1 else None)),
+    "sqrt": (np.sqrt, _d_sqrt,
+             lambda u, w, order: (0.5 / w, -0.25 / (w * u) if order > 1 else None)),
+    "exp": (np.exp, lambda a, da: mul(Call("exp", a), da),
+            lambda u, w, order: (w, w if order > 1 else None)),
 }
 
 
@@ -188,11 +197,13 @@ FUNCTIONS: dict[str, tuple[np.ufunc, Callable[[Expr, Expr], Expr]]] = {
 # tokenizer / parser
 
 #: The kinds of token, each with the pattern of its lexemes, in the order
-#: they are tried: a number, a name, an operator, the end of the text, or
-#: any other character (an error). ``\d`` and ``\w`` are Unicode classes.
-_KINDS = (("num", r"(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?"),
+#: they are tried: an operator (the most frequent lexeme in chart texts),
+#: a number, a name, the end of the text, or any other character (an
+#: error). The first three start with disjoint characters, so their order
+#: decides no match. ``\d`` and ``\w`` are Unicode classes.
+_KINDS = (("op", r"[-+*/^()]"),
+          ("num", r"(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?"),
           ("name", r"[^\W\d_]\w*"),
-          ("op", r"[-+*/^()]"),
           ("end", r"\Z"),
           ("bad", r"."))
 
@@ -468,7 +479,7 @@ _RAISE = {"divide": "raise", "invalid": "raise", "over": "raise"}
 #: The ufunc of each ``(kind, attribute)`` of a node key but powers'.
 _UFUNCS = {("bin", "+"): np.add, ("bin", "-"): np.subtract, ("bin", "*"): np.multiply,
            ("bin", "/"): np.divide, ("neg", None): np.negative,
-           **{("call", name): fn for name, (fn, _) in FUNCTIONS.items()}}
+           **{("call", name): fn for name, (fn, *_) in FUNCTIONS.items()}}
 
 
 def _operation(kind: str, attr) -> tuple[np.ufunc, tuple]:
@@ -660,47 +671,193 @@ def hash_cons(exprs) -> tuple[list[tuple], list[int]]:
     return nodes, roots
 
 
-def array_program(exprs) -> Callable[[np.ndarray], np.ndarray]:
-    """A callable from an ``(n, k)`` array of points (x1..xk per row) to the
-    ``(n, len(exprs))`` array of ``evaluate(e, row)``, bit for bit.
+def _symmetric_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i b_j + b_i a_j, flattened to ``(d * d, ...)``, for gradient blocks
+    ``(d, ...)``: entry (i, j) and entry (j, i) are the same sum, so the
+    result is symmetric bit for bit."""
+    t = a[:, None] * b[None, :]
+    return (t + t.swapaxes(0, 1)).reshape((len(a) * len(b),) + t.shape[2:])
 
-    Each `hash_cons` node is one row of a nodes x points work array. Depth
-    is 0 for numbers and variables, else one more than the deepest child's;
-    the nodes of one depth, kind and attribute (every ``*`` at depth 4) form
-    a group, which one ufunc call writes as a block of rows, in depth order.
-    Any floating-point exception but underflow raises ``FloatingPointError``
-    and names nothing: wherever `evaluate` raises, and where an operator
-    overflows on the way to a finite value (``1 / (x1 * x1)`` at 1e200).
+
+# Each rule writes the jets ``out`` of a group of nodes from the jets of its
+# operands, ``(width, nodes, points)`` blocks: the values, then for order 1
+# or 2 the derivative along each of the d variables the program uses, then
+# for order 2 the second derivatives, (1, 1), (1, 2), ... (d, d).
+
+def _product(fn, consts, ops, out, d: int) -> None:
+    """w = u v: w' = u v' + u' v, w'' = u v'' + u'' v + u' v'^T + v' u'^T."""
+    u, v = ops
+    fn(u[:1], v, out=out)  # the value u v, and u v', u v''
+    out[1:] += u[1:] * v[:1]
+    if len(out) > 1 + d:
+        out[1 + d:] += _symmetric_outer(u[1:1 + d], v[1:1 + d])
+
+
+def _quotient(fn, consts, ops, out, d: int) -> None:
+    """w = u / v: w' = (u' - w v') / v, w'' = (u'' - w v'' - w' v'^T - v' w'^T) / v."""
+    u, v = ops
+    fn(u[0], v[0], out=out[0])
+    np.multiply(out[:1], v[1:], out=out[1:])
+    np.subtract(u[1:], out[1:], out=out[1:])
+    out[1:1 + d] /= v[:1]
+    if len(out) > 1 + d:
+        out[1 + d:] -= _symmetric_outer(out[1:1 + d], v[1:1 + d])
+        out[1 + d:] /= v[:1]
+
+
+def _power_taylor(u, w, order, k):
+    """The coefficients of `FUNCTIONS` for u^k; None where k makes one 0.
+    For the squares, u^1 is u and u^0 is 1."""
+    if k == 2:
+        return 2.0 * u, (2.0 if order > 1 else None)
+    first = None if k == 0 else k * np.power(u, k - 1.0)
+    second = None if order < 2 or k in (0, 1) else k * (k - 1.0) * np.power(u, k - 2.0)
+    return first, second
+
+
+def _chain(fn, consts, ops, out, d: int, *, taylor) -> None:
+    """w = f(u): w' = f'(u) u', w'' = f'(u) u'' + f''(u) u' u'^T."""
+    u = ops[0]
+    fn(u[0], *consts, out=out[0])
+    first, second = taylor(u[0], out[0], 1 if len(out) == 1 + d else 2, *consts)
+    if first is None:
+        out[1:] = 0.0
+        return
+    np.multiply(first, u[1:], out=out[1:])
+    if second is not None:
+        grad = u[1:1 + d]
+        t = grad[:, None] * grad[None, :]
+        t *= second
+        out[1 + d:] += t.reshape(out[1 + d:].shape)
+
+
+#: The jet rule of each ``(kind, attribute)``, powers under ``("pow",
+#: None)``: None for the linear operations, whose ufunc applies to the
+#: derivatives as it does to the values.
+_RULES = {("bin", "+"): None, ("bin", "-"): None, ("neg", None): None,
+          ("bin", "*"): _product, ("bin", "/"): _quotient,
+          ("pow", None): partial(_chain, taylor=_power_taylor),
+          **{("call", name): partial(_chain, taylor=taylor)
+             for name, (*_, taylor) in FUNCTIONS.items()}}
+
+
+def _along(axes: list[int], d: int, part: np.ndarray) -> np.ndarray:
+    """The jet ``part``, whose derivative axes (those after the first) run
+    over the variables ``axes`` (0-based), over all of x1..xd instead, 0
+    along the others."""
+    order = part.ndim - 2
+    full = np.zeros(part.shape[:1] + (d,) * order + part.shape[-1:])
+    full[(slice(None), *np.ix_(*[axes] * order))] = part
+    return full
+
+
+def _rows(rows: list[int]):
+    """The work-array ``rows`` as a slice when they are consecutive (a view
+    is cheaper than a gather), else as an index array."""
+    first, stop = rows[0], rows[0] + len(rows)
+    if rows[-1] == stop - 1 and rows == list(range(first, stop)):
+        return slice(first, stop)
+    return np.array(rows, dtype=np.intp)
+
+
+def array_program(exprs) -> Callable[..., list[np.ndarray]]:
+    """A callable ``program(points, order=0, *, strict=True)`` from an
+    ``(n, k)`` array of points (x1..xk per row) to the truncated Taylor
+    series ("jet") of ``exprs`` at every row, up to ``order`` 0, 1 or 2:
+    a list of the C-ordered ``(n, len(exprs))`` values, the ``(n, k,
+    len(exprs))`` first derivatives along x1..xk and the ``(n, k, k,
+    len(exprs))`` second derivatives. The values are ``evaluate(e, row)``
+    bit for bit, whatever the order.
+
+    Each `hash_cons` node is one row of a (1 + v + v^2) x nodes x points
+    work array, shorter below order 2: its value, and its gradient and
+    Hessian (flattened) along the v variables that ``exprs`` use, at every
+    point; a derivative along any other variable is 0, which is written
+    into the outputs alone. Depth is 0 for numbers and variables, else
+    one more than the deepest child's; the nodes of one depth, kind and
+    attribute (every ``*`` at depth 4) form a group, whose block is written
+    in depth order: for ``+``, ``-`` and negation, which are linear, by one
+    ufunc call over every order; for the others by the node's own ufunc on
+    the values and a few array calls for the product, quotient and chain
+    rules of forward-mode automatic differentiation (Griewank and Walther,
+    *Evaluating Derivatives*, 2nd ed., SIAM 2008). Every Hessian is
+    symmetric bit for bit. One ``take`` per order gathers the outputs in
+    their final layout.
+
+    With ``strict``, any floating-point exception but underflow raises
+    ``FloatingPointError`` and names nothing: wherever `evaluate` raises,
+    where an operator overflows on the way to a finite value (``1 / (x1 *
+    x1)`` at 1e200), and where a derivative rule divides by zero or
+    overflows; so does a value that is not finite anywhere in the work
+    array (an infinite number in the text), so a strict read returns finite
+    numbers only. Without it the IEEE results (inf, NaN) are returned.
     """
     nodes, roots = hash_cons(exprs)
-    depth = [0] * len(nodes)
+    depth: list[int] = []
     groups: dict[tuple, list[int]] = {}
-    for slot, (kind, attr, *kids) in enumerate(nodes):
-        if kids:
-            depth[slot] = 1 + max(depth[kid] for kid in kids)
-            groups.setdefault((depth[slot], kind, attr), []).append(slot)
+    for slot, key in enumerate(nodes):  # (kind, attr) and one child slot per operand
+        if len(key) == 2:
+            depth.append(0)
+            continue
+        below = depth[key[2]]
+        if len(key) == 4 and depth[key[3]] > below:
+            below = depth[key[3]]
+        depth.append(below + 1)
+        groups.setdefault((below + 1, key[0], key[1]), []).append(slot)
     numbers = [slot for slot, key in enumerate(nodes) if key[0] == "num"]
     variables = [slot for slot, key in enumerate(nodes) if key[0] == "var"]
     by_depth = sorted(groups.items(), key=lambda item: item[0][0])  # stable
-    order = numbers + variables + [slot for _, slots in by_depth for slot in slots]
-    row = {slot: r for r, slot in enumerate(order)}
-    steps = []  # (ufunc, constants, first and end row, operand rows)
+    order_of_rows = numbers + variables + [slot for _, slots in by_depth for slot in slots]
+    row = {slot: r for r, slot in enumerate(order_of_rows)}
+    steps = []  # (ufunc, constants, derivative rule, rows written, operand rows)
     for (_, kind, attr), slots in by_depth:
         kids = zip(*(nodes[slot][2:] for slot in slots))  # one tuple per operand
-        args = [np.array([row[kid] for kid in column]) for column in kids]
-        steps.append((*_operation(kind, attr), row[slots[0]], row[slots[-1]] + 1, args))
-    values = np.array([float(nodes[slot][1]) for slot in numbers])[:, None]
+        args = [_rows([row[kid] for kid in column]) for column in kids]
+        steps.append((*_operation(kind, attr), _RULES[kind, None if kind == "pow" else attr],
+                      slice(row[slots[0]], row[slots[-1]] + 1), args))
+    constants = np.array([float(nodes[slot][1]) for slot in numbers])[:, None]
     columns = np.array([nodes[slot][1] - 1 for slot in variables], dtype=np.intp)
+    inputs = slice(len(numbers), len(numbers) + len(variables))
+    axes = sorted(set(columns.tolist()))  # the variables the jets differentiate along
+    v = len(axes)
+    # the row of d x_k / d x_k in the work array with its first two axes merged
+    seeds = np.array([(1 + axes.index(c)) * len(order_of_rows) + r
+                      for r, c in enumerate(columns.tolist(), len(numbers))], dtype=np.intp)
     outputs = np.array([row[slot] for slot in roots], dtype=np.intp)
 
-    def program(points) -> np.ndarray:
+    def program(points, order: int = 0, *, strict: bool = True) -> list[np.ndarray]:
         points = np.asarray(points, float)
-        work = np.empty((len(order), len(points)))
-        work[:len(numbers)] = values
-        work[len(numbers):len(numbers) + len(variables)] = points.T.take(columns, axis=0)
-        with np.errstate(**_RAISE):
-            for fn, consts, first, stop, args in steps:
-                fn(*[work.take(a, axis=0) for a in args], *consts, out=work[first:stop])
-        return work.T.take(outputs, axis=1)
+        n, d = points.shape
+        # every row's values are written; derivatives only where not 0
+        work = (np.zeros if order else np.empty)(((1, 1 + v, 1 + v + v * v)[order],
+                                                  len(order_of_rows), n))
+        values = work[0]
+        values[:len(numbers)] = constants
+        values[inputs] = points.T.take(columns, axis=0)
+        with np.errstate(**(_RAISE if strict else {"all": "ignore"})):
+            if not order:
+                for fn, consts, _, rows, args in steps:
+                    fn(*[values[a] if a.__class__ is slice else values.take(a, axis=0)
+                         for a in args], *consts, out=values[rows])
+            else:
+                work.reshape(work.shape[0] * work.shape[1], n)[seeds] = 1.0
+                for fn, consts, rule, rows, args in steps:
+                    ops = [work[:, a] if a.__class__ is slice else work.take(a, axis=1)
+                           for a in args]
+                    if rule is None:
+                        fn(*ops, *consts, out=work[:, rows])
+                    else:
+                        rule(fn, consts, ops, work[:, rows], v)
+        if strict and not np.isfinite(work).all():
+            raise FloatingPointError("a value is not finite")
+        jet = [values.T.take(outputs, axis=1)]
+        if order:
+            jet.append(work[1:1 + v].transpose(2, 0, 1).take(outputs, axis=2))
+        if order == 2:
+            hessians = work[1 + v:].reshape(v, v, len(order_of_rows), n)
+            jet.append(hessians.transpose(3, 0, 1, 2).take(outputs, axis=3))
+        if v < d:  # every x_k the expressions do not use: derivatives of 0
+            jet[1:] = [_along(axes, d, part) for part in jet[1:]]
+        return jet
 
     return program

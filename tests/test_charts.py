@@ -1,7 +1,10 @@
 """Unit tests for symbolic charts: evaluation, derivative grids, Christoffel
 data, the exterior derivative convention and the file format."""
+import importlib.util
 import itertools
 import math
+import pathlib
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +23,7 @@ from acmslab.charts import (
     save_chart,
 )
 from acmslab import charts, exprs
+from acmslab.cli import main
 from acmslab.curvature import PointGeometry
 from acmslab.errors import ChartFormatError, ShapeError
 from acmslab.exprs import EvalError, Num, differentiate, evaluate, hash_cons, parse, to_text
@@ -112,24 +116,21 @@ class TestChartConstruction:
                              if hasattr(node, f))
         assert len(distinct) == len(hash_cons(g)[0])
 
-    def test_chart_build_differentiates_each_node_once(self, monkeypatch):
+    @pytest.mark.parametrize("command", ["validate", "curvature", "identities"])
+    def test_commands_never_differentiate_symbolically(self, monkeypatch, capsys, command):
         # every call through the module attribute, the recursive ones too
+        calls = []
         original = exprs.differentiate
-        calls, done = [], []
 
         def counting(e, index, memo=None):
             calls.append(e)
-            if memo is None or (id(e), index) not in memo:
-                done.append((id(e), index))
             return original(e, index, memo)
 
         monkeypatch.setattr(exprs, "differentiate", counting)
-        monkeypatch.setattr(charts, "differentiate", counting)
-        chart = gallery_chart("s5").with_mode(SYMBOLIC)  # a fresh _dcache
-        for name in GRIDS:
-            chart._grid(name)
-        assert len(set(done)) == len(done)
-        assert len(calls) <= 5000
+        for name in GALLERY_NAMES:
+            main([command, "--gallery", name, "--probes", "2"])
+        capsys.readouterr()
+        assert calls == []
 
     def test_domain_length_checked(self):
         with pytest.raises(ShapeError):
@@ -170,6 +171,25 @@ class TestEvaluation:
 
 GRIDS = ("g", "phi", "xi", "eta", "dg", "ddg", "dphi", "dxi", "deta")
 
+DARBOUX = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "darboux.py"
+
+
+def _darboux_chart(n):
+    """The benchmark's Darboux Sasakian chart on R^{2n+1}, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_darboux", DARBOUX)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return chart_from_text(module.darboux_sasakian_text(n))
+
+
+def _stack(chart, name, points):
+    """Grid ``name`` ("g", "dg", "ddg") over the rows of ``points`` by
+    `Chart._grids_at`: that derivative of its base grid's jet, and the
+    error."""
+    base = name.lstrip("d")
+    jet, error = chart._grids_at(base, np.asarray(points, float), len(name) - len(base))
+    return jet[-1], error
+
 
 def _tree_walked(chart, name):
     """Grid ``name`` as a function of the point, by differentiate and
@@ -197,10 +217,21 @@ def _tree_walked(chart, name):
     return at
 
 
-@pytest.mark.parametrize("source", [*GALLERY_NAMES, "polar_plane"])
+# The jets round differently from the symbolic derivative trees: on these
+# charts the largest difference is 8.9e-16, on S^5's ddg.
+ROUNDING = 8 * np.finfo(float).eps
+
+
+SOURCES = {**{name: (lambda name=name: gallery_chart(name)) for name in GALLERY_NAMES},
+           "polar_plane": lambda: chart_from_text(POLAR_PLANE_TEXT),
+           "darboux_d9": lambda: _darboux_chart(4),
+           "darboux_d13": lambda: _darboux_chart(6)}
+
+
+@pytest.mark.parametrize("source", SOURCES)
 def test_grids_equal_tree_walker(source):
-    chart = (chart_from_text(POLAR_PLANE_TEXT) if source == "polar_plane"
-             else gallery_chart(source))
+    # the base grids bit for bit, their derivatives to rounding
+    chart = SOURCES[source]()
     points = sample_points(chart, 2, seed=12)
     for name in GRIDS:
         want = _tree_walked(chart, name)
@@ -208,7 +239,11 @@ def test_grids_equal_tree_walker(source):
             got = chart._grid_at(name, y)
             expected = want(y)
             assert got.shape == expected.shape
-            assert np.array_equal(got, expected), (source, name, y)
+            if name.startswith("d"):
+                assert np.all(np.abs(got - expected) <= ROUNDING * (1.0 + np.abs(expected))), \
+                    (source, name, y)
+            else:
+                assert np.array_equal(got, expected), (source, name, y)
 
 
 def _central_difference(fn, y, h):
@@ -233,7 +268,7 @@ class TestStackedReads:
                 # the central difference of base grids read one row at a time
                 base = lambda p, name=name: chart._grid_at(name[1:], p)  # noqa: E731
                 rows = [_central_difference(base, y, chart.mode.step) for y in points]
-            got, error = chart._grids_at(name, points)
+            got, error = _stack(chart, name, points)
             assert error is None, name
             assert np.array_equal(got, np.array(rows)), name
 
@@ -245,10 +280,10 @@ class TestStackedReads:
         points[0] = 0.0
         points[1] = -0.0
         points[2, ::2] = -0.0
-        got, error = chart._grids_at(name, points)
+        got, error = _stack(chart, name, points)
         assert error is None
         for size in (1, 7):
-            parts = [chart._grids_at(name, points[i:i + size])
+            parts = [_stack(chart, name, points[i:i + size])
                      for i in range(0, len(points), size)]
             assert all(e is None for _, e in parts)
             assert got.tobytes() == np.concatenate([p for p, _ in parts]).tobytes(), size
@@ -256,13 +291,24 @@ class TestStackedReads:
     def test_intermediate_overflow_reads_as_the_tree_walker(self):
         # x1 * x1 overflows to inf in the middle row, and 1 / inf is 0.0
         chart = chart_from_text("dim = 1\ng[1][1] = 1 / (x1 * x1)\n")
-        got, error = chart._grids_at("g", np.array([[2.0], [1e200], [4.0]]))
+        got, error = _stack(chart, "g", [[2.0], [1e200], [4.0]])
         assert error is None
         assert got.tolist() == [[[0.25]], [[0.0]], [[0.0625]]]
 
+    def test_entries_near_the_largest_float_read_at_once(self, monkeypatch):
+        # two entries near 1e308 overflow the strict read's sum, but every
+        # value is finite: no warning, and no row is read again alone
+        monkeypatch.setattr(charts._Grid, "row", None)
+        chart = chart_from_text("dim = 2\ng[1][1] = 1e308\ng[2][2] = 1e308 * x2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, error = _stack(chart, "dg", [[0.0, 1.0], [0.0, 1.5]])
+        assert error is None
+        assert got[:, 1].tolist() == [[[0.0, 0.0], [0.0, 1e308]]] * 2
+
     def test_overflow_returns_the_rows_before(self):
         chart = chart_from_text("dim = 2\ng[1][1] = 1\ng[2][2] = x2^2\n")
-        got, error = chart._grids_at("g", np.array([[0.0, 3.0], [0.0, 1e200], [0.0, 2.0]]))
+        got, error = _stack(chart, "g", [[0.0, 3.0], [0.0, 1e200], [0.0, 2.0]])
         assert got.tolist() == [[[1.0, 0.0], [0.0, 9.0]]]
         assert error.message == ("g[2][2] at point [0.0, 1e+200]: "
                                  "math error: overflow encountered in power")
@@ -282,7 +328,7 @@ class TestStackedReads:
         chart = chart.with_mode(DerivativeMode.parse(mode))
         with pytest.raises(EvalError) as alone:
             chart._grid_at(name, rows[first])
-        prefix, error = chart._grids_at(name, np.array(rows))
+        prefix, error = _stack(chart, name, rows)
         assert isinstance(error, EvalError)
         assert str(error) == str(alone.value)
         assert error.where == alone.value.where
@@ -310,11 +356,13 @@ class TestGridErrors:
         assert grid.value.where == tree.value.where
 
     def test_derivative_label(self):
+        # a derivative names its base component and direction; the jet's
+        # derivative is 0.5 / sqrt(0) = inf
         chart = chart_from_text("dim = 1\ng[1][1] = sqrt(x1)\n")
         with pytest.raises(EvalError) as exc:
             chart.dg_at([0.0])
-        assert exc.value.message == "d g[1][1] / d x1 at point [0.0]: division by zero"
-        assert exc.value.where == "1 / (2 * sqrt(x1))"
+        assert exc.value.message == "d g[1][1] / d x1 at point [0.0]: non-finite value inf"
+        assert exc.value.where == "sqrt(x1)"
 
     def test_first_failing_component_in_order(self):
         # phi[1][2] fails at 1 / x2 first; sqrt(x1), shared with phi[2][1],
@@ -326,6 +374,15 @@ class TestGridErrors:
         assert exc.value.message == "phi[1][2] at point [-1.0, 0.0]: division by zero"
         assert exc.value.where == "1 / x2"
 
+    def test_first_failing_direction_in_order(self):
+        # finite values and x1 derivatives; the x2 derivative overflows
+        chart = chart_from_text("dim = 2\ng[1][1] = 1\ng[2][2] = 1 + x1 + 1e308 * x2^2\n")
+        with pytest.raises(EvalError) as exc:
+            chart.dg_at([0.5, 1.0])
+        assert exc.value.message == ("d g[2][2] / d x2 at point [0.5, 1.0]: "
+                                     "non-finite value inf")
+        assert exc.value.where == "1 + x1 + 1e+308 * x2^2"
+
     def test_non_finite_value(self):
         # finite metric and first derivatives; the second overflows to inf
         chart = chart_from_text("dim = 1\ng[1][1] = 1e307 * x1^5\n")
@@ -333,8 +390,21 @@ class TestGridErrors:
         with pytest.raises(EvalError) as exc:
             chart.ddg_at([1.0])
         assert exc.value.message == "dd g[1][1] / d x1 d x1 at point [1.0]: non-finite value inf"
-        dd = differentiate(differentiate(chart.g[0][0], 1), 1)
-        assert exc.value.where == to_text(dd)
+        assert exc.value.where == to_text(chart.g[0][0])
+
+    def test_zero_gradient_meets_singular_rule(self):
+        # x2 - x2 is 0 with a zero gradient: the symbolic route folds the
+        # derivative of its square root to 0, while the jet's sqrt rule
+        # divides by sqrt(0) and 0 * inf is NaN, so the read fails along
+        # x2; g does not use x1, so its x1 derivatives are 0
+        chart = chart_from_text("dim = 2\ng[1][1] = 1 + sqrt(x2 - x2)\ng[2][2] = 1\n")
+        assert evaluate(differentiate(chart.g[0][0], 2), [0.5, 0.5]) == 0.0
+        assert chart.g_at([0.5, 0.5]).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(EvalError) as exc:
+            chart.dg_at([0.5, 0.5])
+        assert exc.value.message == ("d g[1][1] / d x2 at point [0.5, 0.5]: "
+                                     "non-finite value nan")
+        assert exc.value.where == "1 + sqrt(x2 - x2)"
 
 
 class TestChristoffel:

@@ -840,13 +840,26 @@ class TestDeepExpressions:
         assert "VERDICT: FAIL" in out
         assert "[PASS] phi_squared" in out
 
-    def test_symbolic_mode_is_usage_error(self, capsys, tmp_path):
+    # flat R^5 is still not contact, and every identity holds on it
+    @pytest.mark.parametrize("command, code, verdict", [("validate", 1, "FAIL"),
+                                                        ("identities", 0, "PASS")])
+    def test_symbolic_mode_reaches_verdict(self, capsys, tmp_path, command, code, verdict):
+        # the jets read a deep tree group by group, with no recursion
         path = tmp_path / "deep.chart"
         path.write_text(FLAT_TEXT.replace("g[1][1] = 1\n", self.DEEP_METRIC))
+        got, out, _ = run(capsys, command, "--chart", str(path), *FAST)
+        assert got == code
+        assert f"VERDICT: {verdict}" in out
+
+    @pytest.mark.parametrize("mode", ["symbolic", "fd"])
+    def test_failing_deep_component_is_usage_error(self, capsys, tmp_path, mode):
+        # naming the failing component walks its tree recursively
+        path = tmp_path / "deep.chart"
+        path.write_text(f"derivative_mode = {mode}\n" + FLAT_TEXT.replace(
+            "g[1][1] = 1\n", self.DEEP_METRIC.replace("\n", " + sqrt(x1 - 5)\n")))
         code, out, err = run(capsys, "validate", "--chart", str(path), *FAST)
-        assert code == 2
-        assert "nested too deeply" in err
-        assert "derivative_mode = fd" in err
+        assert (code, out) == (2, "")
+        assert err == "acmslab: error: expression nested too deeply to name its failing component\n"
 
     @pytest.mark.parametrize("expr", ["(" * 3000 + "x1" + ")" * 3000,
                                       "-" * 3000 + "x1",

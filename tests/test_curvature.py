@@ -273,12 +273,13 @@ def test_metric_checks_per_point_geometry(monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", ["symbolic", "fd"])
 def test_each_grid_at_the_point_is_read_once(monkeypatch, mode):
+    # (base grid, derivative order, rows) of every read
     reads = []
     original = charts.Chart._grids_at
 
-    def counted(self, name, points):
-        reads.append((name, np.asarray(points).tolist()))
-        return original(self, name, points)
+    def counted(self, name, points, order):
+        reads.append((name, order, np.asarray(points).tolist()))
+        return original(self, name, points, order)
 
     monkeypatch.setattr(charts.Chart, "_grids_at", counted)
     chart = gallery_chart("s5").with_mode(DerivativeMode.parse(mode))
@@ -286,34 +287,49 @@ def test_each_grid_at_the_point_is_read_once(monkeypatch, mode):
     pg = PointGeometry(chart, y)
     for name in GEOMETRY_FIELDS:
         getattr(pg, name)
-    at_y = [name for name, rows in reads if rows == [y.tolist()]]
-    grids = ["g", "dg", "ddg", "xi", "eta", "dxi", "phi", "dphi", "deta"]
-    if mode == "fd":
-        grids.remove("ddg")
-    assert sorted(at_y) == sorted(grids)
+    at_y = Counter((name, order) for name, order, rows in reads if rows == [y.tolist()])
+    # each order once: a symbolic g, phi and xi are read with their first
+    # derivatives, and the Christoffel derivative reads g again with its
+    # second; eta is read alone before its derivative; an fd derivative
+    # reads the base grid at its stencil, not at the point
+    reads_at_y = {"symbolic": [("g", 1), ("g", 2), ("phi", 1), ("xi", 1)],
+                  "fd": [("g", 0), ("g", 1), ("phi", 0), ("phi", 1), ("xi", 0), ("xi", 1)]}
+    assert at_y == Counter(reads_at_y[mode] + [("eta", 0), ("eta", 1)])
     # the modified curvature's Richardson rows, read as one stack per grid
     # and stencil; the coarse stencil, of step FD_SECOND_STEP, is the one
     # the fd Christoffel derivative differences, so its g and dg are read
-    # once for both
+    # once for both; no stencil reads the metric's second derivatives
     h = FD_SECOND_STEP
     coarse, fine = stencil_points(y, h).tolist(), stencil_points(y, h / 2.0).tolist()
-    touching = Counter((name, len(rows)) for name, rows in reads
+    touching = Counter((name, order, len(rows)) for name, order, rows in reads
                        if any(row in coarse + fine for row in rows))
-    stacks = Counter((name, len(rows)) for name, rows in reads if rows in (coarse, fine))
-    expected = {(name, 10): 2 for name in ("g", "dg", "xi", "eta", "dxi")}
-    assert touching == stacks == expected
+    stacks = Counter((name, order, len(rows)) for name, order, rows in reads
+                     if rows in (coarse, fine))
+    jets = {"symbolic": [("g", 1), ("xi", 1)],
+            "fd": [("g", 0), ("g", 1), ("xi", 0), ("xi", 1)]}[mode] + [("eta", 0)]
+    assert touching == stacks == {(name, order, 10): 2 for name, order in jets}
 
 
 def _read_grid_by_grid(chart, points, fields):
-    """Oracle for a stack geometry: g at every row in turn, each metric
-    checked right after its row, then each of ``fields`` ("dg", "xi", ...)
-    at every row in turn, one point at a time."""
+    """Oracle for a stack geometry: g at every row in turn, on a symbolic
+    chart with the first derivatives its jet reads in the same pass, each
+    metric checked right after its row; then each of ``fields`` ("dg",
+    "xi", ...) at every row in turn, one point at a time, a symbolic phi
+    and xi with their first derivatives."""
     grams = []
+    symbolic = chart.mode.kind == "symbolic"
     for y in points:
         grams.append(chart.g_at(y))
+        if symbolic:
+            chart.dg_at(y)
         check_gram(grams[-1])
-    return (np.array(grams),
-            *(np.array([chart._grid_at(name, y) for y in points]) for name in fields))
+
+    def read(name, y):
+        if symbolic and name in ("phi", "xi"):
+            chart._grid_at("d" + name, y)
+        return chart._grid_at(name, y)
+
+    return (np.array(grams), *(np.array([read(name, y) for y in points]) for name in fields))
 
 
 def _outcome(read):
@@ -336,8 +352,11 @@ class TestStackReads:
          [[3.0], [2.0], [-1.0]], ("dg", "xi")),
         # a non-positive-definite metric at row 0, a dg error at row 1
         ("g[1][1] = sqrt(x1) - 1", "symbolic", [[0.25], [0.0]], ("dg",)),
-        # a non-positive-definite metric and a dg error at the same row
+        # a non-positive-definite metric and a dg error at the same row: the
+        # row's jet fails before its metric is checked
         ("g[1][1] = sqrt(x1) - 1", "symbolic", [[4.0], [0.0]], ("dg",)),
+        # phi's derivative fails at row 1, which its jet reads with the value
+        ("g[1][1] = 1\nphi[1][1] = 1 + sqrt(x1)", "symbolic", [[1.0], [0.0]], ("phi",)),
         # xi fails at row 0, but the metric at row 1 is checked first
         ("g[1][1] = 1 - x1\nxi[1] = 1 / x1", "symbolic", [[0.0], [2.0]], ("xi",)),
         # a g error at row 0, a degenerate metric at row 1
@@ -436,8 +455,13 @@ class TestModifiedRiemann:
         ("x1", DegenerateInputError,
          "gram matrix is not positive definite (min eigenvalue -5.000e-05)"),
         # the metric check at y - h e_1 comes before the failing g read at y - h e_3
-        ("x1 + 0*sqrt(x3 - 0.2)", DegenerateInputError,
+        ("x1 + 0*sqrt(x3 - 0.19995)", DegenerateInputError,
          "gram matrix is not positive definite (min eigenvalue -5.000e-05)"),
+        # x3 = 0.2 at the first coarse row y + h e_1, where the jet of
+        # 0 * sqrt(x3 - 0.2) is 0 * inf; the symbolic route folded it to 0
+        ("x1 + 0*sqrt(x3 - 0.2)", EvalError,
+         "d g[1][1] / d x1 at point [0.00015000000000000001, 0.1, 0.2]: non-finite "
+         "value nan in 'x1 + 0 * sqrt(x3 - 0.2)'"),
     ])
     def test_first_failing_stencil_point_names_the_error(self, g11, error, message):
         chart = chart_from_text(STENCIL_TEXT + f"g[1][1] = {g11}\n")

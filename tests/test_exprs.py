@@ -3,7 +3,9 @@ exact derivatives."""
 import math
 import random
 import re
+import warnings
 
+import numpy as np
 import pytest
 
 from acmslab import exprs
@@ -268,7 +270,7 @@ class TestPrinting:
         e = parse("x1 + -0")
         again = parse(to_text(e))
         assert to_text(e) == "x1 + -0"
-        assert [math.copysign(1.0, array_program([t])([[-0.0]])[0, 0])
+        assert [math.copysign(1.0, array_program([t])([[-0.0]])[0][0, 0])
                 for t in (e, again)] == [-1.0, -1.0]
 
     @pytest.mark.parametrize("text", [
@@ -384,25 +386,35 @@ class TestDifferentiate:
         assert evaluate(d, [t]) == pytest.approx(want)
 
 
-def _random_expr(rng, depth):
+def _random_expr(rng, depth, exponents=None):
     """Small expression sampler for derivative cross-checks. Arguments are
-    kept positive-safe for sqrt by squaring."""
+    kept positive-safe for sqrt by squaring. With ``exponents``, a power is
+    a `Pow` node, unfolded even for x^0 and x^1, with its exponent drawn
+    from them, and a leaf may be -0.0."""
     if depth == 0 or rng.random() < 0.3:
+        if exponents is not None and rng.random() < 0.1:
+            return Num(-0.0)
         if rng.random() < 0.5:
             return Var(rng.randint(1, 2))
         return num(round(rng.uniform(0.5, 2.5), 3))
+
+    def sub_expr():
+        return _random_expr(rng, depth - 1, exponents)
+
     pick = rng.randint(0, 5)
     if pick == 0:
-        return add(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+        return add(sub_expr(), sub_expr())
     if pick == 1:
-        return sub(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+        return sub(sub_expr(), sub_expr())
     if pick == 2:
-        return mul(_random_expr(rng, depth - 1), _random_expr(rng, depth - 1))
+        return mul(sub_expr(), sub_expr())
     if pick == 3:
-        return pow_(_random_expr(rng, depth - 1), rng.randint(2, 3))
+        if exponents is None:
+            return pow_(sub_expr(), rng.randint(2, 3))
+        return Pow(sub_expr(), rng.choice(exponents))
     if pick == 4:
-        return Call(rng.choice(["sin", "cos", "exp"]), _random_expr(rng, depth - 1))
-    return Call("sqrt", add(num(1), pow_(_random_expr(rng, depth - 1), 2)))
+        return Call(rng.choice(["sin", "cos", "exp"]), sub_expr())
+    return Call("sqrt", add(num(1), pow_(sub_expr(), 2)))
 
 
 class TestDerivativeAgainstFiniteDifference:
@@ -484,25 +496,54 @@ class TestHashCons:
 
 
 class TestArrayProgram:
-    def test_equals_tree_walker(self):
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_values_equal_tree_walker(self, order):
         rng = random.Random(11)
         exprs = [_random_expr(rng, 4) for _ in range(80)]
         program = array_program(exprs)
         points = [[rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)] for _ in range(20)]
         want = [[evaluate(e, x) for e in exprs] for x in points]
-        assert program(points).tolist() == want
-        assert [program([x])[0].tolist() for x in points] == want
+        assert program(points, order)[0].tolist() == want
+        assert [program([x], order)[0][0].tolist() for x in points] == want
 
     def test_signed_zero_results(self):
-        got = array_program([parse("x1 + -0"), parse("x1 + 0")])([[-0.0]])[0]
+        got = array_program([parse("x1 + -0"), parse("x1 + 0")])([[-0.0]])[0][0]
         assert [math.copysign(1.0, v) for v in got] == [-1.0, 1.0]
 
     def test_non_finite_constant(self):
+        # a strict read returns finite numbers only
         e = add(Var(1), mul(num(1e200), num(1e200)))  # folds to inf
-        assert array_program([e, num(2.5)])([[1.0]]).tolist() == [[math.inf, 2.5]]
+        with pytest.raises(FloatingPointError):
+            array_program([e, num(2.5)])([[1.0]])
+        values = array_program([e, num(2.5)])([[1.0]], strict=False)[0]
+        assert values.tolist() == [[math.inf, 2.5]]
 
     def test_single_expression(self):
-        assert array_program([parse("x1^2")])([[3.0]]).tolist() == [[9.0]]
+        values, grads, hessians = array_program([parse("x1^2")])([[3.0]], 2)
+        assert (values.tolist(), grads.tolist(), hessians.tolist()) == ([[9.0]], [[[6.0]]],
+                                                                         [[[[2.0]]]])
+
+    def test_unused_variables_have_zero_derivatives(self):
+        # the jets run along x2 alone; x1 and x3 get exact zeros
+        values, grads, hessians = array_program([parse("x2 * x2")])([[5.0, 3.0, 7.0]], 2)
+        assert values.tolist() == [[9.0]]
+        assert grads.tolist() == [[[0.0], [6.0], [0.0]]]
+        assert hessians[0, :, :, 0].tolist() == [[0.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+                                                 [0.0, 0.0, 0.0]]
+
+    def test_empty_stack(self):
+        jet = array_program([parse("x1 * x2"), parse("sqrt(x1)")])(np.empty((0, 2)), 2)
+        assert [part.shape for part in jet] == [(0, 2), (0, 2, 2), (0, 2, 2, 2)]
+
+    def test_finite_entries_whose_sum_overflows(self):
+        # the strict read sums its work array: a sum of finite entries that
+        # overflows is no error and prints no warning
+        program = array_program([parse("1e308 * x1"), parse("1e308 + x1")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, grads = program([[1.0], [1.5]], 1)
+        assert values.tolist() == [[1e308, 1e308], [1.5e308, 1e308]]
+        assert grads.tolist() == [[[1e308, 1.0]], [[1e308, 1.0]]]
 
     def test_deep_tree(self):
         # 3,000 groups of one node each, run in depth order
@@ -510,7 +551,38 @@ class TestArrayProgram:
         want = 1.0
         for _ in range(2999):
             want += x[0]
-        assert array_program([parse(DEEP_SUM)])([x]).tolist() == [[want]]
+        values, grads = array_program([parse(DEEP_SUM)])([x], 1)
+        assert (values.tolist(), grads.tolist()) == ([[want]], [[[2999.0]]])
+
+    def test_random_jets_match_symbolic_derivatives(self):
+        # x^1, x^0 and negative powers unfolded, and -0.0 leaves: the values
+        # bit for bit, sign of zero included, the derivatives to rounding
+        # (the largest relative difference seen is 1.7e-15)
+        rng = random.Random(5)
+        seen, checked = set(), 0
+        for _ in range(300):
+            e = _random_expr(rng, 4, exponents=(-3, -2, -1, 0, 1, 2, 3))
+            points = [[rng.uniform(0.4, 1.2), rng.uniform(0.4, 1.2)] for _ in range(3)]
+            try:
+                first = [differentiate(e, k) for k in (1, 2)]
+                second = [[differentiate(d, m) for d in first] for m in (1, 2)]
+                want = [([evaluate(e, x)], [[evaluate(d, x)] for d in first],
+                         [[[evaluate(d, x)] for d in row] for row in second]) for x in points]
+            except (EvalError, ZeroDivisionError):
+                continue  # the tree-walker or differentiate's folding refused
+            values, grads, hessians = array_program([e])(points, 2)
+            for r, (value, grad, hessian) in enumerate(want):
+                assert [math.copysign(1.0, v) for v in values[r]] == \
+                    [math.copysign(1.0, v) for v in value]
+                assert values[r].tolist() == value
+                for got, exact in ((grads[r], grad), (hessians[r], hessian)):
+                    exact = np.array(exact)
+                    assert np.all(np.abs(got - exact) <= 64 * np.finfo(float).eps
+                                  * (1.0 + np.abs(exact))), to_text(e)
+            seen.update(key[:2] for key in hash_cons([e])[0])
+            checked += 1
+        assert checked > 250
+        assert {("pow", k) for k in (-3, -2, -1, 0, 1, 2, 3)} | {("num", "-0.0")} <= seen
 
     @pytest.mark.parametrize("text,point", [
         ("1 / x1", [0.0]),
@@ -523,5 +595,11 @@ class TestArrayProgram:
         e = parse(text)
         with pytest.raises(EvalError):
             evaluate(e, point)
-        with pytest.raises(FloatingPointError):
-            array_program([parse("x1"), e])([point])
+        for order in (0, 1, 2):
+            with pytest.raises(FloatingPointError):
+                array_program([parse("x1"), e])([point], order)
+
+    def test_not_strict_reads_ieee_results(self):
+        values, grads = array_program([parse("sqrt(x1)")])([[0.0], [-1.0]], 1, strict=False)
+        assert values[0, 0] == 0.0 and math.isnan(values[1, 0])
+        assert grads[0, 0, 0] == math.inf and math.isnan(grads[1, 0, 0])
