@@ -3,28 +3,30 @@
 The Riemann tensor of a chart comes from differentiated Christoffel symbols,
 either exactly (symbolic mode) or by nested central differences. On top of
 the Levi-Civita data this module builds the modified connection adapted to
-the Reeb direction, its curvature (computed two independent ways), and the
-residual suites that confront curvature with the structure tensors: the
-commutation defect of curvature against the endomorphism field, its
-factorization through the horizontal skew operator, and the reconstruction
-of curvature from first derivatives of the structure on nearly cosymplectic
-charts.
+the Reeb direction, its curvature (computed two independent ways: its
+connection differentiated, exactly on a symbolic chart and by a Richardson
+step on an fd chart, against a closed formula), and the residual suites
+that confront curvature with the structure tensors: the commutation defect
+of curvature against the endomorphism field, its factorization through the
+horizontal skew operator, and the reconstruction of curvature from first
+derivatives of the structure on nearly cosymplectic charts.
 
 ``PointGeometry`` is the only reader of a chart. It holds points of any
 leading shape, reads each base grid over all of them, and every tensor it
-holds (curvature included) is an array formula over those leading axes, so
-the derivative stencils of the finite-difference Christoffel derivative and
-of the modified curvature's Richardson step are geometries too. A geometry
-is read grid by grid, each base grid with the derivatives its tensors need
-over all of its rows, in the order its tensors need them: the first
-failing row of the first failing read raises, after the metrics of the g
-rows read before it are checked. The pointwise
-residuals (`killing_residual` through `contact_residuals`) and the four
-identity suites take one geometry: a residual gives a float at a point or
+holds (curvature included) is an array formula over those leading axes. A
+symbolic chart differentiates both connections exactly at the points
+themselves; only an fd chart builds stencil geometries, for its
+Christoffel derivative and its modified curvature's Richardson step. A
+geometry is read grid by grid, each base grid with the derivatives its
+tensors need over all of its rows, in the order its tensors need them: the
+first failing row of the first failing read raises, after the metrics of
+the g rows read before it are checked. The pointwise residuals
+(`killing_residual` through `contact_residuals`) and the four identity
+suites take one geometry: a residual gives a float at a point or
 one value per point, and a suite reports each check's worst point. So
 ``validate``, ``identities`` and ``curvature`` each read their sample as one
-geometry, and the suites of ``identities`` share its one curvature and
-modified curvature.
+geometry (plus the stencil geometries of an fd chart), and the suites of
+``identities`` share its one curvature and modified curvature.
 
 Index layout throughout: ``comps[..., i, j, k, l]`` is the i-th component of
 ``R(e_k, e_l) e_j``.
@@ -52,7 +54,7 @@ from .charts import (SYMBOLIC, Chart, DerivativeMode, christoffel,
 from .config import (DEFAULT_TOLERANCES, FD_SECOND_STEP, MAX_PROBE_DRAWS,
                      PROBES_PER_RESIDUAL, Tolerances)
 from .errors import DegenerateInputError, ShapeError
-from .linalg import check_gram, inners, max_entry, norms, operator_in_basis, skew_matrix
+from .linalg import adjoint, check_gram, inners, max_entry, norms, operator_in_basis, skew_matrix
 from .report import Check, VerificationReport, worst
 from .structure import check_eta_parallel, horizontal_basis, horizontal_projector
 
@@ -136,19 +138,56 @@ def modified_christoffel(chart: Chart, y) -> np.ndarray:
     return PointGeometry(chart, y).modified_gamma
 
 
-def modified_riemann(pg: PointGeometry) -> np.ndarray:
-    """Curvature of the modified connection at every point of ``pg``,
-    assembled from numerically differentiated connection coefficients.
+def _correction_derivative(pg: PointGeometry) -> np.ndarray:
+    """dh[..., m, k, i, j], the exact x_m derivative of the `_correction`
+    table of a symbolic geometry: the product rule through its formula, from
+    the first derivatives of g, xi and eta, the Christoffel derivative and
+    the second derivatives of xi. The index m follows the point axes."""
+    lead = pg.y.ndim - 1
 
-    One Richardson step on the central difference (at ``FD_SECOND_STEP`` and
-    half of it) keeps the truncation error at fourth order. The coarse
-    connection tables come from the geometry's `coarse_stencil`, which the
-    fd Christoffel derivative shares, and the fine ones from one geometry
-    over the 2d fine rows of every point; both stencils are read before the
-    centre, whose table is the geometry's own. No Bianchi check here: the
-    modified connection carries torsion, so the plain cyclic identity
-    genuinely fails.
+    def e(v):  # a tensor at the point, broadcast along m
+        return np.expand_dims(v, lead)
+
+    # p the projector, a the Reeb gradient, s the projected skew part, ap
+    # and the pairing as in `_correction`; a leading d marks an x_m derivative
+    g, dg, xi, eta = pg.gram, pg.dg, pg.xi, pg.eta
+    dxi, ddxi, deta = pg._read("xi", 1), pg._read("xi", 2), pg._read("eta", 1)
+    p, a, skew, s = pg.projector, pg.reeb_gradient, pg.dxi_skew, pg.skew_projected
+    dp = -(dxi[..., :, None] * e(eta)[..., None, :] + e(xi)[..., :, None] * deta[..., None, :])
+    da = (_t(ddxi) + np.einsum("...mijk,...k->...mij", pg.dgamma, xi)
+          + np.einsum("...ijk,...mk->...mij", pg.gamma, dxi))
+    dadj = np.linalg.solve(e(g), _t(da) @ e(g) + e(_t(a)) @ dg - dg @ e(adjoint(a, g)))
+    dskew = 0.5 * (da - dadj)
+    ds = dp @ e(skew @ p) + e(p) @ dskew @ e(p) + e(p @ skew) @ dp
+    ap = a @ p
+    dap = da @ e(p) + e(a) @ dp
+    pairing = _t(ap) @ g @ p
+    dpairing = _t(dap) @ e(g @ p) + e(_t(ap)) @ dg @ e(p) + e(_t(ap) @ g) @ dp
+    return (np.einsum("...mij,...k->...mkij", dpairing, xi)
+            + np.einsum("...ij,...mk->...mkij", pairing, dxi)
+            - np.einsum("...mj,...ki->...mkij", deta, ap)
+            - np.einsum("...j,...mki->...mkij", eta, dap)
+            + 0.5 * np.einsum("...mi,...kj->...mkij", deta, s)
+            + 0.5 * np.einsum("...i,...mkj->...mkij", eta, ds))
+
+
+def modified_riemann(pg: PointGeometry) -> np.ndarray:
+    """Curvature of the modified connection at every point of ``pg``.
+
+    A symbolic chart differentiates the connection exactly: the Christoffel
+    derivative plus `_correction_derivative`, read at the points alone. A
+    finite-difference chart takes one Richardson step on the central
+    difference (at ``FD_SECOND_STEP`` and half of it), which keeps the
+    truncation error at fourth order: the coarse connection tables come
+    from the geometry's `coarse_stencil`, which the fd Christoffel
+    derivative shares, and the fine ones from one geometry over the 2d fine
+    rows of every point; both stencils are read before the centre, whose
+    table is the geometry's own. No Bianchi check here: the modified
+    connection carries torsion, so the plain cyclic identity genuinely
+    fails.
     """
+    if pg._symbolic:
+        return _assemble_curvature(pg.modified_gamma, pg.dgamma + _correction_derivative(pg))
     h, axis = FD_SECOND_STEP, pg.y.ndim - 1  # the stencil rows follow the point axes
     coarse = pg.coarse_stencil.modified_gamma
     fine = PointGeometry(pg.chart, stencil_points(pg.y, h / 2.0), tol=pg.tol).modified_gamma
@@ -162,10 +201,12 @@ def modified_riemann(pg: PointGeometry) -> np.ndarray:
 #: first derivatives too (the Christoffel symbols, nabla phi, the Reeb
 #: gradient), bar `curvature`, which reads xi for its projector alone, and
 #: the jet program gives them in the same pass. eta's derivative is read
-#: only by the contact checks of `validate`, and g's second derivatives
-#: only by the curvature: each is a second read of its grid. A
-#: finite-difference chart reads each order when it is needed, since a
-#: derivative costs it 2d more rows per point.
+#: only by the contact checks of `validate` and the modified curvature,
+#: g's second derivatives only by the two curvatures and xi's only by the
+#: modified one: each is a second read of its grid. A finite-difference
+#: chart reads each order when it is needed, since a derivative costs it
+#: 2d more rows per point, and its two curvatures read the stencil
+#: geometries instead of second derivatives.
 _FIRST_ORDER = {"g": 1, "phi": 1, "xi": 1, "eta": 0}
 
 
@@ -261,10 +302,11 @@ class PointGeometry:
 
     @cached_property
     def coarse_stencil(self) -> PointGeometry:
-        """Geometry over the 2d `stencil_points` of step ``FD_SECOND_STEP``
-        of every point: the rows the fd Christoffel derivative differences
-        and the coarse rows of `modified_riemann`'s Richardson step, read
-        once for both."""
+        """Geometry of an fd chart over the 2d `stencil_points` of step
+        ``FD_SECOND_STEP`` of every point: the rows the fd Christoffel
+        derivative differences and the coarse rows of `modified_riemann`'s
+        Richardson step, read once for both. A symbolic geometry builds
+        none."""
         return PointGeometry(self.chart, stencil_points(self.y, FD_SECOND_STEP), tol=self.tol)
 
     @cached_property

@@ -22,7 +22,7 @@ from acmslab.charts import (
     sample_points,
     save_chart,
 )
-from acmslab import charts, exprs
+from acmslab import charts, curvature, exprs
 from acmslab.cli import main
 from acmslab.curvature import PointGeometry
 from acmslab.errors import ChartFormatError, ShapeError
@@ -127,6 +127,24 @@ class TestChartConstruction:
             return original(e, index, memo)
 
         monkeypatch.setattr(exprs, "differentiate", counting)
+        for name in GALLERY_NAMES:
+            main([command, "--gallery", name, "--probes", "2"])
+        capsys.readouterr()
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["validate", "curvature", "identities"])
+    def test_symbolic_commands_read_no_stencil(self, monkeypatch, capsys, command):
+        # a symbolic chart differentiates both connections exactly, so no
+        # finite-difference stencil is built on any command path
+        calls = []
+        original = charts.stencil_points
+
+        def counting(y, h):
+            calls.append(h)
+            return original(y, h)
+
+        for module in (charts, curvature):
+            monkeypatch.setattr(module, "stencil_points", counting)
         for name in GALLERY_NAMES:
             main([command, "--gallery", name, "--probes", "2"])
         capsys.readouterr()

@@ -252,11 +252,11 @@ GEOMETRY_FIELDS = ("gram", "gamma", "riem", "modified_riem", "horizontal_basis",
 
 @pytest.mark.parametrize("mode", ["symbolic", "fd"])
 def test_metric_checks_per_point_geometry(monkeypatch, mode):
-    # one check for the geometry's metric and one over each stencil of the
-    # modified curvature's Richardson step: the coarse one, which the fd
-    # Christoffel derivative reads too, and the fine one (the symbolic
-    # derivative reads y alone, whose metric is already checked); every
-    # geometry checks the rows it reads as one stack
+    # one check for the geometry's metric; an fd chart adds one over each
+    # stencil of the modified curvature's Richardson step: the coarse one,
+    # which the fd Christoffel derivative reads too, and the fine one (the
+    # symbolic derivatives read y alone, whose metric is already checked);
+    # every geometry checks the rows it reads as one stack
     shapes = []
     for module in (linalg, curvature):
         def counted(gram, _check=module.check_gram):
@@ -268,7 +268,8 @@ def test_metric_checks_per_point_geometry(monkeypatch, mode):
     pg = PointGeometry(chart, sample_points(chart, 1, seed=3)[0])
     for name in GEOMETRY_FIELDS:
         getattr(pg, name)
-    assert shapes == [(1, 5, 5), (10, 5, 5), (10, 5, 5)]
+    stencils = {"symbolic": [], "fd": [(10, 5, 5), (10, 5, 5)]}[mode]
+    assert shapes == [(1, 5, 5)] + stencils
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "fd"])
@@ -290,23 +291,24 @@ def test_each_grid_at_the_point_is_read_once(monkeypatch, mode):
     at_y = Counter((name, order) for name, order, rows in reads if rows == [y.tolist()])
     # each order once: a symbolic g, phi and xi are read with their first
     # derivatives, and the Christoffel derivative reads g again with its
-    # second; eta is read alone before its derivative; an fd derivative
-    # reads the base grid at its stencil, not at the point
-    reads_at_y = {"symbolic": [("g", 1), ("g", 2), ("phi", 1), ("xi", 1)],
+    # second, the correction's derivative xi with its second; eta is read
+    # alone before its derivative; an fd derivative reads the base grid at
+    # its stencil, not at the point
+    reads_at_y = {"symbolic": [("g", 1), ("g", 2), ("phi", 1), ("xi", 1), ("xi", 2)],
                   "fd": [("g", 0), ("g", 1), ("phi", 0), ("phi", 1), ("xi", 0), ("xi", 1)]}
     assert at_y == Counter(reads_at_y[mode] + [("eta", 0), ("eta", 1)])
-    # the modified curvature's Richardson rows, read as one stack per grid
-    # and stencil; the coarse stencil, of step FD_SECOND_STEP, is the one
-    # the fd Christoffel derivative differences, so its g and dg are read
-    # once for both; no stencil reads the metric's second derivatives
+    # an fd chart's Richardson rows, read as one stack per grid and
+    # stencil; the coarse stencil, of step FD_SECOND_STEP, is the one the
+    # fd Christoffel derivative differences, so its g and dg are read once
+    # for both; a symbolic chart reads no stencil
     h = FD_SECOND_STEP
     coarse, fine = stencil_points(y, h).tolist(), stencil_points(y, h / 2.0).tolist()
     touching = Counter((name, order, len(rows)) for name, order, rows in reads
                        if any(row in coarse + fine for row in rows))
     stacks = Counter((name, order, len(rows)) for name, order, rows in reads
                      if rows in (coarse, fine))
-    jets = {"symbolic": [("g", 1), ("xi", 1)],
-            "fd": [("g", 0), ("g", 1), ("xi", 0), ("xi", 1)]}[mode] + [("eta", 0)]
+    jets = {"symbolic": [],
+            "fd": [("g", 0), ("g", 1), ("xi", 0), ("xi", 1), ("eta", 0)]}[mode]
     assert touching == stacks == {(name, order, 10): 2 for name, order in jets}
 
 
@@ -438,47 +440,95 @@ STENCIL_TEXT = ("dim = 3\ng[2][2] = 1\ng[3][3] = 1\nphi[2][1] = 1\nphi[1][2] = -
                 "xi[3] = 1\neta[3] = 1\n")
 STENCIL_Y = (5e-5, 0.1, 0.2)
 
+# a 3-D chart whose g, xi and eta all vary, with no structure identity
+GENERIC_TEXT = """\
+dim = 3
+g[1][1] = 2 + x2^2
+g[1][2] = 0.3*sin(x3)
+g[2][1] = 0.3*sin(x3)
+g[1][3] = 0.1*x2
+g[3][1] = 0.1*x2
+g[2][2] = 1 + x1*x3/4
+g[3][3] = exp(x1/3)
+phi[1][2] = x3
+xi[1] = 0.2*x2*x3
+xi[2] = cos(x1)
+xi[3] = 1 + x1^2
+eta[1] = 0.5*x3
+eta[2] = sin(x2)
+eta[3] = 1 - x1*x2
+"""
+
 
 class TestModifiedRiemann:
     @pytest.mark.parametrize("mode", ["symbolic", "fd"])
     @pytest.mark.parametrize("name", ["s5", "sasakian_r5", "cosymplectic_r5"])
     def test_stacked_stencil_matches_pointwise_oracle(self, name, mode):
+        # an fd chart takes the Richardson step of the oracle bit for bit; a
+        # symbolic chart differentiates exactly, so the two differ by the
+        # oracle's fourth-order truncation error alone
         chart = gallery_chart(name).with_mode(DerivativeMode.parse(mode))
         for y in sample_points(chart, 3, seed=13):
-            assert np.array_equal(PointGeometry(chart, y).modified_riem,
-                                  _stencil_oracle(chart, y))
+            got, oracle = PointGeometry(chart, y).modified_riem, _stencil_oracle(chart, y)
+            if mode == "fd":
+                assert np.array_equal(got, oracle)
+            else:
+                np.testing.assert_allclose(got, oracle, rtol=0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("g11, error, message", [
-        ("sqrt(x1)", EvalError,
-         "g[1][1] at point [-5e-05, 0.1, 0.2]: square root of negative value -5e-05 "
-         "in 'sqrt(x1)'"),
-        ("x1", DegenerateInputError,
-         "gram matrix is not positive definite (min eigenvalue -5.000e-05)"),
-        # the metric check at y - h e_1 comes before the failing g read at y - h e_3
-        ("x1 + 0*sqrt(x3 - 0.19995)", DegenerateInputError,
-         "gram matrix is not positive definite (min eigenvalue -5.000e-05)"),
-        # x3 = 0.2 at the first coarse row y + h e_1, where the jet of
-        # 0 * sqrt(x3 - 0.2) is 0 * inf; the symbolic route folded it to 0
-        ("x1 + 0*sqrt(x3 - 0.2)", EvalError,
-         "d g[1][1] / d x1 at point [0.00015000000000000001, 0.1, 0.2]: non-finite "
-         "value nan in 'x1 + 0 * sqrt(x3 - 0.2)'"),
-    ])
-    def test_first_failing_stencil_point_names_the_error(self, g11, error, message):
-        chart = chart_from_text(STENCIL_TEXT + f"g[1][1] = {g11}\n")
-        with pytest.raises(error) as excinfo:
+    def test_exact_route_matches_central_differences_at_dimension_9(self):
+        chart = _darboux_chart(4)
+        points = sample_points(chart, 2, seed=13)
+        got = PointGeometry(chart, points).modified_riem
+        for y, row in zip(points, got):
+            np.testing.assert_allclose(row, _stencil_oracle(chart, y), rtol=0.0, atol=1e-9)
+
+    def test_exact_correction_derivative_on_a_chart_with_no_structure(self):
+        # every factor of the correction varies, and none of the structure
+        # identities that simplify it holds
+        chart = chart_from_text(GENERIC_TEXT)
+        points = np.array([[0.3, -0.2, 0.4], [0.1, 0.5, -0.3]])
+        got = curvature._correction_derivative(PointGeometry(chart, points))
+        for y, row in zip(points, got):
+            h_at = lambda p: PointGeometry(chart, p).correction  # noqa: E731
+            coarse = _central_difference(h_at, y, 1e-3)
+            fine = _central_difference(h_at, y, 5e-4)
+            np.testing.assert_allclose(row, (4.0 * fine - coarse) / 3.0, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("g11", ["sqrt(x1)", "x1", "x1 + 0*sqrt(x3 - 0.19995)"])
+    def test_symbolic_route_reads_no_stencil_point(self, g11):
+        # the fd Richardson step fails at a stencil point y - h e_1 of these
+        # charts (test_first_failing_fd_stencil_point_names_the_error); the
+        # symbolic route reads y alone, where the correction vanishes
+        pg = PointGeometry(chart_from_text(STENCIL_TEXT + f"g[1][1] = {g11}\n"), STENCIL_Y)
+        assert np.array_equal(pg.modified_riem, pg.riem)
+
+    def test_symbolic_route_fails_at_the_centre(self):
+        # x3 = 0.2 at the centre, where the jet of 0 * sqrt(x3 - 0.2) is
+        # 0 * inf; the fd route fails first at a stencil point
+        # (test_first_failing_fd_stencil_point_names_the_error)
+        chart = chart_from_text(STENCIL_TEXT + "g[1][1] = x1 + 0*sqrt(x3 - 0.2)\n")
+        with pytest.raises(EvalError) as excinfo:
             PointGeometry(chart, STENCIL_Y).modified_riem
-        assert str(excinfo.value) == message
+        assert str(excinfo.value) == ("d g[1][1] / d x1 at point [5e-05, 0.1, 0.2]: non-finite "
+                                      "value nan in 'x1 + 0 * sqrt(x3 - 0.2)'")
 
-    def test_richardson_stack_reads_grid_by_grid(self):
+    @pytest.mark.parametrize("mode, error, message", [
+        # the symbolic route reads xi's derivatives at the centre alone
+        ("symbolic", EvalError,
+         "d xi[3] / d x2 at point [5e-05, 0.1, 0.2]: non-finite value nan in "
+         "'1 + 0 * sqrt(x2 - 0.1)'"),
         # xi fails at y - h e_2, a row before the first non-positive-definite
         # metric at y - h e_3; the stack reads and checks g over all of its
         # rows before it reads xi
+        ("fd", DegenerateInputError,
+         "gram matrix is not positive definite (min eigenvalue -1.000e-05)"),
+    ])
+    def test_richardson_stack_reads_grid_by_grid(self, mode, error, message):
         text = STENCIL_TEXT.replace("xi[3] = 1\n", "xi[3] = 1 + 0*sqrt(x2 - 0.1)\n")
         chart = chart_from_text(text + "g[1][1] = x3 - 0.19991\n")
-        with pytest.raises(DegenerateInputError) as excinfo:
-            PointGeometry(chart, STENCIL_Y).modified_riem
-        assert str(excinfo.value) == ("gram matrix is not positive definite "
-                                      "(min eigenvalue -1.000e-05)")
+        with pytest.raises(error) as excinfo:
+            PointGeometry(chart.with_mode(DerivativeMode.parse(mode)), STENCIL_Y).modified_riem
+        assert str(excinfo.value) == message
 
     # In fd mode every read of a derivative grid is itself a stencil of g
     # reads at step 1e-5. ``fn`` names the function that assembles the
