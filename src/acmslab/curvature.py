@@ -112,7 +112,9 @@ def sectional(riem, gram, x, y, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.n
     area, degenerate = _plane_areas(gram, x, y, tol)
     if np.any(degenerate):
         raise DegenerateInputError("sectional curvature of a degenerate plane")
-    rxyy = np.einsum("...ijkl,...kp,...lp,...jp->...ip", riem, x, y, y)  # R(x, y) y
+    # R(x, y) y, one index at a time: l by a matmul over the stacked planes, then k, then j
+    rxy = np.einsum("...ijkp,...kp->...ijp", riem @ y[..., None, None, :, :], x)
+    rxyy = np.einsum("...ijp,...jp->...ip", rxy, y)
     return inners(x, rxyy, gram) / area
 
 
