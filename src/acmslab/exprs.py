@@ -164,13 +164,20 @@ def neg(a: Expr) -> Expr:
 
 
 def pow_(base: Expr, exponent: int) -> Expr:
+    """``base ^ exponent``, folded to a number when the base is one and the
+    power is defined there, as `evaluate` computes it; a zero base to a
+    negative power, or a power that overflows, stays a `Pow`, which
+    `evaluate` rejects with an `EvalError`."""
     exponent = int(exponent)
     if exponent == 0:
         return num(1.0)
     if exponent == 1:
         return base
     if _is_const(base):
-        return num(base.value ** exponent)
+        try:
+            return num(evaluate(Pow(base, exponent), []))
+        except EvalError:
+            pass
     return Pow(base, exponent)
 
 

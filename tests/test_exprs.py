@@ -314,6 +314,23 @@ class TestSmartConstructors:
         assert pow_(x, 1) == x
         assert pow_(num(2), 10) == Num(1024.0)
 
+    @pytest.mark.parametrize("base, exponent, message", [
+        (-0.0, -1, "zero raised to a negative power"),
+        (0.0, -2, "zero raised to a negative power"),
+        (1e200, 2, "math error: overflow encountered in power"),
+    ])
+    def test_pow_of_an_undefined_constant_stays_unfolded(self, base, exponent, message):
+        # Python's ** would raise ZeroDivisionError or OverflowError while
+        # folding; the node is left for evaluate to reject
+        e = pow_(num(base), exponent)
+        assert e == Pow(Num(base), exponent)
+        with pytest.raises(EvalError) as exc:
+            evaluate(e, [])
+        assert exc.value.message == message
+        # the power rule folds the unfolded power away with the zero
+        # derivative of its constant base
+        assert differentiate(Pow(Num(base), exponent + 1), 1) == Num(0.0)
+
 
 class TestEvaluation:
     def test_basic(self):
@@ -568,8 +585,8 @@ class TestArrayProgram:
                 second = [[differentiate(d, m) for d in first] for m in (1, 2)]
                 want = [([evaluate(e, x)], [[evaluate(d, x)] for d in first],
                          [[[evaluate(d, x)] for d in row] for row in second]) for x in points]
-            except (EvalError, ZeroDivisionError):
-                continue  # the tree-walker or differentiate's folding refused
+            except EvalError:
+                continue  # the tree-walker refused
             values, grads, hessians = array_program([e])(points, 2)
             for r, (value, grad, hessian) in enumerate(want):
                 assert [math.copysign(1.0, v) for v in values[r]] == \
