@@ -488,8 +488,11 @@ class TestModifiedRiemann:
         chart = chart_from_text(GENERIC_TEXT)
         points = np.array([[0.3, -0.2, 0.4], [0.1, 0.5, -0.3]])
         got = curvature._correction_derivative(PointGeometry(chart, points))
+
+        def h_at(p):
+            return PointGeometry(chart, p).correction
+
         for y, row in zip(points, got):
-            h_at = lambda p: PointGeometry(chart, p).correction  # noqa: E731
             coarse = _central_difference(h_at, y, 1e-3)
             fine = _central_difference(h_at, y, 5e-4)
             np.testing.assert_allclose(row, (4.0 * fine - coarse) / 3.0, rtol=0.0, atol=1e-10)
