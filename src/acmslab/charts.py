@@ -19,14 +19,15 @@ an `EvalError`; if its values walk, its first non-finite derivative names
 the base component, the direction and the point ("d g[1][2] / d x3"), with
 the base component's text as ``where``. The reader returns the rows before
 that row and its error. In finite-difference mode a derivative reads the
-base grid over the stacked stencil of every point (`stencil_points`) and
-differences it.
+base grid at every point followed by its stencil (`stencil_points`), as
+one stack, and keeps the values with the difference.
 
 A chart's expressions are one DAG. `chart_from_text` parses every
 component through one node table, so equal subtrees anywhere in the chart
-are one object, and each distinct parenthesized group, such as S^5's
-``(1 - (x1^2 + ... + x5^2))`` in almost every entry, is parsed once per
-chart and read from the table wherever it repeats. A chart builds one
+are one object, and each distinct right-hand side, and each distinct
+parenthesized group, such as S^5's ``(1 - (x1^2 + ... + x5^2))`` in
+almost every entry, is parsed once per chart and read from the table
+wherever it repeats. A chart builds one
 array program per base grid, g, phi, xi and eta, and no derivative grid of
 its own. The check that a chart uses only x1..xd visits each distinct node
 once, and walks the components one by one only when it fails, to name the
@@ -34,10 +35,10 @@ first offender. Nothing is cached across charts: each chart parses and
 builds its own.
 
 `curvature.PointGeometry` is the only reader of a chart: it reads each base
-grid over its point or its stack of rows, with the derivatives its tensors
-need. The five one-point readers (`Chart.g_at`, `phi_at`, `dg_at`,
-`ddg_at`, `dphi_at`) wrap the same reader and are kept for the benchmark's
-tracer, which times them by name. Christoffel symbols and their
+grid once over its point or its stack of rows, with the derivatives its
+command's tensors take. The five one-point readers (`Chart.g_at`,
+`phi_at`, `dg_at`, `ddg_at`, `dphi_at`) wrap the same reader and are kept
+for the benchmark's tracer, which times them by name. Christoffel symbols and their
 derivatives, the covariant derivatives and the exterior derivative of the
 contact form are formulas over the arrays it reads.
 
@@ -158,6 +159,8 @@ class Chart:
             for k, (lo, hi) in enumerate(dom):
                 if not lo < hi:
                     raise ChartFormatError(f"domain[{k + 1}] is empty: [{lo}, {hi}]")
+                if not _finite_interval(lo, hi):
+                    raise ChartFormatError(f"domain[{k + 1}] = [{lo}, {hi}] {_TOO_WIDE}")
             object.__setattr__(self, "domain", dom)
         if max(free_variables(*self._all_exprs()), default=0) > self.dim:
             for expr in self._all_exprs():  # name the first offender
@@ -214,17 +217,20 @@ class Chart:
         *shape)`` of the rows before it (index k of a derivative is x_k),
         and the `EvalError` that row raises on its own (None when every row
         reads). A symbolic chart reads them in one pass of the grid's jet
-        program. A finite-difference chart reads the base grid at each row's
-        `stencil_points`, as one stack, and differences it, with None in
-        place of the values; it has no second derivatives."""
+        program. A finite-difference chart reads the base grid at each row
+        followed by its 2d `stencil_points`, all rows as one stack in one
+        pass, and differences the stencil rows; it has no second
+        derivatives. So a row's centre fails before its stencil, and the
+        values reach one row further than the derivatives when a stencil
+        row fails."""
         if order and self.mode.kind == "fd":
             if order > 1:
                 raise ShapeError("second metric derivatives are symbolic-mode only")
-            h, n = self.mode.step, 2 * self.dim
-            rows = stencil_points(points, h).reshape(-1, self.dim)
-            (base,), error = self._grids_at(name, rows, 0)
-            base = base[:len(base) // n * n].reshape((-1, n) + base.shape[1:])
-            return [None, stencil_difference(base, h, 1)], error
+            h, m = self.mode.step, 1 + 2 * self.dim
+            rows = np.concatenate([points[:, None], stencil_points(points, h)], axis=1)
+            (base,), error = self._grids_at(name, rows.reshape(-1, self.dim), 0)
+            stencil = base[:len(base) // m * m].reshape((-1, m) + base.shape[1:])[:, 1:]
+            return [base[::m], stencil_difference(stencil, h, 1)], error
         grid = self._grid(name)
         try:
             return grid.shaped(grid.program(points, order)), None
@@ -473,6 +479,16 @@ def contact_volume_coefficient(eta_vec, deta_mat) -> float | np.ndarray:
     return math.factorial(d // 2) * _pfaffian(bordered)
 
 
+def _finite_interval(lo: float, hi: float) -> bool:
+    """Whether the non-empty interval [lo, hi] has finite bounds, and a
+    width and a sum of bounds, which `sample_points` takes, that do not
+    overflow."""
+    return math.isfinite(hi - lo) and math.isfinite(lo + hi)
+
+
+_TOO_WIDE = "is unbounded or too wide: its bounds, width and midpoint must be finite"
+
+
 def sample_points(chart: Chart, count: int, seed: int) -> np.ndarray:
     """Uniform draws from the chart's domain box, shrunk toward its center
     by ``_SAMPLE_SHRINK`` to keep finite-difference stencils inside the
@@ -493,7 +509,9 @@ _INDEXED1 = re.compile(r"^(xi|eta|domain)\[(\d+)\]$")
 
 
 def chart_from_text(text: str, *, name: str = "") -> Chart:
-    nodes: dict = {}  # one node table, so equal subtrees of all components are one object
+    # one node table, so equal subtrees of all components are one object,
+    # and each distinct right-hand side's node under its text
+    parsed: dict = {}
     dim = None
     mode = SYMBOLIC
     domain: dict[int, tuple[float, float]] = {}
@@ -537,7 +555,7 @@ def chart_from_text(text: str, *, name: str = "") -> Chart:
             kind, i, j = m2.group(1), int(m2.group(2)), int(m2.group(3))
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise ChartFormatError(f"line {lineno}: index out of range in {lhs} (dim {dim})")
-            fields2[(kind, i - 1, j - 1)] = _parse_component(raw, rhs, lineno, nodes)
+            fields2[(kind, i - 1, j - 1)] = _parse_component(raw, rhs, lineno, parsed)
         elif m1:
             kind, i = m1.group(1), int(m1.group(2))
             if not 1 <= i <= dim:
@@ -552,9 +570,11 @@ def chart_from_text(text: str, *, name: str = "") -> Chart:
                     raise ChartFormatError(f"line {lineno}: bad domain bound") from exc
                 if not lo < hi:
                     raise ChartFormatError(f"line {lineno}: empty domain [{lo}, {hi}]")
+                if not _finite_interval(lo, hi):
+                    raise ChartFormatError(f"line {lineno}: domain [{lo}, {hi}] {_TOO_WIDE}")
                 domain[i - 1] = (lo, hi)
             else:
-                fields1[(kind, i - 1)] = _parse_component(raw, rhs, lineno, nodes)
+                fields1[(kind, i - 1)] = _parse_component(raw, rhs, lineno, parsed)
         else:
             raise ChartFormatError(f"line {lineno}: unrecognized field {lhs!r}")
     if dim is None:
@@ -575,9 +595,16 @@ def chart_from_text(text: str, *, name: str = "") -> Chart:
                  tuple(xi), tuple(eta), mode=mode, domain=dom, name=name)
 
 
-def _parse_component(raw: str, rhs: str, lineno: int, nodes: dict) -> Expr:
+def _parse_component(raw: str, rhs: str, lineno: int, parsed: dict) -> Expr:
+    """The node of the right-hand side ``rhs`` of line ``lineno``, parsed
+    through the chart's node table ``parsed`` once per distinct text: the
+    table holds it under its text, a string key that no node key is."""
+    node = parsed.get(rhs)
+    if node is not None:
+        return node
     try:
-        return parse(rhs, nodes)
+        node = parsed[rhs] = parse(rhs, parsed)
+        return node
     except ParseError as exc:
         # ``rhs`` is one line, and starts at the first non-blank after the
         # first '=' of ``raw``

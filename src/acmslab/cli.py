@@ -28,7 +28,7 @@ import numpy as np
 
 from .charts import MAX_CHART_DIM, Chart, load_chart, sample_points
 from .config import DEFAULT_TOLERANCES, POINTS_PER_CHART, PROBES_PER_RESIDUAL, Tolerances
-from .curvature import (PointGeometry, bridge_residual, contact_residuals,
+from .curvature import (READ_PLANS, PointGeometry, bridge_residual, contact_residuals,
                         curvature_reconstruction_suite, defect_collapse_suite,
                         defect_factorization_suite, horizontal_sectional_values,
                         killing_residual, modified_connection_suite,
@@ -197,12 +197,11 @@ def cmd_validate(args) -> int:
     value_tol = tol.acms_exact if chart.mode.kind == "symbolic" else tol.acms_fd
     bridge_tol = tol.bridge_symbolic if chart.mode.kind == "symbolic" else tol.bridge_fd
 
-    # one geometry over the whole sample: each grid is read over every point
-    # when a check first needs it, so the order below decides which error a
-    # chart failing at several points reports (phi, xi, eta, g, dg, dxi, dphi,
-    # the horizontal frame, deta; a symbolic chart reads dphi with phi, dxi
-    # with xi and dg with g)
-    pg = PointGeometry(chart, points, tol=tol)
+    # one geometry over the whole sample: each grid is read once, over every
+    # point and with its first derivatives, when a check first needs it, so
+    # the order below decides which error a chart failing at several points
+    # reports (phi, xi, eta, then g)
+    pg = PointGeometry(chart, points, tol=tol, reads=READ_PLANS["validate"][chart.mode.kind])
     report = validate_acms(pg.phi, pg.xi, pg.eta, pg.gram, tol=tol)
     a = pg.reeb_gradient
     star = max_entry(pg.phi @ a + a @ pg.phi, 2)
@@ -284,7 +283,8 @@ def cmd_identities(args) -> int:
     if args.c is not None and not math.isfinite(args.c):
         raise GeometryError(f"--c must be finite, got {args.c}")
     tol, chart, points, config = _chart_inputs(args)
-    pg = PointGeometry(chart, points, tol=tol)  # one stack, read grid by grid
+    # one stack, each grid read once: g, xi, eta, phi, then an fd chart's stencils
+    pg = PointGeometry(chart, points, tol=tol, reads=READ_PLANS["identities"][chart.mode.kind])
     suites = {
         "modified": modified_connection_suite(pg, tol=tol),
         "collapse": defect_collapse_suite(pg, tol=tol),

@@ -17,10 +17,11 @@ holds (curvature included) is an array formula over those leading axes. A
 symbolic chart differentiates both connections exactly at the points
 themselves; only an fd chart builds stencil geometries, for its
 Christoffel derivative and its modified curvature's Richardson step. A
-geometry is read grid by grid, each base grid with the derivatives its
-tensors need over all of its rows, in the order its tensors need them: the
-first failing row of the first failing read raises, after the metrics of
-the g rows read before it are checked. The pointwise residuals
+geometry is read grid by grid, each base grid once over all of its rows,
+with every derivative its command's tensors take (`READ_PLANS`), in the
+order its tensors first need them: the first failing row of the first
+failing read raises, after the metrics of the g rows read before it are
+checked. The pointwise residuals
 (`killing_residual` through `contact_residuals`) and the four identity
 suites take one geometry: a residual gives a float at a point or
 one value per point, and a suite reports each check's worst point. So
@@ -198,18 +199,33 @@ def modified_riemann(pg: PointGeometry) -> np.ndarray:
     return _assemble_curvature(pg.modified_gamma, dgam)
 
 
-#: The derivative order at which `PointGeometry` first reads each base grid
-#: of a symbolic chart. Every command that reads g, phi or xi needs its
-#: first derivatives too (the Christoffel symbols, nabla phi, the Reeb
-#: gradient), bar `curvature`, which reads xi for its projector alone, and
-#: the jet program gives them in the same pass. eta's derivative is read
-#: only by the contact checks of `validate` and the modified curvature,
-#: g's second derivatives only by the two curvatures and xi's only by the
-#: modified one: each is a second read of its grid. A finite-difference
-#: chart reads each order when it is needed, since a derivative costs it
-#: 2d more rows per point, and its two curvatures read the stencil
-#: geometries instead of second derivatives.
+#: The derivative order at which `PointGeometry` reads each base grid when
+#: its caller gives no plan, as the stencil geometries of an fd chart do:
+#: their modified connection takes g and xi with their first derivatives
+#: and eta alone. The coarse stencil of `curvature` takes only the
+#: Christoffel symbols, so it reads only g.
 _FIRST_ORDER = {"g": 1, "phi": 1, "xi": 1, "eta": 0}
+
+#: Each command's read plan on a symbolic and on an fd chart: the order at
+#: which its geometry reads each base grid, the highest derivative of that
+#: grid any of its tensors takes, so that each grid is read once per
+#: geometry, in one pass. `validate` takes the first derivatives of every
+#: grid (Christoffel symbols, nabla phi, the Reeb gradient, d eta);
+#: `identities` on a symbolic chart adds the second derivatives of g and
+#: xi, which the exact curvatures take, and the first of eta, which the
+#: correction's derivative takes; `curvature` reads xi and eta for its
+#: projector alone. An fd chart has no second derivatives (its curvatures
+#: difference the stencil geometries, which read by `_FIRST_ORDER`), and
+#: its `identities` reads eta alone, since its Richardson step takes no
+#: d eta.
+READ_PLANS = {
+    "validate": {"symbolic": {"g": 1, "phi": 1, "xi": 1, "eta": 1},
+                 "fd": {"g": 1, "phi": 1, "xi": 1, "eta": 1}},
+    "identities": {"symbolic": {"g": 2, "phi": 1, "xi": 2, "eta": 1},
+                   "fd": {"g": 1, "phi": 1, "xi": 1, "eta": 0}},
+    "curvature": {"symbolic": {"g": 2, "xi": 0, "eta": 0},
+                  "fd": {"g": 1, "xi": 0, "eta": 0}},
+}
 
 
 class PointGeometry:
@@ -219,36 +235,43 @@ class PointGeometry:
 
     Each tensor is computed on first access and cached for the lifetime of
     the object. `_read` is its only chart reader and reads each base grid
-    over every point, with the derivatives its tensors need (see
-    `_FIRST_ORDER`). Every tensor is an array formula over the
-    leading axes of ``y``, each point exactly what the point alone gives.
-    Everything derived from the Christoffel symbols reads the one cached
-    ``gamma``.
+    over every point, at the order its command's plan ``reads`` gives (see
+    `READ_PLANS`; `_FIRST_ORDER` without one). Every tensor is an array
+    formula over the leading axes of ``y``, each point exactly what the
+    point alone gives. Everything derived from the Christoffel symbols
+    reads the one cached ``gamma``.
     """
 
-    def __init__(self, chart: Chart, y, *, tol: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, chart: Chart, y, *, tol: Tolerances = DEFAULT_TOLERANCES,
+                 reads: dict[str, int] = _FIRST_ORDER):
         self.chart = chart
         self.y = np.asarray(y, float)
         self.tol = tol
         if self.y.ndim == 0 or self.y.shape[-1] != chart.dim:
             raise ShapeError(f"points have shape {self.y.shape}, expected (..., {chart.dim})")
         self._symbolic = chart.mode.kind == "symbolic"
+        self._reads = reads
         self._stack = self.y.reshape(-1, chart.dim)  # the points as rows
         self._parts: dict[tuple[str, int], np.ndarray] = {}
 
     def _read(self, name: str, order: int) -> np.ndarray:
         """Derivative ``order`` (0 for the values) of base grid ``name`` at
         every point, from the jet `Chart._grids_at` reads over one stack of
-        rows. Every order the jet holds is kept: a symbolic grid is read up
-        to at least its `_FIRST_ORDER`, and an order not kept reads the
-        grid again. The metrics of the g rows read are checked, on the
-        first read of g's values, before a failing row raises."""
+        rows. The grid is read up to the order of the plan, so one read
+        serves every derivative the command takes, and every order the jet
+        holds is kept; an order above the plan reads the grid again, which
+        costs a pass but changes no value. The metrics of the g rows read
+        are checked, on the first read of g, before a failing row raises."""
         part = self._parts.get((name, order))
         if part is not None:
             return part
-        jet, error = self.chart._grids_at(
-            name, self._stack, max(order, _FIRST_ORDER[name]) if self._symbolic else order)
-        if name == "g" and jet[0] is not None and ("g", 0) not in self._parts:
+        jet, error = self.chart._grids_at(name, self._stack, max(order, self._reads.get(name, 0)))
+        if error is not None and not self._symbolic and len(jet) > 1:
+            # the points alone, so that a failing point, then the metrics of
+            # the points, come before a failing stencil row
+            (values,), centre_error = self.chart._grids_at(name, self._stack, 0)
+            jet, error = [values], centre_error or error
+        if name == "g" and ("g", 0) not in self._parts:
             check_gram(jet[0])
         if error is not None:
             raise error
@@ -723,7 +746,8 @@ def horizontal_sectional_values(chart: Chart, points, seed: int = 0, *,
     The points are one geometry; each point's pairs are drawn in turn, as
     one stack, and every pair is evaluated at once."""
     rng = np.random.default_rng(seed)
-    pg = PointGeometry(chart, np.atleast_2d(np.asarray(points, float)), tol=tol)
+    pg = PointGeometry(chart, np.atleast_2d(np.asarray(points, float)), tol=tol,
+                       reads=READ_PLANS["curvature"][chart.mode.kind])
     pairs = []
     for gram, projector in zip(pg.gram, pg.projector):
         pairs.append(_accepted_draws(

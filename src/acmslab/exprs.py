@@ -647,9 +647,13 @@ def hash_cons(exprs) -> tuple[list[tuple], list[int]]:
 
     Returns ``(nodes, roots)``: ``nodes`` lists each structurally distinct
     subexpression once, children before parents, as a key
-    ``(kind, attribute, *child indices into nodes)``; ``roots[n]`` is the
-    index of ``exprs[n]``. The walk uses an explicit stack, so tree depth is
-    not limited by the interpreter's recursion limit.
+    ``(kind, attribute, *child indices into nodes)`` (`_node_key`);
+    ``roots[n]`` is the index of ``exprs[n]``. Each distinct object is
+    keyed once: a visit tests its class by identity, not through
+    isinstance chains, and pushes only the children not yet keyed, a
+    right operand above its left, so a right subtree is keyed before its
+    left sibling. The walk uses an explicit stack, so tree depth is not
+    limited by the interpreter's recursion limit.
     """
     nodes: list[tuple] = []
     slot_of_key: dict[tuple, int] = {}
@@ -662,13 +666,35 @@ def hash_cons(exprs) -> tuple[list[tuple], list[int]]:
             if id(e) in slot_of_id:
                 stack.pop()
                 continue
-            kids = _children(e)
-            pending = [k for k in kids if id(k) not in slot_of_id]
-            if pending:
-                stack.extend(pending)
-                continue
+            cls = type(e)
+            if cls is Num:
+                key = ("num", repr(e.value))
+            elif cls is Var:
+                key = ("var", e.index)
+            elif cls is Bin:
+                a, b = slot_of_id.get(id(e.left)), slot_of_id.get(id(e.right))
+                if a is None or b is None:
+                    if a is None:
+                        stack.append(e.left)
+                    if b is None:
+                        stack.append(e.right)
+                    continue
+                key = ("bin", e.op, a, b)
+            else:
+                if cls is Pow:
+                    head, kid = ("pow", e.exponent), e.base
+                elif cls is Neg:
+                    head, kid = ("neg", None), e.arg
+                elif cls is Call:
+                    head, kid = ("call", e.func), e.arg
+                else:
+                    raise TypeError(f"not an expression node: {e!r}")
+                a = slot_of_id.get(id(kid))
+                if a is None:
+                    stack.append(kid)
+                    continue
+                key = (*head, a)
             stack.pop()
-            key = _node_key(e, [slot_of_id[id(k)] for k in kids])
             slot = slot_of_key.get(key)
             if slot is None:
                 slot = slot_of_key[key] = len(nodes)

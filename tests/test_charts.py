@@ -116,6 +116,21 @@ class TestChartConstruction:
                              if hasattr(node, f))
         assert len(distinct) == len(hash_cons(g)[0])
 
+    def test_each_distinct_right_hand_side_is_parsed_once(self, monkeypatch):
+        texts = []
+        original = charts.parse
+
+        def counting(text, nodes=None):
+            texts.append(text)
+            return original(text, nodes)
+
+        monkeypatch.setattr(charts, "parse", counting)
+        chart = chart_from_text("dim = 2\ng[1][1] = 1 + x1^2\ng[2][2] = 1 + x1^2\n"
+                                "xi[2] = 1 + x1^2\neta[1] = x2\n")
+        assert texts == ["1 + x1^2", "x2"]
+        assert chart.g[0][0] is chart.g[1][1] is chart.xi[1]
+        assert chart.g[0][0] == parse("1 + x1^2")
+
     @pytest.mark.parametrize("command", ["validate", "curvature", "identities"])
     def test_commands_never_differentiate_symbolically(self, monkeypatch, capsys, command):
         # every call through the module attribute, the recursive ones too
@@ -159,6 +174,20 @@ class TestChartConstruction:
     def test_empty_domain_interval(self):
         with pytest.raises(ChartFormatError):
             chart_from_text("dim = 1\ng[1][1] = 1\ndomain[1] = 2 2\n")
+
+    # an infinite bound, a bound that overflows to inf, and a width that does
+    @pytest.mark.parametrize("bounds, lo, hi", [("-inf inf", -math.inf, math.inf),
+                                                ("0 1e400", 0.0, math.inf),
+                                                ("-1e308 1e308", -1e308, 1e308)])
+    def test_domain_must_be_finite(self, bounds, lo, hi):
+        wide = "is unbounded or too wide: its bounds, width and midpoint must be finite"
+        with pytest.raises(ChartFormatError) as exc:
+            chart_from_text(f"dim = 1\ng[1][1] = 1\ndomain[1] = {bounds}\n")
+        assert str(exc.value) == f"line 3: domain [{lo}, {hi}] {wide}"
+        one, zero = (Num(1.0),), (Num(0.0),)
+        with pytest.raises(ChartFormatError) as exc:
+            Chart(1, (one,), (zero,), zero, zero, domain=((lo, hi),))
+        assert str(exc.value) == f"domain[1] = [{lo}, {hi}] {wide}"
 
     def test_default_domain_is_unit_box(self):
         chart = chart_from_text("dim = 2\ng[1][1] = 1\ng[2][2] = 1\n")

@@ -704,6 +704,21 @@ class TestInputErrors:
         assert "non-finite value nan" in err
         assert "VERDICT" not in out
 
+    # sampled, these bounds gave NaN coordinates, over which this flat
+    # chart passed `identities` and `curvature`
+    @pytest.mark.parametrize("command", ["validate", "curvature", "identities"])
+    @pytest.mark.parametrize("bounds", ["-inf inf", "0 1e400", "-1e308 1e308"])
+    def test_domain_must_be_finite(self, capsys, tmp_path, command, bounds):
+        path = tmp_path / "flat.chart"
+        path.write_text("dim = 3\ng[1][1] = 1\ng[2][2] = 1\ng[3][3] = 1\n"
+                        "phi[2][1] = 1\nphi[1][2] = -1\nxi[3] = 1\neta[3] = 1\n"
+                        f"domain[2] = {bounds}\n")
+        code, out, err = run(capsys, command, "--chart", str(path), *FAST)
+        assert (code, out) == (2, "")
+        lo, hi = (float(b) for b in bounds.split())
+        assert err == (f"acmslab: error: line 9: domain [{lo}, {hi}] is unbounded or too "
+                       "wide: its bounds, width and midpoint must be finite\n")
+
     @pytest.mark.parametrize("command", ["validate", "curvature", "identities"])
     def test_non_utf8_chart_file_rejected(self, capsys, tmp_path, command):
         path = tmp_path / "bad.chart"

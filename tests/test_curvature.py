@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from acmslab import charts, curvature, linalg
-from acmslab.charts import (DerivativeMode, chart_from_text, christoffel, sample_points,
-                            stencil_points)
+from acmslab.charts import (DerivativeMode, chart_from_text, chart_to_text, christoffel,
+                            sample_points)
+from acmslab.cli import main
 from acmslab.config import DEFAULT_TOLERANCES, FD_SECOND_STEP, MAX_PROBE_DRAWS
 from acmslab.curvature import (
     PointGeometry,
@@ -272,44 +273,35 @@ def test_metric_checks_per_point_geometry(monkeypatch, mode):
     assert shapes == [(1, 5, 5)] + stencils
 
 
-@pytest.mark.parametrize("mode", ["symbolic", "fd"])
-def test_each_grid_at_the_point_is_read_once(monkeypatch, mode):
-    # (base grid, derivative order, rows) of every read
-    reads = []
+@pytest.mark.parametrize("mode, command, count", [
+    ("symbolic", "validate", 4), ("symbolic", "identities", 4), ("symbolic", "curvature", 3),
+    # an fd identities adds g, xi and eta over each Richardson stencil, an
+    # fd curvature g over the coarse one
+    ("fd", "validate", 4), ("fd", "identities", 10), ("fd", "curvature", 4),
+])
+def test_each_grid_is_read_once_per_geometry(monkeypatch, capsys, tmp_path, mode, command,
+                                            count):
+    # (base grid, rows) of every read a geometry makes; the inner read of an
+    # fd derivative's stacked stencil is part of its read
+    reads, depth = [], []
     original = charts.Chart._grids_at
 
     def counted(self, name, points, order):
-        reads.append((name, order, np.asarray(points).tolist()))
-        return original(self, name, points, order)
+        if not depth:
+            reads.append((name, np.asarray(points).tobytes()))
+        depth.append(name)
+        try:
+            return original(self, name, points, order)
+        finally:
+            depth.pop()
 
     monkeypatch.setattr(charts.Chart, "_grids_at", counted)
-    chart = gallery_chart("s5").with_mode(DerivativeMode.parse(mode))
-    y = sample_points(chart, 1, seed=3)[0]
-    pg = PointGeometry(chart, y)
-    for name in GEOMETRY_FIELDS:
-        getattr(pg, name)
-    at_y = Counter((name, order) for name, order, rows in reads if rows == [y.tolist()])
-    # each order once: a symbolic g, phi and xi are read with their first
-    # derivatives, and the Christoffel derivative reads g again with its
-    # second, the correction's derivative xi with its second; eta is read
-    # alone before its derivative; an fd derivative reads the base grid at
-    # its stencil, not at the point
-    reads_at_y = {"symbolic": [("g", 1), ("g", 2), ("phi", 1), ("xi", 1), ("xi", 2)],
-                  "fd": [("g", 0), ("g", 1), ("phi", 0), ("phi", 1), ("xi", 0), ("xi", 1)]}
-    assert at_y == Counter(reads_at_y[mode] + [("eta", 0), ("eta", 1)])
-    # an fd chart's Richardson rows, read as one stack per grid and
-    # stencil; the coarse stencil, of step FD_SECOND_STEP, is the one the
-    # fd Christoffel derivative differences, so its g and dg are read once
-    # for both; a symbolic chart reads no stencil
-    h = FD_SECOND_STEP
-    coarse, fine = stencil_points(y, h).tolist(), stencil_points(y, h / 2.0).tolist()
-    touching = Counter((name, order, len(rows)) for name, order, rows in reads
-                       if any(row in coarse + fine for row in rows))
-    stacks = Counter((name, order, len(rows)) for name, order, rows in reads
-                     if rows in (coarse, fine))
-    jets = {"symbolic": [],
-            "fd": [("g", 0), ("g", 1), ("xi", 0), ("xi", 1), ("eta", 0)]}[mode]
-    assert touching == stacks == {(name, order, 10): 2 for name, order in jets}
+    path = tmp_path / "s5.chart"
+    path.write_text(chart_to_text(gallery_chart("s5").with_mode(DerivativeMode.parse(mode))))
+    assert main([command, "--chart", str(path), "--probes", "2"]) == 0
+    capsys.readouterr()
+    assert len(reads) == count
+    assert max(Counter(reads).values()) == 1
 
 
 def _read_grid_by_grid(chart, points, fields):

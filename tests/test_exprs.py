@@ -1,6 +1,8 @@
 """Unit tests for the expression language: parsing, printing, evaluation,
 exact derivatives."""
+import importlib.util
 import math
+import pathlib
 import random
 import re
 import warnings
@@ -33,7 +35,8 @@ from acmslab.exprs import (
     sub,
     to_text,
 )
-from acmslab.gallery import gallery_chart
+from acmslab.charts import DerivativeMode, chart_from_text, chart_to_text
+from acmslab.gallery import GALLERY_NAMES, gallery_chart
 
 
 class TestParsing:
@@ -503,13 +506,81 @@ class TestHashCons:
 
     def test_s5_second_metric_derivatives(self):
         # pins the sharing: 625 trees of 49,785 nodes in all
-        chart = gallery_chart("s5")
-        d = chart.dim
-        g = [chart.g[i][j] for i in range(d) for j in range(d)]
-        dg = [differentiate(e, k + 1) for k in range(d) for e in g]
-        ddg = [differentiate(e, m + 1) for m in range(d) for e in dg]
+        dg, ddg = _s5_metric_derivatives()
         assert len(hash_cons(dg)[0]) == 283
         assert len(hash_cons(ddg)[0]) == 1681
+
+    @pytest.mark.parametrize("source", [*GALLERY_NAMES, "s5_fd",
+                                        *(f"darboux_d{2 * n + 1}" for n in (1, 2, 3, 4)),
+                                        "s5_dg_ddg", "deep_sum"])
+    def test_equals_reference(self, source):
+        # the same nodes in the same order, so every array program keeps
+        # its row order
+        for exprs_ in _hash_cons_sources(source):
+            assert hash_cons(exprs_) == _reference_hash_cons(exprs_)
+
+
+def _s5_metric_derivatives():
+    """The S^5 gallery metric's first and second derivative trees, in C
+    order of (m, k, i, j)."""
+    chart = gallery_chart("s5")
+    d = chart.dim
+    g = [chart.g[i][j] for i in range(d) for j in range(d)]
+    dg = [differentiate(e, k + 1) for k in range(d) for e in g]
+    return dg, [differentiate(e, m + 1) for m in range(d) for e in dg]
+
+
+DARBOUX = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "darboux.py"
+
+
+def _hash_cons_sources(source):
+    """The expression lists that `test_equals_reference` hash-conses for
+    ``source``: each base grid of a chart, flattened in C order, or the
+    named tree sets."""
+    if source == "s5_dg_ddg":
+        return _s5_metric_derivatives()
+    if source == "deep_sum":
+        return [[parse(DEEP_SUM)]]
+    if source == "s5_fd":
+        chart = chart_from_text(chart_to_text(gallery_chart("s5").with_mode(
+            DerivativeMode("fd"))))
+    elif source.startswith("darboux_d"):
+        spec = importlib.util.spec_from_file_location("perfbench_darboux", DARBOUX)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        chart = chart_from_text(module.darboux_sasakian_text(int(source[9:]) // 2))
+    else:
+        chart = gallery_chart(source)
+    return [[e for row in chart.g for e in row], [e for row in chart.phi for e in row],
+            list(chart.xi), list(chart.eta)]
+
+
+def _reference_hash_cons(exprs_):
+    """The hash-consing walk as first written, through the isinstance
+    chains of `exprs._children` and `exprs._node_key`: the oracle for
+    `hash_cons`, which must return the same nodes in the same order."""
+    nodes, slot_of_key, slot_of_id, roots = [], {}, {}, []
+    for root in exprs_:
+        stack = [root]
+        while stack:
+            e = stack[-1]
+            if id(e) in slot_of_id:
+                stack.pop()
+                continue
+            kids = exprs._children(e)
+            pending = [k for k in kids if id(k) not in slot_of_id]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            key = exprs._node_key(e, [slot_of_id[id(k)] for k in kids])
+            slot = slot_of_key.get(key)
+            if slot is None:
+                slot = slot_of_key[key] = len(nodes)
+                nodes.append(key)
+            slot_of_id[id(e)] = slot
+        roots.append(slot_of_id[id(root)])
+    return nodes, roots
 
 
 class TestArrayProgram:
