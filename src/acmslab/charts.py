@@ -5,8 +5,9 @@ field, Reeb field, contact form) in variables x1..xd, plus a derivative
 mode. Evaluation produces plain numpy arrays at a point; first and second
 derivatives come either exactly, from the jets of the base grids' array
 programs, or from central differences of the base grids, selected by the
-mode. Everything downstream (Christoffel symbols, covariant derivatives,
-curvature assembly) consumes the arrays produced here.
+mode. This module is the only one that knows the finite-difference
+scheme. Everything downstream (Christoffel symbols, covariant derivatives,
+curvature assembly) consumes the arrays produced here, in either mode.
 
 All grids go through one stack reader, `Chart._grids_at`, which runs a
 base grid's array program (`exprs.array_program`, built on first use) over
@@ -18,9 +19,11 @@ walked with `exprs.evaluate` in component order to name a failing value in
 an `EvalError`; if its values walk, its first non-finite derivative names
 the base component, the direction and the point ("d g[1][2] / d x3"), with
 the base component's text as ``where``. The reader returns the rows before
-that row and its error. In finite-difference mode a derivative reads the
-base grid at every point followed by its stencil (`stencil_points`), as
-one stack, and keeps the values with the difference.
+that row and its error. In finite-difference mode a first derivative reads
+the base grid at every point followed by its stencil (`stencil_points`) at
+the chart's step, as one stack, and keeps the values with the difference;
+a second derivative reads the first derivatives, the same way, at every
+point followed by its stencil at ``FD_SECOND_STEP``, and differences those.
 
 A chart's expressions are one DAG. `chart_from_text` parses every
 component through one node table, so equal subtrees anywhere in the chart
@@ -64,6 +67,7 @@ from .exprs import (EvalError, Expr, Num, ParseError, array_program, evaluate,
 
 _ZERO = Num(0.0)
 _DEFAULT_FD_STEP = 1e-5
+FD_SECOND_STEP = 1e-4  # outer step of an fd chart's second derivatives
 _SAMPLE_SHRINK = 0.9   # sampling box half-width as a fraction of the domain's
 #: Largest ``dim`` a chart file may declare: the paper's dimensions are 4n + 1,
 #: and a chart holds dim^2 expressions per matrix grid.
@@ -217,20 +221,20 @@ class Chart:
         *shape)`` of the rows before it (index k of a derivative is x_k),
         and the `EvalError` that row raises on its own (None when every row
         reads). A symbolic chart reads them in one pass of the grid's jet
-        program. A finite-difference chart reads the base grid at each row
-        followed by its 2d `stencil_points`, all rows as one stack in one
-        pass, and differences the stencil rows; it has no second
-        derivatives. So a row's centre fails before its stencil, and the
-        values reach one row further than the derivatives when a stencil
-        row fails."""
+        program. A finite-difference chart reads each row followed by its
+        2d `stencil_points` one order lower, all rows as one stack, and
+        takes the central difference of the stencil rows' top derivative:
+        the values at the chart's step, the first derivatives at
+        ``FD_SECOND_STEP``. The recursion ends in one pass over every row
+        of the nested stencils. So a row's centre fails before its stencil,
+        and each order reaches at most one row further than the next when
+        a stencil row fails."""
         if order and self.mode.kind == "fd":
-            if order > 1:
-                raise ShapeError("second metric derivatives are symbolic-mode only")
-            h, m = self.mode.step, 1 + 2 * self.dim
+            h, m = (self.mode.step, FD_SECOND_STEP)[order - 1], 1 + 2 * self.dim
             rows = np.concatenate([points[:, None], stencil_points(points, h)], axis=1)
-            (base,), error = self._grids_at(name, rows.reshape(-1, self.dim), 0)
-            stencil = base[:len(base) // m * m].reshape((-1, m) + base.shape[1:])[:, 1:]
-            return [base[::m], stencil_difference(stencil, h, 1)], error
+            jet, error = self._grids_at(name, rows.reshape(-1, self.dim), order - 1)
+            top = jet[-1][:len(jet[-1]) // m * m].reshape((-1, m) + jet[-1].shape[1:])
+            return [part[::m] for part in jet] + [stencil_difference(top[:, 1:], h, 1)], error
         grid = self._grid(name)
         try:
             return grid.shaped(grid.program(points, order)), None
@@ -260,9 +264,9 @@ class Chart:
         return self._grid_at("dg", y)
 
     def ddg_at(self, y) -> np.ndarray:
-        """ddg[m, k, i, j] is the second derivative of g[i][j] along x_m, x_k.
-        Only available in symbolic mode; finite differencing is handled one
-        level up by differentiating Christoffel symbols directly."""
+        """ddg[m, k, i, j] is the second derivative of g[i][j] along x_m, x_k:
+        exact in symbolic mode, in fd mode the central difference along x_m,
+        at ``FD_SECOND_STEP``, of the fd first derivatives along x_k."""
         return self._grid_at("ddg", y)
 
     def dphi_at(self, y) -> np.ndarray:

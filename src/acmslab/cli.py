@@ -201,7 +201,7 @@ def cmd_validate(args) -> int:
     # point and with its first derivatives, when a check first needs it, so
     # the order below decides which error a chart failing at several points
     # reports (phi, xi, eta, then g)
-    pg = PointGeometry(chart, points, tol=tol, reads=READ_PLANS["validate"][chart.mode.kind])
+    pg = PointGeometry(chart, points, tol=tol, reads=READ_PLANS["validate"])
     report = validate_acms(pg.phi, pg.xi, pg.eta, pg.gram, tol=tol)
     a = pg.reeb_gradient
     star = max_entry(pg.phi @ a + a @ pg.phi, 2)
@@ -283,8 +283,8 @@ def cmd_identities(args) -> int:
     if args.c is not None and not math.isfinite(args.c):
         raise GeometryError(f"--c must be finite, got {args.c}")
     tol, chart, points, config = _chart_inputs(args)
-    # one stack, each grid read once: g, xi, eta, phi, then an fd chart's stencils
-    pg = PointGeometry(chart, points, tol=tol, reads=READ_PLANS["identities"][chart.mode.kind])
+    # one stack, each grid read once: g, xi, eta, then phi
+    pg = PointGeometry(chart, points, tol=tol, reads=READ_PLANS["identities"])
     suites = {
         "modified": modified_connection_suite(pg, tol=tol),
         "collapse": defect_collapse_suite(pg, tol=tol),

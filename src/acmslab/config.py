@@ -50,5 +50,4 @@ DEFAULT_TOLERANCES = Tolerances()
 # sampling defaults
 POINTS_PER_CHART = 20       # chart points drawn from the parameter box
 PROBES_PER_RESIDUAL = 50    # random horizontal planes per point (`curvature`)
-FD_SECOND_STEP = 1e-4       # outer step when differencing Christoffel data
 MAX_PROBE_DRAWS = 100       # consecutive rejected probe draws before giving up

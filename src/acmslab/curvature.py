@@ -1,33 +1,33 @@
 """Curvature assembly and the pointwise identity suites.
 
-The Riemann tensor of a chart comes from differentiated Christoffel symbols,
-either exactly (symbolic mode) or by nested central differences. On top of
-the Levi-Civita data this module builds the modified connection adapted to
+The Riemann tensor of a chart comes from its Christoffel symbols
+differentiated in closed form, from the first and second metric
+derivatives the chart gives: exact ones on a symbolic chart, nested
+central differences on an fd one (see `charts`). On top of the
+Levi-Civita data this module builds the modified connection adapted to
 the Reeb direction, its curvature (computed two independent ways: its
-connection differentiated, exactly on a symbolic chart and by a Richardson
-step on an fd chart, against a closed formula), and the residual suites
-that confront curvature with the structure tensors: the commutation defect
-of curvature against the endomorphism field, its factorization through the
-horizontal skew operator, and the reconstruction of curvature from first
-derivatives of the structure on nearly cosymplectic charts.
+connection differentiated by the product rule, against a closed
+formula), and the residual suites that confront curvature with the
+structure tensors: the commutation defect of curvature against the
+endomorphism field, its factorization through the horizontal skew
+operator, and the reconstruction of curvature from first derivatives of
+the structure on nearly cosymplectic charts.
 
 ``PointGeometry`` is the only reader of a chart. It holds points of any
 leading shape, reads each base grid over all of them, and every tensor it
-holds (curvature included) is an array formula over those leading axes. A
-symbolic chart differentiates both connections exactly at the points
-themselves; only an fd chart builds stencil geometries, for its
-Christoffel derivative and its modified curvature's Richardson step. A
-geometry is read grid by grid, each base grid once over all of its rows,
-with every derivative its command's tensors take (`READ_PLANS`), in the
-order its tensors first need them: the first failing row of the first
-failing read raises, after the metrics of the g rows read before it are
-checked. The pointwise residuals
-(`killing_residual` through `contact_residuals`) and the four identity
-suites take one geometry: a residual gives a float at a point or
-one value per point, and a suite reports each check's worst point. So
-``validate``, ``identities`` and ``curvature`` each read their sample as one
-geometry (plus the stencil geometries of an fd chart), and the suites of
-``identities`` share its one curvature and modified curvature.
+holds (curvature included) is an array formula over those leading axes.
+Both connections are differentiated at the points themselves, in either
+mode; this module takes no finite difference of its own. A geometry is
+read grid by grid, each base grid once over all of its rows, with every
+derivative its command's tensors take (`READ_PLANS`), in the order its
+tensors first need them: the first failing row of the first failing read
+raises, after the metrics of the g rows read before it are checked. The
+pointwise residuals (`killing_residual` through `contact_residuals`) and
+the four identity suites take one geometry: a residual gives a float at a
+point or one value per point, and a suite reports each check's worst
+point. So ``validate``, ``identities`` and ``curvature`` each read their
+sample as one geometry, and the suites of ``identities`` share its one
+curvature and modified curvature.
 
 Index layout throughout: ``comps[..., i, j, k, l]`` is the i-th component of
 ``R(e_k, e_l) e_j``.
@@ -51,9 +51,8 @@ import numpy as np
 
 from .charts import (SYMBOLIC, Chart, DerivativeMode, christoffel,
                      christoffel_derivative, contact_volume_coefficient, d_eta,
-                     nabla_phi, nabla_xi, stencil_difference, stencil_points)
-from .config import (DEFAULT_TOLERANCES, FD_SECOND_STEP, MAX_PROBE_DRAWS,
-                     PROBES_PER_RESIDUAL, Tolerances)
+                     nabla_phi, nabla_xi)
+from .config import DEFAULT_TOLERANCES, MAX_PROBE_DRAWS, PROBES_PER_RESIDUAL, Tolerances
 from .errors import DegenerateInputError, ShapeError
 from .linalg import adjoint, check_gram, inners, max_entry, norms, operator_in_basis, skew_matrix
 from .report import Check, VerificationReport, worst
@@ -142,10 +141,11 @@ def modified_christoffel(chart: Chart, y) -> np.ndarray:
 
 
 def _correction_derivative(pg: PointGeometry) -> np.ndarray:
-    """dh[..., m, k, i, j], the exact x_m derivative of the `_correction`
-    table of a symbolic geometry: the product rule through its formula, from
-    the first derivatives of g, xi and eta, the Christoffel derivative and
-    the second derivatives of xi. The index m follows the point axes."""
+    """dh[..., m, k, i, j], the x_m derivative of the `_correction` table of
+    a geometry: the product rule through its formula, from the first
+    derivatives of g, xi and eta, the Christoffel derivative and the second
+    derivatives of xi, as the chart gives them. The index m follows the
+    point axes."""
     lead = pg.y.ndim - 1
 
     def e(v):  # a tensor at the point, broadcast along m
@@ -175,63 +175,44 @@ def _correction_derivative(pg: PointGeometry) -> np.ndarray:
 
 
 def modified_riemann(pg: PointGeometry) -> np.ndarray:
-    """Curvature of the modified connection at every point of ``pg``.
-
-    A symbolic chart differentiates the connection exactly: the Christoffel
-    derivative plus `_correction_derivative`, read at the points alone. A
-    finite-difference chart takes one Richardson step on the central
-    difference (at ``FD_SECOND_STEP`` and half of it), which keeps the
-    truncation error at fourth order: the coarse connection tables come
-    from the geometry's `coarse_stencil`, which the fd Christoffel
-    derivative shares, and the fine ones from one geometry over the 2d fine
-    rows of every point; both stencils are read before the centre, whose
-    table is the geometry's own. No Bianchi check here: the modified
+    """Curvature of the modified connection at every point of ``pg``: its
+    connection differentiated by the product rule, the Christoffel
+    derivative plus `_correction_derivative`, from the derivatives the chart
+    reads at the points alone (exact on a symbolic chart, central
+    differences on an fd one). No Bianchi check here: the modified
     connection carries torsion, so the plain cyclic identity genuinely
     fails.
     """
-    if pg._symbolic:
-        return _assemble_curvature(pg.modified_gamma, pg.dgamma + _correction_derivative(pg))
-    h, axis = FD_SECOND_STEP, pg.y.ndim - 1  # the stencil rows follow the point axes
-    coarse = pg.coarse_stencil.modified_gamma
-    fine = PointGeometry(pg.chart, stencil_points(pg.y, h / 2.0), tol=pg.tol).modified_gamma
-    dgam = (4.0 * stencil_difference(fine, h / 2.0, axis)
-            - stencil_difference(coarse, h, axis)) / 3.0
-    return _assemble_curvature(pg.modified_gamma, dgam)
+    return _assemble_curvature(pg.modified_gamma, pg.dgamma + _correction_derivative(pg))
 
 
 #: The derivative order at which `PointGeometry` reads each base grid when
-#: its caller gives no plan, as the stencil geometries of an fd chart do:
-#: their modified connection takes g and xi with their first derivatives
-#: and eta alone. The coarse stencil of `curvature` takes only the
-#: Christoffel symbols, so it reads only g.
+#: its caller gives no plan: g, phi and xi with their first derivatives,
+#: which the Christoffel symbols, nabla phi and the Reeb gradient take, and
+#: eta alone, which the projector takes. A tensor that takes more reads
+#: its grid again.
 _FIRST_ORDER = {"g": 1, "phi": 1, "xi": 1, "eta": 0}
 
-#: Each command's read plan on a symbolic and on an fd chart: the order at
-#: which its geometry reads each base grid, the highest derivative of that
-#: grid any of its tensors takes, so that each grid is read once per
-#: geometry, in one pass. `validate` takes the first derivatives of every
-#: grid (Christoffel symbols, nabla phi, the Reeb gradient, d eta);
-#: `identities` on a symbolic chart adds the second derivatives of g and
-#: xi, which the exact curvatures take, and the first of eta, which the
-#: correction's derivative takes; `curvature` reads xi and eta for its
-#: projector alone. An fd chart has no second derivatives (its curvatures
-#: difference the stencil geometries, which read by `_FIRST_ORDER`), and
-#: its `identities` reads eta alone, since its Richardson step takes no
-#: d eta.
+#: Each command's read plan: the order at which its geometry reads each
+#: base grid, the highest derivative of that grid any of its tensors
+#: takes, so that each grid is read once per geometry, in one pass, on a
+#: symbolic and on an fd chart alike. `validate` takes the first
+#: derivatives of every grid (Christoffel symbols, nabla phi, the Reeb
+#: gradient, d eta); `identities` adds the second derivatives of g and xi,
+#: which the curvatures take, and the first of eta, which the correction's
+#: derivative takes; `curvature` reads xi and eta for its projector alone.
 READ_PLANS = {
-    "validate": {"symbolic": {"g": 1, "phi": 1, "xi": 1, "eta": 1},
-                 "fd": {"g": 1, "phi": 1, "xi": 1, "eta": 1}},
-    "identities": {"symbolic": {"g": 2, "phi": 1, "xi": 2, "eta": 1},
-                   "fd": {"g": 1, "phi": 1, "xi": 1, "eta": 0}},
-    "curvature": {"symbolic": {"g": 2, "xi": 0, "eta": 0},
-                  "fd": {"g": 1, "xi": 0, "eta": 0}},
+    "validate": {"g": 1, "phi": 1, "xi": 1, "eta": 1},
+    "identities": {"g": 2, "phi": 1, "xi": 2, "eta": 1},
+    "curvature": {"g": 2, "xi": 0, "eta": 0},
 }
 
 
 class PointGeometry:
     """Lazy bundle of every tensor the identity suites need, at each point
-    of ``y`` of shape ``(..., dim)``: one point ``(dim,)``, a sample
-    ``(n, dim)`` or the ``(n, 2d, dim)`` rows of a derivative stencil.
+    of ``y`` of shape ``(..., dim)``: one point ``(dim,)`` or a sample
+    ``(n, dim)``. Every derivative comes from the chart at the points
+    themselves; an fd chart's stencils stay inside `Chart._grids_at`.
 
     Each tensor is computed on first access and cached for the lifetime of
     the object. `_read` is its only chart reader and reads each base grid
@@ -313,26 +294,10 @@ class PointGeometry:
 
     @cached_property
     def dgamma(self) -> np.ndarray:
-        """dGam[..., m, k, i, j], the x_m derivative of Gam[..., k, i, j].
-
-        Symbolic mode differentiates the closed form through the metric
-        inverse; finite-difference mode takes the central difference, with
-        the second-level step, of the Christoffel symbols of the
-        `coarse_stencil`.
-        """
-        if not self._symbolic:
-            return stencil_difference(self.coarse_stencil.gamma, FD_SECOND_STEP,
-                                      self.y.ndim - 1)
+        """dGam[..., m, k, i, j], the x_m derivative of Gam[..., k, i, j]:
+        the closed form through the metric inverse, from the first and
+        second metric derivatives the chart reads."""
         return christoffel_derivative(self.ginv, self.dg, self._read("g", 2))
-
-    @cached_property
-    def coarse_stencil(self) -> PointGeometry:
-        """Geometry of an fd chart over the 2d `stencil_points` of step
-        ``FD_SECOND_STEP`` of every point: the rows the fd Christoffel
-        derivative differences and the coarse rows of `modified_riemann`'s
-        Richardson step, read once for both. A symbolic geometry builds
-        none."""
-        return PointGeometry(self.chart, stencil_points(self.y, FD_SECOND_STEP), tol=self.tol)
 
     @cached_property
     def projector(self) -> np.ndarray:
@@ -719,10 +684,12 @@ def dual_mode_suite(chart: Chart, points, *,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> VerificationReport:
     """Relative agreement of symbolic and finite-difference derivatives for
     the Christoffel symbols, the Reeb gradient, the derivative of phi and
-    the curvature, over the given points: one geometry per mode."""
+    the curvature, over the given points: one geometry per mode, each grid
+    read once at the `identities` plan."""
     points = np.atleast_2d(np.asarray(points, float))
-    one = PointGeometry(chart.with_mode(SYMBOLIC), points, tol=tol)
-    two = PointGeometry(chart.with_mode(DerivativeMode("fd")), points, tol=tol)
+    one, two = (PointGeometry(chart.with_mode(mode), points, tol=tol,
+                              reads=READ_PLANS["identities"])
+                for mode in (SYMBOLIC, DerivativeMode("fd")))
     got = {
         "dual_mode_christoffel": (one.gamma, two.gamma),
         "dual_mode_reeb_gradient": (one.reeb_gradient, two.reeb_gradient),
@@ -747,7 +714,7 @@ def horizontal_sectional_values(chart: Chart, points, seed: int = 0, *,
     one stack, and every pair is evaluated at once."""
     rng = np.random.default_rng(seed)
     pg = PointGeometry(chart, np.atleast_2d(np.asarray(points, float)), tol=tol,
-                       reads=READ_PLANS["curvature"][chart.mode.kind])
+                       reads=READ_PLANS["curvature"])
     pairs = []
     for gram, projector in zip(pg.gram, pg.projector):
         pairs.append(_accepted_draws(

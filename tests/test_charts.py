@@ -22,7 +22,7 @@ from acmslab.charts import (
     sample_points,
     save_chart,
 )
-from acmslab import charts, curvature, exprs
+from acmslab import charts, exprs
 from acmslab.cli import main
 from acmslab.curvature import PointGeometry
 from acmslab.errors import ChartFormatError, ShapeError
@@ -150,7 +150,8 @@ class TestChartConstruction:
     @pytest.mark.parametrize("command", ["validate", "curvature", "identities"])
     def test_symbolic_commands_read_no_stencil(self, monkeypatch, capsys, command):
         # a symbolic chart differentiates both connections exactly, so no
-        # finite-difference stencil is built on any command path
+        # finite-difference stencil is built on any command path; `charts`
+        # is the only module that builds one (test_one_fd_scheme.py)
         calls = []
         original = charts.stencil_points
 
@@ -158,8 +159,7 @@ class TestChartConstruction:
             calls.append(h)
             return original(y, h)
 
-        for module in (charts, curvature):
-            monkeypatch.setattr(module, "stencil_points", counting)
+        monkeypatch.setattr(charts, "stencil_points", counting)
         for name in GALLERY_NAMES:
             main([command, "--gallery", name, "--probes", "2"])
         capsys.readouterr()
@@ -309,12 +309,15 @@ class TestStackedReads:
     def test_equals_row_by_row(self, source, mode):
         chart = gallery_chart(source).with_mode(DerivativeMode.parse(mode))
         points = sample_points(chart, 3, seed=21)
-        for name in GRIDS if mode == "symbolic" else [n for n in GRIDS if n != "ddg"]:
+        for name in GRIDS:
             rows = [chart._grid_at(name, y) for y in points]
             if mode == "fd" and name.startswith("d"):
-                # the central difference of base grids read one row at a time
-                base = lambda p, name=name: chart._grid_at(name[1:], p)  # noqa: E731
-                rows = [_central_difference(base, y, chart.mode.step) for y in points]
+                # the central difference of the grid one order lower, read
+                # one row at a time: base grids at the chart's step, first
+                # derivatives at FD_SECOND_STEP
+                lower = lambda p, name=name: chart._grid_at(name[1:], p)  # noqa: E731
+                step = chart.mode.step if name.count("d") == 1 else charts.FD_SECOND_STEP
+                rows = [_central_difference(lower, y, step) for y in points]
             got, error = _stack(chart, name, points)
             assert error is None, name
             assert np.array_equal(got, np.array(rows)), name
@@ -369,6 +372,8 @@ class TestStackedReads:
         ("symbolic", "dg", [[4.0], [1e308], [0.0]], 1),
         ("fd", "dg", [[1.0], [5e-6], [-1.0]], 1),        # a stencil row below 0
         ("fd", "dg", [[1.0], [1e200], [5e-6]], 1),
+        ("fd", "ddg", [[1.0], [5e-5], [-1.0]], 1),       # an outer stencil row below 0
+        ("fd", "ddg", [[1.0], [1.05e-4], [-1.0]], 1),    # a row of its inner stencil
     ])
     def test_first_failing_row_names_the_error(self, mode, name, rows, first):
         chart = chart_from_text("dim = 1\ng[1][1] = x1 * x1 + sqrt(x1)\n")
@@ -489,10 +494,26 @@ class TestChristoffel:
                                        PointGeometry(sphere, y).dgamma,
                                        atol=1e-6)
 
-    def test_ddg_rejected_in_fd_mode(self, sphere):
-        fd = sphere.with_mode(DerivativeMode("fd"))
-        with pytest.raises(ShapeError):
-            fd.ddg_at([1.0, 1.0])
+    def test_fd_second_derivatives_are_nested_central_differences(self):
+        # bit for bit the central difference at FD_SECOND_STEP of the
+        # central differences at the chart's step, one point at a time; the
+        # symbolic jets within 1e-6 relative, the rounding of dividing by
+        # 2h * 2H = 4e-9 (largest seen 9.7e-8, on g)
+        chart = gallery_chart("s5")
+        fd = chart.with_mode(DerivativeMode("fd"))
+
+        def nested(name, y):
+            def first(p):
+                return _central_difference(lambda q: fd._grid_at(name, q), p, fd.mode.step)
+
+            return _central_difference(first, y, charts.FD_SECOND_STEP)
+
+        for y in sample_points(fd, 3, seed=5):
+            ddxi = fd._grids_at("xi", y[None], 2)[0][2][0]
+            for name, got in (("g", fd.ddg_at(y)), ("xi", ddxi)):
+                exact = chart._grid_at("dd" + name, y)
+                assert np.array_equal(got, nested(name, y)), name
+                assert np.all(np.abs(got - exact) <= 1e-6 * (1.0 + np.abs(exact))), name
 
 
 class TestStructureDerivatives:

@@ -560,10 +560,11 @@ class TestIdentities:
         assert first == second
 
     @pytest.mark.parametrize("probes", ["1", "3"])
-    def test_suites_share_one_geometry_stack(self, capsys, monkeypatch, probes):
+    @pytest.mark.parametrize("fd", [False, True])
+    def test_suites_share_one_geometry_stack(self, capsys, monkeypatch, tmp_path, probes, fd):
         # the sample is one geometry, and every suite reads its one
-        # Levi-Civita and one modified curvature; a symbolic chart
-        # differentiates both connections exactly, so no stencil adds a
+        # Levi-Civita and one modified curvature; both modes differentiate
+        # both connections at the points alone, so no stencil adds a
         # geometry, and both eta-parallel gates read the one horizontal
         # frame and the one eta-parallel residual
         calls = count_calls(monkeypatch, (
@@ -572,20 +573,25 @@ class TestIdentities:
             (curvature.PointGeometry, "__init__"),
             (curvature, "horizontal_basis"), (structure, "horizontal_basis"),
             (curvature, "check_eta_parallel"), (structure, "check_eta_parallel")))
-        code, out, _ = run(capsys, "identities", *S5, "--probes", probes)
+        source = S5
+        if fd:
+            path = tmp_path / "s5_fd.chart"
+            path.write_text(chart_to_text(gallery_chart("s5").with_mode(DerivativeMode("fd"))))
+            source = ["--chart", str(path)]
+        code, out, _ = run(capsys, "identities", *source, "--probes", probes)
         assert code == 0
         assert "skipped_suites: none" in out
         assert calls == {"riemann": 1, "modified_riemann": 1, "christoffel": 1,
                          "__init__": 1, "horizontal_basis": 1, "check_eta_parallel": 1}
 
     @pytest.mark.parametrize("probes", ["1", "3"])
-    @pytest.mark.parametrize("fd, geometries", [(False, 1), (True, 2)])
+    @pytest.mark.parametrize("fd", [False, True])
     def test_curvature_reads_one_geometry_stack(self, capsys, monkeypatch, tmp_path, probes,
-                                                fd, geometries):
-        # symbolic charts differentiate the Christoffel symbols in closed
-        # form; an fd chart adds one geometry over the stencils of every point.
-        # Each geometry checks its metrics once, as one stack, and the probes
-        # of each point are drawn in the gram the geometry already checked
+                                                fd):
+        # both modes differentiate the Christoffel symbols in closed form at
+        # the points alone, so one geometry checks its metrics once, as one
+        # stack, and the probes of each point are drawn in the gram it
+        # already checked
         calls = count_calls(monkeypatch, ((curvature.PointGeometry, "__init__"),
                                           (curvature, "riemann"),
                                           *((module, "check_gram")
@@ -597,7 +603,7 @@ class TestIdentities:
             source = ["--chart", str(path)]
         code, _, _ = run(capsys, "curvature", *source, "--probes", probes, "--planes", "2")
         assert code == 0
-        assert calls == {"__init__": geometries, "riemann": 1, "check_gram": geometries}
+        assert calls == {"__init__": 1, "riemann": 1, "check_gram": 1}
 
     def test_duplicate_name_lookup_is_ambiguous(self, capsys, monkeypatch):
         # the collapse and factorization suites each report an eta_parallel_gate

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from acmslab import charts, curvature, linalg
-from acmslab.charts import (DerivativeMode, chart_from_text, chart_to_text, christoffel,
-                            sample_points)
+from acmslab.charts import (FD_SECOND_STEP, DerivativeMode, chart_from_text, chart_to_text,
+                            christoffel, christoffel_derivative, sample_points)
 from acmslab.cli import main
-from acmslab.config import DEFAULT_TOLERANCES, FD_SECOND_STEP, MAX_PROBE_DRAWS
+from acmslab.config import DEFAULT_TOLERANCES, MAX_PROBE_DRAWS
 from acmslab.curvature import (
     PointGeometry,
     _assemble_curvature,
@@ -173,14 +173,16 @@ def _central_difference(fn, y, h):
 def _fd_riemann_oracle(chart, y):
     """Levi-Civita curvature of a finite-difference chart one point at a
     time: every g read on its own, central differences of g at the chart's
-    step and of the Christoffel symbols at FD_SECOND_STEP."""
-    def gam_at(p):
-        dg = _central_difference(chart.g_at, p, chart.mode.step)
-        gram = chart.g_at(p)
-        check_gram(gram)
-        return christoffel(np.linalg.inv(gram), dg)
+    step, and of those at FD_SECOND_STEP, in the closed-form Christoffel
+    symbols and their derivative."""
+    def dg_at(p):
+        return _central_difference(chart.g_at, p, chart.mode.step)
 
-    return _assemble_curvature(gam_at(y), _central_difference(gam_at, y, FD_SECOND_STEP))
+    gram = chart.g_at(y)
+    check_gram(gram)
+    ginv, dg = np.linalg.inv(gram), dg_at(y)
+    ddg = _central_difference(dg_at, y, FD_SECOND_STEP)
+    return _assemble_curvature(christoffel(ginv, dg), christoffel_derivative(ginv, dg, ddg))
 
 
 class TestFdRiemann:
@@ -253,11 +255,9 @@ GEOMETRY_FIELDS = ("gram", "gamma", "riem", "modified_riem", "horizontal_basis",
 
 @pytest.mark.parametrize("mode", ["symbolic", "fd"])
 def test_metric_checks_per_point_geometry(monkeypatch, mode):
-    # one check for the geometry's metric; an fd chart adds one over each
-    # stencil of the modified curvature's Richardson step: the coarse one,
-    # which the fd Christoffel derivative reads too, and the fine one (the
-    # symbolic derivatives read y alone, whose metric is already checked);
-    # every geometry checks the rows it reads as one stack
+    # one check, of the metric at the geometry's points, in either mode:
+    # the derivatives of both connections read y alone, and an fd chart's
+    # stencil rows take no inverse
     shapes = []
     for module in (linalg, curvature):
         def counted(gram, _check=module.check_gram):
@@ -269,26 +269,19 @@ def test_metric_checks_per_point_geometry(monkeypatch, mode):
     pg = PointGeometry(chart, sample_points(chart, 1, seed=3)[0])
     for name in GEOMETRY_FIELDS:
         getattr(pg, name)
-    stencils = {"symbolic": [], "fd": [(10, 5, 5), (10, 5, 5)]}[mode]
-    assert shapes == [(1, 5, 5)] + stencils
+    assert shapes == [(1, 5, 5)]
 
 
-@pytest.mark.parametrize("mode, command, count", [
-    ("symbolic", "validate", 4), ("symbolic", "identities", 4), ("symbolic", "curvature", 3),
-    # an fd identities adds g, xi and eta over each Richardson stencil, an
-    # fd curvature g over the coarse one
-    ("fd", "validate", 4), ("fd", "identities", 10), ("fd", "curvature", 4),
-])
-def test_each_grid_is_read_once_per_geometry(monkeypatch, capsys, tmp_path, mode, command,
-                                            count):
-    # (base grid, rows) of every read a geometry makes; the inner read of an
-    # fd derivative's stacked stencil is part of its read
+def _outer_reads(monkeypatch):
+    """The list, filled as they happen, of (mode, base grid, rows) of every
+    read a geometry makes; the inner reads of an fd derivative's stacked
+    stencils are part of its read."""
     reads, depth = [], []
     original = charts.Chart._grids_at
 
     def counted(self, name, points, order):
         if not depth:
-            reads.append((name, np.asarray(points).tobytes()))
+            reads.append((self.mode.kind, name, np.asarray(points).tobytes()))
         depth.append(name)
         try:
             return original(self, name, points, order)
@@ -296,12 +289,32 @@ def test_each_grid_is_read_once_per_geometry(monkeypatch, capsys, tmp_path, mode
             depth.pop()
 
     monkeypatch.setattr(charts.Chart, "_grids_at", counted)
+    return reads
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "fd"])
+@pytest.mark.parametrize("command, count", [("validate", 4), ("identities", 4),
+                                            ("curvature", 3)])
+def test_each_grid_is_read_once_per_geometry(monkeypatch, capsys, tmp_path, mode, command,
+                                            count):
+    # the same reads in either mode
+    reads = _outer_reads(monkeypatch)
     path = tmp_path / "s5.chart"
     path.write_text(chart_to_text(gallery_chart("s5").with_mode(DerivativeMode.parse(mode))))
     assert main([command, "--chart", str(path), "--probes", "2"]) == 0
     capsys.readouterr()
     assert len(reads) == count
     assert max(Counter(reads).values()) == 1
+
+
+def test_dual_mode_suite_reads_each_grid_once_per_geometry(monkeypatch):
+    # one geometry per mode, each at the identities plan: g with the second
+    # derivatives its curvature takes, phi and xi with their first
+    reads = _outer_reads(monkeypatch)
+    chart = gallery_chart("s5")
+    dual_mode_suite(chart, sample_points(chart, 2, seed=3))
+    assert Counter((mode, name) for mode, name, _ in reads) == {
+        (mode, name): 1 for mode in ("symbolic", "fd") for name in ("g", "phi", "xi")}
 
 
 def _read_grid_by_grid(chart, points, fields):
@@ -409,10 +422,28 @@ class TestConnectionCorrection:
         assert np.max(np.abs(h)) == 0.0
 
 
+class _NestedGeometry(PointGeometry):
+    """A geometry of one point of an fd chart whose second derivatives are
+    the nested central difference: the central difference at FD_SECOND_STEP
+    of the chart's first derivatives, each read at one stencil point on its
+    own."""
+
+    def _read(self, name, order):
+        if order < 2:
+            return super()._read(name, order)
+        return _central_difference(lambda p: self.chart._grid_at("d" + name, p), self.y,
+                                   FD_SECOND_STEP)
+
+
 def _stencil_oracle(chart, y):
-    """Modified curvature one stencil point at a time: a `PointGeometry` at
-    each point, central differences at FD_SECOND_STEP and half of it, one
-    Richardson step."""
+    """Modified curvature at the point ``y`` one stencil point at a time: on
+    an fd chart from the nested central differences (`_NestedGeometry`); on
+    a symbolic one the connection tables of a `PointGeometry` at each
+    stencil point, differenced at FD_SECOND_STEP and half of it, with one
+    Richardson step, which keeps the truncation error at fourth order."""
+    if chart.mode.kind == "fd":
+        return _NestedGeometry(chart, y).modified_riem
+
     def gam_at(p):
         pg = PointGeometry(chart, p)
         return pg.gamma + pg.correction
@@ -426,8 +457,9 @@ def _stencil_oracle(chart, y):
 # that assembles it
 TENSORS = {"riemann": "riem", "modified_riemann": "modified_riem"}
 
-# 3-D charts that fail at the stencil point y - FD_SECOND_STEP e_1 of
-# STENCIL_Y, before any other stencil point or the centre itself
+# 3-D charts whose g[1][1] fails (or leaves g not positive definite) at the
+# fd stencil point y - FD_SECOND_STEP e_1 of STENCIL_Y, which only the
+# second derivatives of an fd chart read
 STENCIL_TEXT = ("dim = 3\ng[2][2] = 1\ng[3][3] = 1\nphi[2][1] = 1\nphi[1][2] = -1\n"
                 "xi[3] = 1\neta[3] = 1\n")
 STENCIL_Y = (5e-5, 0.1, 0.2)
@@ -456,9 +488,9 @@ class TestModifiedRiemann:
     @pytest.mark.parametrize("mode", ["symbolic", "fd"])
     @pytest.mark.parametrize("name", ["s5", "sasakian_r5", "cosymplectic_r5"])
     def test_stacked_stencil_matches_pointwise_oracle(self, name, mode):
-        # an fd chart takes the Richardson step of the oracle bit for bit; a
-        # symbolic chart differentiates exactly, so the two differ by the
-        # oracle's fourth-order truncation error alone
+        # an fd chart takes the nested central differences of the oracle bit
+        # for bit; a symbolic chart differentiates exactly, so the two differ
+        # by the oracle's fourth-order truncation error alone
         chart = gallery_chart(name).with_mode(DerivativeMode.parse(mode))
         for y in sample_points(chart, 3, seed=13):
             got, oracle = PointGeometry(chart, y).modified_riem, _stencil_oracle(chart, y)
@@ -491,15 +523,15 @@ class TestModifiedRiemann:
 
     @pytest.mark.parametrize("g11", ["sqrt(x1)", "x1", "x1 + 0*sqrt(x3 - 0.19995)"])
     def test_symbolic_route_reads_no_stencil_point(self, g11):
-        # the fd Richardson step fails at a stencil point y - h e_1 of these
-        # charts (test_first_failing_fd_stencil_point_names_the_error); the
-        # symbolic route reads y alone, where the correction vanishes
+        # an fd chart's second derivatives read the stencil point y - h e_1
+        # of these charts (test_first_failing_fd_stencil_point_names_the_error);
+        # the symbolic route reads y alone, where the correction vanishes
         pg = PointGeometry(chart_from_text(STENCIL_TEXT + f"g[1][1] = {g11}\n"), STENCIL_Y)
         assert np.array_equal(pg.modified_riem, pg.riem)
 
     def test_symbolic_route_fails_at_the_centre(self):
         # x3 = 0.2 at the centre, where the jet of 0 * sqrt(x3 - 0.2) is
-        # 0 * inf; the fd route fails first at a stencil point
+        # 0 * inf; the fd route fails first at the stencil point y - h e_3
         # (test_first_failing_fd_stencil_point_names_the_error)
         chart = chart_from_text(STENCIL_TEXT + "g[1][1] = x1 + 0*sqrt(x3 - 0.2)\n")
         with pytest.raises(EvalError) as excinfo:
@@ -507,54 +539,56 @@ class TestModifiedRiemann:
         assert str(excinfo.value) == ("d g[1][1] / d x1 at point [5e-05, 0.1, 0.2]: non-finite "
                                       "value nan in 'x1 + 0 * sqrt(x3 - 0.2)'")
 
-    @pytest.mark.parametrize("mode, error, message", [
+    @pytest.mark.parametrize("mode, message", [
         # the symbolic route reads xi's derivatives at the centre alone
-        ("symbolic", EvalError,
-         "d xi[3] / d x2 at point [5e-05, 0.1, 0.2]: non-finite value nan in "
-         "'1 + 0 * sqrt(x2 - 0.1)'"),
-        # xi fails at y - h e_2, a row before the first non-positive-definite
-        # metric at y - h e_3; the stack reads and checks g over all of its
-        # rows before it reads xi
-        ("fd", DegenerateInputError,
-         "gram matrix is not positive definite (min eigenvalue -1.000e-05)"),
+        ("symbolic", "d xi[3] / d x2 at point [5e-05, 0.1, 0.2]: non-finite value nan in "
+                     "'1 + 0 * sqrt(x2 - 0.1)'"),
+        # the fd route reads g and xi at step h = 1e-5: xi fails at y - h e_2;
+        # g is not positive definite only at y - FD_SECOND_STEP e_3, which
+        # only the second derivatives read, and is never checked there
+        ("fd", "xi[3] at point [5e-05, 0.09999000000000001, 0.2]: square root of negative "
+               "value -1e-05 in 'sqrt(x2 - 0.1)'"),
     ])
-    def test_richardson_stack_reads_grid_by_grid(self, mode, error, message):
+    def test_modified_curvature_reads_grid_by_grid(self, mode, message):
         text = STENCIL_TEXT.replace("xi[3] = 1\n", "xi[3] = 1 + 0*sqrt(x2 - 0.1)\n")
         chart = chart_from_text(text + "g[1][1] = x3 - 0.19991\n")
-        with pytest.raises(error) as excinfo:
+        with pytest.raises(EvalError) as excinfo:
             PointGeometry(chart.with_mode(DerivativeMode.parse(mode)), STENCIL_Y).modified_riem
         assert str(excinfo.value) == message
 
-    # In fd mode every read of a derivative grid is itself a stencil of g
-    # reads at step 1e-5. ``fn`` names the function that assembles the
-    # tensor.
-    @pytest.mark.parametrize("fn, g11, error, message", [
-        *((fn, "sqrt(x1)", EvalError,
+    # In fd mode a first derivative reads a stencil of step h = 1e-5, and a
+    # second derivative reads the first over a stencil of step
+    # FD_SECOND_STEP. ``fn`` names the function that assembles the tensor;
+    # both read g first with its first derivatives.
+    @pytest.mark.parametrize("fn, g11, message", [
+        *((fn, "sqrt(x1)",
            "g[1][1] at point [-5e-05, 0.1, 0.2]: square root of negative value -5e-05 "
            "in 'sqrt(x1)'") for fn in TENSORS),
-        *((fn, "x1", DegenerateInputError,
-           "gram matrix is not positive definite (min eigenvalue -5.000e-05)")
-          for fn in TENSORS),
-        # the first dg read already steps below x3 = 0.2: riemann's at y,
-        # modified_riemann's at its first stencil point y + h e_1
-        ("riemann", "x1 + 0*sqrt(x3 - 0.2)", EvalError,
-         "g[1][1] at point [5e-05, 0.1, 0.19999]: square root of negative value -1e-05 "
-         "in 'sqrt(x3 - 0.2)'"),
-        # modified_riemann reads g over all 4d Richardson rows first: the
-        # metric at y - h e_1 fails before the g read at y - h e_3
-        ("modified_riemann", "x1 + 0*sqrt(x3 - 0.2)", DegenerateInputError,
-         "gram matrix is not positive definite (min eigenvalue -5.000e-05)"),
-        # the metric check at y - h e_1 comes before the failing g read at y - h e_3
-        *((fn, "x1 + 0*sqrt(x3 - 0.19995)", DegenerateInputError,
-           "gram matrix is not positive definite (min eigenvalue -5.000e-05)")
-          for fn in TENSORS),
+        # the first dg read already steps below x3 = 0.2, at y - h e_3
+        *((fn, "x1 + 0*sqrt(x3 - 0.2)",
+           "g[1][1] at point [5e-05, 0.1, 0.19999]: square root of negative value -1e-05 "
+           "in 'sqrt(x3 - 0.2)'") for fn in TENSORS),
+        # the second derivatives read y - FD_SECOND_STEP e_1, where g is not
+        # positive definite and is never checked, then fail at y - FD_SECOND_STEP e_3
+        *((fn, "x1 + 0*sqrt(x3 - 0.19995)",
+           "g[1][1] at point [5e-05, 0.1, 0.19990000000000002]: square root of negative "
+           "value -5e-05 in 'sqrt(x3 - 0.19995)'") for fn in TENSORS),
     ])
-    def test_first_failing_fd_stencil_point_names_the_error(self, fn, g11, error, message):
+    def test_first_failing_fd_stencil_point_names_the_error(self, fn, g11, message):
         chart = chart_from_text(STENCIL_TEXT + f"g[1][1] = {g11}\n")
         pg = PointGeometry(chart.with_mode(DerivativeMode("fd")), STENCIL_Y)
-        with pytest.raises(error) as excinfo:
+        with pytest.raises(EvalError) as excinfo:
             getattr(pg, TENSORS[fn])
         assert str(excinfo.value) == message
+
+    def test_fd_stencil_metric_is_not_checked(self):
+        # g = diag(x1, 1, 1) is not positive definite at y - FD_SECOND_STEP
+        # e_1; no inverse is taken there, so both curvatures read, and equal
+        # their one-point oracles bit for bit
+        chart = chart_from_text(STENCIL_TEXT + "g[1][1] = x1\n").with_mode(DerivativeMode("fd"))
+        pg = PointGeometry(chart, STENCIL_Y)
+        assert np.array_equal(pg.riem, _fd_riemann_oracle(chart, np.array(STENCIL_Y)))
+        assert np.array_equal(pg.modified_riem, _stencil_oracle(chart, np.array(STENCIL_Y)))
 
     def test_antisymmetry_survives(self, s5):
         r = PointGeometry(s5, np.zeros(5)).modified_riem
