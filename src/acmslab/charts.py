@@ -13,17 +13,22 @@ All grids go through one stack reader, `Chart._grids_at`, which runs a
 base grid's array program (`exprs.array_program`, built on first use) over
 all the rows of a stack of points at once, up to the derivative order
 asked for: the values, and in symbolic mode the first and second
-derivatives, from one pass. If that raises or reads a non-finite value,
-the rows are read again one at a time. The first row that fails alone is
-walked with `exprs.evaluate` in component order to name a failing value in
-an `EvalError`; if its values walk, its first non-finite derivative names
-the base component, the direction and the point ("d g[1][2] / d x3"), with
-the base component's text as ``where``. The reader returns the rows before
-that row and its error. In finite-difference mode a first derivative reads
-the base grid at every point followed by its stencil (`stencil_points`) at
-the chart's step, as one stack, and keeps the values with the difference;
-a second derivative reads the first derivatives, the same way, at every
-point followed by its stencil at ``FD_SECOND_STEP``, and differences those.
+derivatives, from one pass. The same pass flags the rows that hold a
+non-finite entry, and the reader walks only those, in order. A flagged
+row's values are walked with `exprs.evaluate` in component order to name
+a failing value in an `EvalError`; if they walk, its first non-finite
+derivative names the base component, the direction and the point ("d
+g[1][2] / d x3"), with the base component's text as ``where``; if it has
+none, the row reads as its IEEE results. The first flagged row that fails
+ends the read, which returns the rows before it and its error. In
+finite-difference mode a first derivative reads the base grid at every
+point, then at every point's stencil (`stencil_points`) at the chart's
+step, as one stack, and keeps the points' values with the difference; a
+second derivative reads the first derivatives, the same way, at every
+point, then at every point's stencil at ``FD_SECOND_STEP``, and
+differences those. So a failing point fails before any stencil row, an
+outer stencil row before any inner one, and a failed fd read returns the
+values of the points before the first failing point.
 
 A chart's expressions are one DAG. `chart_from_text` parses every
 component through one node table, so equal subtrees anywhere in the chart
@@ -215,41 +220,38 @@ class Chart:
     def _grids_at(self, name: str, points: np.ndarray,
                   order: int) -> tuple[list[np.ndarray], EvalError | None]:
         """The base grid ``name`` and its derivatives up to ``order`` at the
-        rows of the ``(n, dim)`` stack ``points`` in order, up to the first
-        failing row: the values ``(rows, *shape)``, first derivatives
-        ``(rows, dim, *shape)`` and second derivatives ``(rows, dim, dim,
-        *shape)`` of the rows before it (index k of a derivative is x_k),
-        and the `EvalError` that row raises on its own (None when every row
-        reads). A symbolic chart reads them in one pass of the grid's jet
-        program. A finite-difference chart reads each row followed by its
-        2d `stencil_points` one order lower, all rows as one stack, and
+        rows of the ``(n, dim)`` stack ``points``, and None: the values
+        ``(n, *shape)``, first derivatives ``(n, dim, *shape)`` and second
+        derivatives ``(n, dim, dim, *shape)`` (index k of a derivative is
+        x_k). A symbolic chart reads them in one pass of the grid's jet
+        program, and walks only the rows the pass flags, in order: the
+        first that fails (`_Grid.row_error`) ends the read, which returns
+        the jet of the rows before it and that row's `EvalError` instead.
+        A finite-difference chart reads the points followed by the 2d
+        `stencil_points` of every point, one order lower, as one stack, and
         takes the central difference of the stencil rows' top derivative:
         the values at the chart's step, the first derivatives at
-        ``FD_SECOND_STEP``. The recursion ends in one pass over every row
-        of the nested stencils. So a row's centre fails before its stencil,
-        and each order reaches at most one row further than the next when
-        a stencil row fails."""
+        ``FD_SECOND_STEP``. The recursion ends in one pass over the points
+        and every row of their nested stencils: the points first, then the
+        outer stencil rows, then the inner ones. So the first failing row
+        is a point whenever one fails, and a failed fd read returns only
+        the values of the points before the first failing point, with the
+        error."""
         if order and self.mode.kind == "fd":
-            h, m = (self.mode.step, FD_SECOND_STEP)[order - 1], 1 + 2 * self.dim
-            rows = np.concatenate([points[:, None], stencil_points(points, h)], axis=1)
-            jet, error = self._grids_at(name, rows.reshape(-1, self.dim), order - 1)
-            top = jet[-1][:len(jet[-1]) // m * m].reshape((-1, m) + jet[-1].shape[1:])
-            return [part[::m] for part in jet] + [stencil_difference(top[:, 1:], h, 1)], error
-        grid = self._grid(name)
-        try:
-            return grid.shaped(grid.program(points, order)), None
-        except FloatingPointError:
-            pass
-        rows: list = []  # one row at a time, up to the first that fails
-        error = None
-        for y in points:
-            row, error = grid.row(y, order)
+            h, n = (self.mode.step, FD_SECOND_STEP)[order - 1], len(points)
+            stencils = stencil_points(points, h).reshape(-1, self.dim)
+            jet, error = self._grids_at(name, np.concatenate([points, stencils]), order - 1)
             if error is not None:
-                break
-            rows.append(row)
-        return grid.shaped([np.array([row[k][0] for row in rows]).reshape(
-            (len(rows),) + (self.dim,) * k + (len(grid.exprs),))
-            for k in range(order + 1)]), error
+                return [jet[0][:n]], error
+            top = jet[-1][n:].reshape((n, 2 * self.dim) + jet[-1].shape[1:])
+            return [part[:n] for part in jet] + [stencil_difference(top, h, 1)], None
+        grid = self._grid(name)
+        jet, flagged = grid.program(points, order)
+        for r in flagged:
+            error = grid.row_error(points[r], [part[r] for part in jet])
+            if error is not None:
+                return grid.shaped([part[:r] for part in jet]), error
+        return grid.shaped(jet), None
 
     def g_at(self, y) -> np.ndarray:
         return self._grid_at("g", y)
@@ -305,48 +307,30 @@ class _Grid:
         wrt = " ".join(f"d x{k + 1}" for k in index[order - 1::-1])
         return f"{'d' * order} {label} / {wrt}" if order else label
 
-    def row(self, y: np.ndarray, order: int) -> tuple[list[np.ndarray] | None, EvalError | None]:
-        """The jet of the one point ``y``, or the `EvalError` naming its
-        first failing entry: a value the tree-walker rejects (`walk`), else
-        the first non-finite derivative, first derivatives before second,
-        each in C order, with the base component's text as ``where``. A
-        row whose strict read raised but whose values walk and whose
-        derivatives are finite reads as the IEEE results."""
-        try:
-            return self.program(y[None], order), None
-        except FloatingPointError:
-            pass
+    def row_error(self, y: np.ndarray, jet: list[np.ndarray]) -> EvalError | None:
+        """The `EvalError` naming the first failing entry of the one point
+        ``y``, whose row of a program's jet is ``jet``, or None when the row
+        reads as its IEEE results. The components' values are walked with
+        the tree-walker in order: the first that raises, or else the first
+        that is not finite, fails. If none does, the first non-finite
+        derivative fails, first derivatives before second, each in C order,
+        with the base component's text as ``where``."""
         values = y.tolist()
-        error = self.walk(values)[1]
-        if error is not None:
-            return None, error
-        jet = self.program(y[None], order, strict=False)
-        for k in range(1, order + 1):
-            bad = np.flatnonzero(~np.isfinite(jet[k]))
-            if bad.size:
-                n = int(bad[0])
-                return None, EvalError(
-                    f"{self.label(n, k)} at point {values}: "
-                    f"non-finite value {float(jet[k].flat[n])!r}",
-                    to_text(self.exprs[n % len(self.exprs)]))
-        return jet, None
-
-    def walk(self, values: list[float]) -> tuple[list[float], EvalError | None]:
-        """The components at the point ``values`` by the tree-walker, in
-        order, before the first that raises (or else the first that is not
-        finite), and the `EvalError` naming that one (None if none fails)."""
         row: list[float] = []
         try:
             for e in self.exprs:
                 row.append(evaluate(e, values))
-            bad = [n for n, v in enumerate(row) if not math.isfinite(v)]
-            if not bad:
-                return row, None
-            n = bad[0]
-            exc = EvalError(f"non-finite value {row[n]!r}", to_text(self.exprs[n]))
         except EvalError as raised:
-            n, exc = len(row), raised
-        return row[:n], EvalError(f"{self.label(n)} at point {values}: {exc.message}", exc.where)
+            return EvalError(f"{self.label(len(row))} at point {values}: {raised.message}",
+                             raised.where)
+        for k, part in enumerate([np.array(row), *jet[1:]]):
+            bad = np.flatnonzero(~np.isfinite(part))
+            if bad.size:
+                n = int(bad[0])
+                return EvalError(f"{self.label(n, k)} at point {values}: "
+                                 f"non-finite value {float(part.flat[n])!r}",
+                                 to_text(self.exprs[n % len(self.exprs)]))
+        return None
 
 
 def _components(name: str, entries, dim: int) -> tuple[list[str], list[Expr]]:

@@ -8,12 +8,13 @@ the built-in gallery (``--gallery``).
 
 Exit codes: 0 when every check passes (or a curvature assessment is merely
 inconclusive), 1 when a check or gate fails (a NaN residual or a non-finite
-sectional curvature sample fails), 2 for usage and input errors. Output is
-deterministic for a fixed seed on a given numpy and LAPACK build; between
-builds it can differ by rounding (``lemma`` takes eigenvectors of A^2 from
-LAPACK). ``--json`` switches to a canonical, strict JSON document with
-sorted keys and no timestamps, in which a non-finite number (NaN or
-infinity) prints as ``null``.
+sectional curvature sample fails), 2 for usage and input errors, with one
+error line and no numpy warning. Output is deterministic for a fixed seed
+on a given numpy and LAPACK build; between builds it can differ by
+rounding (``lemma`` takes eigenvectors of A^2 from LAPACK). ``--json``
+switches to a canonical, strict JSON document with sorted keys and no
+timestamps, in which a non-finite number (NaN or infinity) prints as
+``null``.
 """
 from __future__ import annotations
 
@@ -310,7 +311,10 @@ def main(argv=None) -> int:
         "identities": cmd_identities,
     }
     try:
-        return handlers[args.command](args)
+        # numpy's default only warns on a floating-point exception: no value
+        # changes, and a command's output stays its report or one error line
+        with np.errstate(all="ignore"):
+            return handlers[args.command](args)
     except (GeometryError, EvalError, OSError) as exc:
         print(f"acmslab: error: {exc}", file=sys.stderr)
         return 2

@@ -230,7 +230,6 @@ class PointGeometry:
         self.tol = tol
         if self.y.ndim == 0 or self.y.shape[-1] != chart.dim:
             raise ShapeError(f"points have shape {self.y.shape}, expected (..., {chart.dim})")
-        self._symbolic = chart.mode.kind == "symbolic"
         self._reads = reads
         self._stack = self.y.reshape(-1, chart.dim)  # the points as rows
         self._parts: dict[tuple[str, int], np.ndarray] = {}
@@ -241,17 +240,15 @@ class PointGeometry:
         rows. The grid is read up to the order of the plan, so one read
         serves every derivative the command takes, and every order the jet
         holds is kept; an order above the plan reads the grid again, which
-        costs a pass but changes no value. The metrics of the g rows read
-        are checked, on the first read of g, before a failing row raises."""
+        costs a pass but changes no value. A failed read holds the values
+        of the points before its first failing point (an fd read stacks
+        its points before their stencils), and on the first read of g their
+        metrics are checked before the error raises: a failing point, then
+        the metrics of the points, come before a failing stencil row."""
         part = self._parts.get((name, order))
         if part is not None:
             return part
         jet, error = self.chart._grids_at(name, self._stack, max(order, self._reads.get(name, 0)))
-        if error is not None and not self._symbolic and len(jet) > 1:
-            # the points alone, so that a failing point, then the metrics of
-            # the points, come before a failing stencil row
-            (values,), centre_error = self.chart._grids_at(name, self._stack, 0)
-            jet, error = [values], centre_error or error
         if name == "g" and ("g", 0) not in self._parts:
             check_gram(jet[0])
         if error is not None:
@@ -363,7 +360,8 @@ class PointGeometry:
 
     @cached_property
     def riem(self) -> np.ndarray:
-        gate = self.tol.curvature_symbolic if self._symbolic else self.tol.curvature_fd
+        symbolic = self.chart.mode.kind == "symbolic"
+        gate = self.tol.curvature_symbolic if symbolic else self.tol.curvature_fd
         return riemann(self.gamma, self.dgamma, gate)
 
     @cached_property

@@ -29,10 +29,14 @@ and names the failing subexpression in an `EvalError`; it is the reference.
 group of nodes of one depth and operation, and carries each node's first
 and second derivatives along with its value by forward-mode automatic
 differentiation: a few more array calls per group, and no derivative tree
-is built. Both take each power and function's ufunc from `_operation`, and
-`FUNCTIONS` holds each function's value ufunc, symbolic derivative and
-Taylor coefficients. `differentiate` builds the derivative as a tree; no
-command calls it, and the tests compare the jets against it.
+is built. It raises nothing and names nothing: it returns IEEE results
+(inf, NaN) and, from the same pass, the rows that hold a non-finite entry
+anywhere in its work, which include every row at which `evaluate` raises.
+A caller walks only those rows with `evaluate` to name a failure. Both
+take each power and function's ufunc from `_operation`, and `FUNCTIONS`
+holds each function's value ufunc, symbolic derivative and Taylor
+coefficients. `differentiate` builds the derivative as a tree; no command
+calls it, and the tests compare the jets against it.
 
 ``parse(to_text(e)) == e`` holds for every tree built by ``parse`` or
 ``differentiate`` (the canonical forms): the parser folds a unary minus on a
@@ -793,14 +797,14 @@ def _rows(rows: list[int]):
     return np.array(rows, dtype=np.intp)
 
 
-def array_program(exprs) -> Callable[..., list[np.ndarray]]:
-    """A callable ``program(points, order=0, *, strict=True)`` from an
-    ``(n, k)`` array of points (x1..xk per row) to the truncated Taylor
-    series ("jet") of ``exprs`` at every row, up to ``order`` 0, 1 or 2:
-    a list of the C-ordered ``(n, len(exprs))`` values, the ``(n, k,
-    len(exprs))`` first derivatives along x1..xk and the ``(n, k, k,
-    len(exprs))`` second derivatives. The values are ``evaluate(e, row)``
-    bit for bit, whatever the order.
+def array_program(exprs) -> Callable[..., tuple[list[np.ndarray], list[int]]]:
+    """A callable ``program(points, order=0)`` from an ``(n, k)`` array of
+    points (x1..xk per row) to the truncated Taylor series ("jet") of
+    ``exprs`` at every row, up to ``order`` 0, 1 or 2: a list of the
+    C-ordered ``(n, len(exprs))`` values, the ``(n, k, len(exprs))`` first
+    derivatives along x1..xk and the ``(n, k, k, len(exprs))`` second
+    derivatives. The values are ``evaluate(e, row)`` bit for bit, whatever
+    the order. With the jet it returns the flagged rows, in order.
 
     Each `hash_cons` node is one row of a (1 + v + v^2) x nodes x points
     work array, shorter below order 2: its value, and its gradient and
@@ -817,13 +821,16 @@ def array_program(exprs) -> Callable[..., list[np.ndarray]]:
     symmetric bit for bit. One ``take`` per order gathers the outputs in
     their final layout.
 
-    With ``strict``, any floating-point exception but underflow raises
-    ``FloatingPointError`` and names nothing: wherever `evaluate` raises,
-    where an operator overflows on the way to a finite value (``1 / (x1 *
-    x1)`` at 1e200), and where a derivative rule divides by zero or
-    overflows; so does a value that is not finite anywhere in the work
-    array (an infinite number in the text), so a strict read returns finite
-    numbers only. Without it the IEEE results (inf, NaN) are returned.
+    The program runs with every floating-point exception ignored and
+    returns the IEEE results (inf, NaN). A row is flagged when a non-finite
+    entry is anywhere in its column of the work array: a value or a
+    derivative of any node, one an output shows or not. An overflow, a
+    division by zero or an invalid operation on a node's value leaves inf
+    or NaN in that node's row even where a later operation hides it (``1 /
+    (1 / (x1 - 1))`` reads 0.0 at x1 = 1, ``1 / (x1 * x1)`` at 1e200 too),
+    so every row at which `evaluate` raises is flagged, and so is every
+    row of a program with an infinite number in its text. A row that is
+    not flagged read finite numbers only.
     """
     nodes, roots = hash_cons(exprs)
     depth: list[int] = []
@@ -858,7 +865,7 @@ def array_program(exprs) -> Callable[..., list[np.ndarray]]:
                       for r, c in enumerate(columns.tolist(), len(numbers))], dtype=np.intp)
     outputs = np.array([row[slot] for slot in roots], dtype=np.intp)
 
-    def program(points, order: int = 0, *, strict: bool = True) -> list[np.ndarray]:
+    def program(points, order: int = 0) -> tuple[list[np.ndarray], list[int]]:
         points = np.asarray(points, float)
         n, d = points.shape
         # every row's values are written; derivatives only where not 0
@@ -867,7 +874,7 @@ def array_program(exprs) -> Callable[..., list[np.ndarray]]:
         values = work[0]
         values[:len(numbers)] = constants
         values[inputs] = points.T.take(columns, axis=0)
-        with np.errstate(**(_RAISE if strict else {"all": "ignore"})):
+        with np.errstate(all="ignore"):
             if not order:
                 for fn, consts, _, rows, args in steps:
                     fn(*[values[a] if a.__class__ is slice else values.take(a, axis=0)
@@ -881,8 +888,9 @@ def array_program(exprs) -> Callable[..., list[np.ndarray]]:
                         fn(*ops, *consts, out=work[:, rows])
                     else:
                         rule(fn, consts, ops, work[:, rows], v)
-        if strict and not np.isfinite(work).all():
-            raise FloatingPointError("a value is not finite")
+        # one test in the common case, and the rows only when it fails
+        flagged = ([] if np.isfinite(work).all()
+                   else np.flatnonzero(~np.isfinite(work).all(axis=(0, 1))).tolist())
         jet = [values.T.take(outputs, axis=1)]
         if order:
             jet.append(work[1:1 + v].transpose(2, 0, 1).take(outputs, axis=2))
@@ -891,6 +899,6 @@ def array_program(exprs) -> Callable[..., list[np.ndarray]]:
             jet.append(hessians.transpose(3, 0, 1, 2).take(outputs, axis=3))
         if v < d:  # every x_k the expressions do not use: derivatives of 0
             jet[1:] = [_along(axes, d, part) for part in jet[1:]]
-        return jet
+        return jet, flagged
 
     return program

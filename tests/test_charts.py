@@ -4,7 +4,9 @@ import importlib.util
 import itertools
 import math
 import pathlib
+import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +28,10 @@ from acmslab import charts, exprs
 from acmslab.cli import main
 from acmslab.curvature import PointGeometry
 from acmslab.errors import ChartFormatError, ShapeError
-from acmslab.exprs import EvalError, Num, differentiate, evaluate, hash_cons, parse, to_text
+from acmslab.exprs import (EvalError, Num, array_program, differentiate, evaluate, hash_cons,
+                           parse, to_text)
 from acmslab.gallery import GALLERY_NAMES, gallery_chart
+from test_exprs import _random_expr
 
 SPHERE_TEXT = """\
 # round two-sphere in polar coordinates
@@ -346,9 +350,9 @@ class TestStackedReads:
         assert got.tolist() == [[[0.25]], [[0.0]], [[0.0625]]]
 
     def test_entries_near_the_largest_float_read_at_once(self, monkeypatch):
-        # two entries near 1e308 overflow the strict read's sum, but every
-        # value is finite: no warning, and no row is read again alone
-        monkeypatch.setattr(charts._Grid, "row", None)
+        # two entries near 1e308 would overflow a sum, but every value is
+        # finite: no warning, and no row is flagged and walked
+        monkeypatch.setattr(charts._Grid, "row_error", None)
         chart = chart_from_text("dim = 2\ng[1][1] = 1e308\ng[2][2] = 1e308 * x2\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -370,10 +374,6 @@ class TestStackedReads:
         ("symbolic", "g", [[1.0], [-1.0], [1e200]], 1),  # a raise, then non-finite
         ("symbolic", "g", [[4.0], [-1.0], [-4.0]], 1),   # two raising rows
         ("symbolic", "dg", [[4.0], [1e308], [0.0]], 1),
-        ("fd", "dg", [[1.0], [5e-6], [-1.0]], 1),        # a stencil row below 0
-        ("fd", "dg", [[1.0], [1e200], [5e-6]], 1),
-        ("fd", "ddg", [[1.0], [5e-5], [-1.0]], 1),       # an outer stencil row below 0
-        ("fd", "ddg", [[1.0], [1.05e-4], [-1.0]], 1),    # a row of its inner stencil
     ])
     def test_first_failing_row_names_the_error(self, mode, name, rows, first):
         chart = chart_from_text("dim = 1\ng[1][1] = x1 * x1 + sqrt(x1)\n")
@@ -385,6 +385,163 @@ class TestStackedReads:
         assert str(error) == str(alone.value)
         assert error.where == alone.value.where
         assert np.array_equal(prefix, [chart._grid_at(name, y) for y in rows[:first]])
+
+    # An fd read stacks its points before their stencil rows, and at order 2
+    # the outer stencil rows before the inner ones. A failed read returns the
+    # values of the points before the first failing point.
+    @pytest.mark.parametrize("name, rows, failing, before", [
+        # point 1's stencil steps below 0, and point 2 fails: the point first
+        ("dg", [[1.0], [5e-6], [-1.0]], [-1.0], 2),
+        ("dg", [[1.0], [1e200], [5e-6]], [1e200], 1),
+        ("ddg", [[1.0], [5e-5], [-1.0]], [-1.0], 2),
+        ("ddg", [[1.0], [1.05e-4], [-1.0]], [-1.0], 2),
+        # only a stencil row fails: the values of every point
+        ("dg", [[1.0], [5e-6], [2.0]], [5e-6 + -1e-5], 3),
+        # an inner stencil row of point 0 (below its outer row 1.05e-4 - 1e-4)
+        # and an outer stencil row of point 1 fail: the outer row first
+        ("ddg", [[1.05e-4], [5e-5], [2.0]], [5e-5 + -1e-4], 3),
+    ])
+    def test_fd_reads_points_before_stencil_rows(self, name, rows, failing, before):
+        chart = chart_from_text("dim = 1\ng[1][1] = x1 * x1 + sqrt(x1)\n")
+        chart = chart.with_mode(DerivativeMode("fd"))
+        with pytest.raises(EvalError) as alone:
+            chart.g_at(failing)
+        jet, error = chart._grids_at("g", np.array(rows), len(name) - 1)
+        assert str(error) == str(alone.value)
+        assert error.where == alone.value.where
+        assert len(jet) == 1
+        assert np.array_equal(jet[0], [chart.g_at(y) for y in rows[:before]])
+
+    @pytest.mark.parametrize("mode", ["symbolic", "fd"])
+    def test_failing_read_runs_its_program_once(self, monkeypatch, mode):
+        # a 20-point xi read whose last point fails: one pass, however many
+        # rows it stacks (220 on the fd chart), and the flagged row walked
+        runs = []
+
+        def counted(exprs):
+            program = array_program(exprs)
+            return lambda *args: runs.append(1) or program(*args)
+
+        monkeypatch.setattr(charts, "array_program", counted)
+        mode = DerivativeMode.parse(mode)
+        chart = chart_from_text(chart_to_text(gallery_chart("s5").with_mode(mode)))
+        points = sample_points(chart, 20, seed=5)
+        points[-1] = [1.0, 1.0, 0.0, 0.0, 0.0]
+        jet, error = chart._grids_at("xi", points, 1)
+        assert error.message == ("xi[1] at point [1.0, 1.0, 0.0, 0.0, 0.0]: "
+                                 "square root of negative value -1")
+        assert len(jet[0]) == 19
+        assert len(runs) == 1
+
+
+def _row_by_row(chart, name, points, order):
+    """Oracle for `Chart._grids_at`: its former per-row loop. The base
+    grid's program runs on one row at a time, in order, and every row's
+    values are walked with the tree-walker and its derivatives tested, up
+    to the first row that fails. An fd read recurses as `_grids_at` does,
+    over the points and then their stencil rows."""
+    if order and chart.mode.kind == "fd":
+        h, n = (chart.mode.step, charts.FD_SECOND_STEP)[order - 1], len(points)
+        stencils = charts.stencil_points(points, h).reshape(-1, chart.dim)
+        jet, error = _row_by_row(chart, name, np.concatenate([points, stencils]), order - 1)
+        if error is not None:
+            return [jet[0][:n]], error
+        top = jet[-1][n:].reshape((n, 2 * chart.dim) + jet[-1].shape[1:])
+        return [part[:n] for part in jet] + [charts.stencil_difference(top, h, 1)], None
+    grid = chart._grid(name)
+    rows, error = [], None
+    for y in points:
+        jet = grid.program(y[None], order)[0]
+        error = _row_failure(grid, y.tolist(), jet)
+        if error is not None:
+            break
+        rows.append(jet)
+    return grid.shaped([np.array([row[k][0] for row in rows]).reshape(
+        (len(rows),) + (chart.dim,) * k + (len(grid.exprs),)) for k in range(order + 1)]), error
+
+
+def _row_failure(grid, values, jet):
+    """The `EvalError` of one row whose one-row jet is ``jet``, or None: the
+    first component the tree-walker rejects, else the first whose value is
+    not finite, else the first non-finite derivative, in C order."""
+    row = []
+    try:
+        for e in grid.exprs:
+            row.append(evaluate(e, values))
+    except EvalError as exc:
+        return EvalError(f"{grid.label(len(row))} at point {values}: {exc.message}", exc.where)
+    bad = [n for n, v in enumerate(row) if not math.isfinite(v)]
+    if bad:
+        return EvalError(f"{grid.label(bad[0])} at point {values}: non-finite value "
+                         f"{row[bad[0]]!r}", to_text(grid.exprs[bad[0]]))
+    for k in range(1, len(jet)):
+        bad = np.flatnonzero(~np.isfinite(jet[k]))
+        if bad.size:
+            n = int(bad[0])
+            return EvalError(f"{grid.label(n, k)} at point {values}: non-finite value "
+                             f"{float(jet[k].flat[n])!r}", to_text(grid.exprs[n % len(grid.exprs)]))
+    return None
+
+
+def _same_read(chart, name, points, order):
+    """Assert that `Chart._grids_at` and `_row_by_row` read the same bytes
+    and the same error; return the error."""
+    got, error = chart._grids_at(name, points, order)
+    want, expected = _row_by_row(chart, name, points, order)
+    assert str(error) == str(expected)
+    assert getattr(error, "where", None) == getattr(expected, "where", None)
+    assert [(part.shape, part.tobytes()) for part in got] == \
+        [(part.shape, part.tobytes()) for part in want]
+    return error
+
+
+class TestOnePassOracle:
+    """The one-pass reader walks only the rows its program flags: it reads
+    what the former per-row loop read, error text and ``where`` included."""
+
+    # IEEE hides each exception in the output: 1 / inf is 0.0, NaN^0 is 1.0
+    @pytest.mark.parametrize("text, point, message", [
+        ("1 / (1 / (x1 - 1))", 1.0, "division by zero"),
+        ("sqrt(x1 - 2)^0", 0.0, "square root of negative value -2"),
+        ("1 / (x1 * x1)", 1e200, None),  # reads 0.0
+    ])
+    @pytest.mark.parametrize("mode", ["symbolic", "fd"])
+    def test_hidden_exceptions(self, text, point, message, mode):
+        chart = chart_from_text(f"dim = 1\ng[1][1] = {text}\n")
+        chart = chart.with_mode(DerivativeMode.parse(mode))
+        points = np.array([[3.0], [point], [4.0]])
+        expected = None if message is None else f"g[1][1] at point [{point}]: {message}"
+        for order in (0, 1, 2):
+            error = _same_read(chart, "g", points, order)
+            assert (None if error is None else error.message) == expected
+        if message is None:
+            assert chart.g_at([point]).tolist() == [[0.0]]
+
+    @pytest.mark.parametrize("mode", ["symbolic", "fd"])
+    def test_random_expressions_and_singular_rows(self, mode):
+        # a singular coordinate, at a point or one fd step away from one, is
+        # 0 (a zero to a negative power), tiny (a derivative that overflows)
+        # or huge (a value that overflows)
+        rng = random.Random(35)
+        pool = [0.0, -0.0, 1e-5, -1e-5, 1e-4, -1e-4, 1e-150, 1e-300, 1e103, 1e200]
+        zero = Num(0.0)
+        outcomes = Counter()
+        for _ in range(200):
+            g = [[_random_expr(rng, 3, exponents=range(-3, 4)) for _ in range(2)]
+                 for _ in range(2)]
+            chart = Chart(2, g, [[zero] * 2] * 2, [zero] * 2, [zero] * 2,
+                          mode=DerivativeMode.parse(mode))
+            points = np.array([[rng.choice(pool) if rng.random() < 0.25 else rng.uniform(-2, 2)
+                                for _ in range(2)] for _ in range(4)])
+            labels = [f" at point {y}: " for y in points.tolist()]
+            for order in (0, 1, 2):
+                error = _same_read(chart, "g", points, order)
+                outcomes["read" if error is None
+                         else "derivative" if error.message.startswith("d")
+                         else "point" if any(label in error.message for label in labels)
+                         else "stencil row"] += 1
+        assert outcomes["read"] > 400 and outcomes["point"] > 80, outcomes
+        assert outcomes["derivative" if mode == "symbolic" else "stencil row"] >= 5, outcomes
 
 
 class TestGridErrors:

@@ -893,3 +893,84 @@ class TestDeepExpressions:
         assert code == 2
         assert out == ""
         assert err == "acmslab: error: line 2: expression nested too deeply\n"
+
+
+# a 3-D chart whose components other than g[1][1] are constant
+READ_BASE = ("dim = 3\ng[2][2] = 1\ng[3][3] = 1\nphi[2][1] = 1\nphi[1][2] = -1\n"
+             "xi[3] = 1\neta[3] = 1\n")
+NEAR_ZERO = "domain[1] = 0 0.00002\n"  # fd stencils step below x1 = 0
+SAMPLE_POINT = "[-0.8702502560486477, 0.5638864305604904, 0.7429600390998992]"
+FIRST_POINT = "[0.24653103717861777, -0.41438391522503343, -0.8262476569148496]"
+
+
+class TestFailingReads:
+    """A failing read ends a command with one error line, which names the
+    first failing sample point in either mode, else on an fd chart the
+    first failing stencil row, and a hidden floating-point exception as the
+    tree-walker names it."""
+
+    @pytest.mark.parametrize("mode", ["symbolic", "fd"])
+    @pytest.mark.parametrize("command", ["validate", "curvature", "identities"])
+    @pytest.mark.parametrize("g11, message", [
+        ("1 + sqrt(x1)", f"g[1][1] at point {SAMPLE_POINT}: square root of negative value "
+                         "-0.87025 in 'sqrt(x1)'"),
+        ("x1", "gram matrix is not positive definite (min eigenvalue -8.703e-01)"),
+        # 1 / 0 is inf, and 1 / inf is 0.0
+        ("1 + 1 / (1 / (x1 - x1))", f"g[1][1] at point {FIRST_POINT}: division by zero "
+                                    "in '1 / (x1 - x1)'"),
+        # sqrt(x1 - 2) is NaN, and NaN^0 is 1.0
+        ("sqrt(x1 - 2)^0", f"g[1][1] at point {FIRST_POINT}: square root of negative value "
+                           "-1.75347 in 'sqrt(x1 - 2)'"),
+    ], ids=["point", "not_positive_definite", "hidden_division", "hidden_square_root"])
+    def test_one_error_line(self, capsys, tmp_path, mode, command, g11, message):
+        path = tmp_path / "failing.chart"
+        path.write_text(f"derivative_mode = {mode}\n{READ_BASE}g[1][1] = {g11}\n")
+        assert run(capsys, command, "--chart", str(path), "--probes", "4") == \
+            (2, "", f"acmslab: error: {message}\n")
+
+    @pytest.mark.parametrize("command, point, value", [
+        # validate reads g's first derivatives, at the chart's step 1e-5
+        ("validate", "[-8.702502560486477e-06, 0.5638864305604904, 0.7429600390998992]",
+         "-8.7025e-06"),
+        # the curvatures read g's second derivatives, at FD_SECOND_STEP 1e-4
+        ("curvature", "[-8.753468962821383e-05, -0.41438391522503343, -0.8262476569148496]",
+         "-8.75347e-05"),
+        ("identities", "[-8.753468962821383e-05, -0.41438391522503343, -0.8262476569148496]",
+         "-8.75347e-05"),
+    ])
+    def test_fd_stencil_row(self, capsys, tmp_path, command, point, value):
+        # every sample point reads; the symbolic chart reads them alone
+        text = f"{READ_BASE}{NEAR_ZERO}g[1][1] = 1 + sqrt(x1)\n"
+        path = tmp_path / "stencil.chart"
+        path.write_text(text)
+        assert run(capsys, command, "--chart", str(path), "--probes", "4")[0] in (0, 1)
+        path.write_text("derivative_mode = fd\n" + text)
+        assert run(capsys, command, "--chart", str(path), "--probes", "4") == \
+            (2, "", f"acmslab: error: g[1][1] at point {point}: square root of negative "
+                    f"value {value} in 'sqrt(x1)'\n")
+
+    @pytest.mark.parametrize("mode", ["symbolic", "fd"])
+    def test_hidden_overflow_reads(self, capsys, tmp_path, mode):
+        # x1 * x1 overflows to inf, and g[1][1] = 1 + 1 / inf is 1.0: a verdict
+        path = tmp_path / "overflow.chart"
+        path.write_text(f"derivative_mode = {mode}\n{READ_BASE}domain[1] = 1e200 2e200\n"
+                        "g[1][1] = 1 + 1 / (x1 * x1)\n")
+        code, out, err = run(capsys, "identities", "--chart", str(path), "--probes", "4")
+        assert (code, err) == (0, "")
+        assert "VERDICT: PASS" in out
+
+    @pytest.mark.parametrize("command", ["curvature", "identities"])
+    def test_no_numpy_warning(self, tmp_path, command):
+        # g = 1e150 I overflows in linalg.inners: numpy's warning, which
+        # changes no value, would print before the error line
+        path = tmp_path / "huge.chart"
+        path.write_text("dim = 3\n" + "".join(f"g[{i}][{i}] = 1e150\n" for i in (1, 2, 3))
+                        + "phi[1][2] = -1\nphi[2][1] = 1\nxi[3] = 1\neta[3] = 1e150\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "acmslab.cli", command, "--chart",
+                               str(path), "--probes", "2"], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 2
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("acmslab: error: ")

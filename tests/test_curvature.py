@@ -317,6 +317,20 @@ def test_dual_mode_suite_reads_each_grid_once_per_geometry(monkeypatch):
         (mode, name): 1 for mode in ("symbolic", "fd") for name in ("g", "phi", "xi")}
 
 
+def test_failed_fd_read_reads_its_grid_once(monkeypatch):
+    # a stencil row of point 1 fails: the read returns the points' values,
+    # whose metrics are checked, and its error, with no second read
+    reads = _outer_reads(monkeypatch)
+    chart = chart_from_text("dim = 1\ng[1][1] = 1 + sqrt(x1)\n").with_mode(DerivativeMode("fd"))
+    with pytest.raises(EvalError) as alone:
+        chart.g_at([5e-6 + -1e-5])
+    reads.clear()
+    with pytest.raises(EvalError) as excinfo:
+        PointGeometry(chart, [[1.0], [5e-6]]).gram
+    assert str(excinfo.value) == str(alone.value)
+    assert [(mode, name) for mode, name, _ in reads] == [("fd", "g")]
+
+
 def _read_grid_by_grid(chart, points, fields):
     """Oracle for a stack geometry: g at every row in turn, on a symbolic
     chart with the first derivatives its jet reads in the same pass, each
@@ -370,6 +384,9 @@ class TestStackReads:
         ("g[1][1] = sqrt(x1)", "symbolic", [[-1.0], [0.0]], ("dg",)),
         # g fails at row 2; dg, whose stencil at row 1 steps below 0, comes after
         ("g[1][1] = 1 + sqrt(x1)", "fd", [[1.0], [5e-6], [-1.0]], ("dg",)),
+        # a non-positive-definite metric at row 0 comes before a stencil row
+        # of row 1 below 0
+        ("g[1][1] = sqrt(x1) - 1", "fd", [[0.25], [5e-6]], ("dg",)),
     ])
     def test_matches_grid_by_grid_reads(self, text, mode, points, fields):
         chart = chart_from_text(f"dim = 1\n{text}\n").with_mode(DerivativeMode.parse(mode))

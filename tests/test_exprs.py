@@ -273,7 +273,7 @@ class TestPrinting:
         e = parse("x1 + -0")
         again = parse(to_text(e))
         assert to_text(e) == "x1 + -0"
-        assert [math.copysign(1.0, array_program([t])([[-0.0]])[0][0, 0])
+        assert [math.copysign(1.0, array_program([t])([[-0.0]])[0][0][0, 0])
                 for t in (e, again)] == [-1.0, -1.0]
 
     @pytest.mark.parametrize("text", [
@@ -591,45 +591,46 @@ class TestArrayProgram:
         program = array_program(exprs)
         points = [[rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)] for _ in range(20)]
         want = [[evaluate(e, x) for e in exprs] for x in points]
-        assert program(points, order)[0].tolist() == want
-        assert [program([x], order)[0][0].tolist() for x in points] == want
+        assert program(points, order)[0][0].tolist() == want
+        assert [program([x], order)[0][0][0].tolist() for x in points] == want
 
     def test_signed_zero_results(self):
-        got = array_program([parse("x1 + -0"), parse("x1 + 0")])([[-0.0]])[0][0]
+        got = array_program([parse("x1 + -0"), parse("x1 + 0")])([[-0.0]])[0][0][0]
         assert [math.copysign(1.0, v) for v in got] == [-1.0, 1.0]
 
     def test_non_finite_constant(self):
-        # a strict read returns finite numbers only
+        # an infinite number in the text flags every row, which reads as IEEE
         e = add(Var(1), mul(num(1e200), num(1e200)))  # folds to inf
-        with pytest.raises(FloatingPointError):
-            array_program([e, num(2.5)])([[1.0]])
-        values = array_program([e, num(2.5)])([[1.0]], strict=False)[0]
+        (values,), flagged = array_program([e, num(2.5)])([[1.0]])
+        assert flagged == [0]
         assert values.tolist() == [[math.inf, 2.5]]
 
     def test_single_expression(self):
-        values, grads, hessians = array_program([parse("x1^2")])([[3.0]], 2)
+        (values, grads, hessians), _ = array_program([parse("x1^2")])([[3.0]], 2)
         assert (values.tolist(), grads.tolist(), hessians.tolist()) == ([[9.0]], [[[6.0]]],
                                                                          [[[[2.0]]]])
 
     def test_unused_variables_have_zero_derivatives(self):
         # the jets run along x2 alone; x1 and x3 get exact zeros
-        values, grads, hessians = array_program([parse("x2 * x2")])([[5.0, 3.0, 7.0]], 2)
+        (values, grads, hessians), _ = array_program([parse("x2 * x2")])([[5.0, 3.0, 7.0]], 2)
         assert values.tolist() == [[9.0]]
         assert grads.tolist() == [[[0.0], [6.0], [0.0]]]
         assert hessians[0, :, :, 0].tolist() == [[0.0, 0.0, 0.0], [0.0, 2.0, 0.0],
                                                  [0.0, 0.0, 0.0]]
 
     def test_empty_stack(self):
-        jet = array_program([parse("x1 * x2"), parse("sqrt(x1)")])(np.empty((0, 2)), 2)
+        jet, flagged = array_program([parse("x1 * x2"), parse("sqrt(x1)")])(np.empty((0, 2)), 2)
         assert [part.shape for part in jet] == [(0, 2), (0, 2, 2), (0, 2, 2, 2)]
+        assert flagged == []
 
     def test_finite_entries_whose_sum_overflows(self):
-        # the strict read sums its work array: a sum of finite entries that
-        # overflows is no error and prints no warning
+        # the flags test each entry of the work array: finite entries whose
+        # sum would overflow flag no row and print no warning
         program = array_program([parse("1e308 * x1"), parse("1e308 + x1")])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, grads = program([[1.0], [1.5]], 1)
+            (values, grads), flagged = program([[1.0], [1.5]], 1)
+        assert flagged == []
         assert values.tolist() == [[1e308, 1e308], [1.5e308, 1e308]]
         assert grads.tolist() == [[[1e308, 1.0]], [[1e308, 1.0]]]
 
@@ -639,7 +640,7 @@ class TestArrayProgram:
         want = 1.0
         for _ in range(2999):
             want += x[0]
-        values, grads = array_program([parse(DEEP_SUM)])([x], 1)
+        (values, grads), _ = array_program([parse(DEEP_SUM)])([x], 1)
         assert (values.tolist(), grads.tolist()) == ([[want]], [[[2999.0]]])
 
     def test_random_jets_match_symbolic_derivatives(self):
@@ -658,7 +659,8 @@ class TestArrayProgram:
                          [[[evaluate(d, x)] for d in row] for row in second]) for x in points]
             except EvalError:
                 continue  # the tree-walker refused
-            values, grads, hessians = array_program([e])(points, 2)
+            (values, grads, hessians), flagged = array_program([e])(points, 2)
+            assert flagged == [], to_text(e)
             for r, (value, grad, hessian) in enumerate(want):
                 assert [math.copysign(1.0, v) for v in values[r]] == \
                     [math.copysign(1.0, v) for v in value]
@@ -679,15 +681,29 @@ class TestArrayProgram:
         ("exp(x1)", [1e6]),
         ("x1^2", [1e200]),
     ])
-    def test_raises_where_tree_walker_raises(self, text, point):
+    def test_flags_where_tree_walker_raises(self, text, point):
+        # the failing row alone, at every order; every entry reads at 1.0
         e = parse(text)
         with pytest.raises(EvalError):
             evaluate(e, point)
         for order in (0, 1, 2):
-            with pytest.raises(FloatingPointError):
-                array_program([parse("x1"), e])([point], order)
+            assert array_program([parse("x1"), e])([[1.0], point], order)[1] == [1]
 
-    def test_not_strict_reads_ieee_results(self):
-        values, grads = array_program([parse("sqrt(x1)")])([[0.0], [-1.0]], 1, strict=False)
+    @pytest.mark.parametrize("text, point, value", [
+        ("1 / (1 / (x1 - 1))", 1.0, 0.0),  # 1 / 0 is inf, and 1 / inf is 0.0
+        ("sqrt(x1 - 2)^0", 0.0, 1.0),      # sqrt(-2) is NaN, and NaN^0 is 1.0
+        ("1 / (x1 * x1)", 1e200, 0.0),     # x1 * x1 overflows to inf
+    ])
+    def test_flags_exceptions_the_outputs_hide(self, text, point, value):
+        # a finite output, but the failing node's row holds inf or NaN
+        for order in (0, 1, 2):
+            jet, flagged = array_program([parse(text)])([[2.5], [point]], order)
+            assert flagged == [1]
+            assert jet[0][1, 0] == value
+
+    def test_reads_ieee_results(self):
+        # sqrt(0) reads, but its derivative is inf: both rows are flagged
+        (values, grads), flagged = array_program([parse("sqrt(x1)")])([[0.0], [-1.0]], 1)
+        assert flagged == [0, 1]
         assert values[0, 0] == 0.0 and math.isnan(values[1, 0])
         assert grads[0, 0, 0] == math.inf and math.isnan(grads[1, 0, 0])
