@@ -28,7 +28,9 @@ second derivative reads the first derivatives, the same way, at every
 point, then at every point's stencil at ``FD_SECOND_STEP``, and
 differences those. So a failing point fails before any stencil row, an
 outer stencil row before any inner one, and a failed fd read returns the
-values of the points before the first failing point.
+values of the points before the first failing point. A difference that
+overflows fails at its point, with the message a symbolic derivative's
+non-finite entry gives.
 
 A chart's expressions are one DAG. `chart_from_text` parses every
 component through one node table, so equal subtrees anywhere in the chart
@@ -39,8 +41,12 @@ wherever it repeats. A chart builds one
 array program per base grid, g, phi, xi and eta, and no derivative grid of
 its own. The check that a chart uses only x1..xd visits each distinct node
 once, and walks the components one by one only when it fails, to name the
-first offender. Nothing is cached across charts: each chart parses and
-builds its own.
+first offender. `chart_from_text` keeps the last ``_CACHED_CHARTS``
+charts by text and name, so a process parses and builds each chart text
+once: a chart file loaded again with unchanged bytes, or a gallery chart,
+is the same `Chart` object, its array programs already built. Edited bytes
+are another key, and a text that fails to parse is not kept, so it raises
+the same `ChartFormatError` on every call.
 
 `curvature.PointGeometry` is the only reader of a chart: it reads each base
 grid once over its point or its stack of rows, with the derivatives its
@@ -63,6 +69,7 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,6 +84,9 @@ _SAMPLE_SHRINK = 0.9   # sampling box half-width as a fraction of the domain's
 #: Largest ``dim`` a chart file may declare: the paper's dimensions are 4n + 1,
 #: and a chart holds dim^2 expressions per matrix grid.
 MAX_CHART_DIM = 64
+#: Charts `chart_from_text` keeps: the benchmark's four Darboux charts, the
+#: three gallery charts and a test session's churn fit.
+_CACHED_CHARTS = 16
 
 
 @dataclass(frozen=True)
@@ -236,7 +246,9 @@ class Chart:
         outer stencil rows, then the inner ones. So the first failing row
         is a point whenever one fails, and a failed fd read returns only
         the values of the points before the first failing point, with the
-        error."""
+        error. A difference that is not finite, though its rows read
+        finite, fails at its point too, named as a symbolic derivative is
+        (`_Grid.nonfinite_error`)."""
         if order and self.mode.kind == "fd":
             h, n = (self.mode.step, FD_SECOND_STEP)[order - 1], len(points)
             stencils = stencil_points(points, h).reshape(-1, self.dim)
@@ -244,7 +256,15 @@ class Chart:
             if error is not None:
                 return [jet[0][:n]], error
             top = jet[-1][n:].reshape((n, 2 * self.dim) + jet[-1].shape[1:])
-            return [part[:n] for part in jet] + [stencil_difference(top, h, 1)], None
+            # a difference of finite values can overflow: named, not warned
+            with np.errstate(over="ignore"):
+                diff = stencil_difference(top, h, 1)
+            finite = np.isfinite(diff)
+            if not finite.all():
+                p = int(np.argmin(finite.reshape(n, -1).all(axis=1)))
+                return [jet[0][:p]], self._grid(name).nonfinite_error(
+                    points[p].tolist(), diff[p], order)
+            return [part[:n] for part in jet] + [diff], None
         grid = self._grid(name)
         jet, flagged = grid.program(points, order)
         for r in flagged:
@@ -324,13 +344,23 @@ class _Grid:
             return EvalError(f"{self.label(len(row))} at point {values}: {raised.message}",
                              raised.where)
         for k, part in enumerate([np.array(row), *jet[1:]]):
-            bad = np.flatnonzero(~np.isfinite(part))
-            if bad.size:
-                n = int(bad[0])
-                return EvalError(f"{self.label(n, k)} at point {values}: "
-                                 f"non-finite value {float(part.flat[n])!r}",
-                                 to_text(self.exprs[n % len(self.exprs)]))
+            error = self.nonfinite_error(values, part, k)
+            if error is not None:
+                return error
         return None
+
+    def nonfinite_error(self, values: list[float], part: np.ndarray,
+                        order: int) -> EvalError | None:
+        """The `EvalError` naming the first non-finite entry, in C order, of
+        ``part``, the derivative of ``order`` at the point ``values``, with
+        the base component's text as ``where``; None when it has none."""
+        bad = np.flatnonzero(~np.isfinite(part))
+        if not bad.size:
+            return None
+        n = int(bad[0])
+        return EvalError(f"{self.label(n, order)} at point {values}: "
+                         f"non-finite value {float(part.flat[n])!r}",
+                         to_text(self.exprs[n % len(self.exprs)]))
 
 
 def _components(name: str, entries, dim: int) -> tuple[list[str], list[Expr]]:
@@ -496,7 +526,12 @@ _INDEXED2 = re.compile(r"^(g|phi)\[(\d+)\]\[(\d+)\]$")
 _INDEXED1 = re.compile(r"^(xi|eta|domain)\[(\d+)\]$")
 
 
+@lru_cache(maxsize=_CACHED_CHARTS)
 def chart_from_text(text: str, *, name: str = "") -> Chart:
+    """The chart of the chart-file text ``text``, named ``name``. The same
+    text and name give the same `Chart` object while it is among the last
+    ``_CACHED_CHARTS`` charts made, so its grids are built once; a text that
+    fails raises `ChartFormatError` and is not kept."""
     # one node table, so equal subtrees of all components are one object,
     # and each distinct right-hand side's node under its text
     parsed: dict = {}

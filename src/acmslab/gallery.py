@@ -166,7 +166,6 @@ eta[5] = 1
 GALLERY_NAMES = ("s5", "sasakian_r5", "cosymplectic_r5")
 
 
-@lru_cache(maxsize=None)
 def gallery_chart(name: str) -> Chart:
     if name == "s5":
         return chart_from_text(_s5_text(), name="s5")

@@ -55,6 +55,16 @@ def sphere():
     return chart_from_text(SPHERE_TEXT, name="sphere")
 
 
+@pytest.fixture
+def fresh_chart_cache():
+    """An empty chart cache, emptied again afterwards: a test that counts
+    parses or builds gets none from an earlier test, and a chart built
+    under its monkeypatch is not kept."""
+    chart_from_text.cache_clear()
+    yield
+    chart_from_text.cache_clear()
+
+
 class TestDerivativeMode:
     def test_parse_symbolic(self):
         assert DerivativeMode.parse("symbolic") == SYMBOLIC
@@ -413,7 +423,7 @@ class TestStackedReads:
         assert np.array_equal(jet[0], [chart.g_at(y) for y in rows[:before]])
 
     @pytest.mark.parametrize("mode", ["symbolic", "fd"])
-    def test_failing_read_runs_its_program_once(self, monkeypatch, mode):
+    def test_failing_read_runs_its_program_once(self, monkeypatch, fresh_chart_cache, mode):
         # a 20-point xi read whose last point fails: one pass, however many
         # rows it stacks (220 on the fd chart), and the flagged row walked
         runs = []
@@ -600,6 +610,26 @@ class TestGridErrors:
             chart.ddg_at([1.0])
         assert exc.value.message == "dd g[1][1] / d x1 d x1 at point [1.0]: non-finite value inf"
         assert exc.value.where == to_text(chart.g[0][0])
+
+    # finite stencil values whose difference overflows: at the first
+    # point the difference is 0, at the second it names its derivative
+    # as the symbolic chart does
+    @pytest.mark.parametrize("name, text, points", [
+        ("dg", "1e308 * sin(100000 * x1)", [[math.pi / 2e5], [0.0]]),
+        ("ddg", "1e303 * sin(10000 * x1)", [[0.0], [math.pi / 2e4]]),
+    ])
+    def test_fd_difference_overflow_is_named(self, name, text, points):
+        chart = chart_from_text(f"dim = 1\ng[1][1] = {text}\n")
+        fd = chart.with_mode(DerivativeMode("fd"))
+        with pytest.raises(EvalError) as symbolic:
+            getattr(chart, f"{name}_at")(points[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jet, error = fd._grids_at("g", np.array(points), len(name) - 1)
+        assert error.message == symbolic.value.message
+        assert error.where == symbolic.value.where == to_text(chart.g[0][0])
+        assert len(jet) == 1
+        assert np.array_equal(jet[0], [fd.g_at(points[0])])
 
     def test_zero_gradient_meets_singular_rule(self):
         # x2 - x2 is 0 with a zero gradient: the symbolic route folds the
@@ -858,7 +888,7 @@ class TestParsedDag:
         assert chart.phi[1][0].right.right.arg is group  # x3 - x1 * x4 / sqrt(1 - (...))
         assert chart.xi[0].arg is group
 
-    def test_repeated_group_is_parsed_once(self, monkeypatch):
+    def test_repeated_group_is_parsed_once(self, monkeypatch, fresh_chart_cache):
         text = chart_to_text(gallery_chart("s5").with_mode(DerivativeMode("fd")))
         outer = exprs._TOKEN.findall("1 - (x1^2 + x2^2 + x3^2 + x4^2 + x5^2)")[:-1]
         inner = outer[3:-1]
@@ -874,6 +904,67 @@ class TestParsedDag:
         chart_from_text(text)
         assert sum(s[:len(outer)] == outer for s in starts) == 1
         assert sum(s[:len(inner)] == inner for s in starts) == 1
+
+
+class TestChartCache:
+    """`chart_from_text` keeps the last ``_CACHED_CHARTS`` charts by text
+    and name; a text that fails is not kept."""
+
+    def test_same_text_and_name_give_one_chart(self, fresh_chart_cache):
+        chart = chart_from_text(SPHERE_TEXT, name="a")
+        assert chart_from_text(SPHERE_TEXT, name="a") is chart
+        other = chart_from_text(SPHERE_TEXT, name="b")
+        assert other is not chart and other.name == "b"
+        assert chart.with_mode(chart.mode) is not chart  # a fresh chart, not a cached one
+
+    def test_failing_text_raises_every_call(self, fresh_chart_cache):
+        size = chart_from_text.cache_info().currsize
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ChartFormatError) as exc:
+                chart_from_text("dim = 2\ng[1][1] = 1 +\n")
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert chart_from_text.cache_info().currsize == size
+
+    def test_rewritten_file_is_parsed_again(self, fresh_chart_cache, tmp_path):
+        path = tmp_path / "flat.chart"
+        path.write_text("dim = 1\ng[1][1] = 2\n")
+        first = load_chart(path)
+        assert load_chart(path) is first
+        path.write_text("dim = 1\ng[1][1] = 3\n")
+        again = load_chart(path)
+        assert again is not first
+        assert again.g_at([0.0])[0, 0] == 3.0
+
+    def test_least_recently_used_text_is_evicted(self, fresh_chart_cache):
+        texts = [f"dim = 1\ng[1][1] = {k + 1}\n" for k in range(charts._CACHED_CHARTS + 1)]
+        made = [chart_from_text(t) for t in texts[:-1]]
+        assert chart_from_text(texts[0]) is made[0]  # now texts[1] is the oldest
+        chart_from_text(texts[-1])
+        assert chart_from_text.cache_info().currsize == charts._CACHED_CHARTS
+        assert chart_from_text(texts[0]) is made[0]
+        assert chart_from_text(texts[1]) is not made[1]
+
+    def test_second_run_on_unchanged_file_builds_nothing(self, monkeypatch, capsys,
+                                                          fresh_chart_cache, tmp_path):
+        path = tmp_path / "s5.chart"
+        path.write_text(chart_to_text(gallery_chart("s5")))
+        builds = []
+
+        def counted(exprs):
+            builds.append(1)
+            return array_program(exprs)
+
+        monkeypatch.setattr(charts, "array_program", counted)
+        argv = ["validate", "--chart", str(path), "--probes", "2", "--json"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert len(builds) == 4  # g, phi, xi, eta
+        builds.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert builds == []
 
 
 class TestFileFormat:

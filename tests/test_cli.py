@@ -42,6 +42,19 @@ STEEP_TEXT = ("dim = 5\ng[1][1] = exp(300*x1)\n"
               + "".join(f"g[{i}][{i}] = 1\n" for i in range(2, 6))
               + "xi[5] = 1\neta[5] = 1\n")
 
+# xi[1]'s values are finite, but its central differences along x2 overflow
+OVERFLOWING_FD_TEXT = ("dim = 3\nderivative_mode = fd\n"
+                       "g[1][1] = 1\ng[2][2] = 1\ng[3][3] = 1\n"
+                       "phi[2][1] = 1\nphi[1][2] = -1\nxi[3] = 1\neta[3] = 1\n"
+                       "xi[1] = 1e308 * sin(100000 * x2)\n")
+
+# every grid reads finite; the horizontal skew operator does not
+OVERFLOWING_SKEW_TEXT = ("dim = 3\ng[1][1] = 1\ng[2][2] = 1\ng[3][3] = 1\n"
+                         "phi[1][2] = -1\n"
+                         "phi[2][1] = 1e300 * (1.874 - sqrt(1 + (1.783 * x1)^2))\n"
+                         "phi[3][1] = 0.614 + x1\n"
+                         "xi[3] = 1e308 * (sqrt(1 + ((1.942 + x1)^-2)^2))\neta[3] = 1\n")
+
 REPO = pathlib.Path(__file__).resolve().parents[1]
 DARBOUX = REPO / "perfbench" / "darboux.py"
 
@@ -748,6 +761,23 @@ class TestInputErrors:
         assert (code, out) == (2, "")
         assert err == ("acmslab: error: line 2: finite-difference step must be finite "
                        f"and positive, got {float(step)}\n")
+
+    # grids that read finite, but a quantity taken from them overflows: an
+    # fd difference, and the horizontal skew operator whose SVD `validate`
+    # takes; both once ended in a traceback or blamed the wrong cause
+    @pytest.mark.parametrize("command, text, message", [
+        ("validate", OVERFLOWING_FD_TEXT, "d xi[1] / d x2 at point ["),
+        ("identities", OVERFLOWING_FD_TEXT, "d xi[1] / d x2 at point ["),
+        ("validate", OVERFLOWING_SKEW_TEXT, "horizontal skew operator at point ["),
+    ])
+    def test_overflow_from_finite_grids_rejected(self, capsys, tmp_path, command, text,
+                                                 message):
+        path = tmp_path / "overflow.chart"
+        path.write_text(text)
+        code, out, err = run(capsys, command, "--chart", str(path), *FAST)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"acmslab: error: {message}") and err.count("\n") == 1
+        assert "non-finite value" in err
 
     @pytest.mark.parametrize("command", ["validate", "curvature", "identities"])
     def test_sample_too_large_for_memory(self, capsys, command):

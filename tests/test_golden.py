@@ -89,6 +89,17 @@ def test_json_matches_golden(name, workdir, monkeypatch):
     assert run_case(CASES[name]) == expected
 
 
+def test_warm_second_pass_matches_golden(workdir, monkeypatch):
+    # every case, then every case again in reverse order, in one process:
+    # the second time each chart comes cached with its programs built, and
+    # no state may leak between commands through it
+    monkeypatch.delenv("ACMSLAB_SEED", raising=False)
+    monkeypatch.chdir(workdir)
+    names = sorted(CASES)
+    for name in names + names[::-1]:
+        assert run_case(CASES[name]) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8"), name
+
+
 def _state(check) -> str:
     if check is None:
         return "absent"
