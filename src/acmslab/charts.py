@@ -42,11 +42,14 @@ array program per base grid, g, phi, xi and eta, and no derivative grid of
 its own. The check that a chart uses only x1..xd visits each distinct node
 once, and walks the components one by one only when it fails, to name the
 first offender. `chart_from_text` keeps the last ``_CACHED_CHARTS``
-charts by text and name, so a process parses and builds each chart text
-once: a chart file loaded again with unchanged bytes, or a gallery chart,
-is the same `Chart` object, its array programs already built. Edited bytes
-are another key, and a text that fails to parse is not kept, so it raises
-the same `ChartFormatError` on every call.
+charts by text and name. That pays only in a process that loads the same
+chart text more than once (a library caller running several commands on
+one chart, a test session, a benchmark worker): there a chart file loaded
+again with unchanged bytes, or a gallery chart, is the same `Chart`
+object, its array programs already built. A command run as its own
+process loads its chart once and gains nothing. Edited bytes are another
+key, and a text that fails to parse is not kept, so it raises the same
+`ChartFormatError` on every call.
 
 `curvature.PointGeometry` is the only reader of a chart: it reads each base
 grid once over its point or its stack of rows, with the derivatives its
@@ -76,6 +79,7 @@ import numpy as np
 from .errors import ChartFormatError, ShapeError
 from .exprs import (EvalError, Expr, Num, ParseError, array_program, evaluate,
                     free_variables, parse, to_text)
+from .linalg import first_nonfinite
 
 _ZERO = Num(0.0)
 _DEFAULT_FD_STEP = 1e-5
@@ -259,9 +263,9 @@ class Chart:
             # a difference of finite values can overflow: named, not warned
             with np.errstate(over="ignore"):
                 diff = stencil_difference(top, h, 1)
-            finite = np.isfinite(diff)
-            if not finite.all():
-                p = int(np.argmin(finite.reshape(n, -1).all(axis=1)))
+            bad = first_nonfinite(diff)
+            if bad is not None:
+                p = bad[0]
                 return [jet[0][:p]], self._grid(name).nonfinite_error(
                     points[p].tolist(), diff[p], order)
             return [part[:n] for part in jet] + [diff], None

@@ -54,7 +54,8 @@ from .charts import (SYMBOLIC, Chart, DerivativeMode, christoffel,
                      nabla_phi, nabla_xi)
 from .config import DEFAULT_TOLERANCES, MAX_PROBE_DRAWS, PROBES_PER_RESIDUAL, Tolerances
 from .errors import DegenerateInputError, GeometryError, ShapeError
-from .linalg import adjoint, check_gram, inners, max_entry, norms, operator_in_basis, skew_matrix
+from .linalg import (adjoint, check_gram, first_nonfinite, inners, max_entry, norms,
+                     operator_in_basis, skew_matrix)
 from .report import Check, VerificationReport, worst
 from .structure import check_eta_parallel, horizontal_basis, horizontal_projector
 
@@ -729,12 +730,11 @@ def contact_residuals(pg: PointGeometry) -> tuple[float | np.ndarray, float | np
     row each over a stack. An operator with a non-finite entry raises
     `GeometryError` at its first point, before the SVD sees it."""
     b = operator_in_basis(pg.skew_projected, pg.horizontal_basis, pg.gram)
-    rows = b.reshape(-1, b.shape[-2] * b.shape[-1])
-    finite = np.isfinite(rows)
-    if not finite.all():  # grids that read finite can still overflow here
-        r = int(np.argmin(finite.all(axis=1)))
+    bad = first_nonfinite(b.reshape((-1,) + b.shape[-2:]))
+    if bad is not None:  # grids that read finite can still overflow here
+        r, value = bad
         raise GeometryError(f"horizontal skew operator at point {pg._stack[r].tolist()}: "
-                            f"non-finite value {float(rows[r, np.argmin(finite[r])])!r}")
+                            f"non-finite value {value!r}")
     sigma = np.linalg.svd(b, compute_uv=False)[..., -1]
     volume = abs(contact_volume_coefficient(pg.eta, pg.deta))
     return (float(sigma), volume) if sigma.ndim == 0 else (sigma, volume)

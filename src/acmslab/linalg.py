@@ -188,6 +188,19 @@ def max_entry(table, axes: int | None = None) -> float | np.ndarray:
     return float(out) if np.ndim(out) == 0 else out
 
 
+def first_nonfinite(stack) -> tuple[int, float] | None:
+    """The first row of ``stack`` (its first axis) holding an entry that is
+    not finite, and that row's first such entry in C order; None when every
+    entry is finite."""
+    a = np.asarray(stack)
+    finite = np.isfinite(a)
+    if finite.all():
+        return None
+    finite = finite.reshape(len(a), -1)
+    r = int(np.argmin(finite.all(axis=1)))
+    return r, float(a[r].flat[np.argmin(finite[r])])
+
+
 def g_singular_values(mat, gram) -> np.ndarray:
     """Singular values of an operator matrix with respect to the inner
     product of ``gram``, descending, over any leading axes of mat and gram:

@@ -55,16 +55,6 @@ def sphere():
     return chart_from_text(SPHERE_TEXT, name="sphere")
 
 
-@pytest.fixture
-def fresh_chart_cache():
-    """An empty chart cache, emptied again afterwards: a test that counts
-    parses or builds gets none from an earlier test, and a chart built
-    under its monkeypatch is not kept."""
-    chart_from_text.cache_clear()
-    yield
-    chart_from_text.cache_clear()
-
-
 class TestDerivativeMode:
     def test_parse_symbolic(self):
         assert DerivativeMode.parse("symbolic") == SYMBOLIC
@@ -423,7 +413,7 @@ class TestStackedReads:
         assert np.array_equal(jet[0], [chart.g_at(y) for y in rows[:before]])
 
     @pytest.mark.parametrize("mode", ["symbolic", "fd"])
-    def test_failing_read_runs_its_program_once(self, monkeypatch, fresh_chart_cache, mode):
+    def test_failing_read_runs_its_program_once(self, monkeypatch, mode):
         # a 20-point xi read whose last point fails: one pass, however many
         # rows it stacks (220 on the fd chart), and the flagged row walked
         runs = []
@@ -888,7 +878,7 @@ class TestParsedDag:
         assert chart.phi[1][0].right.right.arg is group  # x3 - x1 * x4 / sqrt(1 - (...))
         assert chart.xi[0].arg is group
 
-    def test_repeated_group_is_parsed_once(self, monkeypatch, fresh_chart_cache):
+    def test_repeated_group_is_parsed_once(self, monkeypatch):
         text = chart_to_text(gallery_chart("s5").with_mode(DerivativeMode("fd")))
         outer = exprs._TOKEN.findall("1 - (x1^2 + x2^2 + x3^2 + x4^2 + x5^2)")[:-1]
         inner = outer[3:-1]
@@ -910,14 +900,14 @@ class TestChartCache:
     """`chart_from_text` keeps the last ``_CACHED_CHARTS`` charts by text
     and name; a text that fails is not kept."""
 
-    def test_same_text_and_name_give_one_chart(self, fresh_chart_cache):
+    def test_same_text_and_name_give_one_chart(self):
         chart = chart_from_text(SPHERE_TEXT, name="a")
         assert chart_from_text(SPHERE_TEXT, name="a") is chart
         other = chart_from_text(SPHERE_TEXT, name="b")
         assert other is not chart and other.name == "b"
         assert chart.with_mode(chart.mode) is not chart  # a fresh chart, not a cached one
 
-    def test_failing_text_raises_every_call(self, fresh_chart_cache):
+    def test_failing_text_raises_every_call(self):
         size = chart_from_text.cache_info().currsize
         messages = []
         for _ in range(2):
@@ -927,7 +917,7 @@ class TestChartCache:
         assert messages[0] == messages[1]
         assert chart_from_text.cache_info().currsize == size
 
-    def test_rewritten_file_is_parsed_again(self, fresh_chart_cache, tmp_path):
+    def test_rewritten_file_is_parsed_again(self, tmp_path):
         path = tmp_path / "flat.chart"
         path.write_text("dim = 1\ng[1][1] = 2\n")
         first = load_chart(path)
@@ -937,7 +927,7 @@ class TestChartCache:
         assert again is not first
         assert again.g_at([0.0])[0, 0] == 3.0
 
-    def test_least_recently_used_text_is_evicted(self, fresh_chart_cache):
+    def test_least_recently_used_text_is_evicted(self):
         texts = [f"dim = 1\ng[1][1] = {k + 1}\n" for k in range(charts._CACHED_CHARTS + 1)]
         made = [chart_from_text(t) for t in texts[:-1]]
         assert chart_from_text(texts[0]) is made[0]  # now texts[1] is the oldest
@@ -946,8 +936,7 @@ class TestChartCache:
         assert chart_from_text(texts[0]) is made[0]
         assert chart_from_text(texts[1]) is not made[1]
 
-    def test_second_run_on_unchanged_file_builds_nothing(self, monkeypatch, capsys,
-                                                          fresh_chart_cache, tmp_path):
+    def test_second_run_on_unchanged_file_builds_nothing(self, monkeypatch, capsys, tmp_path):
         path = tmp_path / "s5.chart"
         path.write_text(chart_to_text(gallery_chart("s5")))
         builds = []

@@ -11,6 +11,7 @@ from acmslab.gallery import GALLERY_NAMES, gallery_chart
 from acmslab.linalg import (
     adjoint,
     check_gram,
+    first_nonfinite,
     g_singular_values,
     gram_schmidt,
     inners,
@@ -299,6 +300,22 @@ class TestBasisRepresentation:
         basis = gram_schmidt(np.array([[0.0], [1.0]]), g, rank_tol=1e-8)
         # basis vector is e2 / 2, so the coefficient of (3, 2) is 4
         assert basis[:, 0] @ g @ np.array([3.0, 2.0]) == pytest.approx(4.0)
+
+
+class TestFirstNonfinite:
+    def test_all_finite(self):
+        assert first_nonfinite(np.ones((3, 2, 2))) is None
+        assert first_nonfinite(np.empty((0, 2))) is None
+
+    def test_first_row_then_first_entry(self):
+        # row 0 is finite; row 1 holds nan then inf in C order, row 2 -inf
+        a = np.zeros((3, 2, 2))
+        a[1, 0, 1], a[1, 1, 0], a[2, 0, 0] = np.nan, np.inf, -np.inf
+        r, value = first_nonfinite(a)
+        assert r == 1 and np.isnan(value)
+        a[1, 0, 1] = 0.0
+        assert first_nonfinite(a) == (1, np.inf)
+        assert first_nonfinite(a[2:]) == (0, -np.inf)
 
 
 class TestGSingularValues:
