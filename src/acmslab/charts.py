@@ -408,23 +408,36 @@ def _lowered_christoffel_x2(dg) -> np.ndarray:
     return dg + swapped - swapped.swapaxes(-2, -1)
 
 
+def _upper_first(rows, d: int) -> np.ndarray:
+    """rows[..., i*d + j, k] as the table T[..., k, i, j]: the product of a
+    lowered table, flattened to rows, with a transposed inverse metric."""
+    return np.moveaxis(rows.reshape(rows.shape[:-2] + (d, d, d)), -1, -3)
+
+
 def christoffel(ginv, dg) -> np.ndarray:
     """Levi-Civita symbols Gam[..., k, i, j], upper index first, from the
     inverse metric ginv[..., k, l] and the metric derivatives dg[..., k, i, j],
-    over any leading axes."""
-    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, _lowered_christoffel_x2(dg))
+    over any leading axes: one matmul per point, without assuming that
+    ginv is bit-symmetric."""
+    term = _lowered_christoffel_x2(dg)
+    d = term.shape[-1]
+    return 0.5 * _upper_first(term.reshape(term.shape[:-3] + (d * d, d))
+                              @ ginv.swapaxes(-1, -2), d)
 
 
 def christoffel_derivative(ginv, dg, ddg) -> np.ndarray:
     """dGam[..., m, k, i, j], the x_m derivative of Gam[..., k, i, j], in
     closed form from the inverse metric and the first and second metric
     derivatives dg[..., k, i, j] and ddg[..., m, k, i, j], over any leading
-    axes: the product rule through the inverse."""
+    axes: the product rule through the inverse, as batched matmuls."""
     term = _lowered_christoffel_x2(dg)
     dterm = _lowered_christoffel_x2(ddg)  # ddg's index m rides along
-    dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dg, ginv)
-    return (0.5 * np.einsum("...mkl,...ijl->...mkij", dginv, term)
-            + 0.5 * np.einsum("...kl,...mijl->...mkij", ginv, dterm))
+    d = term.shape[-1]
+    ginv = ginv[..., None, :, :]  # broadcast along m
+    dginv = -(ginv @ dg @ ginv)
+    rows = (term.reshape(term.shape[:-3] + (1, d * d, d)) @ dginv.swapaxes(-1, -2)
+            + dterm.reshape(dterm.shape[:-3] + (d * d, d)) @ ginv.swapaxes(-1, -2))
+    return 0.5 * _upper_first(rows, d)
 
 
 def nabla_xi(gam, xi, dxi) -> np.ndarray:
@@ -432,15 +445,16 @@ def nabla_xi(gam, xi, dxi) -> np.ndarray:
     Christoffel symbols, xi and its coordinate derivatives dxi[k, i], over
     any leading axes: column j is the derivative of xi along the j-th
     coordinate direction."""
-    return dxi.swapaxes(-1, -2) + np.einsum("...ijk,...k->...ij", gam, xi)
+    return dxi.swapaxes(-1, -2) + (gam @ xi[..., None, :, None])[..., 0]
 
 
 def nabla_phi(gam, phi, dphi) -> np.ndarray:
     """Table T[..., i, j, k]: the j-th component of (nabla_{e_i} phi)(e_k),
     from the Christoffel symbols, the matrix of phi and its coordinate
     derivatives dphi[..., k, i, j], over any leading axes."""
-    return (dphi + np.einsum("...jil,...lk->...ijk", gam, phi)
-            - np.einsum("...lik,...jl->...ijk", gam, phi))
+    turned = gam.swapaxes(-3, -2)  # turned[..., i, j, l] = Gam^j_{il}
+    phi = phi[..., None, :, :]
+    return dphi + turned @ phi - phi @ turned
 
 
 def d_eta(deta) -> np.ndarray:

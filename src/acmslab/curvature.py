@@ -36,10 +36,10 @@ Each identity is decided on the point's g-orthonormal frame, not on random
 vectors: a multilinear identity holds exactly when it holds on every tuple
 of frame vectors. The suites write the tensors involved (curvature, the
 Reeb gradient, phi, eta, the derivative of phi) in the frame by contracting
-one index at a time, and report the largest entry of the difference
-tensor, the convention of `structure.check_eta_parallel`. Horizontal
-identities take their arguments from the horizontal frame, full-space ones
-from `PointGeometry.frame`. Only `horizontal_sectional_values` (the
+one index at a time (`linalg.in_frames`), and report the largest entry of
+the difference tensor, the convention of `structure.check_eta_parallel`.
+Horizontal identities take their arguments from the horizontal frame,
+full-space ones from `PointGeometry.frame`. Only `horizontal_sectional_values` (the
 ``curvature`` command) draws random probes, as stacks with one vector per
 column (see `linalg`).
 """
@@ -54,22 +54,34 @@ from .charts import (SYMBOLIC, Chart, DerivativeMode, christoffel,
                      nabla_phi, nabla_xi)
 from .config import DEFAULT_TOLERANCES, MAX_PROBE_DRAWS, PROBES_PER_RESIDUAL, Tolerances
 from .errors import DegenerateInputError, GeometryError, ShapeError
-from .linalg import (adjoint, check_gram, first_nonfinite, inners, max_entry, norms,
-                     operator_in_basis, skew_matrix)
+from .linalg import (adjoint, check_gram, first_nonfinite, in_frames, inners, max_entry,
+                     norms, operator_in_basis, skew_matrix)
 from .report import Check, VerificationReport, worst
 from .structure import check_eta_parallel, horizontal_basis, horizontal_projector
+
+
+def _last4(t, *axes) -> np.ndarray:
+    """``t`` with its last four axes permuted as ``transpose(axes)`` permutes
+    four; the leading axes stay in place."""
+    lead = t.ndim - 4
+    return t.transpose(*range(lead), *(lead + a for a in axes))
 
 
 def _assemble_curvature(gam, dgam) -> np.ndarray:
     """comps[..., i, j, k, l] of a connection with coefficients
     gam[..., k, i, j] and their coordinate derivatives dgam[..., m, k, i, j],
-    over any leading axes. The table is returned in C order: the sums would
-    inherit the transposed layout of dgam, and einsum sums in layout order,
-    so the layout decides the last bits of every contraction of the table."""
-    return np.ascontiguousarray(
-        np.einsum("...kilj->...ijkl", dgam) - np.einsum("...likj->...ijkl", dgam)
-        + np.einsum("...ikm,...mlj->...ijkl", gam, gam)
-        - np.einsum("...ilm,...mkj->...ijkl", gam, gam))
+    over any leading axes. Both Gam.Gam terms are axis permutations of one
+    product p[..., i, k, l, j] = sum_m gam[..., i, k, m] gam[..., m, l, j],
+    and the dGam terms are permutations of dgam. The table is returned in C
+    order, copied once: the sum would inherit the permuted layouts of its
+    terms, and each `in_frames` contraction of the table would copy it
+    again to flatten its first axis."""
+    d = gam.shape[-1]
+    lead = gam.shape[:-3]
+    p = (gam.reshape(lead + (d * d, d)) @ gam.reshape(lead + (d, d * d))).reshape(
+        lead + (d,) * 4)
+    return np.ascontiguousarray(_last4(dgam, 1, 3, 0, 2) - _last4(dgam, 1, 3, 2, 0)
+                                + _last4(p, 0, 3, 1, 2) - _last4(p, 0, 3, 2, 1))
 
 
 def riemann(gam, dgam, gate: float) -> np.ndarray:
@@ -84,9 +96,8 @@ def riemann(gam, dgam, gate: float) -> np.ndarray:
     """
     comps = _assemble_curvature(gam, dgam)
     scale = 1.0 + max_entry(comps, 4)
-    anti = max_entry(comps + np.einsum("...ijlk->...ijkl", comps), 4)
-    bianchi = max_entry(comps + np.einsum("...iklj->...ijkl", comps)
-                        + np.einsum("...iljk->...ijkl", comps), 4)
+    anti = max_entry(comps + comps.swapaxes(-1, -2), 4)
+    bianchi = max_entry(comps + _last4(comps, 0, 3, 1, 2) + _last4(comps, 0, 2, 3, 1), 4)
     bad = np.flatnonzero((anti > gate * scale) | (bianchi > gate * scale))
     if bad.size:
         anti, bianchi, scale = (np.ravel(v)[bad[0]] for v in (anti, bianchi, scale))
@@ -372,10 +383,7 @@ class PointGeometry:
     @cached_property
     def modified_nphi(self) -> np.ndarray:
         """Coordinate table of the modified covariant derivative of phi."""
-        h = self.correction
-        phi = self.phi
-        return (self.nphi + np.einsum("...jil,...lk->...ijk", h, phi)
-                - np.einsum("...jl,...lik->...ijk", phi, h))
+        return nabla_phi(self.correction, self.phi, self.nphi)
 
     @cached_property
     def modified_nphi_reeb(self) -> np.ndarray:
@@ -419,13 +427,21 @@ def unit_probes(gram, rng, count: int, *, projector=None) -> np.ndarray:
     The draws are rows of one ``standard_normal((n, dim))`` matrix, which
     holds the same numbers as n draws of ``standard_normal(dim)``. Raises
     DegenerateInputError after ``MAX_PROBE_DRAWS`` consecutive redraws, as
-    on a chart whose horizontal space is trivial."""
+    on a chart whose horizontal space is trivial, and GeometryError at the
+    first draw whose g-norm is not finite."""
     def draw(n):
         v = rng.standard_normal((n, len(gram))).T
         return v if projector is None else projector @ v
 
-    probes = _accepted_draws(draw, lambda v: norms(v, gram) > 1e-6, count,
-                             "probe vector with g-norm above 1e-6")
+    def keep(v):
+        size = norms(v, gram)
+        bad = first_nonfinite(size[None])
+        if bad is not None:  # normalized, the probe would be zero: a degenerate plane
+            raise GeometryError(
+                f"a drawn probe's g-norm overflows: non-finite value {bad[1]!r}")
+        return size > 1e-6
+
+    probes = _accepted_draws(draw, keep, count, "probe vector with g-norm above 1e-6")
     return probes / norms(probes, gram)
 
 
@@ -440,25 +456,6 @@ def _probe_tuples(gram, rng, k: int, count: int, *, projector=None) -> np.ndarra
 
 # ---------------------------------------------------------------------------
 # tensors in a frame
-
-
-def _in_frames(table, *mats) -> np.ndarray:
-    """``table`` with each axis n contracted against the first axis of
-    ``mats[n]``, one axis at a time: out[a, b, ...] = sum over i, j, ... of
-    table[i, j, ...] mats[0][i, a] mats[1][j, b] ...; over a stack, every
-    array carries the same leading axes, which ride along.
-
-    An argument slot takes a frame (its columns the arguments); a vector
-    output slot takes ``gram @ frame``, which gives the output's components
-    g(v, f_a) in a g-orthonormal frame, or ``m.T @ gram @ frame`` for the
-    components of ``m @ v``."""
-    out = np.asarray(table)
-    for mat in mats:  # the new axis goes last, so after every axis the order is back
-        lead = mat.shape[:-2]
-        rest = out.shape[len(lead) + 1:]
-        out = (out.reshape(lead + (mat.shape[-2], -1)).swapaxes(-1, -2) @ mat).reshape(
-            lead + rest + mat.shape[-1:])
-    return out
 
 
 def _t(mat) -> np.ndarray:
@@ -492,7 +489,7 @@ def nearly_cosymplectic_residual(pg: PointGeometry) -> float | np.ndarray:
     entry of its polarization (nabla_x phi) z + (nabla_z phi) x in the
     point's frame."""
     f = pg.frame
-    n = _in_frames(pg.nphi, f, pg.gram @ f, f)  # n[..., x, a, z]: (nabla_x phi) z
+    n = in_frames(pg.nphi, f, pg.gram @ f, f)  # n[..., x, a, z]: (nabla_x phi) z
     return max_entry(n + n.swapaxes(-1, -3), 3)
 
 
@@ -528,12 +525,12 @@ def modified_connection_suite(pg: PointGeometry, *,
     # h(x, xi) as the matrix h(., xi) times x: where that matrix is -A
     # exactly, both products round alike and cancel to 0
     reeb = max_entry(_t(gf) @ (a @ b + (h @ pg.xi[..., None, :, None])[..., 0] @ b), 2)
-    phi_h = max_entry(_in_frames(pg.modified_nphi, b, gf, b), 3)
+    phi_h = max_entry(in_frames(pg.modified_nphi, b, gf, b), 3)
     # the differentiated route against the closed formula
     # P R(x, w) z + g(Aw, z) Ax - g(Ax, z) Aw + g(Bx, w) P B P z
     ab, af = operator_in_basis(a, b, pg.gram), _t(gf) @ a @ b
     bb, sf = operator_in_basis(pg.dxi_skew, b, pg.gram), _t(gf) @ pg.skew_projected @ b
-    routes = _in_frames(pg.modified_riem - pg.riem, _t(pg.projector) @ gf, b, b, b)
+    routes = in_frames(pg.modified_riem - pg.riem, _t(pg.projector) @ gf, b, b, b)
     agree = max_entry(routes - _terms("azxw", (1, "zw,ax", ab, af), (-1, "zx,aw", ab, af),
                                       (1, "wx,az", bb, sf)), 4)
     return VerificationReport.of([
@@ -561,8 +558,8 @@ def defect_collapse_suite(pg: PointGeometry, *,
     pt = _t(pg.projector) @ pg.gram @ pg.frame
     rhs = 2.0 * np.einsum("...yx,...az->...azxy", operator_in_basis(pg.dxi_skew, b, pg.gram),
                           _t(pt) @ pg.modified_nphi_reeb @ b)
-    resid = max_entry(_in_frames(r, pt, phi @ b, b, b)
-                      - _in_frames(r, _t(phi) @ pt, b, b, b) - rhs, 4)
+    resid = max_entry(in_frames(r, pt, phi @ b, b, b)
+                      - in_frames(r, _t(phi) @ pt, b, b, b) - rhs, 4)
     checks.append(Check.below("defect_collapse", worst(resid), tol.identity))
     return VerificationReport.of(checks)
 
@@ -590,8 +587,8 @@ def defect_factorization_suite(pg: PointGeometry, *,
     w = pg.projector @ pg.modified_nphi_reeb - pg.skew_projected @ phi
     ab = _t(a @ b) @ pg.gram  # rows g(A h_i, .)
     a_phi, a_z, af, phi_af = ab @ phi @ b, ab @ b, _t(gf) @ a @ b, _t(gf) @ phi @ a @ b
-    rhs = (_in_frames(r, _t(pg.projector) @ gf, phi @ b, b, b)
-           - _in_frames(r, _t(phi) @ gf, b, b, b)
+    rhs = (in_frames(r, _t(pg.projector) @ gf, phi @ b, b, b)
+           - in_frames(r, _t(phi) @ gf, b, b, b)
            + _terms("azxy", (1, "yz,ax", a_phi, af), (-1, "xz,ay", a_phi, af),
                     (-1, "yz,ax", a_z, phi_af), (1, "xz,ay", a_z, phi_af)))
     lhs = 2.0 * np.einsum("...yx,...az->...azxy", operator_in_basis(pg.dxi_skew, b, pg.gram),
@@ -606,12 +603,12 @@ def _reconstruction_residuals(pg: PointGeometry, c: float):
     reconstruction with phi-plane constant ``c``, one value per point."""
     f, b = pg.frame, pg.horizontal_basis
     gf = pg.gram @ f
-    n = _in_frames(pg.nphi, f, gf, f)  # n[..., x, a, z]: (nabla_x phi) z
+    n = in_frames(pg.nphi, f, gf, f)  # n[..., x, a, z]: (nabla_x phi) z
     a, phi = _t(gf) @ pg.reeb_gradient @ f, _t(gf) @ pg.phi @ f  # [i, j] = g(f_i, M f_j)
     e, one, aa = (pg.eta[..., None, :] @ f)[..., 0, :], np.eye(f.shape[-1]), _t(a) @ a
 
     # 4 g(R(w, x) y, z) from first derivatives of the structure
-    lhs = 4.0 * np.einsum("...zywx->...wxyz", _in_frames(pg.riem, gf, f, f, f))
+    lhs = 4.0 * np.einsum("...zywx->...wxyz", in_frames(pg.riem, gf, f, f, f))
     rhs = _terms("wxyz", (1, "waz,xay", n, n), (-1, "way,xaz", n, n), (-2, "wax,yaz", n, n),
                  (1, "zw,yx", a, a), (-1, "yw,zx", a, a), (-2, "xw,zy", a, a),
                  (-1, "w,y,xz", e, e, aa), (1, "w,z,xy", e, e, aa),
@@ -708,18 +705,22 @@ def horizontal_sectional_values(chart: Chart, points, seed: int = 0, *,
     """Sectional curvatures of random horizontal planes across the points.
 
     A probe pair with |g(x, w)| > 0.99 is redrawn; raises
-    DegenerateInputError after ``MAX_PROBE_DRAWS`` consecutive redraws.
-    The points are one geometry; each point's pairs are drawn in turn, as
-    one stack, and every pair is evaluated at once."""
+    DegenerateInputError after ``MAX_PROBE_DRAWS`` consecutive redraws;
+    a failed draw names its point. The points are one geometry; each
+    point's pairs are drawn in turn, as one stack, and every pair is
+    evaluated at once."""
     rng = np.random.default_rng(seed)
     pg = PointGeometry(chart, np.atleast_2d(np.asarray(points, float)), tol=tol,
                        reads=READ_PLANS["curvature"])
     pairs = []
-    for gram, projector in zip(pg.gram, pg.projector):
-        pairs.append(_accepted_draws(
-            lambda n: _probe_tuples(gram, rng, 2, n, projector=projector),
-            lambda xw: np.abs(inners(*xw, gram)) <= 0.99, planes,
-            "horizontal plane with |g(x, w)| <= 0.99"))
+    for point, gram, projector in zip(pg._stack, pg.gram, pg.projector):
+        try:
+            pairs.append(_accepted_draws(
+                lambda n: _probe_tuples(gram, rng, 2, n, projector=projector),
+                lambda xw: np.abs(inners(*xw, gram)) <= 0.99, planes,
+                "horizontal plane with |g(x, w)| <= 0.99"))
+        except GeometryError as exc:
+            raise type(exc)(f"horizontal probes at point {point.tolist()}: {exc}") from exc
     x, w = np.stack(pairs, axis=1)
     return sectional(pg.riem, pg.gram, x, w, tol=tol).ravel().tolist()
 

@@ -180,6 +180,25 @@ def operator_in_basis(mat, basis, gram) -> np.ndarray:
     return basis.swapaxes(-1, -2) @ gram @ mat @ basis
 
 
+def in_frames(table, *mats) -> np.ndarray:
+    """``table`` with each axis n contracted against the first axis of
+    ``mats[n]``, one axis at a time: out[a, b, ...] = sum over i, j, ... of
+    table[i, j, ...] mats[0][i, a] mats[1][j, b] ...; over a stack, every
+    array carries the same leading axes, which ride along.
+
+    An argument slot takes a frame (its columns the arguments); a vector
+    output slot takes ``gram @ frame``, which gives the output's components
+    g(v, f_a) in a g-orthonormal frame, or ``m.T @ gram @ frame`` for the
+    components of ``m @ v``."""
+    out = np.asarray(table)
+    for mat in mats:  # the new axis goes last, so after every axis the order is back
+        lead = mat.shape[:-2]
+        rest = out.shape[len(lead) + 1:]
+        out = (out.reshape(lead + (mat.shape[-2], -1)).swapaxes(-1, -2) @ mat).reshape(
+            lead + rest + mat.shape[-1:])
+    return out
+
+
 def max_entry(table, axes: int | None = None) -> float | np.ndarray:
     """Largest |entry| of a tensor, as a float; with ``axes``, of each
     tensor held in the last ``axes`` axes of a stack, one value per leading

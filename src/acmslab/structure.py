@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DegenerateInputError, ShapeError
-from .linalg import check_gram, g_singular_values, gram_schmidt, max_entry
+from .linalg import check_gram, g_singular_values, gram_schmidt, in_frames, max_entry
 from .report import Check, VerificationReport
 
 
@@ -144,12 +144,9 @@ def check_eta_parallel(nabla_phi_table: np.ndarray, gram,
     lead, dim = np.shape(gram)[:-2], np.shape(gram)[-1]
     if table.shape != lead + (dim,) * 3:
         raise ShapeError(f"nabla_phi table must have shape {lead + (dim,) * 3}")
-    lowered = np.einsum("...ijk,...jl->...ilk", table, gram)  # g((nabla_i phi) e_k, e_l)
-    # one basis index at a time: three O(d^4) products, not one O(d^6) loop
-    resid = np.einsum("...alk,...lb->...abk",
-                      np.einsum("...ia,...ilk->...alk", basis, lowered),
-                      basis) @ basis[..., None, :, :]
-    return max_entry(resid, 3)
+    # resid[..., a, b, c] = g((nabla_{b_a} phi) b_c, b_b), one basis index
+    # at a time: three batched matmuls, not one O(d^6) loop
+    return max_entry(in_frames(table, basis, gram @ basis, basis), 3)
 
 
 def dimension_consistency_gate(dim: int, star_passes: bool, contact_passes: bool) -> Check:

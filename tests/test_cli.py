@@ -48,6 +48,12 @@ OVERFLOWING_FD_TEXT = ("dim = 3\nderivative_mode = fd\n"
                        "phi[2][1] = 1\nphi[1][2] = -1\nxi[3] = 1\neta[3] = 1\n"
                        "xi[1] = 1e308 * sin(100000 * x2)\n")
 
+# the fd S^5 chart with that xi[1]
+OVERFLOWING_S5_FD_TEXT = "".join(
+    line + "\n"
+    for line in chart_to_text(gallery_chart("s5").with_mode(DerivativeMode("fd"))).splitlines()
+    if not line.startswith("xi[1] ")) + "xi[1] = 1e308 * sin(100000 * x2)\n"
+
 # every grid reads finite; the horizontal skew operator does not
 OVERFLOWING_SKEW_TEXT = ("dim = 3\ng[1][1] = 1\ng[2][2] = 1\ng[3][3] = 1\n"
                          "phi[1][2] = -1\n"
@@ -769,6 +775,12 @@ class TestInputErrors:
         ("validate", OVERFLOWING_FD_TEXT, "d xi[1] / d x2 at point ["),
         ("identities", OVERFLOWING_FD_TEXT, "d xi[1] / d x2 at point ["),
         ("validate", OVERFLOWING_SKEW_TEXT, "horizontal skew operator at point ["),
+        # the horizontal projector is finite, but the probes it projects
+        # overflow in their g-norms: once normalized to zero vectors and
+        # blamed on "a degenerate plane"
+        ("curvature", OVERFLOWING_FD_TEXT, "horizontal probes at point ["),
+        pytest.param("curvature", OVERFLOWING_S5_FD_TEXT, "horizontal probes at point [",
+                     id="curvature-fd S^5 probes"),
     ])
     def test_overflow_from_finite_grids_rejected(self, capsys, tmp_path, command, text,
                                                  message):
